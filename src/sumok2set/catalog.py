@@ -40,8 +40,7 @@ from .hostterm import (
     Subq,
     Var,
     app,
-    const_names,
-    constructor_uses,
+    subterms,
 )
 
 I = IOTA
@@ -50,6 +49,11 @@ II = Arrow(I, I)
 
 ROLE_DEFINITION = "definition"
 ROLE_AXIOM = "axiom"
+
+# The catalog constant each primitive constructor flattens to; a separation
+# is hoisted instead, to a definition phrased with membership.
+FLAT_CONST = {Mem: "in", Subq: "subq", Ite: "ite"}
+_CONSTRUCTOR_NEEDS = {**FLAT_CONST, Sep: "in"}
 
 
 @dataclass(frozen=True)
@@ -68,18 +72,27 @@ class Catalog:
         self._deps = {e.name: self._compute_deps(e) for e in entries}
 
     def _compute_deps(self, entry: CatalogEntry) -> list:
-        found: dict = {}
         terms = [t for (_, _, t) in entry.premises]
         if entry.defn is not None:
             terms.append(entry.defn)
+        found = self.needs(terms) - {entry.name}
+        return sorted(found, key=self._index.__getitem__)
+
+    def needs(self, terms) -> set:
+        """Catalog names the terms need.
+
+        These are the catalog constants they mention and the constants
+        their primitive constructors stand for.
+        """
+        out: set = set()
         for term in terms:
-            for name in const_names(term):
-                if name in self.entries and name != entry.name:
-                    found.setdefault(name, None)
-            for name in constructor_uses(term):
-                if name in self.entries and name != entry.name:
-                    found.setdefault(name, None)
-        return sorted(found, key=lambda n: self._index[n])
+            for t in subterms(term):
+                if type(t) is Const:
+                    if t.name in self.entries:
+                        out.add(t.name)
+                elif type(t) in _CONSTRUCTOR_NEEDS:
+                    out.add(_CONSTRUCTOR_NEEDS[type(t)])
+        return out
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries

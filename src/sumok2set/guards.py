@@ -156,29 +156,16 @@ def guards_for(formula, scope, sig, resolve, expand_known_rows: bool = False) ->
         return None
 
     def walk_spine(head, spine, shadowed):
-        if isinstance(spine, sumo.TermSpine):
-            for j, item in enumerate(spine.items):
-                if isinstance(item, sumo.Var):
-                    add(item.name, shadowed, positional_guard(head, j))
-                walk_term(item, shadowed)
-            return
-        for j, item in enumerate(spine.prefix):
+        row = isinstance(spine, sumo.RowSpine)
+        for j, item in enumerate(spine.prefix if row else spine.items):
             if isinstance(item, sumo.Var):
                 add(item.name, shadowed, positional_guard(head, j))
-            walk_term(item, shadowed)
-        add(spine.row, shadowed, row_guard(head))
-        for item in spine.suffix:
-            # indices after a row variable are not statically known
-            walk_term(item, shadowed)
-
-    def walk_term(t, shadowed):
-        if isinstance(t, sumo.Apply):
-            walk_spine(t.head, t.spine, shadowed)
-        elif isinstance(t, sumo.Kappa):
-            walk_formula(t.body, shadowed | {t.var})
-        elif isinstance(t, sumo.Arith):
-            walk_term(t.left, shadowed)
-            walk_term(t.right, shadowed)
+            walk(item, shadowed)
+        if row:
+            add(spine.row, shadowed, row_guard(head))
+            for item in spine.suffix:
+                # indices after a row variable are not statically known
+                walk(item, shadowed)
 
     def range_heuristic(a, b, shadowed):
         if not (isinstance(a, sumo.Var) and isinstance(b, sumo.Apply)):
@@ -192,50 +179,22 @@ def guards_for(formula, scope, sig, resolve, expand_known_rows: bool = False) ->
         guard_mode = SUBSET if mode == sigmod.MODE_SUBCLASS else MEMBER
         add(a.name, shadowed, MemClass(resolve(cls), guard_mode, origin="range-heuristic"))
 
-    def walk_formula(f, shadowed):
-        if isinstance(f, (sumo.Bot, sumo.Top)):
+    def walk(node, shadowed):
+        if isinstance(node, (sumo.Apply, sumo.RelAtom)):
+            walk_spine(node.head, node.spine, shadowed)
             return
-        if isinstance(f, sumo.Not):
-            walk_formula(f.body, shadowed)
-        elif isinstance(f, sumo.Impl):
-            walk_formula(f.ante, shadowed)
-            walk_formula(f.cons, shadowed)
-        elif isinstance(f, sumo.Iff):
-            walk_formula(f.left, shadowed)
-            walk_formula(f.right, shadowed)
-        elif isinstance(f, (sumo.And, sumo.Or)):
-            for item in f.items:
-                walk_formula(item, shadowed)
-        elif isinstance(f, (sumo.ForallVars, sumo.ExistsVars)):
-            walk_formula(f.body, shadowed | set(f.names))
-        elif isinstance(f, (sumo.ForallRow, sumo.ExistsRow)):
-            walk_formula(f.body, shadowed | {f.name})
-        elif isinstance(f, sumo.Instance):
-            if isinstance(f.member, sumo.Var):
-                add(
-                    f.member.name,
-                    shadowed,
-                    MemClass(cc("entity"), MEMBER, origin="instance-arg"),
-                )
-            walk_term(f.member, shadowed)
-            walk_term(f.cls, shadowed)
-        elif isinstance(f, sumo.Eq):
-            range_heuristic(f.left, f.right, shadowed)
-            range_heuristic(f.right, f.left, shadowed)
-            walk_term(f.left, shadowed)
-            walk_term(f.right, shadowed)
-        elif isinstance(f, sumo.Subclass):
-            walk_term(f.sub, shadowed)
-            walk_term(f.sup, shadowed)
-        elif isinstance(f, (sumo.Le, sumo.Lt)):
-            walk_term(f.left, shadowed)
-            walk_term(f.right, shadowed)
-        elif isinstance(f, sumo.RelAtom):
-            walk_spine(f.head, f.spine, shadowed)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
+        if isinstance(node, sumo.Instance) and isinstance(node.member, sumo.Var):
+            add(node.member.name, shadowed, MemClass(cc("entity"), MEMBER, origin="instance-arg"))
+        elif isinstance(node, sumo.Eq):
+            range_heuristic(node.left, node.right, shadowed)
+            range_heuristic(node.right, node.left, shadowed)
+        binding = sumo.binder(node)
+        if binding is not None:
+            shadowed = shadowed | set(binding[1])
+        for child in sumo.children(node):
+            walk(child, shadowed)
 
-    walk_formula(formula, frozenset())
+    walk(formula, frozenset())
     return occ
 
 

@@ -41,6 +41,7 @@ from .hostterm import (
     Subq,
     Top,
     Var,
+    free_vars,
 )
 from . import th0
 
@@ -426,7 +427,7 @@ class Evaluator:
             guard is not None
             and isinstance(guard[0], Var)
             and guard[0].name == t.name
-            and not self._mentions(guard[1], t.name)
+            and all(name != t.name for name, _ in free_vars(guard[1]))
         ):
             bound = self.eval(guard[1], env)
             return rest, self.members(bound)
@@ -444,33 +445,6 @@ class Evaluator:
         ):
             return t.fn.arg, t.arg
         return None
-
-    @staticmethod
-    def _mentions(t, name: str) -> bool:
-        if isinstance(t, Var):
-            return t.name == name
-        if isinstance(t, App):
-            return Evaluator._mentions(t.fn, name) or Evaluator._mentions(t.arg, name)
-        if isinstance(t, (Lam, All, Ex)):
-            return t.name != name and Evaluator._mentions(t.body, name)
-        if isinstance(t, (Imp, Conj, Disj, Iff, Eq)):
-            a, b = th0._two(t)
-            return Evaluator._mentions(a, name) or Evaluator._mentions(b, name)
-        if isinstance(t, Neg):
-            return Evaluator._mentions(t.body, name)
-        if isinstance(t, Mem):
-            return Evaluator._mentions(t.elem, name) or Evaluator._mentions(t.container, name)
-        if isinstance(t, Subq):
-            return Evaluator._mentions(t.sub, name) or Evaluator._mentions(t.sup, name)
-        if isinstance(t, Sep):
-            if Evaluator._mentions(t.bound, name):
-                return True
-            return t.name != name and Evaluator._mentions(t.body, name)
-        if isinstance(t, Ite):
-            return any(
-                Evaluator._mentions(s, name) for s in (t.cond, t.then, t.other)
-            )
-        return False
 
     def values_equal(self, a, b) -> bool:
         if isinstance(a, HfSet) and isinstance(b, HfSet):

@@ -7,7 +7,9 @@ TH0 printer later rewrites them into applied constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class HostType:
@@ -147,6 +149,8 @@ class Sep:
     bound: object  # the set being separated
     body: object  # predicate over the bound variable
 
+    ty = IOTA  # not a field: the type of the bound variable, as on Lam/All/Ex
+
 
 @dataclass(frozen=True)
 class Ite:
@@ -210,13 +214,9 @@ def typecheck(term, env: dict | None = None) -> HostType:
             return Arrow(t.ty, check(t.body, {**ctx, t.name: t.ty}))
         if isinstance(t, (Bot, Top)):
             return OMICRON
-        if isinstance(t, Neg):
-            expect(t.body, OMICRON, ctx)
-            return OMICRON
-        if isinstance(t, (Imp, Conj, Disj, Iff)):
-            a, b = _sides(t)
-            expect(a, OMICRON, ctx)
-            expect(b, OMICRON, ctx)
+        if isinstance(t, (Neg, Imp, Conj, Disj, Iff)):
+            for side in children(t):
+                expect(side, OMICRON, ctx)
             return OMICRON
         if isinstance(t, Eq):
             lt = check(t.left, ctx)
@@ -227,13 +227,9 @@ def typecheck(term, env: dict | None = None) -> HostType:
         if isinstance(t, (All, Ex)):
             expect(t.body, OMICRON, {**ctx, t.name: t.ty})
             return OMICRON
-        if isinstance(t, Mem):
-            expect(t.elem, IOTA, ctx)
-            expect(t.container, IOTA, ctx)
-            return OMICRON
-        if isinstance(t, Subq):
-            expect(t.sub, IOTA, ctx)
-            expect(t.sup, IOTA, ctx)
+        if isinstance(t, (Mem, Subq)):
+            for side in children(t):
+                expect(side, IOTA, ctx)
             return OMICRON
         if isinstance(t, Sep):
             expect(t.bound, IOTA, ctx)
@@ -249,24 +245,139 @@ def typecheck(term, env: dict | None = None) -> HostType:
     return check(term, env)
 
 
-def _sides(t):
-    if isinstance(t, Imp):
-        return t.ante, t.cons
-    if isinstance(t, (Conj, Disj, Iff)):
-        return t.left, t.right
-    raise TypeError
+# ---------------------------------------------------------------------------
+# Traversal
 
 
-def _binder_parts(t):
-    if isinstance(t, Lam):
-        return t.name, t.ty, (t.body,)
-    if isinstance(t, All):
-        return t.name, t.ty, (t.body,)
-    if isinstance(t, Ex):
-        return t.name, t.ty, (t.body,)
-    if isinstance(t, Sep):
-        return t.name, IOTA, (t.bound, t.body)
-    return None
+class Shape(NamedTuple):
+    fields: tuple  # sub-term fields, in visit order
+    scoped: tuple = ()  # the fields the node's bound variable `name` scopes over
+
+
+# The one traversal table: every structural walk below is a fold over it.
+# Visit order is output order (declarations, hoisted parameters, sep_
+# definitions), so reordering fields here changes rendered problems.
+SHAPES = {
+    Var: Shape(()),
+    Const: Shape(()),
+    Bot: Shape(()),
+    Top: Shape(()),
+    App: Shape(("fn", "arg")),
+    Lam: Shape(("body",), ("body",)),
+    All: Shape(("body",), ("body",)),
+    Ex: Shape(("body",), ("body",)),
+    Neg: Shape(("body",)),
+    Imp: Shape(("ante", "cons")),
+    Conj: Shape(("left", "right")),
+    Disj: Shape(("left", "right")),
+    Iff: Shape(("left", "right")),
+    Eq: Shape(("left", "right")),
+    Mem: Shape(("elem", "container")),
+    Subq: Shape(("sub", "sup")),
+    Sep: Shape(("bound", "body"), ("body",)),  # the separated set is outside the scope
+    Ite: Shape(("cond", "then", "other")),
+}
+
+
+def _getter(fs):
+    """A function from a node to the named fields' values, as a tuple."""
+    if len(fs) == 1:
+        return lambda t, get=attrgetter(fs[0]): (get(t),)
+    return attrgetter(*fs) if fs else (lambda t: ())
+
+
+# Derived from the table once: each class's sub-term getter and, for binders,
+# a getter for the constructor fields that are not sub-terms (name and type).
+# Those come first in every constructor, as rebuild relies on.
+_CHILDREN = {cls: _getter(s.fields) for cls, s in SHAPES.items()}
+_DATA = {
+    cls: _getter(tuple(f.name for f in fields(cls) if f.name not in s.fields))
+    for cls, s in SHAPES.items()
+    if s.scoped
+}
+
+
+def shape(t) -> Shape:
+    try:
+        return SHAPES[type(t)]
+    except KeyError:
+        raise TypeError(f"not a host term: {t!r}") from None
+
+
+def children(t) -> tuple:
+    """The sub-terms of t, in table order."""
+    try:
+        return _CHILDREN[type(t)](t)
+    except KeyError:
+        raise TypeError(f"not a host term: {t!r}") from None
+
+
+def rebuild(t, kids):
+    """A node like t whose sub-terms are kids, in children order."""
+    if not kids:
+        return t
+    data = _DATA.get(type(t))
+    return type(t)(*data(t), *kids) if data else type(t)(*kids)
+
+
+def subterms(term) -> list:
+    """Every node of the term, in pre-order."""
+    out: list = []
+    _preorder(term, out)
+    return out
+
+
+def _preorder(t, out):
+    # module level, not a closure: a closure per call costs a collector run
+    # every few hundred terms on large problems
+    out.append(t)
+    for k in children(t):
+        _preorder(k, out)
+
+
+def free_vars(term) -> list:
+    """Free variables in first-occurrence order as (name, ty) pairs."""
+    out: dict = {}
+
+    def go(t, bound):
+        if type(t) is Var:
+            if t.name not in bound:
+                out.setdefault((t.name, t.ty), None)
+            return
+        fs, scoped = shape(t)
+        inner = bound | {t.name} if scoped else bound
+        for f in fs:
+            go(getattr(t, f), inner if f in scoped else bound)
+
+    go(term, frozenset())
+    return list(out)
+
+
+def substitute(term, mapping):
+    """Replace free variables by name with the mapped terms.
+
+    Not capture-avoiding: a free variable of a mapped term that a binder on
+    the way down binds is captured.
+    """
+
+    def go(t, shadow):
+        if type(t) is Var:
+            return t if t.name in shadow else mapping.get(t.name, t)
+        fs, scoped = shape(t)
+        inner = shadow | {t.name} if scoped else shadow
+        return rebuild(t, [go(getattr(t, f), inner if f in scoped else shadow) for f in fs])
+
+    return go(term, frozenset())
+
+
+def consts(term) -> list:
+    """The Const nodes of the term in pre-order, repeats included."""
+    return [t for t in subterms(term) if type(t) is Const]
+
+
+def const_names(term):
+    """Every Const name in the term, in first-occurrence order."""
+    return list(dict.fromkeys(c.name for c in consts(term)))
 
 
 def alpha_eq(a, b) -> bool:
@@ -281,76 +392,19 @@ def alpha_eq(a, b) -> bool:
             if dx is None and dy is None:
                 return x == y
             return dx == dy and x.ty == y.ty
-        if isinstance(x, Const):
+        fs, scoped = shape(x)
+        if not fs:
             return x == y
-        if isinstance(x, (Bot, Top)):
-            return True
-        bx = _binder_parts(x)
-        if bx is not None:
-            by = _binder_parts(y)
-            nx, tx, subx = bx
-            ny, ty, suby = by
-            if tx != ty or len(subx) != len(suby):
-                return False
-            # Sep's bound set is outside the binder scope
-            if isinstance(x, Sep):
-                if not go(subx[0], suby[0], ex, ey, depth):
-                    return False
-                subx, suby = subx[1:], suby[1:]
-            ex2 = {**ex, nx: depth}
-            ey2 = {**ey, ny: depth}
-            return all(go(p, q, ex2, ey2, depth + 1) for p, q in zip(subx, suby))
-        fx = [getattr(x, f.name) for f in x.__dataclass_fields__.values()]
-        fy = [getattr(y, f.name) for f in y.__dataclass_fields__.values()]
-        for p, q in zip(fx, fy):
-            if isinstance(p, (str, HostType)):
-                if p != q:
-                    return False
-            elif not go(p, q, ex, ey, depth):
+        if scoped and x.ty != y.ty:
+            return False
+        for f in fs:
+            sx, sy = getattr(x, f), getattr(y, f)
+            if f in scoped:
+                ok = go(sx, sy, {**ex, x.name: depth}, {**ey, y.name: depth}, depth + 1)
+            else:
+                ok = go(sx, sy, ex, ey, depth)
+            if not ok:
                 return False
         return True
 
     return go(a, b, {}, {}, 0)
-
-
-def const_names(term):
-    """Every Const name in the term, in first-occurrence order."""
-    seen: dict = {}
-
-    def go(t):
-        if isinstance(t, Const):
-            seen.setdefault(t.name, None)
-        elif isinstance(t, (Var, Bot, Top)):
-            pass
-        else:
-            for f in t.__dataclass_fields__.values():
-                v = getattr(t, f.name)
-                if not isinstance(v, (str, HostType)):
-                    go(v)
-
-    go(term)
-    return list(seen)
-
-
-def constructor_uses(term) -> set:
-    """Which primitive constructors appear: subset of {in, subq, ite, sep}."""
-    used: set = set()
-
-    def go(t):
-        if isinstance(t, Mem):
-            used.add("in")
-        elif isinstance(t, Subq):
-            used.add("subq")
-        elif isinstance(t, Ite):
-            used.add("ite")
-        elif isinstance(t, Sep):
-            used.add("sep")
-        if isinstance(t, (Var, Const, Bot, Top)):
-            return
-        for f in t.__dataclass_fields__.values():
-            v = getattr(t, f.name)
-            if not isinstance(v, (str, HostType)):
-                go(v)
-
-    go(term)
-    return used

@@ -8,7 +8,8 @@ detected by head symbol and skipped rather than translated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import sexpr
 from .sexpr import (
@@ -336,14 +337,10 @@ def _lower_term(sx):
 
 
 def _row_free_in_term(term) -> bool:
-    if isinstance(term, Apply):
-        spine = term.spine
-        if isinstance(spine, RowSpine):
-            return True
-        return any(_row_free_in_term(t) for t in spine.items)
-    if isinstance(term, Arith):
-        return _row_free_in_term(term.left) or _row_free_in_term(term.right)
-    return False
+    # a class-formation body is a formula of its own, not part of the spine
+    if isinstance(term, RowSpine):
+        return True
+    return not isinstance(term, Kappa) and any(_row_free_in_term(c) for c in children(term))
 
 
 def _lower_spine(items, span: Span):
@@ -482,80 +479,118 @@ def lower(form, skip_heads=DEFAULT_SKIP_HEADS):
 # Free variables and rendering
 
 
+VAR_BINDER = "var"
+ROW_BINDER = "row"
+
+
+class Shape(NamedTuple):
+    fields: tuple  # child fields, in visit order
+    binder: tuple | None = None  # (kind, field): the name(s) in field, bound over every child
+
+
+# The one traversal table.  A child field holds a node or a tuple of nodes;
+# RowSpine.row alone holds a string, the name of an occurring row variable,
+# visited between the prefix and the suffix.  Visit order is output order
+# (quantifier and guard order), so reordering fields changes problems.
+SHAPES = {
+    Var: Shape(()),
+    Const: Shape(()),
+    Rat: Shape(()),
+    Builtin: Shape(()),
+    TermSpine: Shape(("items",)),
+    RowSpine: Shape(("prefix", "row", "suffix")),
+    Apply: Shape(("head", "spine")),
+    Kappa: Shape(("body",), (VAR_BINDER, "var")),
+    Arith: Shape(("left", "right")),
+    Bot: Shape(()),
+    Top: Shape(()),
+    Not: Shape(("body",)),
+    Impl: Shape(("ante", "cons")),
+    Iff: Shape(("left", "right")),
+    And: Shape(("items",)),
+    Or: Shape(("items",)),
+    ForallVars: Shape(("body",), (VAR_BINDER, "names")),
+    ExistsVars: Shape(("body",), (VAR_BINDER, "names")),
+    ForallRow: Shape(("body",), (ROW_BINDER, "name")),
+    ExistsRow: Shape(("body",), (ROW_BINDER, "name")),
+    Eq: Shape(("left", "right")),
+    Instance: Shape(("member", "cls")),
+    Subclass: Shape(("sub", "sup")),
+    Le: Shape(("left", "right")),
+    Lt: Shape(("left", "right")),
+    RelAtom: Shape(("head", "spine")),
+}
+
+
+def shape(node) -> Shape:
+    try:
+        return SHAPES[type(node)]
+    except KeyError:
+        raise TypeError(f"not a fragment node: {node!r}") from None
+
+
+def children(node) -> list:
+    """The children of a node in table order, tuple fields spread out."""
+    out = []
+    for f in shape(node).fields:
+        v = getattr(node, f)
+        if type(v) is tuple:
+            out.extend(v)
+        else:
+            out.append(v)
+    return out
+
+
+def binder(node):
+    """(kind, names) for a binding node, None otherwise."""
+    b = shape(node).binder
+    if b is None:
+        return None
+    names = getattr(node, b[1])
+    return b[0], (names,) if type(names) is str else names
+
+
+def variables(formula):
+    """Free variables and every variable name of a formula, in one walk.
+
+    Returns (free, names): free is a list of (name, is_row) pairs in
+    first-occurrence order; names is the set of variable and row variable
+    names occurring in the formula, bound or free.
+    """
+    free: dict = {}
+    names: set = set()
+
+    def go(node, bound, rows):
+        if type(node) is str:  # a row variable occurrence
+            names.add(node)
+            if node not in rows:
+                free.setdefault((node, True), None)
+            return
+        if type(node) is Var:
+            names.add(node.name)
+            if node.name not in bound:
+                free.setdefault((node.name, False), None)
+            return
+        b = binder(node)
+        if b is not None:
+            names.update(b[1])
+            if b[0] == VAR_BINDER:
+                bound = bound | set(b[1])
+            else:
+                rows = rows | set(b[1])
+        for child in children(node):
+            go(child, bound, rows)
+
+    go(formula, frozenset(), frozenset())
+    return list(free), names
+
+
 def formula_free_vars(formula):
     """Free variables of a formula in first-occurrence order.
 
     Returns a list of (name, is_row) pairs.
     """
-    seen: dict = {}
-
-    def term(t, bound, rows):
-        if isinstance(t, Var):
-            if t.name not in bound:
-                seen.setdefault((t.name, False), None)
-        elif isinstance(t, Apply):
-            if isinstance(t.head, Var) and t.head.name not in bound:
-                seen.setdefault((t.head.name, False), None)
-            spine(t.spine, bound, rows)
-        elif isinstance(t, Kappa):
-            walk(t.body, bound | {t.var}, rows)
-        elif isinstance(t, Arith):
-            term(t.left, bound, rows)
-            term(t.right, bound, rows)
-
-    def spine(s, bound, rows):
-        if isinstance(s, TermSpine):
-            for t in s.items:
-                term(t, bound, rows)
-        else:
-            for t in s.prefix:
-                term(t, bound, rows)
-            if s.row not in rows:
-                seen.setdefault((s.row, True), None)
-            for t in s.suffix:
-                term(t, bound, rows)
-
-    def walk(f, bound, rows):
-        if isinstance(f, (Bot, Top)):
-            return
-        if isinstance(f, Not):
-            walk(f.body, bound, rows)
-        elif isinstance(f, Impl):
-            walk(f.ante, bound, rows)
-            walk(f.cons, bound, rows)
-        elif isinstance(f, Iff):
-            walk(f.left, bound, rows)
-            walk(f.right, bound, rows)
-        elif isinstance(f, (And, Or)):
-            for item in f.items:
-                walk(item, bound, rows)
-        elif isinstance(f, (ForallVars, ExistsVars)):
-            walk(f.body, bound | set(f.names), rows)
-        elif isinstance(f, (ForallRow, ExistsRow)):
-            walk(f.body, bound, rows | {f.name})
-        elif isinstance(f, (Eq, Instance, Subclass, Le, Lt)):
-            a, b = _formula_sides(f)
-            term(a, bound, rows)
-            term(b, bound, rows)
-        elif isinstance(f, RelAtom):
-            if isinstance(f.head, Var) and f.head.name not in bound:
-                seen.setdefault((f.head.name, False), None)
-            spine(f.spine, bound, rows)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-
-    walk(formula, frozenset(), frozenset())
-    return list(seen.keys())
-
-
-def _formula_sides(f):
-    if isinstance(f, Eq):
-        return f.left, f.right
-    if isinstance(f, Instance):
-        return f.member, f.cls
-    if isinstance(f, Subclass):
-        return f.sub, f.sup
-    return f.left, f.right
+    return variables(formula)[0]
 
 
 _BUILTIN_SURFACE = {REAL: "RealNumber", NEGREAL: "NegativeRealNumber", NONNEGREAL: "NonnegativeRealNumber"}

@@ -18,7 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
-from .catalog import CATALOG, cc
+from .catalog import CATALOG, FLAT_CONST, cc
 from .hostterm import (
     All,
     App,
@@ -33,18 +33,20 @@ from .hostterm import (
     IOTA,
     Iff,
     Imp,
-    Ite,
     Lam,
-    Mem,
     Neg,
     OMICRON,
     Sep,
-    Subq,
     Top,
     TypeMismatch,
     Var,
     app,
     arrow,
+    children,
+    consts,
+    free_vars,
+    rebuild,
+    substitute,
     typecheck,
 )
 
@@ -63,90 +65,6 @@ class Th0Error(Exception):
 # Flattening
 
 
-def _free_vars(term, bound=frozenset()):
-    """Free variables in first-occurrence order as (name, ty) pairs."""
-    out: dict = {}
-
-    def walk(t, bound):
-        if isinstance(t, Var):
-            if t.name not in bound:
-                out.setdefault((t.name, t.ty), None)
-        elif isinstance(t, App):
-            walk(t.fn, bound)
-            walk(t.arg, bound)
-        elif isinstance(t, (Lam, All, Ex)):
-            walk(t.body, bound | {t.name})
-        elif isinstance(t, Neg):
-            walk(t.body, bound)
-        elif isinstance(t, (Imp, Conj, Disj, Iff, Eq)):
-            a, b = _two(t)
-            walk(a, bound)
-            walk(b, bound)
-        elif isinstance(t, Mem):
-            walk(t.elem, bound)
-            walk(t.container, bound)
-        elif isinstance(t, Subq):
-            walk(t.sub, bound)
-            walk(t.sup, bound)
-        elif isinstance(t, Sep):
-            walk(t.bound, bound)
-            walk(t.body, bound | {t.name})
-        elif isinstance(t, Ite):
-            walk(t.cond, bound)
-            walk(t.then, bound)
-            walk(t.other, bound)
-
-    walk(term, bound)
-    return list(out)
-
-
-def _two(t):
-    if isinstance(t, Imp):
-        return t.ante, t.cons
-    return t.left, t.right
-
-
-def _rename_free(term, mapping):
-    """Substitute variables by name; mapping values are terms."""
-
-    def walk(t, shadow):
-        if isinstance(t, Var):
-            if t.name in shadow:
-                return t
-            return mapping.get(t.name, t)
-        if isinstance(t, App):
-            return App(walk(t.fn, shadow), walk(t.arg, shadow))
-        if isinstance(t, Lam):
-            return Lam(t.name, t.ty, walk(t.body, shadow | {t.name}))
-        if isinstance(t, All):
-            return All(t.name, t.ty, walk(t.body, shadow | {t.name}))
-        if isinstance(t, Ex):
-            return Ex(t.name, t.ty, walk(t.body, shadow | {t.name}))
-        if isinstance(t, Neg):
-            return Neg(walk(t.body, shadow))
-        if isinstance(t, Imp):
-            return Imp(walk(t.ante, shadow), walk(t.cons, shadow))
-        if isinstance(t, Conj):
-            return Conj(walk(t.left, shadow), walk(t.right, shadow))
-        if isinstance(t, Disj):
-            return Disj(walk(t.left, shadow), walk(t.right, shadow))
-        if isinstance(t, Iff):
-            return Iff(walk(t.left, shadow), walk(t.right, shadow))
-        if isinstance(t, Eq):
-            return Eq(walk(t.left, shadow), walk(t.right, shadow))
-        if isinstance(t, Mem):
-            return Mem(walk(t.elem, shadow), walk(t.container, shadow))
-        if isinstance(t, Subq):
-            return Subq(walk(t.sub, shadow), walk(t.sup, shadow))
-        if isinstance(t, Sep):
-            return Sep(t.name, walk(t.bound, shadow), walk(t.body, shadow | {t.name}))
-        if isinstance(t, Ite):
-            return Ite(walk(t.cond, shadow), walk(t.then, shadow), walk(t.other, shadow))
-        return t
-
-    return walk(term, frozenset())
-
-
 class _SepHoister:
     """Replace separation nodes by applied fresh constants with definitions."""
 
@@ -154,46 +72,22 @@ class _SepHoister:
         self.defs: list = []  # (const_name, definition term), hoist order
         self._by_key: dict = {}
 
-    def flatten(self, term):
-        t = term
-        if isinstance(t, (Var, Const, Bot, Top)):
-            return t
-        if isinstance(t, App):
-            return App(self.flatten(t.fn), self.flatten(t.arg))
-        if isinstance(t, Lam):
-            return Lam(t.name, t.ty, self.flatten(t.body))
-        if isinstance(t, All):
-            return All(t.name, t.ty, self.flatten(t.body))
-        if isinstance(t, Ex):
-            return Ex(t.name, t.ty, self.flatten(t.body))
-        if isinstance(t, Neg):
-            return Neg(self.flatten(t.body))
-        if isinstance(t, Imp):
-            return Imp(self.flatten(t.ante), self.flatten(t.cons))
-        if isinstance(t, Conj):
-            return Conj(self.flatten(t.left), self.flatten(t.right))
-        if isinstance(t, Disj):
-            return Disj(self.flatten(t.left), self.flatten(t.right))
-        if isinstance(t, Iff):
-            return Iff(self.flatten(t.left), self.flatten(t.right))
-        if isinstance(t, Eq):
-            return Eq(self.flatten(t.left), self.flatten(t.right))
-        if isinstance(t, Mem):
-            return app(cc("in"), self.flatten(t.elem), self.flatten(t.container))
-        if isinstance(t, Subq):
-            return app(cc("subq"), self.flatten(t.sub), self.flatten(t.sup))
-        if isinstance(t, Ite):
-            return app(
-                cc("ite"), self.flatten(t.cond), self.flatten(t.then), self.flatten(t.other)
-            )
+    def flatten(self, t):
         if isinstance(t, Sep):
             return self._hoist(t)
-        raise TypeError(f"cannot flatten {t!r}")
+        kids = children(t)
+        if not kids:
+            return t
+        kids = [self.flatten(k) for k in kids]
+        const = FLAT_CONST.get(type(t))
+        if const is not None:
+            return app(cc(const), *kids)
+        return rebuild(t, kids)
 
     def _hoist(self, t: Sep):
         bound_flat = self.flatten(t.bound)
         body_flat = self.flatten(t.body)
-        params = _free_vars(Sep(t.name, bound_flat, body_flat))
+        params = free_vars(Sep(t.name, bound_flat, body_flat))
         key = self._key(t.name, bound_flat, body_flat, params)
         found = self._by_key.get(key)
         if found is None:
@@ -211,9 +105,9 @@ class _SepHoister:
             elem += "_"
         member = Var(elem, IOTA)
         shape = Conj(
-            app(cc("in"), member, _rename_free(bound_flat, mapping)),
-            _rename_free(
-                _rename_free(body_flat, {xname: member}),
+            app(cc("in"), member, substitute(bound_flat, mapping)),
+            substitute(
+                substitute(body_flat, {xname: member}),
                 mapping,
             ),
         )
@@ -228,7 +122,7 @@ class _SepHoister:
             elem += "_elem"
         member = Var(elem, IOTA)
         applied = app(const, *[Var(n, ty) for n, ty in params])
-        body = _rename_free(body_flat, {t.name: member})
+        body = substitute(body_flat, {t.name: member})
         out = Iff(
             app(cc("in"), member, applied),
             Conj(app(cc("in"), member, bound_flat), body),
@@ -253,11 +147,24 @@ def render_type(ty, atomic: bool = False) -> str:
 _THF_VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 
+def escape(name: str) -> str:
+    """Injective escape into ASCII letters, digits and underscores.
+
+    Letters and digits stay; any other character becomes _xx below U+0100
+    and _uxxxxxx above it (lowercase hex, and u is no hex digit), so the
+    escape is prefix-free and distinct names never collide.
+    """
+    return "".join(
+        ch if ch.isascii() and ch.isalnum()
+        else ("_%02x" if ord(ch) < 0x100 else "_u%06x") % ord(ch)
+        for ch in name
+    )
+
+
 def _thf_var(name: str) -> str:
     if _THF_VAR_RE.match(name):
         return name
-    escaped = "".join(ch if (ch.isascii() and ch.isalnum()) else "_%02x" % ord(ch) for ch in name)
-    return "V_" + escaped
+    return "V_" + escape(name)
 
 
 def render_term(t) -> str:
@@ -339,25 +246,10 @@ class Th0Doc:
 def _collect_consts(terms) -> list:
     """Declared constants: catalog members in catalog order, then first use."""
     seen: dict = {}
-
-    def walk(t):
-        if isinstance(t, Const):
-            prev = seen.get(t.name)
-            if prev is not None and prev != t.ty:
-                raise Th0Error(f"constant {t.name} used at two types")
-            seen[t.name] = t.ty
-        elif isinstance(t, App):
-            walk(t.fn)
-            walk(t.arg)
-        elif isinstance(t, (Lam, All, Ex, Neg)):
-            walk(t.body)
-        elif isinstance(t, (Imp, Conj, Disj, Iff, Eq)):
-            a, b = _two(t)
-            walk(a)
-            walk(b)
-
     for term in terms:
-        walk(term)
+        for c in consts(term):
+            if seen.setdefault(c.name, c.ty) != c.ty:
+                raise Th0Error(f"constant {c.name} used at two types")
     catalog_part = sorted(
         (n for n in seen if n in CATALOG), key=CATALOG.order_index
     )
@@ -581,10 +473,15 @@ def parse_doc(text: str) -> Th0Doc:
     parser = _Parser(_tokenize_thf(text))
     doc = Th0Doc(comments=parser.comments)
     decls: dict = {}
+    names: set = set()
     while parser.peek() is not None:
         start = parser.expect_word("thf")
         parser.expect("(")
-        name = parser.expect_word().text
+        name_tok = parser.expect_word()
+        name = name_tok.text
+        if name in names:
+            raise Th0Error(f"duplicate record name {name}", name_tok.line, name_tok.col)
+        names.add(name)
         parser.expect(",")
         role = parser.expect_word().text
         parser.expect(",")
@@ -598,14 +495,12 @@ def parse_doc(text: str) -> Th0Doc:
                     const_tok.line,
                     const_tok.col,
                 )
-            if const_tok.text in decls:
-                raise Th0Error(f"duplicate declaration of {const_tok.text}", const_tok.line, const_tok.col)
             decls[const_tok.text] = ty
             doc.decls.append((const_tok.text, ty))
         elif role in ("axiom", "definition", "conjecture"):
             term = parser.parse_formula({}, decls)
             if role == "conjecture":
-                if name != "conj" or doc.conjecture is not None:
+                if name != "conj":
                     raise Th0Error("exactly one conjecture named conj is expected", start.line, start.col)
                 doc.conjecture = term
             else:
@@ -622,8 +517,9 @@ def parse_doc(text: str) -> Th0Doc:
 def check_text(text: str) -> list:
     """Diagnostics for rendered problem text; empty means well formed.
 
-    Checks grammar, declarations before use, type correctness of every
-    formula at the boolean type, and byte idempotence of the rendering.
+    Checks grammar, unique record names, declarations before use, type
+    correctness of every formula at the boolean type, and byte idempotence
+    of the rendering.
     """
     diags: list = []
     try:

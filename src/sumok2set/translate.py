@@ -43,6 +43,7 @@ from .hostterm import (
     imp_chain,
 )
 from .sexpr import Span, parse_forms
+from .th0 import escape
 
 LIST = Arrow(IOTA, IOTA)
 
@@ -88,73 +89,10 @@ _BUILTIN_CONST = {
 def mangle(name: str) -> str:
     """Stable injective mapping of source names into identifier characters.
 
-    Anything outside ASCII letters and digits becomes an underscore followed
-    by the two-digit hex code of the character, so distinct source names
-    never collide.
+    The name is prefixed with s_ and escaped by th0.escape, so distinct
+    source names never collide.
     """
-    out = ["s_"]
-    for ch in name:
-        if ch.isascii() and ch.isalnum():
-            out.append(ch)
-        else:
-            out.append("_%02x" % ord(ch))
-    return "".join(out)
-
-
-def _all_var_names(formula) -> set:
-    """Every variable name occurring in the formula, bound or free."""
-    names: set = set()
-
-    def term(t):
-        if isinstance(t, sumo.Var):
-            names.add(t.name)
-        elif isinstance(t, sumo.Apply):
-            term(t.head)
-            spine(t.spine)
-        elif isinstance(t, sumo.Kappa):
-            names.add(t.var)
-            walk(t.body)
-        elif isinstance(t, sumo.Arith):
-            term(t.left)
-            term(t.right)
-
-    def spine(s):
-        if isinstance(s, sumo.TermSpine):
-            for t in s.items:
-                term(t)
-        else:
-            names.add(s.row)
-            for t in s.prefix + s.suffix:
-                term(t)
-
-    def walk(f):
-        if isinstance(f, sumo.Not):
-            walk(f.body)
-        elif isinstance(f, sumo.Impl):
-            walk(f.ante)
-            walk(f.cons)
-        elif isinstance(f, sumo.Iff):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (sumo.And, sumo.Or)):
-            for item in f.items:
-                walk(item)
-        elif isinstance(f, (sumo.ForallVars, sumo.ExistsVars)):
-            names.update(f.names)
-            walk(f.body)
-        elif isinstance(f, (sumo.ForallRow, sumo.ExistsRow)):
-            names.add(f.name)
-            walk(f.body)
-        elif isinstance(f, (sumo.Eq, sumo.Instance, sumo.Subclass, sumo.Le, sumo.Lt)):
-            a, b = sumo._formula_sides(f)
-            term(a)
-            term(b)
-        elif isinstance(f, sumo.RelAtom):
-            term(f.head)
-            spine(f.spine)
-
-    walk(formula)
-    return names
+    return "s_" + escape(name)
 
 
 class Translator:
@@ -335,8 +273,7 @@ class Translator:
 
     def close_assertion(self, f):
         """Universally close free variables, guarded by implication."""
-        self._avoid = _all_var_names(f)
-        frees = sumo.formula_free_vars(f)
+        frees, self._avoid = sumo.variables(f)
         body = self.formula(f)
         if frees:
             gts = self._guard_terms(f, frees, "assertion free")
@@ -347,8 +284,7 @@ class Translator:
 
     def close_query(self, f):
         """Existentially close free variables, guards conjoined."""
-        self._avoid = _all_var_names(f)
-        frees = sumo.formula_free_vars(f)
+        frees, self._avoid = sumo.variables(f)
         body = self.formula(f)
         if frees:
             gts = self._guard_terms(f, frees, "query free")
@@ -470,23 +406,6 @@ def translate_file(tr: Translator, path: str, kind: str = "kb", skip_heads=sumo.
     return units, query_term, skips
 
 
-def _needed_catalog_names(terms) -> set:
-    from .hostterm import const_names, constructor_uses
-
-    needed: set = set()
-    for term in terms:
-        for name in const_names(term):
-            if name in CATALOG:
-                needed.add(name)
-        uses = constructor_uses(term)
-        for ctor in ("in", "subq", "ite"):
-            if ctor in uses:
-                needed.add(ctor)
-        if "sep" in uses:
-            needed.add("in")
-    return needed
-
-
 def build_problem(
     tr: Translator,
     kb_units: list,
@@ -506,7 +425,7 @@ def build_problem(
 
     main = [(u.name, "axiom", u.term) for u in kb_units + local_units]
     all_terms = [t for _, _, t in fact_premises] + [t for _, _, t in main] + [conjecture]
-    background = CATALOG.background(_needed_catalog_names(all_terms))
+    background = CATALOG.background(CATALOG.needs(all_terms))
 
     premises = list(background) + fact_premises + main
     return Problem(
@@ -544,6 +463,15 @@ def translate_query_job(
 
     Returns (problem, skips, translator).
     """
+    stems: dict = {}
+    for path in kb_paths:
+        stem = _stem(path)
+        if stem in stems:
+            raise TranslateError(
+                f"knowledge base files {stems[stem]} and {path} would both"
+                f" name premises kb_{stem}_N"
+            )
+        stems[stem] = path
     sig = collect_signature(list(kb_paths) + [query_path], skip_heads)
     tr = Translator(sig, expand_known_rows, collect_explanations)
     kb_units: list = []

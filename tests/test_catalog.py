@@ -149,6 +149,12 @@ def test_deps_reported_vs_term_scan():
         assert scanned <= set(CATALOG.deps_of(cname)), cname
 
 
+def test_deps_cover_separation_membership():
+    # a separation is hoisted to a definition phrased with membership
+    for cname in ("len", "negreal", "nonnegreal"):
+        assert "in" in CATALOG.deps_of(cname), cname
+
+
 def test_defn_only_for_guard_combinators():
     have = {n for n in CATALOG.order if CATALOG.defn_of(n) is not None}
     assert have == {"domseqm", "dom_of", "dom_of_varar", "dom_of_fixedar"}

@@ -1,7 +1,11 @@
-"""Typed term layer tests: typechecking and alpha equivalence."""
+"""Typed term layer tests: typechecking, alpha equivalence, the traversal table."""
+
+from dataclasses import fields, is_dataclass
 
 import pytest
 
+from sumok2set import hostterm
+from sumok2set.catalog import CATALOG
 from sumok2set.hostterm import (
     IOTA,
     OMICRON,
@@ -12,6 +16,7 @@ from sumok2set.hostterm import (
     Bot,
     Conj,
     Const,
+    Disj,
     Eq,
     Ex,
     Iff,
@@ -25,11 +30,19 @@ from sumok2set.hostterm import (
     Top,
     TypeMismatch,
     Var,
+    HostType,
     alpha_eq,
     app,
     arrow,
+    children,
     conj_chain,
+    const_names,
+    consts,
+    free_vars,
     imp_chain,
+    rebuild,
+    substitute,
+    subterms,
     typecheck,
 )
 
@@ -148,3 +161,78 @@ def test_chains():
     assert imp_chain([p, q], r) == Imp(p, Imp(q, r))
     assert conj_chain([], r) == r
     assert conj_chain([p, q], r) == Conj(p, Conj(q, r))
+
+
+X, Y = Var("X", IOTA), Var("Y", IOTA)
+S = Const("s", IOTA)
+
+ONE_OF_EACH = [
+    X, S, Bot(), Top(),
+    App(Const("f", arrow(IOTA, IOTA)), X),
+    Lam("X", IOTA, X), All("X", IOTA, Mem(X, S)), Ex("X", IOTA, Mem(X, S)),
+    Neg(Top()), Imp(Top(), Bot()), Conj(Top(), Bot()), Disj(Top(), Bot()), Iff(Top(), Bot()),
+    Eq(X, S), Mem(X, S), Subq(X, S), Sep("X", S, Mem(X, Y)), Ite(Top(), X, S),
+]
+
+
+def test_traversal_table_covers_every_term_class():
+    declared = {
+        c for c in vars(hostterm).values()
+        if isinstance(c, type) and is_dataclass(c) and not issubclass(c, HostType)
+    }
+    assert declared == set(hostterm.SHAPES) == {type(t) for t in ONE_OF_EACH}
+    for cls, shape in hostterm.SHAPES.items():
+        # sub-terms come last and in constructor order, as rebuild assumes
+        names = [f.name for f in fields(cls)]
+        assert tuple(names[len(names) - len(shape.fields):]) == shape.fields, cls
+        assert set(shape.scoped) <= set(shape.fields), cls
+
+
+@pytest.mark.parametrize("term", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_rebuild_inverts_children(term):
+    assert rebuild(term, list(children(term))) == term
+
+
+class Stray:
+    """A node no table lists."""
+
+
+@pytest.mark.parametrize(
+    "fold",
+    [
+        subterms,
+        consts,
+        const_names,
+        free_vars,
+        lambda t: substitute(t, {}),
+        lambda t: alpha_eq(t, t),
+        lambda t: CATALOG.needs([t]),
+    ],
+)
+def test_folds_reject_unknown_nodes(fold):
+    with pytest.raises(TypeError):
+        fold(Conj(Top(), Stray()))
+
+
+def test_children_rejects_unknown_node():
+    with pytest.raises(TypeError):
+        children(Stray())
+
+
+def test_free_vars_sep_scopes_body_not_bound():
+    t = Sep("X", App(Const("f", arrow(IOTA, IOTA)), X), Mem(X, Y))
+    assert free_vars(t) == [("X", IOTA), ("Y", IOTA)]
+    assert free_vars(Lam("X", IOTA, Conj(Eq(X, Y), Eq(Y, X)))) == [("Y", IOTA)]
+
+
+def test_substitute_respects_binders_but_not_capture():
+    assert substitute(Sep("X", X, Mem(X, Y)), {"X": S}) == Sep("X", S, Mem(X, Y))
+    # not capture-avoiding: the hoisting key relies on plain replacement
+    assert substitute(Lam("Y", IOTA, X), {"X": Y}) == Lam("Y", IOTA, Y)
+
+
+def test_consts_pre_order_with_repeats():
+    f, g = Const("f", arrow(IOTA, IOTA)), Const("g", IOTA)
+    t = Conj(Eq(App(f, g), g), Eq(S, g))
+    assert consts(t) == [f, g, g, S, g]
+    assert const_names(t) == ["f", "g", "s"]

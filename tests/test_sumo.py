@@ -4,6 +4,7 @@ Numeral normalization is checked against exact Fraction arithmetic; the
 printer round trip re-lowers its own output and demands a fixed point.
 """
 
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from sumok2set import sexpr, sumo
 
-from conftest import formula_of, lower_all, lower_one
+from conftest import formula_of, lower_all, lower_one, sig_from
 
 
 def test_lower_connectives():
@@ -182,6 +183,48 @@ def test_free_vars():
 def test_free_vars_row_flag():
     f = formula_of("(=> (p ?X @ROW) (q @ROW))")
     assert sumo.formula_free_vars(f) == [("X", False), ("ROW", True)]
+
+
+def test_variables_free_and_all_names_in_one_walk():
+    f = formula_of(
+        "(=> (p ?X @ROW ?Z) (exists (?Y @L) (q ?X (KappaFn ?K (r ?K ?Y @L)))))"
+    )
+    free, names = sumo.variables(f)
+    assert free == [("X", False), ("ROW", True), ("Z", False)]
+    assert names == {"X", "ROW", "Z", "Y", "L", "K"}
+
+
+def test_traversal_table_covers_every_node_class():
+    lowering_results = {sumo.Assertion, sumo.Query, sumo.Skipped}
+    declared = {
+        c for c in vars(sumo).values()
+        if isinstance(c, type) and is_dataclass(c) and c.__module__ == sumo.__name__
+    }
+    assert declared - lowering_results == set(sumo.SHAPES)
+    for cls, shape in sumo.SHAPES.items():
+        names = {f.name for f in fields(cls)}
+        assert set(shape.fields) <= names, cls
+        assert shape.binder is None or shape.binder[1] in names, cls
+
+
+class Stray:
+    """A node no table lists."""
+
+
+def test_folds_reject_unknown_nodes():
+    from sumok2set import guards
+
+    with pytest.raises(TypeError):
+        sumo.children(Stray())
+    for fold in (
+        sumo.variables,
+        sumo.formula_free_vars,
+        lambda f: guards.guards_for(f, {"X"}, sig_from(""), None),
+    ):
+        with pytest.raises(TypeError):
+            fold(sumo.And((sumo.Top(), Stray())))
+    with pytest.raises(TypeError):
+        sumo._row_free_in_term(sumo.Arith(sumo.ARITH_ADD, sumo.Var("X"), Stray()))
 
 
 def test_spans_preserved():

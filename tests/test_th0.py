@@ -268,6 +268,19 @@ def test_parse_rejects_duplicate_declaration():
         parse_doc(text)
 
 
+def test_parse_rejects_duplicate_premise_names():
+    text = (
+        "thf(ty_a, type, a : $o).\n"
+        "thf(p, axiom, a).\n"
+        "thf(p, axiom, a).\n"
+        "thf(conj, conjecture, a).\n"
+    )
+    with pytest.raises(th0.Th0Error) as err:
+        parse_doc(text)
+    assert (err.value.line, err.value.col) == (3, 5)
+    assert check_text(text) == ["parse error at 3:5: duplicate record name p"]
+
+
 def test_parse_rejects_mixed_operators_without_parens():
     text = (
         "thf(ty_a, type, a : $o).\n"

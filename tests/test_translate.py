@@ -28,6 +28,7 @@ from sumok2set.hostterm import (
     imp_chain,
     typecheck,
 )
+from sumok2set.th0 import _thf_var
 from sumok2set.translate import LIST, Translator, mangle
 
 from conftest import fixture_path, formula_of, lower_all, sig_from
@@ -373,6 +374,15 @@ def test_distinct_names_never_collide():
     assert a != b
 
 
+def test_escape_keeps_wide_characters_apart():
+    # a control character followed by a digit, and U+0100, once both gave _100
+    a, b = "\x10" + "0", "\u0100"
+    assert mangle(a) == "s__100" and mangle(b) == "s__u000100"
+    assert _thf_var(a) == "V__100" and _thf_var(b) == "V__u000100"
+    tr = Translator(sig_from(""))
+    assert tr.resolve(a) != tr.resolve(b)
+
+
 def test_relation_facts_variadic():
     sig = sig_from(VARIADIC_SIG)
     tr = Translator(sig)
@@ -469,6 +479,17 @@ def test_query_in_kb_rejected(tmp_path):
     q.write_text("(query (p b))\n")
     with pytest.raises(translate.TranslateError):
         translate.translate_query_job([str(kb)], str(q))
+
+
+def test_kb_files_with_coinciding_stems_rejected(tmp_path):
+    paths = [tmp_path / "a-b.kif", tmp_path / "a_b.kif"]
+    for path in paths:
+        path.write_text("(instance Acme Organization)\n")
+    q = tmp_path / "q.kif"
+    q.write_text("(query (instance Acme Organization))\n")
+    with pytest.raises(translate.TranslateError) as err:
+        translate.translate_query_job([str(p) for p in paths], str(q))
+    assert str(paths[0]) in str(err.value) and str(paths[1]) in str(err.value)
 
 
 def test_premise_selection(tmp_path):
