@@ -16,6 +16,7 @@ from . import signature as sigmod
 from . import sumo
 from .catalog import cc, ord_of
 from .hostterm import App, Eq, IOTA, Ite, Lam, Mem, Subq, Var, app
+from .th0 import host_var
 
 MEMBER = "member"
 SUBSET = "subset"
@@ -100,7 +101,7 @@ def _describe(term) -> str:
 
 
 def _hvar(name: str) -> Var:
-    return Var(name, IOTA)
+    return Var(host_var(name), IOTA)
 
 
 def guards_for(formula, scope, sig, resolve, expand_known_rows: bool = False) -> dict:

@@ -220,8 +220,13 @@ def format_table(results) -> str:
     return "\n".join(lines)
 
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def write_tsv(path: str, results) -> None:
+    """One row per result; detail is backslash-escaped so each row stays one line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("query\tprover\toutcome\tseconds\tdetail\n")
         for r in results:
-            fh.write(f"{r.query}\t{r.prover}\t{r.outcome}\t{r.seconds:.3f}\t{r.detail}\n")
+            detail = r.detail.translate(_TSV_ESCAPES)
+            fh.write(f"{r.query}\t{r.prover}\t{r.outcome}\t{r.seconds:.3f}\t{detail}\n")

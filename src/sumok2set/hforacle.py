@@ -7,6 +7,16 @@ higher types are closures.  Ordinal arithmetic recurses on the von Neumann
 structure of its arguments rather than converting to machine integers, so a
 comparison against int arithmetic is a genuinely independent check.
 
+Sets are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): HfSet looks its elements up in a
+process-wide weak table, so each distinct set is one object and equality is
+identity.  The table holds its sets weakly and keeps nothing alive; only the
+numerals up to the largest one requested stay memoized.  Arithmetic, equality,
+is_nat, pred and list tables never build a set's key string, and arithmetic
+loops instead of recursing, so numeral size is bounded neither by recursion
+depth nor by key length.  Key strings are built only to print a set and to
+order the members of a set that is not a numeral.
+
 Quantifiers are handled when bounded: forall over a membership guard whose
 bound evaluates, forall over booleans, and the matching exists shapes.
 Candidate identities are read from lemma files whose syntax mirrors the
@@ -16,6 +26,7 @@ rendered problem syntax, quantified over small generator universes.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .catalog import CATALOG
@@ -70,32 +81,53 @@ class UninterpretedConstant(OracleError):
 
 
 class HfSet:
-    """Canonical hereditarily finite set."""
+    """Canonical hereditarily finite set, interned: one object per set.
 
-    __slots__ = ("elems", "_key", "_hash")
+    Equality is identity.  The hash is the content hash of the element set,
+    so frozenset iteration order does not depend on object addresses.
+    """
 
-    def __init__(self, elems=()):
-        self.elems = frozenset(elems)
-        self._key = None
-        self._hash = None
+    __slots__ = ("elems", "_hash", "_nat", "_key", "__weakref__")
+
+    def __new__(cls, elems=()):
+        elems = frozenset(elems)
+        self = _INTERNED.get(elems)
+        if self is None:
+            self = object.__new__(cls)
+            self.elems = elems
+            self._hash = hash(elems)
+            self._nat = _numeral_value(elems)
+            self._key = None
+            _INTERNED[elems] = self
+        return self
+
+    # An interned set is its own copy; pickling re-interns it.
+    def __reduce__(self):
+        return (HfSet, (self.elems,))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def key(self) -> str:
         if self._key is None:
             self._key = "{" + ",".join(sorted(e.key() for e in self.elems)) + "}"
         return self._key
 
-    def __eq__(self, other):
-        return isinstance(other, HfSet) and self.elems == other.elems
-
+    # __eq__ is object identity, which interning makes extensional equality
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.elems)
         return self._hash
 
     def __len__(self):
         return len(self.elems)
 
     def __iter__(self):
+        """Elements in canonical key order."""
+        if self._nat >= 0:
+            # the key of nat(k + 1) sorts before that of nat(k)
+            return map(nat, range(self._nat - 1, -1, -1))
         return iter(sorted(self.elems, key=HfSet.key))
 
     def __contains__(self, item):
@@ -105,7 +137,24 @@ class HfSet:
         return self.key()
 
 
+_INTERNED = weakref.WeakValueDictionary()  # frozenset of elements -> its HfSet
+
+
+def _numeral_value(elems) -> int:
+    """n when elems are the numerals below n, else -1.
+
+    Interning makes numerals of distinct value distinct objects, so n
+    distinct numerals below n are exactly nat(0) .. nat(n - 1).
+    """
+    n = len(elems)
+    try:
+        return n if all(0 <= e._nat < n for e in elems) else -1
+    except AttributeError:  # a member that is not a set, such as omega
+        return -1
+
+
 EMPTY = HfSet()
+_NATS = [EMPTY]  # memoized numerals, _NATS[n] is nat(n)
 
 
 def hfset(*elems) -> HfSet:
@@ -113,30 +162,36 @@ def hfset(*elems) -> HfSet:
 
 
 def nat(n: int) -> HfSet:
-    out = EMPTY
-    for _ in range(n):
-        out = HfSet(out.elems | {out})
-    return out
+    while len(_NATS) <= n:
+        top = _NATS[-1]
+        _NATS.append(HfSet(top.elems | {top}))
+    return _NATS[n]
+
+
+def succ(x: HfSet) -> HfSet:
+    """The ordinal successor x | {x}."""
+    if x._nat >= 0:
+        return nat(x._nat + 1)
+    return HfSet(x.elems | {x})
 
 
 def is_nat(x: HfSet):
-    """The integer n when x is the von Neumann numeral n, else None."""
-    n = 0
-    probe = EMPTY
-    while probe != x:
-        if probe not in x.elems:
-            return None
-        probe = HfSet(probe.elems | {probe})
-        n += 1
-        if n > len(x.elems):
-            return None
-    return n
+    """The integer n when x is the von Neumann numeral n, else None.
+
+    x is a numeral exactly when x is nat(len(x)); the value is recorded when
+    x is interned.
+    """
+    return x._nat if x._nat >= 0 else None
 
 
 def pred(x: HfSet) -> HfSet:
-    """Predecessor of a nonzero von Neumann numeral: its maximal element."""
+    """The set e with x = e | {e}: the predecessor of a nonzero numeral."""
+    if x._nat > 0:
+        return nat(x._nat - 1)
+    # x = e | {e} exactly when e is a member, a subset and one smaller
+    n = len(x.elems)
     for e in x.elems:
-        if HfSet(e.elems | {e}) == x:
+        if len(e.elems) + 1 == n and e.elems <= x.elems:
             return e
     raise OracleError(f"not a successor numeral: {x!r}")
 
@@ -149,19 +204,14 @@ def pair(a: HfSet, b: HfSet) -> HfSet:
 class HfFn:
     """Finite-support function on HF sets, empty set off the support."""
 
-    table: tuple  # ((arg, val), ...) sorted by arg key, no EMPTY values
+    table: dict  # arg -> val, no EMPTY values
 
     def __call__(self, x: HfSet) -> HfSet:
-        for k, v in self.table:
-            if k == x:
-                return v
-        return EMPTY
+        return self.table.get(x, EMPTY)
 
 
 def hffn(mapping) -> HfFn:
-    items = [(k, v) for k, v in mapping.items() if v != EMPTY]
-    items.sort(key=lambda kv: kv[0].key())
-    return HfFn(tuple(items))
+    return HfFn({k: v for k, v in mapping.items() if v is not EMPTY})
 
 
 def mk_hflist(entries) -> HfFn:
@@ -182,31 +232,43 @@ OMEGA = _Omega()
 # Native constant meanings
 
 
+def _pred_chain(b) -> list:
+    """pred(b), pred(pred(b)), ... down to the empty set.
+
+    The whole chain is walked before any arithmetic, so a broken chain in
+    b is reported before any error the other operand would raise.
+    """
+    chain = []
+    while b is not EMPTY:
+        b = pred(b)
+        chain.append(b)
+    return chain
+
+
 def _ord_add(a, b):
-    if b == EMPTY:
-        return a
-    s = _ord_add(a, pred(b))
-    return HfSet(s.elems | {s})
+    for _ in _pred_chain(b):
+        a = succ(a)
+    return a
 
 
 def _ord_mult(a, b):
-    if b == EMPTY:
-        return EMPTY
-    return _ord_add(_ord_mult(a, pred(b)), a)
+    out = EMPTY
+    for _ in _pred_chain(b):
+        out = _ord_add(out, a)
+    return out
 
 
 def _ord_exp(a, b):
-    if b == EMPTY:
-        return nat(1)
-    return _ord_mult(_ord_exp(a, pred(b)), a)
+    out = nat(1)
+    for _ in _pred_chain(b):
+        out = _ord_mult(out, a)
+    return out
 
 
 def _ord_sub(a, b):
-    if b == EMPTY:
-        return a
-    if a == EMPTY:
-        return EMPTY
-    return _ord_sub(pred(a), pred(b))
+    while b is not EMPTY and a is not EMPTY:
+        a, b = pred(a), pred(b)
+    return a
 
 
 def _powerset(x: HfSet) -> HfSet:
@@ -248,26 +310,27 @@ class Evaluator:
     def _native(self):
         def untag(x):
             if isinstance(x, HfSet) and len(x) == 1:
-                return next(iter(x))
+                (elem,) = x.elems
+                return elem
             return EMPTY
 
         def cons(x):
             def with_list(l):
                 fn = self.to_list_fn(l)
                 table = {nat(0): hfset(x)}
-                for k, v in fn.table:
-                    table[HfSet(k.elems | {k})] = v
+                for k, v in fn.table.items():
+                    table[succ(k)] = v
                 return hffn(table)
 
             return with_list
 
         def len_of(l):
             fn = self.to_list_fn(l)
-            return HfSet(k for k, _ in fn.table if is_nat(k) is not None)
+            return HfSet(k for k in fn.table if is_nat(k) is not None)
 
         def listset(l):
             fn = self.to_list_fn(l)
-            return HfSet(pair(k, v) for k, v in fn.table)
+            return HfSet(pair(k, v) for k, v in fn.table.items())
 
         return {
             "emptyset": EMPTY,
@@ -275,7 +338,7 @@ class Evaluator:
             "subq": lambda a: lambda b: _subq(a, b),
             "power": _powerset,
             "ite": lambda c: lambda t: lambda e: t if c else e,
-            "ordsucc": lambda x: HfSet(x.elems | {x}),
+            "ordsucc": succ,
             "omega": OMEGA,
             "nat_p": lambda x: isinstance(x, HfSet) and is_nat(x) is not None,
             **{f"ord{k}": nat(k) for k in range(11)},
@@ -285,7 +348,7 @@ class Evaluator:
             "ord_sub": lambda a: lambda b: self._spend(_ord_sub)(a, b),
             "tag": lambda x: hfset(x),
             "untag": untag,
-            "nil": HfFn(()),
+            "nil": HfFn({}),
             "cons": cons,
             "len": len_of,
             "listset": listset,
@@ -448,7 +511,7 @@ class Evaluator:
 
     def values_equal(self, a, b) -> bool:
         if isinstance(a, HfSet) and isinstance(b, HfSet):
-            return a == b
+            return a is b
         if isinstance(a, bool) and isinstance(b, bool):
             return a == b
         if isinstance(a, (HfFn,)) or callable(a) or isinstance(b, (HfFn,)) or callable(b):
@@ -647,7 +710,7 @@ def describe_value(value) -> str:
     if isinstance(value, HfSet):
         return value.key()
     if isinstance(value, HfFn):
-        n = is_nat(HfSet(k for k, _ in value.table))
+        n = is_nat(HfSet(value.table))
         if n is not None:
             entries = []
             for i in range(n):
@@ -655,7 +718,7 @@ def describe_value(value) -> str:
                 inner = next(iter(v)) if len(v) == 1 else v
                 entries.append(inner.key() if isinstance(inner, HfSet) else repr(inner))
             return "[" + ", ".join(entries) + "]"
-        return "fn" + repr(sorted((k.key(), v.key()) for k, v in value.table))
+        return "fn" + repr(sorted((k.key(), v.key()) for k, v in value.table.items()))
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value)

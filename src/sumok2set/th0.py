@@ -161,6 +161,19 @@ def escape(name: str) -> str:
     )
 
 
+def host_var(name: str) -> str:
+    """The host-term variable name of a KIF variable.
+
+    A TH0-shaped name that does not start with V_ stays as it is; any other
+    name becomes V_ + escape(name).  The two ranges are disjoint and escape
+    is injective, so distinct KIF variables stay distinct.  Every result is
+    TH0-shaped, so _thf_var renders it unchanged.
+    """
+    if _THF_VAR_RE.match(name) and not name.startswith("V_"):
+        return name
+    return "V_" + escape(name)
+
+
 def _thf_var(name: str) -> str:
     if _THF_VAR_RE.match(name):
         return name

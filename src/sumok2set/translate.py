@@ -43,7 +43,7 @@ from .hostterm import (
     imp_chain,
 )
 from .sexpr import Span, parse_forms
-from .th0 import escape
+from .th0 import escape, host_var
 
 LIST = Arrow(IOTA, IOTA)
 
@@ -133,7 +133,7 @@ class Translator:
 
     def term(self, t):
         if isinstance(t, sumo.Var):
-            return Var(t.name, IOTA)
+            return Var(host_var(t.name), IOTA)
         if isinstance(t, sumo.Const):
             return self.resolve(t.name)
         if isinstance(t, sumo.Rat):
@@ -150,13 +150,13 @@ class Translator:
         raise TranslateError(f"not a term: {t!r}")
 
     def apply_term(self, head, spine):
-        h = Var(head.name, IOTA) if isinstance(head, sumo.Var) else self.resolve(head.name)
+        h = Var(host_var(head.name), IOTA) if isinstance(head, sumo.Var) else self.resolve(head.name)
         return app(cc("ap"), h, App(cc("listset"), self.spine_list(spine)))
 
     def spine_list(self, spine):
         if isinstance(spine, sumo.TermSpine):
             return mk_list([self.term(t) for t in spine.items])
-        base = Var(spine.row, LIST)
+        base = Var(host_var(spine.row), LIST)
         if spine.suffix:
             base = self._append(base, [self.term(t) for t in spine.suffix])
         out = base
@@ -176,7 +176,7 @@ class Translator:
         return Lam(n, IOTA, Ite(Mem(ix, App(cc("len"), rho)), App(rho, ix), chain))
 
     def kappa(self, t: sumo.Kappa):
-        x = Var(t.var, IOTA)
+        x = Var(host_var(t.var), IOTA)
         occ = guardmod.guards_for(
             t.body, {t.var}, self.sig, self.resolve, self.expand_known_rows
         )
@@ -186,7 +186,7 @@ class Translator:
         if self.collect_explanations:
             self.explanations.append(f"  {t.var}: member of entity [class-formation]")
             self.explanations.extend(guardmod.explain({t.var: occ[t.var]}))
-        return Sep(t.var, cc("univ"), conj_chain(terms, self.formula(t.body)))
+        return Sep(x.name, cc("univ"), conj_chain(terms, self.formula(t.body)))
 
     # -- formulas ----------------------------------------------------------
 
@@ -202,7 +202,7 @@ class Translator:
             self.resolve,
             self.expand_known_rows,
         )
-        subjects = {n: Var(n, LIST if is_row else IOTA) for n, is_row in binders}
+        subjects = {n: Var(host_var(n), LIST if is_row else IOTA) for n, is_row in binders}
         if self.collect_explanations:
             lines = guardmod.explain(occ)
             if lines:
@@ -236,21 +236,21 @@ class Translator:
             gts = self._guard_terms(f.body, binders, "forall")
             out = imp_chain(gts, self.formula(f.body))
             for n in reversed(f.names):
-                out = All(n, IOTA, out)
+                out = All(host_var(n), IOTA, out)
             return out
         if isinstance(f, sumo.ExistsVars):
             binders = [(n, False) for n in f.names]
             gts = self._guard_terms(f.body, binders, "exists")
             out = conj_chain(gts, self.formula(f.body))
             for n in reversed(f.names):
-                out = Ex(n, IOTA, out)
+                out = Ex(host_var(n), IOTA, out)
             return out
         if isinstance(f, sumo.ForallRow):
             gts = self._guard_terms(f.body, [(f.name, True)], "forall")
-            return All(f.name, LIST, imp_chain(gts, self.formula(f.body)))
+            return All(host_var(f.name), LIST, imp_chain(gts, self.formula(f.body)))
         if isinstance(f, sumo.ExistsRow):
             gts = self._guard_terms(f.body, [(f.name, True)], "exists")
-            return Ex(f.name, LIST, conj_chain(gts, self.formula(f.body)))
+            return Ex(host_var(f.name), LIST, conj_chain(gts, self.formula(f.body)))
         if isinstance(f, sumo.Eq):
             return Eq(self.term(f.left), self.term(f.right))
         if isinstance(f, sumo.Instance):
@@ -279,7 +279,7 @@ class Translator:
             gts = self._guard_terms(f, frees, "assertion free")
             body = imp_chain(gts, body)
             for name, is_row in reversed(frees):
-                body = All(name, LIST if is_row else IOTA, body)
+                body = All(host_var(name), LIST if is_row else IOTA, body)
         return body
 
     def close_query(self, f):
@@ -290,7 +290,7 @@ class Translator:
             gts = self._guard_terms(f, frees, "query free")
             body = conj_chain(gts, body)
             for name, is_row in reversed(frees):
-                body = Ex(name, LIST if is_row else IOTA, body)
+                body = Ex(host_var(name), LIST if is_row else IOTA, body)
         return body
 
     def take_explanations(self) -> list:

@@ -241,6 +241,17 @@ def test_write_tsv_format(tmp_path):
     assert lines[2] == "b.p\te\tTimeout\t2.500\twall clock limit"
 
 
+def test_write_tsv_escapes_detail(tmp_path):
+    out = tmp_path / "results.tsv"
+    detail = "boom\tat line 3\nsee C:\\tmp\r"
+    hn.write_tsv(str(out), [hn.JobResult("a.p", "e", "Error", 1.0, detail)])
+    rows = out.read_text(encoding="utf-8").split("\n")
+    assert rows[2:] == [""]
+    fields = rows[1].split("\t")
+    assert len(fields) == 5
+    assert fields[4] == "boom\\tat line 3\\nsee C:\\\\tmp\\r"
+
+
 def test_scripted_provers_reproduce_manifest(tmp_path):
     body = (
         'case "$1" in\n'

@@ -4,11 +4,16 @@ Ordinal arithmetic is checked against plain int arithmetic; the claim
 checker is exercised on both holding and failing identities.
 """
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumok2set import hforacle as hf
-from sumok2set.catalog import cc, ord_of
+from sumok2set.catalog import cc, encode_nat, ord_of
 from sumok2set.hostterm import All, App, Eq, Imp, IOTA, Mem, Var, app
 
 
@@ -53,6 +58,81 @@ def test_pred():
         assert hf.pred(hf.nat(n)) == hf.nat(n - 1)
 
 
+# nested tuples of tuples: the shape of an HF set, duplicates allowed
+hf_shapes = st.recursive(
+    st.just(()), lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=12
+)
+
+
+def build(shape, flip=False):
+    elems = [build(s, flip) for s in shape]
+    return hf.HfSet(reversed(elems) if flip else elems)
+
+
+@given(hf_shapes, hf_shapes)
+@settings(max_examples=60, deadline=None)
+def test_interned_sets_equal_keys_same_object(s, t):
+    x, y = build(s), build(s, flip=True)
+    assert x is y and x.key() == y.key()
+    z = build(t)
+    assert (x is z) == (x.key() == z.key())
+
+
+@given(hf_shapes)
+@settings(max_examples=40, deadline=None)
+def test_copy_and_pickle_return_the_interned_set(s):
+    x = build(s)
+    size = len(x)
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+    assert copy.deepcopy([x, (x,)])[1][0] is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert len(x) == size
+    for n in range(4):
+        assert copy.copy(hf.nat(n)) is hf.nat(n)
+        assert pickle.loads(pickle.dumps(hf.nat(n))) is hf.nat(n)
+    assert len(hf.EMPTY) == 0 and hf.EMPTY.key() == "{}"
+    assert hf.nat(3).key() == "{{{{}},{}},{{}},{}}"
+
+
+@given(hf_shapes)
+@settings(max_examples=40, deadline=None)
+def test_numeral_tag_pred_and_order(s):
+    x = build(s)
+    assert hf.is_nat(x) == (len(x) if x is hf.nat(len(x)) else None)
+    assert hf.pred(hf.succ(x)) is x
+    # iteration is canonical key order, numerals included
+    assert list(x) == sorted(x.elems, key=hf.HfSet.key)
+
+
+def test_pred_of_non_successor_raises():
+    for x in (hf.EMPTY, hf.hfset(hf.nat(1)), hf.hfset(hf.nat(0), hf.nat(2))):
+        with pytest.raises(hf.OracleError):
+            hf.pred(x)
+
+
+def test_intern_table_keeps_nothing_alive():
+    x = hf.hfset(hf.hfset(hf.nat(5)), hf.nat(9))
+    ref = weakref.ref(x)
+    del x
+    gc.collect()
+    assert ref() is None
+
+
+def test_big_numerals_without_recursion_or_keys(monkeypatch):
+    def no_key(self):
+        raise AssertionError("key string built")
+
+    monkeypatch.setattr(hf.HfSet, "key", no_key)
+    e = ev()
+    got = e.eval(app(cc("ord_exp"), ord_of(3), ord_of(3)), {})
+    assert got is hf.nat(27) and hf.is_nat(got) == 27
+    # deeper than the default recursion limit
+    big = e.eval(app(cc("ord_sub"), encode_nat(1234), encode_nat(1)), {})
+    assert hf.is_nat(big) == 1233 and hf.pred(big) is hf.nat(1232)
+    assert list(hf.nat(40))[0] is hf.nat(39)
+
+
 def test_pair_kuratowski():
     p = hf.pair(hf.nat(0), hf.nat(1))
     assert p == hf.hfset(
@@ -69,6 +149,31 @@ def test_hffn_defaults_empty_and_drops_empty_values():
     assert f == g
 
 
+def test_lists_over_numerals_build_no_keys(monkeypatch):
+    # the real key of nat(32) is about ten gigabytes, so count, never build
+    calls = []
+
+    def counting_key(self):
+        calls.append(self)
+        return ""
+
+    monkeypatch.setattr(hf.HfSet, "key", counting_key)
+    nats = [hf.nat(i) for i in range(33)]
+    lst = hf.mk_hflist(nats)
+    e = hf.Evaluator(horizon=32)
+    same = e.to_list_fn(lambda i: hf.hfset(i))
+    assert calls == []
+    assert lst == same
+    consed = e.eval(app(cc("cons"), cc("ord0"), cc("nil")), {})
+    assert e.values_equal(e.apply(e.const_value("len"), lst), hf.nat(33))
+    assert consed(hf.nat(0)) is hf.hfset(hf.EMPTY)
+    claim = hf.parse_lemmas(
+        "![L:list]: ((len @ (^[N:$i]: (tag @ N))) = (len @ (^[N:$i]: (tag @ N))))\n"
+    )[0]
+    assert e.eval(claim.body, {"L": lst}) is True
+    assert calls == []
+
+
 def test_mk_hflist_tags_entries():
     lst = hf.mk_hflist([hf.nat(3), hf.EMPTY])
     assert lst(hf.nat(0)) == hf.hfset(hf.nat(3))
@@ -76,32 +181,38 @@ def test_mk_hflist_tags_entries():
     assert lst(hf.nat(2)) == hf.EMPTY
 
 
-@given(st.integers(0, 6), st.integers(0, 6))
+@given(st.integers(0, 60), st.integers(0, 60))
 @settings(max_examples=40, deadline=None)
 def test_ord_add_matches_int(a, b):
     got = run(app(cc("ord_add"), encode(a), encode(b)))
     assert got == hf.nat(a + b)
 
 
-@given(st.integers(0, 5), st.integers(0, 4))
+@given(st.integers(0, 20), st.integers(0, 12))
 @settings(max_examples=30, deadline=None)
 def test_ord_mult_matches_int(a, b):
     got = run(app(cc("ord_mult"), encode(a), encode(b)))
     assert got == hf.nat(a * b)
 
 
-@given(st.integers(0, 3), st.integers(0, 3))
+@given(st.integers(0, 6), st.integers(0, 4))
 @settings(max_examples=20, deadline=None)
 def test_ord_exp_matches_int(a, b):
     got = run(app(cc("ord_exp"), encode(a), encode(b)))
     assert got == hf.nat(a**b)
 
 
-@given(st.integers(0, 8), st.integers(0, 8))
+@given(st.integers(0, 80), st.integers(0, 80))
 @settings(max_examples=40, deadline=None)
 def test_ord_sub_truncates(a, b):
     got = run(app(cc("ord_sub"), encode(a), encode(b)))
     assert got == hf.nat(max(a - b, 0))
+
+
+@pytest.mark.parametrize("n", [11, 99, 100, 255, 999, 1000, 1234])
+def test_encode_nat_evaluates_to_numeral(n):
+    # set semantics of the digit polynomial, independent of rational_value
+    assert ev().eval(encode_nat(n), {}) is hf.nat(n)
 
 
 def encode(n):
@@ -134,6 +245,9 @@ def test_in_and_subq():
 def test_omega_membership_is_nathood():
     assert run(app(cc("in"), cc("ord7"), cc("omega"))) is True
     assert hf._mem(hf.hfset(hf.nat(1)), hf.OMEGA) is False
+    # a set may hold omega itself; it is no numeral
+    assert run(app(cc("in"), cc("omega"), App(cc("tag"), cc("omega")))) is True
+    assert hf.is_nat(hf.hfset(hf.OMEGA)) is None
     # the infinite sentinel has no extensional value to compare
     with pytest.raises(hf.Unsupported):
         ev().values_equal(hf.OMEGA, hf.OMEGA)

@@ -28,8 +28,8 @@ from sumok2set.hostterm import (
     imp_chain,
     typecheck,
 )
-from sumok2set.th0 import _thf_var
-from sumok2set.translate import LIST, Translator, mangle
+from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
+from sumok2set.translate import LIST, Translator, mangle, translate_query_job
 
 from conftest import fixture_path, formula_of, lower_all, sig_from
 
@@ -381,6 +381,26 @@ def test_escape_keeps_wide_characters_apart():
     assert _thf_var(a) == "V__100" and _thf_var(b) == "V__u000100"
     tr = Translator(sig_from(""))
     assert tr.resolve(a) != tr.resolve(b)
+
+
+@given(st.text(min_size=1, max_size=8), st.text(min_size=1, max_size=8))
+def test_host_var_injective_and_rendered_unchanged(a, b):
+    assert (host_var(a) == host_var(b)) == (a == b)
+    assert _thf_var(host_var(a)) == host_var(a)
+    if not a.startswith("V_") and _thf_var(a) == a:
+        assert host_var(a) == a
+
+
+def test_kif_variables_x_and_V_x_stay_apart(tmp_path):
+    (tmp_path / "kb.kif").write_text("")
+    (tmp_path / "q.kif").write_text(
+        "(query (exists (?x ?V_x) (and (p ?x ?V_x) (not (equal ?x ?V_x)))))\n"
+    )
+    problem, _skips, _tr = translate_query_job([str(tmp_path / "kb.kif")], str(tmp_path / "q.kif"))
+    text = problem_text(problem, reproducible=True)
+    assert "?[V_x : $i]: (?[V_V_5fx : $i]:" in text
+    assert "(~ (V_x = V_V_5fx))" in text
+    assert check_text(text) == []
 
 
 def test_relation_facts_variadic():
