@@ -15,6 +15,10 @@ import sys
 
 from . import harness, hforacle, th0, translate
 from .sexpr import KifSyntaxError
+from .signature import SignatureError
+
+# Errors in the input files; each carries the span it was found at, if any.
+INPUT_ERRORS = (KifSyntaxError, SignatureError, translate.TranslateError)
 
 
 def _error_payload(err, file_hint=None):
@@ -52,7 +56,7 @@ def cmd_translate(args) -> int:
             collect_explanations=args.explain_guards,
             selection=args.selection.split(",") if args.selection else None,
         )
-    except (KifSyntaxError, translate.TranslateError) as err:
+    except INPUT_ERRORS as err:
         _report_errors([_error_payload(err, args.query)], args.errors_json)
         return 1
     text = th0.problem_text(
@@ -75,6 +79,18 @@ def cmd_run(args) -> int:
     if not cfg.queries:
         print("error: config names no query files", file=sys.stderr)
         return 2
+    # each query writes problems/<stem>.p; two queries must not share one
+    outputs: dict = {}  # problem file name -> query path
+    for query in cfg.queries:
+        name = os.path.splitext(os.path.basename(query))[0] + ".p"
+        if name in outputs:
+            print(
+                f"error: query files {outputs[name]} and {query} would both write"
+                f" problems/{name}",
+                file=sys.stderr,
+            )
+            return 2
+        outputs[name] = query
     skip_heads = tuple(cfg.skip_heads) if cfg.skip_heads else translate.sumo.DEFAULT_SKIP_HEADS
     problems_dir = os.path.join(cfg.out_dir, "problems")
     os.makedirs(problems_dir, exist_ok=True)
@@ -82,13 +98,12 @@ def cmd_run(args) -> int:
     summary_lines = []
     problem_files = []
     failures = 0
-    for query in cfg.queries:
-        stem = os.path.splitext(os.path.basename(query))[0]
+    for name, query in outputs.items():
         try:
             problem, skips, _tr = translate.translate_query_job(
                 cfg.kbs, query, skip_heads=skip_heads
             )
-        except (OSError, KifSyntaxError, translate.TranslateError) as err:
+        except (OSError, *INPUT_ERRORS) as err:
             failures += 1
             summary_lines.append(f"{query}: FAILED: {err}")
             if args.keep_going:
@@ -97,7 +112,7 @@ def cmd_run(args) -> int:
             print(f"error: {query}: {err}", file=sys.stderr)
             return 1
         text = th0.problem_text(problem, reproducible=True)
-        out_path = os.path.join(problems_dir, stem + ".p")
+        out_path = os.path.join(problems_dir, name)
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
         problem_files.append(out_path)

@@ -3,9 +3,10 @@
 A plain key = value config names the provers (command templates with {file}
 and {timeout} holes), the knowledge base files, and the query files.  Each
 query/prover pair runs in a worker thread under a wall-clock limit two
-seconds past the prover's own budget, and the first SZS status line of the
-output decides the outcome.  Results land in a TSV plus an aligned summary
-table with proved counts as "n (p%)".
+seconds past the prover's own budget.  Each prover runs in a session of its
+own, so at the limit its whole process group is killed.  The first SZS
+status line of the output decides the outcome.  Results land in a TSV plus
+an aligned summary table with proved counts as "n (p%)".
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import time
 from collections import Counter
@@ -156,22 +158,29 @@ def run_one(prover: ProverDef, problem_file: str, timeout: float) -> JobResult:
         return JobResult(query, prover.name, OUTCOME_ERROR, 0.0, f"executable {argv[0]!r} not found")
     argv = [exe] + argv[1:]
     try:
-        proc = subprocess.run(
+        # a session of its own makes the prover lead a process group, so a
+        # timeout kills every process it started, not just the prover
+        with subprocess.Popen(
             argv,
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            timeout=timeout + GRACE_SECONDS,
-        )
-    except subprocess.TimeoutExpired:
-        return JobResult(
-            query, prover.name, OUTCOME_TIMEOUT, time.monotonic() - start, "wall clock limit"
-        )
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout + GRACE_SECONDS)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                return JobResult(
+                    query, prover.name, OUTCOME_TIMEOUT, time.monotonic() - start, "wall clock limit"
+                )
     except OSError as err:
         return JobResult(query, prover.name, OUTCOME_ERROR, time.monotonic() - start, str(err))
     elapsed = time.monotonic() - start
-    word = parse_szs(proc.stdout or "")
+    word = parse_szs(stdout or "")
     if word is None:
-        word = parse_szs(proc.stderr or "")
+        word = parse_szs(stderr or "")
     if word is None:
         return JobResult(query, prover.name, OUTCOME_GAVEUP, elapsed, "no SZS status line")
     return JobResult(query, prover.name, word, elapsed)

@@ -14,8 +14,9 @@ identity.  The table holds its sets weakly and keeps nothing alive; only the
 numerals up to the largest one requested stay memoized.  Arithmetic, equality,
 is_nat, pred and list tables never build a set's key string, and arithmetic
 loops instead of recursing, so numeral size is bounded neither by recursion
-depth nor by key length.  Key strings are built only to print a set and to
-order the members of a set that is not a numeral.
+depth nor by key length.  Key strings are built only to print a set, and
+then only up to DESCRIBE_LIMIT characters, and to order the members of a set
+that is not a numeral.
 
 Quantifiers are handled when bounded: forall over a membership guard whose
 bound evaluates, forall over booleans, and the matching exists shapes.
@@ -26,6 +27,7 @@ rendered problem syntax, quantified over small generator universes.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -112,9 +114,7 @@ class HfSet:
         return self
 
     def key(self) -> str:
-        if self._key is None:
-            self._key = "{" + ",".join(sorted(e.key() for e in self.elems)) + "}"
-        return self._key
+        return _bounded_key(self, math.inf)
 
     # __eq__ is object identity, which interning makes extensional equality
     def __hash__(self):
@@ -134,7 +134,7 @@ class HfSet:
         return item in self.elems
 
     def __repr__(self):
-        return self.key()
+        return describe_set(self)
 
 
 _INTERNED = weakref.WeakValueDictionary()  # frozenset of elements -> its HfSet
@@ -151,6 +151,55 @@ def _numeral_value(elems) -> int:
         return n if all(0 <= e._nat < n for e in elems) else -1
     except AttributeError:  # a member that is not a set, such as omega
         return -1
+
+
+DESCRIBE_LIMIT = 1000  # longest key a message or counterexample shows
+
+
+def _bounded_key(x: HfSet, budget):
+    """The key of x when it has at most budget characters, else None.
+
+    Gives up at the first member that does not fit, so the cost is bounded
+    by the budget, not by the length of the key.  Built keys are cached.
+    """
+    if x._key is not None:
+        return x._key if len(x._key) <= budget else None
+    used = max(len(x.elems) + 1, 2)  # braces and commas
+    if used > budget:
+        return None
+    keys = []
+    for e in x.elems:
+        key = _bounded_key(e, budget - used)
+        if key is None:
+            return None
+        used += len(key)
+        keys.append(key)
+    x._key = "{" + ",".join(sorted(keys)) + "}"
+    return x._key
+
+
+def describe_set(x: HfSet) -> str:
+    """The key of x, or a sketch of it when the key exceeds DESCRIBE_LIMIT.
+
+    Keys grow exponentially with the numerals a set holds, so a longer key
+    is never built: a numeral is sketched as nat(n) and any other set by the
+    sorted descriptions of its members, cut after DESCRIBE_LIMIT characters.
+    """
+    memo: dict = {}
+
+    def walk(s):
+        if s not in memo:
+            text = _bounded_key(s, DESCRIBE_LIMIT)
+            if text is None and s._nat >= 0:
+                text = f"nat({s._nat})"
+            elif text is None:
+                text = "{" + ",".join(sorted(map(walk, s.elems))) + "}"
+                if len(text) > DESCRIBE_LIMIT:
+                    text = text[:DESCRIBE_LIMIT] + "...}"
+            memo[s] = text
+        return memo[s]
+
+    return walk(x)
 
 
 EMPTY = HfSet()
@@ -642,32 +691,30 @@ def parse_lemmas(text: str, file: str = "<lemmas>") -> list:
 
 
 def _parse_claim(line: str):
-    toks = th0._tokenize_thf(line)
-    parser = th0._Parser(toks)
+    parser = th0._Parser(line)
     binders = []
-    tok = parser.peek()
-    if tok is not None and tok.kind == "!":
+    if parser.peek_kind() == "!":
         parser.next()
         parser.expect("[")
         while True:
-            name = parser.expect_word().text
+            name, _ = parser.expect_word()
             parser.expect(":")
-            sort = parser.expect_word().text
+            sort, _ = parser.expect_word()
             if sort not in _SORT_TYPES:
                 raise th0.Th0Error(f"unknown sort {sort!r}")
             binders.append((name, sort))
-            nxt = parser.next()
-            if nxt.kind == "]":
+            kind, text, _ = parser.next()
+            if kind == "]":
                 break
-            if nxt.kind != ",":
-                raise th0.Th0Error(f"expected , or ] in binder list, found {nxt.text!r}")
+            if kind != ",":
+                raise th0.Th0Error(f"expected , or ] in binder list, found {text!r}")
         parser.expect(":")
     env = {name: _SORT_TYPES[sort] for name, sort in binders}
     decls = {name: CATALOG.type_of(name) for name in CATALOG.order}
     body = parser.parse_formula(env, decls)
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise th0.Th0Error(f"trailing input {tok.text!r}", tok.line, tok.col)
+    if parser.peek_kind() is not None:
+        _, text, pos = parser.next()
+        raise parser.error(f"trailing input {text!r}", pos)
     return binders, body
 
 
@@ -708,17 +755,16 @@ def _describe_env(names, values) -> str:
 
 def describe_value(value) -> str:
     if isinstance(value, HfSet):
-        return value.key()
+        return describe_set(value)
     if isinstance(value, HfFn):
         n = is_nat(HfSet(value.table))
         if n is not None:
             entries = []
             for i in range(n):
                 v = value(nat(i))
-                inner = next(iter(v)) if len(v) == 1 else v
-                entries.append(inner.key() if isinstance(inner, HfSet) else repr(inner))
+                entries.append(repr(next(iter(v.elems)) if len(v) == 1 else v))
             return "[" + ", ".join(entries) + "]"
-        return "fn" + repr(sorted((k.key(), v.key()) for k, v in value.table.items()))
+        return "fn" + repr(sorted((repr(k), repr(v)) for k, v in value.table.items()))
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value)

@@ -1,9 +1,11 @@
 """Tokenizer and s-expression reader for SUO-KIF source text.
 
 The reader keeps enough position information (file, line, column) for
-downstream passes to report errors against the original source.  Atoms are
-classified lexically: plain constants, ``?X`` variables, ``@ROW`` row
-variables, signed decimal numerals, and double-quoted strings.
+downstream passes to report errors against the original source.  It reads
+its input in one regex scan and works line and column out from token
+offsets.  Atoms are classified lexically: plain constants, ``?X``
+variables, ``@ROW`` row variables, signed decimal numerals, and
+double-quoted strings.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ ATOM_NUMERAL = "numeral"
 ATOM_STRING = "string"
 
 _NUMERAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
-_DELIMS = "()\";"
 
 
 @dataclass(frozen=True)
@@ -80,61 +81,51 @@ def _classify(lexeme: str, span: Span) -> Atom:
     return Atom(lexeme, ATOM_CONSTANT, span)
 
 
+# Every character of the input starts one of these alternatives, so one
+# scan leaves no gaps.  The unnamed ones are whitespace and comments; a quote
+# that opens no complete string falls through to `unterminated`.
+_TOKEN_RE = re.compile(
+    r"""\s+|;[^\n]*
+      | (?P<paren>[()])
+      | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+      | (?P<unterminated>")
+      | (?P<atom>[^\s()";]+)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def tokenize(source: str, file: str = "<kif>"):
-    """Yield ``("(", span)``, ``(")", span)``, and classified Atom tokens."""
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    """Yield ``("(", span)``, ``(")", span)``, and classified Atom tokens.
+
+    Whitespace and ``;`` comments are skipped; a backslash in a string
+    stands for the character after it.  Line and column come from offsets:
+    the newlines between one token and the next are counted in one call.
+    """
+    line, line_start, last = 1, 0, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        span = Span(file, line, col)
-        if ch == "(" or ch == ")":
-            yield ch, span
-            col += 1
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and source[j] != '"':
-                if source[j] == "\\" and j + 1 < n:
-                    buf.append(source[j + 1])
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise BadToken("unterminated string", span)
-            text = "".join(buf)
-            consumed = j + 1 - i
-            newlines = source[i : j + 1].count("\n")
-            if newlines:
-                line += newlines
-                col = len(source[i : j + 1].rsplit("\n", 1)[1]) + 1
-            else:
-                col += consumed
-            i = j + 1
+        pos = m.start()
+        newlines = source.count("\n", last, pos)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", last, pos) + 1
+        last = pos
+        span = Span(file, line, pos - line_start + 1)
+        if kind == "paren":
+            yield m.group(), span
+        elif kind == "atom":
+            yield _classify(m.group(), span), span
+        elif kind == "string":
+            text = m.group()[1:-1]
+            if "\\" in text:
+                text = _ESCAPE_RE.sub(r"\1", text)
             yield Atom(text, ATOM_STRING, span), span
-            continue
-        j = i
-        while j < n and not source[j].isspace() and source[j] not in _DELIMS:
-            j += 1
-        lexeme = source[i:j]
-        yield _classify(lexeme, span), span
-        col += j - i
-        i = j
+        else:
+            raise BadToken("unterminated string", span)
 
 
 def parse_forms(source: str, file: str = "<kif>") -> list:
@@ -144,24 +135,20 @@ def parse_forms(source: str, file: str = "<kif>") -> list:
     UnbalancedParens with the offending span.
     """
     top: list = []
-    stack: list = []
+    items = top  # the list being filled
+    stack: list = []  # (enclosing list, span of the open paren)
     for tok, span in tokenize(source, file):
-        if tok == "(":
-            stack.append(([], span))
-        elif tok == ")":
-            if not stack:
-                raise UnbalancedParens("unmatched ')'", span)
-            items, open_span = stack.pop()
-            node = SList(tuple(items), open_span)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                top.append(node)
+        if isinstance(tok, Atom):
+            items.append(tok)
+        elif tok == "(":
+            stack.append((items, span))
+            items = []
+        elif not stack:
+            raise UnbalancedParens("unmatched ')'", span)
         else:
-            if stack:
-                stack[-1][0].append(tok)
-            else:
-                top.append(tok)
+            outer, open_span = stack.pop()
+            outer.append(SList(tuple(items), open_span))
+            items = outer
     if stack:
         raise UnbalancedParens("unclosed '('", stack[-1][1])
     return top

@@ -19,9 +19,8 @@ MODE_SUBCLASS = "subclass"
 
 class SignatureError(Exception):
     def __init__(self, message: str, span: Span | None = None):
-        if span is not None:
-            message = f"{span}: {message}"
-        super().__init__(message)
+        super().__init__(message if span is None else f"{span}: {message}")
+        self.message = message
         self.span = span
 
 

@@ -9,7 +9,9 @@ with a defining equivalence emitted as a definition-role premise.
 Rendering is canonical: compound subterms are always parenthesized, binders
 take one variable each, and long records wrap greedily at 100 columns with a
 four space continuation indent.  Parsing the rendered text and rendering
-again reproduces it byte for byte.
+again reproduces it byte for byte.  The parser reads a text in one regex
+scan; its tokens carry offsets, and line and column are worked out from an
+offset only when an error is reported.
 """
 
 from __future__ import annotations
@@ -317,105 +319,98 @@ def problem_text(problem, reproducible: bool = False, explain: bool = False) -> 
 # ---------------------------------------------------------------------------
 # Re-parsing and checking
 
+# A well-formed text is a run of tokens, each after optional whitespace.
+# The scan matches each token where the last one ended, never searching
+# ahead (a search would retry the whitespace run from every offset in it),
+# so what stops it short of the end, past any whitespace, is a bad character.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>%[^\n]*)
-      | (?P<iff><=>)
-      | (?P<imp>=>)
-      | (?P<word>[A-Za-z0-9_$]+)
-      | (?P<punct>[()\[\]:,.@&|~!?^=>])
+    r"""[ \t\r\n]*
+      (?: (?P<comment>%[^\n]*)
+        | (?P<word>[A-Za-z0-9_$]+)
+        | (?P<op><=>|=>|[()\[\]:,.@&|~!?^=>]) )
     """,
     re.VERBOSE,
 )
+_SPACE_RE = re.compile(r"[ \t\r\n]*")
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize_thf(text: str):
-    toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise Th0Error(f"bad character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "ws":
-            pass
-        elif kind == "comment":
-            toks.append(_Tok("comment", lexeme, line, col))
-        elif kind in ("iff", "imp"):
-            toks.append(_Tok(lexeme, lexeme, line, col))
-        elif kind == "word":
-            toks.append(_Tok("word", lexeme, line, col))
-        else:
-            toks.append(_Tok(lexeme, lexeme, line, col))
-        for ch in lexeme:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
-    return toks
+def _line_col(text: str, pos: int) -> tuple:
+    """1-based line and column of an offset."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = [t for t in toks if t.kind != "comment"]
-        self.comments = [t.text[1:].lstrip(" ") if t.text != "%" else "" for t in toks if t.kind == "comment"]
+    """Recursive descent over the tokens of one text, read in one scan.
+
+    A token is a (kind, text, offset) triple: the kind of a word is "word",
+    that of an operator is its text.  Line and column are worked out from
+    the offset only when an error is raised.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = []
+        self.comments = []
+        pos = 0
+        while (m := _TOKEN_RE.match(text, pos)) is not None:
+            pos = m.end()
+            kind = m.lastgroup
+            lexeme = m.group(kind)
+            if kind == "comment":
+                self.comments.append(lexeme[1:].lstrip(" "))
+            else:
+                self.toks.append((kind if kind == "word" else lexeme, lexeme, m.start(kind)))
+        pos = _SPACE_RE.match(text, pos).end()
+        if pos < len(text):
+            raise self.error(f"bad character {text[pos]!r}", pos)
         self.i = 0
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def error(self, message: str, pos: int) -> Th0Error:
+        return Th0Error(message, *_line_col(self.text, pos))
+
+    def peek_kind(self):
+        """The kind of the next token, None at the end of input."""
+        return self.toks[self.i][0] if self.i < len(self.toks) else None
 
     def next(self):
-        tok = self.peek()
-        if tok is None:
+        if self.i == len(self.toks):
             raise Th0Error("unexpected end of input")
         self.i += 1
-        return tok
+        return self.toks[self.i - 1]
 
     def expect(self, kind):
-        tok = self.next()
-        if tok.kind != kind:
-            raise Th0Error(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+        """Text and offset of the next token, which must be of this kind."""
+        found, text, pos = self.next()
+        if found != kind:
+            raise self.error(f"expected {kind!r}, found {text!r}", pos)
+        return text, pos
 
-    def expect_word(self, text=None):
-        tok = self.expect("word")
-        if text is not None and tok.text != text:
-            raise Th0Error(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+    def expect_word(self, word=None):
+        text, pos = self.expect("word")
+        if word is not None and text != word:
+            raise self.error(f"expected {word!r}, found {text!r}", pos)
+        return text, pos
 
     # types -----------------------------------------------------------------
 
     def parse_type(self):
         left = self.parse_type_atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == ">":
+        if self.peek_kind() == ">":
             self.next()
             return Arrow(left, self.parse_type())
         return left
 
     def parse_type_atom(self):
-        tok = self.next()
-        if tok.kind == "(":
+        kind, text, pos = self.next()
+        if kind == "(":
             ty = self.parse_type()
             self.expect(")")
             return ty
-        if tok.kind == "word" and tok.text == "$i":
+        if text == "$i":
             return IOTA
-        if tok.kind == "word" and tok.text == "$o":
+        if text == "$o":
             return OMICRON
-        raise Th0Error(f"expected a type, found {tok.text!r}", tok.line, tok.col)
+        raise self.error(f"expected a type, found {text!r}", pos)
 
     # terms -----------------------------------------------------------------
 
@@ -423,20 +418,18 @@ class _Parser:
 
     def parse_formula(self, env, decls):
         first = self.parse_app(env, decls)
-        tok = self.peek()
-        if tok is None or tok.kind not in self._BINOPS:
+        op = self.peek_kind()
+        if op not in self._BINOPS:
             return first
-        op = tok.kind
+        op_pos = self.toks[self.i][2]
         items = [first]
-        while self.peek() is not None and self.peek().kind in self._BINOPS:
-            t = self.next()
-            if t.kind != op:
-                raise Th0Error(
-                    f"mixed operators {op!r} and {t.kind!r} need parentheses", t.line, t.col
-                )
+        while self.peek_kind() in self._BINOPS:
+            kind, _, pos = self.next()
+            if kind != op:
+                raise self.error(f"mixed operators {op!r} and {kind!r} need parentheses", pos)
             items.append(self.parse_app(env, decls))
         if op in ("=>", "<=>", "=") and len(items) != 2:
-            raise Th0Error(f"operator {op!r} is binary", tok.line, tok.col)
+            raise self.error(f"operator {op!r} is binary", op_pos)
         ctor = self._BINOPS[op]
         out = items[-1]
         for item in reversed(items[:-1]):
@@ -445,81 +438,77 @@ class _Parser:
 
     def parse_app(self, env, decls):
         out = self.parse_unit(env, decls)
-        while self.peek() is not None and self.peek().kind == "@":
+        while self.peek_kind() == "@":
             self.next()
             out = App(out, self.parse_unit(env, decls))
         return out
 
     def parse_unit(self, env, decls):
-        tok = self.next()
-        if tok.kind == "(":
+        kind, text, pos = self.next()
+        if kind == "(":
             inner = self.parse_formula(env, decls)
             self.expect(")")
             return inner
-        if tok.kind == "~":
+        if kind == "~":
             return Neg(self.parse_unit(env, decls))
-        if tok.kind in ("!", "?", "^"):
+        if kind in ("!", "?", "^"):
             self.expect("[")
-            name_tok = self.expect_word()
+            name, _ = self.expect_word()
             self.expect(":")
             ty = self.parse_type()
             self.expect("]")
             self.expect(":")
-            body = self.parse_unit(env | {name_tok.text: ty}, decls)
-            ctor = {"!": All, "?": Ex, "^": Lam}[tok.kind]
-            return ctor(name_tok.text, ty, body)
-        if tok.kind == "word":
-            if tok.text == "$true":
+            body = self.parse_unit(env | {name: ty}, decls)
+            return {"!": All, "?": Ex, "^": Lam}[kind](name, ty, body)
+        if kind == "word":
+            if text == "$true":
                 return Top()
-            if tok.text == "$false":
+            if text == "$false":
                 return Bot()
-            if tok.text in env:
-                return Var(tok.text, env[tok.text])
-            if tok.text in decls:
-                return Const(tok.text, decls[tok.text])
-            raise Th0Error(f"undeclared symbol {tok.text!r}", tok.line, tok.col)
-        raise Th0Error(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            if text in env:
+                return Var(text, env[text])
+            if text in decls:
+                return Const(text, decls[text])
+            raise self.error(f"undeclared symbol {text!r}", pos)
+        raise self.error(f"unexpected token {text!r}", pos)
 
 
 def parse_doc(text: str) -> Th0Doc:
     """Parse rendered problem text back into a document."""
-    parser = _Parser(_tokenize_thf(text))
+    parser = _Parser(text)
     doc = Th0Doc(comments=parser.comments)
     decls: dict = {}
     names: set = set()
-    while parser.peek() is not None:
-        start = parser.expect_word("thf")
+    while parser.peek_kind() is not None:
+        _, start = parser.expect_word("thf")
         parser.expect("(")
-        name_tok = parser.expect_word()
-        name = name_tok.text
+        name, name_pos = parser.expect_word()
         if name in names:
-            raise Th0Error(f"duplicate record name {name}", name_tok.line, name_tok.col)
+            raise parser.error(f"duplicate record name {name}", name_pos)
         names.add(name)
         parser.expect(",")
-        role = parser.expect_word().text
+        role, _ = parser.expect_word()
         parser.expect(",")
         if role == "type":
-            const_tok = parser.expect_word()
+            const, const_pos = parser.expect_word()
             parser.expect(":")
             ty = parser.parse_type()
-            if not name.startswith("ty_") or name[3:] != const_tok.text:
-                raise Th0Error(
-                    f"type record {name} must declare a matching constant",
-                    const_tok.line,
-                    const_tok.col,
+            if not name.startswith("ty_") or name[3:] != const:
+                raise parser.error(
+                    f"type record {name} must declare a matching constant", const_pos
                 )
-            decls[const_tok.text] = ty
-            doc.decls.append((const_tok.text, ty))
+            decls[const] = ty
+            doc.decls.append((const, ty))
         elif role in ("axiom", "definition", "conjecture"):
             term = parser.parse_formula({}, decls)
             if role == "conjecture":
                 if name != "conj":
-                    raise Th0Error("exactly one conjecture named conj is expected", start.line, start.col)
+                    raise parser.error("exactly one conjecture named conj is expected", start)
                 doc.conjecture = term
             else:
                 doc.premises.append((name, role, term))
         else:
-            raise Th0Error(f"unknown role {role!r}", start.line, start.col)
+            raise parser.error(f"unknown role {role!r}", start)
         parser.expect(")")
         parser.expect(".")
     if doc.conjecture is None:

@@ -6,6 +6,9 @@ fixed and variable arity share one shape; truth of an applied relation is
 membership of the empty set in the resulting set.  Quantified variables pick
 up membership guards derived from declared argument domains: implications
 under universals, conjunctions under existentials and class formation.
+
+A job reads and lowers each input file once; the signature pass and the
+translation share the lowered forms.
 """
 
 from __future__ import annotations
@@ -370,19 +373,8 @@ def load_lowered(path: str, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> list:
     return [sumo.lower(form, skip_heads) for form in parse_forms(text, path)]
 
 
-def collect_signature(paths, skip_heads=sumo.DEFAULT_SKIP_HEADS, keep_first_on_conflict=True):
-    """Signature from the assertions of all files, variadic closure applied."""
-    assertions = []
-    for path in paths:
-        for item in load_lowered(path, skip_heads):
-            if isinstance(item, sumo.Assertion):
-                assertions.append(item)
-    sig = sigmod.collect(assertions, keep_first_on_conflict=keep_first_on_conflict)
-    return sigmod.close_vararity(sig)
-
-
-def translate_file(tr: Translator, path: str, kind: str = "kb", skip_heads=sumo.DEFAULT_SKIP_HEADS):
-    """Translate one file into premise units plus an optional query.
+def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
+    """Translate one file's lowered forms into premise units plus an optional query.
 
     Returns (units, query_term, skips).  Premise names key on the file stem
     and the source position of the form, so they stay stable when neighbors
@@ -393,7 +385,7 @@ def translate_file(tr: Translator, path: str, kind: str = "kb", skip_heads=sumo.
     units: list = []
     skips: list = []
     query_term = None
-    for index, item in enumerate(load_lowered(path, skip_heads)):
+    for index, item in enumerate(lowered):
         if isinstance(item, sumo.Skipped):
             skips.append(SkipNote(path, index, item.reason, item.span))
         elif isinstance(item, sumo.Query):
@@ -461,6 +453,9 @@ def translate_query_job(
 ):
     """End-to-end: signature pass, KB translation, query problem assembly.
 
+    Every file is read and lowered once, all of them before any is
+    translated, so reader and lowering errors come first.
+
     Returns (problem, skips, translator).
     """
     stems: dict = {}
@@ -472,17 +467,19 @@ def translate_query_job(
                 f" name premises kb_{stem}_N"
             )
         stems[stem] = path
-    sig = collect_signature(list(kb_paths) + [query_path], skip_heads)
+    lowered = [load_lowered(path, skip_heads) for path in [*kb_paths, query_path]]
+    assertions = [item for items in lowered for item in items if isinstance(item, sumo.Assertion)]
+    sig = sigmod.close_vararity(sigmod.collect(assertions, keep_first_on_conflict=True))
     tr = Translator(sig, expand_known_rows, collect_explanations)
     kb_units: list = []
     skips: list = []
-    for path in kb_paths:
-        units, query, file_skips = translate_file(tr, path, "kb", skip_heads)
+    for path, items in zip(kb_paths, lowered):
+        units, query, file_skips = translate_file(tr, path, items, "kb")
         if query is not None:
             raise TranslateError(f"query form inside knowledge base file {path}")
         kb_units.extend(units)
         skips.extend(file_skips)
-    local_units, conjecture, q_skips = translate_file(tr, query_path, "local", skip_heads)
+    local_units, conjecture, q_skips = translate_file(tr, query_path, lowered[-1], "local")
     skips.extend(q_skips)
     if conjecture is None:
         raise TranslateError(f"no query form in {query_path}")

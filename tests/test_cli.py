@@ -117,6 +117,22 @@ def test_translate_selection_unknown_name(tmp_path, capsys):
     assert "kb_nonexistent_99" in err
 
 
+def test_translate_signature_error_is_located(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.kif").write_text("(domain ?R 1 Foo)\n")
+    (tmp_path / "q.kif").write_text("(query (instance Bob Human))\n")
+    code, out, err = run_cli(["translate", "q.kif", "--kb", "bad.kif"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad.kif:1:1: domain declaration is not ground\n"
+
+    code, out, err = run_cli(["translate", "q.kif", "--kb", "bad.kif", "--errors-json"], capsys)
+    assert code == 1
+    assert json.loads(out) == [
+        {"file": "bad.kif", "line": 1, "col": 1, "error": "domain declaration is not ground"}
+    ]
+
+
 # --- oracle ---
 
 
@@ -287,6 +303,58 @@ def test_run_keep_going_past_bad_query(tmp_path, capsys):
     assert (tmp_path / "runs" / "problems" / "tqg3.p").exists()
     summary = (tmp_path / "runs" / "kb-summary.txt").read_text()
     assert "FAILED" in summary
+
+
+def test_run_signature_error_fails_the_query(tmp_path, capsys):
+    bad = tmp_path / "bad.kif"
+    bad.write_text("(domain ?R 1 Foo)\n(query (instance ?X Human))\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "\n".join(
+            [
+                f"kb = {fixture_path('merge_fragment.kif')}",
+                f"query = {bad}",
+                f"query = {fixture_path('tqg3.kif')}",
+                f"out_dir = {tmp_path / 'runs'}",
+            ]
+        )
+        + "\n"
+    )
+    code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 1
+    assert f"{bad}:1:1: domain declaration is not ground" in err
+    assert not (tmp_path / "runs" / "problems" / "tqg3.p").exists()
+
+    code, out, err = run_cli(["run", str(cfg), "--keep-going"], capsys)
+    assert code == 1
+    assert f"{bad}: FAILED: {bad}:1:1: domain declaration is not ground" in out
+    assert (tmp_path / "runs" / "problems" / "tqg3.p").exists()
+
+
+def test_run_rejects_queries_writing_the_same_problem(tmp_path, capsys):
+    paths = [tmp_path / "a" / "q.kif", tmp_path / "b" / "q.kif"]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text("(query (instance ?X Human))\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "\n".join(
+            [
+                f"kb = {fixture_path('merge_fragment.kif')}",
+                f"query = {paths[0]}",
+                f"query = {paths[1]}",
+                f"out_dir = {tmp_path / 'runs'}",
+            ]
+        )
+        + "\n"
+    )
+    code, out, err = run_cli(["run", str(cfg), "--keep-going"], capsys)
+    assert code == 2
+    assert err == (
+        f"error: query files {paths[0]} and {paths[1]} would both write problems/q.p\n"
+    )
+    # rejected before anything is translated or written
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_skip_head_config(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Config parsing, SZS classification, and batch-run bookkeeping."""
 
 import os
+import signal
 import stat
+import time
 
 import pytest
 
@@ -161,6 +163,39 @@ def test_run_one_wall_clock_timeout(tmp_path):
     assert res.detail == "wall clock limit"
     # killed shortly after timeout + grace, well before the sleep ends
     assert res.seconds < 0.2 + hn.GRACE_SECONDS + 1.5
+
+
+def _alive(pid):
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: a signalable pid counts as alive
+        return True
+
+
+def test_run_one_timeout_kills_the_process_group(tmp_path):
+    # the stub backgrounds one grandchild and records its pid
+    exe = make_script(tmp_path, "wrapper.sh", 'sleep 30 &\necho $! > "$1.pid"\nwait\n')
+    prover = hn.ProverDef("wrapper", (exe, "{file}"))
+    problem = tmp_path / "q.p"
+    res = hn.run_one(prover, str(problem), 0)
+    pid = int((tmp_path / "q.p.pid").read_text())
+    try:
+        assert res.outcome == hn.OUTCOME_TIMEOUT
+        deadline = time.monotonic() + 5.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
+    finally:
+        if _alive(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_run_one_unexecutable_path_is_error(tmp_path):

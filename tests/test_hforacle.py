@@ -6,6 +6,7 @@ checker is exercised on both holding and failing identities.
 
 import copy
 import gc
+import hashlib
 import pickle
 import weakref
 
@@ -465,6 +466,61 @@ def test_describe_value_shapes():
     assert hf.describe_value(hf.nat(2)) == "{{{}},{}}"
     assert hf.describe_value(True) == "true"
     assert hf.describe_value(hf.mk_hflist([hf.nat(1)])).startswith("[")
+
+
+def _refuse_keys_of_large_sets(monkeypatch):
+    # a key of a set with many members is exponentially long when the
+    # members are numerals; no message may ask for one
+    real = hf.HfSet.key
+
+    def key(self):
+        if len(self.elems) > 30:
+            raise AssertionError(f"key of a set with {len(self.elems)} members")
+        return real(self)
+
+    monkeypatch.setattr(hf.HfSet, "key", key)
+
+
+def test_error_text_is_bounded(monkeypatch):
+    _refuse_keys_of_large_sets(monkeypatch)
+    claims = hf.parse_lemmas("((ord_sub @ (tag @ (ord_exp @ ord2 @ ord6)) @ ord1) = emptyset)\n")
+    results = [hf.check_claim(c) for c in claims]
+    assert [r.error for r in results] == ["not a successor numeral: {nat(64)}"]
+    assert hf.format_results(results) == (
+        "claim 1 (line 1): ERROR not a successor numeral: {nat(64)}\n0/1 claims hold"
+    )
+
+
+# sha256 of format_results on the shipped claims and on acceptance
+# criterion 3's planted wrong identity; every set they print is below the
+# description cap, so capping changes none of it
+LEMMA_OUTPUT_DIGESTS = {
+    "claims.lemmas": "1d2044635298507ee1da07b5a4e5907a3a75d8ad01eff6732418328ab8ae88a6",
+    "wrong.lemmas": "f31137ebd72d2ed922526b0ce64d2277c15a05fefe242bb7b0c756bcca41b952",
+}
+
+
+def test_lemma_output_unchanged_without_large_keys(monkeypatch, tmp_path):
+    from conftest import fixture_path
+
+    _refuse_keys_of_large_sets(monkeypatch)
+    wrong = tmp_path / "wrong.lemmas"
+    wrong.write_text("![X:set, R:list]: ((len @ (cons @ X @ R)) = (len @ R))\n")
+    for name, path in (("claims.lemmas", fixture_path("claims.lemmas")), ("wrong.lemmas", str(wrong))):
+        out = hf.format_results(hf.run_lemma_file(path))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEMMA_OUTPUT_DIGESTS[name]
+
+
+def test_describe_set_caps_long_keys():
+    assert hf.describe_set(hf.nat(3)) == hf.nat(3).key() == repr(hf.nat(3))
+    # nat(8) has a 639-character key, nat(9) one of 1279
+    assert hf.describe_set(hf.nat(8)) == hf.nat(8).key()
+    assert hf.describe_set(hf.nat(9)) == "nat(9)"
+    assert repr(hf.hfset(hf.nat(2), hf.nat(10))) == "{nat(10),{{{}},{}}}"
+    wide = hf.HfSet(hf.hfset(hf.nat(i)) for i in range(200))
+    text = hf.describe_set(wide)
+    assert len(text) == hf.DESCRIBE_LIMIT + 4 and text.endswith("...}")
+    assert hf.describe_value(hf.mk_hflist([hf.nat(64)])) == "[nat(64)]"
 
 
 def test_stub_fixed_arity_semantics():

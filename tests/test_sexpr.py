@@ -4,9 +4,13 @@ The round-trip test uses a local printer as the independent check: a tree
 printed and re-read must come back structurally identical.
 """
 
+import hashlib
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FIXTURES
 from sumok2set import sexpr
 
 
@@ -127,3 +131,88 @@ def test_print_parse_round_trip(tree):
     back = sexpr.parse_forms(text)
     assert len(back) == 1
     assert strip(back[0]) == strip(tree)
+
+
+# --- pinned reader output ---------------------------------------------------
+#
+# Digests of repr(parse_forms(text, name)) for every fixture: atoms, kinds,
+# escapes and every span are pinned, as are the errors below.
+
+FIXTURE_DIGESTS = {
+    "merge_fragment.kif": "ab5da722bab168707ae1770f71a186e4917e6cf18d7889592c23ce6e3768a57d",
+    "tqg11.kif": "ef23ffcfc55109ba729d2fe2bd3ed9f5cce91820dcdcef65d02cc20baca071f1",
+    "tqg22alt4.kif": "9a7a94837c305e9fd77b20ccf561b34dedc9ed345e5e46a41b4eec43dc3302c0",
+    "tqg27.kif": "24f6ed534b362fdc43bc9d5e0c9827d8927851750fda8b69a29b6e8041c921e7",
+    "tqg3.kif": "5c5aa5dba5b2ac33ce96aa14acf02cdc308fa8258fa4add8de4c159a0c8d6334",
+    "wordex.kif": "628198906891b0ded9c00c1d17a245017f748fae960e766b1f5cebc008e8a18b",
+}
+
+
+def test_every_fixture_is_pinned():
+    kifs = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".kif"))
+    assert kifs == sorted(FIXTURE_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+def test_fixture_parse_pinned(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        forms = sexpr.parse_forms(fh.read(), name)
+    digest = hashlib.sha256(repr(forms).encode("utf-8")).hexdigest()
+    assert digest == FIXTURE_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "source,error,message,line,col",
+    [
+        ('(a "one\ntwo\nthree', sexpr.BadToken, "unterminated string", 1, 4),
+        ('(a "abc\\', sexpr.BadToken, "unterminated string", 1, 4),
+        ('(a "abc\\"', sexpr.BadToken, "unterminated string", 1, 4),
+        ("(a\n  ?)", sexpr.BadToken, "empty variable name", 2, 3),
+        ("(a @)", sexpr.BadToken, "empty row variable name", 1, 4),
+        ("(a b)\n\n\n   )", sexpr.UnbalancedParens, "unmatched ')'", 4, 4),
+        ("(a\n (b c)\n", sexpr.UnbalancedParens, "unclosed '('", 1, 1),
+        ("(a 1.2.3)", sexpr.BadToken, "malformed numeral '1.2.3'", 1, 4),
+        # the first error in source order wins
+        ('(a ?)\n"open', sexpr.BadToken, "empty variable name", 1, 4),
+        ('"x\ny" ) (', sexpr.UnbalancedParens, "unmatched ')'", 2, 4),
+    ],
+)
+def test_hostile_input_errors_pinned(source, error, message, line, col):
+    with pytest.raises(error) as err:
+        sexpr.parse_forms(source, "h.kif")
+    assert err.value.message == message
+    assert err.value.span == sexpr.Span("h.kif", line, col)
+    assert str(err.value) == f"h.kif:{line}:{col}: {message}"
+
+
+def test_string_with_newlines_then_form_pinned():
+    source = '(a "x\ny\n  z") (b\n c "d\\"e" ?V)\n(f 1.5 -2)'
+    forms = sexpr.parse_forms(source, "h.kif")
+
+    def spans(node):
+        if isinstance(node, sexpr.Atom):
+            return (node.kind, node.lexeme, node.span.line, node.span.col)
+        return ((node.span.line, node.span.col),) + tuple(spans(x) for x in node.items)
+
+    assert [spans(f) for f in forms] == [
+        ((1, 1), ("constant", "a", 1, 2), ("string", "x\ny\n  z", 1, 4)),
+        (
+            (3, 7),
+            ("constant", "b", 3, 8),
+            ("constant", "c", 4, 2),
+            ("string", 'd"e', 4, 4),
+            ("variable", "V", 4, 11),
+        ),
+        ((5, 1), ("constant", "f", 5, 2), ("numeral", "1.5", 5, 4), ("numeral", "-2", 5, 8)),
+    ]
+
+
+def test_whitespace_is_unicode_whitespace_and_only_newline_ends_a_line():
+    forms = sexpr.parse_forms("(a\u00a0b\u2028c\x1c)\r\n(\td ;x (\n e)", "h.kif")
+    atoms = [(x.lexeme, x.span.line, x.span.col) for f in forms for x in f.items]
+    assert atoms == [("a", 1, 2), ("b", 1, 4), ("c", 1, 6), ("d", 2, 3), ("e", 3, 2)]
+
+
+def test_backslash_escapes_the_next_character():
+    (form,) = sexpr.parse_forms('("a\\\\b\\nc\\"" x)')
+    assert [x.lexeme for x in form.items] == ['a\\bnc"', "x"]

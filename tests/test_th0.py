@@ -1,5 +1,7 @@
 """TH0 rendering, parsing, and checking tests."""
 
+import time
+
 import pytest
 
 from sumok2set import th0, translate
@@ -35,7 +37,7 @@ from sumok2set.th0 import (
 )
 from sumok2set.translate import Problem
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def test_render_type_shapes():
@@ -300,3 +302,49 @@ def test_fixture_problems_round_trip(tmp_path):
         text = problem_text(prob, reproducible=True)
         assert check_text(text) == [], q
         assert render_doc(parse_doc(text)) == text, q
+
+
+# Diagnostics pinned with the line and column the parser works out from
+# token offsets.
+@pytest.mark.parametrize(
+    "text,diag",
+    [
+        (
+            "thf(ty_a, type, a : $o).\nthf(conj, conjecture,\n    (a & #a)).\n",
+            "parse error at 3:10: bad character '#'",
+        ),
+        (
+            "thf(ty_a, type, a : $o).\r\nthf(conj, conjecture,\r\n\t(a <= a)).\r\n",
+            "parse error at 3:5: bad character '<'",
+        ),
+        (
+            "thf(ty_a, type, a : $o).\n% note\n\nthf(conj, conjecture, (a & )).\n",
+            "parse error at 4:28: unexpected token ')'",
+        ),
+        (
+            "thf(ty_a, type, a : $o).\nthf(conj, conjecture,\n    (a & a)",
+            "parse error: unexpected end of input",
+        ),
+    ],
+)
+def test_check_text_diagnostics_pinned(text, diag):
+    assert check_text(text) == [diag]
+
+
+def test_check_text_truncated_fixture_problem_pinned(monkeypatch):
+    # relative paths, as skipped-form comments quote them
+    monkeypatch.chdir(FIXTURES)
+    prob, _skips, _tr = translate.translate_query_job(["merge_fragment.kif"], "tqg3.kif")
+    text = problem_text(prob, reproducible=True)
+    assert check_text(text[: len(text) // 2]) == ["parse error at 148:1: expected 'thf', found 't'"]
+    assert check_text(text[:-3]) == ["parse error: unexpected end of input"]
+    assert check_text(text[:-1]) == ["text is not in canonical form (render of parse differs)"]
+
+
+def test_bad_character_after_long_whitespace_is_found_in_linear_time():
+    # a scan that searched ahead would retry the whitespace run from every
+    # offset in it: quadratic, tens of seconds here
+    text = "thf(ty_a, type, a : $o)." + " " * 30000 + "#"
+    start = time.perf_counter()
+    assert check_text(text) == ["parse error at 1:30025: bad character '#'"]
+    assert time.perf_counter() - start < 2.0

@@ -7,7 +7,7 @@ equivalence with the translator output, guard order included.
 import pytest
 from hypothesis import given, strategies as st
 
-from sumok2set import sumo, translate
+from sumok2set import sexpr, signature, sumo, translate
 from sumok2set.catalog import cc, ord_of
 from sumok2set.hostterm import (
     All,
@@ -534,3 +534,38 @@ def test_local_units_named_by_position(tmp_path):
     problem, _skips, _tr = translate.translate_query_job([str(kb)], str(q))
     names = [n for n, _r, _t in problem.premises]
     assert "local_0" in names
+
+
+def test_each_input_file_is_parsed_and_lowered_once(monkeypatch):
+    parsed, lowered = [], []
+    real_parse, real_lower = translate.parse_forms, sumo.lower
+
+    def parse_forms(text, file):
+        parsed.append(file)
+        return real_parse(text, file)
+
+    def lower(form, skip_heads):
+        lowered.append(form)
+        return real_lower(form, skip_heads)
+
+    monkeypatch.setattr(translate, "parse_forms", parse_forms)
+    monkeypatch.setattr(sumo, "lower", lower)
+    kb, q = fixture_path("merge_fragment.kif"), fixture_path("tqg3.kif")
+    translate_query_job([kb], q)
+    assert parsed == [kb, q]
+    forms = [f for path in (kb, q) for f in real_parse(open(path, encoding="utf-8").read(), path)]
+    assert len(lowered) == len(forms)
+
+
+def test_every_file_is_read_before_translation(tmp_path):
+    # the KB's misplaced query is a translation error, found only after the
+    # query file's syntax error, because all files are read first
+    kb = tmp_path / "kb.kif"
+    kb.write_text("(query (p a))\n")
+    q = tmp_path / "q.kif"
+    q.write_text("(query (p\n")
+    with pytest.raises(sexpr.UnbalancedParens):
+        translate_query_job([str(kb)], str(q))
+    q.write_text("(domain ?R 1 Foo)\n(query (p b))\n")
+    with pytest.raises(signature.NonGroundDeclaration):
+        translate_query_job([str(kb)], str(q))
