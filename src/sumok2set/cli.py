@@ -22,6 +22,13 @@ INPUT_ERRORS = (KifSyntaxError, SignatureError, translate.TranslateError)
 
 
 def _error_payload(err, file_hint=None):
+    if isinstance(err, OSError):
+        return {
+            "file": err.filename or file_hint,
+            "line": None,
+            "col": None,
+            "error": err.strerror or str(err),
+        }
     span = getattr(err, "span", None)
     return {
         "file": getattr(span, "file", None) or file_hint,
@@ -56,15 +63,19 @@ def cmd_translate(args) -> int:
             collect_explanations=args.explain_guards,
             selection=args.selection.split(",") if args.selection else None,
         )
-    except INPUT_ERRORS as err:
+    except (OSError, *INPUT_ERRORS) as err:
         _report_errors([_error_payload(err, args.query)], args.errors_json)
         return 1
     text = th0.problem_text(
         problem, reproducible=args.reproducible, explain=args.explain_guards
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            _report_errors([_error_payload(err, args.output)], args.errors_json)
+            return 1
     else:
         sys.stdout.write(text)
     return 0
@@ -98,10 +109,17 @@ def cmd_run(args) -> int:
     summary_lines = []
     problem_files = []
     failures = 0
+    # the knowledge base is compiled once and each query is a job against
+    # it; a knowledge base that fails to compile is read again by each job,
+    # which then fails as it does on its own
+    try:
+        kb = translate.compile_kb(cfg.kbs, skip_heads)
+    except (OSError, *INPUT_ERRORS):
+        kb = cfg.kbs
     for name, query in outputs.items():
         try:
             problem, skips, _tr = translate.translate_query_job(
-                cfg.kbs, query, skip_heads=skip_heads
+                kb, query, skip_heads=skip_heads
             )
         except (OSError, *INPUT_ERRORS) as err:
             failures += 1

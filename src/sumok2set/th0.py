@@ -8,10 +8,13 @@ with a defining equivalence emitted as a definition-role premise.
 
 Rendering is canonical: compound subterms are always parenthesized, binders
 take one variable each, and long records wrap greedily at 100 columns with a
-four space continuation indent.  Parsing the rendered text and rendering
-again reproduces it byte for byte.  The parser reads a text in one regex
-scan; its tokens carry offsets, and line and column are worked out from an
-offset only when an error is reported.
+four space continuation indent.  Each premise is flattened and rendered on
+its own, into a Record; a problem is its records put together, with the
+separation definitions and type declarations merged in first-occurrence
+order.  Parsing the rendered text and rendering again reproduces it byte
+for byte.  The parser reads a text in one regex scan; its tokens carry
+offsets, and line and column are worked out from an offset only when an
+error is reported.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import CATALOG, FLAT_CONST, cc
 from .hostterm import (
@@ -250,20 +254,77 @@ def render_record(name: str, role: str, content: str) -> str:
 # Documents
 
 
+class Record(NamedTuple):
+    """One premise flattened and rendered on its own.
+
+    Separations are named by content, so the text of a premise does not
+    depend on its neighbours; a problem puts its records together by
+    first-occurrence merges of their separations and constants.
+    """
+
+    text: str  # the wrapped thf(...) record
+    consts: tuple  # distinct Const nodes of the flat term, in first use order
+    seps: tuple = ()  # (sep name, Record of its definition), in hoist order
+
+
+def _record(name: str, role: str, flat, seps: tuple = ()) -> Record:
+    first: dict = {}  # name -> type of its first use
+    distinct = []
+    for c in consts(flat):
+        ty = first.get(c.name)
+        if ty is None:
+            first[c.name] = c.ty
+            distinct.append(c)
+        elif ty is not c.ty and ty != c.ty:
+            distinct.append(c)  # a second type, which _collect_consts rejects
+    return Record(render_record(name, role, render_term(flat)), tuple(distinct), seps)
+
+
+def render_premise(name: str, role: str, term) -> Record:
+    """Flatten and render one premise of host terms."""
+    hoister = _SepHoister()
+    flat = hoister.flatten(term)
+    seps = ()
+    if hoister.defs:
+        seps = tuple((sep, _record("def_" + sep, "definition", d)) for sep, d in hoister.defs)
+    return _record(name, role, flat, seps)
+
+
+def _cached_record(cache: dict, name: str, role: str, term) -> Record:
+    """The record of a premise, from cache when it holds this very term.
+
+    cache maps premise name -> (term, Record); the identity test keeps the
+    record of one query's local premise from standing in for another's.
+    """
+    hit = cache.get(name)
+    if hit is not None and hit[0] is term:
+        return hit[1]
+    record = render_premise(name, role, term)
+    cache[name] = (term, record)
+    return record
+
+
 @dataclass
 class Th0Doc:
+    """A problem document.
+
+    A premise body, and the conjecture, is a flat term in a parsed document
+    and a Record, already rendered, in one built from a problem.
+    """
+
     comments: list = field(default_factory=list)
     decls: list = field(default_factory=list)  # (const name, type)
-    premises: list = field(default_factory=list)  # (name, role, flat term)
-    conjecture: object = None  # flat term, record named conj
+    premises: list = field(default_factory=list)  # (name, role, flat term or Record)
+    conjecture: object = None  # flat term or Record, record named conj
 
 
-def _collect_consts(terms) -> list:
+def _collect_consts(groups) -> list:
     """Declared constants: catalog members in catalog order, then first use."""
     seen: dict = {}
-    for term in terms:
-        for c in consts(term):
-            if seen.setdefault(c.name, c.ty) != c.ty:
+    for group in groups:
+        for c in group:
+            ty = seen.setdefault(c.name, c.ty)
+            if ty is not c.ty and ty != c.ty:
                 raise Th0Error(f"constant {c.name} used at two types")
     catalog_part = sorted(
         (n for n in seen if n in CATALOG), key=CATALOG.order_index
@@ -273,16 +334,25 @@ def _collect_consts(terms) -> list:
 
 
 def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0Doc:
-    """Flatten a translated problem into a renderable document."""
+    """Put a translated problem together from the records of its premises.
+
+    The problems of one KbImage share their render_cache, so a premise of
+    its knowledge base is flattened and rendered once per image.
+    """
     import datetime
 
-    hoister = _SepHoister()
-    premises = [(name, role, hoister.flatten(term)) for name, role, term in problem.premises]
-    conjecture = hoister.flatten(problem.conjecture)
-    sep_premises = [("def_" + name, "definition", term) for name, term in hoister.defs]
-
-    all_premises = sep_premises + premises
-    decls = _collect_consts([t for _, _, t in all_premises] + [conjecture])
+    premises = [
+        (name, role, _cached_record(problem.render_cache, name, role, term))
+        for name, role, term in problem.premises
+    ]
+    conjecture = render_premise("conj", "conjecture", problem.conjecture)
+    seps: dict = {}
+    for record in [r for _, _, r in premises] + [conjecture]:
+        for sep, defn in record.seps:
+            seps.setdefault(sep, defn)
+    all_premises = [("def_" + sep, "definition", defn) for sep, defn in seps.items()]
+    all_premises += premises
+    decls = _collect_consts([r.consts for _, _, r in all_premises] + [conjecture.consts])
 
     comments = ["higher-order set theory translation"]
     if not reproducible:
@@ -302,13 +372,19 @@ def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0
     )
 
 
+def _record_text(name: str, role: str, body) -> str:
+    if isinstance(body, Record):
+        return body.text
+    return render_record(name, role, render_term(body))
+
+
 def render_doc(doc: Th0Doc) -> str:
     lines = ["% " + c if c else "%" for c in doc.comments]
     for name, ty in doc.decls:
         lines.append(render_record(f"ty_{name}", "type", f"{name} : {render_type(ty)}"))
-    for name, role, term in doc.premises:
-        lines.append(render_record(name, role, render_term(term)))
-    lines.append(render_record("conj", "conjecture", render_term(doc.conjecture)))
+    for name, role, body in doc.premises:
+        lines.append(_record_text(name, role, body))
+    lines.append(_record_text("conj", "conjecture", doc.conjecture))
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,11 @@ up membership guards derived from declared argument domains: implications
 under universals, conjunctions under existentials and class formation.
 
 A job reads and lowers each input file once; the signature pass and the
-translation share the lowered forms.
+translation share the lowered forms.  A run of queries against one
+knowledge base compiles it once (compile_kb, KbImage): each query adds its
+own units, relation facts and background to the translated knowledge base,
+and a query whose declarations change the signature of a symbol the
+knowledge base uses has it translated again, from scratch.
 """
 
 from __future__ import annotations
@@ -107,6 +111,7 @@ class Translator:
         self.collect_explanations = collect_explanations
         self.minted: dict = {}  # host name -> source name, insertion ordered
         self.explanations: list = []
+        self.facts: dict = {}  # source name -> its relation facts
         self._avoid: set = set()
 
     # -- naming ------------------------------------------------------------
@@ -303,7 +308,17 @@ class Translator:
     # -- relation facts ----------------------------------------------------
 
     def relation_facts(self, name: str) -> list:
-        """(premise_name, term) facts pinning arity and argument domains."""
+        """(premise_name, term) facts pinning arity and argument domains.
+
+        Worked out once per name; a KbImage hands the facts of the names
+        its knowledge base mentions on to the translators of its queries.
+        """
+        found = self.facts.get(name)
+        if found is None:
+            found = self.facts[name] = self._relation_facts(name)
+        return found
+
+    def _relation_facts(self, name: str) -> list:
         info = self.sig.info(name)
         if info is None or not info.arg_domain:
             return []
@@ -338,6 +353,7 @@ class Unit:
     name: str
     term: object
     span: Span
+    needs: frozenset  # catalog names the term needs
     kind: str = "kb"  # kb | local | conjecture
 
 
@@ -355,6 +371,7 @@ class Problem:
     conjecture: object  # host term
     comments: list = field(default_factory=list)
     explanations: list = field(default_factory=list)
+    render_cache: dict = field(default_factory=dict)  # see th0.build_doc
 
 
 def _stem(path: str) -> str:
@@ -394,7 +411,8 @@ def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
             query_term = tr.close_query(item.formula)
         else:
             term = tr.close_assertion(item.formula)
-            units.append(Unit(f"{prefix}{index}", term, item.span, kind))
+            needs = frozenset(CATALOG.needs([term]))
+            units.append(Unit(f"{prefix}{index}", term, item.span, needs, kind))
     return units, query_term, skips
 
 
@@ -415,11 +433,12 @@ def build_problem(
         for fact_name, term in tr.relation_facts(src_name):
             fact_premises.append((fact_name, "axiom", term))
 
-    main = [(u.name, "axiom", u.term) for u in kb_units + local_units]
-    all_terms = [t for _, _, t in fact_premises] + [t for _, _, t in main] + [conjecture]
-    background = CATALOG.background(CATALOG.needs(all_terms))
+    units = kb_units + local_units
+    needs = CATALOG.needs([t for _, _, t in fact_premises] + [conjecture])
+    needs = needs.union(*(u.needs for u in units))
+    background = CATALOG.background(needs)
 
-    premises = list(background) + fact_premises + main
+    premises = list(background) + fact_premises + [(u.name, "axiom", u.term) for u in units]
     return Problem(
         premises=premises,
         conjecture=conjecture,
@@ -440,24 +459,27 @@ def select_premises(problem: Problem, names: list) -> Problem:
         conjecture=problem.conjecture,
         comments=problem.comments,
         explanations=problem.explanations,
+        render_cache=problem.render_cache,
     )
 
 
-def translate_query_job(
-    kb_paths: list,
-    query_path: str,
-    skip_heads=sumo.DEFAULT_SKIP_HEADS,
-    expand_known_rows: bool = False,
-    collect_explanations: bool = False,
-    selection: list | None = None,
-):
-    """End-to-end: signature pass, KB translation, query problem assembly.
+def signature_of(assertions) -> sigmod.Signature:
+    """The signature a job translates under, closed for variable arity."""
+    return sigmod.close_vararity(sigmod.collect(assertions, keep_first_on_conflict=True))
 
-    Every file is read and lowered once, all of them before any is
-    translated, so reader and lowering errors come first.
 
-    Returns (problem, skips, translator).
-    """
+@dataclass
+class KbForms:
+    """The knowledge base files of a job, read and lowered."""
+
+    paths: list
+    skip_heads: tuple
+    lowered: list  # per file, in source order
+    assertions: list
+
+
+def _read_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbForms:
+    """Read and lower every knowledge base file."""
     stems: dict = {}
     for path in kb_paths:
         stem = _stem(path)
@@ -467,26 +489,129 @@ def translate_query_job(
                 f" name premises kb_{stem}_N"
             )
         stems[stem] = path
-    lowered = [load_lowered(path, skip_heads) for path in [*kb_paths, query_path]]
+    lowered = [load_lowered(path, skip_heads) for path in kb_paths]
     assertions = [item for items in lowered for item in items if isinstance(item, sumo.Assertion)]
-    sig = sigmod.close_vararity(sigmod.collect(assertions, keep_first_on_conflict=True))
-    tr = Translator(sig, expand_known_rows, collect_explanations)
-    kb_units: list = []
-    skips: list = []
-    for path, items in zip(kb_paths, lowered):
-        units, query, file_skips = translate_file(tr, path, items, "kb")
-        if query is not None:
-            raise TranslateError(f"query form inside knowledge base file {path}")
-        kb_units.extend(units)
-        skips.extend(file_skips)
-    local_units, conjecture, q_skips = translate_file(tr, query_path, lowered[-1], "local")
-    skips.extend(q_skips)
-    if conjecture is None:
-        raise TranslateError(f"no query form in {query_path}")
-    comments = [
-        f"skipped {s.file}:{s.span.line}: {s.reason}" for s in skips
-    ]
-    problem = build_problem(tr, kb_units, local_units, conjecture, comments)
-    if selection is not None:
-        problem = select_premises(problem, selection)
-    return problem, skips, tr
+    return KbForms(list(kb_paths), tuple(skip_heads), lowered, assertions)
+
+
+class _RecordingSignature:
+    """A signature that notes every name it is asked about."""
+
+    def __init__(self, sig):
+        self.sig = sig
+        self.asked: set = set()
+
+    def info(self, name: str):
+        self.asked.add(name)
+        return self.sig.info(name)
+
+
+class KbImage:
+    """A knowledge base translated once under one signature, for many queries.
+
+    Holds the lowered forms and the signature, the translator state after
+    the knowledge base (minted names, explanations, the relation facts of
+    the names it mentions), the units with their skip notes and catalog
+    needs, and the render cache its problems share (th0.build_doc), so each
+    premise the knowledge base brings is flattened and rendered once.
+    """
+
+    def __init__(self, forms: KbForms, sig, expand_known_rows: bool = False,
+                 collect_explanations: bool = False):
+        self.forms = forms
+        self.sig = sig
+        self.expand_known_rows = expand_known_rows
+        self.collect_explanations = collect_explanations
+        recording = _RecordingSignature(sig)
+        tr = Translator(recording, expand_known_rows, collect_explanations)
+        self.units: list = []
+        self.skips: list = []
+        for path, items in zip(forms.paths, forms.lowered):
+            units, query, file_skips = translate_file(tr, path, items, "kb")
+            if query is not None:
+                raise TranslateError(f"query form inside knowledge base file {path}")
+            self.units.extend(units)
+            self.skips.extend(file_skips)
+        self.minted = dict(tr.minted)
+        self.explanations = list(tr.explanations)
+        for src in self.minted.values():
+            tr.relation_facts(src)  # kept in tr.facts
+        self.facts = tr.facts
+        self.render_cache: dict = {}
+        self.used = recording.asked  # the names whose signature entries it read
+
+    def agrees(self, sig) -> bool:
+        """Whether translating the knowledge base under sig gives this image again."""
+        return all(sig.info(name) == self.sig.info(name) for name in self.used)
+
+    def pose(self, query_path: str, lowered: list, sig, selection: list | None = None):
+        """The problem of one query; sig is its job's signature, which agrees.
+
+        Returns (problem, skips, translator).
+        """
+        tr = Translator(sig, self.expand_known_rows, self.collect_explanations)
+        tr.minted = dict(self.minted)
+        tr.explanations = list(self.explanations)
+        tr.facts = dict(self.facts)
+        local_units, conjecture, q_skips = translate_file(tr, query_path, lowered, "local")
+        skips = self.skips + q_skips
+        if conjecture is None:
+            raise TranslateError(f"no query form in {query_path}")
+        comments = [
+            f"skipped {s.file}:{s.span.line}: {s.reason}" for s in skips
+        ]
+        problem = build_problem(tr, self.units, local_units, conjecture, comments)
+        problem.render_cache = self.render_cache
+        if selection is not None:
+            problem = select_premises(problem, selection)
+        return problem, skips, tr
+
+
+def compile_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbImage:
+    """The knowledge base translated under its own signature, for a run of queries.
+
+    Raises the first reader, signature or translation error of the
+    knowledge base on its own.
+    """
+    forms = _read_kb(kb_paths, skip_heads)
+    return KbImage(forms, signature_of(forms.assertions))
+
+
+def translate_query_job(
+    kb_paths,
+    query_path: str,
+    skip_heads=sumo.DEFAULT_SKIP_HEADS,
+    expand_known_rows: bool = False,
+    collect_explanations: bool = False,
+    selection: list | None = None,
+):
+    """End-to-end: signature pass, KB translation, query problem assembly.
+
+    kb_paths is a list of knowledge base files, or a KbImage of them
+    (compile_kb), which brings its own skip heads and translator settings:
+    the arguments for those are then not used.  The image is used when the
+    job's signature (its knowledge base's and query's assertions) agrees
+    with the image's on every name the image's translation read; otherwise,
+    and for a list of files, the knowledge base is translated under the
+    job's signature from scratch.
+
+    Every file is read and lowered once, all of them before any is
+    translated, so reader and lowering errors come first.
+
+    Returns (problem, skips, translator).
+    """
+    if isinstance(kb_paths, KbImage):
+        image = kb_paths
+        forms = image.forms
+        expand_known_rows = image.expand_known_rows
+        collect_explanations = image.collect_explanations
+    else:
+        image = None
+        forms = _read_kb(kb_paths, skip_heads)
+    lowered = load_lowered(query_path, forms.skip_heads)
+    sig = signature_of(
+        forms.assertions + [item for item in lowered if isinstance(item, sumo.Assertion)]
+    )
+    if image is None or not image.agrees(sig):
+        image = KbImage(forms, sig, expand_known_rows, collect_explanations)
+    return image.pose(query_path, lowered, sig, selection)

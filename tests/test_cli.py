@@ -133,6 +133,44 @@ def test_translate_signature_error_is_located(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_translate_missing_kb_is_located(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.kif").write_text("(query (instance Bob Human))\n")
+    code, out, err = run_cli(["translate", "q.kif", "--kb", "missing.kif"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: missing.kif: No such file or directory\n"
+
+    code, out, err = run_cli(
+        ["translate", "q.kif", "--kb", "missing.kif", "--errors-json"], capsys
+    )
+    assert code == 1
+    assert json.loads(out) == [
+        {"file": "missing.kif", "line": None, "col": None, "error": "No such file or directory"}
+    ]
+
+
+def test_translate_missing_query_is_located(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["translate", "nope.kif"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: nope.kif: No such file or directory\n"
+
+
+def test_translate_unwritable_output_is_located(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["translate", fixture_path("tqg3.kif"), "--kb", fixture_path("merge_fragment.kif")]
+    code, out, err = run_cli(argv + ["-o", "no-dir/out.p"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: no-dir/out.p: No such file or directory\n"
+
+    code, out, err = run_cli(argv + ["-o", "no-dir/out.p", "--errors-json"], capsys)
+    assert code == 1
+    assert json.loads(out) == [
+        {"file": "no-dir/out.p", "line": None, "col": None, "error": "No such file or directory"}
+    ]
+    assert not (tmp_path / "no-dir").exists()
+
+
 # --- oracle ---
 
 
@@ -329,6 +367,84 @@ def test_run_signature_error_fails_the_query(tmp_path, capsys):
     assert code == 1
     assert f"{bad}: FAILED: {bad}:1:1: domain declaration is not ground" in out
     assert (tmp_path / "runs" / "problems" / "tqg3.p").exists()
+
+
+def run_failures(tmp_path, capsys, kb_text, query_text, keep_going):
+    """Run a KB and two queries (one written here, then tqg3); exit code and summary."""
+    kb, q = tmp_path / "kb.kif", tmp_path / "q.kif"
+    kb.write_text(kb_text)
+    q.write_text(query_text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"kb = {kb}\nquery = {q}\nquery = {fixture_path('tqg3.kif')}\n"
+        f"out_dir = {tmp_path / 'runs'}\n"
+    )
+    code, _out, _err = run_cli(["run", str(cfg)] + (["--keep-going"] if keep_going else []), capsys)
+    return code, (tmp_path / "runs" / "kb-summary.txt").read_text().splitlines(), kb, q
+
+
+# Each query of a run fails as the job on its own fails: the KB's reader
+# errors first, then the query's, then signature errors (the KB's
+# declarations before the query's), then translation errors.
+
+
+def test_run_kb_reader_error_fails_every_query(tmp_path, capsys):
+    kb_text = "(instance Bob Human)\n(query (p\n"
+    query = "(query (instance Bob Human))\n"
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, False)
+    assert code == 1
+    assert summary == [f"{q}: FAILED: {kb}:2:8: unclosed '('"]
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, True)
+    assert code == 1
+    assert summary == [
+        f"{q}: FAILED: {kb}:2:8: unclosed '('",
+        f"{fixture_path('tqg3.kif')}: FAILED: {kb}:2:8: unclosed '('",
+    ]
+
+
+def test_run_query_reader_error_comes_before_kb_signature_error(tmp_path, capsys):
+    kb_text, query = "(domain ?R 1 Foo)\n", "(query (p\n"
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, False)
+    assert code == 1
+    assert summary == [f"{q}: FAILED: {q}:1:8: unclosed '('"]
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, True)
+    assert code == 1
+    assert summary == [
+        f"{q}: FAILED: {q}:1:8: unclosed '('",
+        f"{fixture_path('tqg3.kif')}: FAILED: {kb}:1:1: domain declaration is not ground",
+    ]
+
+
+def test_run_query_signature_error_comes_before_kb_translation_error(tmp_path, capsys):
+    kb_text = "(instance Bob Human)\n(query (p a))\n"
+    query = "(domain ?R 1 Foo)\n(query (p b))\n"
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, False)
+    assert code == 1
+    assert summary == [f"{q}: FAILED: {q}:1:1: domain declaration is not ground"]
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, True)
+    assert code == 1
+    assert summary == [
+        f"{q}: FAILED: {q}:1:1: domain declaration is not ground",
+        f"{fixture_path('tqg3.kif')}: FAILED: query form inside knowledge base file {kb}",
+    ]
+
+
+def test_run_query_constant_mangling_onto_a_kb_name_fails_that_query(tmp_path, capsys, monkeypatch):
+    # mangle is injective; a case-folding one makes the collision reachable
+    from sumok2set import translate
+
+    monkeypatch.setattr(translate, "mangle", lambda name: "s_" + translate.escape(name.lower()))
+    kb_text, query = "(instance Bob Human)\n", "(query (instance bob Human))\n"
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, False)
+    assert code == 1
+    assert summary == [f"{q}: FAILED: 'bob' and 'Bob' both mangle to 's_bob'"]
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, True)
+    assert code == 1
+    problem = tmp_path / "runs" / "problems" / "tqg3.p"
+    assert summary == [
+        f"{q}: FAILED: 'bob' and 'Bob' both mangle to 's_bob'",
+        f"{fixture_path('tqg3.kif')}: 15 premises, 0 skipped forms -> {problem}",
+    ]
 
 
 def test_run_rejects_queries_writing_the_same_problem(tmp_path, capsys):

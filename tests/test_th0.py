@@ -173,11 +173,31 @@ def test_sep_hoisting_lifts_parameters():
 def test_alpha_variant_seps_share_a_constant():
     s1 = Sep("X", cc("univ"), Mem(Var("X", IOTA), Const("s_P", IOTA)))
     s2 = Sep("Y", cc("univ"), Mem(Var("Y", IOTA), Const("s_P", IOTA)))
-    prob = simple_problem(
-        Conj(Mem(Const("s_a", IOTA), s1), Mem(Const("s_b", IOTA), s2))
-    )
-    text = problem_text(prob, reproducible=True)
-    assert text.count("thf(def_sep_") == 1
+    a, b = Mem(Const("s_a", IOTA), s1), Mem(Const("s_b", IOTA), s2)
+    for prob in (
+        simple_problem(Conj(a, b)),
+        # in two premises, each flattened and rendered on its own
+        simple_problem(b, premises=[("kb_x_0", "axiom", a)]),
+    ):
+        text = problem_text(prob, reproducible=True)
+        assert text.count("thf(def_sep_") == 1
+        # the first occurrence writes the definition
+        definition = next(l for l in text.splitlines() if l.startswith("thf(def_sep_"))
+        assert "(![X : $i]: " in definition
+
+
+def test_constant_used_at_two_types_is_rejected():
+    f_i = Const("f", IOTA)
+    f_ii = Const("f", arrow(IOTA, IOTA))
+    twice = Conj(Eq(f_i, f_i), Eq(App(f_ii, f_i), f_i))
+    for prob in (
+        simple_problem(twice),
+        # in two premises, each flattened and rendered on its own
+        simple_problem(Eq(App(f_ii, Const("s_a", IOTA)), Const("s_a", IOTA)),
+                       premises=[("kb_x_0", "axiom", Eq(f_i, f_i))]),
+    ):
+        with pytest.raises(th0.Th0Error, match="constant f used at two types"):
+            problem_text(prob, reproducible=True)
 
 
 def test_long_lines_wrap_with_continuation_indent():
