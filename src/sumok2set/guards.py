@@ -195,7 +195,13 @@ def guards_for(formula, scope, sig, resolve, expand_known_rows: bool = False) ->
         for child in sumo.children(node):
             walk(child, shadowed)
 
-    walk(formula, frozenset())
+    try:
+        walk(formula, frozenset())
+    finally:
+        # walk and walk_spine reach each other through closure cells; this
+        # breaks the cycle, which would hold resolve (and its translator)
+        # until a full collection
+        del walk
     return occ
 
 

@@ -14,9 +14,14 @@ identity.  The table holds its sets weakly and keeps nothing alive; only the
 numerals up to the largest one requested stay memoized.  Arithmetic, equality,
 is_nat, pred and list tables never build a set's key string, and arithmetic
 loops instead of recursing, so numeral size is bounded neither by recursion
-depth nor by key length.  Key strings are built only to print a set, and
-then only up to DESCRIBE_LIMIT characters, and to order the members of a set
-that is not a numeral.
+depth nor by key length.  Members are ordered as their keys would be, by a
+comparison that builds no key.  Key strings are built only to print a set,
+and then only up to DESCRIBE_LIMIT characters.
+
+Terms are compiled once into closures (see Evaluator) that then run on each
+assignment.  Fuel bounds the work: one unit per term node evaluated, per
+separation member, per quantified value and per entry of a function
+tabulated as a list, and four per native ordinal operation.
 
 Quantifiers are handled when bounded: forall over a membership guard whose
 bound evaluates, forall over booleans, and the matching exists shapes.
@@ -26,6 +31,7 @@ rendered problem syntax, quantified over small generator universes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -89,18 +95,20 @@ class HfSet:
     so frozenset iteration order does not depend on object addresses.
     """
 
-    __slots__ = ("elems", "_hash", "_nat", "_key", "__weakref__")
+    __slots__ = ("elems", "_hash", "_nat", "_key", "_sorted", "__weakref__")
 
     def __new__(cls, elems=()):
         elems = frozenset(elems)
-        self = _INTERNED.get(elems)
+        ref = _INTERNED.get(elems)
+        self = None if ref is None else ref()
         if self is None:
             self = object.__new__(cls)
             self.elems = elems
             self._hash = hash(elems)
             self._nat = _numeral_value(elems)
             self._key = None
-            _INTERNED[elems] = self
+            self._sorted = None  # members in key order, once asked for
+            _INTERNED[elems] = weakref.ref(self, lambda ref: _forget(elems, ref))
         return self
 
     # An interned set is its own copy; pickling re-interns it.
@@ -124,11 +132,13 @@ class HfSet:
         return len(self.elems)
 
     def __iter__(self):
-        """Elements in canonical key order."""
+        """Elements in canonical key order; no key is built to sort them."""
         if self._nat >= 0:
             # the key of nat(k + 1) sorts before that of nat(k)
             return map(nat, range(self._nat - 1, -1, -1))
-        return iter(sorted(self.elems, key=HfSet.key))
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.elems, key=_KEY_ORDER))
+        return iter(self._sorted)
 
     def __contains__(self, item):
         return item in self.elems
@@ -137,7 +147,12 @@ class HfSet:
         return describe_set(self)
 
 
-_INTERNED = weakref.WeakValueDictionary()  # frozenset of elements -> its HfSet
+_INTERNED: dict = {}  # frozenset of elements -> weak reference to its HfSet
+
+
+def _forget(elems, ref):
+    if _INTERNED.get(elems) is ref:
+        del _INTERNED[elems]
 
 
 def _numeral_value(elems) -> int:
@@ -147,11 +162,34 @@ def _numeral_value(elems) -> int:
     distinct numerals below n are exactly nat(0) .. nat(n - 1).
     """
     n = len(elems)
+    if n < len(_NATS):
+        return -1  # nat(n) is memoized, hence interned, so a new set is not it
     try:
         return n if all(0 <= e._nat < n for e in elems) else -1
     except AttributeError:  # a member that is not a set, such as omega
         return -1
 
+
+def _key_cmp(x: HfSet, y: HfSet) -> int:
+    """Compare x and y as their keys compare, without building the keys.
+
+    A key is "{" and its members' keys in order, joined by ",", then "}".
+    No key is a proper prefix of another, so the first members that differ
+    decide; when one member sequence is a prefix of the other, the longer
+    comes first, since "," sorts before "}".  Numerals come out by value,
+    larger first.
+    """
+    if x is y:
+        return 0
+    if x._nat >= 0 and y._nat >= 0:
+        return y._nat - x._nat
+    for a, b in zip(x, y):
+        if a is not b:
+            return _key_cmp(a, b)
+    return len(y) - len(x)
+
+
+_KEY_ORDER = functools.cmp_to_key(_key_cmp)
 
 DESCRIBE_LIMIT = 1000  # longest key a message or counterexample shows
 
@@ -202,8 +240,9 @@ def describe_set(x: HfSet) -> str:
     return walk(x)
 
 
+_NATS: list = []  # memoized numerals, _NATS[n] is nat(n)
 EMPTY = HfSet()
-_NATS = [EMPTY]  # memoized numerals, _NATS[n] is nat(n)
+_NATS.append(EMPTY)
 
 
 def hfset(*elems) -> HfSet:
@@ -219,8 +258,9 @@ def nat(n: int) -> HfSet:
 
 def succ(x: HfSet) -> HfSet:
     """The ordinal successor x | {x}."""
-    if x._nat >= 0:
-        return nat(x._nat + 1)
+    n = x._nat + 1
+    if n > 0:
+        return _NATS[n] if n < len(_NATS) else nat(n)
     return HfSet(x.elems | {x})
 
 
@@ -281,36 +321,53 @@ OMEGA = _Omega()
 # Native constant meanings
 
 
-def _pred_chain(b) -> list:
-    """pred(b), pred(pred(b)), ... down to the empty set.
+def _steps_down(b) -> int:
+    """How many pred steps lead from b to the empty set.
 
     The whole chain is walked before any arithmetic, so a broken chain in
     b is reported before any error the other operand would raise.
     """
-    chain = []
+    steps = 0
     while b is not EMPTY:
         b = pred(b)
-        chain.append(b)
-    return chain
+        steps += 1
+    return steps
 
 
-def _ord_add(a, b):
-    for _ in _pred_chain(b):
+def _succ_times(a, steps: int):
+    for _ in range(steps):
         a = succ(a)
     return a
 
 
-def _ord_mult(a, b):
+def _repeat_add(a, steps: int):
+    """The empty set with a added steps times.
+
+    a's chain is walked once, and only when steps is nonzero.
+    """
     out = EMPTY
-    for _ in _pred_chain(b):
-        out = _ord_add(out, a)
+    if steps:
+        width = _steps_down(a)
+        for _ in range(steps):
+            out = _succ_times(out, width)
     return out
 
 
+def _ord_add(a, b):
+    return _succ_times(a, _steps_down(b))
+
+
+def _ord_mult(a, b):
+    return _repeat_add(a, _steps_down(b))
+
+
 def _ord_exp(a, b):
+    steps = _steps_down(b)
     out = nat(1)
-    for _ in _pred_chain(b):
-        out = _ord_mult(out, a)
+    if steps:
+        width = _steps_down(a)
+        for _ in range(steps):
+            out = _repeat_add(out, width)
     return out
 
 
@@ -345,7 +402,33 @@ def _subq(a, b) -> bool:
     return a.elems <= b.elems
 
 
+def _apply(fn, arg):
+    if callable(fn):  # closures and HfFn tables alike
+        return fn(arg)
+    raise Unsupported(f"applied non-function {fn!r}")
+
+
+_OUT_OF_FUEL = "evaluation fuel exhausted"
+
+
 class Evaluator:
+    """Values of host terms in the HF universe, computed by compiled closures.
+
+    A term is compiled once into nested Python closures (Feeley and
+    Lapalme, "Using closures for code generation", Computer Languages
+    12(1), 1987) and the closures then run on each assignment.  Each node's
+    closure is picked by the node's type at compile time, and each bound
+    variable becomes a slot in a tuple of values; when a name is bound
+    twice, the innermost binder wins.  Errors are raised when the closures
+    run, never while compiling.
+
+    Fuel is charged as a walk of the term would charge it: one unit per
+    node visited, per Sep member, per quantified value and per entry of a
+    function tabulated as a list, and four per native ordinal operation.  A node whose first act is to
+    evaluate a child passes its unit down to that child (owed), so charges
+    with nothing observable between them are paid at once.
+    """
+
     def __init__(self, interp=None, horizon: int = DEFAULT_HORIZON, fuel: int = DEFAULT_FUEL):
         self.horizon = horizon
         self.fuel = fuel
@@ -366,20 +449,30 @@ class Evaluator:
         def cons(x):
             def with_list(l):
                 fn = self.to_list_fn(l)
-                table = {nat(0): hfset(x)}
+                table = {EMPTY: hfset(x)}
                 for k, v in fn.table.items():
                     table[succ(k)] = v
-                return hffn(table)
+                return HfFn(table)  # no value is empty
 
             return with_list
 
         def len_of(l):
             fn = self.to_list_fn(l)
-            return HfSet(k for k in fn.table if is_nat(k) is not None)
+            return HfSet(k for k in fn.table if k._nat >= 0)
 
         def listset(l):
             fn = self.to_list_fn(l)
             return HfSet(pair(k, v) for k, v in fn.table.items())
+
+        def ordinal(op):
+            def curried(a):
+                def applied(b):
+                    self.use_fuel(4)
+                    return op(a, b)
+
+                return applied
+
+            return curried
 
         return {
             "emptyset": EMPTY,
@@ -391,10 +484,10 @@ class Evaluator:
             "omega": OMEGA,
             "nat_p": lambda x: isinstance(x, HfSet) and is_nat(x) is not None,
             **{f"ord{k}": nat(k) for k in range(11)},
-            "ord_add": lambda a: lambda b: self._spend(_ord_add)(a, b),
-            "ord_mult": lambda a: lambda b: self._spend(_ord_mult)(a, b),
-            "ord_exp": lambda a: lambda b: self._spend(_ord_exp)(a, b),
-            "ord_sub": lambda a: lambda b: self._spend(_ord_sub)(a, b),
+            "ord_add": ordinal(_ord_add),
+            "ord_mult": ordinal(_ord_mult),
+            "ord_exp": ordinal(_ord_exp),
+            "ord_sub": ordinal(_ord_sub),
             "tag": lambda x: hfset(x),
             "untag": untag,
             "nil": HfFn({}),
@@ -405,17 +498,10 @@ class Evaluator:
             "boolset": lambda p: nat(1) if p else nat(0),
         }
 
-    def _spend(self, fn):
-        def inner(*args):
-            self.use_fuel(4)
-            return fn(*args)
-
-        return inner
-
     def use_fuel(self, n: int = 1):
         self.fuel -= n
         if self.fuel < 0:
-            raise OutOfFuel("evaluation fuel exhausted")
+            raise OutOfFuel(_OUT_OF_FUEL)
 
     def to_list_fn(self, value) -> HfFn:
         if isinstance(value, HfFn):
@@ -443,63 +529,14 @@ class Evaluator:
         return value
 
     def eval(self, t, env):
-        self.use_fuel()
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise Unsupported(f"unbound variable {t.name}")
-            return env[t.name]
-        if isinstance(t, Const):
-            return self.const_value(t.name)
-        if isinstance(t, App):
-            fn = self.eval(t.fn, env)
-            arg = self.eval(t.arg, env)
-            return self.apply(fn, arg)
-        if isinstance(t, Lam):
-            return lambda v, _t=t, _env=env: self.eval(_t.body, {**_env, _t.name: v})
-        if isinstance(t, Bot):
-            return False
-        if isinstance(t, Top):
-            return True
-        if isinstance(t, Neg):
-            return not self.eval(t.body, env)
-        if isinstance(t, Imp):
-            return (not self.eval(t.ante, env)) or self.eval(t.cons, env)
-        if isinstance(t, Conj):
-            return self.eval(t.left, env) and self.eval(t.right, env)
-        if isinstance(t, Disj):
-            return self.eval(t.left, env) or self.eval(t.right, env)
-        if isinstance(t, Iff):
-            return self.eval(t.left, env) == self.eval(t.right, env)
-        if isinstance(t, Eq):
-            return self.values_equal(self.eval(t.left, env), self.eval(t.right, env))
-        if isinstance(t, Mem):
-            return _mem(self.eval(t.elem, env), self.eval(t.container, env))
-        if isinstance(t, Subq):
-            return _subq(self.eval(t.sub, env), self.eval(t.sup, env))
-        if isinstance(t, Ite):
-            if self.eval(t.cond, env):
-                return self.eval(t.then, env)
-            return self.eval(t.other, env)
-        if isinstance(t, Sep):
-            bound = self.eval(t.bound, env)
-            kept = []
-            for item in self.members(bound):
-                self.use_fuel()
-                if self.eval(t.body, {**env, t.name: item}):
-                    kept.append(item)
-            return HfSet(kept)
-        if isinstance(t, All):
-            return self.quantify(t, env, universal=True)
-        if isinstance(t, Ex):
-            return self.quantify(t, env, universal=False)
-        raise Unsupported(f"cannot evaluate {t!r}")
+        """The value of t with the names of env bound to its values.
+
+        t is compiled against env's names and run once.
+        """
+        return _compile(self, t, tuple(env))(tuple(env.values()))
 
     def apply(self, fn, arg):
-        if isinstance(fn, HfFn):
-            return fn(arg)
-        if callable(fn):
-            return fn(arg)
-        raise Unsupported(f"applied non-function {fn!r}")
+        return _apply(fn, arg)
 
     def members(self, value):
         if isinstance(value, _Omega):
@@ -507,56 +544,6 @@ class Evaluator:
         if isinstance(value, HfSet):
             return list(value)
         raise Unsupported(f"iterating non-set {value!r}")
-
-    def quantify(self, t, env, universal: bool):
-        if t.ty == OMICRON:
-            domain = [False, True]
-            body = t.body
-        elif t.ty == IOTA:
-            body, domain = self._bounded_domain(t, env, universal)
-        else:
-            raise Unsupported("quantification at function type")
-        for value in domain:
-            self.use_fuel()
-            result = self.eval(body, {**env, t.name: value})
-            if universal and not result:
-                return False
-            if not universal and result:
-                return True
-        return universal
-
-    def _bounded_domain(self, t, env, universal: bool):
-        # forall X. X in S => phi, and exists X. X in S & phi, with S closed
-        body = t.body
-        if universal and isinstance(body, Imp):
-            guard, rest = body.ante, body.cons
-        elif not universal and isinstance(body, Conj):
-            guard, rest = body.left, body.right
-        else:
-            raise Unsupported("individual quantifier without a membership bound")
-        guard = self._as_mem(guard)
-        if (
-            guard is not None
-            and isinstance(guard[0], Var)
-            and guard[0].name == t.name
-            and all(name != t.name for name, _ in free_vars(guard[1]))
-        ):
-            bound = self.eval(guard[1], env)
-            return rest, self.members(bound)
-        raise Unsupported("individual quantifier without a membership bound")
-
-    @staticmethod
-    def _as_mem(t):
-        if isinstance(t, Mem):
-            return t.elem, t.container
-        if (
-            isinstance(t, App)
-            and isinstance(t.fn, App)
-            and isinstance(t.fn.fn, Const)
-            and t.fn.fn.name == "in"
-        ):
-            return t.fn.arg, t.arg
-        return None
 
     def values_equal(self, a, b) -> bool:
         if isinstance(a, HfSet) and isinstance(b, HfSet):
@@ -568,6 +555,284 @@ class Evaluator:
             fb = self.to_list_fn(b)
             return fa == fb
         raise Unsupported(f"cannot compare {a!r} and {b!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compiling terms to closures
+#
+# Each function below takes the evaluator, a term of its type, the names in
+# scope and the fuel owed, and returns a closure over a tuple of values.
+
+
+def _compile(ev, t, scope: tuple, owed: int = 0):
+    """A closure from a tuple of values for the names in scope to t's value.
+
+    owed is fuel charged by enclosing nodes that have done nothing since;
+    the closure pays it with the charge for t itself.
+    """
+    return _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+
+
+def _charged(ev, n: int, value):
+    def run(env):
+        ev.fuel -= n
+        if ev.fuel < 0:
+            raise OutOfFuel(_OUT_OF_FUEL)
+        return value
+
+    return run
+
+
+def _failing(ev, n: int, text: str):
+    def run(env):
+        ev.use_fuel(n)
+        raise Unsupported(text)
+
+    return run
+
+
+def _compile_unknown(ev, t, scope, owed):
+    return _failing(ev, owed + 1, f"cannot evaluate {t!r}")
+
+
+def _compile_var(ev, t, scope, owed):
+    n = owed + 1
+    if t.name not in scope:
+        return _failing(ev, n, f"unbound variable {t.name}")
+    slot = len(scope) - 1 - scope[::-1].index(t.name)
+
+    def var(env):
+        ev.fuel -= n
+        if ev.fuel < 0:
+            raise OutOfFuel(_OUT_OF_FUEL)
+        return env[slot]
+
+    return var
+
+
+def _compile_const(ev, t, scope, owed):
+    n, name = owed + 1, t.name
+    if name in ev.interp:
+        return _charged(ev, n, ev.interp[name])
+    # catalog definitions expand, and unknown names fail, on first use
+    const_value = ev.const_value
+
+    def const(env):
+        ev.fuel -= n
+        if ev.fuel < 0:
+            raise OutOfFuel(_OUT_OF_FUEL)
+        return const_value(name)
+
+    return const
+
+
+def _compile_app(ev, t, scope, owed):
+    # the spine h @ a1 @ ... @ an charges n + 1 before evaluating any ai
+    args = []
+    while type(t) is App:
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    owed += len(args)
+    fn = ev.interp.get(t.name) if type(t) is Const else None
+    if callable(fn):
+        # a known function is fetched with no effect, so the first argument
+        # pays its charges, and applying it needs no check
+        head = None
+        args = [_compile(ev, a, scope, owed + 1 if i == 0 else 0) for i, a in enumerate(args)]
+    else:
+        head = _compile(ev, t, scope, owed)
+        args = [_compile(ev, a, scope) for a in args]
+    if len(args) == 1:
+        (arg,) = args
+        if head is None:
+            return lambda env: fn(arg(env))
+        return lambda env: _apply(head(env), arg(env))
+    if len(args) == 2:
+        first, second = args
+        if head is None:
+            return lambda env: _apply(fn(first(env)), second(env))
+        return lambda env: _apply(_apply(head(env), first(env)), second(env))
+
+    def app(env):
+        value = fn if head is None else head(env)
+        for arg in args:
+            value = _apply(value, arg(env))
+        return value
+
+    return app
+
+
+def _compile_lam(ev, t, scope, owed):
+    n = owed + 1
+    body = _compile(ev, t.body, scope + (t.name,))
+
+    def lam(env):
+        ev.fuel -= n
+        if ev.fuel < 0:
+            raise OutOfFuel(_OUT_OF_FUEL)
+        return lambda v: body(env + (v,))
+
+    return lam
+
+
+def _compile_neg(ev, t, scope, owed):
+    body = _compile(ev, t.body, scope, owed + 1)
+    return lambda env: not body(env)
+
+
+def _compile_imp(ev, t, scope, owed):
+    ante, cons = _compile(ev, t.ante, scope, owed + 1), _compile(ev, t.cons, scope)
+    return lambda env: (not ante(env)) or cons(env)
+
+
+def _compile_conj(ev, t, scope, owed):
+    left, right = _compile(ev, t.left, scope, owed + 1), _compile(ev, t.right, scope)
+    return lambda env: left(env) and right(env)
+
+
+def _compile_disj(ev, t, scope, owed):
+    left, right = _compile(ev, t.left, scope, owed + 1), _compile(ev, t.right, scope)
+    return lambda env: left(env) or right(env)
+
+
+def _compile_iff(ev, t, scope, owed):
+    left, right = _compile(ev, t.left, scope, owed + 1), _compile(ev, t.right, scope)
+    return lambda env: left(env) == right(env)
+
+
+def _compile_eq(ev, t, scope, owed):
+    left, right = _compile(ev, t.left, scope, owed + 1), _compile(ev, t.right, scope)
+    values_equal = ev.values_equal
+
+    def eq(env):
+        a, b = left(env), right(env)
+        if type(a) is HfSet and type(b) is HfSet:
+            return a is b
+        return values_equal(a, b)
+
+    return eq
+
+
+def _compile_mem(ev, t, scope, owed):
+    elem, container = _compile(ev, t.elem, scope, owed + 1), _compile(ev, t.container, scope)
+
+    def mem(env):
+        a, b = elem(env), container(env)
+        return a in b.elems if type(b) is HfSet else _mem(a, b)
+
+    return mem
+
+
+def _compile_subq(ev, t, scope, owed):
+    sub, sup = _compile(ev, t.sub, scope, owed + 1), _compile(ev, t.sup, scope)
+    return lambda env: _subq(sub(env), sup(env))
+
+
+def _compile_ite(ev, t, scope, owed):
+    cond = _compile(ev, t.cond, scope, owed + 1)
+    then, other = _compile(ev, t.then, scope), _compile(ev, t.other, scope)
+    return lambda env: then(env) if cond(env) else other(env)
+
+
+def _compile_sep(ev, t, scope, owed):
+    bound = _compile(ev, t.bound, scope, owed + 1)
+    body = _compile(ev, t.body, scope + (t.name,), 1)  # a unit per member
+    members = ev.members
+    return lambda env: HfSet([item for item in members(bound(env)) if body(env + (item,))])
+
+
+def _compile_quantifier(ev, t, scope, owed):
+    universal = type(t) is All
+    n = owed + 1
+    if t.ty == OMICRON:
+        body, values = t.body, _charged(ev, n, (False, True))
+    elif t.ty == IOTA:
+        bounded = _membership_bound(t, universal)
+        if bounded is None:
+            return _failing(ev, n, "individual quantifier without a membership bound")
+        container, body = bounded
+        bound, members = _compile(ev, container, scope, n), ev.members
+
+        def values(env):
+            return members(bound(env))
+
+    else:
+        return _failing(ev, n, "quantification at function type")
+    body = _compile(ev, body, scope + (t.name,), 1)  # a unit per value
+
+    if universal:
+
+        def forall(env):
+            for value in values(env):
+                if not body(env + (value,)):
+                    return False
+            return True
+
+        return forall
+
+    def exists(env):
+        for value in values(env):
+            if body(env + (value,)):
+                return True
+        return False
+
+    return exists
+
+
+def _membership_bound(t, universal: bool):
+    """(S, phi) for forall X. X in S => phi, or exists X. X in S & phi, S closed."""
+    body = t.body
+    if universal and isinstance(body, Imp):
+        guard, rest = body.ante, body.cons
+    elif not universal and isinstance(body, Conj):
+        guard, rest = body.left, body.right
+    else:
+        return None
+    guard = _as_mem(guard)
+    if (
+        guard is not None
+        and isinstance(guard[0], Var)
+        and guard[0].name == t.name
+        and all(name != t.name for name, _ in free_vars(guard[1]))
+    ):
+        return guard[1], rest
+    return None
+
+
+def _as_mem(t):
+    if isinstance(t, Mem):
+        return t.elem, t.container
+    if (
+        isinstance(t, App)
+        and isinstance(t.fn, App)
+        and isinstance(t.fn.fn, Const)
+        and t.fn.fn.name == "in"
+    ):
+        return t.fn.arg, t.arg
+    return None
+
+
+_COMPILERS = {
+    Var: _compile_var,
+    Const: _compile_const,
+    App: _compile_app,
+    Lam: _compile_lam,
+    Bot: lambda ev, t, scope, owed: _charged(ev, owed + 1, False),
+    Top: lambda ev, t, scope, owed: _charged(ev, owed + 1, True),
+    Neg: _compile_neg,
+    Imp: _compile_imp,
+    Conj: _compile_conj,
+    Disj: _compile_disj,
+    Iff: _compile_iff,
+    Eq: _compile_eq,
+    Mem: _compile_mem,
+    Subq: _compile_subq,
+    Ite: _compile_ite,
+    Sep: _compile_sep,
+    All: _compile_quantifier,
+    Ex: _compile_quantifier,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +848,7 @@ def sets_of_rank(max_rank: int) -> list:
         for r in range(len(elems) + 1):
             for combo in itertools.combinations(elems, r):
                 universe.append(HfSet(combo))
-        universe.sort(key=HfSet.key)
+        universe.sort(key=_KEY_ORDER)
     return universe
 
 
@@ -729,12 +994,12 @@ def check_claim(
     ev = Evaluator(interp=interp, horizon=horizon, fuel=fuel)
     domains = [generators(sort, **generator_bounds) for _, sort in claim.binders]
     names = [name for name, _ in claim.binders]
+    body = _compile(ev, claim.body, tuple(names))
     checked = 0
     try:
         for values in itertools.product(*domains):
-            env = dict(zip(names, values))
             checked += 1
-            if not ev.eval(claim.body, env):
+            if not body(values):
                 return ClaimResult(
                     claim,
                     ok=False,

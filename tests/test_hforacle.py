@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumok2set import hforacle as hf
 from sumok2set.catalog import cc, encode_nat, ord_of
-from sumok2set.hostterm import All, App, Eq, Imp, IOTA, Mem, Var, app
+from sumok2set.hostterm import All, App, Eq, Imp, IOTA, Lam, Mem, Sep, Var, app
 
 
 def ev():
@@ -532,3 +532,142 @@ def test_stub_fixed_arity_semantics():
     for c in claims:
         res = hf.check_claim(c, set_rank=1)
         assert res.ok, res
+
+
+def test_member_order_builds_no_key_of_large_sets(monkeypatch):
+    # members of a set holding nat(64) are ordered without its key, which
+    # has about 10**19 characters
+    _refuse_keys_of_large_sets(monkeypatch)
+    claims = hf.parse_lemmas(
+        "(! [Y : $i] : ((in @ Y @ (tag @ (ord_exp @ ord2 @ ord6))) => (Y = Y)))\n"
+        "(! [Y : $i] : ((in @ Y @ (ordsucc @ (tag @ (ord_exp @ ord2 @ ord6)))) => (Y = Y)))\n"
+    )
+    results = [hf.check_claim(c) for c in claims]
+    assert hf.format_results(results) == (
+        "claim 1 (line 1): ok (1 assignments)\n"
+        "claim 2 (line 2): ok (1 assignments)\n"
+        "2/2 claims hold"
+    )
+    big = hf.nat(64)
+    assert list(hf.hfset(big, hf.hfset(big))) == [hf.hfset(big), big]
+
+
+def test_member_order_is_key_order():
+    from itertools import combinations
+
+    rank3 = hf.sets_of_rank(3)
+    assert rank3 == sorted(rank3, key=hf.HfSet.key)
+    pool = hf.sets_of_rank(2) + [hf.nat(n) for n in range(3, 7)]
+    pool += [hf.hfset(hf.nat(5)), hf.hfset(hf.nat(2), hf.nat(4)), hf.hfset(hf.hfset(hf.nat(3)))]
+    mixed = [hf.HfSet(c) for r in range(4) for c in combinations(pool, r)]
+    for x in rank3 + mixed:
+        assert list(x) == sorted(x.elems, key=hf.HfSet.key), x
+    for x in pool + rank3:
+        for y in pool + rank3:
+            want = (x.key() > y.key()) - (x.key() < y.key())
+            got = hf._key_cmp(x, y)
+            assert (got > 0) - (got < 0) == want, (x, y)
+
+
+def test_ord_mult_and_exp_on_all_small_pairs_unchanged():
+    # results and error texts on every pair of the 16 sets of rank <= 3 and
+    # nat(0) .. nat(5): how often an operand's chain is walked must not show
+    values = hf.sets_of_rank(3) + [hf.nat(n) for n in range(6)]
+    lines = []
+    for name, op in (("_ord_mult", hf._ord_mult), ("_ord_exp", hf._ord_exp)):
+        for a in values:
+            for b in values:
+                try:
+                    got = hf.describe_set(op(a, b))
+                except hf.OracleError as err:
+                    got = f"error {err}"
+                lines.append(f"{name} {a!r} {b!r} {got}")
+    assert len(lines) == 968
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "2e77f7c185f6b3793cb1411fefe0a3cb272cb8170fd7dc18d337c040dc2f0963"
+    assert "_ord_mult {{}} {{{}},{}} {{{}},{}}" in lines
+    assert "_ord_exp {{}} {{{}}} error not a successor numeral: {{{}}}" in lines
+
+
+# sha256 of format_results under a fuel cap: where fuel runs out, and the
+# number of assignments checked by then, are part of the output
+FUEL_CAPPED_DIGESTS = {
+    1_000: "bdd8ccb338f1f92ab7f86b055ad773bfbdf1a01fbdd9513f2e9c8e0ba146e24c",
+    20_000: "3cf5412499eb1ba1e1d63a638d90e7a065d123b19112e7765545383db9a899f3",
+    300_000: "808326465ed02e54dd09742df616deac9b3cdc99842efafac6f959a09c6cd72b",
+}
+
+
+@pytest.mark.parametrize("fuel", sorted(FUEL_CAPPED_DIGESTS))
+def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
+    from conftest import fixture_path
+
+    wrong = tmp_path / "wrong.lemmas"
+    wrong.write_text("![X:set, R:list]: ((len @ (cons @ X @ R)) = (len @ R))\n")
+    results = hf.run_lemma_file(fixture_path("claims.lemmas"), fuel=fuel)
+    out = hf.format_results(results)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FUEL_CAPPED_DIGESTS[fuel]
+    refuted = hf.run_lemma_file(str(wrong), fuel=fuel)
+    out = hf.format_results(refuted)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEMMA_OUTPUT_DIGESTS["wrong.lemmas"]
+    if fuel == 20_000:
+        assert [(r.ok, r.checked) for r in results + refuted] == [
+            (True, 1), (False, 1539), (False, 1819), (False, 1539), (True, 256), (False, 332), (False, 1),
+        ]
+
+
+@pytest.mark.parametrize(
+    "term, used",
+    [
+        (encode_nat(99), 17),
+        (app(cc("cons"), cc("ord0"), cc("nil")), 5),
+        (App(cc("len"), app(cc("cons"), cc("ord5"), app(cc("cons"), cc("ord0"), cc("nil")))), 11),
+        (Sep("X", cc("omega"), Mem(Var("X", IOTA), cc("ord4"))), 134),
+    ],
+)
+def test_fuel_spent_by_one_shot_evals(term, used):
+    e = ev()
+    e.eval(term, {})
+    assert e.fuel == hf.DEFAULT_FUEL - used
+    # one unit short, the same evaluation runs out
+    with pytest.raises(hf.OutOfFuel):
+        hf.Evaluator(fuel=used - 1).eval(term, {})
+
+
+def test_unsupported_shapes_fail_when_run_after_their_charge():
+    x = Var("X", IOTA)
+    unbounded = All("X", IOTA, Eq(x, x))
+    # compiling never raises; running charges the node first
+    with pytest.raises(hf.OutOfFuel):
+        hf.Evaluator(fuel=0).eval(unbounded, {})
+    with pytest.raises(hf.Unsupported, match="without a membership bound"):
+        hf.Evaluator(fuel=1).eval(unbounded, {})
+    with pytest.raises(hf.Unsupported, match="unbound variable Y"):
+        run(Var("Y", IOTA))
+    # under a lambda, the error waits for an application
+    assert callable(run(Lam("Z", IOTA, Var("Y", IOTA))))
+
+
+def test_innermost_binder_wins():
+    inner = Lam("X", IOTA, Lam("X", IOTA, Var("X", IOTA)))
+    assert run(app(inner, cc("ord1"), cc("ord2"))) is hf.nat(2)
+    assert run(Var("X", IOTA), {"X": hf.nat(3)}) is hf.nat(3)
+    x = Var("X", IOTA)
+    # the quantified X ranges over ord2, the outer X = 7 is not in it
+    assert run(All("X", IOTA, Imp(Mem(x, cc("ord2")), Mem(x, cc("ord2")))), {"X": hf.nat(7)}) is True
+
+
+def test_check_claim_compiles_the_body_once(monkeypatch):
+    calls = []
+    real = hf._compile
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hf, "_compile", counting)
+    claim = hf.parse_lemmas("![X:set, R:list]: ((len @ (cons @ X @ R)) = (ordsucc @ (len @ R)))\n")[0]
+    res = hf.check_claim(claim)
+    assert res.ok and res.checked == 5456
+    # a few compiles for the body's nodes, none per assignment
+    assert len(calls) < 20

@@ -569,3 +569,25 @@ def test_every_file_is_read_before_translation(tmp_path):
     q.write_text("(domain ?R 1 Foo)\n(query (p b))\n")
     with pytest.raises(signature.NonGroundDeclaration):
         translate_query_job([str(kb)], str(q))
+
+
+def test_translator_is_freed_by_reference_counting():
+    # with the collector off, nothing may hold a job's translator in a cycle
+    import gc
+    import weakref
+
+    from conftest import fixture_path
+
+    kb, query = fixture_path("merge_fragment.kif"), fixture_path("tqg3.kif")
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        problem, skips, tr = translate_query_job([kb], query)
+        assert problem is not None
+        ref = weakref.ref(tr)
+        del problem, skips, tr
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
