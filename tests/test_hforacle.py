@@ -411,6 +411,51 @@ def test_parse_lemmas_trailing_garbage():
         hf.parse_lemmas("(emptyset = emptyset) extra\n")
 
 
+# Hostile claim lines: the message, and the line and column of the parser
+# error behind it (None where the claim parser gives no position).
+@pytest.mark.parametrize(
+    "line,message,where",
+    [
+        ("![X:frob]: (X = X)", "unknown sort 'frob'", (None, None)),
+        ("![X:$i]: (X = X)", "unknown sort '$i'", (None, None)),
+        ("(emptyset = emptyset) extra", "trailing input 'extra'", (1, 23)),
+        ("((ord1 = ord1)))", "trailing input ')'", (1, 16)),
+        ("![X:set]: (X = X) )", "trailing input ')'", (1, 19)),
+        ("![X:set; Y:set]: (X = X)", "bad character ';'", (1, 8)),
+        ("(emptyset <= emptyset)", "bad character '<'", (1, 11)),
+        ("![X:bool]: X é", "bad character 'é'", (1, 14)),
+        ("![X:set Y:set]: (X = Y)", "expected , or ] in binder list, found 'Y'", (None, None)),
+        ("![X:set]", "unexpected end of input", (None, None)),
+        ("(emptyset = emptyset", "unexpected end of input", (None, None)),
+        ("!", "unexpected end of input", (None, None)),
+        ("% comment only", "unexpected end of input", (None, None)),
+        ("![X:set]: ((tag @ X) = (tag @ Y))", "undeclared symbol 'Y'", (1, 31)),
+        ("thf(a, axiom, $true).", "undeclared symbol 'thf'", (1, 1)),
+        ("![]: (emptyset = emptyset)", "expected 'word', found ']'", (1, 3)),
+        ("![X:set,]: (X = X)", "expected 'word', found ']'", (1, 9)),
+        ("![X set]: (X = X)", "expected ':', found 'set'", (1, 5)),
+        ("![X:set]] (X = X)", "expected ':', found ']'", (1, 9)),
+        ("?[X:set]: (X = X)", "expected a type, found 'set'", (1, 5)),
+        (
+            "(emptyset = emptyset & emptyset)",
+            "mixed operators '=' and '&' need parentheses",
+            (1, 22),
+        ),
+    ],
+)
+def test_parse_lemmas_hostile_lines_pinned(line, message, where):
+    with pytest.raises(hf.LemmaSyntaxError) as err:
+        hf.parse_lemmas(line + "\n", "hostile.lemmas")
+    assert str(err.value) == "hostile.lemmas:1: " + message
+    cause = err.value.__cause__
+    assert (cause.line, cause.col) == where
+
+
+def test_parse_lemmas_trailing_comment_is_accepted():
+    claims = hf.parse_lemmas("(emptyset = emptyset) % tail\n")
+    assert hf.check_claim(claims[0]).ok
+
+
 def test_check_claim_ok():
     claims = hf.parse_lemmas("((len @ nil) = emptyset)\n")
     res = hf.check_claim(claims[0])

@@ -1,5 +1,8 @@
 """TH0 rendering, parsing, and checking tests."""
 
+import hashlib
+import random
+import re
 import time
 
 import pytest
@@ -368,3 +371,132 @@ def test_bad_character_after_long_whitespace_is_found_in_linear_time():
     start = time.perf_counter()
     assert check_text(text) == ["parse error at 1:30025: bad character '#'"]
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "text,diags",
+    [
+        # a comment is read to the end of its line, whatever it holds
+        (
+            "% café # § note\nthf(ty_a, type, a : $o).\nthf(conj, conjecture, a).\n",
+            [],
+        ),
+        # comments are rendered first, so one between records is not canonical
+        (
+            "thf(ty_a, type, a : $o).\n% between\nthf(conj, conjecture, a).\n",
+            ["text is not in canonical form (render of parse differs)"],
+        ),
+        (
+            "thf(ty_a, type, a : $o).\nthf(conj, conjecture, <).\n",
+            ["parse error at 2:23: bad character '<'"],
+        ),
+        (
+            "thf(ty_a, type, a : $o).\nthf(conj, conjecture, (a < a)).\n",
+            ["parse error at 2:26: bad character '<'"],
+        ),
+        # a bad character anywhere is reported ahead of an earlier grammar error
+        (
+            "thf(ty_a, type, a : $o).\nthf(conj, conjecture, (a & )).\n"
+            "thf(ty_b, type, b : $o).\n  %ok\nthf(x, axiom, (b # b)).\n",
+            ["parse error at 5:18: bad character '#'"],
+        ),
+        (
+            "thf(ty_a, type, a : $o).\nthf(conj, conjecture, a).\né",
+            ["parse error at 3:1: bad character 'é'"],
+        ),
+        # positions after a mid-text comment that holds tokens of its own
+        (
+            "thf(ty_a, type, a : $o).\n% (a & ) # unbalanced\n\nthf(p, axiom,\n"
+            "    (a => a => a)).\nthf(conj, conjecture, a).\n",
+            ["parse error at 5:8: operator '=>' is binary"],
+        ),
+        (
+            "thf(ty_a, type, a : $o).\n% note\nthf(conj, conjecture, (a & b)).\n",
+            ["parse error at 3:28: undeclared symbol 'b'"],
+        ),
+        (
+            "thf(ty_a, type, a : $o).thf(conj, conjecture, a).\n",
+            ["text is not in canonical form (render of parse differs)"],
+        ),
+        ("", ["parse error: missing conjecture"]),
+        ("   \n\n", ["parse error: missing conjecture"]),
+        ("% only\n", ["parse error: missing conjecture"]),
+    ],
+)
+def test_check_text_named_cases_pinned(text, diags):
+    assert check_text(text) == diags
+
+
+# A seeded family of one-character and one-token mutations of small
+# problems cut from the fixture problems.  The digest pins every diagnostic
+# check_text gives on them: message, line and column.
+_MUTATION_QUERIES = ("tqg3.kif", "tqg11.kif", "tqg22alt4.kif", "tqg27.kif", "wordex.kif")
+_MUTATION_WORD = re.compile(r"[A-Za-z0-9_$]+")
+_MUTATION_TOKEN = re.compile(r"[A-Za-z0-9_$]+|<=>|=>|[^ \t\r\n]")
+_MUTATION_CHARS = " \t\r\n()[]:,.@&|~!?^=<>%#$_aZ9é"
+MUTATION_DIGEST = "7e7cb01c6d319c02255876f0f02408d34f7a636a8604253ed9a14e01c3f20e9a"
+
+
+def _records(text):
+    out = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith(" "):
+            out[-1] += line
+        else:
+            out.append(line)
+    return out
+
+
+def _small_problem(text, rng):
+    """The comments, one to three records and the conjecture of a problem,
+    with the declarations they use."""
+    recs = _records(text)
+    comments = [r for r in recs if r.startswith("%")]
+    decls = [r for r in recs if r.startswith("thf(ty_")]
+    body = [r for r in recs if r.startswith("thf(") and r not in decls]
+    start = rng.randrange(len(body) - 1)
+    chosen = body[start : start + rng.randint(1, 3)]
+    if chosen[-1] is not body[-1]:
+        chosen.append(body[-1])
+    used = set(_MUTATION_WORD.findall("".join(chosen)))
+    needed = [d for d in decls if d[len("thf(ty_") : d.index(",")] in used]
+    return "".join(comments + needed + chosen)
+
+
+def _mutants(bases, n, seed):
+    rng = random.Random(seed)
+    for _ in range(n):
+        text = _small_problem(rng.choice(bases), rng)
+        kind = rng.randrange(6)
+        if kind < 3:  # delete, insert or swap one character
+            p = rng.randrange(len(text) - 1)
+            if kind == 0:
+                yield text[:p] + text[p + 1 :]
+            elif kind == 1:
+                yield text[:p] + rng.choice(_MUTATION_CHARS) + text[p:]
+            else:
+                yield text[:p] + text[p + 1] + text[p] + text[p + 2 :]
+            continue
+        spans = [m.span() for m in _MUTATION_TOKEN.finditer(text)]
+        j = rng.randrange(len(spans) - 1)
+        a, b = spans[j]
+        if kind == 3:  # delete a token
+            yield text[:a] + text[b:]
+        elif kind == 4:  # insert a copy of some token
+            c, d = rng.choice(spans)
+            yield text[:a] + text[c:d] + " " + text[a:]
+        else:  # swap a token with the next
+            c, d = spans[j + 1]
+            yield text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+
+
+def test_check_text_mutation_diagnostics_pinned(monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    bases = []
+    for q in _MUTATION_QUERIES:
+        prob, _skips, _tr = translate.translate_query_job(["merge_fragment.kif"], q)
+        bases.append(problem_text(prob, reproducible=True))
+    digest = hashlib.sha256()
+    for text in _mutants(bases, 2000, 8):
+        digest.update(repr(check_text(text)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == MUTATION_DIGEST
