@@ -120,19 +120,20 @@ class Catalog:
         """
         out: list = []
         visited: set = set()
-
-        def visit(name: str):
-            if name in visited or name not in self.entries:
-                return
-            visited.add(name)
-            for dep in self._deps[name]:
-                visit(dep)
-            out.extend(self.entries[name].premises)
-
         for name in self.order:
             if name in needed:
-                visit(name)
+                self._visit(name, visited, out)
         return out
+
+    def _visit(self, name: str, visited: set, out: list):
+        # a method, not a closure: a self-calling closure is a reference
+        # cycle that only a full collection frees
+        if name in visited or name not in self.entries:
+            return
+        visited.add(name)
+        for dep in self._deps[name]:
+            self._visit(dep, visited, out)
+        out.extend(self.entries[name].premises)
 
 
 def _build() -> Catalog:

@@ -377,6 +377,12 @@ def _ord_sub(a, b):
     return a
 
 
+def _ordsucc(x):
+    if isinstance(x, _Omega):
+        raise Unsupported("successor of omega")
+    return succ(x)
+
+
 def _powerset(x: HfSet) -> HfSet:
     elems = list(x.elems)
     subsets = []
@@ -468,6 +474,8 @@ class Evaluator:
             def curried(a):
                 def applied(b):
                     self.use_fuel(4)
+                    if isinstance(a, _Omega) or isinstance(b, _Omega):
+                        raise Unsupported("ordinal arithmetic on omega")
                     return op(a, b)
 
                 return applied
@@ -480,7 +488,7 @@ class Evaluator:
             "subq": lambda a: lambda b: _subq(a, b),
             "power": _powerset,
             "ite": lambda c: lambda t: lambda e: t if c else e,
-            "ordsucc": succ,
+            "ordsucc": _ordsucc,
             "omega": OMEGA,
             "nat_p": lambda x: isinstance(x, HfSet) and is_nat(x) is not None,
             **{f"ord{k}": nat(k) for k in range(11)},
@@ -958,28 +966,27 @@ def parse_lemmas(text: str, file: str = "<lemmas>") -> list:
 def _parse_claim(line: str):
     parser = th0._Parser(line)
     binders = []
-    if parser.peek_kind() == "!":
+    if parser.peek() == "!":
         parser.next()
         parser.expect("[")
         while True:
-            name, _ = parser.expect_word()
+            name = parser.expect_word()
             parser.expect(":")
-            sort, _ = parser.expect_word()
+            sort = parser.expect_word()
             if sort not in _SORT_TYPES:
                 raise th0.Th0Error(f"unknown sort {sort!r}")
             binders.append((name, sort))
-            kind, text, _ = parser.next()
-            if kind == "]":
+            tok = parser.next()
+            if tok == "]":
                 break
-            if kind != ",":
-                raise th0.Th0Error(f"expected , or ] in binder list, found {text!r}")
+            if tok != ",":
+                raise th0.Th0Error(f"expected , or ] in binder list, found {tok!r}")
         parser.expect(":")
-    env = {name: _SORT_TYPES[sort] for name, sort in binders}
-    decls = {name: CATALOG.type_of(name) for name in CATALOG.order}
+    env = {name: Var(name, _SORT_TYPES[sort]) for name, sort in binders}
+    decls = {name: Const(name, CATALOG.type_of(name)) for name in CATALOG.order}
     body = parser.parse_formula(env, decls)
-    if parser.peek_kind() is not None:
-        _, text, pos = parser.next()
-        raise parser.error(f"trailing input {text!r}", pos)
+    if parser.peek():
+        raise parser.error(f"trailing input {parser.peek()!r}", parser.i)
     return binders, body
 
 

@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 
 class HostType:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Base(HostType):
     tag: str  # "i" or "o"
 
@@ -24,7 +24,7 @@ class Base(HostType):
         return "$" + self.tag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow(HostType):
     dom: HostType
     cod: HostType
@@ -47,103 +47,103 @@ def arrow(*tys: HostType) -> HostType:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     ty: HostType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
     ty: HostType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fn: object
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam:
     name: str
     ty: HostType
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bot:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imp:
     ante: object
     cons: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conj:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disj:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class All:
     name: str
     ty: HostType
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ex:
     name: str
     ty: HostType
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mem:
     elem: object
     container: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subq:
     sub: object
     sup: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sep:
     name: str  # bound variable, always at iota
     bound: object  # the set being separated
@@ -152,7 +152,7 @@ class Sep:
     ty = IOTA  # not a field: the type of the bound variable, as on Lam/All/Ex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ite:
     cond: object
     then: object
@@ -188,61 +188,67 @@ def conj_chain(conjuncts, body):
 
 def typecheck(term, env: dict | None = None) -> HostType:
     """Infer the type of a term; raise TypeMismatch when ill-typed."""
-    env = env or {}
+    return _check(term, env or {})
 
-    def expect(t, want, ctx):
-        got = check(t, ctx)
-        if got != want:
-            raise TypeMismatch(f"expected {want!r}, found {got!r}", t)
-        return got
 
-    def check(t, ctx) -> HostType:
-        if isinstance(t, Var):
-            bound = ctx.get(t.name)
-            if bound is not None and bound != t.ty:
-                raise TypeMismatch(f"variable {t.name} bound at {bound!r}, used at {t.ty!r}", t)
-            return t.ty
-        if isinstance(t, Const):
-            return t.ty
-        if isinstance(t, App):
-            fn_ty = check(t.fn, ctx)
-            if not isinstance(fn_ty, Arrow):
-                raise TypeMismatch(f"applied non-function of type {fn_ty!r}", t)
-            expect(t.arg, fn_ty.dom, ctx)
-            return fn_ty.cod
-        if isinstance(t, Lam):
-            return Arrow(t.ty, check(t.body, {**ctx, t.name: t.ty}))
-        if isinstance(t, (Bot, Top)):
-            return OMICRON
-        if isinstance(t, (Neg, Imp, Conj, Disj, Iff)):
-            for side in children(t):
-                expect(side, OMICRON, ctx)
-            return OMICRON
-        if isinstance(t, Eq):
-            lt = check(t.left, ctx)
-            rt = check(t.right, ctx)
-            if lt != rt:
-                raise TypeMismatch(f"equation between {lt!r} and {rt!r}", t)
-            return OMICRON
-        if isinstance(t, (All, Ex)):
-            expect(t.body, OMICRON, {**ctx, t.name: t.ty})
-            return OMICRON
-        if isinstance(t, (Mem, Subq)):
-            for side in children(t):
-                expect(side, IOTA, ctx)
-            return OMICRON
-        if isinstance(t, Sep):
-            expect(t.bound, IOTA, ctx)
-            expect(t.body, OMICRON, {**ctx, t.name: IOTA})
-            return IOTA
-        if isinstance(t, Ite):
-            expect(t.cond, OMICRON, ctx)
-            expect(t.then, IOTA, ctx)
-            expect(t.other, IOTA, ctx)
-            return IOTA
-        raise TypeMismatch(f"unknown term {t!r}", t)
+# The recursive helpers here and below are module-level functions, not
+# closures: a closure that calls itself is a reference cycle, garbage that
+# only a full collection frees.
 
-    return check(term, env)
+
+def _expect(t, want, ctx):
+    got = _check(t, ctx)
+    if got is not want and got != want:
+        raise TypeMismatch(f"expected {want!r}, found {got!r}", t)
+    return got
+
+
+def _check(t, ctx) -> HostType:
+    cls = type(t)
+    if cls is App:
+        fn_ty = _check(t.fn, ctx)
+        if type(fn_ty) is not Arrow:
+            raise TypeMismatch(f"applied non-function of type {fn_ty!r}", t)
+        _expect(t.arg, fn_ty.dom, ctx)
+        return fn_ty.cod
+    if cls is Const:
+        return t.ty
+    if cls is Var:
+        bound = ctx.get(t.name)
+        if bound is not None and bound != t.ty:
+            raise TypeMismatch(f"variable {t.name} bound at {bound!r}, used at {t.ty!r}", t)
+        return t.ty
+    if cls is Lam:
+        return Arrow(t.ty, _check(t.body, {**ctx, t.name: t.ty}))
+    if cls is Bot or cls is Top:
+        return OMICRON
+    if cls is Neg or cls is Imp or cls is Conj or cls is Disj or cls is Iff:
+        for side in children(t):
+            _expect(side, OMICRON, ctx)
+        return OMICRON
+    if cls is Eq:
+        lt = _check(t.left, ctx)
+        rt = _check(t.right, ctx)
+        if lt is not rt and lt != rt:
+            raise TypeMismatch(f"equation between {lt!r} and {rt!r}", t)
+        return OMICRON
+    if cls is All or cls is Ex:
+        _expect(t.body, OMICRON, {**ctx, t.name: t.ty})
+        return OMICRON
+    if cls is Mem or cls is Subq:
+        for side in children(t):
+            _expect(side, IOTA, ctx)
+        return OMICRON
+    if cls is Sep:
+        _expect(t.bound, IOTA, ctx)
+        _expect(t.body, OMICRON, {**ctx, t.name: IOTA})
+        return IOTA
+    if cls is Ite:
+        _expect(t.cond, OMICRON, ctx)
+        _expect(t.then, IOTA, ctx)
+        _expect(t.other, IOTA, ctx)
+        return IOTA
+    raise TypeMismatch(f"unknown term {t!r}", t)
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +344,19 @@ def _preorder(t, out):
 def free_vars(term) -> list:
     """Free variables in first-occurrence order as (name, ty) pairs."""
     out: dict = {}
-
-    def go(t, bound):
-        if type(t) is Var:
-            if t.name not in bound:
-                out.setdefault((t.name, t.ty), None)
-            return
-        fs, scoped = shape(t)
-        inner = bound | {t.name} if scoped else bound
-        for f in fs:
-            go(getattr(t, f), inner if f in scoped else bound)
-
-    go(term, frozenset())
+    _free_vars(term, frozenset(), out)
     return list(out)
+
+
+def _free_vars(t, bound, out):
+    if type(t) is Var:
+        if t.name not in bound:
+            out.setdefault((t.name, t.ty), None)
+        return
+    fs, scoped = shape(t)
+    inner = bound | {t.name} if scoped else bound
+    for f in fs:
+        _free_vars(getattr(t, f), inner if f in scoped else bound, out)
 
 
 def substitute(term, mapping):
@@ -359,15 +365,17 @@ def substitute(term, mapping):
     Not capture-avoiding: a free variable of a mapped term that a binder on
     the way down binds is captured.
     """
+    return _substitute(term, mapping, frozenset())
 
-    def go(t, shadow):
-        if type(t) is Var:
-            return t if t.name in shadow else mapping.get(t.name, t)
-        fs, scoped = shape(t)
-        inner = shadow | {t.name} if scoped else shadow
-        return rebuild(t, [go(getattr(t, f), inner if f in scoped else shadow) for f in fs])
 
-    return go(term, frozenset())
+def _substitute(t, mapping, shadow):
+    if type(t) is Var:
+        return t if t.name in shadow else mapping.get(t.name, t)
+    fs, scoped = shape(t)
+    inner = shadow | {t.name} if scoped else shadow
+    return rebuild(
+        t, [_substitute(getattr(t, f), mapping, inner if f in scoped else shadow) for f in fs]
+    )
 
 
 def consts(term) -> list:

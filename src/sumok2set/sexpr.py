@@ -22,7 +22,7 @@ ATOM_STRING = "string"
 _NUMERAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     file: str
     line: int
@@ -49,14 +49,14 @@ class BadToken(KifSyntaxError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     lexeme: str
     kind: str
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SList:
     items: tuple
     span: Span

@@ -37,17 +37,17 @@ ARITH_MULT = "*"
 ARITH_DIV = "/"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rat:
     """Signed decimal rational, normalized so the scale is minimal.
 
@@ -58,36 +58,36 @@ class Rat:
     scale: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Builtin:
     which: str  # REAL | NEGREAL | NONNEGREAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermSpine:
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowSpine:
     prefix: tuple
     row: str
     suffix: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Apply:
     head: object  # Var or Const
     spine: object  # TermSpine or RowSpine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kappa:
     var: str
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arith:
     op: str
     left: object
@@ -98,98 +98,98 @@ class Arith:
 # Formulas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bot:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Impl:
     ante: object
     cons: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForallVars:
     names: tuple
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistsVars:
     names: tuple
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForallRow:
     name: str
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistsRow:
     name: str
     body: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     member: object
     cls: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subclass:
     sub: object
     sup: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Le:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lt:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelAtom:
     head: object  # Const or Var
     spine: object
@@ -199,19 +199,19 @@ class RelAtom:
 # Lowering results and errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assertion:
     formula: object
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     formula: object
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Skipped:
     reason: str
     span: Span
@@ -559,30 +559,32 @@ def variables(formula):
     """
     free: dict = {}
     names: set = set()
-
-    def go(node, bound, rows):
-        if type(node) is str:  # a row variable occurrence
-            names.add(node)
-            if node not in rows:
-                free.setdefault((node, True), None)
-            return
-        if type(node) is Var:
-            names.add(node.name)
-            if node.name not in bound:
-                free.setdefault((node.name, False), None)
-            return
-        b = binder(node)
-        if b is not None:
-            names.update(b[1])
-            if b[0] == VAR_BINDER:
-                bound = bound | set(b[1])
-            else:
-                rows = rows | set(b[1])
-        for child in children(node):
-            go(child, bound, rows)
-
-    go(formula, frozenset(), frozenset())
+    _variables(formula, frozenset(), frozenset(), free, names)
     return list(free), names
+
+
+def _variables(node, bound, rows, free, names):
+    # module level, not a closure: a self-calling closure is a reference
+    # cycle that only a full collection frees
+    if type(node) is str:  # a row variable occurrence
+        names.add(node)
+        if node not in rows:
+            free.setdefault((node, True), None)
+        return
+    if type(node) is Var:
+        names.add(node.name)
+        if node.name not in bound:
+            free.setdefault((node.name, False), None)
+        return
+    b = binder(node)
+    if b is not None:
+        names.update(b[1])
+        if b[0] == VAR_BINDER:
+            bound = bound | set(b[1])
+        else:
+            rows = rows | set(b[1])
+    for child in children(node):
+        _variables(child, bound, rows, free, names)
 
 
 def formula_free_vars(formula):

@@ -12,9 +12,15 @@ four space continuation indent.  Each premise is flattened and rendered on
 its own, into a Record; a problem is its records put together, with the
 separation definitions and type declarations merged in first-occurrence
 order.  Parsing the rendered text and rendering again reproduces it byte
-for byte.  The parser reads a text in one regex scan; its tokens carry
-offsets, and line and column are worked out from an offset only when an
-error is reported.
+for byte.
+
+The parser reads a text in one scan: a single findall gives its tokens as
+plain strings, and a token's kind follows from its text.  The distinct
+tokens are checked for bad characters once, before parsing.  No offsets are
+kept; when an error is raised, a finditer with the same pattern finds the
+offending token again, and its line and column are worked out from its
+offset.  A parsed document shares one Const node per declared constant and
+one Var node per binder.
 """
 
 from __future__ import annotations
@@ -395,19 +401,19 @@ def problem_text(problem, reproducible: bool = False, explain: bool = False) -> 
 # ---------------------------------------------------------------------------
 # Re-parsing and checking
 
-# A well-formed text is a run of tokens, each after optional whitespace.
-# The scan matches each token where the last one ended, never searching
-# ahead (a search would retry the whitespace run from every offset in it),
-# so what stops it short of the end, past any whitespace, is a bad character.
-_TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*
-      (?: (?P<comment>%[^\n]*)
-        | (?P<word>[A-Za-z0-9_$]+)
-        | (?P<op><=>|=>|[()\[\]:,.@&|~!?^=>]) )
-    """,
-    re.VERBOSE,
+# Every character of a text but whitespace belongs to exactly one token:
+# a comment, a word, an operator, or (the last alternative) one character
+# that is none of these, which makes the text bad.  A word starts with a word
+# character, a comment with %, and the catch-all only ever takes one
+# character that neither does, so a token's kind follows from the token.
+_TOKEN_RE = re.compile(r"%[^\n]*|[A-Za-z0-9_$]+|<=>|=>|[()\[\]:,.@&|~!?^=>]|[^ \t\r\n]")
+_OPS = frozenset(
+    ["<=>", "=>", "(", ")", "[", "]", ":", ",", ".", "@", "&", "|", "~", "!", "?", "^", "=", ">"]
 )
-_SPACE_RE = re.compile(r"[ \t\r\n]*")
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$")
+_END = ""  # the sentinel after the last token; no token is empty
+_BINOPS = {"&": Conj, "|": Disj, "=>": Imp, "<=>": Iff, "=": Eq}
+_BINDERS = {"!": All, "?": Ex, "^": Lam}
 
 
 def _line_col(text: str, pos: int) -> tuple:
@@ -418,162 +424,198 @@ def _line_col(text: str, pos: int) -> tuple:
 class _Parser:
     """Recursive descent over the tokens of one text, read in one scan.
 
-    A token is a (kind, text, offset) triple: the kind of a word is "word",
-    that of an operator is its text.  Line and column are worked out from
-    the offset only when an error is raised.
+    The tokens are the plain strings of one findall, comments taken out,
+    with the _END sentinel after them; a token that is not an operator is a
+    word.  Offsets are found again, by finditer with the same pattern, only
+    when an error is raised.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = []
-        self.comments = []
-        pos = 0
-        while (m := _TOKEN_RE.match(text, pos)) is not None:
-            pos = m.end()
-            kind = m.lastgroup
-            lexeme = m.group(kind)
-            if kind == "comment":
-                self.comments.append(lexeme[1:].lstrip(" "))
+        toks = _TOKEN_RE.findall(text)
+        bad = set()
+        has_comments = False
+        for tok in set(toks):
+            if tok in _OPS or tok[0] in _WORD_START:
+                continue
+            if tok[0] == "%":
+                has_comments = True
             else:
-                self.toks.append((kind if kind == "word" else lexeme, lexeme, m.start(kind)))
-        pos = _SPACE_RE.match(text, pos).end()
-        if pos < len(text):
-            raise self.error(f"bad character {text[pos]!r}", pos)
+                bad.add(tok)
+        if bad:
+            for m in _TOKEN_RE.finditer(text):
+                if m.group() in bad:
+                    raise Th0Error(f"bad character {m.group()!r}", *_line_col(text, m.start()))
+        comments = []
+        if has_comments:
+            lead = 0
+            while lead < len(toks) and toks[lead][0] == "%":
+                lead += 1
+            comments = toks[:lead]
+            if sum(c.count("%") for c in comments) == text.count("%"):
+                del toks[:lead]  # the comments all lead, as in a rendered problem
+            else:
+                comments = [tok for tok in toks if tok[0] == "%"]
+                toks = [tok for tok in toks if tok[0] != "%"]
+        self.comments = [c[1:].lstrip(" ") for c in comments]
+        toks.append(_END)
+        self.toks = toks
         self.i = 0
 
-    def error(self, message: str, pos: int) -> Th0Error:
-        return Th0Error(message, *_line_col(self.text, pos))
+    def error(self, message: str, index: int) -> Th0Error:
+        """An error located at the token of this index."""
+        n = index
+        for m in _TOKEN_RE.finditer(self.text):
+            if m.group()[0] != "%":
+                if n == 0:
+                    return Th0Error(message, *_line_col(self.text, m.start()))
+                n -= 1
+        return Th0Error(message)
 
-    def peek_kind(self):
-        """The kind of the next token, None at the end of input."""
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+    def peek(self) -> str:
+        """The next token, _END at the end of input."""
+        return self.toks[self.i]
 
-    def next(self):
-        if self.i == len(self.toks):
+    def next(self) -> str:
+        tok = self.toks[self.i]
+        if not tok:
             raise Th0Error("unexpected end of input")
         self.i += 1
-        return self.toks[self.i - 1]
+        return tok
 
-    def expect(self, kind):
-        """Text and offset of the next token, which must be of this kind."""
-        found, text, pos = self.next()
-        if found != kind:
-            raise self.error(f"expected {kind!r}, found {text!r}", pos)
-        return text, pos
+    def expect(self, want: str) -> None:
+        tok = self.toks[self.i]
+        if tok != want:
+            if not tok:
+                raise Th0Error("unexpected end of input")
+            raise self.error(f"expected {want!r}, found {tok!r}", self.i)
+        self.i += 1
 
-    def expect_word(self, word=None):
-        text, pos = self.expect("word")
-        if word is not None and text != word:
-            raise self.error(f"expected {word!r}, found {text!r}", pos)
-        return text, pos
+    def expect_word(self, word: str | None = None) -> str:
+        tok = self.next()
+        if tok in _OPS:
+            raise self.error(f"expected 'word', found {tok!r}", self.i - 1)
+        if word is not None and tok != word:
+            raise self.error(f"expected {word!r}, found {tok!r}", self.i - 1)
+        return tok
 
     # types -----------------------------------------------------------------
 
     def parse_type(self):
         left = self.parse_type_atom()
-        if self.peek_kind() == ">":
-            self.next()
+        if self.toks[self.i] == ">":
+            self.i += 1
             return Arrow(left, self.parse_type())
         return left
 
     def parse_type_atom(self):
-        kind, text, pos = self.next()
-        if kind == "(":
+        tok = self.next()
+        if tok == "$i":
+            return IOTA
+        if tok == "$o":
+            return OMICRON
+        if tok == "(":
             ty = self.parse_type()
             self.expect(")")
             return ty
-        if text == "$i":
-            return IOTA
-        if text == "$o":
-            return OMICRON
-        raise self.error(f"expected a type, found {text!r}", pos)
+        raise self.error(f"expected a type, found {tok!r}", self.i - 1)
 
     # terms -----------------------------------------------------------------
-
-    _BINOPS = {"&": Conj, "|": Disj, "=>": Imp, "<=>": Iff, "=": Eq}
+    #
+    # env maps a bound name to its Var node and decls a declared name to its
+    # Const node, so each symbol is looked up once and its node shared.
 
     def parse_formula(self, env, decls):
-        first = self.parse_app(env, decls)
-        op = self.peek_kind()
-        if op not in self._BINOPS:
-            return first
-        op_pos = self.toks[self.i][2]
-        items = [first]
-        while self.peek_kind() in self._BINOPS:
-            kind, _, pos = self.next()
-            if kind != op:
-                raise self.error(f"mixed operators {op!r} and {kind!r} need parentheses", pos)
-            items.append(self.parse_app(env, decls))
-        if op in ("=>", "<=>", "=") and len(items) != 2:
-            raise self.error(f"operator {op!r} is binary", op_pos)
-        ctor = self._BINOPS[op]
-        out = items[-1]
+        """Applications joined by at most one kind of binary operator."""
+        toks = self.toks
+        items = []
+        op = None
+        while True:
+            out = self.parse_unit(env, decls)
+            while toks[self.i] == "@":
+                self.i += 1
+                out = App(out, self.parse_unit(env, decls))
+            items.append(out)
+            tok = toks[self.i]
+            if tok not in _BINOPS:
+                break
+            if op is None:
+                op, op_at = tok, self.i
+            elif tok != op:
+                raise self.error(f"mixed operators {op!r} and {tok!r} need parentheses", self.i)
+            self.i += 1
+        if op is None:
+            return out
+        if len(items) != 2 and op in ("=>", "<=>", "="):
+            raise self.error(f"operator {op!r} is binary", op_at)
+        ctor = _BINOPS[op]
         for item in reversed(items[:-1]):
             out = ctor(item, out)
         return out
 
-    def parse_app(self, env, decls):
-        out = self.parse_unit(env, decls)
-        while self.peek_kind() == "@":
-            self.next()
-            out = App(out, self.parse_unit(env, decls))
-        return out
-
     def parse_unit(self, env, decls):
-        kind, text, pos = self.next()
-        if kind == "(":
+        i = self.i
+        tok = self.toks[i]
+        self.i = i + 1
+        if tok not in _OPS:
+            if tok == "$true":
+                return Top()
+            if tok == "$false":
+                return Bot()
+            node = env.get(tok)
+            if node is None:
+                node = decls.get(tok)
+                if node is None:
+                    if not tok:
+                        raise Th0Error("unexpected end of input")
+                    raise self.error(f"undeclared symbol {tok!r}", i)
+            return node
+        if tok == "(":
             inner = self.parse_formula(env, decls)
             self.expect(")")
             return inner
-        if kind == "~":
+        if tok == "~":
             return Neg(self.parse_unit(env, decls))
-        if kind in ("!", "?", "^"):
-            self.expect("[")
-            name, _ = self.expect_word()
-            self.expect(":")
-            ty = self.parse_type()
-            self.expect("]")
-            self.expect(":")
-            body = self.parse_unit(env | {name: ty}, decls)
-            return {"!": All, "?": Ex, "^": Lam}[kind](name, ty, body)
-        if kind == "word":
-            if text == "$true":
-                return Top()
-            if text == "$false":
-                return Bot()
-            if text in env:
-                return Var(text, env[text])
-            if text in decls:
-                return Const(text, decls[text])
-            raise self.error(f"undeclared symbol {text!r}", pos)
-        raise self.error(f"unexpected token {text!r}", pos)
+        ctor = _BINDERS.get(tok)
+        if ctor is None:
+            raise self.error(f"unexpected token {tok!r}", i)
+        self.expect("[")
+        name = self.expect_word()
+        self.expect(":")
+        ty = self.parse_type()
+        self.expect("]")
+        self.expect(":")
+        return ctor(name, ty, self.parse_unit({**env, name: Var(name, ty)}, decls))
 
 
 def parse_doc(text: str) -> Th0Doc:
     """Parse rendered problem text back into a document."""
     parser = _Parser(text)
+    toks = parser.toks
     doc = Th0Doc(comments=parser.comments)
-    decls: dict = {}
+    decls: dict = {}  # name -> Const node
     names: set = set()
-    while parser.peek_kind() is not None:
-        _, start = parser.expect_word("thf")
+    while toks[parser.i]:
+        start = parser.i
+        parser.expect_word("thf")
         parser.expect("(")
-        name, name_pos = parser.expect_word()
+        name = parser.expect_word()
         if name in names:
-            raise parser.error(f"duplicate record name {name}", name_pos)
+            raise parser.error(f"duplicate record name {name}", parser.i - 1)
         names.add(name)
         parser.expect(",")
-        role, _ = parser.expect_word()
+        role = parser.expect_word()
         parser.expect(",")
         if role == "type":
-            const, const_pos = parser.expect_word()
+            const = parser.expect_word()
+            const_at = parser.i - 1
             parser.expect(":")
             ty = parser.parse_type()
             if not name.startswith("ty_") or name[3:] != const:
                 raise parser.error(
-                    f"type record {name} must declare a matching constant", const_pos
+                    f"type record {name} must declare a matching constant", const_at
                 )
-            decls[const] = ty
+            decls[const] = Const(const, ty)
             doc.decls.append((const, ty))
         elif role in ("axiom", "definition", "conjecture"):
             term = parser.parse_formula({}, decls)

@@ -254,6 +254,22 @@ def test_omega_membership_is_nathood():
         ev().values_equal(hf.OMEGA, hf.OMEGA)
 
 
+@pytest.mark.parametrize("op", ["ord_add", "ord_sub", "ord_mult", "ord_exp"])
+@pytest.mark.parametrize("args", [("ord1", "omega"), ("omega", "ord1"), ("omega", "ord0")])
+def test_ordinal_arithmetic_on_omega_is_an_error_line(op, args):
+    claims = hf.parse_lemmas(f"(({op} @ {args[0]} @ {args[1]}) = ord1)\n")
+    results = [hf.check_claim(c) for c in claims]
+    assert [r.error for r in results] == ["ordinal arithmetic on omega"]
+    assert hf.format_results(results) == (
+        "claim 1 (line 1): ERROR ordinal arithmetic on omega\n0/1 claims hold"
+    )
+
+
+def test_successor_of_omega_is_an_error_line():
+    results = [hf.check_claim(c) for c in hf.parse_lemmas("((ordsucc @ omega) = omega)\n")]
+    assert [r.error for r in results] == ["successor of omega"]
+
+
 def test_len_of_lists():
     e = ev()
     env = {}

@@ -1,10 +1,11 @@
 """Typed term layer tests: typechecking, alpha equivalence, the traversal table."""
 
+import gc
 from dataclasses import fields, is_dataclass
 
 import pytest
 
-from sumok2set import hostterm
+from sumok2set import hostterm, sumo
 from sumok2set.catalog import CATALOG
 from sumok2set.hostterm import (
     IOTA,
@@ -45,6 +46,8 @@ from sumok2set.hostterm import (
     subterms,
     typecheck,
 )
+
+from conftest import formula_of
 
 O = OMICRON
 
@@ -236,3 +239,33 @@ def test_consts_pre_order_with_repeats():
     t = Conj(Eq(App(f, g), g), Eq(S, g))
     assert consts(t) == [f, g, g, S, g]
     assert const_names(t) == ["f", "g", "s"]
+
+
+_SUMO_FORMULA = formula_of(
+    "(=> (p ?X @ROW) (exists (?Y @L) (q ?X (KappaFn ?K (r ?K ?Y @L)))))"
+)
+
+
+# Each recursive walk is a module-level function or method: a self-calling
+# closure would leave a reference cycle per call for the collector.
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: typecheck(All("X", IOTA, Conj(Mem(X, Sep("Z", S, Mem(Var("Z", IOTA), X))), Top()))),
+        lambda: free_vars(Lam("X", IOTA, Conj(Eq(X, Y), Mem(Y, Sep("Z", X, Top()))))),
+        lambda: substitute(All("Y", IOTA, Conj(Eq(X, Y), Mem(Y, S))), {"X": S}),
+        lambda: CATALOG.background({"ord_add", "len", "dom_of"}),
+        lambda: sumo.variables(_SUMO_FORMULA),
+    ],
+    ids=["typecheck", "free_vars", "substitute", "Catalog.background", "sumo.variables"],
+)
+def test_recursive_walks_leave_no_cyclic_garbage(walk):
+    walk()  # warm up caches and lazily built tables
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            walk()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
