@@ -13,21 +13,27 @@ from sumok2set.hostterm import (
     All,
     App,
     Arrow,
+    Bot,
     Conj,
     Const,
+    Disj,
     Eq,
     Ex,
     IOTA,
+    Iff,
     Imp,
+    Ite,
     Lam,
     Mem,
     Neg,
     OMICRON,
     Sep,
     Subq,
+    Top,
     Var,
     app,
     arrow,
+    substitute,
 )
 from sumok2set.th0 import (
     build_doc,
@@ -490,3 +496,110 @@ def test_check_text_mutation_diagnostics_pinned(monkeypatch):
     for text in _mutants(bases, 2000, 8):
         digest.update(repr(check_text(text)).encode("utf-8") + b"\n")
     assert digest.hexdigest() == MUTATION_DIGEST
+
+
+# A seeded corpus of host terms for the premise renderer.  It puts Mem,
+# Subq, Ite and Sep nodes in head, argument and binder-body positions,
+# nests separations, repeats alpha variants in one premise and uses f at
+# two types.  Terms need not be well typed: rendering does not check.
+# The digest pins, per premise, the record text, its (name, type) constant
+# pairs and its separations with their definition records.
+RENDER_PREMISE_DIGEST = "073438e372d8843761f355af9bce1065960b601cf4d3d8e43263ffc64a38e9ef"
+
+_GEN_BINDERS = ("X", "Y", "Z", "x", "SEPX", "X_elem", "é")
+_GEN_FREE = (
+    Var("B", IOTA), Var("V_q", IOTA), Var("row", IOTA), Var("F", arrow(IOTA, IOTA)),
+    Var("𝔘", IOTA),
+)
+_GEN_SETS = (
+    Const("s_a", IOTA), Const("s_b", IOTA), Const("f", IOTA), cc("univ"), cc("emptyset"),
+)
+_GEN_FUNS = (Const("f", arrow(IOTA, IOTA)), cc("power"), Var("F", arrow(IOTA, IOTA)))
+_GEN_PREDS = (Const("p", arrow(IOTA, OMICRON)), Const("in", IOTA))
+
+
+def _gen_set(rng, depth, bound):
+    k = rng.randrange(12 if depth > 0 else 3)
+    if k == 0:
+        return rng.choice(_GEN_SETS)
+    if k == 1:
+        return rng.choice(_GEN_FREE[:3] + tuple(Var(n, IOTA) for n in sorted(bound)))
+    if k == 2:
+        return Var(rng.choice(_GEN_BINDERS), IOTA)
+    d = depth - 1
+    if k in (3, 4):
+        return App(rng.choice(_GEN_FUNS), _gen_set(rng, d, bound))
+    if k == 5:
+        return Ite(_gen_prop(rng, d, bound), _gen_set(rng, d, bound), _gen_set(rng, d, bound))
+    if k in (6, 7):
+        return _gen_sep(rng, d, bound)
+    if k == 8:  # a separation at the head of a spine
+        return app(_gen_sep(rng, d, bound), *[_gen_set(rng, d, bound) for _ in range(rng.randint(1, 2))])
+    if k == 9:  # an if-then-else at the head of a spine
+        return App(Ite(_gen_prop(rng, d, bound), _gen_set(rng, d, bound), rng.choice(_GEN_FUNS)),
+                   _gen_set(rng, d, bound))
+    if k == 10:
+        name = rng.choice(_GEN_BINDERS)
+        return App(Lam(name, IOTA, _gen_set(rng, d, bound | {name})), _gen_set(rng, d, bound))
+    return app(cc("ord_add"), _gen_set(rng, d, bound), _gen_set(rng, d, bound))
+
+
+def _gen_sep(rng, depth, bound):
+    name = rng.choice(_GEN_BINDERS)
+    if rng.randrange(4) == 0:  # parameter-free
+        return Sep(name, rng.choice(_GEN_SETS), _gen_prop(rng, depth, frozenset({name})))
+    return Sep(name, _gen_set(rng, depth, bound), _gen_prop(rng, depth, bound | {name}))
+
+
+def _gen_prop(rng, depth, bound):
+    k = rng.randrange(13 if depth > 0 else 2)
+    if k == 0:
+        return rng.choice((Top(), Bot()))
+    if k == 1:
+        return App(rng.choice(_GEN_PREDS), _gen_set(rng, 0, bound))
+    d = depth - 1
+    if k in (2, 3):
+        return Mem(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
+    if k == 4:
+        return Subq(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
+    if k == 5:  # membership and subset at the head of a spine
+        head = rng.choice((Mem, Subq))(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
+        return App(head, _gen_set(rng, d, bound))
+    if k == 6:
+        return Neg(_gen_prop(rng, d, bound))
+    if k in (7, 8):
+        ctor = rng.choice((Conj, Disj, Imp, Iff))
+        return ctor(_gen_prop(rng, d, bound), _gen_prop(rng, d, bound))
+    if k == 9:
+        return Eq(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
+    name = rng.choice(_GEN_BINDERS)
+    ctor = rng.choice((All, Ex, All))
+    return ctor(name, IOTA, _gen_prop(rng, d, bound | {name}))
+
+
+def _gen_premise(rng):
+    depth = rng.randint(1, 5)
+    if rng.randrange(5):
+        return _gen_prop(rng, depth, frozenset())
+    # a separation next to an alpha variant of itself, and nested in a third
+    sep = _gen_sep(rng, depth - 1, frozenset())
+    fresh = next(n for n in ("W", "W1", "W2", "W3") if n not in repr(sep))
+    variant = Sep(fresh, sep.bound, substitute(sep.body, {sep.name: Var(fresh, IOTA)}))
+    outer = Sep("Z", variant, Mem(Var("Z", IOTA), sep))
+    return Conj(Mem(_gen_set(rng, 1, frozenset()), sep),
+                Conj(Subq(variant, sep), Mem(cc("univ"), outer)))
+
+
+def _pin_consts(record):
+    return [(c.name, render_type(c.ty)) for c in record.consts]
+
+
+def test_render_premise_differential_pinned():
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    for i in range(2000):
+        role = rng.choice(("axiom", "axiom", "definition", "conjecture"))
+        rec = th0.render_premise(f"ax_{i}", role, _gen_premise(rng))
+        seps = [(sep, d.text, _pin_consts(d), d.seps) for sep, d in rec.seps]
+        digest.update(repr((rec.text, _pin_consts(rec), seps)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == RENDER_PREMISE_DIGEST
