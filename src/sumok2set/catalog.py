@@ -69,6 +69,7 @@ class Catalog:
         self.entries = {e.name: e for e in entries}
         self.order = [e.name for e in entries]
         self._index = {n: i for i, n in enumerate(self.order)}
+        self._consts = {e.name: Const(e.name, e.ty) for e in entries}
         self._deps = {e.name: self._compute_deps(e) for e in entries}
 
     def _compute_deps(self, entry: CatalogEntry) -> list:
@@ -98,7 +99,8 @@ class Catalog:
         return name in self.entries
 
     def const(self, name: str) -> Const:
-        return Const(name, self.entries[name].ty)
+        """The one Const node of a catalog name."""
+        return self._consts[name]
 
     def type_of(self, name: str):
         return self.entries[name].ty

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import harness, hforacle, th0, translate
-from .sexpr import KifSyntaxError
+from .sexpr import KifSyntaxError, NotUtf8, read_text
 from .signature import SignatureError
 
 # Errors in the input files; each carries the span it was found at, if any.
@@ -84,7 +84,7 @@ def cmd_translate(args) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = harness.load_config(args.config)
-    except (OSError, harness.ConfigError) as err:
+    except (OSError, NotUtf8, harness.ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if not cfg.queries:
@@ -161,7 +161,7 @@ def _write_lines(path: str, lines) -> None:
 def cmd_oracle(args) -> int:
     try:
         results = hforacle.run_lemma_file(args.lemmas, horizon=args.horizon, fuel=args.fuel)
-    except (OSError, hforacle.OracleError) as err:
+    except (OSError, NotUtf8, hforacle.OracleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(hforacle.format_results(results))
@@ -172,9 +172,8 @@ def cmd_check(args) -> int:
     bad = 0
     for path in args.files:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
+            text = read_text(path)
+        except (OSError, NotUtf8) as err:
             print(f"{path}: ERROR {err}")
             bad += 1
             if not args.keep_going:

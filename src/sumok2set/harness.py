@@ -21,6 +21,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from .sexpr import read_text
+
 GRACE_SECONDS = 2.0
 PROVER_PATH_ENV = "SUMOK2SET_PROVER_PATH"
 
@@ -108,8 +110,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), os.path.dirname(os.path.abspath(path)))
+    return parse_config(read_text(path), os.path.dirname(os.path.abspath(path)))
 
 
 def resolve_executable(word: str) -> str | None:

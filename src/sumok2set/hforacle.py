@@ -63,6 +63,7 @@ from .hostterm import (
     free_vars,
 )
 from . import th0
+from .sexpr import read_text
 
 DEFAULT_FUEL = 10**6
 DEFAULT_HORIZON = 32
@@ -170,6 +171,11 @@ def _numeral_value(elems) -> int:
         return -1
 
 
+# A set may hold omega, but such a set has no key, no order among sets and
+# no predecessor; an operation that needs one of these raises this.
+_HOLDS_OMEGA = "a set that holds omega"
+
+
 def _key_cmp(x: HfSet, y: HfSet) -> int:
     """Compare x and y as their keys compare, without building the keys.
 
@@ -181,6 +187,8 @@ def _key_cmp(x: HfSet, y: HfSet) -> int:
     """
     if x is y:
         return 0
+    if type(x) is not HfSet or type(y) is not HfSet:
+        raise Unsupported(_HOLDS_OMEGA)
     if x._nat >= 0 and y._nat >= 0:
         return y._nat - x._nat
     for a, b in zip(x, y):
@@ -207,6 +215,8 @@ def _bounded_key(x: HfSet, budget):
         return None
     keys = []
     for e in x.elems:
+        if type(e) is not HfSet:
+            raise Unsupported(_HOLDS_OMEGA)
         key = _bounded_key(e, budget - used)
         if key is None:
             return None
@@ -226,6 +236,8 @@ def describe_set(x: HfSet) -> str:
     memo: dict = {}
 
     def walk(s):
+        if type(s) is not HfSet:
+            raise Unsupported(_HOLDS_OMEGA)
         if s not in memo:
             text = _bounded_key(s, DESCRIBE_LIMIT)
             if text is None and s._nat >= 0:
@@ -278,6 +290,8 @@ def pred(x: HfSet) -> HfSet:
     if x._nat > 0:
         return nat(x._nat - 1)
     # x = e | {e} exactly when e is a member, a subset and one smaller
+    if not all(type(e) is HfSet for e in x.elems):
+        raise Unsupported(_HOLDS_OMEGA)
     n = len(x.elems)
     for e in x.elems:
         if len(e.elems) + 1 == n and e.elems <= x.elems:
@@ -384,6 +398,8 @@ def _ordsucc(x):
 
 
 def _powerset(x: HfSet) -> HfSet:
+    if isinstance(x, _Omega):
+        raise Unsupported("power set of omega")
     elems = list(x.elems)
     subsets = []
     for r in range(len(elems) + 1):
@@ -404,6 +420,8 @@ def _subq(a, b) -> bool:
     if isinstance(a, _Omega):
         raise Unsupported("omega on the left of subset")
     if isinstance(b, _Omega):
+        if not all(type(e) is HfSet for e in a.elems):
+            raise Unsupported(_HOLDS_OMEGA)
         return all(is_nat(e) is not None for e in a.elems)
     return a.elems <= b.elems
 
@@ -1043,9 +1061,7 @@ def describe_value(value) -> str:
 
 
 def run_lemma_file(path: str, horizon: int = DEFAULT_HORIZON, fuel: int = DEFAULT_FUEL, **bounds) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    claims = parse_lemmas(text, path)
+    claims = parse_lemmas(read_text(path), path)
     return [check_claim(c, horizon=horizon, fuel=fuel, **bounds) for c in claims]
 
 

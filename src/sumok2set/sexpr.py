@@ -49,6 +49,27 @@ class BadToken(KifSyntaxError):
     pass
 
 
+class NotUtf8(KifSyntaxError):
+    """An input file whose bytes are not UTF-8 text."""
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file, read as open() in text mode reads it.
+
+    Bytes that are not UTF-8 raise NotUtf8 located at the first bad one.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        # one read of the whole file: err.object is every byte of it
+        data, start = err.object, err.start
+        line_start = data.rfind(b"\n", 0, start) + 1
+        col = len(data[line_start:start].decode("utf-8")) + 1
+        span = Span(path, data.count(b"\n", 0, start) + 1, col)
+        raise NotUtf8(f"not UTF-8 text: {err.reason}", span) from None
+
+
 @dataclass(frozen=True, slots=True)
 class Atom:
     lexeme: str

@@ -1,18 +1,21 @@
 """Typed higher-order problem files: flattening, rendering, re-parsing.
 
 The set primitives of the internal term language are structural nodes; here
-they are flattened to applied constants so the output is plain typed lambda
+they are written as applied constants so the output is plain typed lambda
 calculus.  Separation subterms cannot be applied constants directly, so each
 one is hoisted to a fresh constant parameterized over its free variables,
 with a defining equivalence emitted as a definition-role premise.
 
 Rendering is canonical: compound subterms are always parenthesized, binders
 take one variable each, and long records wrap greedily at 100 columns with a
-four space continuation indent.  Each premise is flattened and rendered on
-its own, into a Record; a problem is its records put together, with the
-separation definitions and type declarations merged in first-occurrence
-order.  Parsing the rendered text and rendering again reproduces it byte
-for byte.
+four space continuation indent.  Each premise is rendered on its own, into
+a Record, by one walk over its host term: the walk writes the text of the
+flattened term without building it, hoists each separation it meets, and
+records the constants in the order it writes them.  Only the inside of a
+separation is flattened to a term, for its key and its definition.  A
+problem is its records put together, with the separation definitions and
+type declarations merged in first-occurrence order.  Parsing the rendered
+text and rendering again reproduces it byte for byte.
 
 The parser reads a text in one scan: a single findall gives its tokens as
 plain strings, and a token's kind follows from its text.  The distinct
@@ -45,17 +48,19 @@ from .hostterm import (
     IOTA,
     Iff,
     Imp,
+    Ite,
     Lam,
+    Mem,
     Neg,
     OMICRON,
     Sep,
+    Subq,
     Top,
     TypeMismatch,
     Var,
     app,
     arrow,
     children,
-    consts,
     free_vars,
     rebuild,
     substitute,
@@ -78,15 +83,21 @@ class Th0Error(Exception):
 
 
 class _SepHoister:
-    """Replace separation nodes by applied fresh constants with definitions."""
+    """Replace separation nodes by applied fresh constants with definitions.
+
+    Only the inside of a separation is flattened to a term: its key and its
+    definition are flat terms.  Everywhere else a premise is written out by
+    _PremiseWalk, which asks hoist for each separation it meets.
+    """
 
     def __init__(self):
         self.defs: list = []  # (const_name, definition term), hoist order
         self._by_key: dict = {}
 
     def flatten(self, t):
-        if isinstance(t, Sep):
-            return self._hoist(t)
+        if type(t) is Sep:
+            const, params = self.hoist(t)
+            return app(const, *[Var(n, ty) for n, ty in params])
         kids = children(t)
         if not kids:
             return t
@@ -96,7 +107,8 @@ class _SepHoister:
             return app(cc(const), *kids)
         return rebuild(t, kids)
 
-    def _hoist(self, t: Sep):
+    def hoist(self, t: Sep) -> tuple:
+        """The constant a separation is hoisted to, and its (name, type) parameters."""
         bound_flat = self.flatten(t.bound)
         body_flat = self.flatten(t.body)
         params = free_vars(Sep(t.name, bound_flat, body_flat))
@@ -108,7 +120,7 @@ class _SepHoister:
             self.defs.append((name, self._definition(const, t, bound_flat, body_flat, params)))
             self._by_key[key] = const
             found = const
-        return app(found, *[Var(n, ty) for n, ty in params])
+        return found, params
 
     def _key(self, xname, bound_flat, body_flat, params) -> str:
         mapping = {n: Var(f"P{i}", ty) for i, (n, ty) in enumerate(params)}
@@ -150,10 +162,10 @@ class _SepHoister:
 
 
 def render_type(ty, atomic: bool = False) -> str:
-    if isinstance(ty, Base):
+    if type(ty) is Base:
         return "$" + ty.tag
-    inner = f"{render_type(ty.dom, atomic=True)} > {render_type(ty.cod)}"
-    return f"({inner})" if atomic else inner
+    inner = render_type(ty.dom, True) + " > " + render_type(ty.cod)
+    return "(" + inner + ")" if atomic else inner
 
 
 _THF_VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
@@ -164,8 +176,11 @@ def escape(name: str) -> str:
 
     Letters and digits stay; any other character becomes _xx below U+0100
     and _uxxxxxx above it (lowercase hex, and u is no hex digit), so the
-    escape is prefix-free and distinct names never collide.
+    escape is prefix-free and distinct names never collide.  A name of
+    ASCII letters and digits only is its own escape.
     """
+    if name.isascii() and name.isalnum():
+        return name
     return "".join(
         ch if ch.isascii() and ch.isalnum()
         else ("_%02x" if ord(ch) < 0x100 else "_u%06x") % ord(ch)
@@ -192,48 +207,135 @@ def _thf_var(name: str) -> str:
     return "V_" + escape(name)
 
 
+def _binder(mark: str, t, body: str) -> str:
+    return "(" + mark + _thf_var(t.name) + " : " + render_type(t.ty) + "]: " + body + ")"
+
+
 def render_term(t) -> str:
     """Canonical fully parenthesized rendering of a flat term."""
-    if isinstance(t, Var):
-        return _thf_var(t.name)
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Bot):
-        return "$false"
-    if isinstance(t, Top):
-        return "$true"
-    return "(" + _render_inner(t) + ")"
-
-
-def _render_inner(t) -> str:
-    if isinstance(t, App):
+    cls = type(t)
+    if cls is App:
         parts = []
-        spine = t
-        while isinstance(spine, App):
-            parts.append(spine.arg)
-            spine = spine.fn
-        parts.append(spine)
+        while cls is App:
+            parts.append(render_term(t.arg))
+            t = t.fn
+            cls = type(t)
+        parts.append(render_term(t))
         parts.reverse()
-        return " @ ".join(render_term(p) for p in parts)
-    if isinstance(t, Lam):
-        return f"^[{_thf_var(t.name)} : {render_type(t.ty)}]: {render_term(t.body)}"
-    if isinstance(t, All):
-        return f"![{_thf_var(t.name)} : {render_type(t.ty)}]: {render_term(t.body)}"
-    if isinstance(t, Ex):
-        return f"?[{_thf_var(t.name)} : {render_type(t.ty)}]: {render_term(t.body)}"
-    if isinstance(t, Neg):
-        return "~ " + render_term(t.body)
-    if isinstance(t, Imp):
-        return f"{render_term(t.ante)} => {render_term(t.cons)}"
-    if isinstance(t, Conj):
-        return f"{render_term(t.left)} & {render_term(t.right)}"
-    if isinstance(t, Disj):
-        return f"{render_term(t.left)} | {render_term(t.right)}"
-    if isinstance(t, Iff):
-        return f"{render_term(t.left)} <=> {render_term(t.right)}"
-    if isinstance(t, Eq):
-        return f"{render_term(t.left)} = {render_term(t.right)}"
+        return "(" + " @ ".join(parts) + ")"
+    if cls is Var:
+        return _thf_var(t.name)
+    if cls is Const:
+        return t.name
+    if cls is All:
+        return _binder("![", t, render_term(t.body))
+    if cls is Imp:
+        return "(" + render_term(t.ante) + " => " + render_term(t.cons) + ")"
+    if cls is Conj:
+        return "(" + render_term(t.left) + " & " + render_term(t.right) + ")"
+    if cls is Eq:
+        return "(" + render_term(t.left) + " = " + render_term(t.right) + ")"
+    if cls is Ex:
+        return _binder("?[", t, render_term(t.body))
+    if cls is Neg:
+        return "(~ " + render_term(t.body) + ")"
+    if cls is Disj:
+        return "(" + render_term(t.left) + " | " + render_term(t.right) + ")"
+    if cls is Iff:
+        return "(" + render_term(t.left) + " <=> " + render_term(t.right) + ")"
+    if cls is Lam:
+        return _binder("^[", t, render_term(t.body))
+    if cls is Bot:
+        return "$false"
+    if cls is Top:
+        return "$true"
     raise TypeError(f"cannot render {t!r}")
+
+
+_IN, _SUBQ, _ITE = (cc(FLAT_CONST[cls]) for cls in (Mem, Subq, Ite))
+
+
+class _PremiseWalk:
+    """One walk from a host term to its flat rendering and its constants.
+
+    Writes what render_term writes for the flattened term, without building
+    it: Mem, Subq and Ite become applications of their FLAT_CONST
+    constants, and a separation its hoisted constant applied to its
+    parameters; a head of either kind merges into the spine it heads.  The
+    constants are recorded as they are written, and textual order is the
+    pre-order of the flat term.
+    """
+
+    def __init__(self, hoister: _SepHoister):
+        self.hoister = hoister
+        self.first: dict = {}  # name -> type of its first use
+        self.consts: list = []  # distinct Const nodes; a second type is kept too
+
+    def const(self, c) -> str:
+        ty = self.first.get(c.name)
+        if ty is None:
+            self.first[c.name] = c.ty
+            self.consts.append(c)
+        elif ty is not c.ty and ty != c.ty:
+            self.consts.append(c)  # a second type, which _collect_consts rejects
+        return c.name
+
+    def text(self, t) -> str:
+        cls = type(t)
+        if cls is App:
+            args = []
+            while cls is App:
+                args.append(t.arg)
+                t = t.fn
+                cls = type(t)
+            parts = self.spine(t)
+            for arg in reversed(args):
+                parts.append(self.text(arg))
+            return "(" + " @ ".join(parts) + ")"
+        if cls is Var:
+            return _thf_var(t.name)
+        if cls is Const:
+            return self.const(t)
+        if cls is Mem or cls is Subq or cls is Ite or cls is Sep:
+            parts = self.spine(t)
+            return "(" + " @ ".join(parts) + ")" if len(parts) > 1 else parts[0]
+        if cls is All:
+            return _binder("![", t, self.text(t.body))
+        if cls is Imp:
+            return "(" + self.text(t.ante) + " => " + self.text(t.cons) + ")"
+        if cls is Conj:
+            return "(" + self.text(t.left) + " & " + self.text(t.right) + ")"
+        if cls is Eq:
+            return "(" + self.text(t.left) + " = " + self.text(t.right) + ")"
+        if cls is Ex:
+            return _binder("?[", t, self.text(t.body))
+        if cls is Neg:
+            return "(~ " + self.text(t.body) + ")"
+        if cls is Disj:
+            return "(" + self.text(t.left) + " | " + self.text(t.right) + ")"
+        if cls is Iff:
+            return "(" + self.text(t.left) + " <=> " + self.text(t.right) + ")"
+        if cls is Lam:
+            return _binder("^[", t, self.text(t.body))
+        if cls is Bot:
+            return "$false"
+        if cls is Top:
+            return "$true"
+        raise TypeError(f"cannot render {t!r}")
+
+    def spine(self, t) -> list:
+        """The texts a node puts at the head of a spine, in order."""
+        cls = type(t)
+        if cls is Mem:
+            return [self.const(_IN), self.text(t.elem), self.text(t.container)]
+        if cls is Subq:
+            return [self.const(_SUBQ), self.text(t.sub), self.text(t.sup)]
+        if cls is Ite:
+            return [self.const(_ITE), self.text(t.cond), self.text(t.then), self.text(t.other)]
+        if cls is Sep:
+            const, params = self.hoister.hoist(t)
+            return [self.const(const)] + [_thf_var(n) for n, _ in params]
+        return [self.text(t)]
 
 
 def _wrap(text: str) -> str:
@@ -261,7 +363,7 @@ def render_record(name: str, role: str, content: str) -> str:
 
 
 class Record(NamedTuple):
-    """One premise flattened and rendered on its own.
+    """One premise rendered on its own, in one walk over its host term.
 
     Separations are named by content, so the text of a premise does not
     depend on its neighbours; a problem puts its records together by
@@ -273,27 +375,20 @@ class Record(NamedTuple):
     seps: tuple = ()  # (sep name, Record of its definition), in hoist order
 
 
-def _record(name: str, role: str, flat, seps: tuple = ()) -> Record:
-    first: dict = {}  # name -> type of its first use
-    distinct = []
-    for c in consts(flat):
-        ty = first.get(c.name)
-        if ty is None:
-            first[c.name] = c.ty
-            distinct.append(c)
-        elif ty is not c.ty and ty != c.ty:
-            distinct.append(c)  # a second type, which _collect_consts rejects
-    return Record(render_record(name, role, render_term(flat)), tuple(distinct), seps)
-
-
 def render_premise(name: str, role: str, term) -> Record:
-    """Flatten and render one premise of host terms."""
+    """Render one premise of host terms, with a Record per hoisted separation."""
     hoister = _SepHoister()
-    flat = hoister.flatten(term)
-    seps = ()
-    if hoister.defs:
-        seps = tuple((sep, _record("def_" + sep, "definition", d)) for sep, d in hoister.defs)
-    return _record(name, role, flat, seps)
+    record = _record(hoister, name, role, term)
+    if not hoister.defs:
+        return record
+    seps = tuple((sep, _record(hoister, "def_" + sep, "definition", d)) for sep, d in hoister.defs)
+    return record._replace(seps=seps)
+
+
+def _record(hoister: _SepHoister, name: str, role: str, term) -> Record:
+    walk = _PremiseWalk(hoister)
+    text = render_record(name, role, walk.text(term))
+    return Record(text, tuple(walk.consts))
 
 
 def _cached_record(cache: dict, name: str, role: str, term) -> Record:
@@ -343,7 +438,7 @@ def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0
     """Put a translated problem together from the records of its premises.
 
     The problems of one KbImage share their render_cache, so a premise of
-    its knowledge base is flattened and rendered once per image.
+    its knowledge base is rendered once per image.
     """
     import datetime
 

@@ -49,7 +49,7 @@ from .hostterm import (
     conj_chain,
     imp_chain,
 )
-from .sexpr import Span, parse_forms
+from .sexpr import Span, parse_forms, read_text
 from .th0 import escape, host_var
 
 LIST = Arrow(IOTA, IOTA)
@@ -113,20 +113,27 @@ class Translator:
         self.explanations: list = []
         self.facts: dict = {}  # source name -> its relation facts
         self._avoid: set = set()
+        self._resolved: dict = {}  # source name -> its minted Const
 
     # -- naming ------------------------------------------------------------
 
     def resolve(self, name: str):
+        found = self._resolved.get(name)
+        if found is not None:
+            return found
         if name == "Class":
             return App(cc("power"), cc("univ"))
         if name in SPECIAL_CLASSES:
             return cc(SPECIAL_CLASSES[name])
+        # a name's first use mints it, and checks that no other name took its
+        # mangled form before
         host = mangle(name)
         prev = self.minted.get(host)
         if prev is not None and prev != name:
             raise MangleCollision(f"{name!r} and {prev!r} both mangle to {host!r}")
         self.minted[host] = name
-        return Const(host, IOTA)
+        found = self._resolved[name] = Const(host, IOTA)
+        return found
 
     def _fresh(self, base: str) -> str:
         name = base
@@ -385,9 +392,7 @@ def _stem(path: str) -> str:
 
 def load_lowered(path: str, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> list:
     """Parse and lower every form in the file, in source order."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return [sumo.lower(form, skip_heads) for form in parse_forms(text, path)]
+    return [sumo.lower(form, skip_heads) for form in parse_forms(read_text(path), path)]
 
 
 def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
@@ -513,7 +518,7 @@ class KbImage:
     the knowledge base (minted names, explanations, the relation facts of
     the names it mentions), the units with their skip notes and catalog
     needs, and the render cache its problems share (th0.build_doc), so each
-    premise the knowledge base brings is flattened and rendered once.
+    premise the knowledge base brings is rendered once.
     """
 
     def __init__(self, forms: KbForms, sig, expand_known_rows: bool = False,

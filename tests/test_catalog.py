@@ -165,6 +165,12 @@ def test_order_index_matches_order():
         assert CATALOG.order_index(name) == i
 
 
+def test_catalog_constants_are_shared():
+    for name in catalog.CATALOG.order:
+        assert catalog.cc(name) is catalog.cc(name)
+        assert catalog.cc(name) == catalog.Const(name, catalog.CATALOG.type_of(name))
+
+
 def test_const_helper_types():
     c = CATALOG.const("ap")
     assert c.name == "ap"

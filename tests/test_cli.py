@@ -149,6 +149,20 @@ def test_translate_missing_kb_is_located(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_translate_non_utf8_kb_is_located(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.kif").write_text("(query (instance ?X Human))\n")
+    # a bad byte in the middle of the second line
+    (tmp_path / "kb.kif").write_bytes(b"(instance a B)\n(instance b \xe9C)\n")
+    code, out, err = run_cli(["translate", "q.kif", "--kb", "kb.kif"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: kb.kif:2:13: not UTF-8 text: invalid continuation byte\n"
+    (tmp_path / "q.kif").write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["translate", "q.kif"], capsys)
+    assert (code, err) == (1, "error: q.kif:1:1: not UTF-8 text: invalid start byte\n")
+
+
 def test_translate_missing_query_is_located(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(["translate", "nope.kif"], capsys)
@@ -202,6 +216,15 @@ def test_oracle_missing_file_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_oracle_non_utf8_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.lemmas"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["oracle", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}:1:1: not UTF-8 text: invalid start byte\n"
+
+
 # --- check ---
 
 
@@ -238,6 +261,14 @@ def test_check_missing_file(tmp_path, capsys):
     code, out, err = run_cli(["check", str(tmp_path / "ghost.p")], capsys)
     assert code == 1
     assert "ERROR" in out
+
+
+def test_check_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bad.p"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["check", str(bad)], capsys)
+    assert code == 1
+    assert out == f"{bad}: ERROR {bad}:1:1: not UTF-8 text: invalid start byte\n"
 
 
 # --- run ---
@@ -341,6 +372,31 @@ def test_run_keep_going_past_bad_query(tmp_path, capsys):
     assert (tmp_path / "runs" / "problems" / "tqg3.p").exists()
     summary = (tmp_path / "runs" / "kb-summary.txt").read_text()
     assert "FAILED" in summary
+
+
+def test_run_keep_going_past_non_utf8_query(tmp_path, capsys):
+    bad = tmp_path / "bad.kif"
+    bad.write_bytes(b"\xff\xfe")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "\n".join(
+            [
+                f"kb = {fixture_path('merge_fragment.kif')}",
+                f"query = {bad}",
+                f"query = {fixture_path('tqg3.kif')}",
+                f"out_dir = {tmp_path / 'runs'}",
+            ]
+        )
+        + "\n"
+    )
+    code, out, err = run_cli(["run", str(cfg), "--keep-going"], capsys)
+    assert code == 1
+    assert f"{bad}: FAILED: {bad}:1:1: not UTF-8 text: invalid start byte" in out
+    assert (tmp_path / "runs" / "problems" / "tqg3.p").exists()
+    # a config file that is not UTF-8 is an error of the command
+    cfg.write_bytes(b"kb = \xff\n")
+    code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert (code, err) == (2, f"error: {cfg}:1:6: not UTF-8 text: invalid start byte\n")
 
 
 def test_run_signature_error_fails_the_query(tmp_path, capsys):

@@ -270,6 +270,31 @@ def test_successor_of_omega_is_an_error_line():
     assert [r.error for r in results] == ["successor of omega"]
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("((ord_sub @ (tag @ omega) @ ord1) = ord1)", "a set that holds omega"),  # pred
+        ("((ordsucc @ (tag @ omega)) = omega)", "a set that holds omega"),  # describe_set
+        ("(subq @ (tag @ omega) @ omega)", "a set that holds omega"),
+        ("((power @ omega) = omega)", "power set of omega"),
+        ("((ord_add @ ord1 @ (tag @ omega)) = ord2)", "a set that holds omega"),
+    ],
+)
+def test_sets_that_hold_omega_are_error_lines(line, error):
+    results = [hf.check_claim(c) for c in hf.parse_lemmas(line + "\n")]
+    assert [r.error for r in results] == [error]
+
+
+def test_ordering_a_set_that_holds_omega_is_unsupported():
+    mixed = hf.hfset(hf.OMEGA, hf.nat(1))
+    with pytest.raises(hf.Unsupported, match="holds omega"):
+        list(mixed)
+    with pytest.raises(hf.Unsupported, match="holds omega"):
+        mixed.key()
+    # one member needs no ordering, so a quantifier can still range over it
+    assert list(hf.hfset(hf.OMEGA)) == [hf.OMEGA]
+
+
 def test_len_of_lists():
     e = ev()
     env = {}

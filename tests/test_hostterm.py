@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from sumok2set import hostterm, sumo
+from sumok2set import hostterm, sumo, th0
 from sumok2set.catalog import CATALOG
 from sumok2set.hostterm import (
     IOTA,
@@ -246,6 +246,12 @@ _SUMO_FORMULA = formula_of(
 )
 
 
+_PREMISE = All("X", IOTA, Conj(
+    Mem(X, Sep("Z", Ite(Top(), S, X), Mem(Var("Z", IOTA), Sep("W", X, Subq(Var("W", IOTA), S))))),
+    Eq(App(Sep("Z", S, Top()), X), Y),
+))
+
+
 # Each recursive walk is a module-level function or method: a self-calling
 # closure would leave a reference cycle per call for the collector.
 @pytest.mark.parametrize(
@@ -256,8 +262,12 @@ _SUMO_FORMULA = formula_of(
         lambda: substitute(All("Y", IOTA, Conj(Eq(X, Y), Mem(Y, S))), {"X": S}),
         lambda: CATALOG.background({"ord_add", "len", "dom_of"}),
         lambda: sumo.variables(_SUMO_FORMULA),
+        lambda: th0.render_premise("ax", "axiom", _PREMISE),
     ],
-    ids=["typecheck", "free_vars", "substitute", "Catalog.background", "sumo.variables"],
+    ids=[
+        "typecheck", "free_vars", "substitute", "Catalog.background", "sumo.variables",
+        "th0.render_premise",
+    ],
 )
 def test_recursive_walks_leave_no_cyclic_garbage(walk):
     walk()  # warm up caches and lazily built tables

@@ -96,6 +96,26 @@ def test_variable_sanitization():
     assert "X1_ok" in render_term(t2)
 
 
+def _escape_per_character(name):
+    return "".join(
+        ch if ch.isascii() and ch.isalnum()
+        else ("_%02x" if ord(ch) < 0x100 else "_u%06x") % ord(ch)
+        for ch in name
+    )
+
+
+def test_escape_of_plain_names_matches_the_per_character_escape():
+    rng = random.Random(5)
+    plain = "abcxyzABCXYZ0189"
+    odd = "_- .é\x00\x7f\u0100€\U0001d518"
+    names = ["", "_", "9lives", "0", "é", "\U0001d518", "abc", "ABC123", "a_b"]
+    for _ in range(3000):
+        chars = plain if rng.randrange(2) else plain + odd
+        names.append("".join(rng.choice(chars) for _ in range(rng.randint(0, 10))))
+    for name in names:
+        assert th0.escape(name) == _escape_per_character(name)
+
+
 def simple_problem(conjecture, premises=()):
     return Problem(
         premises=list(premises),

@@ -383,6 +383,19 @@ def test_escape_keeps_wide_characters_apart():
     assert tr.resolve(a) != tr.resolve(b)
 
 
+def test_collision_is_found_after_many_resolves_of_the_first_name(monkeypatch):
+    # mangle is injective; a case-folding one makes a collision reachable
+    monkeypatch.setattr(translate, "mangle", lambda name: "s_" + translate.escape(name.lower()))
+    tr = Translator(sig_from(""))
+    first = tr.resolve("Bob")
+    for _ in range(1000):
+        assert tr.resolve("Bob") is first
+    with pytest.raises(translate.MangleCollision, match="'bob' and 'Bob' both mangle to 's_bob'"):
+        tr.resolve("bob")
+    assert tr.resolve("Bob") is first
+    assert tr.minted == {"s_bob": "Bob"}
+
+
 @given(st.text(min_size=1, max_size=8), st.text(min_size=1, max_size=8))
 def test_host_var_injective_and_rendered_unchanged(a, b):
     assert (host_var(a) == host_var(b)) == (a == b)
