@@ -339,19 +339,25 @@ class _PremiseWalk:
 
 
 def _wrap(text: str) -> str:
+    """Fill lines greedily with the space-separated words of text.
+
+    A line ends at the last space that leaves it at most WIDTH columns,
+    its indent included, or after its first word when that word is longer.
+    """
     if len(text) <= WIDTH:
         return text
-    words = text.split(" ")
     lines = []
-    cur = words[0]
-    for w in words[1:]:
-        if len(cur) + 1 + len(w) <= WIDTH:
-            cur += " " + w
-        else:
-            lines.append(cur)
-            cur = INDENT + w
-    lines.append(cur)
-    return "\n".join(lines)
+    start, room = 0, WIDTH
+    while len(text) - start > room:
+        cut = text.rfind(" ", start, start + room + 1)
+        if cut < 0:
+            cut = text.find(" ", start)
+            if cut < 0:
+                break
+        lines.append(text[start:cut])
+        start, room = cut + 1, WIDTH - len(INDENT)
+    lines.append(text[start:])
+    return ("\n" + INDENT).join(lines)
 
 
 def render_record(name: str, role: str, content: str) -> str:

@@ -243,6 +243,32 @@ def test_long_lines_wrap_with_continuation_indent():
         assert l.startswith("    ")
 
 
+def _wrap_word_by_word(text):
+    if len(text) <= th0.WIDTH:
+        return text
+    words = text.split(" ")
+    lines = []
+    cur = words[0]
+    for w in words[1:]:
+        if len(cur) + 1 + len(w) <= th0.WIDTH:
+            cur += " " + w
+        else:
+            lines.append(cur)
+            cur = th0.INDENT + w
+    lines.append(cur)
+    return "\n".join(lines)
+
+
+def test_wrap_fills_lines_as_word_by_word_filling_does():
+    # words up to and past the width, empty words from runs of spaces
+    rng = random.Random(3)
+    sizes = (0, 0, 1, 3, 10, 40, 95, 96, 97, 99, 100, 101, 150)
+    for _ in range(20000):
+        words = ["x" * rng.choice(sizes) for _ in range(rng.randint(1, rng.choice((2, 5, 20, 60))))]
+        text = " " * rng.choice((0, 0, 1, 2)) + " ".join(words) + " " * rng.choice((0, 0, 1))
+        assert th0._wrap(text) == _wrap_word_by_word(text)
+
+
 def test_comments_rendered_with_percent():
     prob = simple_problem(
         Mem(Const("s_a", IOTA), Const("s_b", IOTA)),
