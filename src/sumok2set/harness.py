@@ -11,6 +11,7 @@ an aligned summary table with proved counts as "n (p%)".
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import shutil
@@ -99,14 +100,26 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         elif key == "skip_head":
             cfg.skip_heads.append(value)
         elif key == "timeout":
-            cfg.timeout = float(value)
+            cfg.timeout = _positive(lineno, key, value, float)
         elif key == "jobs":
-            cfg.jobs = int(value)
+            cfg.jobs = _positive(lineno, key, value, int)
         elif key == "out_dir":
             cfg.out_dir = os.path.join(base_dir, value)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return cfg
+
+
+def _positive(lineno: int, key: str, value: str, kind):
+    """value read as a positive finite int or float (kind); else a ConfigError."""
+    try:
+        number = kind(value)
+    except ValueError:
+        number = None
+    if number is None or not math.isfinite(number) or number <= 0:
+        noun = "integer" if kind is int else "finite number"
+        raise ConfigError(f"line {lineno}: {key} must be a positive {noun}, not {value!r}")
+    return number
 
 
 def load_config(path: str) -> RunConfig:

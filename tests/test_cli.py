@@ -339,6 +339,17 @@ def test_run_bad_config_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_bad_number_in_config_is_a_located_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for line in ("jobs = two", "timeout = inf", "timeout = -5"):
+        cfg.write_text(f"kb = {fixture_path('merge_fragment.kif')}\n{line}\n")
+        code, out, err = run_cli(["run", str(cfg)], capsys)
+        assert code == 2, line
+        assert err.startswith("error: line 2: "), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+
 def test_run_config_without_queries_exit_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"kb = {fixture_path('merge_fragment.kif')}\n")

@@ -60,6 +60,32 @@ def test_parse_config_errors_carry_line_numbers():
         hn.parse_config("prover. = foo {file}\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("jobs = two", "jobs must be a positive integer, not 'two'"),
+        ("jobs = 0", "jobs must be a positive integer, not '0'"),
+        ("jobs = -3", "jobs must be a positive integer, not '-3'"),
+        ("jobs = 1.5", "jobs must be a positive integer, not '1.5'"),
+        ("timeout = soon", "timeout must be a positive finite number, not 'soon'"),
+        ("timeout = inf", "timeout must be a positive finite number, not 'inf'"),
+        ("timeout = nan", "timeout must be a positive finite number, not 'nan'"),
+        ("timeout = -5", "timeout must be a positive finite number, not '-5'"),
+        ("timeout = 0", "timeout must be a positive finite number, not '0'"),
+        ("timeout = 1e400", "timeout must be a positive finite number, not '1e400'"),
+    ],
+)
+def test_parse_config_rejects_bad_numbers_with_line_numbers(line, message):
+    with pytest.raises(hn.ConfigError) as err:
+        hn.parse_config("kb = a.kif\n" + line + "\n")
+    assert str(err.value) == "line 2: " + message
+
+
+def test_parse_config_accepts_positive_numbers():
+    cfg = hn.parse_config("timeout = 0.5\njobs = 1\n")
+    assert (cfg.timeout, cfg.jobs) == (0.5, 1)
+
+
 def test_load_config_joins_relative_to_file(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("kb = kb/merge.kif\nquery = q.kif\nprover.x = x {file}\n")
