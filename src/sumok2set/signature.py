@@ -129,53 +129,80 @@ def _record_range(sig, items, mode, span, keep_first, report):
     report.declarations += 1
 
 
+_DOMAIN_AND_RANGE = {
+    "domain": (_record_domain, MODE_INSTANCE),
+    "domainSubclass": (_record_domain, MODE_SUBCLASS),
+    "range": (_record_range, MODE_INSTANCE),
+    "rangeSubclass": (_record_range, MODE_SUBCLASS),
+}
+_RELATION_DECLARATIONS = frozenset([*_DOMAIN_AND_RANGE, "subrelation"])
+
+
+def declaration_head(f) -> str | None:
+    """The head of the declaration a lowered formula is, None when it is none.
+
+    These are the forms collect reads: top-level domain, domainSubclass,
+    range, rangeSubclass and subrelation atoms over a spine of terms, and
+    instance and subclass facts between two constants.  A formula that is
+    none of these leaves the signature as it is.
+    """
+    cls = type(f)
+    if cls is sumo.RelAtom:
+        if (
+            type(f.head) is sumo.Const
+            and f.head.name in _RELATION_DECLARATIONS
+            and type(f.spine) is sumo.TermSpine
+        ):
+            return f.head.name
+    elif cls is sumo.Instance:
+        if type(f.member) is sumo.Const and type(f.cls) is sumo.Const:
+            return "instance"
+    elif cls is sumo.Subclass:
+        if type(f.sub) is sumo.Const and type(f.sup) is sumo.Const:
+            return "subclass"
+    return None
+
+
 def collect(assertions, keep_first_on_conflict: bool = False) -> Signature:
     """Fold declaration facts out of lowered assertions into a Signature.
 
-    Only ground top-level facts count as declarations; anything else is left
-    for the translator.  Quantified or variable-containing domain/range/
-    subrelation forms raise NonGroundDeclaration.
+    Only ground top-level facts count as declarations (declaration_head);
+    anything else is left for the translator.  Quantified or
+    variable-containing domain/range/subrelation forms raise
+    NonGroundDeclaration.
     """
     sig = Signature()
     report = sig.report
     for a in assertions:
         f = a.formula if isinstance(a, sumo.Assertion) else a
+        head = declaration_head(f)
+        if head is None:
+            continue
         span = a.span if isinstance(a, sumo.Assertion) else None
-        if isinstance(f, sumo.RelAtom) and isinstance(f.head, sumo.Const):
-            head = f.head.name
-            if not isinstance(f.spine, sumo.TermSpine):
-                continue
+        if head == "instance":
+            info = sig._ensure(f.member.name)
+            if f.cls.name not in info.instance_of:
+                info.instance_of.append(f.cls.name)
+            report.declarations += 1
+        elif head == "subclass":
+            edges = sig.subclass_edges.setdefault(f.sub.name, [])
+            if f.sup.name not in edges:
+                edges.append(f.sup.name)
+            report.declarations += 1
+        elif head == "subrelation":
             items = f.spine.items
-            if head == "domain":
-                _record_domain(sig, items, MODE_INSTANCE, span, keep_first_on_conflict, report)
-            elif head == "domainSubclass":
-                _record_domain(sig, items, MODE_SUBCLASS, span, keep_first_on_conflict, report)
-            elif head == "range":
-                _record_range(sig, items, MODE_INSTANCE, span, keep_first_on_conflict, report)
-            elif head == "rangeSubclass":
-                _record_range(sig, items, MODE_SUBCLASS, span, keep_first_on_conflict, report)
-            elif head == "subrelation":
-                if len(items) != 2:
-                    raise NonGroundDeclaration("subrelation expects two arguments", span)
-                sub = _ground_const(items[0], "subrelation", span)
-                sup = _ground_const(items[1], "subrelation", span)
-                info = sig._ensure(sub)
-                if sup not in info.subrelation_of:
-                    info.subrelation_of.append(sup)
-                sig._ensure(sup)
-                report.declarations += 1
-        elif isinstance(f, sumo.Instance):
-            if isinstance(f.member, sumo.Const) and isinstance(f.cls, sumo.Const):
-                info = sig._ensure(f.member.name)
-                if f.cls.name not in info.instance_of:
-                    info.instance_of.append(f.cls.name)
-                report.declarations += 1
-        elif isinstance(f, sumo.Subclass):
-            if isinstance(f.sub, sumo.Const) and isinstance(f.sup, sumo.Const):
-                sig.subclass_edges.setdefault(f.sub.name, [])
-                if f.sup.name not in sig.subclass_edges[f.sub.name]:
-                    sig.subclass_edges[f.sub.name].append(f.sup.name)
-                report.declarations += 1
+            if len(items) != 2:
+                raise NonGroundDeclaration("subrelation expects two arguments", span)
+            sub = _ground_const(items[0], "subrelation", span)
+            sup = _ground_const(items[1], "subrelation", span)
+            info = sig._ensure(sub)
+            if sup not in info.subrelation_of:
+                info.subrelation_of.append(sup)
+            sig._ensure(sup)
+            report.declarations += 1
+        else:
+            record, mode = _DOMAIN_AND_RANGE[head]
+            record(sig, f.spine.items, mode, span, keep_first_on_conflict, report)
     _inherit_subrelations(sig)
     _fill_gaps(sig)
     return sig

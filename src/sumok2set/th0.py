@@ -14,8 +14,10 @@ flattened term without building it, hoists each separation it meets, and
 records the constants in the order it writes them.  Only the inside of a
 separation is flattened to a term, for its key and its definition.  A
 problem is its records put together, with the separation definitions and
-type declarations merged in first-occurrence order.  Parsing the rendered
-text and rendering again reproduces it byte for byte.
+type declarations merged in first-occurrence order; a run of records that
+many problems share, such as a knowledge base's, is merged once into a
+Block, which each problem takes whole.  Parsing the rendered text and
+rendering again reproduces it byte for byte.
 
 The parser reads a text in one scan: a single findall gives its tokens as
 plain strings, and a token's kind follows from its text.  The distinct
@@ -277,7 +279,7 @@ class _PremiseWalk:
             self.first[c.name] = c.ty
             self.consts.append(c)
         elif ty is not c.ty and ty != c.ty:
-            self.consts.append(c)  # a second type, which _collect_consts rejects
+            self.consts.append(c)  # a second type, which the merge rejects (_merge_consts)
         return c.name
 
     def text(self, t) -> str:
@@ -397,7 +399,7 @@ def _record(hoister: _SepHoister, name: str, role: str, term) -> Record:
     return Record(text, tuple(walk.consts))
 
 
-def _cached_record(cache: dict, name: str, role: str, term) -> Record:
+def cached_record(cache: dict, name: str, role: str, term) -> Record:
     """The record of a premise, from cache when it holds this very term.
 
     cache maps premise name -> (term, Record); the identity test keeps the
@@ -409,6 +411,116 @@ def _cached_record(cache: dict, name: str, role: str, term) -> Record:
     record = render_premise(name, role, term)
     cache[name] = (term, record)
     return record
+
+
+_CATALOG_NAMES = frozenset(CATALOG.order)
+
+
+def catalog_needs(record: Record) -> frozenset:
+    """The catalog names the premise of a record needs.
+
+    These are the catalog constants of the record and of its separation
+    definitions, which is what Catalog.needs finds in the host term:
+    membership, subset and conditional nodes are written as their catalog
+    constants, and a separation is defined by membership.
+    """
+    names = {c.name for c in record.consts}
+    for _sep, defn in record.seps:
+        names.update(c.name for c in defn.consts)
+    return frozenset(names & _CATALOG_NAMES)
+
+
+def _merge_consts(groups, types: dict, into: dict) -> dict:
+    """Merge groups of Const nodes into into (name -> type) in first-use order.
+
+    types (name -> type) takes in every constant too; one met at a second
+    type is an error.
+    """
+    for group in groups:
+        for c in group:
+            ty = types.setdefault(c.name, c.ty)
+            if ty is not c.ty and ty != c.ty:
+                raise Th0Error(f"constant {c.name} used at two types")
+            into.setdefault(c.name, ty)
+    return into
+
+
+def _decl_record(name: str, ty) -> str:
+    return render_record(f"ty_{name}", "type", f"{name} : {render_type(ty)}")
+
+
+class Block:
+    """A run of premise records that problems take whole, merged once.
+
+    A KbImage keeps two, its relation facts and its units.  A block holds
+    the records, their separations merged in first-occurrence order, the
+    constants of those separations' definitions and of the records, each
+    merged in first-use order (name -> type) and checked for clashes with
+    each other and with the blocks given as before, the catalog names among
+    them, and the declaration record of every constant.
+    """
+
+    def __init__(self, premises, before=()):
+        self.premises = list(premises)  # (name, role, Record)
+        self.seps: dict = {}  # sep name -> Record of its definition
+        for _name, _role, record in self.premises:
+            for sep, defn in record.seps:
+                self.seps.setdefault(sep, defn)
+        types: dict = {}
+        self.sep_consts = _merge_consts([d.consts for d in self.seps.values()], types, {})
+        self.consts = _merge_consts([r.consts for _n, _r, r in self.premises], types, {})
+        self.catalog = frozenset(types.keys() & _CATALOG_NAMES)
+        self.decl_records: dict = {}  # name -> its ty_ record
+        for name, ty in types.items():
+            for block in before:
+                other = block.type_of(name)
+                if other is not None:
+                    if other is not ty and other != ty:
+                        raise Th0Error(f"constant {name} used at two types")
+                    self.decl_records[name] = block.decl_records[name]
+                    break
+            else:
+                self.decl_records[name] = _decl_record(name, ty)
+
+    def type_of(self, name: str):
+        """The type of a constant of the block, None for one it does not have."""
+        ty = self.consts.get(name)
+        return self.sep_consts.get(name) if ty is None else ty
+
+
+class _Decls:
+    """The declared constants of a document, merged one record or one block at a time.
+
+    A block merges whole: its names join in its own first-use order.  The
+    constants merged record by record are checked against each other as
+    they come and against the blocks once, at the end.
+    """
+
+    def __init__(self):
+        self.types: dict = {}  # name -> type, of the constants merged record by record
+        self.order: dict = {}  # name -> type of every constant, first use order
+        self.catalog: set = set()  # the catalog names of the blocks
+        self.blocks: list = []
+
+    def add(self, consts) -> None:
+        _merge_consts([consts], self.types, self.order)
+
+    def add_block(self, block: Block, consts: dict) -> None:
+        self.order.update(consts)
+        if block not in self.blocks:
+            self.blocks.append(block)
+            self.catalog |= block.catalog
+
+    def ordered(self) -> list:
+        """Catalog members in catalog order, then the rest in first-use order."""
+        for name, ty in self.types.items():
+            for block in self.blocks:
+                other = block.type_of(name)
+                if other is not None and other is not ty and other != ty:
+                    raise Th0Error(f"constant {name} used at two types")
+        catalog = self.catalog | (self.types.keys() & _CATALOG_NAMES)
+        catalog = sorted(catalog, key=CATALOG.order_index)
+        return [(name, self.order.pop(name)) for name in catalog] + list(self.order.items())
 
 
 @dataclass
@@ -423,43 +535,78 @@ class Th0Doc:
     decls: list = field(default_factory=list)  # (const name, type)
     premises: list = field(default_factory=list)  # (name, role, flat term or Record)
     conjecture: object = None  # flat term or Record, record named conj
+    decl_records: dict = field(default_factory=dict)  # const name -> its ty_ record, if known
 
 
-def _collect_consts(groups) -> list:
-    """Declared constants: catalog members in catalog order, then first use."""
-    seen: dict = {}
-    for group in groups:
-        for c in group:
-            ty = seen.setdefault(c.name, c.ty)
-            if ty is not c.ty and ty != c.ty:
-                raise Th0Error(f"constant {c.name} used at two types")
-    catalog_part = sorted(
-        (n for n in seen if n in CATALOG), key=CATALOG.order_index
-    )
-    rest = [n for n in seen if n not in CATALOG]
-    return [(n, seen[n]) for n in catalog_part + rest]
+def _runs(problem) -> list:
+    """The premises of a problem as runs: a Block, or a list of (name, role, Record).
+
+    problem.blocks gives (index, Block) for each run of premises that is a
+    block; the records of the premises between come from the render cache.
+    """
+    cache = problem.render_cache
+    premises = problem.premises
+    runs: list = []
+    start = 0
+    for at, block in list(problem.blocks) + [(len(premises), None)]:
+        runs.append([
+            (name, role, cached_record(cache, name, role, term))
+            for name, role, term in premises[start:at]
+        ])
+        if block is not None:
+            runs.append(block)
+            start = at + len(block.premises)
+    return runs
 
 
 def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0Doc:
     """Put a translated problem together from the records of its premises.
 
-    The problems of one KbImage share their render_cache, so a premise of
-    its knowledge base is rendered once per image.
+    The records are merged in first-occurrence order: separation
+    definitions first, then the premises, then the conjecture.  A Block
+    among the premises (problem.blocks, the knowledge base of a KbImage)
+    merges whole, from what it merged once; every other premise merges one
+    record at a time, its record taken from problem.render_cache, which the
+    problems of one image share.  So what a problem costs here beyond its
+    blocks grows with its own premises, not with the knowledge base.
     """
     import datetime
 
-    premises = [
-        (name, role, _cached_record(problem.render_cache, name, role, term))
-        for name, role, term in problem.premises
-    ]
+    runs = _runs(problem)
     conjecture = render_premise("conj", "conjecture", problem.conjecture)
+    last = [("conj", "conjecture", conjecture)]
     seps: dict = {}
-    for record in [r for _, _, r in premises] + [conjecture]:
-        for sep, defn in record.seps:
-            seps.setdefault(sep, defn)
+    sep_parts: list = []  # per block or new separation, in order: what its definitions add
+    for run in runs + [last]:
+        if type(run) is Block:
+            for sep, defn in run.seps.items():
+                seps.setdefault(sep, defn)
+            sep_parts.append(run)
+        else:
+            for _name, _role, record in run:
+                for sep, defn in record.seps:
+                    if sep not in seps:
+                        seps[sep] = defn
+                        sep_parts.append(defn.consts)
+    decls = _Decls()
+    for part in sep_parts:
+        if type(part) is Block:
+            decls.add_block(part, part.sep_consts)
+        else:
+            decls.add(part)
     all_premises = [("def_" + sep, "definition", defn) for sep, defn in seps.items()]
-    all_premises += premises
-    decls = _collect_consts([r.consts for _, _, r in all_premises] + [conjecture.consts])
+    for run in runs:
+        if type(run) is Block:
+            all_premises += run.premises
+            decls.add_block(run, run.consts)
+        else:
+            all_premises += run
+            for _name, _role, record in run:
+                decls.add(record.consts)
+    decls.add(conjecture.consts)
+    decl_records: dict = {}
+    for block in decls.blocks:
+        decl_records.update(block.decl_records)
 
     comments = ["higher-order set theory translation"]
     if not reproducible:
@@ -473,9 +620,10 @@ def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0
             comments.append("guard derivations: none")
     return Th0Doc(
         comments=comments,
-        decls=decls,
+        decls=decls.ordered(),
         premises=all_premises,
         conjecture=conjecture,
+        decl_records=decl_records,
     )
 
 
@@ -487,10 +635,12 @@ def _record_text(name: str, role: str, body) -> str:
 
 def render_doc(doc: Th0Doc) -> str:
     lines = ["% " + c if c else "%" for c in doc.comments]
-    for name, ty in doc.decls:
-        lines.append(render_record(f"ty_{name}", "type", f"{name} : {render_type(ty)}"))
-    for name, role, body in doc.premises:
-        lines.append(_record_text(name, role, body))
+    known = doc.decl_records
+    lines += [known.get(name) or _decl_record(name, ty) for name, ty in doc.decls]
+    lines += [
+        body.text if type(body) is Record else _record_text(name, role, body)
+        for name, role, body in doc.premises
+    ]
     lines.append(_record_text("conj", "conjecture", doc.conjecture))
     return "\n".join(lines) + "\n"
 

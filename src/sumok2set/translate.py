@@ -12,16 +12,19 @@ translation share the lowered forms.  A run of queries against one
 knowledge base compiles it once (compile_kb, KbImage): each query adds its
 own units, relation facts and background to the translated knowledge base,
 and a query whose declarations change the signature of a symbol the
-knowledge base uses has it translated again, from scratch.
+knowledge base uses has it translated again, from scratch.  The image keeps
+all a problem takes from the knowledge base, its records merged into
+blocks (th0.Block) included, so what a query costs grows with the query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import guards as guardmod
 from . import signature as sigmod
-from . import sumo
+from . import sumo, th0
 from .catalog import CATALOG, cc, encode_rational, mk_list, ord_of
 from .guards import MEMBER, MemClass
 from .hostterm import (
@@ -355,13 +358,14 @@ class Translator:
 # File-level driving
 
 
-@dataclass
+@dataclass(slots=True)  # a knowledge base has thousands; no per-unit __dict__
 class Unit:
     name: str
     term: object
     span: Span
     needs: frozenset  # catalog names the term needs
     kind: str = "kb"  # kb | local | conjecture
+    record: th0.Record | None = None  # the premise rendered on its own
 
 
 @dataclass
@@ -379,6 +383,7 @@ class Problem:
     comments: list = field(default_factory=list)
     explanations: list = field(default_factory=list)
     render_cache: dict = field(default_factory=dict)  # see th0.build_doc
+    blocks: tuple = ()  # (index in premises, th0.Block of the premises from there)
 
 
 def _stem(path: str) -> str:
@@ -395,15 +400,19 @@ def load_lowered(path: str, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> list:
     return [sumo.lower(form, skip_heads) for form in parse_forms(read_text(path), path)]
 
 
-def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
+def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb",
+                   render_cache: dict | None = None):
     """Translate one file's lowered forms into premise units plus an optional query.
 
     Returns (units, query_term, skips).  Premise names key on the file stem
     and the source position of the form, so they stay stable when neighbors
-    are edited.
+    are edited.  Each unit is rendered as it is made (th0.Record, kept in
+    render_cache too), and its catalog needs are read off that record.
     """
     stem = _stem(path)
     prefix = "kb_" + stem + "_" if kind == "kb" else "local_"
+    cache = {} if render_cache is None else render_cache
+    needs_seen: dict = {}  # the units share few distinct needs; each is kept once
     units: list = []
     skips: list = []
     query_term = None
@@ -415,10 +424,26 @@ def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
                 raise TranslateError("more than one query form", item.span)
             query_term = tr.close_query(item.formula)
         else:
+            name = f"{prefix}{index}"
             term = tr.close_assertion(item.formula)
-            needs = frozenset(CATALOG.needs([term]))
-            units.append(Unit(f"{prefix}{index}", term, item.span, needs, kind))
+            record = th0.cached_record(cache, name, "axiom", term)
+            needs = th0.catalog_needs(record)
+            needs = needs_seen.setdefault(needs, needs)
+            units.append(Unit(name, term, item.span, needs, kind, record))
     return units, query_term, skips
+
+
+def fact_premises(tr: Translator, names) -> list:
+    """The relation facts of the source names, as (name, role, term) premises.
+
+    names is read to the end first: working out a fact mints the names of
+    its domains, which get no facts of their own here.
+    """
+    return [
+        (fact_name, "axiom", term)
+        for src_name in list(names)
+        for fact_name, term in tr.relation_facts(src_name)
+    ]
 
 
 def build_problem(
@@ -426,29 +451,36 @@ def build_problem(
     kb_units: list,
     local_units: list,
     conjecture,
-    comments: list | None = None,
+    comments: list,
+    image: "KbImage",
 ) -> Problem:
     """Assemble background, relation facts, and translated premises.
 
-    Relation facts are emitted for every source relation mentioned so far
-    that has declared argument domains, in first-mention order.
+    kb_units are the units of the image, which brings the relation facts of
+    the names its knowledge base mentions, their catalog needs and theirs,
+    and the two blocks its problems merge whole.  Relation facts are
+    emitted for every source relation mentioned so far that has declared
+    argument domains, in first-mention order: the image's, then those of
+    the names the query mints.  Only the query's own part is walked here:
+    its facts, its local units and the conjecture.
     """
-    fact_premises = []
-    for host_name, src_name in list(tr.minted.items()):
-        for fact_name, term in tr.relation_facts(src_name):
-            fact_premises.append((fact_name, "axiom", term))
-
-    units = kb_units + local_units
-    needs = CATALOG.needs([t for _, _, t in fact_premises] + [conjecture])
-    needs = needs.union(*(u.needs for u in units))
+    minted = islice(tr.minted.values(), len(image.minted), None)
+    query_facts = fact_premises(tr, minted)
+    needs = CATALOG.needs([t for _, _, t in query_facts] + [conjecture])
+    needs = needs.union(image.needs, *(u.needs for u in local_units))
     background = CATALOG.background(needs)
 
-    premises = list(background) + fact_premises + [(u.name, "axiom", u.term) for u in units]
+    facts_at = len(background)
+    units_at = facts_at + len(image.fact_premises) + len(query_facts)
+    premises = background + image.fact_premises + query_facts + image.unit_premises
+    premises += [(u.name, "axiom", u.term) for u in local_units]
     return Problem(
         premises=premises,
         conjecture=conjecture,
-        comments=list(comments or []),
+        comments=comments,
         explanations=tr.take_explanations(),
+        render_cache=image.render_cache,
+        blocks=((facts_at, image.fact_block), (units_at, image.unit_block)),
     )
 
 
@@ -468,6 +500,11 @@ def select_premises(problem: Problem, names: list) -> Problem:
     )
 
 
+def _declares(item) -> bool:
+    """Whether a lowered form is a declaration signature.collect reads."""
+    return isinstance(item, sumo.Assertion) and sigmod.declaration_head(item.formula) is not None
+
+
 def signature_of(assertions) -> sigmod.Signature:
     """The signature a job translates under, closed for variable arity."""
     return sigmod.close_vararity(sigmod.collect(assertions, keep_first_on_conflict=True))
@@ -480,7 +517,7 @@ class KbForms:
     paths: list
     skip_heads: tuple
     lowered: list  # per file, in source order
-    assertions: list
+    declarations: list  # the assertions signature.collect reads, in source order
 
 
 def _read_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbForms:
@@ -495,8 +532,12 @@ def _read_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbForms:
             )
         stems[stem] = path
     lowered = [load_lowered(path, skip_heads) for path in kb_paths]
-    assertions = [item for items in lowered for item in items if isinstance(item, sumo.Assertion)]
-    return KbForms(list(kb_paths), tuple(skip_heads), lowered, assertions)
+    return KbForms(
+        list(kb_paths),
+        tuple(skip_heads),
+        lowered,
+        [item for items in lowered for item in items if _declares(item)],
+    )
 
 
 class _RecordingSignature:
@@ -516,9 +557,17 @@ class KbImage:
 
     Holds the lowered forms and the signature, the translator state after
     the knowledge base (minted names, explanations, the relation facts of
-    the names it mentions), the units with their skip notes and catalog
-    needs, and the render cache its problems share (th0.build_doc), so each
-    premise the knowledge base brings is rendered once.
+    the names it mentions), the units with their skip notes, and the render
+    cache its problems share (th0.build_doc).  It also keeps what every
+    problem takes from the knowledge base as it is: the relation fact
+    premises, the catalog needs of those facts and of the units, the unit
+    premises, and the two th0.Blocks of their records, merged once.  So
+    posing a query costs about what a query against an empty knowledge
+    base costs, and leaves the image as it was.
+
+    translate_query_job poses a query that declares nothing under sig
+    itself; an image for a run of queries is therefore compile_kb's, under
+    the signature of its own declarations.
     """
 
     def __init__(self, forms: KbForms, sig, expand_known_rows: bool = False,
@@ -529,21 +578,34 @@ class KbImage:
         self.collect_explanations = collect_explanations
         recording = _RecordingSignature(sig)
         tr = Translator(recording, expand_known_rows, collect_explanations)
+        self.render_cache: dict = {}
         self.units: list = []
         self.skips: list = []
         for path, items in zip(forms.paths, forms.lowered):
-            units, query, file_skips = translate_file(tr, path, items, "kb")
+            units, query, file_skips = translate_file(tr, path, items, "kb", self.render_cache)
             if query is not None:
                 raise TranslateError(f"query form inside knowledge base file {path}")
             self.units.extend(units)
             self.skips.extend(file_skips)
+        self.skip_comments = [f"skipped {s.file}:{s.span.line}: {s.reason}" for s in self.skips]
         self.minted = dict(tr.minted)
         self.explanations = list(tr.explanations)
-        for src in self.minted.values():
-            tr.relation_facts(src)  # kept in tr.facts
+        self.fact_premises = fact_premises(tr, self.minted.values())
         self.facts = tr.facts
-        self.render_cache: dict = {}
         self.used = recording.asked  # the names whose signature entries it read
+        self.unit_premises = [(u.name, "axiom", u.term) for u in self.units]
+        fact_records = [
+            (name, role, th0.cached_record(self.render_cache, name, role, term))
+            for name, role, term in self.fact_premises
+        ]
+        self.needs = frozenset().union(
+            *(th0.catalog_needs(record) for _, _, record in fact_records),
+            *(u.needs for u in self.units),
+        )
+        self.fact_block = th0.Block(fact_records)
+        self.unit_block = th0.Block(
+            [(u.name, "axiom", u.record) for u in self.units], before=[self.fact_block]
+        )
 
     def agrees(self, sig) -> bool:
         """Whether translating the knowledge base under sig gives this image again."""
@@ -552,24 +614,26 @@ class KbImage:
     def pose(self, query_path: str, lowered: list, sig, selection: list | None = None):
         """The problem of one query; sig is its job's signature, which agrees.
 
-        Returns (problem, skips, translator).
+        Only the query is translated and walked: its units, the relation
+        facts of the names it mints, and the conjecture; the knowledge base
+        comes whole from the image.  Returns (problem, skips, translator).
         """
         tr = Translator(sig, self.expand_known_rows, self.collect_explanations)
         tr.minted = dict(self.minted)
         tr.explanations = list(self.explanations)
         tr.facts = dict(self.facts)
-        local_units, conjecture, q_skips = translate_file(tr, query_path, lowered, "local")
-        skips = self.skips + q_skips
+        local_units, conjecture, q_skips = translate_file(
+            tr, query_path, lowered, "local", self.render_cache
+        )
         if conjecture is None:
             raise TranslateError(f"no query form in {query_path}")
-        comments = [
-            f"skipped {s.file}:{s.span.line}: {s.reason}" for s in skips
+        comments = self.skip_comments + [
+            f"skipped {s.file}:{s.span.line}: {s.reason}" for s in q_skips
         ]
-        problem = build_problem(tr, self.units, local_units, conjecture, comments)
-        problem.render_cache = self.render_cache
+        problem = build_problem(tr, self.units, local_units, conjecture, comments, self)
         if selection is not None:
             problem = select_premises(problem, selection)
-        return problem, skips, tr
+        return problem, self.skips + q_skips, tr
 
 
 def compile_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbImage:
@@ -579,7 +643,7 @@ def compile_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbImage:
     knowledge base on its own.
     """
     forms = _read_kb(kb_paths, skip_heads)
-    return KbImage(forms, signature_of(forms.assertions))
+    return KbImage(forms, signature_of(forms.declarations))
 
 
 def translate_query_job(
@@ -594,9 +658,11 @@ def translate_query_job(
 
     kb_paths is a list of knowledge base files, or a KbImage of them
     (compile_kb), which brings its own skip heads and translator settings:
-    the arguments for those are then not used.  The image is used when the
-    job's signature (its knowledge base's and query's assertions) agrees
-    with the image's on every name the image's translation read; otherwise,
+    the arguments for those are then not used.  A query with no declaration
+    (signature.declaration_head) has the image's signature as its job's,
+    and is posed under it.  Otherwise the image is used when the job's
+    signature (its knowledge base's and query's declarations) agrees with
+    the image's on every name the image's translation read; if it does not,
     and for a list of files, the knowledge base is translated under the
     job's signature from scratch.
 
@@ -614,9 +680,10 @@ def translate_query_job(
         image = None
         forms = _read_kb(kb_paths, skip_heads)
     lowered = load_lowered(query_path, forms.skip_heads)
-    sig = signature_of(
-        forms.assertions + [item for item in lowered if isinstance(item, sumo.Assertion)]
-    )
+    declarations = [item for item in lowered if _declares(item)]
+    if image is not None and not declarations:
+        return image.pose(query_path, lowered, image.sig, selection)
+    sig = signature_of(forms.declarations + declarations)
     if image is None or not image.agrees(sig):
         image = KbImage(forms, sig, expand_known_rows, collect_explanations)
     return image.pose(query_path, lowered, sig, selection)

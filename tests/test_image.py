@@ -5,12 +5,16 @@ job on its own gives, and `run` must read and translate its knowledge base
 once, however many queries it poses.
 """
 
+import dataclasses
 import os
+import re
 
 import pytest
 
 from conftest import FIXTURES, fixture_path
-from sumok2set import cli, sumo, th0, translate
+from sumok2set import catalog, cli, signature, sumo, th0, translate
+from sumok2set.catalog import CATALOG, cc
+from sumok2set.hostterm import App, Arrow, Const, IOTA, OMICRON
 
 KB = "merge_fragment.kif"
 QUERIES = ("tqg3.kif", "tqg11.kif", "tqg22alt4.kif", "tqg27.kif", "wordex.kif")
@@ -31,13 +35,13 @@ def text_of(kb, query, selection=None, **opts):
 def image_of(kb_paths, **opts):
     """An image of the knowledge base under its own signature, with settings."""
     forms = translate._read_kb(kb_paths)
-    return translate.KbImage(forms, translate.signature_of(forms.assertions), **opts)
+    return translate.KbImage(forms, translate.signature_of(forms.declarations), **opts)
 
 
 def job_signature(image, query):
     lowered = translate.load_lowered(query)
     return translate.signature_of(
-        image.forms.assertions + [a for a in lowered if isinstance(a, sumo.Assertion)]
+        image.forms.declarations + [a for a in lowered if isinstance(a, sumo.Assertion)]
     )
 
 
@@ -211,3 +215,210 @@ def test_run_problems_equal_translate_output(tmp_path, capsys):
         assert cli.main(argv) == 0
         written = tmp_path / "runs" / "problems" / f"{stem}.p"
         assert written.read_bytes() == alone.read_bytes(), query
+
+
+# ---------------------------------------------------------------------------
+# Posing a query costs what the query costs, not what the knowledge base does
+
+# Symbols the compiler gives meaning to; renamed copies of the fragment
+# share every other constant with no other copy.
+RESERVED = frozenset(
+    """
+    forall exists and or not => <=> equal instance subclass lessThan
+    lessThanOrEqualTo KappaFn query domain domainSubclass range rangeSubclass
+    subrelation VariableArityRelation Entity SetOrClass Abstract Class
+    RealNumber NegativeRealNumber NonnegativeRealNumber AdditionFn
+    SubtractionFn MultiplicationFn DivisionFn modalAttribute holdsDuring
+    """.split()
+)
+_SYMBOL = re.compile(r"(?<![?@\w-])[A-Za-z][A-Za-z0-9_-]*")
+
+
+def renamed(text, suffix):
+    """text with suffix appended to every constant outside RESERVED; comments stay."""
+    out = []
+    for line in text.splitlines(keepends=True):
+        code, semi, comment = line.partition(";")
+        code = _SYMBOL.sub(
+            lambda m: m.group() if m.group() in RESERVED else m.group() + suffix, code
+        )
+        out.append(code + semi + comment)
+    return "".join(out)
+
+
+def renamed_kb(tmp_path, copies, name="kb.kif"):
+    with open(fixture_path(KB)) as fh:
+        fragment = fh.read()
+    path = tmp_path / name
+    path.write_text("".join(renamed(fragment, f"_{i}") for i in range(copies)))
+    return str(path)
+
+
+def renamed_query(tmp_path, shape, copy=0):
+    with open(fixture_path(shape)) as fh:
+        text = fh.read()
+    path = tmp_path / f"{os.path.splitext(shape)[0]}_c{copy}.kif"
+    path.write_text(renamed(text, f"_{copy}"))
+    return str(path)
+
+
+def test_posing_a_query_does_no_work_that_grows_with_the_kb(tmp_path, monkeypatch):
+    small = translate.compile_kb([renamed_kb(tmp_path, 1, "kb1.kif")])
+    large = translate.compile_kb([renamed_kb(tmp_path, 3, "kb3.kif")])
+    assert len(large.units) == 3 * len(small.units)
+    counts = {"collect": 0, "agrees": 0, "needs_terms": 0, "renders": 0}
+    real_collect = signature.collect
+    real_agrees = translate.KbImage.agrees
+    real_needs = catalog.Catalog.needs
+    real_render = th0.render_premise
+
+    def collect(*args, **kwargs):
+        counts["collect"] += 1
+        return real_collect(*args, **kwargs)
+
+    def agrees(self, sig):
+        counts["agrees"] += 1
+        return real_agrees(self, sig)
+
+    def needs(self, terms):
+        terms = list(terms)
+        counts["needs_terms"] += len(terms)
+        return real_needs(self, terms)
+
+    def render_premise(*args):
+        counts["renders"] += 1
+        return real_render(*args)
+
+    monkeypatch.setattr(signature, "collect", collect)
+    monkeypatch.setattr(translate.KbImage, "agrees", agrees)
+    monkeypatch.setattr(catalog.Catalog, "needs", needs)
+    monkeypatch.setattr(th0, "render_premise", render_premise)
+    for shape in QUERIES:
+        query = renamed_query(tmp_path, shape)
+        seen = []
+        for image in (small, large):
+            for key in counts:
+                counts[key] = 0
+            assert text_of(image, query).endswith("\n")
+            seen.append(dict(counts))
+        assert seen[0]["collect"] == seen[0]["agrees"] == 0, shape
+        assert seen[0] == seen[1], shape
+
+
+# Queries whose premises fall between and around the knowledge base's
+# blocks; the KB is three renamed copies of the fragment, plus (in
+# with_seps) assertions with separations of its own.
+BLOCK_QUERIES = {
+    "local_seps": "(instance Bob_1 (KappaFn ?Y (employs_1 Acme_1 ?Y)))\n"
+    "(=> (instance ?Z (KappaFn ?X (son_2 ?X ?Z))) (instance ?Z Human_2))\n"
+    "(query (instance Bob_0 (KappaFn ?X (employs_0 Acme_0 ?X))))",
+    "minted_facts": "(domain likes 1 Human_0)\n(domain likes 2 Human_1)\n"
+    "(subrelation hates employs_2)\n(likes Bob_0 Bob_1)\n"
+    "(query (exists (?X) (and (likes ?X Bob_2) (hates ?X Bob_2))))",
+    "row_len": "(query (forall (@ROW) (=> (partition_1 @ROW Bob_0)"
+    " (exhaustiveDecomposition_1 Bob_0 @ROW))))",
+    "rebuild": "(domain employs_1 1 Organization_1)\n"
+    "(query (exists (?X) (and (employs_1 ?X Bob_1)"
+    " (instance Bob_1 (KappaFn ?Y (uses_1 ?Y Bob_1))))))",
+}
+KB_SEPS = (
+    "(instance Bob_0 (KappaFn ?Z (employs_0 Acme_0 ?Z)))\n"
+    "(=> (instance ?P (KappaFn ?X (parent_1 ?X ?P))) (instance ?P Human_1))\n"
+    "(instance Bob_2 (KappaFn ?W (employs_2 ?W Bob_2)))\n"
+)
+
+
+@pytest.mark.parametrize("with_seps", [False, True])
+def test_block_merge_gives_the_bytes_of_a_record_by_record_merge(tmp_path, with_seps):
+    kbs = [renamed_kb(tmp_path, 3)]
+    if with_seps:
+        (tmp_path / "seps.kif").write_text(KB_SEPS)
+        kbs.append(str(tmp_path / "seps.kif"))
+    image = translate.compile_kb(kbs)
+    assert bool(image.unit_block.seps) == with_seps
+    for name, text in list(BLOCK_QUERIES.items()) * 2:
+        q = tmp_path / f"{name}.kif"
+        q.write_text(text + "\n")
+        problem, _skips, _tr = translate.translate_query_job(image, str(q))
+        # the rebuilt image has blocks of its own
+        blocks = [block for _at, block in problem.blocks]
+        assert (blocks == [image.fact_block, image.unit_block]) == (name != "rebuild"), name
+        merged = th0.problem_text(problem, reproducible=True)
+        one_by_one = th0.problem_text(dataclasses.replace(problem, blocks=()), reproducible=True)
+        assert merged == one_by_one, name
+        assert merged == text_of(kbs, str(q)), name
+        assert th0.check_text(merged) == [], name
+    # what each query puts where it does
+    texts = {
+        name: text_of(image, str(tmp_path / f"{name}.kif")) for name in BLOCK_QUERIES
+    }
+    minted = texts["minted_facts"]
+    assert (
+        minted.index("thf(rel_s_partition_5f0_arity,")
+        < minted.index("thf(rel_s_likes_arity,")
+        < minted.index("thf(rel_s_hates_arity,")
+        < minted.index("thf(kb_kb_")
+        < minted.index("thf(local_0,")
+    )
+
+    def definitions(text):
+        return re.findall(r"^thf\((def_\w+), definition,", text, re.M)
+
+    # the row query reorders the background: it needs len itself
+    assert definitions(texts["row_len"]) != definitions(minted)
+    assert sorted(definitions(texts["row_len"])) == sorted(definitions(minted))
+    # the query's three separations; the KB with separations has the
+    # conjecture's already, and its definition (bound variable Z) comes first
+    local_seps = texts["local_seps"]
+    assert len(definitions(local_seps)) == len(definitions(minted)) + 3 - with_seps
+    conj_sep = re.search(
+        r"^thf\(conj, conjecture, \(in @ s_Bob_5f0 @ (sep_\w+)\)\)\.$", local_seps, re.M
+    )
+    bound = "Z" if with_seps else "X"
+    assert f"thf(def_{conj_sep.group(1)}, definition, (![{bound} : $i]:" in local_seps
+    assert "rel_s_employs_5f1_domseq1" not in texts["rebuild"]
+
+
+def test_a_query_constant_clashing_with_a_kb_constant_is_an_error(tmp_path):
+    image = translate.compile_kb([renamed_kb(tmp_path, 3)])
+    q = tmp_path / "q.kif"
+    q.write_text(BLOCK_QUERIES["minted_facts"] + "\n")
+    problem, _skips, _tr = translate.translate_query_job(image, str(q))
+    # a constant of the KB's units only, which the query does not mention
+    assert image.unit_block.type_of("s_Acme_5f1") == IOTA
+    assert image.fact_block.type_of("s_Acme_5f1") is None
+    assert "Acme" not in BLOCK_QUERIES["minted_facts"]
+    clash = App(Const("s_Acme_5f1", Arrow(IOTA, OMICRON)), cc("emptyset"))
+    # in the conjecture, merged after both blocks
+    with pytest.raises(th0.Th0Error, match="constant s_Acme_5f1 used at two types"):
+        th0.problem_text(dataclasses.replace(problem, conjecture=clash))
+    # in a query fact, merged before the unit block
+    at = next(i for i, p in enumerate(problem.premises) if p[0] == "rel_s_likes_arity")
+    premises = list(problem.premises)
+    premises[at] = (premises[at][0], "axiom", clash)
+    with pytest.raises(th0.Th0Error, match="constant s_Acme_5f1 used at two types"):
+        th0.problem_text(dataclasses.replace(problem, premises=premises))
+    # neither leaves anything behind in the image
+    assert text_of(image, str(q)) == text_of([renamed_kb(tmp_path, 3)], str(q))
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_unit_needs_read_off_its_record_equal_catalog_needs(setting, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    opts = SETTINGS[setting]
+    image = image_of([KB], **opts)
+    units = list(image.units)
+    conjectures = []
+    for query in QUERIES:
+        tr = translate.Translator(image.sig, **opts)
+        lowered = translate.load_lowered(query)
+        local, conj, _skips = translate.translate_file(tr, query, lowered, "local")
+        units += local
+        conjectures.append(conj)
+    assert units
+    for unit in units:
+        assert unit.needs == frozenset(CATALOG.needs([unit.term])), unit.name
+        assert unit.record.text.startswith(f"thf({unit.name}, axiom, ")
+    for conj in conjectures:
+        record = th0.render_premise("conj", "conjecture", conj)
+        assert th0.catalog_needs(record) == frozenset(CATALOG.needs([conj]))

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from sumok2set import th0, translate
-from sumok2set.catalog import cc, ord_of
+from sumok2set.catalog import CATALOG, cc, ord_of
 from sumok2set.hostterm import (
     All,
     App,
@@ -649,3 +649,13 @@ def test_render_premise_differential_pinned():
         seps = [(sep, d.text, _pin_consts(d), d.seps) for sep, d in rec.seps]
         digest.update(repr((rec.text, _pin_consts(rec), seps)).encode("utf-8") + b"\n")
     assert digest.hexdigest() == RENDER_PREMISE_DIGEST
+
+
+def test_catalog_needs_of_a_record_equal_catalog_needs_of_its_term():
+    # the corpus of test_render_premise_differential_pinned
+    rng = random.Random(2027)
+    for i in range(2000):
+        role = rng.choice(("axiom", "axiom", "definition", "conjecture"))
+        term = _gen_premise(rng)
+        record = th0.render_premise(f"ax_{i}", role, term)
+        assert th0.catalog_needs(record) == frozenset(CATALOG.needs([term])), i
