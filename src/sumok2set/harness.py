@@ -52,10 +52,12 @@ class ProverDef:
     template: tuple  # argv words, may contain {file} and {timeout}
 
     def argv(self, file: str, timeout: float) -> list:
+        """The command for one job; {timeout} is in whole seconds, rounded up."""
+        seconds = str(math.ceil(timeout))
         out = []
         for word in self.template:
             word = word.replace("{file}", file)
-            word = word.replace("{timeout}", str(int(timeout)))
+            word = word.replace("{timeout}", seconds)
             out.append(word)
         return out
 

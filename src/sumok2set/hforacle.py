@@ -561,9 +561,6 @@ class Evaluator:
         """
         return _compile(self, t, tuple(env))(tuple(env.values()))
 
-    def apply(self, fn, arg):
-        return _apply(fn, arg)
-
     def members(self, value):
         if isinstance(value, _Omega):
             return [nat(i) for i in range(self.horizon + 1)]

@@ -587,14 +587,6 @@ def _variables(node, bound, rows, free, names):
         _variables(child, bound, rows, free, names)
 
 
-def formula_free_vars(formula):
-    """Free variables of a formula in first-occurrence order.
-
-    Returns a list of (name, is_row) pairs.
-    """
-    return variables(formula)[0]
-
-
 _BUILTIN_SURFACE = {REAL: "RealNumber", NEGREAL: "NegativeRealNumber", NONNEGREAL: "NonnegativeRealNumber"}
 _ARITH_SURFACE = {ARITH_ADD: "AdditionFn", ARITH_SUB: "SubtractionFn", ARITH_MULT: "MultiplicationFn", ARITH_DIV: "DivisionFn"}
 

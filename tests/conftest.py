@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sumok2set import sexpr, signature, sumo
+from sumok2set import sexpr, signature, sumo, th0
 
 FIXTURES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -43,3 +43,11 @@ def sig_from(source):
 def merge_sig():
     with open(fixture_path("merge_fragment.kif")) as fh:
         return sig_from(fh.read())
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty memo of verified records, in place of the process's own."""
+    memo = th0.RecordMemo(th0.MEMO_BYTES)
+    monkeypatch.setattr(th0, "CHECK_MEMO", memo)
+    return memo

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import fixture_path, formula_of, sig_from
+from termhelpers import alpha_eq
 from sumok2set import catalog, cli, harness, hforacle, th0, translate
 from sumok2set.catalog import cc, ord_of
 from sumok2set.hostterm import (
@@ -25,7 +26,6 @@ from sumok2set.hostterm import (
     Mem,
     Sep,
     Var,
-    alpha_eq,
     app,
     imp_chain,
     typecheck,

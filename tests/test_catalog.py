@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 
 from sumok2set import catalog
 from sumok2set.catalog import CATALOG, encode_nat, encode_rational, ord_of
-from sumok2set.hostterm import IOTA, OMICRON, Const, const_names, typecheck
+from sumok2set.hostterm import IOTA, OMICRON, Const, typecheck
+
+from termhelpers import const_names
 
 
 def ordc(n):

@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import os
+import re
 import stat
 
 import pytest
@@ -255,6 +256,50 @@ def test_check_ok_and_bad_files(tmp_path, capsys):
     code, out, err = run_cli(["check", "--keep-going", str(bad), str(good)], capsys)
     assert code == 1
     assert f"{good}: ok" in out
+
+
+def _tampered(text):
+    """Three faulty copies of a fixture problem, each by whole records."""
+    line = "thf(ty_nat_p, type, nat_p : $i > $o)."
+    retyped = text.replace(line, line.replace("$o", "$i"))
+    line = "thf(ty_ordsucc, type, ordsucc : $i > $i).\n"
+    moved = text.replace(line, "").replace("thf(conj,", line + "thf(conj,")
+    first, second = re.findall(r"^thf\((\w+), axiom,", text, re.M)[:2]
+    duplicated = text.replace(f"thf({second}, axiom,", f"thf({first}, axiom,", 1)
+    return {"retyped": retyped, "moved": moved, "duplicated": duplicated}
+
+
+def test_check_of_many_files_prints_what_one_check_per_file_prints(tmp_path, capsys, monkeypatch):
+    from sumok2set import th0
+
+    paths = []
+    for q in ("tqg3", "tqg11", "tqg22alt4", "tqg27", "wordex"):
+        out_file = tmp_path / f"{q}.p"
+        kb = fixture_path("merge_fragment.kif")
+        code, _out, _err = run_cli(
+            ["translate", "--reproducible", "--kb", kb, "-o", str(out_file), fixture_path(f"{q}.kif")],
+            capsys,
+        )
+        assert code == 0
+        paths.append(str(out_file))
+    for name, text in _tampered((tmp_path / "tqg3.p").read_text()).items():
+        (tmp_path / f"{name}.p").write_text(text)
+        paths.append(str(tmp_path / f"{name}.p"))
+
+    def check(files):
+        monkeypatch.setattr(th0, "CHECK_MEMO", th0.RecordMemo(th0.MEMO_BYTES))
+        return run_cli(["check", "--keep-going", *files], capsys)
+
+    # the tampered copies last meet a warm memo, first a cold one
+    for order, codes in ((paths, [0] * 5 + [1] * 3), (paths[::-1], [1] * 3 + [0] * 5)):
+        alone = [check([path]) for path in order]
+        assert [c for c, _o, _e in alone] == codes
+        code, out, err = check(order)
+        assert out == "".join(o for _c, o, _e in alone)
+        assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 9  # the retyped copy has two diagnostics
+    assert all(line.endswith(": ok") for line in lines[4:])
 
 
 def test_check_missing_file(tmp_path, capsys):

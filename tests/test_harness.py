@@ -99,6 +99,14 @@ def test_prover_argv_substitution():
     assert p.argv("/tmp/a.p", 30.0) == ["eprover", "/tmp/a.p", "--cpu-limit=30"]
 
 
+def test_prover_argv_rounds_a_fractional_timeout_up():
+    # int() would hand a 0.5 s budget to the prover as 0
+    p = hn.ProverDef("e", ("eprover", "--cpu-limit={timeout}", "{file}"))
+    assert p.argv("a.p", 0.5) == ["eprover", "--cpu-limit=1", "a.p"]
+    assert p.argv("a.p", 2.25) == ["eprover", "--cpu-limit=3", "a.p"]
+    assert p.argv("a.p", 3.0) == ["eprover", "--cpu-limit=3", "a.p"]
+
+
 def test_parse_szs_first_line_wins():
     out = "% comment\n% SZS status Theorem for x\n% SZS status GaveUp\n"
     assert hn.parse_szs(out) == "Theorem"

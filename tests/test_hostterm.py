@@ -32,13 +32,10 @@ from sumok2set.hostterm import (
     TypeMismatch,
     Var,
     HostType,
-    alpha_eq,
     app,
     arrow,
     children,
     conj_chain,
-    const_names,
-    consts,
     free_vars,
     imp_chain,
     rebuild,
@@ -48,6 +45,7 @@ from sumok2set.hostterm import (
 )
 
 from conftest import formula_of
+from termhelpers import alpha_eq, const_names, consts
 
 O = OMICRON
 

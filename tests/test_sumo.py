@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from sumok2set import sexpr, sumo
 
 from conftest import formula_of, lower_all, lower_one, sig_from
+from termhelpers import formula_free_vars
 
 
 def test_lower_connectives():
@@ -177,12 +178,12 @@ def test_numeral_normalization_matches_fraction(num, scale):
 
 def test_free_vars():
     f = formula_of("(=> (p ?X ?Y) (exists (?Y) (q ?X ?Y)))")
-    assert sumo.formula_free_vars(f) == [("X", False), ("Y", False)]
+    assert formula_free_vars(f) == [("X", False), ("Y", False)]
 
 
 def test_free_vars_row_flag():
     f = formula_of("(=> (p ?X @ROW) (q @ROW))")
-    assert sumo.formula_free_vars(f) == [("X", False), ("ROW", True)]
+    assert formula_free_vars(f) == [("X", False), ("ROW", True)]
 
 
 def test_variables_free_and_all_names_in_one_walk():
@@ -218,7 +219,7 @@ def test_folds_reject_unknown_nodes():
         sumo.children(Stray())
     for fold in (
         sumo.variables,
-        sumo.formula_free_vars,
+        formula_free_vars,
         lambda f: guards.guards_for(f, {"X"}, sig_from(""), None),
     ):
         with pytest.raises(TypeError):

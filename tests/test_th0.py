@@ -1,9 +1,12 @@
 """TH0 rendering, parsing, and checking tests."""
 
+import gc
 import hashlib
 import random
 import re
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -381,68 +384,73 @@ def test_fixture_problems_round_trip(tmp_path):
 
 # Diagnostics pinned with the line and column the parser works out from
 # token offsets.
-@pytest.mark.parametrize(
-    "text,diag",
-    [
-        (
-            "thf(ty_a, type, a : $o).\nthf(conj, conjecture,\n    (a & #a)).\n",
-            "parse error at 3:10: bad character '#'",
-        ),
-        (
-            "thf(ty_a, type, a : $o).\r\nthf(conj, conjecture,\r\n\t(a <= a)).\r\n",
-            "parse error at 3:5: bad character '<'",
-        ),
-        (
-            "thf(ty_a, type, a : $o).\n% note\n\nthf(conj, conjecture, (a & )).\n",
-            "parse error at 4:28: unexpected token ')'",
-        ),
-        (
-            "thf(ty_a, type, a : $o).\nthf(conj, conjecture,\n    (a & a)",
-            "parse error: unexpected end of input",
-        ),
-        # comments are rendered first, so one between records is not canonical
-        (
-            "thf(ty_a, type, a : $o).\n% between\nthf(conj, conjecture, a).\n",
-            "text is not in canonical form (render of parse differs)",
-        ),
-        (
-            "thf(ty_a, type, a : $o).\nthf(conj, conjecture, <).\n",
-            "parse error at 2:23: bad character '<'",
-        ),
-        (
-            "thf(ty_a, type, a : $o).\nthf(conj, conjecture, (a < a)).\n",
-            "parse error at 2:26: bad character '<'",
-        ),
-        # a bad character anywhere is reported ahead of an earlier grammar error
-        (
-            "thf(ty_a, type, a : $o).\nthf(conj, conjecture, (a & )).\n"
-            "thf(ty_b, type, b : $o).\n  %ok\nthf(x, axiom, (b # b)).\n",
-            "parse error at 5:18: bad character '#'",
-        ),
-        (
-            "thf(ty_a, type, a : $o).\nthf(conj, conjecture, a).\né",
-            "parse error at 3:1: bad character 'é'",
-        ),
-        # positions after a mid-text comment that holds tokens of its own
-        (
-            "thf(ty_a, type, a : $o).\n% (a & ) # unbalanced\n\nthf(p, axiom,\n"
-            "    (a => a => a)).\nthf(conj, conjecture, a).\n",
-            "parse error at 5:8: operator '=>' is binary",
-        ),
-        (
-            "thf(ty_a, type, a : $o).\n% note\nthf(conj, conjecture, (a & b)).\n",
-            "parse error at 3:28: undeclared symbol 'b'",
-        ),
-        (
-            "thf(ty_a, type, a : $o).thf(conj, conjecture, a).\n",
-            "text is not in canonical form (render of parse differs)",
-        ),
-        ("", "parse error: missing conjecture"),
-        ("   \n\n", "parse error: missing conjecture"),
-        ("% only\n", "parse error: missing conjecture"),
-    ],
-)
-def test_check_text_diagnostics_pinned(text, diag):
+_PINNED_DIAGNOSTICS = [
+    (
+        "thf(ty_a, type, a : $o).\nthf(conj, conjecture,\n    (a & #a)).\n",
+        "parse error at 3:10: bad character '#'",
+    ),
+    (
+        "thf(ty_a, type, a : $o).\r\nthf(conj, conjecture,\r\n\t(a <= a)).\r\n",
+        "parse error at 3:5: bad character '<'",
+    ),
+    (
+        "thf(ty_a, type, a : $o).\n% note\n\nthf(conj, conjecture, (a & )).\n",
+        "parse error at 4:28: unexpected token ')'",
+    ),
+    (
+        "thf(ty_a, type, a : $o).\nthf(conj, conjecture,\n    (a & a)",
+        "parse error: unexpected end of input",
+    ),
+    # comments are rendered first, so one between records is not canonical
+    (
+        "thf(ty_a, type, a : $o).\n% between\nthf(conj, conjecture, a).\n",
+        "text is not in canonical form (render of parse differs)",
+    ),
+    (
+        "thf(ty_a, type, a : $o).\nthf(conj, conjecture, <).\n",
+        "parse error at 2:23: bad character '<'",
+    ),
+    (
+        "thf(ty_a, type, a : $o).\nthf(conj, conjecture, (a < a)).\n",
+        "parse error at 2:26: bad character '<'",
+    ),
+    # a bad character anywhere is reported ahead of an earlier grammar error
+    (
+        "thf(ty_a, type, a : $o).\nthf(conj, conjecture, (a & )).\n"
+        "thf(ty_b, type, b : $o).\n  %ok\nthf(x, axiom, (b # b)).\n",
+        "parse error at 5:18: bad character '#'",
+    ),
+    (
+        "thf(ty_a, type, a : $o).\nthf(conj, conjecture, a).\né",
+        "parse error at 3:1: bad character 'é'",
+    ),
+    # positions after a mid-text comment that holds tokens of its own
+    (
+        "thf(ty_a, type, a : $o).\n% (a & ) # unbalanced\n\nthf(p, axiom,\n"
+        "    (a => a => a)).\nthf(conj, conjecture, a).\n",
+        "parse error at 5:8: operator '=>' is binary",
+    ),
+    (
+        "thf(ty_a, type, a : $o).\n% note\nthf(conj, conjecture, (a & b)).\n",
+        "parse error at 3:28: undeclared symbol 'b'",
+    ),
+    (
+        "thf(ty_a, type, a : $o).thf(conj, conjecture, a).\n",
+        "text is not in canonical form (render of parse differs)",
+    ),
+    ("", "parse error: missing conjecture"),
+    ("   \n\n", "parse error: missing conjecture"),
+    ("% only\n", "parse error: missing conjecture"),
+]
+
+
+@pytest.mark.parametrize("text,diag", _PINNED_DIAGNOSTICS)
+def test_check_text_diagnostics_pinned(text, diag, cold_memo):
+    assert check_text(text) == [diag]
+
+
+@pytest.mark.parametrize("text,diag", _PINNED_DIAGNOSTICS)
+def test_check_text_diagnostics_pinned_warm_memo(text, diag, warm_memo):
     assert check_text(text) == [diag]
 
 
@@ -477,6 +485,30 @@ _MUTATION_WORD = re.compile(r"[A-Za-z0-9_$]+")
 _MUTATION_TOKEN = re.compile(r"[A-Za-z0-9_$]+|<=>|=>|[^ \t\r\n]")
 _MUTATION_CHARS = " \t\r\n()[]:,.@&|~!?^=<>%#$_aZ9é"
 MUTATION_DIGEST = "7e7cb01c6d319c02255876f0f02408d34f7a636a8604253ed9a14e01c3f20e9a"
+
+
+@pytest.fixture(scope="module")
+def fixture_problems():
+    """The problems of the mutation queries, with paths relative to the fixtures."""
+    with pytest.MonkeyPatch.context() as mp:
+        # relative paths, as skipped-form comments quote them
+        mp.chdir(FIXTURES)
+        return [
+            problem_text(translate.translate_query_job(["merge_fragment.kif"], q)[0], reproducible=True)
+            for q in _MUTATION_QUERIES
+        ]
+
+
+_SMALL_CLEAN = "thf(ty_a, type, a : $o).\nthf(p, axiom, a).\nthf(conj, conjecture, a).\n"
+
+
+@pytest.fixture
+def warm_memo(cold_memo, fixture_problems):
+    """A memo of verified records warmed on the fixture problems and a small one."""
+    for text in fixture_problems + [_SMALL_CLEAN]:
+        assert check_text(text) == []
+    assert _SMALL_CLEAN.split("\n")[1] in cold_memo.entries
+    return cold_memo
 
 
 def _records(text):
@@ -532,16 +564,162 @@ def _mutants(bases, n, seed):
             yield text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
 
 
-def test_check_text_mutation_diagnostics_pinned(monkeypatch):
-    monkeypatch.chdir(FIXTURES)
-    bases = []
-    for q in _MUTATION_QUERIES:
-        prob, _skips, _tr = translate.translate_query_job(["merge_fragment.kif"], q)
-        bases.append(problem_text(prob, reproducible=True))
+def _mutation_digest(bases):
     digest = hashlib.sha256()
     for text in _mutants(bases, 2000, 8):
         digest.update(repr(check_text(text)).encode("utf-8") + b"\n")
-    assert digest.hexdigest() == MUTATION_DIGEST
+    return digest.hexdigest()
+
+
+def test_check_text_mutation_diagnostics_pinned(fixture_problems, cold_memo):
+    assert _mutation_digest(fixture_problems) == MUTATION_DIGEST
+
+
+def test_check_text_mutation_diagnostics_pinned_warm_memo(fixture_problems, warm_memo):
+    assert _mutation_digest(fixture_problems) == MUTATION_DIGEST
+
+
+# The memo of verified records: a warm memo confirms clean problems without
+# parsing what it holds, and every other problem is diagnosed as with an
+# empty memo.
+
+
+def _cold_check(text):
+    """check_text's diagnostics with an empty memo."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(th0, "CHECK_MEMO", th0.RecordMemo(th0.MEMO_BYTES))
+        return check_text(text)
+
+
+def test_memo_confirms_a_known_problem_without_parsing(warm_memo, fixture_problems, monkeypatch):
+    def no_parse(*args):
+        raise AssertionError("parsed a problem the memo holds")
+
+    monkeypatch.setattr(th0, "_Parser", no_parse)
+    monkeypatch.setattr(th0, "parse_doc", no_parse)
+    for text in fixture_problems:
+        assert check_text(text) == []
+
+
+def test_memo_same_record_under_another_type(warm_memo, fixture_problems):
+    text = _SMALL_CLEAN.replace("a : $o", "a : $i")
+    diags = ["p: formula has type $i, not $o", "conj: formula has type $i, not $o"]
+    assert check_text(text) == _cold_check(text) == diags
+    line = "thf(ty_nat_p, type, nat_p : $i > $o)."
+    text = fixture_problems[0].replace(line, line.replace("$o", "$i"))
+    assert check_text(text) == _cold_check(text) == [
+        "def_natp: ill-typed: expected $o, found $i",
+        "def_cons: ill-typed: expected $o, found $i",
+    ]
+
+
+def test_memo_record_whose_constant_is_declared_after_it(warm_memo, fixture_problems):
+    text = "thf(p, axiom, a).\nthf(ty_a, type, a : $o).\nthf(conj, conjecture, a).\n"
+    assert check_text(text) == _cold_check(text) == ["parse error at 1:15: undeclared symbol 'a'"]
+    line = "thf(ty_ordsucc, type, ordsucc : $i > $i).\n"
+    text = fixture_problems[0].replace(line, "").replace("thf(conj,", line + "thf(conj,")
+    assert check_text(text) == _cold_check(text) == [
+        "parse error at 81:64: undeclared symbol 'ordsucc'"
+    ]
+
+
+@pytest.mark.parametrize(
+    "premises",
+    ["thf(p, axiom, a).\nthf(p, axiom, (a & a)).\n", "thf(p, axiom, (a & a)).\nthf(p, axiom, a).\n"],
+    ids=["hit-then-miss", "miss-then-hit"],
+)
+def test_memo_duplicate_name_across_a_hit_and_a_miss(warm_memo, premises):
+    text = "thf(ty_a, type, a : $o).\n" + premises + "thf(conj, conjecture, a).\n"
+    assert check_text(text) == _cold_check(text) == ["parse error at 3:5: duplicate record name p"]
+
+
+def _record_edits(bases, n, seed):
+    """Seeded edits of whole records: drop, repeat, move, retype or rename one."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        text = rng.choice(bases)
+        head = text[: text.index("thf(")]
+        recs = ["thf(" + r for r in text[len(head) + 4 : -1].split("\nthf(")]
+        i = rng.randrange(len(recs))
+        kind = rng.randrange(5)
+        if kind == 0:
+            del recs[i]
+        elif kind == 1:
+            recs.insert(rng.randrange(len(recs) + 1), recs[i])
+        elif kind == 2:
+            recs.insert(rng.randrange(len(recs)), recs.pop(i))
+        elif kind == 3:
+            decls = [r for r in recs if r.startswith("thf(ty_")]
+            old = rng.choice(decls)
+            ty = rng.choice(decls).split(" : ", 1)[1]
+            recs[recs.index(old)] = old.split(" : ", 1)[0] + " : " + ty
+        else:
+            name = recs[i][4 : recs[i].index(",")]
+            j = rng.randrange(len(recs))
+            recs[j] = "thf(" + name + recs[j][recs[j].index(",") :]
+        yield head + "\n".join(recs) + "\n"
+
+
+def test_memo_record_edits_diagnosed_as_with_an_empty_memo(warm_memo, fixture_problems):
+    diagnosed = 0
+    for text in _record_edits(fixture_problems, 120, 3):
+        cold = _cold_check(text)
+        assert check_text(text) == cold
+        diagnosed += bool(cold)
+    assert diagnosed > 60
+
+
+def test_memo_holds_only_problems_that_checked_clean(cold_memo):
+    assert check_text(_SMALL_CLEAN.replace("(conj, conjecture, a)", "(conj, conjecture, b)"))
+    assert check_text(_SMALL_CLEAN.replace("\nthf(p", "\n%\nthf(p"))
+    assert cold_memo.entries == {} and cold_memo.size == 0
+
+
+def test_memo_evicts_its_oldest_records_at_the_byte_bound():
+    memo = th0.RecordMemo(100)
+    records = [(f"r{i}" + "x" * 18, ("axiom",)) for i in range(6)]  # 20 bytes each
+    memo.add(records[:4])
+    assert (memo.size, len(memo.entries)) == (80, 4)
+    memo.add(records[4:] + [("r9" + "x" * 99, ("axiom",))])  # the last is over the bound
+    # 120 bytes pass the bound: the oldest go, down to three quarters of it
+    assert list(memo.entries) == [text for text, _ in records[3:]]
+    assert memo.size == 60
+
+
+def test_memo_checks_a_corpus_larger_than_its_bound(monkeypatch, fixture_problems):
+    memo = th0.RecordMemo(sum(map(len, fixture_problems)) // 3)
+    monkeypatch.setattr(th0, "CHECK_MEMO", memo)
+    for _ in range(2):
+        for text in fixture_problems:
+            assert check_text(text) == []
+            assert 0 < memo.size <= memo.limit
+            assert memo.size == sum(map(len, memo.entries))
+
+
+def test_memo_shared_by_threads_keeps_its_byte_count(monkeypatch, fixture_problems):
+    memo = th0.RecordMemo(sum(map(len, fixture_problems)) // 2)
+    monkeypatch.setattr(th0, "CHECK_MEMO", memo)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(check_text, text) for text in fixture_problems * 4]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[]] * len(futures)
+    assert memo.size == sum(map(len, memo.entries)) <= memo.limit
+
+
+def test_memo_entries_hold_only_strings_and_are_untracked(cold_memo, fixture_problems):
+    for text in fixture_problems:
+        assert check_text(text) == []
+    gc.collect()
+    entries = list(cold_memo.entries.values())
+    assert entries
+    for entry in entries:
+        assert all(type(part) is str for part in entry)
+        assert not gc.is_tracked(entry)
 
 
 # A seeded corpus of host terms for the premise renderer.  It puts Mem,

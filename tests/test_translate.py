@@ -23,7 +23,6 @@ from sumok2set.hostterm import (
     Neg,
     Sep,
     Var,
-    alpha_eq,
     app,
     imp_chain,
     typecheck,
@@ -32,6 +31,7 @@ from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
 from sumok2set.translate import LIST, Translator, mangle, translate_query_job
 
 from conftest import fixture_path, formula_of, lower_all, sig_from
+from termhelpers import alpha_eq
 
 
 def istrue(t):
