@@ -21,6 +21,12 @@ ATOM_STRING = "string"
 
 _NUMERAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
 
+# How deeply parse_forms lets lists nest; a top-level form is at depth 1.
+# Every later pass recurses over the forms, so deeper input is refused here,
+# at its first open paren past the bound, rather than by the interpreter's
+# recursion limit somewhere downstream.
+MAX_DEPTH = 64
+
 
 @dataclass(frozen=True, slots=True)
 class Span:
@@ -153,7 +159,8 @@ def parse_forms(source: str, file: str = "<kif>") -> list:
     """Read all top-level forms from ``source``.
 
     Empty input yields an empty list.  Unbalanced parentheses raise
-    UnbalancedParens with the offending span.
+    UnbalancedParens with the offending span, and a list nested deeper than
+    MAX_DEPTH raises KifSyntaxError at its open paren.
     """
     top: list = []
     items = top  # the list being filled
@@ -162,6 +169,8 @@ def parse_forms(source: str, file: str = "<kif>") -> list:
         if isinstance(tok, Atom):
             items.append(tok)
         elif tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise KifSyntaxError(f"lists nested deeper than {MAX_DEPTH}", span)
             stack.append((items, span))
             items = []
         elif not stack:

@@ -275,31 +275,3 @@ def close_vararity(sig: Signature) -> Signature:
             break
     sig.report.iterations = iterations
     return sig
-
-
-def dump(sig: Signature) -> str:
-    """Deterministic one-constant-per-line debug dump."""
-    lines = []
-    for name in sorted(sig.consts):
-        info = sig.consts[name]
-        doms = []
-        for idx in sorted(info.arg_domain):
-            cls, mode = info.arg_domain[idx]
-            note = ""
-            if idx in info.inherited_slots:
-                note = ",inherited"
-            elif idx in info.filled_slots:
-                note = ",filled"
-            doms.append(f"dom{idx}={cls}({mode}{note})")
-        rng = "-"
-        if info.range is not None:
-            rng = f"{info.range[0]}({info.range[1]}{',inherited' if info.inherited_range else ''})"
-        lines.append(
-            f"{name} minArity={info.min_arity} varArity={str(info.var_arity).lower()} "
-            + " ".join(doms)
-            + (" " if doms else "")
-            + f"range={rng}"
-            + (f" subrelationOf={','.join(info.subrelation_of)}" if info.subrelation_of else "")
-            + (f" instanceOf={','.join(info.instance_of)}" if info.instance_of else "")
-        )
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -585,82 +585,3 @@ def _variables(node, bound, rows, free, names):
             rows = rows | set(b[1])
     for child in children(node):
         _variables(child, bound, rows, free, names)
-
-
-_BUILTIN_SURFACE = {REAL: "RealNumber", NEGREAL: "NegativeRealNumber", NONNEGREAL: "NonnegativeRealNumber"}
-_ARITH_SURFACE = {ARITH_ADD: "AdditionFn", ARITH_SUB: "SubtractionFn", ARITH_MULT: "MultiplicationFn", ARITH_DIV: "DivisionFn"}
-
-
-def rat_lexeme(r: Rat) -> str:
-    sign = "-" if r.num < 0 else ""
-    digits = str(abs(r.num))
-    if r.scale == 0:
-        return sign + digits
-    digits = digits.rjust(r.scale + 1, "0")
-    return f"{sign}{digits[:-r.scale]}.{digits[-r.scale:]}"
-
-
-def term_to_kif(t) -> str:
-    if isinstance(t, Var):
-        return "?" + t.name
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Rat):
-        return rat_lexeme(t)
-    if isinstance(t, Builtin):
-        return _BUILTIN_SURFACE[t.which]
-    if isinstance(t, Apply):
-        return "(" + " ".join([term_to_kif(t.head)] + _spine_to_kif(t.spine)) + ")"
-    if isinstance(t, Kappa):
-        return f"(KappaFn ?{t.var} {to_kif(t.body)})"
-    if isinstance(t, Arith):
-        return f"({_ARITH_SURFACE[t.op]} {term_to_kif(t.left)} {term_to_kif(t.right)})"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _spine_to_kif(s) -> list:
-    if isinstance(s, TermSpine):
-        return [term_to_kif(t) for t in s.items]
-    parts = [term_to_kif(t) for t in s.prefix]
-    parts.append("@" + s.row)
-    parts.extend(term_to_kif(t) for t in s.suffix)
-    return parts
-
-
-def to_kif(f) -> str:
-    """Render a formula back to SUO-KIF concrete syntax."""
-    if isinstance(f, Bot):
-        return "(or)"  # no surface form; placeholder never produced by lower()
-    if isinstance(f, Top):
-        return "(and)"
-    if isinstance(f, Not):
-        return f"(not {to_kif(f.body)})"
-    if isinstance(f, Impl):
-        return f"(=> {to_kif(f.ante)} {to_kif(f.cons)})"
-    if isinstance(f, Iff):
-        return f"(<=> {to_kif(f.left)} {to_kif(f.right)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(to_kif(i) for i in f.items) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(to_kif(i) for i in f.items) + ")"
-    if isinstance(f, ForallVars):
-        return "(forall (" + " ".join("?" + n for n in f.names) + ") " + to_kif(f.body) + ")"
-    if isinstance(f, ExistsVars):
-        return "(exists (" + " ".join("?" + n for n in f.names) + ") " + to_kif(f.body) + ")"
-    if isinstance(f, ForallRow):
-        return f"(forall (@{f.name}) {to_kif(f.body)})"
-    if isinstance(f, ExistsRow):
-        return f"(exists (@{f.name}) {to_kif(f.body)})"
-    if isinstance(f, Eq):
-        return f"(equal {term_to_kif(f.left)} {term_to_kif(f.right)})"
-    if isinstance(f, Instance):
-        return f"(instance {term_to_kif(f.member)} {term_to_kif(f.cls)})"
-    if isinstance(f, Subclass):
-        return f"(subclass {term_to_kif(f.sub)} {term_to_kif(f.sup)})"
-    if isinstance(f, Lt):
-        return f"(lessThan {term_to_kif(f.left)} {term_to_kif(f.right)})"
-    if isinstance(f, Le):
-        return f"(lessThanOrEqualTo {term_to_kif(f.left)} {term_to_kif(f.right)})"
-    if isinstance(f, RelAtom):
-        return "(" + " ".join([term_to_kif(f.head)] + _spine_to_kif(f.spine)) + ")"
-    raise TypeError(f"not a formula: {f!r}")

@@ -8,11 +8,12 @@ with a defining equivalence emitted as a definition-role premise.
 
 Rendering is canonical: compound subterms are always parenthesized, binders
 take one variable each, and long records wrap greedily at 100 columns with a
-four space continuation indent.  Each premise is rendered on its own, into
-a Record, by one walk over its host term: the walk writes the text of the
-flattened term without building it, hoists each separation it meets, and
-records the constants in the order it writes them.  Only the inside of a
-separation is flattened to a term, for its key and its definition.  A
+four space continuation indent.  One walk (_PremiseWalk) writes every
+term.  Each premise is rendered on its own, into a Record, by the walk over
+its host term: it writes the text of the flattened term without building
+it, hoists each separation it meets, and records the constants in the order
+it writes them.  Only the inside of a separation is flattened to a term,
+for its key and its definition, which the same walk writes.  A
 problem is its records put together, with the separation definitions and
 type declarations merged in first-occurrence order; a run of records that
 many problems share, such as a knowledge base's, is merged once into a
@@ -25,9 +26,11 @@ tokens are checked for bad characters once, before parsing.  No offsets are
 kept; when an error is raised, a finditer with the same pattern finds the
 offending token again, and its line and column are worked out from its
 offset.  A parsed document shares one Const node per declared constant and
-one Var node per binder.  check_text confirms again, from their text alone,
-the records a memo holds from earlier problems that checked clean; a
-problem it cannot confirm that way is parsed and checked whole.
+one Var node per binder.  check_text goes through a problem record by
+record on one path: a record that a memo holds from earlier problems that
+checked clean is confirmed from its text alone, each run of the others is
+parsed in one scan and only then typechecked and rendered, and the layout
+of the records decides the rest of the canonical form.
 """
 
 from __future__ import annotations
@@ -220,43 +223,7 @@ def _binder(mark: str, t, body: str) -> str:
 
 def render_term(t) -> str:
     """Canonical fully parenthesized rendering of a flat term."""
-    cls = type(t)
-    if cls is App:
-        parts = []
-        while cls is App:
-            parts.append(render_term(t.arg))
-            t = t.fn
-            cls = type(t)
-        parts.append(render_term(t))
-        parts.reverse()
-        return "(" + " @ ".join(parts) + ")"
-    if cls is Var:
-        return _thf_var(t.name)
-    if cls is Const:
-        return t.name
-    if cls is All:
-        return _binder("![", t, render_term(t.body))
-    if cls is Imp:
-        return "(" + render_term(t.ante) + " => " + render_term(t.cons) + ")"
-    if cls is Conj:
-        return "(" + render_term(t.left) + " & " + render_term(t.right) + ")"
-    if cls is Eq:
-        return "(" + render_term(t.left) + " = " + render_term(t.right) + ")"
-    if cls is Ex:
-        return _binder("?[", t, render_term(t.body))
-    if cls is Neg:
-        return "(~ " + render_term(t.body) + ")"
-    if cls is Disj:
-        return "(" + render_term(t.left) + " | " + render_term(t.right) + ")"
-    if cls is Iff:
-        return "(" + render_term(t.left) + " <=> " + render_term(t.right) + ")"
-    if cls is Lam:
-        return _binder("^[", t, render_term(t.body))
-    if cls is Bot:
-        return "$false"
-    if cls is Top:
-        return "$true"
-    raise TypeError(f"cannot render {t!r}")
+    return _PremiseWalk(None).text(t)
 
 
 _IN, _SUBQ, _ITE = (cc(FLAT_CONST[cls]) for cls in (Mem, Subq, Ite))
@@ -265,12 +232,13 @@ _IN, _SUBQ, _ITE = (cc(FLAT_CONST[cls]) for cls in (Mem, Subq, Ite))
 class _PremiseWalk:
     """One walk from a host term to its flat rendering and its constants.
 
-    Writes what render_term writes for the flattened term, without building
-    it: Mem, Subq and Ite become applications of their FLAT_CONST
-    constants, and a separation its hoisted constant applied to its
-    parameters; a head of either kind merges into the spine it heads.  The
-    constants are recorded as they are written, and textual order is the
-    pre-order of the flat term.
+    Writes the canonical text of the flattened term, without building it:
+    Mem, Subq and Ite become applications of their FLAT_CONST constants,
+    and a separation its hoisted constant applied to its parameters; a head
+    of either kind merges into the spine it heads.  The constants are
+    recorded as they are written, and textual order is the pre-order of the
+    flat term.  On a flat term, which holds none of these nodes, no hoister
+    is needed: render_term is this walk with none.
     """
 
     def __init__(self, hoister: _SepHoister):
@@ -668,6 +636,7 @@ _OPS = frozenset(
 )
 _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$")
 _END = ""  # the sentinel after the last token; no token is empty
+_LOWER_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")  # what a TPTP constant is
 _BINOPS = {"&": Conj, "|": Disj, "=>": Imp, "<=>": Iff, "=": Eq}
 _BINDERS = {"!": All, "?": Ex, "^": Lam}
 
@@ -870,6 +839,8 @@ class _Parser:
             ty = self.parse_type()
             if not name.startswith("ty_") or name[3:] != const:
                 raise self.error(f"type record {name} must declare a matching constant", const_at)
+            if not _LOWER_WORD_RE.match(const):
+                raise self.error(f"declared constant {const!r} is not a lower word", const_at)
             body = decls[const] = Const(const, ty)
         elif role in ("axiom", "definition", "conjecture"):
             body = self.parse_formula({}, decls)
@@ -902,39 +873,8 @@ def parse_doc(text: str) -> Th0Doc:
     return doc
 
 
-def check_text(text: str) -> list:
-    """Diagnostics for rendered problem text; empty means well formed.
-
-    Checks grammar, unique record names, declarations before use, type
-    correctness of every formula at the boolean type, and byte idempotence
-    of the rendering.  A problem whose records CHECK_MEMO holds is
-    confirmed from them and a check of the rest (_memo_check); any other
-    problem, and every diagnostic, comes from a parse of the whole text.
-    """
-    if _memo_check(text, CHECK_MEMO):
-        return []
-    diags: list = []
-    try:
-        doc = parse_doc(text)
-    except Th0Error as err:
-        where = f" at {err.line}:{err.col}" if err.line else ""
-        return [f"parse error{where}: {err}"]
-    env = {}
-    for name, role, term in list(doc.premises) + [("conj", "conjecture", doc.conjecture)]:
-        try:
-            ty = typecheck(term, env)
-            if ty != OMICRON:
-                diags.append(f"{name}: formula has type {render_type(ty)}, not $o")
-        except TypeMismatch as err:
-            diags.append(f"{name}: ill-typed: {err}")
-    rendered = render_doc(doc)
-    if rendered != text:
-        diags.append("text is not in canonical form (render of parse differs)")
-    return diags
-
-
 # ---------------------------------------------------------------------------
-# The memo of verified records
+# Checking, with a memo of verified records
 #
 # The problems of a corpus repeat their knowledge base's records, so check
 # keeps the records it has seen check clean and confirms them again from
@@ -989,131 +929,165 @@ class RecordMemo:
 CHECK_MEMO = RecordMemo(MEMO_BYTES)  # one per process, shared by every check_text
 
 
+_RANK = {"type": 0, "axiom": 1, "definition": 1, "conjecture": 2}  # the layout's order of roles
+
+
+def check_text(text: str) -> list:
+    """Diagnostics for rendered problem text; empty means well formed.
+
+    Checks grammar, unique record names, declarations before use, type
+    correctness of every formula at the boolean type, and byte idempotence
+    of the rendering.  A parse error is the only diagnostic; otherwise the
+    type diagnostics of the premises come in order, then the conjecture's,
+    then the canonical-form one.  The text is checked record by record
+    (_RecordPass): CHECK_MEMO confirms the records it holds, and each run
+    of the others is parsed in one scan.
+    """
+    return _RecordPass(CHECK_MEMO).check(text, True)
+
+
 @functools.lru_cache(maxsize=256)
 def _type_of_text(text: str):
     return _Parser(text).parse_type()
 
 
-def _memo_check(text: str, memo: RecordMemo) -> bool:
-    """True when text is a clean problem, its known records read from memo.
+class _RecordPass:
+    """One check of a problem text, record by record.
 
-    The text is split at each line that starts with thf(; the lines before
-    the first must be comments as render_doc writes them.  A record memo
-    holds is a hit when each of its declarations is made by a type record
-    of this text, and each run of consecutive misses is checked as
-    check_text would check it (_Checked.misses).  False means only that
-    this path cannot confirm the text, not that check_text finds a fault in
-    it.
+    The text is split at each line that starts with thf(; what comes before
+    the first such line is its head, which must be comments as render_doc
+    writes them.  A record the memo holds is a hit, checked with no parse,
+    when its name is new and an earlier type record makes each declaration
+    of its entry.  Each run of the other records is parsed in one scan, and
+    only then typechecked and rendered (run).  A parse error in a run that
+    more records of the memo follow is found again with no hits, so the
+    whole text is one run and its first error is the one a parse of the
+    whole text meets.  The layout decides the rest of the canonical form:
+    type records, then premises, then the conjecture, and a final newline.
     """
-    if not text.endswith("\n"):
-        return False
-    at = -1
-    if not text.startswith("thf("):
-        at = text.find("\nthf(")
-        if at < 0:
-            return False
-        for line in text[:at].split("\n"):
-            comment = line[1:].lstrip(" ")
-            if line[:1] != "%" or line != ("% " + comment if comment else "%"):
-                return False
-    records = ["thf(" + part for part in text[at + 5 : -1].split("\nthf(")]
-    known = memo.entries
-    entries = [known.get(record) for record in records]
-    doc = _Checked()
-    i, n = 0, len(records)
-    while i < n:
-        entry = entries[i]
-        if entry is None:
-            j = i + 1
-            while j < n and entries[j] is None:
-                j += 1
-            if not doc.misses(records[i:j]):
-                return False
-            i = j
-            continue
-        record = records[i]
-        if not doc.layout(record[4 : record.index(",")], entry[0]):
-            return False
-        if entry[0] == "type":
-            doc.declared.add(entry[1])
-            doc.pending.append(entry[1])
-        elif not doc.declared.issuperset(entry[1:]):
-            return False
-        i += 1
-    if doc.phase != 2:
-        return False
-    memo.add(doc.fresh)
-    return True
 
-
-class _Checked:
-    """What the records of one problem checked so far have established."""
-
-    def __init__(self):
-        self.phase = 0  # 0 among type records, 1 among premises, 2 after the conjecture
+    def __init__(self, memo: RecordMemo):
+        self.memo = memo
         self.names: set = set()
-        self.declared: set = set()  # the declaration of each type record
-        self.decls: dict = {}  # constant -> its declaration, for the entries of misses
-        self.consts: dict = {}  # constant -> Const node, for parsing misses
-        self.pending: list = []  # declarations of type records that hit, not yet in decls
-        self.fresh: list = []  # (record text, entry) of each miss
+        self.declared: set = set()  # the declaration of each type record so far
+        self.pending: list = []  # declarations of type records that hit, not yet in consts
+        self.consts: dict = {}  # constant -> Const node, for parsing runs
+        self.decls: dict = {}  # constant -> its declaration, for memo entries
+        self.phase = 0  # the _RANK of the last record
+        self.canonical = True
+        self.conjecture = False
+        self.diags: list = []  # of the premises, in order
+        self.conj_diags: list = []
+        self.fresh: list = []  # (record text, entry) of each record parsed
 
-    def layout(self, name: str, role: str) -> bool:
-        """Take the next record's name and role: False when either is out of place.
+    def check(self, text: str, hits: bool) -> list:
+        if text.startswith("thf("):
+            first = 0
+        else:
+            first = text.find("\nthf(") + 1 or len(text)
+        end = max(first, len(text) - text.endswith("\n"))
+        records = ["thf(" + r for r in text[first + 4 : end].split("\nthf(")] if first < end else []
+        head = text[:first].split("\n")[:-1]
+        head_ok = all(line == "%" or line[:2] == "% " and line[2:3] not in ("", " ") for line in head)
+        self.canonical = head_ok and end < len(text)
+        known = self.memo.entries if hits and head_ok else {}
+        names, declared, pending = self.names, self.declared, self.pending
+        start = 0  # the first record of the run being collected
+        for i, record in enumerate(records):
+            entry = known.get(record)
+            if entry is None:
+                continue
+            if start < i and self.run(text, records, first, end, start, i):
+                return _RecordPass(self.memo).check(text, False)
+            name = record[4 : record.index(",")]
+            role = entry[0]
+            if name in names or role != "type" and not declared.issuperset(entry[1:]):
+                start = i
+                continue
+            names.add(name)
+            rank = _RANK[role]
+            if rank < self.phase:
+                self.canonical = False
+            self.phase = rank
+            if rank == 0:
+                declared.add(entry[1])
+                pending.append(entry[1])
+            elif rank == 2:
+                self.conjecture = True
+            start = i + 1
+        if start < len(records) or not records:
+            error = self.run(text, records, first, end, start, len(records))
+            if error:
+                return [error]
+        if not self.conjecture:
+            return ["parse error: missing conjecture"]
+        diags = self.diags + self.conj_diags
+        if not self.canonical:
+            diags.append("text is not in canonical form (render of parse differs)")
+        elif not diags:
+            self.memo.add(self.fresh)
+        return diags
 
-        Type records come first, then the premises, then the conjecture.
+    def run(self, text: str, records: list, first: int, end: int, a: int, b: int) -> str:
+        """Check records[a:b], a run the memo does not confirm: its parse error, or "".
+
+        The first run takes the head along and the last one what follows
+        the last record, so with no hits the run is the whole text.
         """
-        if name in self.names or self.phase == 2:
-            return False
-        self.names.add(name)
-        if role == "type":
-            return self.phase == 0
-        self.phase = 2 if role == "conjecture" else 1
-        return True
-
-    def misses(self, records: list) -> bool:
-        """Check a run of records the memo does not hold, as one text.
-
-        The run is parsed in one scan against the declarations before it,
-        each formula typechecked and each record rendered, as check_text
-        does with a whole text.  False when any of that fails, when the
-        layout breaks or the run holds a comment.
-        """
-        for decl in self.pending:
-            name = decl[: decl.index(" : ")]
-            self.decls[name] = decl
-            self.consts[name] = Const(name, _type_of_text(decl[len(name) + 3 :]))
-        self.pending.clear()
-        run = "\n".join(records)
-        entries = []
-        rendered = []
+        own = "\n".join(records[a:b])
+        run = (text[:first] if a == 0 else "") + own + (text[end:] if b == len(records) else "")
+        consts, decls = self.consts, self.decls
         try:
+            for decl in self.pending:
+                name = decl[: decl.index(" : ")]
+                decls[name] = decl
+                consts[name] = Const(name, _type_of_text(decl[len(name) + 3 :]))
+            self.pending.clear()
             parser = _Parser(run)
-            if parser.comments:
-                return False
             reads = parser.reads
-            names: set = set()  # those of the run; layout checks them against the rest
+            parsed = []
             while parser.toks[parser.i]:
+                parsed.append(parser.record(consts, self.names) + (tuple(reads),))
                 reads.clear()
-                name, role, body = parser.record(self.consts, names)
-                if not self.layout(name, role):
-                    return False
-                if role == "type":
+            rendered = []
+            entries = []
+            for name, role, body, read in parsed:
+                rank = _RANK[role]
+                if rank < self.phase:
+                    self.canonical = False
+                self.phase = rank
+                if rank == 0:
                     decl = sys.intern(f"{body.name} : {render_type(body.ty)}")
-                    self.decls[body.name] = decl
+                    decls[body.name] = decl
                     self.declared.add(decl)
-                    entries.append(("type", decl))
-                    rendered.append(render_record(name, role, decl))
-                else:
-                    if typecheck(body) != OMICRON:
-                        return False
-                    entries.append((sys.intern(role), *map(self.decls.__getitem__, reads)))
+                    if self.canonical:
+                        entries.append(("type", decl))
+                        rendered.append(render_record(name, role, decl))
+                    continue
+                self.conjecture |= rank == 2
+                diags = self.conj_diags if rank == 2 else self.diags
+                try:
+                    ty = typecheck(body)
+                    if ty != OMICRON:
+                        diags.append(f"{name}: formula has type {render_type(ty)}, not $o")
+                except TypeMismatch as err:
+                    diags.append(f"{name}: ill-typed: {err}")
+                if self.canonical:
+                    entries.append((sys.intern(role), *map(decls.__getitem__, read)))
                     rendered.append(render_record(name, role, render_term(body)))
-        except (Th0Error, TypeMismatch):
-            return False
-        if "\n".join(rendered) != run:
-            return False
-        # each record starts a line with thf( and its continuation lines
-        # start with spaces, so the rendered records are the given ones
-        self.fresh.extend(zip(records, entries))
-        return True
+        except RecursionError:
+            return "parse error: formulas nested too deeply"
+        except Th0Error as err:
+            if not err.line:
+                return f"parse error: {err}"
+            if a:  # the run starts at a line of its own: only the line moves
+                err.line += text.count("\n", 0, first) + sum(r.count("\n") + 1 for r in records[:a])
+            return f"parse error at {err.line}:{err.col}: {err}"
+        if self.canonical:
+            if "\n".join(rendered) == own:
+                # each record starts a line with thf( and its continuation
+                # lines start with spaces, so the rendered records are these
+                self.fresh.extend(zip(records[a:b], entries))
+            else:
+                self.canonical = False
+        return ""

@@ -50,3 +50,90 @@ def formula_free_vars(formula):
     Returns a list of (name, is_row) pairs.
     """
     return sumo.variables(formula)[0]
+
+
+# ---------------------------------------------------------------------------
+# Printing lowered formulas back to SUO-KIF, for the print/lower fixed point
+
+_BUILTIN_SURFACE = {
+    sumo.REAL: "RealNumber", sumo.NEGREAL: "NegativeRealNumber", sumo.NONNEGREAL: "NonnegativeRealNumber",
+}
+_ARITH_SURFACE = {
+    sumo.ARITH_ADD: "AdditionFn", sumo.ARITH_SUB: "SubtractionFn",
+    sumo.ARITH_MULT: "MultiplicationFn", sumo.ARITH_DIV: "DivisionFn",
+}
+
+
+def rat_lexeme(r: sumo.Rat) -> str:
+    sign = "-" if r.num < 0 else ""
+    digits = str(abs(r.num))
+    if r.scale == 0:
+        return sign + digits
+    digits = digits.rjust(r.scale + 1, "0")
+    return f"{sign}{digits[:-r.scale]}.{digits[-r.scale:]}"
+
+
+def term_to_kif(t) -> str:
+    if isinstance(t, sumo.Var):
+        return "?" + t.name
+    if isinstance(t, sumo.Const):
+        return t.name
+    if isinstance(t, sumo.Rat):
+        return rat_lexeme(t)
+    if isinstance(t, sumo.Builtin):
+        return _BUILTIN_SURFACE[t.which]
+    if isinstance(t, sumo.Apply):
+        return "(" + " ".join([term_to_kif(t.head)] + _spine_to_kif(t.spine)) + ")"
+    if isinstance(t, sumo.Kappa):
+        return f"(KappaFn ?{t.var} {to_kif(t.body)})"
+    if isinstance(t, sumo.Arith):
+        return f"({_ARITH_SURFACE[t.op]} {term_to_kif(t.left)} {term_to_kif(t.right)})"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _spine_to_kif(s) -> list:
+    if isinstance(s, sumo.TermSpine):
+        return [term_to_kif(t) for t in s.items]
+    parts = [term_to_kif(t) for t in s.prefix]
+    parts.append("@" + s.row)
+    parts.extend(term_to_kif(t) for t in s.suffix)
+    return parts
+
+
+def to_kif(f) -> str:
+    """Render a lowered formula back to SUO-KIF concrete syntax."""
+    if isinstance(f, sumo.Bot):
+        return "(or)"  # no surface form; placeholder never produced by lower()
+    if isinstance(f, sumo.Top):
+        return "(and)"
+    if isinstance(f, sumo.Not):
+        return f"(not {to_kif(f.body)})"
+    if isinstance(f, sumo.Impl):
+        return f"(=> {to_kif(f.ante)} {to_kif(f.cons)})"
+    if isinstance(f, sumo.Iff):
+        return f"(<=> {to_kif(f.left)} {to_kif(f.right)})"
+    if isinstance(f, sumo.And):
+        return "(and " + " ".join(to_kif(i) for i in f.items) + ")"
+    if isinstance(f, sumo.Or):
+        return "(or " + " ".join(to_kif(i) for i in f.items) + ")"
+    if isinstance(f, sumo.ForallVars):
+        return "(forall (" + " ".join("?" + n for n in f.names) + ") " + to_kif(f.body) + ")"
+    if isinstance(f, sumo.ExistsVars):
+        return "(exists (" + " ".join("?" + n for n in f.names) + ") " + to_kif(f.body) + ")"
+    if isinstance(f, sumo.ForallRow):
+        return f"(forall (@{f.name}) {to_kif(f.body)})"
+    if isinstance(f, sumo.ExistsRow):
+        return f"(exists (@{f.name}) {to_kif(f.body)})"
+    if isinstance(f, sumo.Eq):
+        return f"(equal {term_to_kif(f.left)} {term_to_kif(f.right)})"
+    if isinstance(f, sumo.Instance):
+        return f"(instance {term_to_kif(f.member)} {term_to_kif(f.cls)})"
+    if isinstance(f, sumo.Subclass):
+        return f"(subclass {term_to_kif(f.sub)} {term_to_kif(f.sup)})"
+    if isinstance(f, sumo.Lt):
+        return f"(lessThan {term_to_kif(f.left)} {term_to_kif(f.right)})"
+    if isinstance(f, sumo.Le):
+        return f"(lessThanOrEqualTo {term_to_kif(f.left)} {term_to_kif(f.right)})"
+    if isinstance(f, sumo.RelAtom):
+        return "(" + " ".join([term_to_kif(f.head)] + _spine_to_kif(f.spine)) + ")"
+    raise TypeError(f"not a formula: {f!r}")

@@ -164,6 +164,17 @@ def test_translate_non_utf8_kb_is_located(tmp_path, capsys, monkeypatch):
     assert (code, err) == (1, "error: q.kif:1:1: not UTF-8 text: invalid start byte\n")
 
 
+def test_deep_input_ends_in_an_error_line_not_a_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.kif").write_text("(query (p " + "(f " * 150 + "a" + ")" * 150 + "))\n")
+    code, out, err = run_cli(["translate", "q.kif"], capsys)
+    assert (code, out, err) == (1, "", "error: q.kif:1:197: lists nested deeper than 64\n")
+    deep = "(~ " * 2000 + "a" + ")" * 2000
+    (tmp_path / "deep.p").write_text(f"thf(ty_a, type, a : $o).\nthf(conj, conjecture, {deep}).\n")
+    code, out, err = run_cli(["check", "deep.p"], capsys)
+    assert (code, out, err) == (1, "deep.p: parse error: formulas nested too deeply\n", "")
+
+
 def test_translate_missing_query_is_located(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(["translate", "nope.kif"], capsys)

@@ -103,6 +103,15 @@ def test_bad_variable_token():
         sexpr.parse_forms("(a ?)")
 
 
+def test_lists_nested_past_the_bound_are_refused_at_their_open_paren():
+    deepest = "(f " * sexpr.MAX_DEPTH + "a" + ")" * sexpr.MAX_DEPTH
+    assert len(sexpr.parse_forms(deepest)) == 1
+    source = "(p\n" + "(f " * sexpr.MAX_DEPTH + "a" + ")" * (sexpr.MAX_DEPTH + 1)
+    with pytest.raises(sexpr.KifSyntaxError) as err:
+        sexpr.parse_forms(source, file="deep.kif")
+    assert str(err.value) == f"deep.kif:2:{3 * sexpr.MAX_DEPTH - 2}: lists nested deeper than 64"
+
+
 atom_st = st.one_of(
     st.from_regex(r"[a-zA-Z][a-zA-Z0-9_-]{0,6}", fullmatch=True).map(
         lambda s: sexpr.Atom(s, "constant", None)

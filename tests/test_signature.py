@@ -194,18 +194,6 @@ def test_vararity_matches_reachability(instances, subclasses):
         assert sig.info(n).var_arity == expected, n
 
 
-def test_dump_is_deterministic_and_sorted():
-    src = (
-        "(domain b 1 X)(domain a 1 Y)(subrelation a c)(range c Z)"
-    )
-    d1 = signature.dump(sig_from(src))
-    d2 = signature.dump(sig_from(src))
-    assert d1 == d2
-    lines = [ln for ln in d1.splitlines() if ln.strip()]
-    names = [ln.split()[0] for ln in lines]
-    assert names == sorted(names)
-
-
 def test_merge_fragment_vararity(merge_sig):
     for name in ("partition", "exhaustiveDecomposition", "disjointDecomposition"):
         assert merge_sig.info(name).var_arity is True

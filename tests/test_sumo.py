@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from sumok2set import sexpr, sumo
 
 from conftest import formula_of, lower_all, lower_one, sig_from
-from termhelpers import formula_free_vars
+from termhelpers import formula_free_vars, to_kif
 
 
 def test_lower_connectives():
@@ -261,7 +261,7 @@ def formula_src(draw, depth=2):
 @given(formula_src())
 def test_print_lower_fixed_point(src):
     f1 = formula_of(src)
-    printed = sumo.to_kif(f1)
+    printed = to_kif(f1)
     f2 = formula_of(printed)
-    assert sumo.to_kif(f2) == printed
+    assert to_kif(f2) == printed
     assert f1 == f2

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from sumok2set import th0, translate
+from sumok2set import sexpr, th0, translate
 from sumok2set.catalog import CATALOG, cc, ord_of
 from sumok2set.hostterm import (
     All,
@@ -438,6 +438,14 @@ _PINNED_DIAGNOSTICS = [
         "thf(ty_a, type, a : $o).thf(conj, conjecture, a).\n",
         "text is not in canonical form (render of parse differs)",
     ),
+    # a declared constant must be a TPTP lower word
+    *[
+        (
+            f"thf(ty_{c}, type, {c} : $o).\nthf(conj, conjecture, {c}).\n",
+            f"parse error at 1:{len(c) + 16}: declared constant {c!r} is not a lower word",
+        )
+        for c in ("X", "$x", "1a", "_a")
+    ],
     ("", "parse error: missing conjecture"),
     ("   \n\n", "parse error: missing conjecture"),
     ("% only\n", "parse error: missing conjecture"),
@@ -466,6 +474,27 @@ def test_check_text_truncated_fixture_problem_pinned(monkeypatch):
     assert check_text(text[: len(text) // 2]) == ["parse error at 148:1: expected 'thf', found 't'"]
     assert check_text(text[:-3]) == ["parse error: unexpected end of input"]
     assert check_text(text[:-1]) == ["text is not in canonical form (render of parse differs)"]
+
+
+def test_check_text_reports_formulas_nested_too_deeply(cold_memo):
+    deep = "(~ " * 2000 + "a" + ")" * 2000
+    text = f"thf(ty_a, type, a : $o).\nthf(conj, conjecture, {deep}).\n"
+    assert check_text(text) == ["parse error: formulas nested too deeply"]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "(query (p " + "(f " * (sexpr.MAX_DEPTH - 2) + "a" + ")" * (sexpr.MAX_DEPTH - 2) + "))",
+        "(query (equal " + "(AdditionFn 1 " * (sexpr.MAX_DEPTH - 2) + "1" + ")" * (sexpr.MAX_DEPTH - 2) + " 2))",
+    ],
+    ids=["application", "arithmetic"],
+)
+def test_kif_nested_to_the_reader_bound_gives_a_problem_that_checks(tmp_path, query, cold_memo):
+    path = tmp_path / "q.kif"
+    path.write_text(query + "\n")
+    prob, _skips, _tr = translate.translate_query_job([], str(path))
+    assert check_text(problem_text(prob, reproducible=True)) == []
 
 
 def test_bad_character_after_long_whitespace_is_found_in_linear_time():
@@ -667,6 +696,52 @@ def test_memo_record_edits_diagnosed_as_with_an_empty_memo(warm_memo, fixture_pr
         assert check_text(text) == cold
         diagnosed += bool(cold)
     assert diagnosed > 60
+
+
+def _parser_texts(monkeypatch):
+    """The texts of the _Parser objects made from here on over records.
+
+    The types of the declarations a memo hit makes are read from the
+    memo's own text (once per process), not from the problem's.
+    """
+    texts = []
+
+    class Counted(th0._Parser):
+        def __init__(self, text):
+            if "thf(" in text:
+                texts.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(th0, "_Parser", Counted)
+    return texts
+
+
+def test_a_faulty_problem_is_parsed_once(cold_memo, fixture_problems, monkeypatch):
+    text = fixture_problems[0]
+    conj_at = text.index("thf(conj,")
+    last_at = text.rindex("\nthf(", 0, conj_at - 1) + 1
+    ill_typed = text[:conj_at] + "thf(conj, conjecture, (emptyset = $true)).\n"
+    bad_last = text[:last_at] + text[last_at:].replace("(", "((", 2)
+    bad_conj = text[:conj_at] + text[conj_at:].replace("(", "((", 2)
+    middle_at = text.index("\nthf(kb_") + 1
+    bad_middle = text[:middle_at] + text[middle_at:].replace("(", "((", 2)
+    cold = {t: _cold_check(t) for t in (ill_typed, bad_last, bad_conj, bad_middle)}
+    assert cold[ill_typed] == ["conj: ill-typed: equation between $i and $o"]
+    assert all(d[0].startswith("parse error at ") for t, d in cold.items() if t is not ill_typed)
+    parsed = _parser_texts(monkeypatch)
+    for faulty in (ill_typed, bad_last):
+        assert check_text(faulty) == cold[faulty]
+        assert len(parsed) == 1
+        parsed.clear()
+    for clean in fixture_problems:  # the memo now holds every record but the faulty ones
+        assert check_text(clean) == []
+    parsed.clear()
+    assert check_text(bad_conj) == cold[bad_conj]
+    assert parsed == [bad_conj[conj_at:]]  # the last run alone
+    parsed.clear()
+    # memo hits follow the faulty run: the error is found again in the whole text
+    assert check_text(bad_middle) == cold[bad_middle]
+    assert len(parsed) == 2 and parsed[1] == bad_middle
 
 
 def test_memo_holds_only_problems_that_checked_clean(cold_memo):
