@@ -5,11 +5,12 @@ the ordering tests recompute dependency constraints from the entries'
 reference graph rather than trusting the order list.
 """
 
+import hashlib
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from sumok2set import catalog
+from sumok2set import catalog, th0
 from sumok2set.catalog import CATALOG, encode_nat, encode_rational, ord_of
 from sumok2set.hostterm import IOTA, OMICRON, Const, typecheck
 
@@ -177,3 +178,25 @@ def test_const_helper_types():
     c = CATALOG.const("ap")
     assert c.name == "ap"
     assert c.ty == CATALOG.type_of("ap")
+
+
+# sha256 digests of the catalog: the repr of every entry's (name, type,
+# premises, defn) in catalog order, and the rendered background of the
+# whole catalog, its premise records and then its separation definitions
+CATALOG_ENTRIES_DIGEST = "7ef9b81abd11c317cdbd9316196fe038695f2c3781ce305702f35c2959f40e17"
+CATALOG_PREMISES_DIGEST = "37f8f9d9059e96bba46c90a597a037eab5c9901eb1cba4802d1e812d1faa1e51"
+CATALOG_SEPS_DIGEST = "60fd4b205ad4b021a56ad0b9092706692bad4a2fe6686f03a1ba9bb508418874"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_catalog_entries_and_background_pinned():
+    entries = [CATALOG.entries[name] for name in CATALOG.order]
+    assert _sha256(repr([(e.name, e.ty, e.premises, e.defn) for e in entries])) == CATALOG_ENTRIES_DIGEST
+    records = [th0.render_premise(*p) for p in CATALOG.background(set(CATALOG.order))]
+    assert _sha256("\n".join(r.text for r in records)) == CATALOG_PREMISES_DIGEST
+    seps = [defn.text for r in records for _sep, defn in r.seps]
+    assert len(seps) == 3
+    assert _sha256("\n".join(seps)) == CATALOG_SEPS_DIGEST
