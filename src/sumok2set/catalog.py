@@ -1,5 +1,19 @@
 """Fixed catalog of set-theoretic constants backing the translation.
 
+The theory itself is THF text, catalog.p beside this module, read at import
+with th0read's parser.  Each constant's ty_ record is followed by the
+premises that belong to it; file order is catalog order.  Membership, subset
+and conditional are written there as applications of in, subq and ite, and a
+separation as sep @ A @ (^[X : $i]: P), Megalodon's Sep A (fun X => P); sep
+is declared for that form alone and is no catalog constant.  The loader
+turns these back into the Mem, Subq, Ite and Sep nodes of the host term
+language (_unflatten); a separation stays a node, so each problem hoists it
+afresh.  The constants named in _EVALUATED also carry a defn, the lambda the
+finite-set oracle expands: the right-hand side of the constant's defining
+premise, abstracted over that premise's universal binders.  To change the
+theory, edit catalog.p and keep its records in the canonical form the
+renderer writes (tests/test_catalog.py checks that).
+
 Lists are encoded as functions from finite ordinals to tagged values: nil is
 the constantly-empty function, cons shifts a list up by one and installs a
 tagged head at index zero, and len collects the indices where the function
@@ -18,42 +32,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 
-from .hostterm import (
-    IOTA,
-    OMICRON,
-    All,
-    App,
-    Arrow,
-    Conj,
-    Const,
-    Disj,
-    Eq,
-    Ex,
-    Iff,
-    Imp,
-    Ite,
-    Lam,
-    Mem,
-    Neg,
-    Sep,
-    Subq,
-    Var,
-    app,
-    subterms,
-)
-
-I = IOTA
-O = OMICRON
-II = Arrow(I, I)
-
-ROLE_DEFINITION = "definition"
-ROLE_AXIOM = "axiom"
+from .hostterm import SHAPES, All, App, Const, Ite, Lam, Mem, Sep, Subq, app, children, rebuild, subterms
+from .th0read import _Parser
 
 # The catalog constant each primitive constructor flattens to; a separation
 # is hoisted instead, to a definition phrased with membership.
 FLAT_CONST = {Mem: "in", Subq: "subq", Ite: "ite"}
 _CONSTRUCTOR_NEEDS = {**FLAT_CONST, Sep: "in"}
+# name -> (constructor, arity) of a full application to unflatten
+_UNFLAT = {name: (cls, len(SHAPES[cls].fields)) for cls, name in FLAT_CONST.items()}
+
+# The constants whose definitions the finite-set oracle expands.
+_EVALUATED = ("domseqm", "dom_of_varar", "dom_of_fixedar", "dom_of")
 
 
 @dataclass(frozen=True)
@@ -65,11 +57,11 @@ class CatalogEntry:
 
 
 class Catalog:
-    def __init__(self, entries):
+    def __init__(self, entries, consts: dict):
         self.entries = {e.name: e for e in entries}
         self.order = [e.name for e in entries]
         self._index = {n: i for i, n in enumerate(self.order)}
-        self._consts = {e.name: Const(e.name, e.ty) for e in entries}
+        self.consts = consts  # name -> the one Const node its premises share
         self._deps = {e.name: self._compute_deps(e) for e in entries}
 
     def _compute_deps(self, entry: CatalogEntry) -> list:
@@ -100,7 +92,7 @@ class Catalog:
 
     def const(self, name: str) -> Const:
         """The one Const node of a catalog name."""
-        return self._consts[name]
+        return self.consts[name]
 
     def type_of(self, name: str):
         return self.entries[name].ty
@@ -138,771 +130,69 @@ class Catalog:
         out.extend(self.entries[name].premises)
 
 
-def _build() -> Catalog:
-    c = lambda name, ty: Const(name, ty)
-
-    in_c = c("in", Arrow(I, Arrow(I, O)))
-    emptyset = c("emptyset", I)
-    subq = c("subq", Arrow(I, Arrow(I, O)))
-    power = c("power", II)
-    ite = c("ite", Arrow(O, Arrow(I, II)))
-    ordsucc = c("ordsucc", II)
-    omega = c("omega", I)
-    natp = c("nat_p", Arrow(I, O))
-    ords = [c(f"ord{k}", I) for k in range(11)]
-    ord_add = c("ord_add", Arrow(I, II))
-    ord_mult = c("ord_mult", Arrow(I, II))
-    ord_exp = c("ord_exp", Arrow(I, II))
-    ord_sub = c("ord_sub", Arrow(I, II))
-    tag = c("tag", II)
-    untag = c("untag", II)
-    nil = c("nil", II)
-    cons = c("cons", Arrow(I, Arrow(II, II)))
-    len_c = c("len", Arrow(II, I))
-    listset = c("listset", Arrow(II, I))
-    ap = c("ap", Arrow(I, II))
-    istrue = c("istrue", Arrow(I, O))
-    boolset = c("boolset", Arrow(O, I))
-    arity = c("arity", II)
-    vararity = c("vararity", Arrow(I, O))
-    domseq = c("domseq", Arrow(I, II))
-    domseqm = c("domseqm", Arrow(I, II))
-    dov = c("dom_of_varar", Arrow(I, Arrow(II, Arrow(II, O))))
-    dof = c("dom_of_fixedar", Arrow(I, Arrow(II, Arrow(II, O))))
-    dom_of = c("dom_of", Arrow(O, Arrow(I, Arrow(II, Arrow(II, O)))))
-    univ = c("univ", I)
-    entity = c("entity", I)
-    set_or_class = c("set_or_class", I)
-    abstract_class = c("abstract_class", I)
-    real = c("real", I)
-    real_add = c("real_add", Arrow(I, II))
-    real_sub = c("real_sub", Arrow(I, II))
-    real_mult = c("real_mult", Arrow(I, II))
-    real_div = c("real_div", Arrow(I, II))
-    real_neg = c("real_neg", II)
-    real_lt = c("real_lt", Arrow(I, Arrow(I, O)))
-    real_leq = c("real_leq", Arrow(I, Arrow(I, O)))
-    arith = {op: c(f"arith_{op}", I) for op in ("add", "sub", "mult", "div", "lt", "leq")}
-
-    X = Var("X", I)
-    Y = Var("Y", I)
-    Z = Var("Z", I)
-    N = Var("N", I)
-    M = Var("M", I)
-    R = Var("R", I)
-    Ix = Var("I", I)
-    P = Var("P", O)
-    V = Var("V", O)
-    L = Var("L", II)
-    D = Var("D", II)
-
-    def fa(*vs):
-        def close(body):
-            out = body
-            for v in reversed(vs):
-                out = All(v.name, v.ty, out)
-            return out
-
-        return close
-
-    def list2(a, b):
-        return app(cons, a, app(cons, b, nil))
-
-    entries = [
-        CatalogEntry("in", in_c.ty, ()),
-        CatalogEntry("emptyset", I, ()),
-        CatalogEntry(
-            "subq",
-            subq.ty,
-            (
-                (
-                    "def_subq",
-                    ROLE_DEFINITION,
-                    fa(X, Y)(
-                        Iff(
-                            Subq(X, Y),
-                            All("Z", I, Imp(Mem(Z, X), Mem(Z, Y))),
-                        )
-                    ),
-                ),
-                (
-                    "ax_set_ext",
-                    ROLE_AXIOM,
-                    fa(X, Y)(Imp(Subq(X, Y), Imp(Subq(Y, X), Eq(X, Y)))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "power",
-            power.ty,
-            (
-                (
-                    "ax_power_mem",
-                    ROLE_AXIOM,
-                    fa(X, Y)(Iff(Mem(Y, App(power, X)), Subq(Y, X))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "ite",
-            ite.ty,
-            (
-                (
-                    "ax_ite_true",
-                    ROLE_AXIOM,
-                    All("P", O, fa(X, Y)(Imp(P, Eq(Ite(P, X, Y), X)))),
-                ),
-                (
-                    "ax_ite_false",
-                    ROLE_AXIOM,
-                    All("P", O, fa(X, Y)(Imp(Neg(P), Eq(Ite(P, X, Y), Y)))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "ordsucc",
-            ordsucc.ty,
-            (
-                (
-                    "ax_ordsucc_mem",
-                    ROLE_AXIOM,
-                    fa(X, Z)(
-                        Iff(Mem(Z, App(ordsucc, X)), Disj(Mem(Z, X), Eq(Z, X)))
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "omega",
-            I,
-            (
-                ("ax_omega_zero", ROLE_AXIOM, Mem(emptyset, omega)),
-                (
-                    "ax_omega_succ",
-                    ROLE_AXIOM,
-                    fa(N)(Imp(Mem(N, omega), Mem(App(ordsucc, N), omega))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "nat_p",
-            natp.ty,
-            (
-                (
-                    "def_natp",
-                    ROLE_DEFINITION,
-                    fa(N)(Iff(App(natp, N), Mem(N, omega))),
-                ),
-            ),
-        ),
-        CatalogEntry("ord0", I, (("def_ord0", ROLE_DEFINITION, Eq(ords[0], emptyset)),)),
-    ]
-    for k in range(1, 11):
-        entries.append(
+def _load(text: str) -> Catalog:
+    """The catalog of THF text: each ty_ record and the premises after it."""
+    parser = _Parser(text)
+    consts: dict = {}  # name -> Const node, shared by every premise
+    names: set = set()
+    owned: dict = {}  # name -> its premises, in file order
+    while parser.peek():
+        record, role, body = parser.record(consts, names)
+        if role == "type":
+            premises = owned[body.name] = []
+        else:
+            premises.append((record, role, _unflatten(body)))
+    del consts["sep"], owned["sep"]
+    return Catalog(
+        [
             CatalogEntry(
-                f"ord{k}",
-                I,
-                (
-                    (
-                        f"def_ord{k}",
-                        ROLE_DEFINITION,
-                        Eq(ords[k], App(ordsucc, ords[k - 1])),
-                    ),
-                ),
+                name,
+                consts[name].ty,
+                tuple(premises),
+                _defn(premises[0][2]) if name in _EVALUATED else None,
             )
-        )
-    entries += [
-        CatalogEntry(
-            "ord_add",
-            ord_add.ty,
-            (
-                (
-                    "ax_ord_add_zero",
-                    ROLE_AXIOM,
-                    fa(N)(Imp(App(natp, N), Eq(app(ord_add, N, ords[0]), N))),
-                ),
-                (
-                    "ax_ord_add_succ",
-                    ROLE_AXIOM,
-                    fa(N, M)(
-                        Imp(
-                            App(natp, N),
-                            Imp(
-                                App(natp, M),
-                                Eq(
-                                    app(ord_add, N, App(ordsucc, M)),
-                                    App(ordsucc, app(ord_add, N, M)),
-                                ),
-                            ),
-                        )
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "ord_mult",
-            ord_mult.ty,
-            (
-                (
-                    "ax_ord_mult_zero",
-                    ROLE_AXIOM,
-                    fa(N)(Imp(App(natp, N), Eq(app(ord_mult, N, ords[0]), ords[0]))),
-                ),
-                (
-                    "ax_ord_mult_succ",
-                    ROLE_AXIOM,
-                    fa(N, M)(
-                        Imp(
-                            App(natp, N),
-                            Imp(
-                                App(natp, M),
-                                Eq(
-                                    app(ord_mult, N, App(ordsucc, M)),
-                                    app(ord_add, app(ord_mult, N, M), N),
-                                ),
-                            ),
-                        )
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "ord_exp",
-            ord_exp.ty,
-            (
-                (
-                    "ax_ord_exp_zero",
-                    ROLE_AXIOM,
-                    fa(N)(Imp(App(natp, N), Eq(app(ord_exp, N, ords[0]), ords[1]))),
-                ),
-                (
-                    "ax_ord_exp_succ",
-                    ROLE_AXIOM,
-                    fa(N, M)(
-                        Imp(
-                            App(natp, N),
-                            Imp(
-                                App(natp, M),
-                                Eq(
-                                    app(ord_exp, N, App(ordsucc, M)),
-                                    app(ord_mult, app(ord_exp, N, M), N),
-                                ),
-                            ),
-                        )
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "ord_sub",
-            ord_sub.ty,
-            (
-                (
-                    "ax_ord_sub_inv",
-                    ROLE_AXIOM,
-                    fa(N, M)(
-                        Imp(
-                            App(natp, N),
-                            Imp(
-                                App(natp, M),
-                                Eq(app(ord_sub, app(ord_add, N, M), N), M),
-                            ),
-                        )
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "tag",
-            tag.ty,
-            (
-                (
-                    "ax_tag_nonempty",
-                    ROLE_AXIOM,
-                    fa(X)(Neg(Eq(App(tag, X), emptyset))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "untag",
-            untag.ty,
-            (
-                (
-                    "ax_untag_tag",
-                    ROLE_AXIOM,
-                    fa(X)(Eq(App(untag, App(tag, X)), X)),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "nil",
-            nil.ty,
-            (("def_nil", ROLE_DEFINITION, Eq(nil, Lam("N", I, emptyset))),),
-        ),
-        CatalogEntry(
-            "cons",
-            cons.ty,
-            (
-                (
-                    "def_cons",
-                    ROLE_DEFINITION,
-                    All(
-                        "X",
-                        I,
-                        All(
-                            "L",
-                            II,
-                            Conj(
-                                Eq(app(cons, X, L, ords[0]), App(tag, X)),
-                                All(
-                                    "N",
-                                    I,
-                                    Imp(
-                                        App(natp, N),
-                                        Eq(
-                                            app(cons, X, L, App(ordsucc, N)),
-                                            App(L, N),
-                                        ),
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "len",
-            len_c.ty,
-            (
-                (
-                    "def_len",
-                    ROLE_DEFINITION,
-                    Eq(
-                        len_c,
-                        Lam(
-                            "L",
-                            II,
-                            Sep("N", omega, Neg(Eq(App(L, N), emptyset))),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry("listset", listset.ty, ()),
-        CatalogEntry("ap", ap.ty, ()),
-        CatalogEntry(
-            "istrue",
-            istrue.ty,
-            (
-                (
-                    "def_istrue",
-                    ROLE_DEFINITION,
-                    fa(X)(Iff(App(istrue, X), Mem(emptyset, X))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "boolset",
-            boolset.ty,
-            (
-                (
-                    "def_boolset",
-                    ROLE_DEFINITION,
-                    All("P", O, Eq(App(boolset, P), Ite(P, ords[1], ords[0]))),
-                ),
-            ),
-        ),
-        CatalogEntry("arity", arity.ty, ()),
-        CatalogEntry("vararity", vararity.ty, ()),
-        CatalogEntry("domseq", domseq.ty, ()),
-        CatalogEntry(
-            "domseqm",
-            domseqm.ty,
-            (
-                (
-                    "def_domseqm",
-                    ROLE_DEFINITION,
-                    fa(R, Ix)(
-                        Eq(
-                            app(domseqm, R, Ix),
-                            Ite(
-                                App(vararity, R),
-                                app(
-                                    domseq,
-                                    R,
-                                    Ite(Mem(Ix, App(arity, R)), Ix, App(arity, R)),
-                                ),
-                                app(domseq, R, Ix),
-                            ),
-                        )
-                    ),
-                ),
-            ),
-            defn=Lam(
-                "R",
-                I,
-                Lam(
-                    "I",
-                    I,
-                    Ite(
-                        App(vararity, R),
-                        app(
-                            domseq,
-                            R,
-                            Ite(Mem(Ix, App(arity, R)), Ix, App(arity, R)),
-                        ),
-                        app(domseq, R, Ix),
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "dom_of_varar",
-            dov.ty,
-            (
-                (
-                    "def_dom_of_varar",
-                    ROLE_DEFINITION,
-                    All(
-                        "N",
-                        I,
-                        All(
-                            "D",
-                            II,
-                            All(
-                                "L",
-                                II,
-                                Iff(app(dov, N, D, L), _varar_body(N, D, L, untag, len_c)),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-            defn=Lam(
-                "N", I, Lam("D", II, Lam("L", II, _varar_body(N, D, L, untag, len_c)))
-            ),
-        ),
-        CatalogEntry(
-            "dom_of_fixedar",
-            dof.ty,
-            (
-                (
-                    "def_dom_of_fixedar",
-                    ROLE_DEFINITION,
-                    All(
-                        "N",
-                        I,
-                        All(
-                            "D",
-                            II,
-                            All(
-                                "L",
-                                II,
-                                Iff(app(dof, N, D, L), _fixedar_body(N, D, L, untag, len_c)),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-            defn=Lam(
-                "N", I, Lam("D", II, Lam("L", II, _fixedar_body(N, D, L, untag, len_c)))
-            ),
-        ),
-        CatalogEntry(
-            "dom_of",
-            dom_of.ty,
-            (
-                (
-                    "def_dom_of",
-                    ROLE_DEFINITION,
-                    All(
-                        "V",
-                        O,
-                        All(
-                            "N",
-                            I,
-                            All(
-                                "D",
-                                II,
-                                All(
-                                    "L",
-                                    II,
-                                    Iff(
-                                        app(dom_of, V, N, D, L),
-                                        Conj(
-                                            Imp(V, app(dov, N, D, L)),
-                                            Imp(Neg(V), app(dof, N, D, L)),
-                                        ),
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-            defn=Lam(
-                "V",
-                O,
-                Lam(
-                    "N",
-                    I,
-                    Lam(
-                        "D",
-                        II,
-                        Lam(
-                            "L",
-                            II,
-                            Conj(
-                                Imp(V, app(dov, N, D, L)),
-                                Imp(Neg(V), app(dof, N, D, L)),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry("univ", I, ()),
-        CatalogEntry(
-            "entity",
-            I,
-            (
-                (
-                    "ax_entity_univ",
-                    ROLE_AXIOM,
-                    fa(X)(Imp(Mem(X, univ), Mem(X, entity))),
-                ),
-                (
-                    "ax_entity_pow",
-                    ROLE_AXIOM,
-                    fa(X)(Imp(Mem(X, App(power, univ)), Mem(X, entity))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "set_or_class",
-            I,
-            (
-                (
-                    "ax_setorclass_pow",
-                    ROLE_AXIOM,
-                    fa(X)(Imp(Mem(X, App(power, univ)), Mem(X, set_or_class))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "abstract_class",
-            I,
-            (
-                (
-                    "ax_abstract_pow",
-                    ROLE_AXIOM,
-                    fa(X)(Imp(Mem(X, App(power, univ)), Mem(X, abstract_class))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "real",
-            I,
-            (("ax_omega_real", ROLE_AXIOM, Subq(omega, real)),),
-        ),
-        CatalogEntry(
-            "real_add",
-            real_add.ty,
-            (
-                (
-                    "ax_add_agree_ord",
-                    ROLE_AXIOM,
-                    fa(N, M)(
-                        Imp(
-                            App(natp, N),
-                            Imp(
-                                App(natp, M),
-                                Eq(app(real_add, N, M), app(ord_add, N, M)),
-                            ),
-                        )
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry("real_sub", real_sub.ty, ()),
-        CatalogEntry(
-            "real_mult",
-            real_mult.ty,
-            (
-                (
-                    "ax_mult_agree_ord",
-                    ROLE_AXIOM,
-                    fa(N, M)(
-                        Imp(
-                            App(natp, N),
-                            Imp(
-                                App(natp, M),
-                                Eq(app(real_mult, N, M), app(ord_mult, N, M)),
-                            ),
-                        )
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry("real_div", real_div.ty, ()),
-        CatalogEntry("real_neg", real_neg.ty, ()),
-        CatalogEntry("real_lt", real_lt.ty, ()),
-        CatalogEntry(
-            "real_leq",
-            real_leq.ty,
-            (
-                (
-                    "ax_real_leq_lt_asym",
-                    ROLE_AXIOM,
-                    fa(X, Y)(
-                        Imp(
-                            Mem(X, real),
-                            Imp(
-                                Mem(Y, real),
-                                Imp(
-                                    app(real_leq, X, Y),
-                                    Neg(app(real_lt, Y, X)),
-                                ),
-                            ),
-                        )
-                    ),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "negreal",
-            I,
-            (
-                (
-                    "def_negreal",
-                    ROLE_DEFINITION,
-                    Eq(Const("negreal", I), Sep("X", real, app(real_lt, X, ords[0]))),
-                ),
-            ),
-        ),
-        CatalogEntry(
-            "nonnegreal",
-            I,
-            (
-                (
-                    "def_nonnegreal",
-                    ROLE_DEFINITION,
-                    Eq(
-                        Const("nonnegreal", I),
-                        Sep("X", real, app(real_leq, ords[0], X)),
-                    ),
-                ),
-            ),
-        ),
-    ]
-    bridge_eq = [
-        ("arith_add", "ax_add_real", real_add),
-        ("arith_sub", "ax_sub_real", real_sub),
-        ("arith_mult", "ax_mult_real", real_mult),
-        ("arith_div", "ax_div_real", real_div),
-    ]
-    for cname, pname, realop in bridge_eq:
-        entries.append(
-            CatalogEntry(
-                cname,
-                I,
-                (
-                    (
-                        pname,
-                        ROLE_AXIOM,
-                        fa(X, Y)(
-                            Imp(
-                                Mem(X, real),
-                                Imp(
-                                    Mem(Y, real),
-                                    Eq(
-                                        app(ap, arith[cname.split("_")[1]], App(listset, list2(X, Y))),
-                                        app(realop, X, Y),
-                                    ),
-                                ),
-                            )
-                        ),
-                    ),
-                ),
-            )
-        )
-    bridge_iff = [
-        ("arith_lt", "ax_lessthan_real", real_lt),
-        ("arith_leq", "ax_leq_real", real_leq),
-    ]
-    for cname, pname, realop in bridge_iff:
-        entries.append(
-            CatalogEntry(
-                cname,
-                I,
-                (
-                    (
-                        pname,
-                        ROLE_AXIOM,
-                        fa(X, Y)(
-                            Imp(
-                                Mem(X, real),
-                                Imp(
-                                    Mem(Y, real),
-                                    Iff(
-                                        App(
-                                            istrue,
-                                            app(
-                                                ap,
-                                                arith[cname.split("_")[1]],
-                                                App(listset, list2(X, Y)),
-                                            ),
-                                        ),
-                                        app(realop, X, Y),
-                                    ),
-                                ),
-                            )
-                        ),
-                    ),
-                ),
-            )
-        )
-    return Catalog(entries)
-
-
-def _varar_body(N, D, L, untag, len_c):
-    # the three conditions: n below the length, each declared slot typed,
-    # and every optional slot typed by the template at index n
-    Ix = Var("I", I)
-    return Conj(
-        Subq(N, App(len_c, L)),
-        Conj(
-            All(
-                "I",
-                I,
-                Imp(Mem(Ix, N), Mem(App(untag, App(L, Ix)), App(D, Ix))),
-            ),
-            All(
-                "I",
-                I,
-                Imp(
-                    Mem(Ix, App(len_c, L)),
-                    Imp(Subq(N, Ix), Mem(App(untag, App(L, Ix)), App(D, N))),
-                ),
-            ),
-        ),
+            for name, premises in owned.items()
+        ],
+        consts,
     )
 
 
-def _fixedar_body(N, D, L, untag, len_c):
-    Ix = Var("I", I)
-    return Conj(
-        Eq(App(len_c, L), N),
-        All(
-            "I",
-            I,
-            Imp(Mem(Ix, N), Mem(App(untag, App(L, Ix)), App(D, Ix))),
-        ),
-    )
+def _unflatten(t):
+    """The host term of a flat catalog term.
+
+    A full application of in, subq or ite becomes Mem, Subq or Ite, and
+    sep @ A @ (^[X : $i]: P) becomes Sep("X", A, P).
+    """
+    if type(t) is not App:
+        return rebuild(t, [_unflatten(k) for k in children(t)])
+    head, args = _spine(t)
+    args = [_unflatten(a) for a in args]
+    if type(head) is Const:
+        if head.name == "sep" and len(args) == 2 and type(args[1]) is Lam:
+            return Sep(args[1].name, args[0], args[1].body)
+        if head.name in _UNFLAT:
+            ctor, arity = _UNFLAT[head.name]
+            if len(args) == arity:
+                return ctor(*args)
+    return app(_unflatten(head), *args)
 
 
-CATALOG = _build()
+def _spine(term):
+    args = []
+    while isinstance(term, App):
+        args.append(term.arg)
+        term = term.fn
+    return term, list(reversed(args))
+
+
+def _defn(definition):
+    """The lambda over a definition's universal binders of its right-hand side."""
+    if type(definition) is All:
+        return Lam(definition.name, definition.ty, _defn(definition.body))
+    return definition.right
+
+
+CATALOG = _load(resources.files(__package__).joinpath("catalog.p").read_text(encoding="utf-8"))
 
 
 def cc(name: str) -> Const:
@@ -1007,11 +297,3 @@ def rational_value(term) -> Fraction:
             if vals is not None:
                 return vals
     raise ValueError(f"not a numeral term: {term!r}")
-
-
-def _spine(term):
-    args = []
-    while isinstance(term, App):
-        args.append(term.arg)
-        term = term.fn
-    return term, list(reversed(args))

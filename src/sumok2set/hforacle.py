@@ -62,8 +62,8 @@ from .hostterm import (
     Var,
     free_vars,
 )
-from . import th0
 from .sexpr import read_text
+from .th0read import Th0Error, _Parser
 
 DEFAULT_FUEL = 10**6
 DEFAULT_HORIZON = 32
@@ -949,6 +949,9 @@ class LemmaSyntaxError(OracleError):
     pass
 
 
+_TOO_DEEP = "formulas nested too deeply"
+
+
 def parse_lemmas(text: str, file: str = "<lemmas>") -> list:
     """Claims from a lemma file: one formula per line, # comments, pragmas.
 
@@ -972,14 +975,16 @@ def parse_lemmas(text: str, file: str = "<lemmas>") -> list:
             continue
         try:
             binders, body = _parse_claim(line)
-        except th0.Th0Error as err:
+        except Th0Error as err:
             raise LemmaSyntaxError(f"{file}:{lineno}: {err}") from err
+        except RecursionError:
+            raise LemmaSyntaxError(f"{file}:{lineno}: {_TOO_DEEP}") from None
         claims.append(Claim(len(claims) + 1, lineno, line, binders, body, stub))
     return claims
 
 
 def _parse_claim(line: str):
-    parser = th0._Parser(line)
+    parser = _Parser(line)
     binders = []
     if parser.peek() == "!":
         parser.next()
@@ -989,17 +994,16 @@ def _parse_claim(line: str):
             parser.expect(":")
             sort = parser.expect_word()
             if sort not in _SORT_TYPES:
-                raise th0.Th0Error(f"unknown sort {sort!r}")
+                raise Th0Error(f"unknown sort {sort!r}")
             binders.append((name, sort))
             tok = parser.next()
             if tok == "]":
                 break
             if tok != ",":
-                raise th0.Th0Error(f"expected , or ] in binder list, found {tok!r}")
+                raise Th0Error(f"expected , or ] in binder list, found {tok!r}")
         parser.expect(":")
     env = {name: Var(name, _SORT_TYPES[sort]) for name, sort in binders}
-    decls = {name: Const(name, CATALOG.type_of(name)) for name in CATALOG.order}
-    body = parser.parse_formula(env, decls)
+    body = parser.parse_formula(env, CATALOG.consts)
     if parser.peek():
         raise parser.error(f"trailing input {parser.peek()!r}", parser.i)
     return binders, body
@@ -1016,9 +1020,9 @@ def check_claim(
     ev = Evaluator(interp=interp, horizon=horizon, fuel=fuel)
     domains = [generators(sort, **generator_bounds) for _, sort in claim.binders]
     names = [name for name, _ in claim.binders]
-    body = _compile(ev, claim.body, tuple(names))
     checked = 0
     try:
+        body = _compile(ev, claim.body, tuple(names))
         for values in itertools.product(*domains):
             checked += 1
             if not body(values):
@@ -1030,6 +1034,8 @@ def check_claim(
                 )
     except OracleError as err:
         return ClaimResult(claim, ok=False, checked=checked, error=str(err))
+    except RecursionError:
+        return ClaimResult(claim, ok=False, checked=checked, error=_TOO_DEEP)
     return ClaimResult(claim, ok=True, checked=checked)
 
 

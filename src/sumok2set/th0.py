@@ -17,20 +17,14 @@ for its key and its definition, which the same walk writes.  A
 problem is its records put together, with the separation definitions and
 type declarations merged in first-occurrence order; a run of records that
 many problems share, such as a knowledge base's, is merged once into a
-Block, which each problem takes whole.  Parsing the rendered text and
-rendering again reproduces it byte for byte.
+Block, which each problem takes whole.  Parsing the rendered text (with
+th0read's parser) and rendering again reproduces it byte for byte.
 
-The parser reads a text in one scan: a single findall gives its tokens as
-plain strings, and a token's kind follows from its text.  The distinct
-tokens are checked for bad characters once, before parsing.  No offsets are
-kept; when an error is raised, a finditer with the same pattern finds the
-offending token again, and its line and column are worked out from its
-offset.  A parsed document shares one Const node per declared constant and
-one Var node per binder.  check_text goes through a problem record by
-record on one path: a record that a memo holds from earlier problems that
-checked clean is confirmed from its text alone, each run of the others is
-parsed in one scan and only then typechecked and rendered, and the layout
-of the records decides the rest of the canonical form.
+check_text goes through a problem record by record on one path: a record
+that a memo holds from earlier problems that checked clean is confirmed
+from its text alone, each run of the others is parsed in one scan and only
+then typechecked and rendered, and the layout of the records decides the
+rest of the canonical form.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from .catalog import CATALOG, FLAT_CONST, cc
 from .hostterm import (
     All,
     App,
-    Arrow,
     Base,
     Bot,
     Conj,
@@ -76,16 +69,10 @@ from .hostterm import (
     substitute,
     typecheck,
 )
+from .th0read import Th0Error, _Parser
 
 WIDTH = 100
 INDENT = "    "
-
-
-class Th0Error(Exception):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.col = col
 
 
 # ---------------------------------------------------------------------------
@@ -624,233 +611,6 @@ def problem_text(problem, reproducible: bool = False, explain: bool = False) -> 
 
 # ---------------------------------------------------------------------------
 # Re-parsing and checking
-
-# Every character of a text but whitespace belongs to exactly one token:
-# a comment, a word, an operator, or (the last alternative) one character
-# that is none of these, which makes the text bad.  A word starts with a word
-# character, a comment with %, and the catch-all only ever takes one
-# character that neither does, so a token's kind follows from the token.
-_TOKEN_RE = re.compile(r"%[^\n]*|[A-Za-z0-9_$]+|<=>|=>|[()\[\]:,.@&|~!?^=>]|[^ \t\r\n]")
-_OPS = frozenset(
-    ["<=>", "=>", "(", ")", "[", "]", ":", ",", ".", "@", "&", "|", "~", "!", "?", "^", "=", ">"]
-)
-_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$")
-_END = ""  # the sentinel after the last token; no token is empty
-_LOWER_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")  # what a TPTP constant is
-_BINOPS = {"&": Conj, "|": Disj, "=>": Imp, "<=>": Iff, "=": Eq}
-_BINDERS = {"!": All, "?": Ex, "^": Lam}
-
-
-def _line_col(text: str, pos: int) -> tuple:
-    """1-based line and column of an offset."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-
-
-class _Parser:
-    """Recursive descent over the tokens of one text, read in one scan.
-
-    The tokens are the plain strings of one findall, comments taken out,
-    with the _END sentinel after them; a token that is not an operator is a
-    word.  Offsets are found again, by finditer with the same pattern, only
-    when an error is raised.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        toks = _TOKEN_RE.findall(text)
-        bad = set()
-        has_comments = False
-        for tok in set(toks):
-            if tok in _OPS or tok[0] in _WORD_START:
-                continue
-            if tok[0] == "%":
-                has_comments = True
-            else:
-                bad.add(tok)
-        if bad:
-            for m in _TOKEN_RE.finditer(text):
-                if m.group() in bad:
-                    raise Th0Error(f"bad character {m.group()!r}", *_line_col(text, m.start()))
-        comments = []
-        if has_comments:
-            lead = 0
-            while lead < len(toks) and toks[lead][0] == "%":
-                lead += 1
-            comments = toks[:lead]
-            if sum(c.count("%") for c in comments) == text.count("%"):
-                del toks[:lead]  # the comments all lead, as in a rendered problem
-            else:
-                comments = [tok for tok in toks if tok[0] == "%"]
-                toks = [tok for tok in toks if tok[0] != "%"]
-        self.comments = [c[1:].lstrip(" ") for c in comments]
-        toks.append(_END)
-        self.toks = toks
-        self.i = 0
-        self.reads: set = set()  # the declared names read as constants so far
-
-    def error(self, message: str, index: int) -> Th0Error:
-        """An error located at the token of this index."""
-        n = index
-        for m in _TOKEN_RE.finditer(self.text):
-            if m.group()[0] != "%":
-                if n == 0:
-                    return Th0Error(message, *_line_col(self.text, m.start()))
-                n -= 1
-        return Th0Error(message)
-
-    def peek(self) -> str:
-        """The next token, _END at the end of input."""
-        return self.toks[self.i]
-
-    def next(self) -> str:
-        tok = self.toks[self.i]
-        if not tok:
-            raise Th0Error("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok = self.toks[self.i]
-        if tok != want:
-            if not tok:
-                raise Th0Error("unexpected end of input")
-            raise self.error(f"expected {want!r}, found {tok!r}", self.i)
-        self.i += 1
-
-    def expect_word(self, word: str | None = None) -> str:
-        tok = self.next()
-        if tok in _OPS:
-            raise self.error(f"expected 'word', found {tok!r}", self.i - 1)
-        if word is not None and tok != word:
-            raise self.error(f"expected {word!r}, found {tok!r}", self.i - 1)
-        return tok
-
-    # types -----------------------------------------------------------------
-
-    def parse_type(self):
-        left = self.parse_type_atom()
-        if self.toks[self.i] == ">":
-            self.i += 1
-            return Arrow(left, self.parse_type())
-        return left
-
-    def parse_type_atom(self):
-        tok = self.next()
-        if tok == "$i":
-            return IOTA
-        if tok == "$o":
-            return OMICRON
-        if tok == "(":
-            ty = self.parse_type()
-            self.expect(")")
-            return ty
-        raise self.error(f"expected a type, found {tok!r}", self.i - 1)
-
-    # terms -----------------------------------------------------------------
-    #
-    # env maps a bound name to its Var node and decls a declared name to its
-    # Const node, so each symbol is looked up once and its node shared.
-
-    def parse_formula(self, env, decls):
-        """Applications joined by at most one kind of binary operator."""
-        toks = self.toks
-        items = []
-        op = None
-        while True:
-            out = self.parse_unit(env, decls)
-            while toks[self.i] == "@":
-                self.i += 1
-                out = App(out, self.parse_unit(env, decls))
-            items.append(out)
-            tok = toks[self.i]
-            if tok not in _BINOPS:
-                break
-            if op is None:
-                op, op_at = tok, self.i
-            elif tok != op:
-                raise self.error(f"mixed operators {op!r} and {tok!r} need parentheses", self.i)
-            self.i += 1
-        if op is None:
-            return out
-        if len(items) != 2 and op in ("=>", "<=>", "="):
-            raise self.error(f"operator {op!r} is binary", op_at)
-        ctor = _BINOPS[op]
-        for item in reversed(items[:-1]):
-            out = ctor(item, out)
-        return out
-
-    def parse_unit(self, env, decls):
-        i = self.i
-        tok = self.toks[i]
-        self.i = i + 1
-        if tok not in _OPS:
-            if tok == "$true":
-                return Top()
-            if tok == "$false":
-                return Bot()
-            node = env.get(tok)
-            if node is None:
-                node = decls.get(tok)
-                if node is None:
-                    if not tok:
-                        raise Th0Error("unexpected end of input")
-                    raise self.error(f"undeclared symbol {tok!r}", i)
-                self.reads.add(tok)
-            return node
-        if tok == "(":
-            inner = self.parse_formula(env, decls)
-            self.expect(")")
-            return inner
-        if tok == "~":
-            return Neg(self.parse_unit(env, decls))
-        ctor = _BINDERS.get(tok)
-        if ctor is None:
-            raise self.error(f"unexpected token {tok!r}", i)
-        self.expect("[")
-        name = self.expect_word()
-        self.expect(":")
-        ty = self.parse_type()
-        self.expect("]")
-        self.expect(":")
-        return ctor(name, ty, self.parse_unit({**env, name: Var(name, ty)}, decls))
-
-    # records ---------------------------------------------------------------
-
-    def record(self, decls, names) -> tuple:
-        """Parse one record: (name, role, body).
-
-        The body of a type record is the Const node it declares, which joins
-        decls; any other body is a flat term.  The name joins names.
-        """
-        start = self.i
-        self.expect_word("thf")
-        self.expect("(")
-        name = self.expect_word()
-        if name in names:
-            raise self.error(f"duplicate record name {name}", self.i - 1)
-        names.add(name)
-        self.expect(",")
-        role = self.expect_word()
-        self.expect(",")
-        if role == "type":
-            const = self.expect_word()
-            const_at = self.i - 1
-            self.expect(":")
-            ty = self.parse_type()
-            if not name.startswith("ty_") or name[3:] != const:
-                raise self.error(f"type record {name} must declare a matching constant", const_at)
-            if not _LOWER_WORD_RE.match(const):
-                raise self.error(f"declared constant {const!r} is not a lower word", const_at)
-            body = decls[const] = Const(const, ty)
-        elif role in ("axiom", "definition", "conjecture"):
-            body = self.parse_formula({}, decls)
-            if role == "conjecture" and name != "conj":
-                raise self.error("exactly one conjecture named conj is expected", start)
-        else:
-            raise self.error(f"unknown role {role!r}", start)
-        self.expect(")")
-        self.expect(".")
-        return name, role, body
 
 
 def parse_doc(text: str) -> Th0Doc:

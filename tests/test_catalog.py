@@ -6,13 +6,27 @@ reference graph rather than trusting the order list.
 """
 
 import hashlib
+import os
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
 from sumok2set import catalog, th0
-from sumok2set.catalog import CATALOG, encode_nat, encode_rational, ord_of
-from sumok2set.hostterm import IOTA, OMICRON, Const, typecheck
+from sumok2set.catalog import CATALOG, cc, encode_nat, encode_rational, ord_of
+from sumok2set.hostterm import (
+    IOTA,
+    OMICRON,
+    Const,
+    Lam,
+    Sep,
+    app,
+    arrow,
+    children,
+    rebuild,
+    subterms,
+    typecheck,
+)
+from sumok2set.th0read import _Parser
 
 from termhelpers import const_names
 
@@ -200,3 +214,51 @@ def test_catalog_entries_and_background_pinned():
     seps = [defn.text for r in records for _sep, defn in r.seps]
     assert len(seps) == 3
     assert _sha256("\n".join(seps)) == CATALOG_SEPS_DIGEST
+
+
+SEP = Const("sep", arrow(IOTA, arrow(IOTA, OMICRON), IOTA))
+
+
+def _flatten(t):
+    """A host term as catalog.p writes it: the inverse of catalog._unflatten."""
+    if type(t) is Sep:
+        return app(SEP, _flatten(t.bound), Lam(t.name, IOTA, _flatten(t.body)))
+    kids = [_flatten(k) for k in children(t)]
+    name = catalog.FLAT_CONST.get(type(t))
+    return app(cc(name), *kids) if name else rebuild(t, kids)
+
+
+def test_catalog_text_is_canonical():
+    # every record is what the renderer writes for the term it loads as, so
+    # a hand edit keeps the canonical form and _unflatten inverts _flatten
+    path = os.path.join(os.path.dirname(catalog.__file__), "catalog.p")
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().split("\n") if line and not line.startswith("%")]
+    records = ["thf(" + r for r in "\n".join(lines)[len("thf(") :].split("\nthf(")]
+    consts, names, declared, seps = {}, set(), [], 0
+    for record in records:
+        parser = _Parser(record)
+        name, role, body = parser.record(consts, names)
+        assert not parser.peek(), name
+        if role == "type":
+            declared.append(body.name)
+            assert record == th0.render_record(name, role, f"{body.name} : {th0.render_type(body.ty)}")
+            continue
+        host = catalog._unflatten(body)
+        assert _flatten(host) == body, name
+        assert record == th0.render_record(name, role, th0.render_term(_flatten(host))), name
+        seps += sum(type(t) is Sep for t in subterms(host))
+    assert [n for n in declared if n != "sep"] == CATALOG.order
+    assert seps == 3
+
+
+def test_one_const_node_per_catalog_name():
+    assert "sep" not in CATALOG and "sep" not in CATALOG.consts
+    assert list(CATALOG.consts) == CATALOG.order
+    for name in CATALOG.order:
+        entry = CATALOG.entries[name]
+        terms = [t for _p, _r, t in entry.premises] + [entry.defn] * (entry.defn is not None)
+        for term in terms:
+            for t in subterms(term):
+                if type(t) is Const:
+                    assert t is cc(t.name), (name, t.name)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end."""
 
+import fnmatch
 import importlib.metadata
 import json
 import os
@@ -621,14 +622,35 @@ PYPROJECT = os.path.join(
 )
 
 
-def project_scripts():
-    """The `[project.scripts]` table of the repository's pyproject.toml."""
+def pyproject():
+    """The repository's pyproject.toml, as a dict."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
     with open(PYPROJECT, "rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"]
+        return tomllib.load(fh)
+
+
+def project_scripts():
+    """The `[project.scripts]` table of the repository's pyproject.toml."""
+    return pyproject()["project"]["scripts"]
+
+
+def test_package_data_covers_every_data_file():
+    # a file of the package that no package-data glob names is left out of
+    # an installed copy, which then cannot load it
+    globs = pyproject()["tool"]["setuptools"]["package-data"]["sumok2set"]
+    package = os.path.dirname(cli.__file__)
+    data = []
+    for root, dirs, files in os.walk(package):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        for name in files:
+            if not name.endswith(".py"):
+                data.append(os.path.relpath(os.path.join(root, name), package).replace(os.sep, "/"))
+    assert "catalog.p" in data
+    for path in data:
+        assert any(fnmatch.fnmatchcase(path, glob) for glob in globs), path
 
 
 def distribution_installed(name):

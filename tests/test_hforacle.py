@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumok2set import hforacle as hf
 from sumok2set.catalog import cc, encode_nat, ord_of
-from sumok2set.hostterm import All, App, Eq, Imp, IOTA, Lam, Mem, Sep, Var, app, arrow
+from sumok2set.hostterm import All, App, Const, Eq, Imp, IOTA, Lam, Mem, Sep, Var, app, arrow, subterms
 
 
 def ev():
@@ -491,6 +491,30 @@ def test_parse_lemmas_hostile_lines_pinned(line, message, where):
     assert str(err.value) == "hostile.lemmas:1: " + message
     cause = err.value.__cause__
     assert (cause.line, cause.col) == where
+
+
+def test_lemma_line_nested_past_the_parser_is_a_located_error():
+    line = "((" + "(ordsucc @ " * 1500 + "emptyset" + ")" * 1500 + ") = emptyset)"
+    with pytest.raises(hf.LemmaSyntaxError) as err:
+        hf.parse_lemmas("(emptyset = emptyset)\n" + line + "\n", "deep.lemmas")
+    assert str(err.value) == "deep.lemmas:2: formulas nested too deeply"
+
+
+def test_claim_nested_past_the_compiler_is_an_error_result():
+    body = emptyset = cc("emptyset")
+    for _ in range(1500):
+        body = App(cc("ordsucc"), body)
+    claim = hf.Claim(1, 1, "deep", [], Eq(body, emptyset), None)
+    res = hf.check_claim(claim)
+    assert not res.ok
+    assert res.error == "formulas nested too deeply"
+
+
+def test_claims_read_the_catalog_constants():
+    claims = hf.parse_lemmas("![X:set]: ((ordsucc @ X) = (ite @ $true @ X @ emptyset))\n")
+    consts = [t for t in subterms(claims[0].body) if type(t) is Const]
+    assert {c.name for c in consts} == {"ordsucc", "ite", "emptyset"}
+    assert all(c is cc(c.name) for c in consts)
 
 
 def test_parse_lemmas_trailing_comment_is_accepted():
