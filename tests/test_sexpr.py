@@ -6,12 +6,13 @@ printed and re-read must come back structurally identical.
 
 import hashlib
 import os
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FIXTURES
-from sumok2set import sexpr
+from sumok2set import sexpr, sumo
 
 
 def strip(node):
@@ -225,3 +226,59 @@ def test_whitespace_is_unicode_whitespace_and_only_newline_ends_a_line():
 def test_backslash_escapes_the_next_character():
     (form,) = sexpr.parse_forms('("a\\\\b\\nc\\"" x)')
     assert [x.lexeme for x in form.items] == ['a\\bnc"', "x"]
+
+
+# --- pinned reader and lowering outcomes over mutated fixtures --------------
+#
+# A seeded family of mutations of the fixture KIF files: inserted parens,
+# quotes, variable and row-variable marks, CRLF line ends, comments,
+# numerals and binders, and deleted or moved stretches of text.  The digest
+# pins, for each mutant, the first error (class, message, FILE:LINE:COL) of
+# reading and lowering it, or the repr of every lowered form.
+
+_KIF_INSERTS = (
+    "(", ")", '"', "?", "@", " @ROW ", "\r\n", "; a comment\n", " ;(\n", '"x\ny"',
+    " 0 ", " -1.50 ", " 1.2.3 ",
+    " (forall (?X) ", " (exists (?Y @ROW) ", "(forall () ", " (KappaFn ?Z ",
+)
+KIF_MUTATION_DIGEST = "78e4031b434d81cdfd5a225e6e59d0bd3f420356cac33e570b5c197bcd77866c"
+
+
+def _kif_mutants(n, seed):
+    names = sorted(FIXTURE_DIGESTS)
+    texts = {}
+    for name in names:
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            texts[name] = fh.read()
+    rng = random.Random(seed)
+    for _ in range(n):
+        name = rng.choice(names)
+        text = texts[name]
+        for _ in range(rng.randint(1, 2)):
+            p = rng.randrange(len(text))
+            kind = rng.randrange(4)
+            if kind < 2:  # insert
+                text = text[:p] + rng.choice(_KIF_INSERTS) + text[p:]
+                continue
+            q = min(len(text), p + rng.randint(1, 12))
+            cut, rest = text[p:q], text[:p] + text[q:]
+            if kind == 2:  # delete
+                text = rest
+            else:  # move
+                r = rng.randrange(len(rest) + 1)
+                text = rest[:r] + cut + rest[r:]
+        yield name, text
+
+
+def _kif_outcome(name, text):
+    try:
+        return repr([sumo.lower(form) for form in sexpr.parse_forms(text, name)])
+    except sexpr.KifSyntaxError as err:
+        return f"{type(err).__name__}: {err.span}: {err.message}"
+
+
+def test_kif_mutation_outcomes_pinned():
+    digest = hashlib.sha256()
+    for name, text in _kif_mutants(2000, 14):
+        digest.update(_kif_outcome(name, text).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == KIF_MUTATION_DIGEST
