@@ -1075,8 +1075,10 @@ def format_results(results) -> str:
             status = f"ERROR {r.error}"
         elif r.ok:
             status = f"ok ({r.checked} assignments)"
-        else:
+        elif r.counterexample:
             status = f"FAIL at {r.counterexample}"
+        else:  # a claim with no binders has no assignment to name
+            status = "FAIL"
         lines.append(f"claim {r.claim.index} (line {r.claim.line}): {status}")
     bad = sum(1 for r in results if not r.ok)
     lines.append(

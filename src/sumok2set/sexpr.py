@@ -1,17 +1,21 @@
-"""Tokenizer and s-expression reader for SUO-KIF source text.
+"""S-expression reader for SUO-KIF source text.
 
-The reader keeps enough position information (file, line, column) for
-downstream passes to report errors against the original source.  It reads
-its input in one regex scan and works line and column out from token
-offsets.  Atoms are classified lexically: plain constants, ``?X``
-variables, ``@ROW`` row variables, signed decimal numerals, and
-double-quoted strings.
+The reader takes its tokens from one regex findall of plain strings and
+keeps a running offset.  Each node holds its offset into one Source shared
+by the file's nodes; its ``span`` (file, line, column), which downstream
+passes read to report errors against the original source, is worked out
+only when read.  Atoms are classified lexically, once per distinct token:
+plain constants, ``?X`` variables, ``@ROW`` row variables, signed decimal
+numerals, and double-quoted strings.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 ATOM_CONSTANT = "constant"
 ATOM_VARIABLE = "variable"
@@ -76,109 +80,154 @@ def read_text(path: str) -> str:
         raise NotUtf8(f"not UTF-8 text: {err.reason}", span) from None
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    lexeme: str
-    kind: str
-    span: Span
+class Source:
+    """One input text and its file name, shared by the nodes read from it.
 
-
-@dataclass(frozen=True, slots=True)
-class SList:
-    items: tuple
-    span: Span
-
-
-def _classify(lexeme: str, span: Span) -> Atom:
-    if lexeme.startswith("?"):
-        name = lexeme[1:]
-        if not name:
-            raise BadToken("empty variable name", span)
-        return Atom(name, ATOM_VARIABLE, span)
-    if lexeme.startswith("@"):
-        name = lexeme[1:]
-        if not name:
-            raise BadToken("empty row variable name", span)
-        return Atom(name, ATOM_ROWVAR, span)
-    first = lexeme[0]
-    if first.isdigit() or (first in "+-" and len(lexeme) > 1 and lexeme[1].isdigit()):
-        if not _NUMERAL_RE.match(lexeme):
-            raise BadToken(f"malformed numeral {lexeme!r}", span)
-        return Atom(lexeme, ATOM_NUMERAL, span)
-    return Atom(lexeme, ATOM_CONSTANT, span)
-
-
-# Every character of the input starts one of these alternatives, so one
-# scan leaves no gaps.  The unnamed ones are whitespace and comments; a quote
-# that opens no complete string falls through to `unterminated`.
-_TOKEN_RE = re.compile(
-    r"""\s+|;[^\n]*
-      | (?P<paren>[()])
-      | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
-      | (?P<unterminated>")
-      | (?P<atom>[^\s()";]+)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
-
-
-def tokenize(source: str, file: str = "<kif>"):
-    """Yield ``("(", span)``, ``(")", span)``, and classified Atom tokens.
-
-    Whitespace and ``;`` comments are skipped; a backslash in a string
-    stands for the character after it.  Line and column come from offsets:
-    the newlines between one token and the next are counted in one call.
+    Line and column of an offset come from an index of line starts, built
+    the first time a span is asked for.  Only a newline ends a line.
     """
-    line, line_start, last = 1, 0, 0
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        pos = m.start()
-        newlines = source.count("\n", last, pos)
-        if newlines:
-            line += newlines
-            line_start = source.rfind("\n", last, pos) + 1
-        last = pos
-        span = Span(file, line, pos - line_start + 1)
-        if kind == "paren":
-            yield m.group(), span
-        elif kind == "atom":
-            yield _classify(m.group(), span), span
-        elif kind == "string":
-            text = m.group()[1:-1]
-            if "\\" in text:
-                text = _ESCAPE_RE.sub(r"\1", text)
-            yield Atom(text, ATOM_STRING, span), span
-        else:
-            raise BadToken("unterminated string", span)
+
+    __slots__ = ("file", "text", "_starts")
+
+    def __init__(self, text: str, file: str):
+        self.file = file
+        self.text = text
+        self._starts = None
+
+    def span(self, pos: int) -> Span:
+        starts = self._starts
+        if starts is None:
+            lines = self.text.split("\n")
+            starts = self._starts = list(accumulate((len(x) + 1 for x in lines), initial=0))
+        line = bisect_right(starts, pos)
+        return Span(self.file, line, pos - starts[line - 1] + 1)
+
+
+class _Node:
+    """A read node: its span is given, or worked out from an offset."""
+
+    __slots__ = ("_at", "_pos")
+    _FIELDS: tuple = ()
+
+    @property
+    def span(self) -> Span | None:
+        pos = self._pos
+        return self._at if pos is None else self._at.span(pos)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._FIELDS, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Atom(_Node):
+    """A token: ``span`` is a Span, or the Source that ``pos`` is an offset into."""
+
+    __slots__ = ("lexeme", "kind")
+    _FIELDS = ("lexeme", "kind", "span")
+
+    def __init__(self, lexeme: str, kind: str, span=None, pos: int | None = None):
+        self.lexeme = lexeme
+        self.kind = kind
+        self._at = span
+        self._pos = pos
+
+
+class SList(_Node):
+    """A parenthesised list, located at its open paren like an Atom."""
+
+    __slots__ = ("items",)
+    _FIELDS = ("items", "span")
+
+    def __init__(self, items: tuple, span=None, pos: int | None = None):
+        self.items = items
+        self._at = span
+        self._pos = pos
+
+
+# Every character of the input starts one of these alternatives, so the
+# tokens of one findall, read in order, cover the text and a running sum of
+# their lengths is each one's offset: whitespace, a comment, a paren, a
+# string, a quote that opens no complete string, or an atom.
+_TOKEN_RE = re.compile(r'''\s+|;[^\n]*|[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|[^\s()";]+''', re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_SKIP, _OPEN, _CLOSE = object(), object(), object()
+
+
+def _classify(tok: str):
+    """What a token reads as: _SKIP, _OPEN, _CLOSE, an atom's (lexeme,
+    kind), or, for a bad token, the error to raise given its span."""
+    first = tok[0]
+    if first == "(":
+        return _OPEN
+    if first == ")":
+        return _CLOSE
+    if first == ";" or first.isspace():
+        return _SKIP
+    if first == '"':
+        if len(tok) == 1:
+            return partial(BadToken, "unterminated string")
+        text = tok[1:-1]
+        return (_ESCAPE_RE.sub(r"\1", text) if "\\" in text else text), ATOM_STRING
+    if first == "?":
+        return (tok[1:], ATOM_VARIABLE) if len(tok) > 1 else partial(BadToken, "empty variable name")
+    if first == "@":
+        if len(tok) == 1:
+            return partial(BadToken, "empty row variable name")
+        return tok[1:], ATOM_ROWVAR
+    if first.isdigit() or (first in "+-" and len(tok) > 1 and tok[1].isdigit()):
+        if not _NUMERAL_RE.match(tok):
+            return partial(BadToken, f"malformed numeral {tok!r}")
+        return tok, ATOM_NUMERAL
+    return tok, ATOM_CONSTANT
 
 
 def parse_forms(source: str, file: str = "<kif>") -> list:
     """Read all top-level forms from ``source``.
 
-    Empty input yields an empty list.  Unbalanced parentheses raise
-    UnbalancedParens with the offending span, and a list nested deeper than
-    MAX_DEPTH raises KifSyntaxError at its open paren.
+    Whitespace and ``;`` comments are skipped; a backslash in a string
+    stands for the character after it.  Empty input yields an empty list.
+    Errors are raised in source order: a bad token as BadToken, unbalanced
+    parentheses as UnbalancedParens, and a list nested deeper than
+    MAX_DEPTH as KifSyntaxError at its open paren.
     """
+    src = Source(source, file)
+    toks = _TOKEN_RE.findall(source)
+    reads = {tok: _classify(tok) for tok in set(toks)}
     top: list = []
     items = top  # the list being filled
-    stack: list = []  # (enclosing list, span of the open paren)
-    for tok, span in tokenize(source, file):
-        if isinstance(tok, Atom):
-            items.append(tok)
-        elif tok == "(":
+    stack: list = []  # (enclosing list, offset of the open paren)
+    pos = 0
+    for tok in toks:
+        read = reads[tok]
+        if read.__class__ is tuple:
+            items.append(Atom(read[0], read[1], src, pos))
+        elif read is _SKIP:
+            pass
+        elif read is _OPEN:
             if len(stack) == MAX_DEPTH:
-                raise KifSyntaxError(f"lists nested deeper than {MAX_DEPTH}", span)
-            stack.append((items, span))
+                raise KifSyntaxError(f"lists nested deeper than {MAX_DEPTH}", src.span(pos))
+            stack.append((items, pos))
             items = []
-        elif not stack:
-            raise UnbalancedParens("unmatched ')'", span)
-        else:
-            outer, open_span = stack.pop()
-            outer.append(SList(tuple(items), open_span))
+        elif read is _CLOSE:
+            if not stack:
+                raise UnbalancedParens("unmatched ')'", src.span(pos))
+            outer, open_pos = stack.pop()
+            outer.append(SList(tuple(items), src, open_pos))
             items = outer
+        else:
+            raise read(src.span(pos))
+        pos += len(tok)
     if stack:
-        raise UnbalancedParens("unclosed '('", stack[-1][1])
+        raise UnbalancedParens("unclosed '('", src.span(stack[-1][1]))
     return top

@@ -259,7 +259,6 @@ def parse_numeral(lexeme: str, span: Span | None = None) -> Rat:
     Trailing zeros of the fractional part are stripped so that the scale is
     minimal: "3.50" denotes the same Rat as "3.5".
     """
-    span = span or Span("<numeral>", 1, 1)
     text = lexeme
     sign = 1
     if text.startswith("+"):
@@ -272,7 +271,7 @@ def parse_numeral(lexeme: str, span: Span | None = None) -> Rat:
     else:
         whole, frac = text, ""
     if not whole.isdigit() or (frac and not frac.isdigit()) or ("." in frac):
-        raise BadNumeral(f"malformed numeral {lexeme!r}", span)
+        raise BadNumeral(f"malformed numeral {lexeme!r}", span or Span("<numeral>", 1, 1))
     num = sign * int(whole + frac) if (whole + frac) else 0
     scale = len(frac)
     while scale > 0 and num % 10 == 0:
@@ -302,7 +301,10 @@ def _lower_term(sx):
         if sx.kind == ATOM_ROWVAR:
             raise UnknownSyntax("row variable used as a term", sx.span)
         if sx.kind == ATOM_NUMERAL:
-            return parse_numeral(sx.lexeme, sx.span)
+            try:
+                return parse_numeral(sx.lexeme)
+            except BadNumeral as err:
+                raise BadNumeral(err.message, sx.span) from None
         if sx.kind == ATOM_STRING:
             raise UnknownSyntax("string literals are outside the fragment", sx.span)
         if sx.lexeme in _BUILTIN_NAMES:
@@ -330,9 +332,9 @@ def _lower_term(sx):
             _lower_term(sx.items[2]),
         )
     if head.kind == ATOM_VARIABLE:
-        return Apply(Var(head.lexeme), _lower_spine(sx.items[1:], sx.span))
+        return Apply(Var(head.lexeme), _lower_spine(sx.items[1:], sx))
     if head.kind == ATOM_CONSTANT:
-        return Apply(Const(head.lexeme), _lower_spine(sx.items[1:], sx.span))
+        return Apply(Const(head.lexeme), _lower_spine(sx.items[1:], sx))
     raise UnknownSyntax("bad application head", head.span)
 
 
@@ -343,7 +345,9 @@ def _row_free_in_term(term) -> bool:
     return not isinstance(term, Kappa) and any(_row_free_in_term(c) for c in children(term))
 
 
-def _lower_spine(items, span: Span):
+def _lower_spine(items, owner):
+    # owner is the list the spine is read from; its span, read only to
+    # report an error, locates a nested row variable
     row = None
     prefix: list = []
     suffix: list = []
@@ -360,7 +364,7 @@ def _lower_spine(items, span: Span):
     for term in prefix + suffix:
         if _row_free_in_term(term):
             raise TwoRowVarsInSpine(
-                "row variable nested inside a row-variable spine", span
+                "row variable nested inside a row-variable spine", owner.span
             )
     return RowSpine(tuple(prefix), row, tuple(suffix))
 
@@ -450,9 +454,9 @@ def _lower_formula(sx):
         }[name]
         return ctor(left, right)
     if head.kind == ATOM_VARIABLE:
-        return RelAtom(Var(head.lexeme), _lower_spine(args, sx.span))
+        return RelAtom(Var(head.lexeme), _lower_spine(args, sx))
     if head.kind == ATOM_CONSTANT:
-        return RelAtom(Const(head.lexeme), _lower_spine(args, sx.span))
+        return RelAtom(Const(head.lexeme), _lower_spine(args, sx))
     raise UnknownSyntax("bad formula head", head.span)
 
 

@@ -572,6 +572,13 @@ def test_format_results_lines():
     assert "1/1 claims hold" in out
 
 
+def test_failing_closed_claim_prints_fail_alone():
+    claims = hf.parse_lemmas("((len @ nil) = (ordsucc @ emptyset))\n")
+    results = [hf.check_claim(c) for c in claims]
+    assert [(r.ok, r.counterexample) for r in results] == [(False, "")]
+    assert hf.format_results(results) == "claim 1 (line 1): FAIL\n0/1 claims hold"
+
+
 def test_describe_value_shapes():
     # elements print sorted by their canonical key
     assert hf.describe_value(hf.nat(2)) == "{{{}},{}}"

@@ -171,6 +171,25 @@ def test_fixture_parse_pinned(name):
     assert digest == FIXTURE_DIGESTS[name]
 
 
+def test_clean_read_and_lowering_build_at_most_one_span_per_form(monkeypatch):
+    # spans are worked out only when read: a clean file's lowering reads one
+    # per top-level form (its Assertion's), none per token or list
+    built = []
+    real = sexpr.Span
+
+    def counting_span(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sexpr, "Span", counting_span)
+    monkeypatch.setattr(sumo, "Span", counting_span)
+    with open(os.path.join(FIXTURES, "merge_fragment.kif"), encoding="utf-8") as fh:
+        forms = sexpr.parse_forms(fh.read(), "merge_fragment.kif")
+    lowered = [sumo.lower(form) for form in forms]
+    assert len(lowered) == len(forms) == 46
+    assert 0 < len(built) <= len(forms)
+
+
 @pytest.mark.parametrize(
     "source,error,message,line,col",
     [
