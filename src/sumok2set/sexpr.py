@@ -180,7 +180,9 @@ def _classify(tok: str):
         text = tok[1:-1]
         return (_ESCAPE_RE.sub(r"\1", text) if "\\" in text else text), ATOM_STRING
     if first == "?":
-        return (tok[1:], ATOM_VARIABLE) if len(tok) > 1 else partial(BadToken, "empty variable name")
+        if len(tok) == 1:
+            return partial(BadToken, "empty variable name")
+        return tok[1:], ATOM_VARIABLE
     if first == "@":
         if len(tok) == 1:
             return partial(BadToken, "empty row variable name")
