@@ -1,4 +1,4 @@
-"""Tokenizer and reader tests.
+"""Reader tests.
 
 The round-trip test uses a local printer as the independent check: a tree
 printed and re-read must come back structurally identical.
