@@ -6,6 +6,7 @@ once, however many queries it poses.
 """
 
 import dataclasses
+import hashlib
 import os
 import re
 
@@ -422,3 +423,32 @@ def test_unit_needs_read_off_its_record_equal_catalog_needs(setting, monkeypatch
     for conj in conjectures:
         record = th0.render_premise("conj", "conjecture", conj)
         assert th0.catalog_needs(record) == frozenset(CATALOG.needs([conj]))
+
+
+# One digest over problems posed through images: the fixture queries under
+# each setting, two selections, and the block queries against three renamed
+# copies of the fragment.  Paths are relative, because skip comments quote them.
+IMAGE_PATH_DIGEST = "6821887f92bba35a8fce1c610c305e6c86dd4d54e45c276aa957c3350553b88c"
+SELECTION = ["def_len", "rel_s_partition_arity", "kb_merge_fragment_0"]
+
+
+def test_problems_posed_through_an_image_pinned(tmp_path, monkeypatch):
+    digest = hashlib.sha256()
+    monkeypatch.chdir(FIXTURES)
+    for setting in sorted(SETTINGS):
+        opts = SETTINGS[setting]
+        image = image_of([KB], **opts)
+        for query in QUERIES:
+            digest.update(text_of(image, query, **opts).encode("utf-8"))
+    image = translate.compile_kb([KB])
+    problem, _skips, _tr = translate.translate_query_job(image, "tqg27.kif")
+    every_third = [name for name, _role, _body in problem.premises][::3]
+    for query, names in (("tqg3.kif", SELECTION), ("tqg27.kif", every_third)):
+        digest.update(text_of(image, query, selection=names).encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+    renamed_kb(tmp_path, 3)
+    image = translate.compile_kb(["kb.kif"])
+    for name, text in BLOCK_QUERIES.items():
+        (tmp_path / f"{name}.kif").write_text(text + "\n")
+        digest.update(text_of(image, f"{name}.kif").encode("utf-8"))
+    assert digest.hexdigest() == IMAGE_PATH_DIGEST
