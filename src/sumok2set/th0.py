@@ -14,17 +14,19 @@ its host term: it writes the text of the flattened term without building
 it, hoists each separation it meets, and records the constants in the order
 it writes them.  Only the inside of a separation is flattened to a term,
 for its key and its definition, which the same walk writes.  A
-problem is its records put together, with the separation definitions and
-type declarations merged in first-occurrence order; a run of records that
+translated problem holds nothing but records, each rendered as its premise
+was translated; build_doc puts them together, with the separation
+definitions and type declarations merged in first-occurrence order, and
+renders nothing itself.  A run of records that
 many problems share, such as a knowledge base's, is merged once into a
 Block, which each problem takes whole.  Parsing the rendered text (with
 th0read's parser) and rendering again reproduces it byte for byte.
 
 check_text goes through a problem record by record on one path: a record
 that a memo holds from earlier problems that checked clean is confirmed
-from its text alone, each run of the others is parsed in one scan and only
-then typechecked and rendered, and the layout of the records decides the
-rest of the canonical form.
+from its text alone, each run of the others is parsed in one scan, each
+record typechecked and rendered as soon as it is parsed, and the layout of
+the records decides the rest of the canonical form.
 """
 
 from __future__ import annotations
@@ -359,20 +361,6 @@ def _record(hoister: _SepHoister, name: str, role: str, term) -> Record:
     return Record(text, tuple(walk.consts))
 
 
-def cached_record(cache: dict, name: str, role: str, term) -> Record:
-    """The record of a premise, from cache when it holds this very term.
-
-    cache maps premise name -> (term, Record); the identity test keeps the
-    record of one query's local premise from standing in for another's.
-    """
-    hit = cache.get(name)
-    if hit is not None and hit[0] is term:
-        return hit[1]
-    record = render_premise(name, role, term)
-    cache[name] = (term, record)
-    return record
-
-
 _CATALOG_NAMES = frozenset(CATALOG.order)
 
 
@@ -502,38 +490,33 @@ def _runs(problem) -> list:
     """The premises of a problem as runs: a Block, or a list of (name, role, Record).
 
     problem.blocks gives (index, Block) for each run of premises that is a
-    block; the records of the premises between come from the render cache.
+    block; the premises between are sliced out as they are.
     """
-    cache = problem.render_cache
     premises = problem.premises
     runs: list = []
     start = 0
-    for at, block in list(problem.blocks) + [(len(premises), None)]:
-        runs.append([
-            (name, role, cached_record(cache, name, role, term))
-            for name, role, term in premises[start:at]
-        ])
-        if block is not None:
-            runs.append(block)
-            start = at + len(block.premises)
+    for at, block in problem.blocks:
+        runs += [premises[start:at], block]
+        start = at + len(block.premises)
+    runs.append(premises[start:])
     return runs
 
 
 def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0Doc:
     """Put a translated problem together from the records of its premises.
 
-    The records are merged in first-occurrence order: separation
-    definitions first, then the premises, then the conjecture.  A Block
-    among the premises (problem.blocks, the knowledge base of a KbImage)
-    merges whole, from what it merged once; every other premise merges one
-    record at a time, its record taken from problem.render_cache, which the
-    problems of one image share.  So what a problem costs here beyond its
+    The premises and the conjecture of a problem are rendered already, so
+    this renders nothing: the records are merged in first-occurrence order,
+    separation definitions first, then the premises, then the conjecture.
+    A Block among the premises (problem.blocks, the knowledge base of a
+    KbImage) merges whole, from what it merged once; every other premise
+    merges one record at a time.  So what a problem costs here beyond its
     blocks grows with its own premises, not with the knowledge base.
     """
     import datetime
 
     runs = _runs(problem)
-    conjecture = render_premise("conj", "conjecture", problem.conjecture)
+    conjecture = problem.conjecture
     last = [("conj", "conjecture", conjecture)]
     seps: dict = {}
     sep_parts: list = []  # per block or new separation, in order: what its definitions add
@@ -690,6 +673,7 @@ CHECK_MEMO = RecordMemo(MEMO_BYTES)  # one per process, shared by every check_te
 
 
 _RANK = {"type": 0, "axiom": 1, "definition": 1, "conjecture": 2}  # the layout's order of roles
+_TOO_DEEP = "parse error: formulas nested too deeply"
 
 
 def check_text(text: str) -> list:
@@ -718,8 +702,11 @@ class _RecordPass:
     the first such line is its head, which must be comments as render_doc
     writes them.  A record the memo holds is a hit, checked with no parse,
     when its name is new and an earlier type record makes each declaration
-    of its entry.  Each run of the other records is parsed in one scan, and
-    only then typechecked and rendered (run).  A parse error in a run that
+    of its entry.  Each run of the other records is parsed in one scan, each
+    record typechecked and rendered right after its parse, so that only
+    strings outlive it (run).  The diagnostics are those of parsing the
+    whole run first: after a parse error the caller returns that error
+    alone, or starts again with a fresh pass.  A parse error in a run that
     more records of the memo follow is found again with no hits, so the
     whole text is one run and its first error is the one a parse of the
     whole text meets.  The layout decides the rest of the canonical form:
@@ -805,44 +792,28 @@ class _RecordPass:
             self.pending.clear()
             parser = _Parser(run)
             reads = parser.reads
-            parsed = []
-            while parser.toks[parser.i]:
-                parsed.append(parser.record(consts, self.names) + (tuple(reads),))
-                reads.clear()
             rendered = []
             entries = []
-            for name, role, body, read in parsed:
-                rank = _RANK[role]
-                if rank < self.phase:
-                    self.canonical = False
-                self.phase = rank
-                if rank == 0:
-                    decl = sys.intern(f"{body.name} : {render_type(body.ty)}")
-                    decls[body.name] = decl
-                    self.declared.add(decl)
-                    if self.canonical:
-                        entries.append(("type", decl))
-                        rendered.append(render_record(name, role, decl))
-                    continue
-                self.conjecture |= rank == 2
-                diags = self.conj_diags if rank == 2 else self.diags
-                try:
-                    ty = typecheck(body)
-                    if ty != OMICRON:
-                        diags.append(f"{name}: formula has type {render_type(ty)}, not $o")
-                except TypeMismatch as err:
-                    diags.append(f"{name}: ill-typed: {err}")
-                if self.canonical:
-                    entries.append((sys.intern(role), *map(decls.__getitem__, read)))
-                    rendered.append(render_record(name, role, render_term(body)))
+            deep = False  # a record too deep to check; later ones are only parsed
+            while parser.toks[parser.i]:
+                name, role, body = parser.record(consts, self.names)
+                read = tuple(reads)
+                reads.clear()
+                if not deep:
+                    try:
+                        self.check_record(name, role, body, read, rendered, entries)
+                    except RecursionError:
+                        deep = True
         except RecursionError:
-            return "parse error: formulas nested too deeply"
+            return _TOO_DEEP
         except Th0Error as err:
             if not err.line:
                 return f"parse error: {err}"
             if a:  # the run starts at a line of its own: only the line moves
                 err.line += text.count("\n", 0, first) + sum(r.count("\n") + 1 for r in records[:a])
             return f"parse error at {err.line}:{err.col}: {err}"
+        if deep:  # no parse error follows, which would have come first
+            return _TOO_DEEP
         if self.canonical:
             if "\n".join(rendered) == own:
                 # each record starts a line with thf( and its continuation
@@ -851,3 +822,33 @@ class _RecordPass:
             else:
                 self.canonical = False
         return ""
+
+    def check_record(self, name: str, role: str, body, read: tuple, rendered: list, entries: list):
+        """Typecheck and render one parsed record, keeping only strings.
+
+        Its diagnostics join the pass's; while the layout is canonical its
+        rendering joins rendered and its memo entry joins entries.
+        """
+        rank = _RANK[role]
+        if rank < self.phase:
+            self.canonical = False
+        self.phase = rank
+        if rank == 0:
+            decl = sys.intern(f"{body.name} : {render_type(body.ty)}")
+            self.decls[body.name] = decl
+            self.declared.add(decl)
+            if self.canonical:
+                entries.append(("type", decl))
+                rendered.append(render_record(name, role, decl))
+            return
+        self.conjecture |= rank == 2
+        diags = self.conj_diags if rank == 2 else self.diags
+        try:
+            ty = typecheck(body)
+            if ty != OMICRON:
+                diags.append(f"{name}: formula has type {render_type(ty)}, not $o")
+        except TypeMismatch as err:
+            diags.append(f"{name}: ill-typed: {err}")
+        if self.canonical:
+            entries.append((sys.intern(role), *map(self.decls.__getitem__, read)))
+            rendered.append(render_record(name, role, render_term(body)))

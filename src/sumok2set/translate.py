@@ -12,9 +12,13 @@ translation share the lowered forms.  A run of queries against one
 knowledge base compiles it once (compile_kb, KbImage): each query adds its
 own units, relation facts and background to the translated knowledge base,
 and a query whose declarations change the signature of a symbol the
-knowledge base uses has it translated again, from scratch.  The image keeps
-all a problem takes from the knowledge base, its records merged into
-blocks (th0.Block) included, so what a query costs grows with the query.
+knowledge base uses has it translated again, from scratch.
+
+Each premise is rendered to its th0.Record as it is translated, and a
+Problem is made of those records; no host term outlives the form it was
+translated from.  The image keeps all a problem takes from the knowledge
+base as records merged into blocks (th0.Block), so what a query costs grows
+with the query.
 """
 
 from __future__ import annotations
@@ -114,7 +118,6 @@ class Translator:
         self.collect_explanations = collect_explanations
         self.minted: dict = {}  # host name -> source name, insertion ordered
         self.explanations: list = []
-        self.facts: dict = {}  # source name -> its relation facts
         self._avoid: set = set()
         self._resolved: dict = {}  # source name -> its minted Const
 
@@ -318,17 +321,7 @@ class Translator:
     # -- relation facts ----------------------------------------------------
 
     def relation_facts(self, name: str) -> list:
-        """(premise_name, term) facts pinning arity and argument domains.
-
-        Worked out once per name; a KbImage hands the facts of the names
-        its knowledge base mentions on to the translators of its queries.
-        """
-        found = self.facts.get(name)
-        if found is None:
-            found = self.facts[name] = self._relation_facts(name)
-        return found
-
-    def _relation_facts(self, name: str) -> list:
+        """(premise_name, term) facts pinning arity and argument domains."""
         info = self.sig.info(name)
         if info is None or not info.arg_domain:
             return []
@@ -358,16 +351,6 @@ class Translator:
 # File-level driving
 
 
-@dataclass(slots=True)  # a knowledge base has thousands; no per-unit __dict__
-class Unit:
-    name: str
-    term: object
-    span: Span
-    needs: frozenset  # catalog names the term needs
-    kind: str = "kb"  # kb | local | conjecture
-    record: th0.Record | None = None  # the premise rendered on its own
-
-
 @dataclass
 class SkipNote:
     file: str
@@ -378,12 +361,20 @@ class SkipNote:
 
 @dataclass
 class Problem:
-    premises: list  # (name, role, term)
-    conjecture: object  # host term
+    """A translated problem, its premises and conjecture already rendered."""
+
+    premises: list  # (name, role, th0.Record)
+    conjecture: th0.Record  # named conj
     comments: list = field(default_factory=list)
     explanations: list = field(default_factory=list)
-    render_cache: dict = field(default_factory=dict)  # see th0.build_doc
     blocks: tuple = ()  # (index in premises, th0.Block of the premises from there)
+
+
+# Every catalog premise, rendered once: premise name -> th0.Record.
+_CATALOG_RECORDS = {
+    name: th0.render_premise(name, role, term)
+    for name, role, term in CATALOG.background(set(CATALOG.order))
+}
 
 
 def _stem(path: str) -> str:
@@ -400,47 +391,40 @@ def load_lowered(path: str, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> list:
     return [sumo.lower(form, skip_heads) for form in parse_forms(read_text(path), path)]
 
 
-def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb",
-                   render_cache: dict | None = None):
-    """Translate one file's lowered forms into premise units plus an optional query.
+def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
+    """Translate one file's lowered forms into premises plus an optional conjecture.
 
-    Returns (units, query_term, skips).  Premise names key on the file stem
-    and the source position of the form, so they stay stable when neighbors
-    are edited.  Each unit is rendered as it is made (th0.Record, kept in
-    render_cache too), and its catalog needs are read off that record.
+    Returns (premises, conjecture, skips): (name, "axiom", th0.Record)
+    triples, and the Record of the query form or None.  Premise names key on
+    the file stem (kind "kb") or are local, and on the source position of
+    the form, so they stay stable when neighbors are edited.
     """
-    stem = _stem(path)
-    prefix = "kb_" + stem + "_" if kind == "kb" else "local_"
-    cache = {} if render_cache is None else render_cache
-    needs_seen: dict = {}  # the units share few distinct needs; each is kept once
-    units: list = []
+    prefix = "kb_" + _stem(path) + "_" if kind == "kb" else "local_"
+    premises: list = []
     skips: list = []
-    query_term = None
+    conjecture = None
     for index, item in enumerate(lowered):
         if isinstance(item, sumo.Skipped):
             skips.append(SkipNote(path, index, item.reason, item.span))
         elif isinstance(item, sumo.Query):
-            if query_term is not None:
+            if conjecture is not None:
                 raise TranslateError("more than one query form", item.span)
-            query_term = tr.close_query(item.formula)
+            conjecture = th0.render_premise("conj", "conjecture", tr.close_query(item.formula))
         else:
             name = f"{prefix}{index}"
             term = tr.close_assertion(item.formula)
-            record = th0.cached_record(cache, name, "axiom", term)
-            needs = th0.catalog_needs(record)
-            needs = needs_seen.setdefault(needs, needs)
-            units.append(Unit(name, term, item.span, needs, kind, record))
-    return units, query_term, skips
+            premises.append((name, "axiom", th0.render_premise(name, "axiom", term)))
+    return premises, conjecture, skips
 
 
 def fact_premises(tr: Translator, names) -> list:
-    """The relation facts of the source names, as (name, role, term) premises.
+    """The relation facts of the source names, as (name, role, th0.Record) premises.
 
     names is read to the end first: working out a fact mints the names of
     its domains, which get no facts of their own here.
     """
     return [
-        (fact_name, "axiom", term)
+        (fact_name, "axiom", th0.render_premise(fact_name, "axiom", term))
         for src_name in list(names)
         for fact_name, term in tr.relation_facts(src_name)
     ]
@@ -448,38 +432,40 @@ def fact_premises(tr: Translator, names) -> list:
 
 def build_problem(
     tr: Translator,
-    kb_units: list,
-    local_units: list,
-    conjecture,
+    kb_premises: list,
+    local_premises: list,
+    conjecture: th0.Record,
     comments: list,
     image: "KbImage",
 ) -> Problem:
     """Assemble background, relation facts, and translated premises.
 
-    kb_units are the units of the image, which brings the relation facts of
-    the names its knowledge base mentions, their catalog needs and theirs,
-    and the two blocks its problems merge whole.  Relation facts are
-    emitted for every source relation mentioned so far that has declared
-    argument domains, in first-mention order: the image's, then those of
-    the names the query mints.  Only the query's own part is walked here:
-    its facts, its local units and the conjecture.
+    kb_premises are the premises of the image's unit block; the image
+    brings the relation facts of the names its knowledge base mentions,
+    the catalog needs of both blocks, and the blocks its problems merge
+    whole.  Relation facts are emitted for every source relation mentioned
+    so far that has declared argument domains, in first-mention order: the
+    image's, then those of the names the query mints.  Only the query's own
+    part is rendered here: the facts of the names it mints.
     """
     minted = islice(tr.minted.values(), len(image.minted), None)
     query_facts = fact_premises(tr, minted)
-    needs = CATALOG.needs([t for _, _, t in query_facts] + [conjecture])
-    needs = needs.union(image.needs, *(u.needs for u in local_units))
-    background = CATALOG.background(needs)
+    needs = image.needs.union(
+        th0.catalog_needs(conjecture),
+        *(th0.catalog_needs(record) for _, _, record in query_facts + local_premises),
+    )
+    background = [
+        (name, role, _CATALOG_RECORDS[name]) for name, role, _term in CATALOG.background(needs)
+    ]
 
     facts_at = len(background)
-    units_at = facts_at + len(image.fact_premises) + len(query_facts)
-    premises = background + image.fact_premises + query_facts + image.unit_premises
-    premises += [(u.name, "axiom", u.term) for u in local_units]
+    units_at = facts_at + len(image.fact_block.premises) + len(query_facts)
+    premises = background + image.fact_block.premises + query_facts + kb_premises + local_premises
     return Problem(
         premises=premises,
         conjecture=conjecture,
         comments=comments,
         explanations=tr.take_explanations(),
-        render_cache=image.render_cache,
         blocks=((facts_at, image.fact_block), (units_at, image.unit_block)),
     )
 
@@ -496,7 +482,6 @@ def select_premises(problem: Problem, names: list) -> Problem:
         conjecture=problem.conjecture,
         comments=problem.comments,
         explanations=problem.explanations,
-        render_cache=problem.render_cache,
     )
 
 
@@ -556,14 +541,13 @@ class KbImage:
     """A knowledge base translated once under one signature, for many queries.
 
     Holds the lowered forms and the signature, the translator state after
-    the knowledge base (minted names, explanations, the relation facts of
-    the names it mentions), the units with their skip notes, and the render
-    cache its problems share (th0.build_doc).  It also keeps what every
-    problem takes from the knowledge base as it is: the relation fact
-    premises, the catalog needs of those facts and of the units, the unit
-    premises, and the two th0.Blocks of their records, merged once.  So
-    posing a query costs about what a query against an empty knowledge
-    base costs, and leaves the image as it was.
+    the knowledge base (minted names, explanations) and its skip notes.  It
+    also keeps what every problem takes from the knowledge base as it is,
+    as rendered records, never as host terms: two th0.Blocks, of the
+    relation facts of the names it mentions and of its premises, each
+    merged once, and the catalog names they need.  So posing a query costs
+    about what a query against an empty knowledge base costs, and leaves
+    the image as it was.
 
     translate_query_job poses a query that declares nothing under sig
     itself; an image for a run of queries is therefore compile_kb's, under
@@ -578,34 +562,21 @@ class KbImage:
         self.collect_explanations = collect_explanations
         recording = _RecordingSignature(sig)
         tr = Translator(recording, expand_known_rows, collect_explanations)
-        self.render_cache: dict = {}
-        self.units: list = []
+        premises: list = []
         self.skips: list = []
         for path, items in zip(forms.paths, forms.lowered):
-            units, query, file_skips = translate_file(tr, path, items, "kb", self.render_cache)
+            file_premises, query, file_skips = translate_file(tr, path, items, "kb")
             if query is not None:
                 raise TranslateError(f"query form inside knowledge base file {path}")
-            self.units.extend(units)
+            premises += file_premises
             self.skips.extend(file_skips)
         self.skip_comments = [f"skipped {s.file}:{s.span.line}: {s.reason}" for s in self.skips]
         self.minted = dict(tr.minted)
         self.explanations = list(tr.explanations)
-        self.fact_premises = fact_premises(tr, self.minted.values())
-        self.facts = tr.facts
         self.used = recording.asked  # the names whose signature entries it read
-        self.unit_premises = [(u.name, "axiom", u.term) for u in self.units]
-        fact_records = [
-            (name, role, th0.cached_record(self.render_cache, name, role, term))
-            for name, role, term in self.fact_premises
-        ]
-        self.needs = frozenset().union(
-            *(th0.catalog_needs(record) for _, _, record in fact_records),
-            *(u.needs for u in self.units),
-        )
-        self.fact_block = th0.Block(fact_records)
-        self.unit_block = th0.Block(
-            [(u.name, "axiom", u.record) for u in self.units], before=[self.fact_block]
-        )
+        self.fact_block = th0.Block(fact_premises(tr, self.minted.values()))
+        self.unit_block = th0.Block(premises, before=[self.fact_block])
+        self.needs = self.fact_block.catalog | self.unit_block.catalog
 
     def agrees(self, sig) -> bool:
         """Whether translating the knowledge base under sig gives this image again."""
@@ -614,23 +585,21 @@ class KbImage:
     def pose(self, query_path: str, lowered: list, sig, selection: list | None = None):
         """The problem of one query; sig is its job's signature, which agrees.
 
-        Only the query is translated and walked: its units, the relation
-        facts of the names it mints, and the conjecture; the knowledge base
-        comes whole from the image.  Returns (problem, skips, translator).
+        Only the query is translated and rendered: its premises, the
+        relation facts of the names it mints, and the conjecture; the
+        knowledge base comes whole from the image.  Returns (problem,
+        skips, translator).
         """
         tr = Translator(sig, self.expand_known_rows, self.collect_explanations)
         tr.minted = dict(self.minted)
         tr.explanations = list(self.explanations)
-        tr.facts = dict(self.facts)
-        local_units, conjecture, q_skips = translate_file(
-            tr, query_path, lowered, "local", self.render_cache
-        )
+        local, conjecture, q_skips = translate_file(tr, query_path, lowered, "local")
         if conjecture is None:
             raise TranslateError(f"no query form in {query_path}")
         comments = self.skip_comments + [
             f"skipped {s.file}:{s.span.line}: {s.reason}" for s in q_skips
         ]
-        problem = build_problem(tr, self.units, local_units, conjecture, comments, self)
+        problem = build_problem(tr, self.unit_block.premises, local, conjecture, comments, self)
         if selection is not None:
             problem = select_premises(problem, selection)
         return problem, self.skips + q_skips, tr

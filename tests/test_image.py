@@ -6,14 +6,17 @@ once, however many queries it poses.
 """
 
 import dataclasses
+import gc
 import hashlib
 import os
 import re
+import types
+from collections import Counter
 
 import pytest
 
 from conftest import FIXTURES, fixture_path
-from sumok2set import catalog, cli, signature, sumo, th0, translate
+from sumok2set import catalog, cli, hostterm, signature, sumo, th0, translate
 from sumok2set.catalog import CATALOG, cc
 from sumok2set.hostterm import App, Arrow, Const, IOTA, OMICRON
 
@@ -266,7 +269,7 @@ def renamed_query(tmp_path, shape, copy=0):
 def test_posing_a_query_does_no_work_that_grows_with_the_kb(tmp_path, monkeypatch):
     small = translate.compile_kb([renamed_kb(tmp_path, 1, "kb1.kif")])
     large = translate.compile_kb([renamed_kb(tmp_path, 3, "kb3.kif")])
-    assert len(large.units) == 3 * len(small.units)
+    assert len(large.unit_block.premises) == 3 * len(small.unit_block.premises)
     counts = {"collect": 0, "agrees": 0, "needs_terms": 0, "renders": 0}
     real_collect = signature.collect
     real_agrees = translate.KbImage.agrees
@@ -391,12 +394,13 @@ def test_a_query_constant_clashing_with_a_kb_constant_is_an_error(tmp_path):
     assert "Acme" not in BLOCK_QUERIES["minted_facts"]
     clash = App(Const("s_Acme_5f1", Arrow(IOTA, OMICRON)), cc("emptyset"))
     # in the conjecture, merged after both blocks
+    conjecture = th0.render_premise("conj", "conjecture", clash)
     with pytest.raises(th0.Th0Error, match="constant s_Acme_5f1 used at two types"):
-        th0.problem_text(dataclasses.replace(problem, conjecture=clash))
+        th0.problem_text(dataclasses.replace(problem, conjecture=conjecture))
     # in a query fact, merged before the unit block
     at = next(i for i, p in enumerate(problem.premises) if p[0] == "rel_s_likes_arity")
     premises = list(problem.premises)
-    premises[at] = (premises[at][0], "axiom", clash)
+    premises[at] = (premises[at][0], "axiom", th0.render_premise(premises[at][0], "axiom", clash))
     with pytest.raises(th0.Th0Error, match="constant s_Acme_5f1 used at two types"):
         th0.problem_text(dataclasses.replace(problem, premises=premises))
     # neither leaves anything behind in the image
@@ -407,22 +411,54 @@ def test_a_query_constant_clashing_with_a_kb_constant_is_an_error(tmp_path):
 def test_unit_needs_read_off_its_record_equal_catalog_needs(setting, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     opts = SETTINGS[setting]
-    image = image_of([KB], **opts)
-    units = list(image.units)
-    conjectures = []
-    for query in QUERIES:
-        tr = translate.Translator(image.sig, **opts)
-        lowered = translate.load_lowered(query)
-        local, conj, _skips = translate.translate_file(tr, query, lowered, "local")
-        units += local
-        conjectures.append(conj)
-    assert units
-    for unit in units:
-        assert unit.needs == frozenset(CATALOG.needs([unit.term])), unit.name
-        assert unit.record.text.startswith(f"thf({unit.name}, axiom, ")
+    sig = image_of([KB], **opts).sig
+    premises, conjectures = [], []
+    for path in [KB, *QUERIES]:
+        tr = translate.Translator(sig, **opts)
+        for index, item in enumerate(translate.load_lowered(path)):
+            if isinstance(item, sumo.Query):
+                conjectures.append(tr.close_query(item.formula))
+            elif isinstance(item, sumo.Assertion):
+                premises.append((f"ax_{index}", tr.close_assertion(item.formula)))
+    assert premises and len(conjectures) == len(QUERIES)
+    for name, term in premises:
+        record = th0.render_premise(name, "axiom", term)
+        assert th0.catalog_needs(record) == frozenset(CATALOG.needs([term])), name
+        assert record.text.startswith(f"thf({name}, axiom, ")
     for conj in conjectures:
         record = th0.render_premise("conj", "conjecture", conj)
         assert th0.catalog_needs(record) == frozenset(CATALOG.needs([conj]))
+
+
+def reachable(root):
+    """Every object reachable from root by gc.get_referents, past types, modules and functions."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in seen or isinstance(ref, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen[id(ref)] = ref
+            stack.append(ref)
+    return seen.values()
+
+
+@pytest.mark.parametrize("kb", [KB, "with_seps"])
+def test_an_image_holds_no_host_terms(kb, tmp_path):
+    if kb == "with_seps":
+        (tmp_path / "seps.kif").write_text(KB_SEPS)
+        kbs = [renamed_kb(tmp_path, 3), str(tmp_path / "seps.kif")]
+    else:
+        kbs = [fixture_path(kb)]
+    image = translate.compile_kb(kbs)
+    assert image.unit_block.premises and image.fact_block.premises
+    kinds = Counter(
+        type(obj).__name__
+        for obj in reachable(image)
+        if type(obj).__module__ == hostterm.__name__ and not isinstance(obj, hostterm.HostType)
+    )
+    # Const nodes stay, in the records' constants; no term is kept whole
+    assert set(kinds) == {"Const"}, kinds
 
 
 # One digest over problems posed through images: the fixture queries under

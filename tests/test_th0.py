@@ -120,9 +120,10 @@ def test_escape_of_plain_names_matches_the_per_character_escape():
 
 
 def simple_problem(conjecture, premises=()):
+    """A problem of host-term premises, each rendered on its own."""
     return Problem(
-        premises=list(premises),
-        conjecture=conjecture,
+        premises=[(name, role, th0.render_premise(name, role, t)) for name, role, t in premises],
+        conjecture=th0.render_premise("conj", "conjecture", conjecture),
         comments=[],
         explanations=[],
     )
