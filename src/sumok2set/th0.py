@@ -400,7 +400,7 @@ def _decl_record(name: str, ty) -> str:
 class Block:
     """A run of premise records that problems take whole, merged once.
 
-    A KbImage keeps two, its relation facts and its units.  A block holds
+    A KbImage keeps two, its relation facts and its premises.  A block holds
     the records, their separations merged in first-occurrence order, the
     constants of those separations' definitions and of the records, each
     merged in first-use order (name -> type) and checked for clashes with
@@ -673,7 +673,6 @@ CHECK_MEMO = RecordMemo(MEMO_BYTES)  # one per process, shared by every check_te
 
 
 _RANK = {"type": 0, "axiom": 1, "definition": 1, "conjecture": 2}  # the layout's order of roles
-_TOO_DEEP = "parse error: formulas nested too deeply"
 
 
 def check_text(text: str) -> list:
@@ -794,26 +793,44 @@ class _RecordPass:
             reads = parser.reads
             rendered = []
             entries = []
-            deep = False  # a record too deep to check; later ones are only parsed
             while parser.toks[parser.i]:
+                # each record is checked as soon as it is parsed; the parser
+                # nests deeper per level than typecheck and render_term, so
+                # only a parse meets the recursion limit
                 name, role, body = parser.record(consts, self.names)
                 read = tuple(reads)
                 reads.clear()
-                if not deep:
-                    try:
-                        self.check_record(name, role, body, read, rendered, entries)
-                    except RecursionError:
-                        deep = True
+                rank = _RANK[role]
+                if rank < self.phase:
+                    self.canonical = False
+                self.phase = rank
+                if rank == 0:
+                    decl = sys.intern(f"{body.name} : {render_type(body.ty)}")
+                    decls[body.name] = decl
+                    self.declared.add(decl)
+                    if self.canonical:
+                        entries.append(("type", decl))
+                        rendered.append(render_record(name, role, decl))
+                    continue
+                self.conjecture |= rank == 2
+                diags = self.conj_diags if rank == 2 else self.diags
+                try:
+                    ty = typecheck(body)
+                    if ty != OMICRON:
+                        diags.append(f"{name}: formula has type {render_type(ty)}, not $o")
+                except TypeMismatch as err:
+                    diags.append(f"{name}: ill-typed: {err}")
+                if self.canonical:
+                    entries.append((sys.intern(role), *map(decls.__getitem__, read)))
+                    rendered.append(render_record(name, role, render_term(body)))
         except RecursionError:
-            return _TOO_DEEP
+            return "parse error: formulas nested too deeply"
         except Th0Error as err:
             if not err.line:
                 return f"parse error: {err}"
             if a:  # the run starts at a line of its own: only the line moves
                 err.line += text.count("\n", 0, first) + sum(r.count("\n") + 1 for r in records[:a])
             return f"parse error at {err.line}:{err.col}: {err}"
-        if deep:  # no parse error follows, which would have come first
-            return _TOO_DEEP
         if self.canonical:
             if "\n".join(rendered) == own:
                 # each record starts a line with thf( and its continuation
@@ -822,33 +839,3 @@ class _RecordPass:
             else:
                 self.canonical = False
         return ""
-
-    def check_record(self, name: str, role: str, body, read: tuple, rendered: list, entries: list):
-        """Typecheck and render one parsed record, keeping only strings.
-
-        Its diagnostics join the pass's; while the layout is canonical its
-        rendering joins rendered and its memo entry joins entries.
-        """
-        rank = _RANK[role]
-        if rank < self.phase:
-            self.canonical = False
-        self.phase = rank
-        if rank == 0:
-            decl = sys.intern(f"{body.name} : {render_type(body.ty)}")
-            self.decls[body.name] = decl
-            self.declared.add(decl)
-            if self.canonical:
-                entries.append(("type", decl))
-                rendered.append(render_record(name, role, decl))
-            return
-        self.conjecture |= rank == 2
-        diags = self.conj_diags if rank == 2 else self.diags
-        try:
-            ty = typecheck(body)
-            if ty != OMICRON:
-                diags.append(f"{name}: formula has type {render_type(ty)}, not $o")
-        except TypeMismatch as err:
-            diags.append(f"{name}: ill-typed: {err}")
-        if self.canonical:
-            entries.append((sys.intern(role), *map(self.decls.__getitem__, read)))
-            rendered.append(render_record(name, role, render_term(body)))
