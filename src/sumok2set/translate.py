@@ -10,8 +10,8 @@ under universals, conjunctions under existentials and class formation.
 A job reads and lowers each input file once; the signature pass and the
 translation share the lowered forms.  A run of queries against one
 knowledge base compiles it once (compile_kb, KbImage): each query adds its
-own premises, relation facts and background to the translated knowledge base,
-and a query whose declarations change the signature of a symbol the
+own premises, relation facts and background to the translated knowledge
+base, and a query whose declarations change the signature of a symbol the
 knowledge base uses has it translated again, from scratch.
 
 Each premise is rendered to its th0.Record as it is translated, and a
