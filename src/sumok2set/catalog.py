@@ -200,6 +200,9 @@ def cc(name: str) -> Const:
     return CATALOG.const(name)
 
 
+NIL, CONS = cc("nil"), cc("cons")
+
+
 def ord_of(n: int):
     """Ordinal literal for small n, successor chain above ten."""
     if n < 0:
@@ -211,9 +214,9 @@ def ord_of(n: int):
 
 def mk_list(items):
     """Right fold of cons over nil: the list encoding of the item sequence."""
-    out = cc("nil")
+    out = NIL
     for item in reversed(list(items)):
-        out = app(cc("cons"), item, out)
+        out = App(App(CONS, item), out)
     return out
 
 

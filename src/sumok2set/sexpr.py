@@ -4,7 +4,7 @@ The reader takes its tokens from one regex findall of plain strings and
 keeps a running offset.  Each node holds its offset into one Source shared
 by the file's nodes; its ``span`` (file, line, column), which downstream
 passes read to report errors against the original source, is worked out
-only when read.  Atoms are classified lexically, once per distinct token:
+only when read, by line_col, which also locates errors in THF text.  Atoms are classified lexically, once per distinct token:
 plain constants, ``?X`` variables, ``@ROW`` row variables, signed decimal
 numerals, and double-quoted strings.
 """
@@ -80,11 +80,24 @@ def read_text(path: str) -> str:
         raise NotUtf8(f"not UTF-8 text: {err.reason}", span) from None
 
 
+def line_starts(text: str) -> list:
+    """The offset of each line of a text; only a newline ends a line."""
+    return list(accumulate((len(line) + 1 for line in text.split("\n")), initial=0))
+
+
+def line_col(starts: list, pos: int) -> tuple:
+    """1-based line and column of an offset into a text, given its line_starts.
+
+    The one place an offset becomes a line and column, for KIF and THF text.
+    """
+    line = bisect_right(starts, pos)
+    return line, pos - starts[line - 1] + 1
+
+
 class Source:
     """One input text and its file name, shared by the nodes read from it.
 
-    Line and column of an offset come from an index of line starts, built
-    the first time a span is asked for.  Only a newline ends a line.
+    Its line_starts are worked out the first time a span is asked for.
     """
 
     __slots__ = ("file", "text", "_starts")
@@ -95,12 +108,9 @@ class Source:
         self._starts = None
 
     def span(self, pos: int) -> Span:
-        starts = self._starts
-        if starts is None:
-            lines = self.text.split("\n")
-            starts = self._starts = list(accumulate((len(x) + 1 for x in lines), initial=0))
-        line = bisect_right(starts, pos)
-        return Span(self.file, line, pos - starts[line - 1] + 1)
+        if self._starts is None:
+            self._starts = line_starts(self.text)
+        return Span(self.file, *line_col(self._starts, pos))
 
 
 class _Node:

@@ -3,12 +3,16 @@
 The fragment is first-order logic plus row variables (at most one per
 argument spine), variable-arity relation application, class-formation terms
 (KappaFn), and signed decimal rationals.  Modal and temporal forms are
-detected by head symbol and skipped rather than translated.
+detected by head symbol and skipped rather than translated.  Lowering reads
+a form once, in the order of the AST it builds, and finds as it goes the
+form's free variables (which Assertion and Query carry) and its skip head.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import sexpr
@@ -199,16 +203,20 @@ class RelAtom:
 # Lowering results and errors
 
 
+# free: the form's free variables, (name, is_row) pairs in first-occurrence
+# order; out of repr, which the pinned lowering digests hash
 @dataclass(frozen=True, slots=True)
 class Assertion:
     formula: object
     span: Span
+    free: tuple = field(repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Query:
     formula: object
     span: Span
+    free: tuple = field(repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,7 +290,7 @@ def parse_numeral(lexeme: str, span: Span | None = None) -> Rat:
     return Rat(num, scale)
 
 
-def _contains_skip_head(sx, skip_heads) -> str | None:
+def _contains_skip_head(sx, skip_heads) -> str | None:  # the first, in source order
     if isinstance(sx, SList) and sx.items:
         head = sx.items[0]
         if isinstance(head, Atom) and head.kind == ATOM_CONSTANT and head.lexeme in skip_heads:
@@ -294,48 +302,8 @@ def _contains_skip_head(sx, skip_heads) -> str | None:
     return None
 
 
-def _lower_term(sx):
-    if isinstance(sx, Atom):
-        if sx.kind == ATOM_VARIABLE:
-            return Var(sx.lexeme)
-        if sx.kind == ATOM_ROWVAR:
-            raise UnknownSyntax("row variable used as a term", sx.span)
-        if sx.kind == ATOM_NUMERAL:
-            try:
-                return parse_numeral(sx.lexeme)
-            except BadNumeral as err:
-                raise BadNumeral(err.message, sx.span) from None
-        if sx.kind == ATOM_STRING:
-            raise UnknownSyntax("string literals are outside the fragment", sx.span)
-        if sx.lexeme in _BUILTIN_NAMES:
-            return Builtin(_BUILTIN_NAMES[sx.lexeme])
-        return Const(sx.lexeme)
-    if not isinstance(sx, SList) or not sx.items:
-        raise UnknownSyntax("empty application", sx.span)
-    head = sx.items[0]
-    if isinstance(head, SList):
-        raise UnknownSyntax("compound head is outside the fragment", head.span)
-    if head.kind == ATOM_CONSTANT and head.lexeme == "KappaFn":
-        if len(sx.items) != 3 or not (
-            isinstance(sx.items[1], Atom) and sx.items[1].kind == ATOM_VARIABLE
-        ):
-            raise MalformedBinder("KappaFn expects a variable and a body", sx.span)
-        return Kappa(sx.items[1].lexeme, _lower_formula(sx.items[2]))
-    if head.kind == ATOM_CONSTANT and head.lexeme in _ARITH_NAMES:
-        if len(sx.items) != 3:
-            raise UnknownSyntax(
-                f"{head.lexeme} expects exactly two arguments", sx.span
-            )
-        return Arith(
-            _ARITH_NAMES[head.lexeme],
-            _lower_term(sx.items[1]),
-            _lower_term(sx.items[2]),
-        )
-    if head.kind == ATOM_VARIABLE:
-        return Apply(Var(head.lexeme), _lower_spine(sx.items[1:], sx))
-    if head.kind == ATOM_CONSTANT:
-        return Apply(Const(head.lexeme), _lower_spine(sx.items[1:], sx))
-    raise UnknownSyntax("bad application head", head.span)
+class _SkipHead(Exception):
+    """Stops lowering at the first list head that is a skip head; args[0] is that head."""
 
 
 def _row_free_in_term(term) -> bool:
@@ -345,142 +313,196 @@ def _row_free_in_term(term) -> bool:
     return not isinstance(term, Kappa) and any(_row_free_in_term(c) for c in children(term))
 
 
-def _lower_spine(items, owner):
-    # owner is the list the spine is read from; its span, read only to
-    # report an error, locates a nested row variable
-    row = None
-    prefix: list = []
-    suffix: list = []
-    for sx in items:
-        if isinstance(sx, Atom) and sx.kind == ATOM_ROWVAR:
-            if row is not None:
-                raise TwoRowVarsInSpine("more than one row variable in a spine", sx.span)
-            row = sx.lexeme
-            continue
-        term = _lower_term(sx)
-        (suffix if row is not None else prefix).append(term)
-    if row is None:
-        return TermSpine(tuple(prefix))
-    for term in prefix + suffix:
-        if _row_free_in_term(term):
-            raise TwoRowVarsInSpine(
-                "row variable nested inside a row-variable spine", owner.span
-            )
-    return RowSpine(tuple(prefix), row, tuple(suffix))
-
-
-def _lower_binders(sx, body_sx):
+def _binder_list(sx, body_sx) -> list:
+    """The (name, is_row) pairs of a quantifier's binder list, in source order."""
     if not isinstance(sx, SList) or not sx.items:
         raise MalformedBinder("binder list must be a non-empty list", sx.span)
     binders = []
     for item in sx.items:
-        if isinstance(item, Atom) and item.kind == ATOM_VARIABLE:
-            binders.append((item.lexeme, False))
-        elif isinstance(item, Atom) and item.kind == ATOM_ROWVAR:
-            binders.append((item.lexeme, True))
-        else:
+        if not (isinstance(item, Atom) and item.kind in (ATOM_VARIABLE, ATOM_ROWVAR)):
             raise MalformedBinder("binder list may contain only variables", sx.span)
+        binders.append((item.lexeme, item.kind == ATOM_ROWVAR))
     if isinstance(body_sx, Atom):
         raise MalformedBinder("quantifier body is not a formula", body_sx.span)
-    return binders, _lower_formula(body_sx)
+    return binders
 
 
 def _wrap_binders(binders, body, universal: bool):
     # consecutive ordinary variables share one quantifier node; each row
     # variable gets its own node, preserving source order
+    vars_node, row_node = (ForallVars, ForallRow) if universal else (ExistsVars, ExistsRow)
     out = body
-    run: list = []
-
-    def flush():
-        nonlocal out
-        if run:
-            out = (ForallVars if universal else ExistsVars)(tuple(run), out)
-            run.clear()
-
-    for name, is_row in reversed(binders):
+    runs = [(is_row, [n for n, _ in run]) for is_row, run in groupby(binders, itemgetter(1))]
+    for is_row, run in reversed(runs):
         if is_row:
-            flush()
-            out = (ForallRow if universal else ExistsRow)(name, out)
+            for name in reversed(run):
+                out = row_node(name, out)
         else:
-            run.insert(0, name)
-    flush()
+            out = vars_node(tuple(run), out)
     return out
 
 
-def _lower_formula(sx):
-    if isinstance(sx, Atom):
-        raise UnknownSyntax("expected a formula", sx.span)
-    if not sx.items:
-        raise UnknownSyntax("empty form", sx.span)
-    head = sx.items[0]
-    if isinstance(head, SList):
-        raise UnknownSyntax("compound head is outside the fragment", head.span)
-    name = head.lexeme if head.kind == ATOM_CONSTANT else None
-    args = sx.items[1:]
-    if name in ("forall", "exists"):
-        if len(args) != 2:
-            raise MalformedBinder(f"{name} expects a binder list and a body", sx.span)
-        binders, body = _lower_binders(args[0], args[1])
-        return _wrap_binders(binders, body, universal=(name == "forall"))
-    if name in ("and", "or"):
-        if not args:
-            raise UnknownSyntax(f"({name}) with no operands", sx.span)
-        items = tuple(_lower_formula(a) for a in args)
-        if len(items) == 1:
-            return items[0]
-        return (And if name == "and" else Or)(items)
-    if name == "not":
-        if len(args) != 1:
-            raise UnknownSyntax("not expects one operand", sx.span)
-        return Not(_lower_formula(args[0]))
-    if name == "=>":
-        if len(args) != 2:
-            raise UnknownSyntax("=> expects two operands", sx.span)
-        return Impl(_lower_formula(args[0]), _lower_formula(args[1]))
-    if name == "<=>":
-        if len(args) != 2:
-            raise UnknownSyntax("<=> expects two operands", sx.span)
-        return Iff(_lower_formula(args[0]), _lower_formula(args[1]))
-    if name in ("equal", "instance", "subclass", "lessThan", "lessThanOrEqualTo"):
-        if len(args) != 2:
-            raise UnknownSyntax(f"{name} expects two arguments", sx.span)
-        left, right = _lower_term(args[0]), _lower_term(args[1])
-        ctor = {
-            "equal": Eq,
-            "instance": Instance,
-            "subclass": Subclass,
-            "lessThan": Lt,
-            "lessThanOrEqualTo": Le,
-        }[name]
-        return ctor(left, right)
-    if head.kind == ATOM_VARIABLE:
-        return RelAtom(Var(head.lexeme), _lower_spine(args, sx))
-    if head.kind == ATOM_CONSTANT:
-        return RelAtom(Const(head.lexeme), _lower_spine(args, sx))
-    raise UnknownSyntax("bad formula head", head.span)
+_BINARY_ATOMS = {
+    "equal": Eq, "instance": Instance, "subclass": Subclass, "lessThan": Lt, "lessThanOrEqualTo": Le
+}
+
+
+class _Lowering:
+    """The lowering of one form, the one place its free variables are found.
+
+    bound holds the (name, is_row) pairs of the binders in scope; any other
+    occurrence joins free.  The first list head that is a skip head stops it.
+    """
+
+    __slots__ = ("skip_heads", "free")
+
+    def __init__(self, skip_heads):
+        self.skip_heads = skip_heads
+        self.free: dict = {}  # (name, is_row) -> None
+
+    def term(self, sx, bound):
+        if isinstance(sx, Atom):
+            if sx.kind == ATOM_VARIABLE:
+                if (sx.lexeme, False) not in bound:
+                    self.free.setdefault((sx.lexeme, False), None)
+                return Var(sx.lexeme)
+            if sx.kind == ATOM_ROWVAR:
+                raise UnknownSyntax("row variable used as a term", sx.span)
+            if sx.kind == ATOM_NUMERAL:
+                try:
+                    return parse_numeral(sx.lexeme)
+                except BadNumeral as err:
+                    raise BadNumeral(err.message, sx.span) from None
+            if sx.kind == ATOM_STRING:
+                raise UnknownSyntax("string literals are outside the fragment", sx.span)
+            if sx.lexeme in _BUILTIN_NAMES:
+                return Builtin(_BUILTIN_NAMES[sx.lexeme])
+            return Const(sx.lexeme)
+        if not isinstance(sx, SList) or not sx.items:
+            raise UnknownSyntax("empty application", sx.span)
+        head = sx.items[0]
+        if isinstance(head, SList):
+            raise UnknownSyntax("compound head is outside the fragment", head.span)
+        if head.kind == ATOM_VARIABLE:
+            return Apply(self.term(head, bound), self.spine(sx.items[1:], sx, bound))
+        if head.kind != ATOM_CONSTANT:
+            raise UnknownSyntax("bad application head", head.span)
+        name = head.lexeme
+        if name in self.skip_heads:
+            raise _SkipHead(name)
+        if name == "KappaFn":
+            var = sx.items[1] if len(sx.items) == 3 else None
+            if not (isinstance(var, Atom) and var.kind == ATOM_VARIABLE):
+                raise MalformedBinder("KappaFn expects a variable and a body", sx.span)
+            return Kappa(var.lexeme, self.formula(sx.items[2], bound | {(var.lexeme, False)}))
+        if name in _ARITH_NAMES:
+            if len(sx.items) != 3:
+                raise UnknownSyntax(f"{name} expects exactly two arguments", sx.span)
+            left = self.term(sx.items[1], bound)
+            return Arith(_ARITH_NAMES[name], left, self.term(sx.items[2], bound))
+        return Apply(Const(name), self.spine(sx.items[1:], sx, bound))
+
+    def spine(self, items, owner, bound):
+        # owner is the list the spine is read from; its span, read only to
+        # report an error, locates a nested row variable
+        row, prefix, suffix = None, [], []
+        for sx in items:
+            if isinstance(sx, Atom) and sx.kind == ATOM_ROWVAR:
+                if row is not None:
+                    raise TwoRowVarsInSpine("more than one row variable in a spine", sx.span)
+                row = sx.lexeme
+                if (row, True) not in bound:
+                    self.free.setdefault((row, True), None)
+                continue
+            term = self.term(sx, bound)
+            (suffix if row is not None else prefix).append(term)
+        if row is None:
+            return TermSpine(tuple(prefix))
+        for term in prefix + suffix:
+            if _row_free_in_term(term):
+                message = "row variable nested inside a row-variable spine"
+                raise TwoRowVarsInSpine(message, owner.span)
+        return RowSpine(tuple(prefix), row, tuple(suffix))
+
+    def formula(self, sx, bound):
+        if isinstance(sx, Atom):
+            raise UnknownSyntax("expected a formula", sx.span)
+        if not sx.items:
+            raise UnknownSyntax("empty form", sx.span)
+        head = sx.items[0]
+        if isinstance(head, SList):
+            raise UnknownSyntax("compound head is outside the fragment", head.span)
+        if head.kind == ATOM_VARIABLE:
+            return RelAtom(self.term(head, bound), self.spine(sx.items[1:], sx, bound))
+        if head.kind != ATOM_CONSTANT:
+            raise UnknownSyntax("bad formula head", head.span)
+        name = head.lexeme
+        if name in self.skip_heads:
+            raise _SkipHead(name)
+        args = sx.items[1:]
+        if name in ("forall", "exists"):
+            if len(args) != 2:
+                raise MalformedBinder(f"{name} expects a binder list and a body", sx.span)
+            binders = _binder_list(args[0], args[1])
+            body = self.formula(args[1], bound.union(binders))
+            return _wrap_binders(binders, body, universal=(name == "forall"))
+        if name in ("and", "or"):
+            if not args:
+                raise UnknownSyntax(f"({name}) with no operands", sx.span)
+            items = tuple([self.formula(a, bound) for a in args])
+            if len(items) == 1:
+                return items[0]
+            return (And if name == "and" else Or)(items)
+        if name == "not":
+            if len(args) != 1:
+                raise UnknownSyntax("not expects one operand", sx.span)
+            return Not(self.formula(args[0], bound))
+        if name == "=>" or name == "<=>":
+            if len(args) != 2:
+                raise UnknownSyntax(f"{name} expects two operands", sx.span)
+            left = self.formula(args[0], bound)
+            return (Impl if name == "=>" else Iff)(left, self.formula(args[1], bound))
+        ctor = _BINARY_ATOMS.get(name)
+        if ctor is not None:
+            if len(args) != 2:
+                raise UnknownSyntax(f"{name} expects two arguments", sx.span)
+            left = self.term(args[0], bound)
+            return ctor(left, self.term(args[1], bound))
+        return RelAtom(Const(name), self.spine(args, sx, bound))
 
 
 def lower(form, skip_heads=DEFAULT_SKIP_HEADS):
-    """Lower one top-level s-expression to Assertion, Query, or Skipped."""
+    """Lower one top-level s-expression to Assertion, Query, or Skipped.
+
+    A form is Skipped when the head of one of its lists is a skip head; the
+    reason names the first in source order.  Lowering stops at that head.
+    Only a form that lowering cannot read is searched for one, so that a
+    skip head under syntax outside the fragment still skips its form.
+    """
     span = form.span
-    reason = _contains_skip_head(form, tuple(skip_heads))
-    if reason is not None:
-        return Skipped(f"modal head {reason!r}", span)
-    if (
-        isinstance(form, SList)
-        and form.items
-        and isinstance(form.items[0], Atom)
-        and form.items[0].kind == ATOM_CONSTANT
-        and form.items[0].lexeme == "query"
-    ):
-        if len(form.items) != 2:
-            raise UnknownSyntax("query expects one formula", span)
-        return Query(_lower_formula(form.items[1]), span)
-    return Assertion(_lower_formula(form), span)
+    lowering = _Lowering(skip_heads)
+    head = form.items[0] if isinstance(form, SList) and form.items else None
+    try:
+        if isinstance(head, Atom) and head.kind == ATOM_CONSTANT and head.lexeme == "query":
+            if "query" in skip_heads:
+                raise _SkipHead("query")
+            if len(form.items) != 2:
+                raise UnknownSyntax("query expects one formula", span)
+            formula = lowering.formula(form.items[1], frozenset())
+            return Query(formula, span, tuple(lowering.free))
+        formula = lowering.formula(form, frozenset())
+        return Assertion(formula, span, tuple(lowering.free))
+    except _SkipHead as found:
+        reason = found.args[0]
+    except LowerError:
+        reason = _contains_skip_head(form, skip_heads)
+        if reason is None:
+            raise
+    return Skipped(f"modal head {reason!r}", span)
 
 
 # ---------------------------------------------------------------------------
-# Free variables and rendering
+# The traversal table
 
 
 VAR_BINDER = "var"
@@ -554,38 +576,18 @@ def binder(node):
     return b[0], (names,) if type(names) is str else names
 
 
-def variables(formula):
-    """Free variables and every variable name of a formula, in one walk.
-
-    Returns (free, names): free is a list of (name, is_row) pairs in
-    first-occurrence order; names is the set of variable and row variable
-    names occurring in the formula, bound or free.
-    """
-    free: dict = {}
-    names: set = set()
-    _variables(formula, frozenset(), frozenset(), free, names)
-    return list(free), names
-
-
-def _variables(node, bound, rows, free, names):
-    # module level, not a closure: a self-calling closure is a reference
-    # cycle that only a full collection frees
+def variable_names(node, names=None) -> set:
+    """Every variable and row variable name in a formula, bound or free."""
+    if names is None:
+        names = set()
     if type(node) is str:  # a row variable occurrence
         names.add(node)
-        if node not in rows:
-            free.setdefault((node, True), None)
-        return
-    if type(node) is Var:
+    elif type(node) is Var:
         names.add(node.name)
-        if node.name not in bound:
-            free.setdefault((node.name, False), None)
-        return
-    b = binder(node)
-    if b is not None:
-        names.update(b[1])
-        if b[0] == VAR_BINDER:
-            bound = bound | set(b[1])
-        else:
-            rows = rows | set(b[1])
-    for child in children(node):
-        _variables(child, bound, rows, free, names)
+    else:
+        b = binder(node)
+        if b is not None:
+            names.update(b[1])
+        for child in children(node):
+            variable_names(child, names)
+    return names

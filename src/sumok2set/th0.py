@@ -71,6 +71,7 @@ from .hostterm import (
     substitute,
     typecheck,
 )
+from .sexpr import line_col, line_starts
 from .th0read import Th0Error, _Parser
 
 WIDTH = 100
@@ -168,6 +169,7 @@ def render_type(ty, atomic: bool = False) -> str:
 
 
 _THF_VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
+_WORD_RE = re.compile(r"[A-Za-z0-9_]*\Z")
 
 
 def escape(name: str) -> str:
@@ -175,11 +177,11 @@ def escape(name: str) -> str:
 
     Letters and digits stay; any other character becomes _xx below U+0100
     and _uxxxxxx above it (lowercase hex, and u is no hex digit), so the
-    escape is prefix-free and distinct names never collide.  A name of
-    ASCII letters and digits only is its own escape.
+    escape is prefix-free and distinct names never collide.  In a name of
+    ASCII letters, digits and underscores, only each underscore changes.
     """
-    if name.isascii() and name.isalnum():
-        return name
+    if _WORD_RE.match(name):
+        return name.replace("_", "_5f")
     return "".join(
         ch if ch.isascii() and ch.isalnum()
         else ("_%02x" if ord(ch) < 0x100 else "_u%06x") % ord(ch)
@@ -829,7 +831,8 @@ class _RecordPass:
             if not err.line:
                 return f"parse error: {err}"
             if a:  # the run starts at a line of its own: only the line moves
-                err.line += text.count("\n", 0, first) + sum(r.count("\n") + 1 for r in records[:a])
+                at = first + sum(len(r) + 1 for r in records[:a])
+                err.line += line_col(line_starts(text), at)[0] - 1
             return f"parse error at {err.line}:{err.col}: {err}"
         if self.canonical:
             if "\n".join(rendered) == own:

@@ -36,6 +36,7 @@ from .hostterm import (
     Top,
     Var,
 )
+from .sexpr import line_col, line_starts
 
 
 class Th0Error(Exception):
@@ -59,11 +60,6 @@ _END = ""  # the sentinel after the last token; no token is empty
 _LOWER_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")  # what a TPTP constant is
 _BINOPS = {"&": Conj, "|": Disj, "=>": Imp, "<=>": Iff, "=": Eq}
 _BINDERS = {"!": All, "?": Ex, "^": Lam}
-
-
-def _line_col(text: str, pos: int) -> tuple:
-    """1-based line and column of an offset."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 class _Parser:
@@ -90,7 +86,8 @@ class _Parser:
         if bad:
             for m in _TOKEN_RE.finditer(text):
                 if m.group() in bad:
-                    raise Th0Error(f"bad character {m.group()!r}", *_line_col(text, m.start()))
+                    at = line_col(line_starts(text), m.start())
+                    raise Th0Error(f"bad character {m.group()!r}", *at)
         comments = []
         if has_comments:
             lead = 0
@@ -114,7 +111,7 @@ class _Parser:
         for m in _TOKEN_RE.finditer(self.text):
             if m.group()[0] != "%":
                 if n == 0:
-                    return Th0Error(message, *_line_col(self.text, m.start()))
+                    return Th0Error(message, *line_col(line_starts(self.text), m.start()))
                 n -= 1
         return Th0Error(message)
 

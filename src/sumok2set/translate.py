@@ -8,7 +8,8 @@ up membership guards derived from declared argument domains: implications
 under universals, conjunctions under existentials and class formation.
 
 A job reads and lowers each input file once; the signature pass and the
-translation share the lowered forms.  A run of queries against one
+translation share the lowered forms, and a form is closed over the free
+variables its lowering found.  A run of queries against one
 knowledge base compiles it once (compile_kb, KbImage): each query adds its
 own premises, relation facts and background to the translated knowledge
 base, and a query whose declarations change the signature of a symbol the
@@ -29,7 +30,7 @@ from itertools import islice
 from . import guards as guardmod
 from . import signature as sigmod
 from . import sumo, th0
-from .catalog import CATALOG, cc, encode_rational, mk_list, ord_of
+from .catalog import CATALOG, CONS, cc, encode_rational, mk_list, ord_of
 from .guards import MEMBER, MemClass
 from .hostterm import (
     All,
@@ -60,6 +61,7 @@ from .sexpr import Span, parse_forms, read_text
 from .th0 import escape, host_var
 
 LIST = Arrow(IOTA, IOTA)
+AP, LISTSET, ISTRUE = cc("ap"), cc("listset"), cc("istrue")
 
 
 class TranslateError(Exception):
@@ -93,6 +95,14 @@ _ARITH_CONST = {
     sumo.ARITH_DIV: "arith_div",
 }
 
+# quantifier node -> (explanation label, guard chain, host quantifier, bound type)
+_QUANTIFIERS = {
+    sumo.ForallVars: ("forall", imp_chain, All, IOTA),
+    sumo.ExistsVars: ("exists", conj_chain, Ex, IOTA),
+    sumo.ForallRow: ("forall", imp_chain, All, LIST),
+    sumo.ExistsRow: ("exists", conj_chain, Ex, LIST),
+}
+
 _BUILTIN_CONST = {
     sumo.REAL: "real",
     sumo.NEGREAL: "negreal",
@@ -118,7 +128,9 @@ class Translator:
         self.collect_explanations = collect_explanations
         self.minted: dict = {}  # host name -> source name, insertion ordered
         self.explanations: list = []
-        self._avoid: set = set()
+        # the form being closed, whose variable names _fresh avoids, once needed
+        self._closing = None
+        self._avoid: set | None = set()
         self._resolved: dict = {}  # source name -> its minted Const
 
     # -- naming ------------------------------------------------------------
@@ -142,6 +154,8 @@ class Translator:
         return found
 
     def _fresh(self, base: str) -> str:
+        if self._avoid is None:
+            self._avoid = sumo.variable_names(self._closing)
         name = base
         k = 0
         while name in self._avoid:
@@ -172,7 +186,7 @@ class Translator:
 
     def apply_term(self, head, spine):
         h = Var(host_var(head.name), IOTA) if isinstance(head, sumo.Var) else self.resolve(head.name)
-        return app(cc("ap"), h, App(cc("listset"), self.spine_list(spine)))
+        return App(App(AP, h), App(LISTSET, self.spine_list(spine)))
 
     def spine_list(self, spine):
         if isinstance(spine, sumo.TermSpine):
@@ -182,7 +196,7 @@ class Translator:
             base = self._append(base, [self.term(t) for t in spine.suffix])
         out = base
         for t in reversed(spine.prefix):
-            out = app(cc("cons"), self.term(t), out)
+            out = App(App(CONS, self.term(t)), out)
         return out
 
     def _append(self, rho, items):
@@ -252,26 +266,15 @@ class Translator:
             for g in reversed(items[:-1]):
                 out = Disj(g, out)
             return out
-        if isinstance(f, sumo.ForallVars):
-            binders = [(n, False) for n in f.names]
-            gts = self._guard_terms(f.body, binders, "forall")
-            out = imp_chain(gts, self.formula(f.body))
-            for n in reversed(f.names):
-                out = All(host_var(n), IOTA, out)
+        quantified = _QUANTIFIERS.get(type(f))
+        if quantified is not None:
+            label, chain, quantifier, ty = quantified
+            names = (f.name,) if ty is LIST else f.names
+            gts = self._guard_terms(f.body, [(n, ty is LIST) for n in names], label)
+            out = chain(gts, self.formula(f.body))
+            for n in reversed(names):
+                out = quantifier(host_var(n), ty, out)
             return out
-        if isinstance(f, sumo.ExistsVars):
-            binders = [(n, False) for n in f.names]
-            gts = self._guard_terms(f.body, binders, "exists")
-            out = conj_chain(gts, self.formula(f.body))
-            for n in reversed(f.names):
-                out = Ex(host_var(n), IOTA, out)
-            return out
-        if isinstance(f, sumo.ForallRow):
-            gts = self._guard_terms(f.body, [(f.name, True)], "forall")
-            return All(host_var(f.name), LIST, imp_chain(gts, self.formula(f.body)))
-        if isinstance(f, sumo.ExistsRow):
-            gts = self._guard_terms(f.body, [(f.name, True)], "exists")
-            return Ex(host_var(f.name), LIST, conj_chain(gts, self.formula(f.body)))
         if isinstance(f, sumo.Eq):
             return Eq(self.term(f.left), self.term(f.right))
         if isinstance(f, sumo.Instance):
@@ -283,7 +286,7 @@ class Translator:
         if isinstance(f, sumo.Le):
             return self._arith_atom("arith_leq", f.left, f.right)
         if isinstance(f, sumo.RelAtom):
-            return App(cc("istrue"), self.apply_term(f.head, f.spine))
+            return App(ISTRUE, self.apply_term(f.head, f.spine))
         raise TranslateError(f"not a formula: {f!r}")
 
     def _arith_atom(self, op_name, left, right):
@@ -292,26 +295,22 @@ class Translator:
 
     # -- closing -----------------------------------------------------------
 
-    def close_assertion(self, f):
+    def close_assertion(self, item: sumo.Assertion):
         """Universally close free variables, guarded by implication."""
-        frees, self._avoid = sumo.variables(f)
-        body = self.formula(f)
-        if frees:
-            gts = self._guard_terms(f, frees, "assertion free")
-            body = imp_chain(gts, body)
-            for name, is_row in reversed(frees):
-                body = All(host_var(name), LIST if is_row else IOTA, body)
-        return body
+        return self._close(item, "assertion free", imp_chain, All)
 
-    def close_query(self, f):
+    def close_query(self, item: sumo.Query):
         """Existentially close free variables, guards conjoined."""
-        frees, self._avoid = sumo.variables(f)
+        return self._close(item, "query free", conj_chain, Ex)
+
+    def _close(self, item, label: str, chain, quantifier):
+        f = item.formula
+        self._closing, self._avoid = f, None
         body = self.formula(f)
-        if frees:
-            gts = self._guard_terms(f, frees, "query free")
-            body = conj_chain(gts, body)
-            for name, is_row in reversed(frees):
-                body = Ex(host_var(name), LIST if is_row else IOTA, body)
+        if item.free:
+            body = chain(self._guard_terms(f, item.free, label), body)
+            for name, is_row in reversed(item.free):
+                body = quantifier(host_var(name), LIST if is_row else IOTA, body)
         return body
 
     def take_explanations(self) -> list:
@@ -409,10 +408,10 @@ def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
         elif isinstance(item, sumo.Query):
             if conjecture is not None:
                 raise TranslateError("more than one query form", item.span)
-            conjecture = th0.render_premise("conj", "conjecture", tr.close_query(item.formula))
+            conjecture = th0.render_premise("conj", "conjecture", tr.close_query(item))
         else:
             name = f"{prefix}{index}"
-            term = tr.close_assertion(item.formula)
+            term = tr.close_assertion(item)
             premises.append((name, "axiom", th0.render_premise(name, "axiom", term)))
     return premises, conjecture, skips
 

@@ -44,12 +44,48 @@ def alpha_eq(a, b) -> bool:
     return go(a, b, {}, {}, 0)
 
 
+def variables(formula):
+    """Free variables and every variable name of a formula, in one walk.
+
+    The reference for the free variables lowering finds.  Returns (free,
+    names): free is a list of (name, is_row) pairs in first-occurrence
+    order; names is the set of variable and row variable names occurring
+    in the formula, bound or free.
+    """
+    free: dict = {}
+    names: set = set()
+    _variables(formula, frozenset(), frozenset(), free, names)
+    return list(free), names
+
+
+def _variables(node, bound, rows, free, names):
+    if type(node) is str:  # a row variable occurrence
+        names.add(node)
+        if node not in rows:
+            free.setdefault((node, True), None)
+        return
+    if type(node) is sumo.Var:
+        names.add(node.name)
+        if node.name not in bound:
+            free.setdefault((node.name, False), None)
+        return
+    b = sumo.binder(node)
+    if b is not None:
+        names.update(b[1])
+        if b[0] == sumo.VAR_BINDER:
+            bound = bound | set(b[1])
+        else:
+            rows = rows | set(b[1])
+    for child in sumo.children(node):
+        _variables(child, bound, rows, free, names)
+
+
 def formula_free_vars(formula):
     """Free variables of a formula in first-occurrence order.
 
     Returns a list of (name, is_row) pairs.
     """
-    return sumo.variables(formula)[0]
+    return variables(formula)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import fixture_path, formula_of, sig_from
+from conftest import fixture_path, lower_one, sig_from
 from termhelpers import alpha_eq
 from sumok2set import catalog, cli, harness, hforacle, th0, translate
 from sumok2set.catalog import cc, ord_of
@@ -89,7 +89,7 @@ VARIADIC_SIG = (
 
 
 def _translate(src, sig_src):
-    return Translator(sig_from(sig_src)).close_assertion(formula_of(src))
+    return Translator(sig_from(sig_src)).close_assertion(lower_one(src))
 
 
 def _golden_row_rule():

@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from sumok2set import hostterm, sumo, th0
+from sumok2set import hostterm, sexpr, sumo, th0
 from sumok2set.catalog import CATALOG
 from sumok2set.hostterm import (
     IOTA,
@@ -44,7 +44,6 @@ from sumok2set.hostterm import (
     typecheck,
 )
 
-from conftest import formula_of
 from termhelpers import alpha_eq, const_names, consts
 
 O = OMICRON
@@ -239,8 +238,12 @@ def test_consts_pre_order_with_repeats():
     assert const_names(t) == ["f", "g", "s"]
 
 
-_SUMO_FORMULA = formula_of(
+# a clean form, one lowering stops at a skip head, and one it skips only
+# after failing on its binder list
+_SUMO_FORMS = sexpr.parse_forms(
     "(=> (p ?X @ROW) (exists (?Y @L) (q ?X (KappaFn ?K (r ?K ?Y @L)))))"
+    "(forall (?T) (holdsDuring ?T (p ?T)))"
+    "(forall ((holdsDuring ?T)) (p ?T))"
 )
 
 
@@ -259,11 +262,11 @@ _PREMISE = All("X", IOTA, Conj(
         lambda: free_vars(Lam("X", IOTA, Conj(Eq(X, Y), Mem(Y, Sep("Z", X, Top()))))),
         lambda: substitute(All("Y", IOTA, Conj(Eq(X, Y), Mem(Y, S))), {"X": S}),
         lambda: CATALOG.background({"ord_add", "len", "dom_of"}),
-        lambda: sumo.variables(_SUMO_FORMULA),
+        lambda: [sumo.lower(form) for form in _SUMO_FORMS],
         lambda: th0.render_premise("ax", "axiom", _PREMISE),
     ],
     ids=[
-        "typecheck", "free_vars", "substitute", "Catalog.background", "sumo.variables",
+        "typecheck", "free_vars", "substitute", "Catalog.background", "sumo.lower",
         "th0.render_premise",
     ],
 )

@@ -416,9 +416,9 @@ def test_unit_needs_read_off_its_record_equal_catalog_needs(setting, monkeypatch
         tr = translate.Translator(sig, **opts)
         for index, item in enumerate(translate.load_lowered(path)):
             if isinstance(item, sumo.Query):
-                conjectures.append(tr.close_query(item.formula))
+                conjectures.append(tr.close_query(item))
             elif isinstance(item, sumo.Assertion):
-                premises.append((f"ax_{index}", tr.close_assertion(item.formula)))
+                premises.append((f"ax_{index}", tr.close_assertion(item)))
     assert premises and len(conjectures) == len(QUERIES)
     for name, term in premises:
         record = th0.render_premise(name, "axiom", term)

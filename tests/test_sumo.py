@@ -4,6 +4,7 @@ Numeral normalization is checked against exact Fraction arithmetic; the
 printer round trip re-lowers its own output and demands a fixed point.
 """
 
+import os
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from hypothesis import given, strategies as st
 
 from sumok2set import sexpr, sumo
 
-from conftest import formula_of, lower_all, lower_one, sig_from
-from termhelpers import formula_free_vars, to_kif
+from conftest import FIXTURES, formula_of, lower_all, lower_one, sig_from
+from termhelpers import formula_free_vars, to_kif, variables
+from test_sexpr import FIXTURE_DIGESTS, _kif_mutants
 
 
 def test_lower_connectives():
@@ -131,6 +133,88 @@ def test_skip_heads_configurable():
     assert isinstance(out[0], sumo.Assertion)
 
 
+# --- lowering finds free variables and skip heads ---------------------------
+#
+# The reference is the fold of termhelpers.variables over the lowered AST for
+# free variables, and _contains_skip_head over the read form for skip heads.
+
+SKIP_HEAD_SETS = (
+    sumo.DEFAULT_SKIP_HEADS,
+    ("instance", "domain"),
+    ("KappaFn", "query", "AdditionFn", "=>", "forall"),
+)
+
+
+def _fixture_and_mutant_forms():
+    """(file name, read forms) of every fixture and of every reader mutant that reads."""
+    out = []
+    for name in sorted(FIXTURE_DIGESTS):
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            out.append((name, sexpr.parse_forms(fh.read(), name)))
+    for name, text in _kif_mutants(2000, 14):
+        try:
+            out.append((name, sexpr.parse_forms(text, name)))
+        except sexpr.KifSyntaxError:
+            pass
+    return out
+
+
+FORMS = _fixture_and_mutant_forms()
+
+
+def test_lowering_finds_the_free_variables_of_the_reference():
+    lowered = 0
+    for name, forms in FORMS:
+        for form in forms:
+            try:
+                item = sumo.lower(form)
+            except sumo.LowerError:
+                continue
+            if not isinstance(item, sumo.Skipped):
+                assert item.free == tuple(formula_free_vars(item.formula)), (name, item)
+                lowered += 1
+    assert lowered > 9000
+
+
+@pytest.mark.parametrize("skip_heads", SKIP_HEAD_SETS, ids=lambda heads: "-".join(heads))
+def test_lowering_skips_what_the_skip_head_search_finds(skip_heads):
+    skipped = failed = 0
+    for name, forms in FORMS:
+        for form in forms:
+            reason = sumo._contains_skip_head(form, skip_heads)
+            try:
+                item = sumo.lower(form, skip_heads)
+            except sumo.LowerError:
+                assert reason is None, (name, form)
+                failed += 1
+                continue
+            if reason is None:
+                assert not isinstance(item, sumo.Skipped), (name, form)
+            else:
+                assert item == sumo.Skipped(f"modal head {reason!r}", form.span), (name, form)
+                skipped += 1
+    assert skipped > 50 and failed > 50
+
+
+@pytest.mark.parametrize(
+    "source,reason",
+    [
+        # a skip head in a binder list, which lowering rejects
+        ("(forall ((holdsDuring ?T)) (p ?T))", "holdsDuring"),
+        # an error that lowering meets before the skip head
+        ("(and (=> (p ?X)) (holdsDuring ?T (q ?X)))", "holdsDuring"),
+        ("(=> (p (KappaFn)) (modalAttribute (p a) Possibility))", "modalAttribute"),
+        # the first of two, in source order
+        ("(or (modalAttribute (p a) Possibility) (holdsDuring ?T (q ?X)))", "modalAttribute"),
+        ("(instance (KappaFn ?X (holdsDuring ?X a)) (modalAttribute a b))", "holdsDuring"),
+    ],
+)
+def test_skip_head_under_syntax_outside_the_fragment(source, reason):
+    (form,) = sexpr.parse_forms(source)
+    assert sumo._contains_skip_head(form, sumo.DEFAULT_SKIP_HEADS) == reason
+    assert lower_one(source) == sumo.Skipped(f"modal head {reason!r}", form.span)
+
+
 def test_malformed_binders():
     for src in ("(forall ?X (p ?X))", "(forall () (p a))", "(exists (a) (p a))"):
         with pytest.raises(sumo.KifSyntaxError):
@@ -190,9 +274,10 @@ def test_variables_free_and_all_names_in_one_walk():
     f = formula_of(
         "(=> (p ?X @ROW ?Z) (exists (?Y @L) (q ?X (KappaFn ?K (r ?K ?Y @L)))))"
     )
-    free, names = sumo.variables(f)
+    free, names = variables(f)
     assert free == [("X", False), ("ROW", True), ("Z", False)]
     assert names == {"X", "ROW", "Z", "Y", "L", "K"}
+    assert sumo.variable_names(f) == names
 
 
 def test_traversal_table_covers_every_node_class():
@@ -218,7 +303,8 @@ def test_folds_reject_unknown_nodes():
     with pytest.raises(TypeError):
         sumo.children(Stray())
     for fold in (
-        sumo.variables,
+        sumo.variable_names,
+        variables,
         formula_free_vars,
         lambda f: guards.guards_for(f, {"X"}, sig_from(""), None),
     ):

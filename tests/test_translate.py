@@ -7,7 +7,7 @@ equivalence with the translator output, guard order included.
 import pytest
 from hypothesis import given, strategies as st
 
-from sumok2set import sexpr, signature, sumo, translate
+from sumok2set import sexpr, signature, sumo, th0, translate
 from sumok2set.catalog import cc, ord_of
 from sumok2set.hostterm import (
     All,
@@ -30,7 +30,7 @@ from sumok2set.hostterm import (
 from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
 from sumok2set.translate import LIST, Translator, mangle, translate_query_job
 
-from conftest import fixture_path, formula_of, lower_all, sig_from
+from conftest import fixture_path, formula_of, lower_all, lower_one, sig_from
 from termhelpers import alpha_eq
 
 
@@ -79,7 +79,7 @@ VARIADIC_SIG = (
 def translate_formula(src, sig_src):
     sig = sig_from(sig_src)
     tr = Translator(sig)
-    return tr, tr.close_assertion(formula_of(src))
+    return tr, tr.close_assertion(lower_one(src))
 
 
 def test_golden_partition_row_rule():
@@ -246,7 +246,7 @@ def test_existential_guards_conjoined():
 def test_close_query_uses_conjunction():
     sig = sig_from("(domain son 1 Human)(domain son 2 Human)")
     tr = Translator(sig)
-    got = tr.close_query(formula_of("(son ?X Bob)"))
+    got = tr.close_query(lower_one("(son ?X Bob)"))
     son = Const("s_son", IOTA)
     x = Var("X", IOTA)
     expected = Ex(
@@ -319,6 +319,29 @@ def test_minted_constants_tracked_once():
     a2 = tr.resolve("Acme")
     assert a1 == a2 == Const("s_Acme", IOTA)
     assert list(tr.minted) == ["s_Acme"]
+
+
+def test_fresh_index_binder_avoids_the_forms_variables(monkeypatch):
+    # the names a fresh binder avoids are worked out once, for the form that
+    # needs one, and they include the form's bound variables
+    built = []
+    real = sumo.variable_names
+
+    def variable_names(node, names=None):
+        if names is None:
+            built.append(node)
+        return real(node, names)
+
+    monkeypatch.setattr(sumo, "variable_names", variable_names)
+    tr = Translator(sig_from(""))
+    plain = tr.close_assertion(lower_one("(forall (@ROW) (p c @ROW))"))
+    query = lower_one("(query (exists (@ROW ?NIDX) (and (p @ROW ?NIDX) (p ?NIDX))))")
+    got = tr.close_query(query)
+    assert built == [query.formula]
+    assert "NIDX" not in th0.render_premise("ax", "axiom", plain).text
+    text = th0.render_premise("conj", "conjecture", got).text
+    assert "^[NIDX0 : $i]" in text
+    assert "^[NIDX : $i]" not in text
 
 
 def test_row_spine_suffix_encoding():
@@ -474,7 +497,7 @@ def test_translated_terms_typecheck(merge_sig):
         "(instance Bob (KappaFn ?X (employs Acme ?X)))",
         "(equal (AgeFn Bob) 41.5)",
     ):
-        term = tr.close_assertion(formula_of(src))
+        term = tr.close_assertion(lower_one(src))
         env2 = dict(env)
         env2.update({c.name: c.ty for c in (Const(n, IOTA) for n in tr.minted)})
         assert typecheck(term, env2) == translate.CATALOG.type_of("istrue").cod
