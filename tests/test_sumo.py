@@ -145,7 +145,8 @@ SKIP_HEAD_SETS = (
 )
 
 
-def _fixture_and_mutant_forms():
+@pytest.fixture(scope="module")
+def forms():
     """(file name, read forms) of every fixture and of every reader mutant that reads."""
     out = []
     for name in sorted(FIXTURE_DIGESTS):
@@ -159,13 +160,10 @@ def _fixture_and_mutant_forms():
     return out
 
 
-FORMS = _fixture_and_mutant_forms()
-
-
-def test_lowering_finds_the_free_variables_of_the_reference():
+def test_lowering_finds_the_free_variables_of_the_reference(forms):
     lowered = 0
-    for name, forms in FORMS:
-        for form in forms:
+    for name, file_forms in forms:
+        for form in file_forms:
             try:
                 item = sumo.lower(form)
             except sumo.LowerError:
@@ -177,10 +175,10 @@ def test_lowering_finds_the_free_variables_of_the_reference():
 
 
 @pytest.mark.parametrize("skip_heads", SKIP_HEAD_SETS, ids=lambda heads: "-".join(heads))
-def test_lowering_skips_what_the_skip_head_search_finds(skip_heads):
+def test_lowering_skips_what_the_skip_head_search_finds(forms, skip_heads):
     skipped = failed = 0
-    for name, forms in FORMS:
-        for form in forms:
+    for name, file_forms in forms:
+        for form in file_forms:
             reason = sumo._contains_skip_head(form, skip_heads)
             try:
                 item = sumo.lower(form, skip_heads)
