@@ -913,3 +913,51 @@ def test_catalog_needs_of_a_record_equal_catalog_needs_of_its_term():
         term = _gen_premise(rng)
         record = th0.render_premise(f"ax_{i}", role, term)
         assert th0.catalog_needs(record) == frozenset(CATALOG.needs([term])), i
+
+
+# Hand-built separations for the hoisting pin: nested two and three deep
+# with parameters, and free variables whose key names (P0, P1, SEPX) an
+# inner binder also takes, where the key's renaming captures.
+_B, _C, _X, _Y, _Z = (Var(n, IOTA) for n in ("B", "C", "X", "Y", "Z"))
+_F = Var("F", arrow(IOTA, IOTA))
+_P0, _P1, _SEPX = Var("P0", IOTA), Var("P1", IOTA), Var("SEPX", IOTA)
+_S = Const("s_a", IOTA)
+_SEP_CASES = [
+    # two deep: the inner separation takes the outer element and B
+    All("B", IOTA, Mem(_S, Sep("X", _B, Mem(_X, Sep("Y", _X, Mem(_Y, _B)))))),
+    # three deep, each level over the one outside it and over B and C
+    Sep("X", _B, Mem(_X, Sep("Y", _X, Subq(_Y, Sep("Z", _Y, Conj(Mem(_Z, _X), Mem(_C, _B))))))),
+    # three deep through the bound, a conditional and a head position
+    Mem(_S, Sep("X", Sep("Y", Ite(Mem(_B, _S), _B, _C), Mem(_Y, Sep("Z", _C, Eq(_Z, _Y)))),
+                App(Sep("Z", _X, Top()), _B))),
+    # B becomes P0 under a binder named P0
+    Mem(_S, Sep("X", _S, All("P0", IOTA, Mem(_B, _P0)))),
+    # C becomes P1 under a binder named P1, B becomes P0 beside it
+    Mem(_S, Sep("X", _B, Ex("P1", IOTA, Conj(Mem(_C, _P1), Mem(_X, _B))))),
+    # the element becomes SEPX under a binder named SEPX
+    Mem(_S, Sep("X", _S, Ex("SEPX", IOTA, Eq(_X, _SEPX)))),
+    # a free P0 is itself a parameter (P1); a binder P0 suspends its renaming
+    Mem(_S, Sep("X", _B, Conj(Mem(_X, _P0), All("P0", IOTA, Mem(_P0, _B))))),
+    # a free SEPX moves the element to SEPX_; a binder X suspends the element
+    Mem(_S, Sep("X", _SEPX, Conj(Mem(_X, _B), Ex("X", IOTA, Mem(_X, _SEPX))))),
+    # the element is free in the bound: the definition's element is X_elem
+    Mem(_S, Sep("X", _X, Mem(_X, _B))),
+    # an inner separation under a binder of an outer parameter's name, and
+    # under a binder P0 that captures the renamed B of the one inside
+    Mem(_S, Sep("X", _B, App(Lam("B", IOTA, Mem(_X, Sep("Y", _B, Mem(_Y, _C)))), _S))),
+    Mem(_S, Sep("X", _S, All("P0", IOTA, Mem(_P0, Sep("Y", _B, Mem(_Y, _X)))))),
+    # a parameter of function type, and a repeat and an alpha variant
+    Conj(Mem(_S, Sep("X", App(_F, _B), Mem(App(_F, _X), _B))),
+         Subq(Sep("Y", App(_F, _B), Mem(App(_F, _Y), _B)), Sep("X", App(_F, _B), Mem(App(_F, _X), _B)))),
+]
+SEP_PIN_DIGEST = "934991780f1c324d213494d764200304eb9bcd4b37c1efe96c49b1fa348a78a6"
+
+
+def test_sep_hoisting_pinned():
+    digest = hashlib.sha256()
+    for i, term in enumerate(_SEP_CASES):
+        rec = th0.render_premise(f"ax_{i}", "axiom", term)
+        seps = [(sep, d.text, _pin_consts(d), d.seps) for sep, d in rec.seps]
+        assert seps, i
+        digest.update(repr((rec.text, _pin_consts(rec), seps)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == SEP_PIN_DIGEST
