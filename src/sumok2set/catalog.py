@@ -25,7 +25,10 @@ the picture.
 
 Every catalog constant carries zero or more named premises; background()
 returns the premises for a set of needed constants closed under mutual
-reference, dependencies first, deterministically.
+reference, dependencies first, deterministically.  The dependencies of a
+constant are read off the parse of catalog.p: the names the parser reads in
+the constant's premises, where sep counts as in, by which a separation is
+defined once it is hoisted.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .hostterm import SHAPES, All, App, Const, Ite, Lam, Mem, Sep, Subq, app, children, rebuild, subterms
+from .hostterm import SHAPES, All, App, Const, Ite, Lam, Mem, Sep, Subq, app, children, rebuild
 from .th0read import _Parser
 
 # The catalog constant each primitive constructor flattens to; a separation
 # is hoisted instead, to a definition phrased with membership.
 FLAT_CONST = {Mem: "in", Subq: "subq", Ite: "ite"}
-_CONSTRUCTOR_NEEDS = {**FLAT_CONST, Sep: "in"}
 # name -> (constructor, arity) of a full application to unflatten
 _UNFLAT = {name: (cls, len(SHAPES[cls].fields)) for cls, name in FLAT_CONST.items()}
 
@@ -57,35 +59,15 @@ class CatalogEntry:
 
 
 class Catalog:
-    def __init__(self, entries, consts: dict):
+    def __init__(self, entries, consts: dict, reads: dict):
         self.entries = {e.name: e for e in entries}
         self.order = [e.name for e in entries]
         self._index = {n: i for i, n in enumerate(self.order)}
         self.consts = consts  # name -> the one Const node its premises share
-        self._deps = {e.name: self._compute_deps(e) for e in entries}
-
-    def _compute_deps(self, entry: CatalogEntry) -> list:
-        terms = [t for (_, _, t) in entry.premises]
-        if entry.defn is not None:
-            terms.append(entry.defn)
-        found = self.needs(terms) - {entry.name}
-        return sorted(found, key=self._index.__getitem__)
-
-    def needs(self, terms) -> set:
-        """Catalog names the terms need.
-
-        These are the catalog constants they mention and the constants
-        their primitive constructors stand for.
-        """
-        out: set = set()
-        for term in terms:
-            for t in subterms(term):
-                if type(t) is Const:
-                    if t.name in self.entries:
-                        out.add(t.name)
-                elif type(t) in _CONSTRUCTOR_NEEDS:
-                    out.add(_CONSTRUCTOR_NEEDS[type(t)])
-        return out
+        # the catalog names an entry's premises read, itself left out
+        self._deps = {
+            e.name: sorted(reads[e.name] - {e.name}, key=self._index.__getitem__) for e in entries
+        }
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries
@@ -131,18 +113,28 @@ class Catalog:
 
 
 def _load(text: str) -> Catalog:
-    """The catalog of THF text: each ty_ record and the premises after it."""
+    """The catalog of THF text: each ty_ record and the premises after it.
+
+    The names each entry's premises read are its dependencies; sep is read
+    as in, by which a separation is defined.
+    """
     parser = _Parser(text)
     consts: dict = {}  # name -> Const node, shared by every premise
     names: set = set()
     owned: dict = {}  # name -> its premises, in file order
+    reads: dict = {}  # name -> the declared names its premises read
     while parser.peek():
         record, role, body = parser.record(consts, names)
         if role == "type":
             premises = owned[body.name] = []
+            parser.reads = reads[body.name] = set()
         else:
             premises.append((record, role, _unflatten(body)))
     del consts["sep"], owned["sep"]
+    for read in reads.values():
+        if "sep" in read:
+            read.remove("sep")
+            read.add("in")
     return Catalog(
         [
             CatalogEntry(
@@ -154,6 +146,7 @@ def _load(text: str) -> Catalog:
             for name, premises in owned.items()
         ],
         consts,
+        reads,
     )
 
 

@@ -139,7 +139,7 @@ def cmd_run(args) -> int:
             f"{query}: {n_premises} premises, {len(skips)} skipped forms -> {out_path}"
         )
         for s in skips:
-            summary_lines.append(f"  skipped {s.file}:{s.span.line}: {s.reason}")
+            summary_lines.append("  " + s.text())
 
     _write_lines(os.path.join(cfg.out_dir, "kb-summary.txt"), summary_lines)
     print("\n".join(summary_lines))

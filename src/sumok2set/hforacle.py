@@ -884,9 +884,6 @@ def hf_lists(max_len: int, entry_rank: int) -> list:
     return out
 
 
-GENERATOR_SORTS = ("set", "list", "nat", "bool")
-
-
 def generators(sort: str, set_rank: int = 3, list_len: int = 4, list_entry_rank: int = 2, nat_bound: int = 4):
     if sort == "set":
         return sets_of_rank(set_rank)

@@ -326,21 +326,6 @@ def rebuild(t, kids):
     return type(t)(*data(t), *kids) if data else type(t)(*kids)
 
 
-def subterms(term) -> list:
-    """Every node of the term, in pre-order."""
-    out: list = []
-    _preorder(term, out)
-    return out
-
-
-def _preorder(t, out):
-    # module level, not a closure: a closure per call costs a collector run
-    # every few hundred terms on large problems
-    out.append(t)
-    for k in children(t):
-        _preorder(k, out)
-
-
 def free_vars(term) -> list:
     """Free variables in first-occurrence order as (name, ty) pairs."""
     out: dict = {}
@@ -357,22 +342,3 @@ def _free_vars(t, bound, out):
     inner = bound | {t.name} if scoped else bound
     for f in fs:
         _free_vars(getattr(t, f), inner if f in scoped else bound, out)
-
-
-def substitute(term, mapping):
-    """Replace free variables by name with the mapped terms.
-
-    Not capture-avoiding: a free variable of a mapped term that a binder on
-    the way down binds is captured.
-    """
-    return _substitute(term, mapping, frozenset())
-
-
-def _substitute(t, mapping, shadow):
-    if type(t) is Var:
-        return t if t.name in shadow else mapping.get(t.name, t)
-    fs, scoped = shape(t)
-    inner = shadow | {t.name} if scoped else shadow
-    return rebuild(
-        t, [_substitute(getattr(t, f), mapping, inner if f in scoped else shadow) for f in fs]
-    )

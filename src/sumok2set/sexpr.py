@@ -73,10 +73,8 @@ def read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as err:
         # one read of the whole file: err.object is every byte of it
-        data, start = err.object, err.start
-        line_start = data.rfind(b"\n", 0, start) + 1
-        col = len(data[line_start:start].decode("utf-8")) + 1
-        span = Span(path, data.count(b"\n", 0, start) + 1, col)
+        valid = err.object[: err.start].decode("utf-8")
+        span = Span(path, *line_col(line_starts(valid), len(valid)))
         raise NotUtf8(f"not UTF-8 text: {err.reason}", span) from None
 
 

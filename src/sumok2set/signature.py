@@ -50,17 +50,9 @@ class ConstInfo:
 
 
 @dataclass
-class AnalysisReport:
-    declarations: int = 0
-    conflicts: int = 0
-    iterations: int = 0
-
-
-@dataclass
 class Signature:
     consts: dict = field(default_factory=dict)  # name -> ConstInfo
     subclass_edges: dict = field(default_factory=dict)  # class -> [superclass]
-    report: AnalysisReport = field(default_factory=AnalysisReport)
 
     def info(self, name: str) -> ConstInfo | None:
         return self.consts.get(name)
@@ -92,7 +84,7 @@ def _decl_index(term, span) -> int:
     return term.num
 
 
-def _record_domain(sig, items, mode, span, keep_first, report):
+def _record_domain(sig, items, mode, span, keep_first):
     if len(items) != 3:
         raise NonGroundDeclaration("domain declaration expects three arguments", span)
     rel = _ground_const(items[0], "domain", span)
@@ -101,7 +93,6 @@ def _record_domain(sig, items, mode, span, keep_first, report):
     info = sig._ensure(rel)
     old = info.arg_domain.get(idx)
     if old is not None and old != (cls, mode):
-        report.conflicts += 1
         if not keep_first:
             raise ConflictingDomain(
                 f"conflicting domain for {rel} at {idx}: {old[0]} vs {cls}", span
@@ -109,24 +100,21 @@ def _record_domain(sig, items, mode, span, keep_first, report):
         return
     info.arg_domain[idx] = (cls, mode)
     info.min_arity = max(info.min_arity, idx)
-    report.declarations += 1
 
 
-def _record_range(sig, items, mode, span, keep_first, report):
+def _record_range(sig, items, mode, span, keep_first):
     if len(items) != 2:
         raise NonGroundDeclaration("range declaration expects two arguments", span)
     rel = _ground_const(items[0], "range", span)
     cls = _ground_const(items[1], "range", span)
     info = sig._ensure(rel)
     if info.range is not None and info.range != (cls, mode):
-        report.conflicts += 1
         if not keep_first:
             raise ConflictingDomain(
                 f"conflicting range for {rel}: {info.range[0]} vs {cls}", span
             )
         return
     info.range = (cls, mode)
-    report.declarations += 1
 
 
 _DOMAIN_AND_RANGE = {
@@ -172,7 +160,6 @@ def collect(assertions, keep_first_on_conflict: bool = False) -> Signature:
     NonGroundDeclaration.
     """
     sig = Signature()
-    report = sig.report
     for a in assertions:
         f = a.formula if isinstance(a, sumo.Assertion) else a
         head = declaration_head(f)
@@ -183,12 +170,10 @@ def collect(assertions, keep_first_on_conflict: bool = False) -> Signature:
             info = sig._ensure(f.member.name)
             if f.cls.name not in info.instance_of:
                 info.instance_of.append(f.cls.name)
-            report.declarations += 1
         elif head == "subclass":
             edges = sig.subclass_edges.setdefault(f.sub.name, [])
             if f.sup.name not in edges:
                 edges.append(f.sup.name)
-            report.declarations += 1
         elif head == "subrelation":
             items = f.spine.items
             if len(items) != 2:
@@ -199,10 +184,9 @@ def collect(assertions, keep_first_on_conflict: bool = False) -> Signature:
             if sup not in info.subrelation_of:
                 info.subrelation_of.append(sup)
             sig._ensure(sup)
-            report.declarations += 1
         else:
             record, mode = _DOMAIN_AND_RANGE[head]
-            record(sig, f.spine.items, mode, span, keep_first_on_conflict, report)
+            record(sig, f.spine.items, mode, span, keep_first_on_conflict)
     _inherit_subrelations(sig)
     _fill_gaps(sig)
     return sig
@@ -251,12 +235,10 @@ def close_vararity(sig: Signature) -> Signature:
 
     A constant is variable-arity when it is an instance of a class that reaches
     VariableArityRelation through subclass edges.  The sweep is monotone and
-    idempotent; the iteration count lands in the report.
+    idempotent.
     """
     var_classes = {VARIABLE_ARITY_CLASS}
-    iterations = 0
     while True:
-        iterations += 1
         changed = False
         for cls in sorted(sig.subclass_edges):
             if cls in var_classes:
@@ -273,5 +255,4 @@ def close_vararity(sig: Signature) -> Signature:
                 changed = True
         if not changed:
             break
-    sig.report.iterations = iterations
     return sig

@@ -12,15 +12,16 @@ four space continuation indent.  One walk (_PremiseWalk) writes every
 term.  Each premise is rendered on its own, into a Record, by the walk over
 its host term: it writes the text of the flattened term without building
 it, hoists each separation it meets, and records the constants in the order
-it writes them.  Only the inside of a separation is flattened to a term,
-for its key and its definition, which the same walk writes.  A
+it writes them.  The same walk, under a renaming of free variables, writes
+each separation's key, and writes its definition record.  A
 translated problem holds nothing but records, each rendered as its premise
 was translated; build_doc puts them together, with the separation
 definitions and type declarations merged in first-occurrence order, and
 renders nothing itself.  A run of records that
 many problems share, such as a knowledge base's, is merged once into a
 Block, which each problem takes whole.  Parsing the rendered text (with
-th0read's parser) and rendering again reproduces it byte for byte.
+th0read's parser) and rendering each record again reproduces it byte for
+byte.
 
 check_text goes through a problem record by record on one path: a record
 that a memo holds from earlier problems that checked clean is confirmed
@@ -63,12 +64,8 @@ from .hostterm import (
     Top,
     TypeMismatch,
     Var,
-    app,
     arrow,
-    children,
     free_vars,
-    rebuild,
-    substitute,
     typecheck,
 )
 from .sexpr import line_col, line_starts
@@ -83,78 +80,61 @@ INDENT = "    "
 
 
 class _SepHoister:
-    """Replace separation nodes by applied fresh constants with definitions.
+    """The constants separations are hoisted to, by key, and their definitions.
 
-    Only the inside of a separation is flattened to a term: its key and its
-    definition are flat terms.  Everywhere else a premise is written out by
-    _PremiseWalk, which asks hoist for each separation it meets.
+    _PremiseWalk asks hoist for each separation it meets, and hoist writes
+    the separation's key and, the first time it meets that key, its
+    definition record with walks of its own.  The key is the closed text
+    (^[P0 : ..]: .. (^[SEPX : $i]: ((in @ SEPX @ bound) & body))): the
+    parameters renamed P0, P1, ... in first-occurrence order and the element
+    renamed SEPX, SEPX_, ... (a name no parameter has).  The renaming does
+    not avoid capture: under a binder of its new name, a renamed variable
+    is written as that name all the same.
     """
 
     def __init__(self):
-        self.defs: list = []  # (const_name, definition term), hoist order
-        self._by_key: dict = {}
-
-    def flatten(self, t):
-        if type(t) is Sep:
-            const, params = self.hoist(t)
-            return app(const, *[Var(n, ty) for n, ty in params])
-        kids = children(t)
-        if not kids:
-            return t
-        kids = [self.flatten(k) for k in kids]
-        const = FLAT_CONST.get(type(t))
-        if const is not None:
-            return app(cc(const), *kids)
-        return rebuild(t, kids)
+        self.defs: list = []  # (sep name, Record of its definition), hoist order
+        self._by_key: dict = {}  # key -> Const
 
     def hoist(self, t: Sep) -> tuple:
         """The constant a separation is hoisted to, and its (name, type) parameters."""
-        bound_flat = self.flatten(t.bound)
-        body_flat = self.flatten(t.body)
-        params = free_vars(Sep(t.name, bound_flat, body_flat))
-        key = self._key(t.name, bound_flat, body_flat, params)
-        found = self._by_key.get(key)
-        if found is None:
+        params = free_vars(t)
+        names = [n for n, _ in params]
+        rename = {n: f"P{i}" for i, n in enumerate(names)}
+        elem = "SEPX"
+        while elem in names:
+            elem += "_"
+        walk = _PremiseWalk(self, rename)
+        bound = walk.text(t.bound)
+        walk.rename = {**rename, t.name: elem}
+        key = f"(^[{elem} : $i]: ((in @ {elem} @ {bound}) & {walk.text(t.body)}))"
+        for i in range(len(params) - 1, -1, -1):
+            key = f"(^[P{i} : {render_type(params[i][1])}]: {key})"
+        const = self._by_key.get(key)
+        if const is None:
             name = "sep_" + hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
             const = Const(name, arrow(*[ty for _, ty in params], IOTA))
-            self.defs.append((name, self._definition(const, t, bound_flat, body_flat, params)))
+            self.defs.append((name, self._definition(const, t, names, params)))
             self._by_key[key] = const
-            found = const
-        return found, params
+        return const, params
 
-    def _key(self, xname, bound_flat, body_flat, params) -> str:
-        mapping = {n: Var(f"P{i}", ty) for i, (n, ty) in enumerate(params)}
-        elem = "SEPX"
-        while any(elem == n for n, _ in params):
-            elem += "_"
-        member = Var(elem, IOTA)
-        shape = Conj(
-            app(cc("in"), member, substitute(bound_flat, mapping)),
-            substitute(
-                substitute(body_flat, {xname: member}),
-                mapping,
-            ),
-        )
-        closed = Lam(elem, IOTA, shape)
-        for i in range(len(params) - 1, -1, -1):
-            closed = Lam(f"P{i}", params[i][1], closed)
-        return render_term(closed)
-
-    def _definition(self, const, t: Sep, bound_flat, body_flat, params):
+    def _definition(self, const, t: Sep, names: list, params: list) -> Record:
+        """The record of ! params, elem: (in elem (const params)) <=> (in elem bound) & body."""
         elem = t.name
-        while any(elem == n for n, _ in params):
+        while elem in names:
             elem += "_elem"
-        member = Var(elem, IOTA)
-        applied = app(const, *[Var(n, ty) for n, ty in params])
-        body = substitute(body_flat, {t.name: member})
-        out = Iff(
-            app(cc("in"), member, applied),
-            Conj(app(cc("in"), member, bound_flat), body),
-        )
-        out = All(elem, IOTA, out)
-        for n, ty in reversed(params):
-            out = All(n, ty, out)
-        return out
+        walk = _PremiseWalk(self)
+        member = f"{walk.const(_IN)} @ {_thf_var(elem)} @ "
+        applied = " @ ".join([walk.const(const)] + [_thf_var(n) for n in names])
+        if names:
+            applied = f"({applied})"
+        bound = walk.text(t.bound)
+        if elem != t.name:
+            walk.rename = {t.name: elem}
+        text = f"(({member}{applied}) <=> (({member}{bound}) & {walk.text(t.body)}))"
+        for n, ty in [*params, (elem, IOTA)][::-1]:
+            text = f"(![{_thf_var(n)} : {render_type(ty)}]: {text})"
+        return Record(render_record("def_" + const.name, "definition", text), tuple(walk.consts))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +188,6 @@ def _thf_var(name: str) -> str:
     return "V_" + escape(name)
 
 
-def _binder(mark: str, t, body: str) -> str:
-    return "(" + mark + _thf_var(t.name) + " : " + render_type(t.ty) + "]: " + body + ")"
-
-
 def render_term(t) -> str:
     """Canonical fully parenthesized rendering of a flat term."""
     return _PremiseWalk(None).text(t)
@@ -228,12 +204,15 @@ class _PremiseWalk:
     and a separation its hoisted constant applied to its parameters; a head
     of either kind merges into the spine it heads.  The constants are
     recorded as they are written, and textual order is the pre-order of the
-    flat term.  On a flat term, which holds none of these nodes, no hoister
-    is needed: render_term is this walk with none.
+    flat term.  A free variable is written under its name in rename, if it
+    has one there; a binder of a renamed name suspends the renaming in its
+    body.  On a flat term, which holds none of these nodes, no hoister is
+    needed: render_term is this walk with none.
     """
 
-    def __init__(self, hoister: _SepHoister):
+    def __init__(self, hoister: _SepHoister, rename: dict | None = None):
         self.hoister = hoister
+        self.rename = rename or {}  # free variable name -> the name written for it
         self.first: dict = {}  # name -> type of its first use
         self.consts: list = []  # distinct Const nodes; a second type is kept too
 
@@ -245,6 +224,19 @@ class _PremiseWalk:
         elif ty is not c.ty and ty != c.ty:
             self.consts.append(c)  # a second type, which the merge rejects (_merge_consts)
         return c.name
+
+    def var(self, name: str) -> str:
+        return _thf_var(self.rename.get(name, name))
+
+    def binder(self, mark: str, t) -> str:
+        rename = self.rename
+        if t.name in rename:
+            self.rename = {n: m for n, m in rename.items() if n != t.name}
+            body = self.text(t.body)
+            self.rename = rename
+        else:
+            body = self.text(t.body)
+        return "(" + mark + _thf_var(t.name) + " : " + render_type(t.ty) + "]: " + body + ")"
 
     def text(self, t) -> str:
         cls = type(t)
@@ -259,14 +251,14 @@ class _PremiseWalk:
                 parts.append(self.text(arg))
             return "(" + " @ ".join(parts) + ")"
         if cls is Var:
-            return _thf_var(t.name)
+            return self.var(t.name)
         if cls is Const:
             return self.const(t)
         if cls is Mem or cls is Subq or cls is Ite or cls is Sep:
             parts = self.spine(t)
             return "(" + " @ ".join(parts) + ")" if len(parts) > 1 else parts[0]
         if cls is All:
-            return _binder("![", t, self.text(t.body))
+            return self.binder("![", t)
         if cls is Imp:
             return "(" + self.text(t.ante) + " => " + self.text(t.cons) + ")"
         if cls is Conj:
@@ -274,7 +266,7 @@ class _PremiseWalk:
         if cls is Eq:
             return "(" + self.text(t.left) + " = " + self.text(t.right) + ")"
         if cls is Ex:
-            return _binder("?[", t, self.text(t.body))
+            return self.binder("?[", t)
         if cls is Neg:
             return "(~ " + self.text(t.body) + ")"
         if cls is Disj:
@@ -282,7 +274,7 @@ class _PremiseWalk:
         if cls is Iff:
             return "(" + self.text(t.left) + " <=> " + self.text(t.right) + ")"
         if cls is Lam:
-            return _binder("^[", t, self.text(t.body))
+            return self.binder("^[", t)
         if cls is Bot:
             return "$false"
         if cls is Top:
@@ -300,7 +292,7 @@ class _PremiseWalk:
             return [self.const(_ITE), self.text(t.cond), self.text(t.then), self.text(t.other)]
         if cls is Sep:
             const, params = self.hoister.hoist(t)
-            return [self.const(const)] + [_thf_var(n) for n, _ in params]
+            return [self.const(const)] + [self.var(n) for n, _ in params]
         return [self.text(t)]
 
 
@@ -350,17 +342,9 @@ class Record(NamedTuple):
 def render_premise(name: str, role: str, term) -> Record:
     """Render one premise of host terms, with a Record per hoisted separation."""
     hoister = _SepHoister()
-    record = _record(hoister, name, role, term)
-    if not hoister.defs:
-        return record
-    seps = tuple((sep, _record(hoister, "def_" + sep, "definition", d)) for sep, d in hoister.defs)
-    return record._replace(seps=seps)
-
-
-def _record(hoister: _SepHoister, name: str, role: str, term) -> Record:
     walk = _PremiseWalk(hoister)
     text = render_record(name, role, walk.text(term))
-    return Record(text, tuple(walk.consts))
+    return Record(text, tuple(walk.consts), tuple(hoister.defs))
 
 
 _CATALOG_NAMES = frozenset(CATALOG.order)
@@ -370,9 +354,8 @@ def catalog_needs(record: Record) -> frozenset:
     """The catalog names the premise of a record needs.
 
     These are the catalog constants of the record and of its separation
-    definitions, which is what Catalog.needs finds in the host term:
-    membership, subset and conditional nodes are written as their catalog
-    constants, and a separation is defined by membership.
+    definitions: membership, subset and conditional nodes are written as
+    their catalog constants, and a separation is defined by membership.
     """
     names = {c.name for c in record.consts}
     for _sep, defn in record.seps:
@@ -475,16 +458,12 @@ class _Decls:
 
 @dataclass
 class Th0Doc:
-    """A problem document.
-
-    A premise body, and the conjecture, is a flat term in a parsed document
-    and a Record, already rendered, in one built from a problem.
-    """
+    """A problem document: every premise body, and the conjecture, is a Record."""
 
     comments: list = field(default_factory=list)
     decls: list = field(default_factory=list)  # (const name, type)
-    premises: list = field(default_factory=list)  # (name, role, flat term or Record)
-    conjecture: object = None  # flat term or Record, record named conj
+    premises: list = field(default_factory=list)  # (name, role, Record)
+    conjecture: Record | None = None  # the record named conj
     decl_records: dict = field(default_factory=dict)  # const name -> its ty_ record, if known
 
 
@@ -572,21 +551,12 @@ def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0
     )
 
 
-def _record_text(name: str, role: str, body) -> str:
-    if isinstance(body, Record):
-        return body.text
-    return render_record(name, role, render_term(body))
-
-
 def render_doc(doc: Th0Doc) -> str:
     lines = ["% " + c if c else "%" for c in doc.comments]
     known = doc.decl_records
     lines += [known.get(name) or _decl_record(name, ty) for name, ty in doc.decls]
-    lines += [
-        body.text if type(body) is Record else _record_text(name, role, body)
-        for name, role, body in doc.premises
-    ]
-    lines.append(_record_text("conj", "conjecture", doc.conjecture))
+    lines += [body.text for _name, _role, body in doc.premises]
+    lines.append(doc.conjecture.text)
     return "\n".join(lines) + "\n"
 
 
@@ -599,7 +569,7 @@ def problem_text(problem, reproducible: bool = False, explain: bool = False) -> 
 
 
 def parse_doc(text: str) -> Th0Doc:
-    """Parse rendered problem text back into a document."""
+    """Parse rendered problem text back into a document of records."""
     parser = _Parser(text)
     toks = parser.toks
     doc = Th0Doc(comments=parser.comments)
@@ -610,9 +580,9 @@ def parse_doc(text: str) -> Th0Doc:
         if role == "type":
             doc.decls.append((body.name, body.ty))
         elif role == "conjecture":
-            doc.conjecture = body
+            doc.conjecture = render_premise(name, role, body)
         else:
-            doc.premises.append((name, role, body))
+            doc.premises.append((name, role, render_premise(name, role, body)))
     if doc.conjecture is None:
         raise Th0Error("missing conjecture")
     return doc

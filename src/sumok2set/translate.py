@@ -353,9 +353,12 @@ class Translator:
 @dataclass
 class SkipNote:
     file: str
-    index: int
     reason: str
     span: Span
+
+    def text(self) -> str:
+        """The line a problem's comments and run's summary give the skipped form."""
+        return f"skipped {self.file}:{self.span.line}: {self.reason}"
 
 
 @dataclass
@@ -404,7 +407,7 @@ def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
     conjecture = None
     for index, item in enumerate(lowered):
         if isinstance(item, sumo.Skipped):
-            skips.append(SkipNote(path, index, item.reason, item.span))
+            skips.append(SkipNote(path, item.reason, item.span))
         elif isinstance(item, sumo.Query):
             if conjecture is not None:
                 raise TranslateError("more than one query form", item.span)
@@ -569,7 +572,7 @@ class KbImage:
                 raise TranslateError(f"query form inside knowledge base file {path}")
             premises += file_premises
             self.skips.extend(file_skips)
-        self.skip_comments = [f"skipped {s.file}:{s.span.line}: {s.reason}" for s in self.skips]
+        self.skip_comments = [s.text() for s in self.skips]
         self.minted = dict(tr.minted)
         self.explanations = list(tr.explanations)
         self.used = recording.asked  # the names whose signature entries it read
@@ -595,9 +598,7 @@ class KbImage:
         local, conjecture, q_skips = translate_file(tr, query_path, lowered, "local")
         if conjecture is None:
             raise TranslateError(f"no query form in {query_path}")
-        comments = self.skip_comments + [
-            f"skipped {s.file}:{s.span.line}: {s.reason}" for s in q_skips
-        ]
+        comments = self.skip_comments + [s.text() for s in q_skips]
         problem = build_problem(tr, self.unit_block.premises, local, conjecture, comments, self)
         if selection is not None:
             problem = select_premises(problem, selection)

@@ -1,7 +1,65 @@
 """Reference helpers over terms that only the tests use."""
 
 from sumok2set import sumo
-from sumok2set.hostterm import Const, Var, shape, subterms
+from sumok2set.catalog import CATALOG
+from sumok2set.hostterm import Const, Ite, Mem, Sep, Subq, Var, children, rebuild, shape
+
+
+def subterms(term) -> list:
+    """Every node of the term, in pre-order."""
+    out: list = []
+    _preorder(term, out)
+    return out
+
+
+def _preorder(t, out):
+    # module level, not a closure: a self-calling closure is a reference cycle
+    out.append(t)
+    for k in children(t):
+        _preorder(k, out)
+
+
+def substitute(term, mapping):
+    """Replace free variables by name with the mapped terms.
+
+    Not capture-avoiding: a free variable of a mapped term that a binder on
+    the way down binds is captured.  The reference for the renaming with
+    which th0 writes a separation's key.
+    """
+    return _substitute(term, mapping, frozenset())
+
+
+def _substitute(t, mapping, shadow):
+    if type(t) is Var:
+        return t if t.name in shadow else mapping.get(t.name, t)
+    fs, scoped = shape(t)
+    inner = shadow | {t.name} if scoped else shadow
+    return rebuild(
+        t, [_substitute(getattr(t, f), mapping, inner if f in scoped else shadow) for f in fs]
+    )
+
+
+# the catalog name each primitive constructor needs; a separation is
+# defined by membership
+_CONSTRUCTOR_NEEDS = {Mem: "in", Subq: "subq", Ite: "ite", Sep: "in"}
+
+
+def catalog_needs(terms) -> set:
+    """Catalog names the host terms need: the reference for th0.catalog_needs
+    and for the catalog's dependencies.
+
+    These are the catalog constants they mention and the constants their
+    primitive constructors stand for.
+    """
+    out: set = set()
+    for term in terms:
+        for t in subterms(term):
+            if type(t) is Const:
+                if t.name in CATALOG:
+                    out.add(t.name)
+            elif type(t) in _CONSTRUCTOR_NEEDS:
+                out.add(_CONSTRUCTOR_NEEDS[type(t)])
+    return out
 
 
 def consts(term) -> list:

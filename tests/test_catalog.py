@@ -23,12 +23,11 @@ from sumok2set.hostterm import (
     arrow,
     children,
     rebuild,
-    subterms,
     typecheck,
 )
 from sumok2set.th0read import _Parser
 
-from termhelpers import const_names
+from termhelpers import catalog_needs, const_names, subterms
 
 
 def ordc(n):
@@ -164,6 +163,14 @@ def test_deps_reported_vs_term_scan():
                 if n in CATALOG.entries and n != cname
             }
         assert scanned <= set(CATALOG.deps_of(cname)), cname
+
+
+def test_deps_read_off_the_parse_equal_the_needs_of_the_terms():
+    # the names the parser reads equal what the host terms need, in catalog order
+    for cname, entry in CATALOG.entries.items():
+        terms = [t for _p, _r, t in entry.premises] + [entry.defn] * (entry.defn is not None)
+        want = sorted(catalog_needs(terms) - {cname}, key=CATALOG.order_index)
+        assert CATALOG.deps_of(cname) == want, cname
 
 
 def test_deps_cover_separation_membership():

@@ -160,6 +160,11 @@ def test_translate_non_utf8_kb_is_located(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: kb.kif:2:13: not UTF-8 text: invalid continuation byte\n"
+    # the column counts characters: the two-byte é before the bad byte is one
+    (tmp_path / "kb.kif").write_bytes(b"(instance a B)\n(instance \xc3\xa9 \xe9C)\n")
+    code, out, err = run_cli(["translate", "q.kif", "--kb", "kb.kif"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: kb.kif:2:13: not UTF-8 text: invalid continuation byte\n"
     (tmp_path / "q.kif").write_bytes(b"\xff\xfe")
     code, out, err = run_cli(["translate", "q.kif"], capsys)
     assert (code, err) == (1, "error: q.kif:1:1: not UTF-8 text: invalid start byte\n")

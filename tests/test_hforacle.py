@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from sumok2set import hforacle as hf
 from sumok2set.catalog import cc, encode_nat, ord_of
-from sumok2set.hostterm import All, App, Const, Eq, Imp, IOTA, Lam, Mem, Sep, Var, app, arrow, subterms
+from sumok2set.hostterm import All, App, Const, Eq, Imp, IOTA, Lam, Mem, Sep, Var, app, arrow
+
+from termhelpers import subterms
 
 
 def ev():

@@ -39,12 +39,10 @@ from sumok2set.hostterm import (
     free_vars,
     imp_chain,
     rebuild,
-    substitute,
-    subterms,
     typecheck,
 )
 
-from termhelpers import alpha_eq, const_names, consts
+from termhelpers import alpha_eq, catalog_needs, const_names, consts, substitute, subterms
 
 O = OMICRON
 
@@ -206,7 +204,7 @@ class Stray:
         free_vars,
         lambda t: substitute(t, {}),
         lambda t: alpha_eq(t, t),
-        lambda t: CATALOG.needs([t]),
+        lambda t: catalog_needs([t]),
     ],
 )
 def test_folds_reject_unknown_nodes(fold):

@@ -15,9 +15,10 @@ import types
 import pytest
 
 from conftest import FIXTURES, fixture_path
-from sumok2set import catalog, cli, hostterm, signature, sumo, th0, translate
-from sumok2set.catalog import CATALOG, cc
+from sumok2set import cli, hostterm, signature, sumo, th0, translate
+from sumok2set.catalog import cc
 from sumok2set.hostterm import App, Arrow, Const, IOTA, OMICRON
+from termhelpers import catalog_needs
 
 KB = "merge_fragment.kif"
 QUERIES = ("tqg3.kif", "tqg11.kif", "tqg22alt4.kif", "tqg27.kif", "wordex.kif")
@@ -269,10 +270,10 @@ def test_posing_a_query_does_no_work_that_grows_with_the_kb(tmp_path, monkeypatc
     small = translate.compile_kb([renamed_kb(tmp_path, 1, "kb1.kif")])
     large = translate.compile_kb([renamed_kb(tmp_path, 3, "kb3.kif")])
     assert len(large.unit_block.premises) == 3 * len(small.unit_block.premises)
-    counts = {"collect": 0, "agrees": 0, "needs_terms": 0, "renders": 0}
+    counts = {"collect": 0, "agrees": 0, "catalog_needs": 0, "renders": 0}
     real_collect = signature.collect
     real_agrees = translate.KbImage.agrees
-    real_needs = catalog.Catalog.needs
+    real_needs = th0.catalog_needs
     real_render = th0.render_premise
 
     def collect(*args, **kwargs):
@@ -283,10 +284,9 @@ def test_posing_a_query_does_no_work_that_grows_with_the_kb(tmp_path, monkeypatc
         counts["agrees"] += 1
         return real_agrees(self, sig)
 
-    def needs(self, terms):
-        terms = list(terms)
-        counts["needs_terms"] += len(terms)
-        return real_needs(self, terms)
+    def catalog_needs(record):
+        counts["catalog_needs"] += 1
+        return real_needs(record)
 
     def render_premise(*args):
         counts["renders"] += 1
@@ -294,7 +294,7 @@ def test_posing_a_query_does_no_work_that_grows_with_the_kb(tmp_path, monkeypatc
 
     monkeypatch.setattr(signature, "collect", collect)
     monkeypatch.setattr(translate.KbImage, "agrees", agrees)
-    monkeypatch.setattr(catalog.Catalog, "needs", needs)
+    monkeypatch.setattr(th0, "catalog_needs", catalog_needs)
     monkeypatch.setattr(th0, "render_premise", render_premise)
     for shape in QUERIES:
         query = renamed_query(tmp_path, shape)
@@ -422,11 +422,11 @@ def test_unit_needs_read_off_its_record_equal_catalog_needs(setting, monkeypatch
     assert premises and len(conjectures) == len(QUERIES)
     for name, term in premises:
         record = th0.render_premise(name, "axiom", term)
-        assert th0.catalog_needs(record) == frozenset(CATALOG.needs([term])), name
+        assert th0.catalog_needs(record) == frozenset(catalog_needs([term])), name
         assert record.text.startswith(f"thf({name}, axiom, ")
     for conj in conjectures:
         record = th0.render_premise("conj", "conjecture", conj)
-        assert th0.catalog_needs(record) == frozenset(CATALOG.needs([conj]))
+        assert th0.catalog_needs(record) == frozenset(catalog_needs([conj]))
 
 
 def reachable(root):

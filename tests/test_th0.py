@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from sumok2set import sexpr, th0, translate
-from sumok2set.catalog import CATALOG, cc, ord_of
+from sumok2set.catalog import cc, ord_of
 from sumok2set.hostterm import (
     All,
     App,
@@ -36,7 +36,6 @@ from sumok2set.hostterm import (
     Var,
     app,
     arrow,
-    substitute,
 )
 from sumok2set.th0 import (
     build_doc,
@@ -50,6 +49,7 @@ from sumok2set.th0 import (
 from sumok2set.translate import Problem
 
 from conftest import FIXTURES, fixture_path
+from termhelpers import catalog_needs, substitute
 
 
 def test_render_type_shapes():
@@ -912,7 +912,7 @@ def test_catalog_needs_of_a_record_equal_catalog_needs_of_its_term():
         role = rng.choice(("axiom", "axiom", "definition", "conjecture"))
         term = _gen_premise(rng)
         record = th0.render_premise(f"ax_{i}", role, term)
-        assert th0.catalog_needs(record) == frozenset(CATALOG.needs([term])), i
+        assert th0.catalog_needs(record) == frozenset(catalog_needs([term])), i
 
 
 # Hand-built separations for the hoisting pin: nested two and three deep
