@@ -225,9 +225,6 @@ class _PremiseWalk:
             self.consts.append(c)  # a second type, which the merge rejects (_merge_consts)
         return c.name
 
-    def var(self, name: str) -> str:
-        return _thf_var(self.rename.get(name, name))
-
     def binder(self, mark: str, t) -> str:
         rename = self.rename
         if t.name in rename:
@@ -251,7 +248,7 @@ class _PremiseWalk:
                 parts.append(self.text(arg))
             return "(" + " @ ".join(parts) + ")"
         if cls is Var:
-            return self.var(t.name)
+            return _thf_var(self.rename.get(t.name, t.name))
         if cls is Const:
             return self.const(t)
         if cls is Mem or cls is Subq or cls is Ite or cls is Sep:
@@ -292,7 +289,8 @@ class _PremiseWalk:
             return [self.const(_ITE), self.text(t.cond), self.text(t.then), self.text(t.other)]
         if cls is Sep:
             const, params = self.hoister.hoist(t)
-            return [self.const(const)] + [self.var(n) for n, _ in params]
+            rename = self.rename
+            return [self.const(const)] + [_thf_var(rename.get(n, n)) for n, _ in params]
         return [self.text(t)]
 
 

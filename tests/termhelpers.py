@@ -45,11 +45,11 @@ _CONSTRUCTOR_NEEDS = {Mem: "in", Subq: "subq", Ite: "ite", Sep: "in"}
 
 
 def catalog_needs(terms) -> set:
-    """Catalog names the host terms need: the reference for th0.catalog_needs
-    and for the catalog's dependencies.
+    """Catalog names the host terms need.
 
     These are the catalog constants they mention and the constants their
-    primitive constructors stand for.
+    primitive constructors stand for.  The reference for th0.catalog_needs
+    and for the catalog's dependencies.
     """
     out: set = set()
     for term in terms:
