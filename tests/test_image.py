@@ -406,6 +406,23 @@ def test_a_query_constant_clashing_with_a_kb_constant_is_an_error(tmp_path):
     assert text_of(image, str(q)) == text_of([renamed_kb(tmp_path, 3)], str(q))
 
 
+def test_a_constant_clashing_across_the_two_blocks_is_an_error(tmp_path, monkeypatch):
+    kb = renamed_kb(tmp_path, 3)
+    q = tmp_path / "q.kif"
+    q.write_text(BLOCK_QUERIES["row_len"] + "\n")
+    # a relation fact of the image reads s_Acme_5f1, a constant of the KB's
+    # units only, at a second type
+    clash = App(Const("s_Acme_5f1", Arrow(IOTA, OMICRON)), cc("emptyset"))
+    extra = [("rel_clash", "axiom", th0.render_premise("rel_clash", "axiom", clash))]
+    real_facts = translate.fact_premises
+    with pytest.raises(th0.Th0Error, match="constant s_Acme_5f1 used at two types"):
+        with monkeypatch.context() as m:
+            m.setattr(translate, "fact_premises", lambda tr, names: real_facts(tr, names) + extra)
+            image = translate.compile_kb([kb])
+        problem, _skips, _tr = translate.translate_query_job(image, str(q))
+        th0.problem_text(problem, reproducible=True)
+
+
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_unit_needs_read_off_its_record_equal_catalog_needs(setting, monkeypatch):
     monkeypatch.chdir(FIXTURES)

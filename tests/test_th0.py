@@ -233,6 +233,24 @@ def test_constant_used_at_two_types_is_rejected():
             problem_text(prob, reproducible=True)
 
 
+@pytest.mark.parametrize("sep_first", [True, False])
+def test_a_separation_constant_clashing_with_a_record_constant_in_a_block_is_rejected(sep_first):
+    # s_a is read only by the separation's definition in one premise, and
+    # at a second type by the record of the other
+    sep = Sep("X", cc("univ"), Mem(Var("X", IOTA), Const("s_a", IOTA)))
+    terms = [
+        ("kb_x_0", Mem(Const("s_b", IOTA), sep)),
+        ("kb_x_1", App(Const("s_a", arrow(IOTA, OMICRON)), cc("emptyset"))),
+    ]
+    premises = [(n, "axiom", th0.render_premise(n, "axiom", t)) for n, t in terms]
+    if not sep_first:
+        premises.reverse()
+    conjecture = th0.render_premise("conj", "conjecture", Top())
+    with pytest.raises(th0.Th0Error, match="constant s_a used at two types"):
+        block = th0.Block(premises)
+        problem_text(Problem(premises, conjecture, blocks=((0, block),)), reproducible=True)
+
+
 def test_long_lines_wrap_with_continuation_indent():
     deep = Const("s_x", IOTA)
     for i in range(40):
