@@ -66,9 +66,7 @@ def cmd_translate(args) -> int:
     except (OSError, *INPUT_ERRORS) as err:
         _report_errors([_error_payload(err, args.query)], args.errors_json)
         return 1
-    text = th0.problem_text(
-        problem, reproducible=args.reproducible, explain=args.explain_guards
-    )
+    text = th0.problem_text(problem, reproducible=args.reproducible)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

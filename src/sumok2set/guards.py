@@ -104,6 +104,23 @@ def _hvar(name: str) -> Var:
     return Var(host_var(name), IOTA)
 
 
+def host_domains(info, resolve) -> list:
+    """The host domain sequence of a relation with declared argument domains.
+
+    One host class per slot 1..min_arity, resolved in slot order, the power
+    set of the class for a domainSubclass slot, and the last one again when
+    the relation is variadic.
+    """
+    domains = []
+    for idx in range(1, info.min_arity + 1):
+        cls, mode = info.arg_domain[idx]
+        host = resolve(cls)
+        domains.append(App(cc("power"), host) if mode == sigmod.MODE_SUBCLASS else host)
+    if info.var_arity:
+        domains += domains[-1:]
+    return domains
+
+
 def guards_for(formula, scope, sig, resolve, expand_known_rows: bool = False) -> dict:
     """Map each scoped variable name to its ordered (position, guard) list.
 
@@ -143,16 +160,8 @@ def guards_for(formula, scope, sig, resolve, expand_known_rows: bool = False) ->
         if isinstance(head, sumo.Const):
             info = sig.info(head.name)
             if expand_known_rows and info is not None and info.arg_domain:
-                domains = []
-                for idx in range(1, info.min_arity + 1):
-                    cls, mode = info.arg_domain[idx]
-                    host = resolve(cls)
-                    if mode == sigmod.MODE_SUBCLASS:
-                        host = App(cc("power"), host)
-                    domains.append(host)
-                if info.var_arity and domains:
-                    domains.append(domains[-1])
-                return RowDomOfKnown(info.var_arity, info.min_arity, tuple(domains))
+                domains = tuple(host_domains(info, resolve))
+                return RowDomOfKnown(info.var_arity, info.min_arity, domains)
             return RowDomOf(resolve(head.name))
         return None
 

@@ -24,10 +24,6 @@ class SignatureError(Exception):
         self.span = span
 
 
-class ConflictingDomain(SignatureError):
-    pass
-
-
 class NonGroundDeclaration(SignatureError):
     pass
 
@@ -41,9 +37,6 @@ class ConstInfo:
     range: tuple | None = None  # (class, mode)
     subrelation_of: list = field(default_factory=list)
     instance_of: list = field(default_factory=list)
-    inherited_slots: set = field(default_factory=set)
-    inherited_range: bool = False
-    filled_slots: set = field(default_factory=set)
 
     def has_domains(self) -> bool:
         return bool(self.arg_domain)
@@ -84,37 +77,25 @@ def _decl_index(term, span) -> int:
     return term.num
 
 
-def _record_domain(sig, items, mode, span, keep_first):
+def _record_domain(sig, items, mode, span):
     if len(items) != 3:
         raise NonGroundDeclaration("domain declaration expects three arguments", span)
     rel = _ground_const(items[0], "domain", span)
     idx = _decl_index(items[1], span)
     cls = _ground_const(items[2], "domain", span)
     info = sig._ensure(rel)
-    old = info.arg_domain.get(idx)
-    if old is not None and old != (cls, mode):
-        if not keep_first:
-            raise ConflictingDomain(
-                f"conflicting domain for {rel} at {idx}: {old[0]} vs {cls}", span
-            )
-        return
-    info.arg_domain[idx] = (cls, mode)
+    info.arg_domain.setdefault(idx, (cls, mode))  # the first declaration of a slot stands
     info.min_arity = max(info.min_arity, idx)
 
 
-def _record_range(sig, items, mode, span, keep_first):
+def _record_range(sig, items, mode, span):
     if len(items) != 2:
         raise NonGroundDeclaration("range declaration expects two arguments", span)
     rel = _ground_const(items[0], "range", span)
     cls = _ground_const(items[1], "range", span)
     info = sig._ensure(rel)
-    if info.range is not None and info.range != (cls, mode):
-        if not keep_first:
-            raise ConflictingDomain(
-                f"conflicting range for {rel}: {info.range[0]} vs {cls}", span
-            )
-        return
-    info.range = (cls, mode)
+    if info.range is None:  # the first declaration stands
+        info.range = (cls, mode)
 
 
 _DOMAIN_AND_RANGE = {
@@ -151,21 +132,22 @@ def declaration_head(f) -> str | None:
     return None
 
 
-def collect(assertions, keep_first_on_conflict: bool = False) -> Signature:
+def collect(assertions) -> Signature:
     """Fold declaration facts out of lowered assertions into a Signature.
 
     Only ground top-level facts count as declarations (declaration_head);
     anything else is left for the translator.  Quantified or
     variable-containing domain/range/subrelation forms raise
-    NonGroundDeclaration.
+    NonGroundDeclaration.  Of two declarations of one slot or range that
+    disagree, the first stands.
     """
     sig = Signature()
     for a in assertions:
-        f = a.formula if isinstance(a, sumo.Assertion) else a
+        f = a.formula
         head = declaration_head(f)
         if head is None:
             continue
-        span = a.span if isinstance(a, sumo.Assertion) else None
+        span = a.span
         if head == "instance":
             info = sig._ensure(f.member.name)
             if f.cls.name not in info.instance_of:
@@ -186,7 +168,7 @@ def collect(assertions, keep_first_on_conflict: bool = False) -> Signature:
             sig._ensure(sup)
         else:
             record, mode = _DOMAIN_AND_RANGE[head]
-            record(sig, f.spine.items, mode, span, keep_first_on_conflict)
+            record(sig, f.spine.items, mode, span)
     _inherit_subrelations(sig)
     _fill_gaps(sig)
     return sig
@@ -209,11 +191,9 @@ def _inherit_subrelations(sig: Signature) -> None:
                 if not info.has_domains() and sup.has_domains():
                     info.arg_domain = dict(sup.arg_domain)
                     info.min_arity = max(info.min_arity, sup.min_arity)
-                    info.inherited_slots = set(info.arg_domain)
                     changed = True
                 if info.range is None and sup.range is not None:
                     info.range = sup.range
-                    info.inherited_range = True
                     changed = True
 
 
@@ -222,9 +202,7 @@ def _fill_gaps(sig: Signature) -> None:
     # undeclared slots inside the span default to Entity membership
     for info in sig.consts.values():
         for idx in range(1, info.min_arity + 1):
-            if idx not in info.arg_domain:
-                info.arg_domain[idx] = ("Entity", MODE_INSTANCE)
-                info.filled_slots.add(idx)
+            info.arg_domain.setdefault(idx, ("Entity", MODE_INSTANCE))
 
 
 VARIABLE_ARITY_CLASS = "VariableArityRelation"

@@ -15,7 +15,6 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import sexpr
 from .sexpr import (
     ATOM_CONSTANT,
     ATOM_NUMERAL,

@@ -13,15 +13,17 @@ term.  Each premise is rendered on its own, into a Record, by the walk over
 its host term: it writes the text of the flattened term without building
 it, hoists each separation it meets, and records the constants in the order
 it writes them.  The same walk, under a renaming of free variables, writes
-each separation's key, and writes its definition record.  A
-translated problem holds nothing but records, each rendered as its premise
-was translated; build_doc puts them together, with the separation
-definitions and type declarations merged in first-occurrence order, and
-renders nothing itself.  A run of records that
-many problems share, such as a knowledge base's, is merged once into a
-Block, which each problem takes whole.  Parsing the rendered text (with
-th0read's parser) and rendering each record again reproduces it byte for
-byte.
+each separation's key, and writes its definition record.  A translated
+problem holds nothing but records, each rendered as its premise was
+translated; build_doc puts them together, with the separation definitions
+and type declarations merged in first-occurrence order, and renders nothing
+itself.  A run of records that many problems share, such as a knowledge
+base's, is merged once into a Block, which each problem takes whole.  One
+merge (_merge_consts) decides each constant's type: build_doc merges the
+constants of the separation definitions, the premises and the conjecture,
+a block's as the block merged them once, into one dict, and a constant met
+at a second type is an error.  Parsing the rendered text (with th0read's
+parser) and rendering each record again reproduces it byte for byte.
 
 check_text goes through a problem record by record on one path: a record
 that a memo holds from earlier problems that checked clean is confirmed
@@ -361,19 +363,22 @@ def catalog_needs(record: Record) -> frozenset:
     return frozenset(names & _CATALOG_NAMES)
 
 
-def _merge_consts(groups, types: dict, into: dict) -> dict:
-    """Merge groups of Const nodes into into (name -> type) in first-use order.
+def _merge_consts(types: dict, pairs) -> dict:
+    """Merge (name, type) pairs into types, name -> type of its first use.
 
-    types (name -> type) takes in every constant too; one met at a second
-    type is an error.
+    This is the one place that decides each constant's type: one met at a
+    second type is an error.
     """
-    for group in groups:
-        for c in group:
-            ty = types.setdefault(c.name, c.ty)
-            if ty is not c.ty and ty != c.ty:
-                raise Th0Error(f"constant {c.name} used at two types")
-            into.setdefault(c.name, ty)
-    return into
+    for name, ty in pairs:
+        first = types.setdefault(name, ty)
+        if first is not ty and first != ty:
+            raise Th0Error(f"constant {name} used at two types")
+    return types
+
+
+def _pairs(records):
+    """The (name, type) pairs of the constants of records, in order."""
+    return ((c.name, c.ty) for record in records for c in record.consts)
 
 
 def _decl_record(name: str, ty) -> str:
@@ -385,73 +390,28 @@ class Block:
 
     A KbImage keeps two, its relation facts and its premises.  A block holds
     the records, their separations merged in first-occurrence order, the
-    constants of those separations' definitions and of the records, each
-    merged in first-use order (name -> type) and checked for clashes with
-    each other and with the blocks given as before, the catalog names among
-    them, and the declaration record of every constant.
+    constants of those separations' definitions and, apart, those of the
+    records, each merged in first-use order (name -> type), the catalog
+    names among them, and the declaration record of every constant.  Whether
+    the two agree with each other and with the rest of a problem is decided
+    where build_doc merges the block's constants into the problem's.
     """
 
-    def __init__(self, premises, before=()):
+    def __init__(self, premises):
         self.premises = list(premises)  # (name, role, Record)
         self.seps: dict = {}  # sep name -> Record of its definition
         for _name, _role, record in self.premises:
             for sep, defn in record.seps:
                 self.seps.setdefault(sep, defn)
-        types: dict = {}
-        self.sep_consts = _merge_consts([d.consts for d in self.seps.values()], types, {})
-        self.consts = _merge_consts([r.consts for _n, _r, r in self.premises], types, {})
-        self.catalog = frozenset(types.keys() & _CATALOG_NAMES)
-        self.decl_records: dict = {}  # name -> its ty_ record
-        for name, ty in types.items():
-            for block in before:
-                other = block.type_of(name)
-                if other is not None:
-                    if other is not ty and other != ty:
-                        raise Th0Error(f"constant {name} used at two types")
-                    self.decl_records[name] = block.decl_records[name]
-                    break
-            else:
-                self.decl_records[name] = _decl_record(name, ty)
-
-    def type_of(self, name: str):
-        """The type of a constant of the block, None for one it does not have."""
-        ty = self.consts.get(name)
-        return self.sep_consts.get(name) if ty is None else ty
-
-
-class _Decls:
-    """The declared constants of a document, merged one record or one block at a time.
-
-    A block merges whole: its names join in its own first-use order.  The
-    constants merged record by record are checked against each other as
-    they come and against the blocks once, at the end.
-    """
-
-    def __init__(self):
-        self.types: dict = {}  # name -> type, of the constants merged record by record
-        self.order: dict = {}  # name -> type of every constant, first use order
-        self.catalog: set = set()  # the catalog names of the blocks
-        self.blocks: list = []
-
-    def add(self, consts) -> None:
-        _merge_consts([consts], self.types, self.order)
-
-    def add_block(self, block: Block, consts: dict) -> None:
-        self.order.update(consts)
-        if block not in self.blocks:
-            self.blocks.append(block)
-            self.catalog |= block.catalog
-
-    def ordered(self) -> list:
-        """Catalog members in catalog order, then the rest in first-use order."""
-        for name, ty in self.types.items():
-            for block in self.blocks:
-                other = block.type_of(name)
-                if other is not None and other is not ty and other != ty:
-                    raise Th0Error(f"constant {name} used at two types")
-        catalog = self.catalog | (self.types.keys() & _CATALOG_NAMES)
-        catalog = sorted(catalog, key=CATALOG.order_index)
-        return [(name, self.order.pop(name)) for name in catalog] + list(self.order.items())
+        self.sep_consts = _merge_consts({}, _pairs(self.seps.values()))
+        self.consts = _merge_consts({}, _pairs(r for _n, _r, r in self.premises))
+        names = self.sep_consts.keys() | self.consts.keys()
+        self.catalog = frozenset(names & _CATALOG_NAMES)
+        self.decl_records = {  # name -> its ty_ record
+            name: _decl_record(name, ty)
+            for consts in (self.sep_consts, self.consts)
+            for name, ty in consts.items()
+        }
 
 
 @dataclass
@@ -481,7 +441,7 @@ def _runs(problem) -> list:
     return runs
 
 
-def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0Doc:
+def build_doc(problem, reproducible: bool = False) -> Th0Doc:
     """Put a translated problem together from the records of its premises.
 
     The premises and the conjecture of a problem are rendered already, so
@@ -490,59 +450,55 @@ def build_doc(problem, reproducible: bool = False, explain: bool = False) -> Th0
     A Block among the premises (problem.blocks, the knowledge base of a
     KbImage) merges whole, from what it merged once; every other premise
     merges one record at a time.  So what a problem costs here beyond its
-    blocks grows with its own premises, not with the knowledge base.
+    blocks grows with its own premises, not with the knowledge base.  One
+    merge (_merge_consts) of all their constants decides each constant's
+    type; the declarations list the catalog names first, in catalog order,
+    then the rest in first-use order.  The guard derivations are written
+    when the problem collected them (explanations is not None).
     """
     import datetime
 
     runs = _runs(problem)
     conjecture = problem.conjecture
-    last = [("conj", "conjecture", conjecture)]
+    blocks = [run for run in runs if type(run) is Block]
     seps: dict = {}
-    sep_parts: list = []  # per block or new separation, in order: what its definitions add
-    for run in runs + [last]:
+    types: dict = {}  # name -> type of every constant, first use order
+    for run in runs + [[("conj", "conjecture", conjecture)]]:
         if type(run) is Block:
             for sep, defn in run.seps.items():
                 seps.setdefault(sep, defn)
-            sep_parts.append(run)
+            _merge_consts(types, run.sep_consts.items())
         else:
             for _name, _role, record in run:
                 for sep, defn in record.seps:
                     if sep not in seps:
                         seps[sep] = defn
-                        sep_parts.append(defn.consts)
-    decls = _Decls()
-    for part in sep_parts:
-        if type(part) is Block:
-            decls.add_block(part, part.sep_consts)
-        else:
-            decls.add(part)
+                        _merge_consts(types, _pairs([defn]))
     all_premises = [("def_" + sep, "definition", defn) for sep, defn in seps.items()]
     for run in runs:
         if type(run) is Block:
             all_premises += run.premises
-            decls.add_block(run, run.consts)
+            _merge_consts(types, run.consts.items())
         else:
             all_premises += run
-            for _name, _role, record in run:
-                decls.add(record.consts)
-    decls.add(conjecture.consts)
+            _merge_consts(types, _pairs(record for _n, _r, record in run))
+    _merge_consts(types, _pairs([conjecture]))
+    catalog = sorted(types.keys() & _CATALOG_NAMES, key=CATALOG.order_index)
+    decls = [(name, types.pop(name)) for name in catalog] + list(types.items())
     decl_records: dict = {}
-    for block in decls.blocks:
+    for block in blocks:
         decl_records.update(block.decl_records)
 
     comments = ["higher-order set theory translation"]
     if not reproducible:
         comments.append("generated " + datetime.date.today().isoformat())
     comments.extend(problem.comments)
-    if explain:
-        if problem.explanations:
-            comments.append("guard derivations:")
-            comments.extend(problem.explanations)
-        else:
-            comments.append("guard derivations: none")
+    if problem.explanations is not None:
+        comments.append("guard derivations:" if problem.explanations else "guard derivations: none")
+        comments.extend(problem.explanations)
     return Th0Doc(
         comments=comments,
-        decls=decls.ordered(),
+        decls=decls,
         premises=all_premises,
         conjecture=conjecture,
         decl_records=decl_records,
@@ -558,8 +514,8 @@ def render_doc(doc: Th0Doc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def problem_text(problem, reproducible: bool = False, explain: bool = False) -> str:
-    return render_doc(build_doc(problem, reproducible=reproducible, explain=explain))
+def problem_text(problem, reproducible: bool = False) -> str:
+    return render_doc(build_doc(problem, reproducible=reproducible))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .hostterm import (
     App,
     Arrow,
     Bot,
-    Conj,
     Const,
     Disj,
     Eq,
@@ -125,9 +124,9 @@ class Translator:
     def __init__(self, sig, expand_known_rows: bool = False, collect_explanations: bool = False):
         self.sig = sig
         self.expand_known_rows = expand_known_rows
-        self.collect_explanations = collect_explanations
         self.minted: dict = {}  # host name -> source name, insertion ordered
-        self.explanations: list = []
+        # guard derivation lines, None when they are not collected
+        self.explanations: list | None = [] if collect_explanations else None
         # the form being closed, whose variable names _fresh avoids, once needed
         self._closing = None
         self._avoid: set | None = set()
@@ -218,7 +217,7 @@ class Translator:
         entity_guard = MemClass(cc("entity"), MEMBER, origin="class-formation")
         extra = [g for _, g in occ[t.var] if g != entity_guard]
         terms = [entity_guard.to_term(x)] + [g.to_term(x) for g in extra]
-        if self.collect_explanations:
+        if self.explanations is not None:
             self.explanations.append(f"  {t.var}: member of entity [class-formation]")
             self.explanations.extend(guardmod.explain({t.var: occ[t.var]}))
         return Sep(x.name, cc("univ"), conj_chain(terms, self.formula(t.body)))
@@ -238,7 +237,7 @@ class Translator:
             self.expand_known_rows,
         )
         subjects = {n: Var(host_var(n), LIST if is_row else IOTA) for n, is_row in binders}
-        if self.collect_explanations:
+        if self.explanations is not None:
             lines = guardmod.explain(occ)
             if lines:
                 shown = ", ".join(("@" if r else "?") + n for n, r in binders)
@@ -313,10 +312,6 @@ class Translator:
                 body = quantifier(host_var(name), LIST if is_row else IOTA, body)
         return body
 
-    def take_explanations(self) -> list:
-        out, self.explanations = self.explanations, []
-        return out
-
     # -- relation facts ----------------------------------------------------
 
     def relation_facts(self, name: str) -> list:
@@ -333,13 +328,7 @@ class Translator:
                 App(cc("vararity"), rel) if info.var_arity else Neg(App(cc("vararity"), rel)),
             ),
         ]
-        slots = info.min_arity + (1 if info.var_arity else 0)
-        for j in range(slots):
-            slot = min(j + 1, info.min_arity)
-            cls, mode = info.arg_domain[slot]
-            dom = self.resolve(cls)
-            if mode == sigmod.MODE_SUBCLASS:
-                dom = App(cc("power"), dom)
+        for j, dom in enumerate(guardmod.host_domains(info, self.resolve)):
             facts.append(
                 (f"rel_{base}_domseq{j}", Eq(app(cc("domseq"), rel, ord_of(j)), dom))
             )
@@ -368,7 +357,7 @@ class Problem:
     premises: list  # (name, role, th0.Record)
     conjecture: th0.Record  # named conj
     comments: list = field(default_factory=list)
-    explanations: list = field(default_factory=list)
+    explanations: list | None = None  # guard derivation lines, if collected
     blocks: tuple = ()  # (index in premises, th0.Block of the premises from there)
 
 
@@ -467,7 +456,7 @@ def build_problem(
         premises=premises,
         conjecture=conjecture,
         comments=comments,
-        explanations=tr.take_explanations(),
+        explanations=tr.explanations,
         blocks=((facts_at, image.fact_block), (units_at, image.unit_block)),
     )
 
@@ -494,7 +483,7 @@ def _declares(item) -> bool:
 
 def signature_of(assertions) -> sigmod.Signature:
     """The signature a job translates under, closed for variable arity."""
-    return sigmod.close_vararity(sigmod.collect(assertions, keep_first_on_conflict=True))
+    return sigmod.close_vararity(sigmod.collect(assertions))
 
 
 @dataclass
@@ -574,10 +563,10 @@ class KbImage:
             self.skips.extend(file_skips)
         self.skip_comments = [s.text() for s in self.skips]
         self.minted = dict(tr.minted)
-        self.explanations = list(tr.explanations)
+        self.explanations = tr.explanations
         self.used = recording.asked  # the names whose signature entries it read
         self.fact_block = th0.Block(fact_premises(tr, self.minted.values()))
-        self.unit_block = th0.Block(premises, before=[self.fact_block])
+        self.unit_block = th0.Block(premises)
         self.needs = self.fact_block.catalog | self.unit_block.catalog
 
     def agrees(self, sig) -> bool:
@@ -594,7 +583,8 @@ class KbImage:
         """
         tr = Translator(sig, self.expand_known_rows, self.collect_explanations)
         tr.minted = dict(self.minted)
-        tr.explanations = list(self.explanations)
+        if tr.explanations is not None:
+            tr.explanations += self.explanations
         local, conjecture, q_skips = translate_file(tr, query_path, lowered, "local")
         if conjecture is None:
             raise TranslateError(f"no query form in {query_path}")

@@ -44,5 +44,5 @@ def test_fixture_problem_bytes_pinned(query, setting, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     opts = SETTINGS[setting]
     problem, _skips, _tr = translate_query_job(["merge_fragment.kif"], query, **opts)
-    text = problem_text(problem, reproducible=True, explain="collect_explanations" in opts)
+    text = problem_text(problem, reproducible=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[query, setting]

@@ -9,7 +9,7 @@ from sumok2set.guards import (
     RowDomOf,
     RowDomOfKnown,
 )
-from sumok2set.hostterm import App, Const, IOTA, Ite, Mem, Subq, Var
+from sumok2set.hostterm import App, IOTA, Ite, Mem, Var
 from sumok2set.catalog import cc
 
 from conftest import formula_of, sig_from
@@ -215,3 +215,21 @@ def test_explain_lists_each_guard():
         "  X: in domseqm of s_son at 0",
         "  Y: in domseqm of s_son at 1",
     ]
+
+
+def test_relation_facts_and_expanded_row_guard_share_the_domain_sequence():
+    # a domainSubclass slot, a gap filled with Entity, and a variadic tail
+    sig = sig_from(
+        "(instance mix VariableArityRelation)(domainSubclass mix 1 Animal)(domain mix 3 Human)"
+    )
+    guard_tr, fact_tr = translate.Translator(sig), translate.Translator(sig)
+    occ = guards_dict(formula_of("(mix @ROW)"), ["ROW"], sig, guard_tr, True)
+    (_, g), = occ["ROW"]
+    facts = dict(fact_tr.relation_facts("mix"))
+    human = fact_tr.resolve("Human")
+    expected = [App(cc("power"), fact_tr.resolve("Animal")), cc("entity"), human, human]
+    assert list(g.domains) == expected
+    assert [facts[f"rel_s_mix_domseq{j}"].right for j in range(4)] == expected
+    assert len(facts) == 2 + 4
+    # both mint the domain classes in slot order
+    assert list(guard_tr.minted) == list(fact_tr.minted)[1:] == ["s_Animal", "s_Human"]

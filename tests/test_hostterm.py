@@ -13,7 +13,6 @@ from sumok2set.hostterm import (
     All,
     App,
     Arrow,
-    Base,
     Bot,
     Conj,
     Const,

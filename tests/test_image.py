@@ -31,9 +31,7 @@ SETTINGS = {
 
 def text_of(kb, query, selection=None, **opts):
     problem, _skips, _tr = translate.translate_query_job(kb, query, selection=selection, **opts)
-    return th0.problem_text(
-        problem, reproducible=True, explain=opts.get("collect_explanations", False)
-    )
+    return th0.problem_text(problem, reproducible=True)
 
 
 def image_of(kb_paths, **opts):
@@ -388,8 +386,8 @@ def test_a_query_constant_clashing_with_a_kb_constant_is_an_error(tmp_path):
     q.write_text(BLOCK_QUERIES["minted_facts"] + "\n")
     problem, _skips, _tr = translate.translate_query_job(image, str(q))
     # a constant of the KB's units only, which the query does not mention
-    assert image.unit_block.type_of("s_Acme_5f1") == IOTA
-    assert image.fact_block.type_of("s_Acme_5f1") is None
+    assert image.unit_block.consts["s_Acme_5f1"] == IOTA
+    assert "s_Acme_5f1" not in image.fact_block.consts.keys() | image.fact_block.sep_consts.keys()
     assert "Acme" not in BLOCK_QUERIES["minted_facts"]
     clash = App(Const("s_Acme_5f1", Arrow(IOTA, OMICRON)), cc("emptyset"))
     # in the conjecture, merged after both blocks

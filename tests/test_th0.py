@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from sumok2set import sexpr, th0, translate
-from sumok2set.catalog import cc, ord_of
+from sumok2set.catalog import cc
 from sumok2set.hostterm import (
     All,
     App,
@@ -38,7 +38,6 @@ from sumok2set.hostterm import (
     arrow,
 )
 from sumok2set.th0 import (
-    build_doc,
     check_text,
     parse_doc,
     problem_text,
@@ -125,7 +124,6 @@ def simple_problem(conjecture, premises=()):
         premises=[(name, role, th0.render_premise(name, role, t)) for name, role, t in premises],
         conjecture=th0.render_premise("conj", "conjecture", conjecture),
         comments=[],
-        explanations=[],
     )
 
 

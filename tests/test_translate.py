@@ -30,7 +30,7 @@ from sumok2set.hostterm import (
 from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
 from sumok2set.translate import LIST, Translator, mangle, translate_query_job
 
-from conftest import fixture_path, formula_of, lower_all, lower_one, sig_from
+from conftest import FIXTURES, fixture_path, formula_of, lower_one, sig_from
 from termhelpers import alpha_eq
 
 
@@ -437,6 +437,33 @@ def test_kif_variables_x_and_V_x_stay_apart(tmp_path):
     assert "?[V_x : $i]: (?[V_V_5fx : $i]:" in text
     assert "(~ (V_x = V_V_5fx))" in text
     assert check_text(text) == []
+
+
+def test_guard_derivations_are_written_exactly_when_collected(tmp_path, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    plain, _skips, _tr = translate_query_job(["merge_fragment.kif"], "tqg3.kif")
+    assert plain.explanations is None
+    assert "guard derivations" not in problem_text(plain, reproducible=True)
+    forms = translate._read_kb(["merge_fragment.kif"])
+    image = translate.KbImage(
+        forms, translate.signature_of(forms.declarations), collect_explanations=True
+    )
+    for kb in (["merge_fragment.kif"], image):
+        problem, _skips, _tr = translate_query_job(kb, "tqg3.kif", collect_explanations=True)
+        lines = problem_text(problem, reproducible=True).splitlines()
+        at = lines.index("% guard derivations:")
+        assert len(problem.explanations) > 1
+        assert lines[at + 1 : at + 1 + len(problem.explanations)] == [
+            "% " + line for line in problem.explanations
+        ]
+    # collected, and none to write
+    (tmp_path / "kb.kif").write_text("")
+    (tmp_path / "q.kif").write_text("(query (instance Bob Human))\n")
+    problem, _skips, _tr = translate_query_job(
+        [str(tmp_path / "kb.kif")], str(tmp_path / "q.kif"), collect_explanations=True
+    )
+    assert problem.explanations == []
+    assert "% guard derivations: none\n" in problem_text(problem, reproducible=True)
 
 
 def test_relation_facts_variadic():
