@@ -405,13 +405,12 @@ class Block:
                 self.seps.setdefault(sep, defn)
         self.sep_consts = _merge_consts({}, _pairs(self.seps.values()))
         self.consts = _merge_consts({}, _pairs(r for _n, _r, r in self.premises))
-        names = self.sep_consts.keys() | self.consts.keys()
-        self.catalog = frozenset(names & _CATALOG_NAMES)
         self.decl_records = {  # name -> its ty_ record
             name: _decl_record(name, ty)
             for consts in (self.sep_consts, self.consts)
             for name, ty in consts.items()
         }
+        self.catalog = frozenset(self.decl_records.keys() & _CATALOG_NAMES)
 
 
 @dataclass
