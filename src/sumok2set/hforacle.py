@@ -884,13 +884,19 @@ def hf_lists(max_len: int, entry_rank: int) -> list:
     return out
 
 
-def generators(sort: str, set_rank: int = 3, list_len: int = 4, list_entry_rank: int = 2, nat_bound: int = 4):
+# The finite domains a claim's binders range over, by sort: the sets of
+# rank at most SET_RANK, the lists of at most LIST_LEN entries of rank at
+# most LIST_ENTRY_RANK, and the first NAT_BOUND naturals.
+SET_RANK, LIST_LEN, LIST_ENTRY_RANK, NAT_BOUND = 3, 4, 2, 4
+
+
+def generators(sort: str):
     if sort == "set":
-        return sets_of_rank(set_rank)
+        return sets_of_rank(SET_RANK)
     if sort == "list":
-        return hf_lists(list_len, list_entry_rank)
+        return hf_lists(LIST_LEN, LIST_ENTRY_RANK)
     if sort == "nat":
-        return [nat(i) for i in range(nat_bound)]
+        return [nat(i) for i in range(NAT_BOUND)]
     if sort == "bool":
         return [False, True]
     raise Unsupported(f"unknown generator sort {sort!r}")
@@ -1010,12 +1016,11 @@ def check_claim(
     claim: Claim,
     horizon: int = DEFAULT_HORIZON,
     fuel: int = DEFAULT_FUEL,
-    **generator_bounds,
 ) -> ClaimResult:
     """Evaluate the claim over all generator assignments for its sorts."""
     interp = STUBS[claim.stub]() if claim.stub else None
     ev = Evaluator(interp=interp, horizon=horizon, fuel=fuel)
-    domains = [generators(sort, **generator_bounds) for _, sort in claim.binders]
+    domains = [generators(sort) for _, sort in claim.binders]
     names = [name for name, _ in claim.binders]
     checked = 0
     try:
@@ -1060,9 +1065,9 @@ def describe_value(value) -> str:
     return repr(value)
 
 
-def run_lemma_file(path: str, horizon: int = DEFAULT_HORIZON, fuel: int = DEFAULT_FUEL, **bounds) -> list:
+def run_lemma_file(path: str, horizon: int = DEFAULT_HORIZON, fuel: int = DEFAULT_FUEL) -> list:
     claims = parse_lemmas(read_text(path), path)
-    return [check_claim(c, horizon=horizon, fuel=fuel, **bounds) for c in claims]
+    return [check_claim(c, horizon=horizon, fuel=fuel) for c in claims]
 
 
 def format_results(results) -> str:

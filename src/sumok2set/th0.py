@@ -15,15 +15,18 @@ it, hoists each separation it meets, and records the constants in the order
 it writes them.  The same walk, under a renaming of free variables, writes
 each separation's key, and writes its definition record.  A translated
 problem holds nothing but records, each rendered as its premise was
-translated; build_doc puts them together, with the separation definitions
-and type declarations merged in first-occurrence order, and renders nothing
-itself.  A run of records that many problems share, such as a knowledge
-base's, is merged once into a Block, which each problem takes whole.  One
-merge (_merge_consts) decides each constant's type: build_doc merges the
-constants of the separation definitions, the premises and the conjecture,
-a block's as the block merged them once, into one dict, and a constant met
-at a second type is an error.  Parsing the rendered text (with th0read's
-parser) and rendering each record again reproduces it byte for byte.
+translated, in Blocks: Block is the one place that merges records, into
+their separations and constants in first-occurrence order, and blocks that
+many problems share, such as a knowledge base's, are merged once.
+build_doc puts a problem's blocks together, then its conjecture as a block
+of one record, and renders nothing itself.  One merge (_merge_consts)
+decides each constant's type: build_doc merges the blocks' constants, those
+of the separation definitions first, into one dict, and a constant met at
+a second type is an error.  render_doc writes the ty_ record of every
+constant but those a problem brings rendered already (decl_records, a
+knowledge base's, rendered once for all its problems).  Parsing the
+rendered text (with th0read's parser) and rendering each record again
+reproduces it byte for byte.
 
 check_text goes through a problem record by record on one path: a record
 that a memo holds from earlier problems that checked clean is confirmed
@@ -386,15 +389,16 @@ def _decl_record(name: str, ty) -> str:
 
 
 class Block:
-    """A run of premise records that problems take whole, merged once.
+    """A run of premise records that a problem takes whole, merged once.
 
-    A KbImage keeps two, its relation facts and its premises.  A block holds
+    A problem is a list of blocks; a KbImage keeps two, its relation facts
+    and its premises, which every problem it poses shares.  A block holds
     the records, their separations merged in first-occurrence order, the
     constants of those separations' definitions and, apart, those of the
-    records, each merged in first-use order (name -> type), the catalog
-    names among them, and the declaration record of every constant.  Whether
-    the two agree with each other and with the rest of a problem is decided
-    where build_doc merges the block's constants into the problem's.
+    records, each merged in first-use order (name -> type), and the catalog
+    names among them.  This is the one place records are merged; whether
+    the blocks of a problem agree with each other is decided where
+    build_doc merges their constants.
     """
 
     def __init__(self, premises):
@@ -405,12 +409,20 @@ class Block:
                 self.seps.setdefault(sep, defn)
         self.sep_consts = _merge_consts({}, _pairs(self.seps.values()))
         self.consts = _merge_consts({}, _pairs(r for _n, _r, r in self.premises))
-        self.decl_records = {  # name -> its ty_ record
-            name: _decl_record(name, ty)
-            for consts in (self.sep_consts, self.consts)
-            for name, ty in consts.items()
-        }
-        self.catalog = frozenset(self.decl_records.keys() & _CATALOG_NAMES)
+        self.catalog = frozenset((self.sep_consts.keys() | self.consts.keys()) & _CATALOG_NAMES)
+
+
+def decl_records(blocks) -> dict:
+    """The ty_ record of every constant of blocks, by name, rendered once.
+
+    A KbImage renders its blocks' declarations here, so that no problem it
+    poses renders them again (Th0Doc.decl_records).
+    """
+    types: dict = {}
+    for block in blocks:
+        types.update(block.sep_consts)
+        types.update(block.consts)
+    return {name: _decl_record(name, ty) for name, ty in types.items()}
 
 
 @dataclass
@@ -424,69 +436,34 @@ class Th0Doc:
     decl_records: dict = field(default_factory=dict)  # const name -> its ty_ record, if known
 
 
-def _runs(problem) -> list:
-    """The premises of a problem as runs: a Block, or a list of (name, role, Record).
-
-    problem.blocks gives (index, Block) for each run of premises that is a
-    block; the premises between are sliced out as they are.
-    """
-    premises = problem.premises
-    runs: list = []
-    start = 0
-    for at, block in problem.blocks:
-        runs += [premises[start:at], block]
-        start = at + len(block.premises)
-    runs.append(premises[start:])
-    return runs
-
-
 def build_doc(problem, reproducible: bool = False) -> Th0Doc:
-    """Put a translated problem together from the records of its premises.
+    """Put a translated problem together from its blocks of records.
 
-    The premises and the conjecture of a problem are rendered already, so
-    this renders nothing: the records are merged in first-occurrence order,
-    separation definitions first, then the premises, then the conjecture.
-    A Block among the premises (problem.blocks, the knowledge base of a
-    KbImage) merges whole, from what it merged once; every other premise
-    merges one record at a time.  So what a problem costs here beyond its
-    blocks grows with its own premises, not with the knowledge base.  One
-    merge (_merge_consts) of all their constants decides each constant's
-    type; the declarations list the catalog names first, in catalog order,
-    then the rest in first-use order.  The guard derivations are written
-    when the problem collected them (explanations is not None).
+    The premises and the conjecture of a problem are rendered already, and
+    merged into blocks (problem.blocks, Block), so this renders nothing and
+    merges no record: the blocks, then the conjecture as a block of its
+    own, merge whole in first-occurrence order, separation definitions
+    first, then the premises, then the conjecture.  One merge
+    (_merge_consts) of all their constants decides each constant's type;
+    the declarations list the catalog names first, in catalog order, then
+    the rest in first-use order, and those problem.decl_records holds are
+    not rendered again.  The guard derivations are written when the
+    problem collected them (explanations is not None).
     """
     import datetime
 
-    runs = _runs(problem)
-    conjecture = problem.conjecture
-    blocks = [run for run in runs if type(run) is Block]
+    blocks = [*problem.blocks, Block([("conj", "conjecture", problem.conjecture)])]
     seps: dict = {}
     types: dict = {}  # name -> type of every constant, first use order
-    for run in runs + [[("conj", "conjecture", conjecture)]]:
-        if type(run) is Block:
-            for sep, defn in run.seps.items():
-                seps.setdefault(sep, defn)
-            _merge_consts(types, run.sep_consts.items())
-        else:
-            for _name, _role, record in run:
-                for sep, defn in record.seps:
-                    if sep not in seps:
-                        seps[sep] = defn
-                        _merge_consts(types, _pairs([defn]))
-    all_premises = [("def_" + sep, "definition", defn) for sep, defn in seps.items()]
-    for run in runs:
-        if type(run) is Block:
-            all_premises += run.premises
-            _merge_consts(types, run.consts.items())
-        else:
-            all_premises += run
-            _merge_consts(types, _pairs(record for _n, _r, record in run))
-    _merge_consts(types, _pairs([conjecture]))
+    for block in blocks:
+        for sep, defn in block.seps.items():
+            # the first definition stands: a later one may name its variables otherwise
+            seps.setdefault(sep, defn)
+        _merge_consts(types, block.sep_consts.items())
+    for block in blocks:
+        _merge_consts(types, block.consts.items())
     catalog = sorted(types.keys() & _CATALOG_NAMES, key=CATALOG.order_index)
     decls = [(name, types.pop(name)) for name in catalog] + list(types.items())
-    decl_records: dict = {}
-    for block in blocks:
-        decl_records.update(block.decl_records)
 
     comments = ["higher-order set theory translation"]
     if not reproducible:
@@ -498,9 +475,10 @@ def build_doc(problem, reproducible: bool = False) -> Th0Doc:
     return Th0Doc(
         comments=comments,
         decls=decls,
-        premises=all_premises,
-        conjecture=conjecture,
-        decl_records=decl_records,
+        premises=[("def_" + sep, "definition", defn) for sep, defn in seps.items()]
+        + problem.premises,
+        conjecture=problem.conjecture,
+        decl_records=problem.decl_records,
     )
 
 

@@ -352,13 +352,18 @@ class SkipNote:
 
 @dataclass
 class Problem:
-    """A translated problem, its premises and conjecture already rendered."""
+    """A translated problem: its premises, in blocks, and conjecture, all rendered."""
 
-    premises: list  # (name, role, th0.Record)
+    blocks: list  # th0.Blocks of (name, role, th0.Record) premises, in order
     conjecture: th0.Record  # named conj
     comments: list = field(default_factory=list)
     explanations: list | None = None  # guard derivation lines, if collected
-    blocks: tuple = ()  # (index in premises, th0.Block of the premises from there)
+    decl_records: dict = field(default_factory=dict)  # const name -> its ty_ record, if known
+
+    @property
+    def premises(self) -> list:
+        """Every premise, in order: the blocks' premises one after another."""
+        return [premise for block in self.blocks for premise in block.premises]
 
 
 # Every catalog premise, rendered once: premise name -> th0.Record.
@@ -388,7 +393,8 @@ def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
     Returns (premises, conjecture, skips): (name, "axiom", th0.Record)
     triples, and the Record of the query form or None.  Premise names key on
     the file stem (kind "kb") or are local, and on the source position of
-    the form, so they stay stable when neighbors are edited.
+    the form, so they stay stable when neighbors are edited.  A query form
+    in a knowledge base file is an error at that form.
     """
     prefix = "kb_" + _stem(path) + "_" if kind == "kb" else "local_"
     premises: list = []
@@ -398,6 +404,8 @@ def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
         if isinstance(item, sumo.Skipped):
             skips.append(SkipNote(path, item.reason, item.span))
         elif isinstance(item, sumo.Query):
+            if kind == "kb":
+                raise TranslateError(f"query form inside knowledge base file {path}", item.span)
             if conjecture is not None:
                 raise TranslateError("more than one query form", item.span)
             conjecture = th0.render_premise("conj", "conjecture", tr.close_query(item))
@@ -431,33 +439,28 @@ def build_problem(
 ) -> Problem:
     """Assemble background, relation facts, and translated premises.
 
-    kb_premises are the premises of the image's unit block; the image
-    brings the relation facts of the names its knowledge base mentions,
-    the catalog needs of both blocks, and the blocks its problems merge
-    whole.  Relation facts are emitted for every source relation mentioned
-    so far that has declared argument domains, in first-mention order: the
-    image's, then those of the names the query mints.  Only the query's own
-    part is rendered here: the facts of the names it mints.
+    The problem is five blocks (th0.Block): the background, the image's
+    relation facts, the query's, the image's unit block, whose premises
+    kb_premises are, and the local premises.  The image brings its two
+    blocks whole, the catalog needs of both, and the ty_ records of their
+    constants.  Relation facts are emitted for every source relation
+    mentioned so far that has declared argument domains, in first-mention
+    order: the image's, then those of the names the query mints.  Only the
+    query's own part is rendered here: the facts of the names it mints.
     """
     minted = islice(tr.minted.values(), len(image.minted), None)
-    query_facts = fact_premises(tr, minted)
-    needs = image.needs.union(
-        th0.catalog_needs(conjecture),
-        *(th0.catalog_needs(record) for _, _, record in query_facts + local_premises),
-    )
-    background = [
+    query_facts = th0.Block(fact_premises(tr, minted))
+    local = th0.Block(local_premises)
+    needs = image.needs.union(query_facts.catalog, local.catalog, th0.catalog_needs(conjecture))
+    background = th0.Block(
         (name, role, _CATALOG_RECORDS[name]) for name, role, _term in CATALOG.background(needs)
-    ]
-
-    facts_at = len(background)
-    units_at = facts_at + len(image.fact_block.premises) + len(query_facts)
-    premises = background + image.fact_block.premises + query_facts + kb_premises + local_premises
+    )
     return Problem(
-        premises=premises,
+        blocks=[background, image.fact_block, query_facts, image.unit_block, local],
         conjecture=conjecture,
         comments=comments,
         explanations=tr.explanations,
-        blocks=((facts_at, image.fact_block), (units_at, image.unit_block)),
+        decl_records=image.decl_records,
     )
 
 
@@ -469,7 +472,7 @@ def select_premises(problem: Problem, names: list) -> Problem:
         raise UnknownPremiseName(f"unknown premise name(s): {', '.join(missing)}")
     keep = set(names)
     return Problem(
-        premises=[p for p in problem.premises if p[0] in keep],
+        blocks=[th0.Block(p for p in problem.premises if p[0] in keep)],
         conjecture=problem.conjecture,
         comments=problem.comments,
         explanations=problem.explanations,
@@ -536,9 +539,9 @@ class KbImage:
     also keeps what every problem takes from the knowledge base as it is,
     as rendered records, never as host terms: two th0.Blocks, of the
     relation facts of the names it mentions and of its premises, each
-    merged once, and the catalog names they need.  So posing a query costs
-    about what a query against an empty knowledge base costs, and leaves
-    the image as it was.
+    merged once, the catalog names they need, and the ty_ records of their
+    constants, rendered once.  So posing a query costs about what a query
+    against an empty knowledge base costs, and leaves the image as it was.
 
     translate_query_job poses a query that declares nothing under sig
     itself; an image for a run of queries is therefore compile_kb's, under
@@ -556,9 +559,7 @@ class KbImage:
         premises: list = []
         self.skips: list = []
         for path, items in zip(forms.paths, forms.lowered):
-            file_premises, query, file_skips = translate_file(tr, path, items, "kb")
-            if query is not None:
-                raise TranslateError(f"query form inside knowledge base file {path}")
+            file_premises, _query, file_skips = translate_file(tr, path, items, "kb")
             premises += file_premises
             self.skips.extend(file_skips)
         self.skip_comments = [s.text() for s in self.skips]
@@ -568,6 +569,7 @@ class KbImage:
         self.fact_block = th0.Block(fact_premises(tr, self.minted.values()))
         self.unit_block = th0.Block(premises)
         self.needs = self.fact_block.catalog | self.unit_block.catalog
+        self.decl_records = th0.decl_records([self.fact_block, self.unit_block])
 
     def agrees(self, sig) -> bool:
         """Whether translating the knowledge base under sig gives this image again."""

@@ -151,6 +151,20 @@ def test_translate_missing_kb_is_located(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_translate_query_form_in_kb_is_located_in_the_kb(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kbq.kif").write_text("(instance Bob Human)\n(query (instance Bob Human))\n")
+    (tmp_path / "q.kif").write_text("(query (instance Bob Human))\n")
+    message = "query form inside knowledge base file kbq.kif"
+    code, out, err = run_cli(["translate", "q.kif", "--kb", "kbq.kif"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: kbq.kif:2:1: {message}\n"
+
+    code, out, err = run_cli(["translate", "q.kif", "--kb", "kbq.kif", "--errors-json"], capsys)
+    assert code == 1
+    assert json.loads(out) == [{"file": "kbq.kif", "line": 2, "col": 1, "error": message}]
+
+
 def test_translate_non_utf8_kb_is_located(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "q.kif").write_text("(query (instance ?X Human))\n")

@@ -540,8 +540,8 @@ def test_check_claim_finds_counterexample():
     claims = hf.parse_lemmas(
         "![X:set, R:list]: ((len @ (cons @ X @ R)) = (len @ R))\n"
     )
-    res = hf.check_claim(claims[0], list_len=1, list_entry_rank=1, set_rank=1)
-    assert not res.ok
+    res = hf.check_claim(claims[0])
+    assert not res.ok and res.checked == 1
     assert res.counterexample is not None
     assert "X =" in res.counterexample
 
@@ -650,8 +650,8 @@ def test_stub_fixed_arity_semantics():
         "![R:set]: (~ (vararity @ R))\n"
     )
     for c in claims:
-        res = hf.check_claim(c, set_rank=1)
-        assert res.ok, res
+        res = hf.check_claim(c)
+        assert res.ok and res.checked == 16, res
 
 
 def test_member_order_builds_no_key_of_large_sets(monkeypatch):

@@ -273,6 +273,8 @@ def test_posing_a_query_does_no_work_that_grows_with_the_kb(tmp_path, monkeypatc
     real_agrees = translate.KbImage.agrees
     real_needs = th0.catalog_needs
     real_render = th0.render_premise
+    real_decl = th0._decl_record
+    declared = []  # the constants whose ty_ records posing renders
 
     def collect(*args, **kwargs):
         counts["collect"] += 1
@@ -290,18 +292,28 @@ def test_posing_a_query_does_no_work_that_grows_with_the_kb(tmp_path, monkeypatc
         counts["renders"] += 1
         return real_render(*args)
 
+    def decl_record(name, ty):
+        declared.append(name)
+        return real_decl(name, ty)
+
     monkeypatch.setattr(signature, "collect", collect)
     monkeypatch.setattr(translate.KbImage, "agrees", agrees)
     monkeypatch.setattr(th0, "catalog_needs", catalog_needs)
     monkeypatch.setattr(th0, "render_premise", render_premise)
+    monkeypatch.setattr(th0, "_decl_record", decl_record)
     for shape in QUERIES:
         query = renamed_query(tmp_path, shape)
         seen = []
         for image in (small, large):
             for key in counts:
                 counts[key] = 0
+            declared.clear()
             assert text_of(image, query).endswith("\n")
             seen.append(dict(counts))
+            # the image rendered the ty_ records of its constants once
+            blocks = (image.fact_block, image.unit_block)
+            image_consts = {n for b in blocks for names in (b.sep_consts, b.consts) for n in names}
+            assert declared and not image_consts.intersection(declared), shape
         assert seen[0]["collect"] == seen[0]["agrees"] == 0, shape
         assert seen[0] == seen[1], shape
 
@@ -342,11 +354,11 @@ def test_block_merge_gives_the_bytes_of_a_record_by_record_merge(tmp_path, with_
         q.write_text(text + "\n")
         problem, _skips, _tr = translate.translate_query_job(image, str(q))
         # the rebuilt image has blocks of its own
-        blocks = [block for _at, block in problem.blocks]
-        assert (blocks == [image.fact_block, image.unit_block]) == (name != "rebuild"), name
+        shared = problem.blocks[1:4:2]
+        assert (shared == [image.fact_block, image.unit_block]) == (name != "rebuild"), name
         merged = th0.problem_text(problem, reproducible=True)
-        one_by_one = th0.problem_text(dataclasses.replace(problem, blocks=()), reproducible=True)
-        assert merged == one_by_one, name
+        whole = dataclasses.replace(problem, blocks=[th0.Block(problem.premises)])
+        assert merged == th0.problem_text(whole, reproducible=True), name
         assert merged == text_of(kbs, str(q)), name
         assert th0.check_text(merged) == [], name
     # what each query puts where it does
@@ -395,11 +407,13 @@ def test_a_query_constant_clashing_with_a_kb_constant_is_an_error(tmp_path):
     with pytest.raises(th0.Th0Error, match="constant s_Acme_5f1 used at two types"):
         th0.problem_text(dataclasses.replace(problem, conjecture=conjecture))
     # in a query fact, merged before the unit block
-    at = next(i for i, p in enumerate(problem.premises) if p[0] == "rel_s_likes_arity")
-    premises = list(problem.premises)
-    premises[at] = (premises[at][0], "axiom", th0.render_premise(premises[at][0], "axiom", clash))
+    blocks = list(problem.blocks)
+    facts = list(blocks[2].premises)
+    at = next(i for i, p in enumerate(facts) if p[0] == "rel_s_likes_arity")
+    facts[at] = (facts[at][0], "axiom", th0.render_premise(facts[at][0], "axiom", clash))
+    blocks[2] = th0.Block(facts)
     with pytest.raises(th0.Th0Error, match="constant s_Acme_5f1 used at two types"):
-        th0.problem_text(dataclasses.replace(problem, premises=premises))
+        th0.problem_text(dataclasses.replace(problem, blocks=blocks))
     # neither leaves anything behind in the image
     assert text_of(image, str(q)) == text_of([renamed_kb(tmp_path, 3)], str(q))
 

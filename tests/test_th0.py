@@ -120,8 +120,9 @@ def test_escape_of_plain_names_matches_the_per_character_escape():
 
 def simple_problem(conjecture, premises=()):
     """A problem of host-term premises, each rendered on its own."""
+    records = [(name, role, th0.render_premise(name, role, t)) for name, role, t in premises]
     return Problem(
-        premises=[(name, role, th0.render_premise(name, role, t)) for name, role, t in premises],
+        blocks=[th0.Block(records)],
         conjecture=th0.render_premise("conj", "conjecture", conjecture),
         comments=[],
     )
@@ -245,8 +246,7 @@ def test_a_separation_constant_clashing_with_a_record_constant_in_a_block_is_rej
         premises.reverse()
     conjecture = th0.render_premise("conj", "conjecture", Top())
     with pytest.raises(th0.Th0Error, match="constant s_a used at two types"):
-        block = th0.Block(premises)
-        problem_text(Problem(premises, conjecture, blocks=((0, block),)), reproducible=True)
+        problem_text(Problem([th0.Block(premises)], conjecture), reproducible=True)
 
 
 def test_long_lines_wrap_with_continuation_indent():
