@@ -466,6 +466,28 @@ def test_guard_derivations_are_written_exactly_when_collected(tmp_path, monkeypa
     assert "% guard derivations: none\n" in problem_text(problem, reproducible=True)
 
 
+def test_nested_kappa_explains_every_guard_after_class_formation(tmp_path):
+    # the instance-arg line repeats the entity guard kappa puts first; it is
+    # explained though not emitted, and no golden digest has a KappaFn
+    # variable under instance
+    (tmp_path / "q.kif").write_text(
+        "(query (exists (?P) (instance Bob (KappaFn ?X (instance ?X (KappaFn ?Y (parent ?Y ?X)))))))\n"
+    )
+    problem, _skips, _tr = translate_query_job(
+        [fixture_path("merge_fragment.kif")], str(tmp_path / "q.kif"), collect_explanations=True
+    )
+    assert problem.explanations[-5:] == [
+        "  X: member of entity [class-formation]",
+        "  X: member of entity [instance-arg]",
+        "  X: in domseqm of s_parent at 1",
+        "  Y: member of entity [class-formation]",
+        "  Y: in domseqm of s_parent at 0",
+    ]
+    # the entity guard is emitted once, the parent guard right after it
+    text = " ".join(problem_text(problem, reproducible=True).split())
+    assert "((in @ X @ entity) & ((in @ X @ (domseqm @ s_parent @ ord1))" in text
+
+
 def test_relation_facts_variadic():
     sig = sig_from(VARIADIC_SIG)
     tr = Translator(sig)
