@@ -3,9 +3,9 @@
 Each use of a variable as an argument of an applied relation contributes a
 membership guard, keyed by the argument position.  Uses as the first
 argument of instance contribute membership in the entity universe.  Row
-variables pick up whole-spine domain conditions phrased with dom_of.  Guard
-occurrences carry a global position so closing code can interleave guards
-for several variables in source order.
+variables pick up whole-spine domain conditions phrased with dom_of.  One
+walk finds the guards of every variable a binder group scopes, as one list
+in source order, which is the order closing code emits them in.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import signature as sigmod
 from . import sumo
 from .catalog import cc, ord_of
-from .hostterm import App, Eq, IOTA, Ite, Lam, Mem, Subq, Var, app
+from .hostterm import App, Const, Eq, IOTA, Ite, Lam, Mem, Subq, Var, app
 from .th0 import host_var
 
 MEMBER = "member"
@@ -26,7 +26,6 @@ SUBSET = "subset"
 class MemDomseqm:
     relation: object  # host term for the applied relation
     index: int  # 0-based argument position
-    origin: str = field(default="use", compare=False)
 
     def to_term(self, subject):
         return Mem(subject, app(cc("domseqm"), self.relation, ord_of(self.index)))
@@ -91,8 +90,6 @@ class RowDomOfKnown:
 
 
 def _describe(term) -> str:
-    from .hostterm import Const
-
     if isinstance(term, Const):
         return term.name
     if isinstance(term, Var):
@@ -121,118 +118,107 @@ def host_domains(info, resolve) -> list:
     return domains
 
 
-def guards_for(formula, scope, sig, resolve, expand_known_rows: bool = False) -> dict:
-    """Map each scoped variable name to its ordered (position, guard) list.
+class _GuardWalk:
+    """One walk of a formula, gathering the guards of the variables in scope.
 
-    Guards are deduplicated structurally per variable, first occurrence
-    winning; the position counter is global so callers can interleave the
-    chains of several variables in source order.
+    Every variable position works out its guard, resolving (and so minting)
+    the names it needs, before scope decides whether the guard is kept:
+    mint order orders the problem's facts and type records.
     """
-    occ: dict = {name: [] for name in scope}
-    counter = [0]
 
-    def add(name, shadowed, guard):
-        if guard is None or name not in occ or name in shadowed:
-            return
-        pos = counter[0]
-        counter[0] += 1
-        if any(g == guard for _, g in occ[name]):
-            return
-        occ[name].append((pos, guard))
+    __slots__ = ("scope", "sig", "resolve", "expand_known_rows", "found")
 
-    def positional_guard(head, j):
+    def __init__(self, scope, sig, resolve, expand_known_rows):
+        self.scope = scope
+        self.sig = sig
+        self.resolve = resolve
+        self.expand_known_rows = expand_known_rows
+        self.found: list = []  # (name, guard), in source order
+
+    def add(self, name, shadowed, guard):
+        if guard is None or name not in self.scope or name in shadowed:
+            return
+        if (name, guard) not in self.found:
+            self.found.append((name, guard))
+
+    def positional(self, head, j):
         if isinstance(head, sumo.Var):
             return MemDomseqm(_hvar(head.name), j)
         if isinstance(head, sumo.Const):
-            info = sig.info(head.name)
+            info = self.sig.info(head.name)
             if info is None or not info.arg_domain:
                 return None
             slot = j + 1 if j + 1 <= info.min_arity else info.min_arity
             cls, mode = info.arg_domain[slot]
             if mode == sigmod.MODE_SUBCLASS:
-                return MemClass(resolve(cls), SUBSET)
-            return MemDomseqm(resolve(head.name), j)
+                return MemClass(self.resolve(cls), SUBSET)
+            return MemDomseqm(self.resolve(head.name), j)
         return None
 
-    def row_guard(head):
+    def row(self, head):
         if isinstance(head, sumo.Var):
             return RowDomOf(_hvar(head.name))
         if isinstance(head, sumo.Const):
-            info = sig.info(head.name)
-            if expand_known_rows and info is not None and info.arg_domain:
-                domains = tuple(host_domains(info, resolve))
+            info = self.sig.info(head.name)
+            if self.expand_known_rows and info is not None and info.arg_domain:
+                domains = tuple(host_domains(info, self.resolve))
                 return RowDomOfKnown(info.var_arity, info.min_arity, domains)
-            return RowDomOf(resolve(head.name))
+            return RowDomOf(self.resolve(head.name))
         return None
 
-    def walk_spine(head, spine, shadowed):
+    def spine(self, head, spine, shadowed):
         row = isinstance(spine, sumo.RowSpine)
         for j, item in enumerate(spine.prefix if row else spine.items):
             if isinstance(item, sumo.Var):
-                add(item.name, shadowed, positional_guard(head, j))
-            walk(item, shadowed)
+                self.add(item.name, shadowed, self.positional(head, j))
+            self.walk(item, shadowed)
         if row:
-            add(spine.row, shadowed, row_guard(head))
+            self.add(spine.row, shadowed, self.row(head))
             for item in spine.suffix:
                 # indices after a row variable are not statically known
-                walk(item, shadowed)
+                self.walk(item, shadowed)
 
-    def range_heuristic(a, b, shadowed):
+    def range_heuristic(self, a, b, shadowed):
         if not (isinstance(a, sumo.Var) and isinstance(b, sumo.Apply)):
             return
         if not isinstance(b.head, sumo.Const):
             return
-        info = sig.info(b.head.name)
+        info = self.sig.info(b.head.name)
         if info is None or info.range is None:
             return
         cls, mode = info.range
         guard_mode = SUBSET if mode == sigmod.MODE_SUBCLASS else MEMBER
-        add(a.name, shadowed, MemClass(resolve(cls), guard_mode, origin="range-heuristic"))
+        guard = MemClass(self.resolve(cls), guard_mode, origin="range-heuristic")
+        self.add(a.name, shadowed, guard)
 
-    def walk(node, shadowed):
+    def walk(self, node, shadowed):
         if isinstance(node, (sumo.Apply, sumo.RelAtom)):
-            walk_spine(node.head, node.spine, shadowed)
+            self.spine(node.head, node.spine, shadowed)
             return
         if isinstance(node, sumo.Instance) and isinstance(node.member, sumo.Var):
-            add(node.member.name, shadowed, MemClass(cc("entity"), MEMBER, origin="instance-arg"))
+            guard = MemClass(cc("entity"), MEMBER, origin="instance-arg")
+            self.add(node.member.name, shadowed, guard)
         elif isinstance(node, sumo.Eq):
-            range_heuristic(node.left, node.right, shadowed)
-            range_heuristic(node.right, node.left, shadowed)
+            self.range_heuristic(node.left, node.right, shadowed)
+            self.range_heuristic(node.right, node.left, shadowed)
         binding = sumo.binder(node)
         if binding is not None:
             shadowed = shadowed | set(binding[1])
         for child in sumo.children(node):
-            walk(child, shadowed)
-
-    try:
-        walk(formula, frozenset())
-    finally:
-        # walk and walk_spine reach each other through closure cells; this
-        # breaks the cycle, which would hold resolve (and its translator)
-        # until a full collection
-        del walk
-    return occ
+            self.walk(child, shadowed)
 
 
-def merge_guard_chain(occ: dict, subjects: dict) -> list:
-    """Interleave guards of several variables by global source position.
+def guards_for(formula, scope, sig, resolve, expand_known_rows: bool = False) -> list:
+    """The (name, guard) pairs of the scoped variables, in source order.
 
-    subjects maps variable name to its host term; the result is the guard
-    terms in ascending position order.
+    A guard is kept at its first occurrence for its variable; a use under a
+    binder of the same name is not a use of the scoped variable.
     """
-    flat = []
-    for name, entries in occ.items():
-        for pos, guard in entries:
-            flat.append((pos, name, guard))
-    flat.sort(key=lambda t: t[0])
-    return [guard.to_term(subjects[name]) for _, name, guard in flat]
+    walk = _GuardWalk(scope, sig, resolve, expand_known_rows)
+    walk.walk(formula, frozenset())
+    return walk.found
 
 
-def explain(occ: dict) -> list:
-    """Human-readable guard derivation lines, one per guard occurrence."""
-    flat = []
-    for name, entries in occ.items():
-        for pos, guard in entries:
-            flat.append((pos, name, guard))
-    flat.sort(key=lambda t: t[0])
-    return [f"  {name}: {guard.describe()}" for _, name, guard in flat]
+def explain(found: list) -> list:
+    """One derivation line per (name, guard) pair, in the order given."""
+    return [f"  {name}: {guard.describe()}" for name, guard in found]

@@ -211,39 +211,37 @@ class Translator:
 
     def kappa(self, t: sumo.Kappa):
         x = Var(host_var(t.var), IOTA)
-        occ = guardmod.guards_for(
+        found = guardmod.guards_for(
             t.body, {t.var}, self.sig, self.resolve, self.expand_known_rows
         )
         entity_guard = MemClass(cc("entity"), MEMBER, origin="class-formation")
-        extra = [g for _, g in occ[t.var] if g != entity_guard]
-        terms = [entity_guard.to_term(x)] + [g.to_term(x) for g in extra]
+        kept = [entity_guard] + [g for _, g in found if g != entity_guard]
         if self.explanations is not None:
-            self.explanations.append(f"  {t.var}: member of entity [class-formation]")
-            self.explanations.extend(guardmod.explain({t.var: occ[t.var]}))
+            # a use under instance repeats the entity guard: explained, not emitted
+            self.explanations.extend(guardmod.explain([(t.var, entity_guard)] + found))
+        terms = [g.to_term(x) for g in kept]
         return Sep(x.name, cc("univ"), conj_chain(terms, self.formula(t.body)))
 
     # -- formulas ----------------------------------------------------------
 
     def _guard_terms(self, body, binders, label: str):
-        """Guard terms for the binder group, interleaved in source order.
+        """The guard terms of the binder group, in the order guards_for finds them.
 
         binders is an ordered list of (name, is_row) pairs.
         """
-        occ = guardmod.guards_for(
+        found = guardmod.guards_for(
             body,
             {n for n, _ in binders},
             self.sig,
             self.resolve,
             self.expand_known_rows,
         )
+        if self.explanations is not None and found:
+            shown = ", ".join(("@" if r else "?") + n for n, r in binders)
+            self.explanations.append(f"{label} {shown}:")
+            self.explanations.extend(guardmod.explain(found))
         subjects = {n: Var(host_var(n), LIST if is_row else IOTA) for n, is_row in binders}
-        if self.explanations is not None:
-            lines = guardmod.explain(occ)
-            if lines:
-                shown = ", ".join(("@" if r else "?") + n for n, r in binders)
-                self.explanations.append(f"{label} {shown}:")
-                self.explanations.extend(lines)
-        return guardmod.merge_guard_chain(occ, subjects)
+        return [guard.to_term(subjects[name]) for name, guard in found]
 
     def formula(self, f):
         if isinstance(f, sumo.Bot):

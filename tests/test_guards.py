@@ -1,4 +1,4 @@
-"""Guard inference tests: positions, dedup, shadowing, row forms."""
+"""Guard inference tests: source order, dedup, shadowing, row forms."""
 
 from sumok2set import guards, translate
 from sumok2set.guards import (
@@ -19,11 +19,16 @@ def infer(src_formula, sig_src, scope, expand=False):
     sig = sig_from(sig_src)
     tr = translate.Translator(sig)
     f = formula_of(src_formula)
-    return guards_dict(f, scope, sig, tr, expand), tr
+    return guards_found(f, scope, sig, tr, expand), tr
 
 
-def guards_dict(f, scope, sig, tr, expand):
+def guards_found(f, scope, sig, tr, expand):
     return guards.guards_for(f, set(scope), sig, tr.resolve, expand_known_rows=expand)
+
+
+def of(found, name):
+    """The guards found for one variable, in order."""
+    return [g for n, g in found if n == name]
 
 
 SIG = (
@@ -40,62 +45,61 @@ SIG = (
 
 
 def test_constant_head_positional_guard():
-    occ, tr = infer("(son ?X ?Y)", SIG, {"X", "Y"})
-    assert [g for _, g in occ["X"]] == [MemDomseqm(tr.resolve("son"), 0)]
-    assert [g for _, g in occ["Y"]] == [MemDomseqm(tr.resolve("son"), 1)]
+    found, tr = infer("(son ?X ?Y)", SIG, {"X", "Y"})
+    assert of(found, "X") == [MemDomseqm(tr.resolve("son"), 0)]
+    assert of(found, "Y") == [MemDomseqm(tr.resolve("son"), 1)]
 
 
-def test_positions_are_global_and_ordered():
-    occ, _ = infer("(son ?X ?Y)", SIG, {"X", "Y"})
-    assert occ["X"][0][0] < occ["Y"][0][0]
+def test_guards_of_all_variables_come_in_source_order():
+    found, _ = infer("(son ?X ?Y)", SIG, {"X", "Y"})
+    assert [n for n, _ in found] == ["X", "Y"]
 
 
 def test_subclass_domain_gives_subset_guard():
-    occ, tr = infer("(immediateSubclass ?A ?B)", SIG, {"A", "B"})
-    assert occ["A"] and isinstance(occ["A"][0][1], MemClass)
-    g = occ["A"][0][1]
+    found, tr = infer("(immediateSubclass ?A ?B)", SIG, {"A", "B"})
+    assert of(found, "A") and isinstance(of(found, "A")[0], MemClass)
+    g = of(found, "A")[0]
     assert g.mode == SUBSET
     assert g.cls == cc("set_or_class")
 
 
 def test_unknown_relation_contributes_nothing():
-    occ, _ = infer("(mystery ?X)", SIG, {"X"})
-    assert occ["X"] == []
+    found, _ = infer("(mystery ?X)", SIG, {"X"})
+    assert found == []
 
 
 def test_variable_head_guard_uses_host_variable():
-    occ, _ = infer("(?REL ?X)", SIG, {"X", "REL"})
-    assert occ["X"] == [(0, MemDomseqm(Var("REL", IOTA), 0))]
+    found, _ = infer("(?REL ?X)", SIG, {"X", "REL"})
     # the head variable itself gets no guard from head position
-    assert occ["REL"] == []
+    assert found == [("X", MemDomseqm(Var("REL", IOTA), 0))]
 
 
 def test_instance_first_arg_entity_guard():
-    occ, _ = infer("(instance ?X Human)", SIG, {"X"})
-    assert occ["X"] == [(0, MemClass(cc("entity"), MEMBER, origin="instance-arg"))]
+    found, _ = infer("(instance ?X Human)", SIG, {"X"})
+    assert found == [("X", MemClass(cc("entity"), MEMBER, origin="instance-arg"))]
 
 
 def test_variadic_index_beyond_min_arity():
-    occ, tr = infer("(partition ?X ?Y ?Z)", SIG, {"X", "Y", "Z"})
+    found, tr = infer("(partition ?X ?Y ?Z)", SIG, {"X", "Y", "Z"})
     p = tr.resolve("partition")
-    assert [g for _, g in occ["X"]] == [MemDomseqm(p, 0)]
-    assert [g for _, g in occ["Y"]] == [MemDomseqm(p, 1)]
+    assert of(found, "X") == [MemDomseqm(p, 0)]
+    assert of(found, "Y") == [MemDomseqm(p, 1)]
     # index stays the raw position; saturation happens inside domseqm
-    assert [g for _, g in occ["Z"]] == [MemDomseqm(p, 2)]
+    assert of(found, "Z") == [MemDomseqm(p, 2)]
 
 
 def test_structural_dedup_keeps_first():
-    occ, tr = infer("(and (son ?X ?Y) (son ?X ?Z))", SIG, {"X", "Y", "Z"})
-    assert len(occ["X"]) == 1
-    assert occ["X"][0][0] == 0
+    found, tr = infer("(and (son ?X ?Y) (son ?X ?Z))", SIG, {"X", "Y", "Z"})
+    assert len(of(found, "X")) == 1
+    assert found[0][0] == "X"
 
 
 def test_dedup_interleaving_partition_swap():
-    occ, tr = infer(
+    found, tr = infer(
         "(=> (partition ?X ?Y ?Z) (partition ?X ?Z ?Y))", SIG, {"X", "Y", "Z"}
     )
     subjects = {n: Var(n, IOTA) for n in "XYZ"}
-    chain = guards.merge_guard_chain(occ, subjects)
+    chain = [g.to_term(subjects[n]) for n, g in found]
     p = tr.resolve("partition")
 
     def dm(v, j):
@@ -111,27 +115,28 @@ def test_dedup_interleaving_partition_swap():
 
 
 def test_shadowed_variables_skipped():
-    occ, _ = infer(
+    found, _ = infer(
         "(and (son ?X ?Y) (forall (?X) (son ?X ?X)))", SIG, {"X", "Y"}
     )
     # only the outer occurrence of X contributes
-    assert len(occ["X"]) == 1
-    assert occ["X"][0][0] == 0
+    assert len(of(found, "X")) == 1
+    assert found[0][0] == "X"
 
 
 def test_row_guard_generic_for_constant_head():
-    occ, tr = infer("(partition @ROW)", SIG, ["ROW"])
-    assert occ["ROW"] == [(0, RowDomOf(tr.resolve("partition")))]
+    found, tr = infer("(partition @ROW)", SIG, ["ROW"])
+    assert found == [("ROW", RowDomOf(tr.resolve("partition")))]
 
 
 def test_row_guard_for_variable_head():
-    occ, _ = infer("(?REL @ROW)", SIG, ["ROW"])
-    assert occ["ROW"] == [(0, RowDomOf(Var("REL", IOTA)))]
+    found, _ = infer("(?REL @ROW)", SIG, ["ROW"])
+    assert found == [("ROW", RowDomOf(Var("REL", IOTA)))]
 
 
 def test_row_guard_expanded_when_requested():
-    occ, tr = infer("(partition @ROW)", SIG, ["ROW"], expand=True)
-    (pos, g), = occ["ROW"]
+    found, tr = infer("(partition @ROW)", SIG, ["ROW"], expand=True)
+    (name, g), = found
+    assert name == "ROW"
     assert isinstance(g, RowDomOfKnown)
     assert g.var_arity is True
     assert g.min_arity == 2
@@ -141,22 +146,22 @@ def test_row_guard_expanded_when_requested():
 
 
 def test_row_guard_expanded_fixed_arity():
-    occ, tr = infer("(son @ROW)", SIG, ["ROW"], expand=True)
-    (_, g), = occ["ROW"]
+    found, tr = infer("(son @ROW)", SIG, ["ROW"], expand=True)
+    (_, g), = found
     assert isinstance(g, RowDomOfKnown)
     assert g.var_arity is False
     assert len(g.domains) == 2
 
 
 def test_expanded_subclass_slot_power_wrapped():
-    occ, tr = infer("(immediateSubclass @ROW)", SIG, ["ROW"], expand=True)
-    (_, g), = occ["ROW"]
+    found, tr = infer("(immediateSubclass @ROW)", SIG, ["ROW"], expand=True)
+    (_, g), = found
     assert g.domains[0] == App(cc("power"), cc("set_or_class"))
 
 
 def test_expanded_guard_term_shape():
-    occ, _ = infer("(son @ROW)", SIG, ["ROW"], expand=True)
-    (_, g), = occ["ROW"]
+    found, _ = infer("(son @ROW)", SIG, ["ROW"], expand=True)
+    (_, g), = found
     term = g.to_term(Var("R", guards.IOTA if hasattr(guards, "IOTA") else IOTA))
     # dom_of_fixedar applied to arity, a domain selector lambda, and the row
     assert term.fn.fn.fn == cc("dom_of_fixedar")
@@ -169,48 +174,47 @@ def test_range_heuristic_both_orientations():
         "(equal ?A (AgeFn ?P))",
         "(equal (AgeFn ?P) ?A)",
     ):
-        occ, tr = infer(src, SIG, {"A", "P"})
-        kinds = [g for _, g in occ["A"]]
+        found, tr = infer(src, SIG, {"A", "P"})
+        kinds = of(found, "A")
         assert kinds == [
             MemClass(cc("nonnegreal"), MEMBER, origin="range-heuristic")
         ], src
         # P still picks up the argument guard
-        assert [g for _, g in occ["P"]] == [MemDomseqm(tr.resolve("AgeFn"), 0)]
+        assert of(found, "P") == [MemDomseqm(tr.resolve("AgeFn"), 0)]
 
 
 def test_no_range_heuristic_without_declared_range():
-    occ, _ = infer("(equal ?A (mystery ?P))", SIG, {"A", "P"})
-    assert occ["A"] == []
+    found, _ = infer("(equal ?A (mystery ?P))", SIG, {"A", "P"})
+    assert of(found, "A") == []
 
 
 def test_prefix_guard_precedes_row_guard():
-    occ, tr = infer("(son ?X @ROW)", SIG, {"X", "ROW"})
-    chain = guards.merge_guard_chain(
-        occ, {"X": Var("X", IOTA), "ROW": Var("ROW", translate.LIST)}
-    )
+    found, tr = infer("(son ?X @ROW)", SIG, {"X", "ROW"})
+    subjects = {"X": Var("X", IOTA), "ROW": Var("ROW", translate.LIST)}
+    chain = [g.to_term(subjects[n]) for n, g in found]
     assert isinstance(chain[0], Mem)  # X in domseqm son 0
     # the row guard follows
     assert chain[1].fn.fn.fn.fn == cc("dom_of")
 
 
 def test_row_suffix_terms_recursed_not_guarded():
-    occ, tr = infer("(partition @ROW (AgeFn ?P))", SIG, {"P", "ROW"})
+    found, tr = infer("(partition @ROW (AgeFn ?P))", SIG, {"P", "ROW"})
     # P sits after the row at an unknown index: only the inner AgeFn guard
-    assert [g for _, g in occ["P"]] == [MemDomseqm(tr.resolve("AgeFn"), 0)]
+    assert of(found, "P") == [MemDomseqm(tr.resolve("AgeFn"), 0)]
 
 
 def test_guards_inside_kappa_shadowed():
-    occ, _ = infer(
+    found, _ = infer(
         "(instance Acme (KappaFn ?X (son ?X ?Y)))", SIG, {"X", "Y"}
     )
     # the kappa binds X; uses inside do not leak to the outer scope
-    assert occ["X"] == []
-    assert len(occ["Y"]) == 1
+    assert of(found, "X") == []
+    assert len(of(found, "Y")) == 1
 
 
 def test_explain_lists_each_guard():
-    occ, tr = infer("(son ?X ?Y)", SIG, {"X", "Y"})
-    lines = guards.explain(occ)
+    found, tr = infer("(son ?X ?Y)", SIG, {"X", "Y"})
+    lines = guards.explain(found)
     assert lines == [
         "  X: in domseqm of s_son at 0",
         "  Y: in domseqm of s_son at 1",
@@ -223,8 +227,8 @@ def test_relation_facts_and_expanded_row_guard_share_the_domain_sequence():
         "(instance mix VariableArityRelation)(domainSubclass mix 1 Animal)(domain mix 3 Human)"
     )
     guard_tr, fact_tr = translate.Translator(sig), translate.Translator(sig)
-    occ = guards_dict(formula_of("(mix @ROW)"), ["ROW"], sig, guard_tr, True)
-    (_, g), = occ["ROW"]
+    found = guards_found(formula_of("(mix @ROW)"), ["ROW"], sig, guard_tr, True)
+    (_, g), = found
     facts = dict(fact_tr.relation_facts("mix"))
     human = fact_tr.resolve("Human")
     expected = [App(cc("power"), fact_tr.resolve("Animal")), cc("entity"), human, human]
