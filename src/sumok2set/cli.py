@@ -14,11 +14,10 @@ import os
 import sys
 
 from . import harness, hforacle, th0, translate
-from .sexpr import KifSyntaxError, NotUtf8, read_text
-from .signature import SignatureError
+from .sexpr import InputError, NotUtf8, read_text
 
 # Errors in the input files; each carries the span it was found at, if any.
-INPUT_ERRORS = (KifSyntaxError, SignatureError, translate.TranslateError)
+INPUT_ERRORS = InputError
 
 
 def _error_payload(err, file_hint=None):
@@ -29,13 +28,13 @@ def _error_payload(err, file_hint=None):
             "col": None,
             "error": err.strerror or str(err),
         }
-    span = getattr(err, "span", None)
+    span = err.span
     return {
         "file": getattr(span, "file", None) or file_hint,
         "line": getattr(span, "line", None),
         "col": getattr(span, "col", None),
         # the bare message; the span is already broken out above
-        "error": getattr(err, "message", None) or str(err),
+        "error": err.message,
     }
 
 
@@ -63,7 +62,7 @@ def cmd_translate(args) -> int:
             collect_explanations=args.explain_guards,
             selection=args.selection.split(",") if args.selection else None,
         )
-    except (OSError, *INPUT_ERRORS) as err:
+    except (OSError, INPUT_ERRORS) as err:
         _report_errors([_error_payload(err, args.query)], args.errors_json)
         return 1
     text = th0.problem_text(problem, reproducible=args.reproducible)
@@ -112,14 +111,14 @@ def cmd_run(args) -> int:
     # which then fails as it does on its own
     try:
         kb = translate.compile_kb(cfg.kbs, skip_heads)
-    except (OSError, *INPUT_ERRORS):
+    except (OSError, INPUT_ERRORS):
         kb = cfg.kbs
     for name, query in outputs.items():
         try:
             problem, skips, _tr = translate.translate_query_job(
                 kb, query, skip_heads=skip_heads
             )
-        except (OSError, *INPUT_ERRORS) as err:
+        except (OSError, INPUT_ERRORS) as err:
             failures += 1
             summary_lines.append(f"{query}: FAILED: {err}")
             if args.keep_going:

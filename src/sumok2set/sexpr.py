@@ -42,13 +42,20 @@ class Span:
         return f"{self.file}:{self.line}:{self.col}"
 
 
-class KifSyntaxError(Exception):
-    """Base class for reader and lowering errors, carrying a source span."""
+class InputError(Exception):
+    """An error in an input file; str gives FILE:LINE:COL: message when located."""
 
-    def __init__(self, message: str, span: Span):
-        super().__init__(f"{span}: {message}")
+    def __init__(self, message: str, span: Span | None = None):
+        super().__init__(message)
         self.message = message
         self.span = span
+
+    def __str__(self) -> str:
+        return self.message if self.span is None else f"{self.span}: {self.message}"
+
+
+class KifSyntaxError(InputError):
+    """Base class for reader and lowering errors, carrying a source span."""
 
 
 class UnbalancedParens(KifSyntaxError):

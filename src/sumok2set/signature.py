@@ -11,17 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sumo
-from .sexpr import Span
+from .sexpr import InputError
 
 MODE_INSTANCE = "instance"
 MODE_SUBCLASS = "subclass"
 
 
-class SignatureError(Exception):
-    def __init__(self, message: str, span: Span | None = None):
-        super().__init__(message if span is None else f"{span}: {message}")
-        self.message = message
-        self.span = span
+class SignatureError(InputError):
+    pass
 
 
 class NonGroundDeclaration(SignatureError):

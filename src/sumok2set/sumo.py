@@ -260,7 +260,7 @@ _ARITH_NAMES = {
 }
 
 
-def parse_numeral(lexeme: str, span: Span | None = None) -> Rat:
+def parse_numeral(lexeme: str) -> Rat:
     """Parse a signed decimal numeral into a normalized Rat.
 
     Trailing zeros of the fractional part are stripped so that the scale is
@@ -278,7 +278,7 @@ def parse_numeral(lexeme: str, span: Span | None = None) -> Rat:
     else:
         whole, frac = text, ""
     if not whole.isdigit() or (frac and not frac.isdigit()) or ("." in frac):
-        raise BadNumeral(f"malformed numeral {lexeme!r}", span or Span("<numeral>", 1, 1))
+        raise BadNumeral(f"malformed numeral {lexeme!r}")
     num = sign * int(whole + frac) if (whole + frac) else 0
     scale = len(frac)
     while scale > 0 and num % 10 == 0:
@@ -368,10 +368,7 @@ class _Lowering:
             if sx.kind == ATOM_ROWVAR:
                 raise UnknownSyntax("row variable used as a term", sx.span)
             if sx.kind == ATOM_NUMERAL:
-                try:
-                    return parse_numeral(sx.lexeme)
-                except BadNumeral as err:
-                    raise BadNumeral(err.message, sx.span) from None
+                return parse_numeral(sx.lexeme)
             if sx.kind == ATOM_STRING:
                 raise UnknownSyntax("string literals are outside the fragment", sx.span)
             if sx.lexeme in _BUILTIN_NAMES:

@@ -56,17 +56,15 @@ from .hostterm import (
     conj_chain,
     imp_chain,
 )
-from .sexpr import Span, parse_forms, read_text
+from .sexpr import InputError, Span, parse_forms, read_text
 from .th0 import escape, host_var
 
 LIST = Arrow(IOTA, IOTA)
 AP, LISTSET, ISTRUE = cc("ap"), cc("listset"), cc("istrue")
 
 
-class TranslateError(Exception):
-    def __init__(self, message: str, span: Span | None = None):
-        super().__init__(message)
-        self.span = span
+class TranslateError(InputError):
+    pass
 
 
 class MangleCollision(TranslateError):

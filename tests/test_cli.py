@@ -568,8 +568,18 @@ def test_run_query_signature_error_comes_before_kb_translation_error(tmp_path, c
     assert code == 1
     assert summary == [
         f"{q}: FAILED: {q}:1:1: domain declaration is not ground",
-        f"{fixture_path('tqg3.kif')}: FAILED: query form inside knowledge base file {kb}",
+        f"{fixture_path('tqg3.kif')}: FAILED: {kb}:2:1: query form inside knowledge base file {kb}",
     ]
+
+
+def test_run_second_query_form_is_located(tmp_path, capsys):
+    kb_text = "(instance Bob Human)\n"
+    query = "(query (p a))\n(query (p b))\n"
+    code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, False)
+    assert code == 1
+    assert summary == [f"{q}: FAILED: {q}:2:1: more than one query form"]
+    _code, _out, err = run_cli(["run", str(tmp_path / "run.cfg")], capsys)
+    assert err == f"error: {q}: {q}:2:1: more than one query form\n"
 
 
 def test_run_query_constant_mangling_onto_a_kb_name_fails_that_query(tmp_path, capsys, monkeypatch):
