@@ -157,7 +157,7 @@ def _write_lines(path: str, lines) -> None:
 
 def cmd_oracle(args) -> int:
     try:
-        results = hforacle.run_lemma_file(args.lemmas, horizon=args.horizon, fuel=args.fuel)
+        results = hforacle.run_lemma_file(args.lemmas, fuel=args.fuel)
     except (OSError, NotUtf8, hforacle.OracleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -186,6 +186,16 @@ def cmd_check(args) -> int:
         else:
             print(f"{path}: ok")
     return 1 if bad else 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force check a lemma file over finite sets")
     p.add_argument("lemmas", help="lemma file, one claim per line")
-    p.add_argument("--horizon", type=int, default=hforacle.DEFAULT_HORIZON)
-    p.add_argument("--fuel", type=int, default=hforacle.DEFAULT_FUEL)
+    p.add_argument(
+        "--fuel", type=_positive_int, default=hforacle.DEFAULT_FUEL, help="work bound per claim"
+    )
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("check", help="validate rendered problem files")

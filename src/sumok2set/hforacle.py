@@ -66,7 +66,9 @@ from .sexpr import read_text
 from .th0read import Th0Error, _Parser
 
 DEFAULT_FUEL = 10**6
-DEFAULT_HORIZON = 32
+# omega's members run through 0..HORIZON wherever they are listed, and a
+# function is tabulated as a list over the same indices
+HORIZON = 32
 
 
 class OracleError(Exception):
@@ -453,8 +455,7 @@ class Evaluator:
     with nothing observable between them are paid at once.
     """
 
-    def __init__(self, interp=None, horizon: int = DEFAULT_HORIZON, fuel: int = DEFAULT_FUEL):
-        self.horizon = horizon
+    def __init__(self, interp=None, fuel: int = DEFAULT_FUEL):
         self.fuel = fuel
         self.interp = dict(self._native())
         if interp:
@@ -534,7 +535,7 @@ class Evaluator:
             return value
         if callable(value):
             table = {}
-            for i in range(self.horizon + 1):
+            for i in range(HORIZON + 1):
                 self.use_fuel()
                 table[nat(i)] = value(nat(i))
             return hffn(table)
@@ -563,7 +564,7 @@ class Evaluator:
 
     def members(self, value):
         if isinstance(value, _Omega):
-            return [nat(i) for i in range(self.horizon + 1)]
+            return [nat(i) for i in range(HORIZON + 1)]
         if isinstance(value, HfSet):
             return list(value)
         raise Unsupported(f"iterating non-set {value!r}")
@@ -1012,14 +1013,10 @@ def _parse_claim(line: str):
     return binders, body
 
 
-def check_claim(
-    claim: Claim,
-    horizon: int = DEFAULT_HORIZON,
-    fuel: int = DEFAULT_FUEL,
-) -> ClaimResult:
+def check_claim(claim: Claim, fuel: int = DEFAULT_FUEL) -> ClaimResult:
     """Evaluate the claim over all generator assignments for its sorts."""
     interp = STUBS[claim.stub]() if claim.stub else None
-    ev = Evaluator(interp=interp, horizon=horizon, fuel=fuel)
+    ev = Evaluator(interp=interp, fuel=fuel)
     domains = [generators(sort) for _, sort in claim.binders]
     names = [name for name, _ in claim.binders]
     checked = 0
@@ -1065,9 +1062,9 @@ def describe_value(value) -> str:
     return repr(value)
 
 
-def run_lemma_file(path: str, horizon: int = DEFAULT_HORIZON, fuel: int = DEFAULT_FUEL) -> list:
+def run_lemma_file(path: str, fuel: int = DEFAULT_FUEL) -> list:
     claims = parse_lemmas(read_text(path), path)
-    return [check_claim(c, horizon=horizon, fuel=fuel) for c in claims]
+    return [check_claim(c, fuel=fuel) for c in claims]
 
 
 def format_results(results) -> str:

@@ -257,6 +257,27 @@ def test_oracle_non_utf8_file_exit_two(tmp_path, capsys):
     assert err == f"error: {bad}:1:1: not UTF-8 text: invalid start byte\n"
 
 
+@pytest.mark.parametrize("fuel", ["0", "-5", "x"])
+def test_oracle_fuel_must_be_a_positive_integer(fuel, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["oracle", "--fuel", fuel, fixture_path("claims.lemmas")])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument --fuel: not a positive integer: {fuel!r}" in err
+
+
+def test_oracle_horizon_is_fixed(tmp_path, capsys):
+    # omega's members are listed up to hforacle.HORIZON; no option moves it
+    lemmas = tmp_path / "omega.lemmas"
+    lemmas.write_text("(?[X : $i]: ((in @ X @ omega) & (X = ord0)))\n")
+    code, out, err = run_cli(["oracle", str(lemmas)], capsys)
+    assert (code, err) == (0, "")
+    assert "1/1 claims hold" in out
+    with pytest.raises(SystemExit):
+        cli.main(["oracle", "--horizon=-1", str(lemmas)])
+
+
 # --- check ---
 
 

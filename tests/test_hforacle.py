@@ -163,7 +163,7 @@ def test_lists_over_numerals_build_no_keys(monkeypatch):
     monkeypatch.setattr(hf.HfSet, "key", counting_key)
     nats = [hf.nat(i) for i in range(33)]
     lst = hf.mk_hflist(nats)
-    e = hf.Evaluator(horizon=32)
+    e = hf.Evaluator()
     same = e.to_list_fn(lambda i: hf.hfset(i))
     assert calls == []
     assert lst == same
