@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 from .sexpr import read_text
 
 GRACE_SECONDS = 2.0
+# the largest timeout a config may give: a wait is a C int of milliseconds,
+# so one past about 2,147,483 s cannot be waited for
+MAX_TIMEOUT_SECONDS = 1_000_000
 PROVER_PATH_ENV = "SUMOK2SET_PROVER_PATH"
 
 OUTCOME_THEOREM = "Theorem"
@@ -103,6 +106,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             cfg.skip_heads.append(value)
         elif key == "timeout":
             cfg.timeout = _positive(lineno, key, value, float)
+            if cfg.timeout > MAX_TIMEOUT_SECONDS:
+                raise ConfigError(
+                    f"line {lineno}: timeout must be at most {MAX_TIMEOUT_SECONDS} seconds,"
+                    f" not {value!r}"
+                )
         elif key == "jobs":
             cfg.jobs = _positive(lineno, key, value, int)
         elif key == "out_dir":

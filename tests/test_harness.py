@@ -73,6 +73,7 @@ def test_parse_config_errors_carry_line_numbers():
         ("timeout = -5", "timeout must be a positive finite number, not '-5'"),
         ("timeout = 0", "timeout must be a positive finite number, not '0'"),
         ("timeout = 1e400", "timeout must be a positive finite number, not '1e400'"),
+        ("timeout = 1e10", "timeout must be at most 1000000 seconds, not '1e10'"),
     ],
 )
 def test_parse_config_rejects_bad_numbers_with_line_numbers(line, message):
@@ -84,6 +85,9 @@ def test_parse_config_rejects_bad_numbers_with_line_numbers(line, message):
 def test_parse_config_accepts_positive_numbers():
     cfg = hn.parse_config("timeout = 0.5\njobs = 1\n")
     assert (cfg.timeout, cfg.jobs) == (0.5, 1)
+    # the largest timeout a config may give
+    cfg = hn.parse_config("timeout = 1000000\n")
+    assert cfg.timeout == hn.MAX_TIMEOUT_SECONDS == 1_000_000
 
 
 def test_load_config_joins_relative_to_file(tmp_path):
