@@ -189,13 +189,9 @@ def cmd_check(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
