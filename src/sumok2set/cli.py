@@ -60,8 +60,9 @@ def cmd_translate(args) -> int:
             skip_heads=skip_heads,
             expand_known_rows=args.expand_row_domains,
             collect_explanations=args.explain_guards,
-            selection=args.selection.split(",") if args.selection else None,
         )
+        if args.selection:
+            problem = translate.select_premises(problem, args.selection.split(","))
     except (OSError, INPUT_ERRORS) as err:
         _report_errors([_error_payload(err, args.query)], args.errors_json)
         return 1
@@ -106,15 +107,19 @@ def cmd_run(args) -> int:
     summary_lines = []
     problem_files = []
     failures = 0
-    # the knowledge base is compiled once and each query is a job against
-    # it; a knowledge base that fails to compile is read again by each job,
-    # which then fails as it does on its own
+    # the knowledge base is read and compiled once for all queries; if it
+    # does not compile, each job gets its forms, or its reader error, and
+    # fails as it does on its own
+    kb = kb_error = None
     try:
-        kb = translate.compile_kb(cfg.kbs, skip_heads)
-    except (OSError, INPUT_ERRORS):
-        kb = cfg.kbs
+        kb = translate.read_kb(cfg.kbs, skip_heads)
+        kb = translate.compile_kb(kb)
+    except (OSError, INPUT_ERRORS) as err:
+        kb_error = err if kb is None else None
     for name, query in outputs.items():
         try:
+            if kb_error is not None:
+                raise kb_error
             problem, skips, _tr = translate.translate_query_job(
                 kb, query, skip_heads=skip_heads
             )
@@ -124,7 +129,10 @@ def cmd_run(args) -> int:
             if args.keep_going:
                 continue
             _write_lines(os.path.join(cfg.out_dir, "kb-summary.txt"), summary_lines)
-            print(f"error: {query}: {err}", file=sys.stderr)
+            # the query is named unless the error is located in it
+            span = getattr(err, "span", None)
+            where = "" if span is not None and span.file == query else f"{query}: "
+            print(f"error: {where}{err}", file=sys.stderr)
             return 1
         text = th0.problem_text(problem, reproducible=True)
         out_path = os.path.join(problems_dir, name)

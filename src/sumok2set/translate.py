@@ -495,7 +495,7 @@ class KbForms:
     declarations: list  # the assertions signature.collect reads, in source order
 
 
-def _read_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbForms:
+def read_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbForms:
     """Read and lower every knowledge base file."""
     stems: dict = {}
     for path in kb_paths:
@@ -571,7 +571,7 @@ class KbImage:
         """Whether translating the knowledge base under sig gives this image again."""
         return all(sig.info(name) == self.sig.info(name) for name in self.used)
 
-    def pose(self, query_path: str, lowered: list, sig, selection: list | None = None):
+    def pose(self, query_path: str, lowered: list, sig):
         """The problem of one query; sig is its job's signature, which agrees.
 
         Only the query is translated and rendered: its premises, the
@@ -588,39 +588,36 @@ class KbImage:
             raise TranslateError(f"no query form in {query_path}")
         comments = self.skip_comments + [s.text() for s in q_skips]
         problem = build_problem(tr, self.unit_block.premises, local, conjecture, comments, self)
-        if selection is not None:
-            problem = select_premises(problem, selection)
         return problem, self.skips + q_skips, tr
 
 
-def compile_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbImage:
-    """The knowledge base translated under its own signature, for a run of queries.
+def compile_kb(forms: KbForms) -> KbImage:
+    """The knowledge base read_kb read, translated under its own signature.
 
-    Raises the first reader, signature or translation error of the
-    knowledge base on its own.
+    For a run of queries.  Raises the first signature or translation error
+    of the knowledge base on its own.
     """
-    forms = _read_kb(kb_paths, skip_heads)
     return KbImage(forms, signature_of(forms.declarations))
 
 
 def translate_query_job(
-    kb_paths,
+    kb,
     query_path: str,
     skip_heads=sumo.DEFAULT_SKIP_HEADS,
     expand_known_rows: bool = False,
     collect_explanations: bool = False,
-    selection: list | None = None,
 ):
     """End-to-end: signature pass, KB translation, query problem assembly.
 
-    kb_paths is a list of knowledge base files, or a KbImage of them
-    (compile_kb), which brings its own skip heads and translator settings:
-    the arguments for those are then not used.  A query with no declaration
+    kb is a list of knowledge base files, their KbForms (read_kb) or a
+    KbImage of them (compile_kb).  Forms bring their own skip heads, and an
+    image its translator settings too: the arguments for those are then
+    not used.  A query with no declaration
     (signature.declaration_head) has the image's signature as its job's,
     and is posed under it.  Otherwise the image is used when the job's
     signature (its knowledge base's and query's declarations) agrees with
     the image's on every name the image's translation read; if it does not,
-    and for a list of files, the knowledge base is translated under the
+    and for files or forms, the knowledge base is translated under the
     job's signature from scratch.
 
     Every file is read and lowered once, all of them before any is
@@ -628,19 +625,19 @@ def translate_query_job(
 
     Returns (problem, skips, translator).
     """
-    if isinstance(kb_paths, KbImage):
-        image = kb_paths
+    if isinstance(kb, KbImage):
+        image = kb
         forms = image.forms
         expand_known_rows = image.expand_known_rows
         collect_explanations = image.collect_explanations
     else:
         image = None
-        forms = _read_kb(kb_paths, skip_heads)
+        forms = kb if isinstance(kb, KbForms) else read_kb(kb, skip_heads)
     lowered = load_lowered(query_path, forms.skip_heads)
     declarations = [item for item in lowered if _declares(item)]
     if image is not None and not declarations:
-        return image.pose(query_path, lowered, image.sig, selection)
+        return image.pose(query_path, lowered, image.sig)
     sig = signature_of(forms.declarations + declarations)
     if image is None or not image.agrees(sig):
         image = KbImage(forms, sig, expand_known_rows, collect_explanations)
-    return image.pose(query_path, lowered, sig, selection)
+    return image.pose(query_path, lowered, sig)

@@ -14,6 +14,12 @@ FIXTURES = os.path.join(
 )
 
 
+# a KappaFn nested in a KappaFn whose body mentions the outer variable
+NESTED_KAPPA = (
+    "(query (exists (?P) (instance Bob (KappaFn ?X (instance ?X (KappaFn ?Y (parent ?Y ?X)))))))\n"
+)
+
+
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
 

@@ -6,11 +6,28 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import pytest
 
-from conftest import fixture_path
+from conftest import NESTED_KAPPA, fixture_path
 from sumok2set import cli
+
+KB = fixture_path("merge_fragment.kif")
+# inputs of the tests below that each command also meets in a process of its own
+STRAY = b'(instance Bob Human)\r\n; a comment (with a paren\n(p "a string\nover two lines") )\n'
+DEEP_KIF = b"(query (p " + b"(f " * 150 + b"a" + b")" * 150 + b"))\n"
+DEEP_P = b"thf(ty_a, type, a : $o).\nthf(conj, conjecture, %s).\n" % (
+    b"(~ " * 2000 + b"a" + b")" * 2000
+)
+DEEP_LEMMAS = b"((" + b"(ordsucc @ " * 1500 + b"emptyset" + b")" * 1500 + b") = emptyset)\n"
+PROCESS_INPUTS = {
+    "bad.kif": b"\xff\xfe", "bad.p": b"\xff\xfe", "stray.kif": STRAY, "deep.kif": DEEP_KIF,
+    "deep.p": DEEP_P, "deep.lemmas": DEEP_LEMMAS, "kappa.kif": NESTED_KAPPA.encode(),
+    "capped.cfg": f"kb = {KB}\nquery = kappa.kif\ntimeout = 3000000\nout_dir = capped\n".encode(),
+    "kappa.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = runs\n".encode(),
+}
 
 
 def run_cli(argv, capsys):
@@ -103,6 +120,19 @@ def test_translate_missing_query_form(tmp_path, capsys):
     assert "query" in payload[0]["error"]
 
 
+def test_translate_selection_keeps_named_premises_and_their_defs(tmp_path, capsys, cold_memo):
+    out_file = tmp_path / "tqg3.p"
+    names = "def_len,rel_s_partition_arity,kb_merge_fragment_0"
+    argv = ["translate", "--reproducible", "--kb", KB, "-o", str(out_file), "--selection", names]
+    assert run_cli(argv + [fixture_path("tqg3.kif")], capsys) == (0, "", "")
+    records = re.findall(r"^thf\((\w+),", out_file.read_text(), re.M)
+    # def_len's record brings its separation definition
+    assert sorted(r for r in records if not r.startswith("ty_")) == [
+        "conj", "def_len", "def_sep_97e9aa6f7e2e", "kb_merge_fragment_0", "rel_s_partition_arity"
+    ]
+    assert run_cli(["check", str(out_file)], capsys) == (0, f"{out_file}: ok\n", "")
+
+
 def test_translate_selection_unknown_name(tmp_path, capsys):
     code, out, err = run_cli(
         [
@@ -117,6 +147,31 @@ def test_translate_selection_unknown_name(tmp_path, capsys):
     )
     assert code == 1
     assert "kb_nonexistent_99" in err
+
+
+def test_translate_skips_a_binder_list_skip_head_and_renames_an_index_binder(
+    tmp_path, capsys, cold_memo
+):
+    kb, q, out_file = tmp_path / "moved.kif", tmp_path / "nidx.kif", tmp_path / "nidx.p"
+    kb.write_text("(forall ((holdsDuring ?T)) (p ?T))\n(domain p 1 Human)\n")
+    q.write_text("(query (exists (@ROW ?NIDX) (and (p @ROW ?NIDX) (p ?NIDX))))\n")
+    argv = ["translate", "--reproducible", "--kb", str(kb), "-o", str(out_file), str(q)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    text = out_file.read_text()
+    assert f"% skipped {kb}:1: modal head 'holdsDuring'" in text.splitlines()
+    assert "^[NIDX0 : $i]" in text
+    assert run_cli(["check", str(out_file)], capsys) == (0, f"{out_file}: ok\n", "")
+
+
+def test_translate_stray_paren_is_located_in_both_formats(tmp_path, capsys):
+    # after a CRLF line, a comment holding '(' and a string over two lines
+    stray = tmp_path / "stray.kif"
+    stray.write_bytes(STRAY)
+    code, out, err = run_cli(["translate", str(stray)], capsys)
+    assert (code, out, err) == (1, "", f"error: {stray}:4:18: unmatched ')'\n")
+    code, out, _err = run_cli(["translate", "--errors-json", str(stray)], capsys)
+    (e,) = json.loads(out)
+    assert (code, e["line"], e["col"], e["error"]) == (1, 4, 18, "unmatched ')'")
 
 
 def test_translate_signature_error_is_located(tmp_path, capsys, monkeypatch):
@@ -186,13 +241,15 @@ def test_translate_non_utf8_kb_is_located(tmp_path, capsys, monkeypatch):
 
 def test_deep_input_ends_in_an_error_line_not_a_traceback(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "q.kif").write_text("(query (p " + "(f " * 150 + "a" + ")" * 150 + "))\n")
+    (tmp_path / "q.kif").write_bytes(DEEP_KIF)
     code, out, err = run_cli(["translate", "q.kif"], capsys)
     assert (code, out, err) == (1, "", "error: q.kif:1:197: lists nested deeper than 64\n")
-    deep = "(~ " * 2000 + "a" + ")" * 2000
-    (tmp_path / "deep.p").write_text(f"thf(ty_a, type, a : $o).\nthf(conj, conjecture, {deep}).\n")
+    (tmp_path / "deep.p").write_bytes(DEEP_P)
     code, out, err = run_cli(["check", "deep.p"], capsys)
     assert (code, out, err) == (1, "deep.p: parse error: formulas nested too deeply\n", "")
+    (tmp_path / "deep.lemmas").write_bytes(DEEP_LEMMAS)
+    code, out, err = run_cli(["oracle", "deep.lemmas"], capsys)
+    assert (code, out, err) == (2, "", "error: deep.lemmas:1: formulas nested too deeply\n")
 
 
 def test_translate_missing_query_is_located(tmp_path, capsys, monkeypatch):
@@ -311,14 +368,16 @@ def test_check_ok_and_bad_files(tmp_path, capsys):
 
 
 def _tampered(text):
-    """Three faulty copies of a fixture problem, each by whole records."""
+    """Four faulty copies of a fixture problem, each by whole records."""
     line = "thf(ty_nat_p, type, nat_p : $i > $o)."
     retyped = text.replace(line, line.replace("$o", "$i"))
     line = "thf(ty_ordsucc, type, ordsucc : $i > $i).\n"
     moved = text.replace(line, "").replace("thf(conj,", line + "thf(conj,")
     first, second = re.findall(r"^thf\((\w+), axiom,", text, re.M)[:2]
     duplicated = text.replace(f"thf({second}, axiom,", f"thf({first}, axiom,", 1)
-    return {"retyped": retyped, "moved": moved, "duplicated": duplicated}
+    line = "thf(kb_merge_fragment_42, axiom, (in @ "
+    broken = text.replace(line, line + "@ ")  # a parse error in a middle premise
+    return {"retyped": retyped, "moved": moved, "duplicated": duplicated, "broken": broken}
 
 
 def test_check_of_many_files_prints_what_one_check_per_file_prints(tmp_path, capsys, monkeypatch):
@@ -343,15 +402,17 @@ def test_check_of_many_files_prints_what_one_check_per_file_prints(tmp_path, cap
         return run_cli(["check", "--keep-going", *files], capsys)
 
     # the tampered copies last meet a warm memo, first a cold one
-    for order, codes in ((paths, [0] * 5 + [1] * 3), (paths[::-1], [1] * 3 + [0] * 5)):
+    for order, codes in ((paths, [0] * 5 + [1] * 4), (paths[::-1], [1] * 4 + [0] * 5)):
         alone = [check([path]) for path in order]
         assert [c for c, _o, _e in alone] == codes
         code, out, err = check(order)
         assert out == "".join(o for _c, o, _e in alone)
         assert code == 1 and err == ""
     lines = out.splitlines()
-    assert len(lines) == 9  # the retyped copy has two diagnostics
-    assert all(line.endswith(": ok") for line in lines[4:])
+    assert len(lines) == 10  # the retyped copy has two diagnostics
+    assert all(line.endswith(": ok") for line in lines[5:])
+    assert f"{tmp_path / 'retyped.p'}: def_natp: ill-typed: expected $o, found $i" in lines
+    assert lines[0].startswith(f"{tmp_path / 'broken.p'}: parse error at ")
 
 
 def test_check_missing_file(tmp_path, capsys):
@@ -438,7 +499,7 @@ def test_run_bad_config_exit_two(tmp_path, capsys):
 
 def test_run_bad_number_in_config_is_a_located_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    for line in ("jobs = two", "timeout = inf", "timeout = -5"):
+    for line in ("jobs = two", "timeout = inf", "timeout = -5", "timeout = 3000000"):
         cfg.write_text(f"kb = {fixture_path('merge_fragment.kif')}\n{line}\n")
         code, out, err = run_cli(["run", str(cfg)], capsys)
         assert code == 2, line
@@ -558,6 +619,9 @@ def test_run_kb_reader_error_fails_every_query(tmp_path, capsys):
     code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, False)
     assert code == 1
     assert summary == [f"{q}: FAILED: {kb}:2:8: unclosed '('"]
+    # an error located in another file than the query names the query too
+    _code, _out, err = run_cli(["run", str(tmp_path / "run.cfg")], capsys)
+    assert err == f"error: {q}: {kb}:2:8: unclosed '('\n"
     code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, True)
     assert code == 1
     assert summary == [
@@ -600,7 +664,7 @@ def test_run_second_query_form_is_located(tmp_path, capsys):
     assert code == 1
     assert summary == [f"{q}: FAILED: {q}:2:1: more than one query form"]
     _code, _out, err = run_cli(["run", str(tmp_path / "run.cfg")], capsys)
-    assert err == f"error: {q}: {q}:2:1: more than one query form\n"
+    assert err == f"error: {q}:2:1: more than one query form\n"
 
 
 def test_run_query_constant_mangling_onto_a_kb_name_fails_that_query(tmp_path, capsys, monkeypatch):
@@ -612,6 +676,8 @@ def test_run_query_constant_mangling_onto_a_kb_name_fails_that_query(tmp_path, c
     code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, False)
     assert code == 1
     assert summary == [f"{q}: FAILED: 'bob' and 'Bob' both mangle to 's_bob'"]
+    _code, _out, err = run_cli(["run", str(tmp_path / "run.cfg")], capsys)
+    assert err == f"error: {q}: 'bob' and 'Bob' both mangle to 's_bob'\n"
     code, summary, kb, q = run_failures(tmp_path, capsys, kb_text, query, True)
     assert code == 1
     problem = tmp_path / "runs" / "problems" / "tqg3.p"
@@ -665,6 +731,38 @@ def test_run_skip_head_config(tmp_path, capsys):
     assert code == 0
     summary = (tmp_path / "runs" / "kb-summary.txt").read_text()
     assert "lessThanOrEqualTo" in summary
+
+
+# Only a process of its own shows the exit code and what reaches stderr when
+# an error escapes cli.main, as a traceback.  The tests above pin each output,
+# and fail on any error that escapes cli.main in-process.
+PROCESS_RUNS = [
+    (["translate", "bad.kif"], 1),
+    (["check", "bad.p"], 1),
+    (["translate", "--errors-json", "stray.kif"], 1),
+    (["translate", "deep.kif"], 1),
+    (["check", "deep.p"], 1),
+    (["oracle", "deep.lemmas"], 2),
+    (["oracle", "--fuel", "0", fixture_path("claims.lemmas")], 2),
+    (["run", "capped.cfg"], 2),
+    (["translate", "--explain-guards", "--kb", KB, "kappa.kif"], 0),
+    (["run", "kappa.cfg"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", PROCESS_RUNS, ids=[" ".join(map(os.path.basename, a)) for a, _ in PROCESS_RUNS]
+)
+def test_cli_process_exits_without_a_traceback(argv, code, tmp_path):
+    for name, data in PROCESS_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "sumok2set.cli", *argv], cwd=tmp_path, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 PYPROJECT = os.path.join(

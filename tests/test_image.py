@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, NESTED_KAPPA, fixture_path
 from sumok2set import cli, hostterm, signature, sumo, th0, translate
 from sumok2set.catalog import cc
 from sumok2set.hostterm import App, Arrow, Const, IOTA, OMICRON
@@ -30,13 +30,15 @@ SETTINGS = {
 
 
 def text_of(kb, query, selection=None, **opts):
-    problem, _skips, _tr = translate.translate_query_job(kb, query, selection=selection, **opts)
+    problem, _skips, _tr = translate.translate_query_job(kb, query, **opts)
+    if selection is not None:
+        problem = translate.select_premises(problem, selection)
     return th0.problem_text(problem, reproducible=True)
 
 
 def image_of(kb_paths, **opts):
     """An image of the knowledge base under its own signature, with settings."""
-    forms = translate._read_kb(kb_paths)
+    forms = translate.read_kb(kb_paths)
     return translate.KbImage(forms, translate.signature_of(forms.declarations), **opts)
 
 
@@ -60,7 +62,7 @@ def test_image_gives_the_bytes_of_a_job_on_its_own(setting, monkeypatch):
 
 def test_image_gives_the_bytes_of_a_job_on_its_own_with_selection(monkeypatch):
     monkeypatch.chdir(FIXTURES)
-    image = translate.compile_kb([KB])
+    image = translate.compile_kb(translate.read_kb([KB]))
     for query in QUERIES:
         problem, _skips, _tr = translate.translate_query_job([KB], query)
         names = [name for name, _role, _term in problem.premises][::3]
@@ -71,7 +73,7 @@ def test_query_declaring_a_domain_for_a_kb_relation_is_rebuilt(tmp_path):
     kb = fixture_path(KB)
     q = tmp_path / "q.kif"
     q.write_text("(domain employs 1 Organization)\n(query (exists (?X) (employs ?X Bob)))\n")
-    image = translate.compile_kb([kb])
+    image = translate.compile_kb(translate.read_kb([kb]))
     # employs no longer takes the domains of uses, which the KB's guards read
     assert not image.agrees(job_signature(image, str(q)))
     text = text_of(image, str(q))
@@ -90,7 +92,7 @@ def test_query_declaring_a_domain_for_its_own_relation_uses_the_image(tmp_path):
     kb = fixture_path(KB)
     q = tmp_path / "q.kif"
     q.write_text("(domain likes 1 Human)\n(query (exists (?X) (likes ?X Bob)))\n")
-    image = translate.compile_kb([kb])
+    image = translate.compile_kb(translate.read_kb([kb]))
     assert image.agrees(job_signature(image, str(q)))
     text = text_of(image, str(q))
     assert text == text_of([kb], str(q))
@@ -122,7 +124,7 @@ def test_declaring_queries_give_the_bytes_of_a_job_on_its_own(tmp_path):
     # some of these change what the knowledge base's translation read, some
     # do not; one image serves them all in turn
     kb = fixture_path(KB)
-    image = translate.compile_kb([kb])
+    image = translate.compile_kb(translate.read_kb([kb]))
     rebuilt = []
     for i, text in enumerate(DECLARING_QUERIES):
         q = tmp_path / f"q{i}.kif"
@@ -147,7 +149,7 @@ def test_queries_leave_nothing_behind_in_the_image(tmp_path):
     for name, text in texts.items():
         paths[name] = tmp_path / f"{name}.kif"
         paths[name].write_text(text)
-    image = translate.compile_kb([kb])
+    image = translate.compile_kb(translate.read_kb([kb]))
     for name in "abacd":
         assert text_of(image, str(paths[name])) == text_of([kb], str(paths[name])), name
     assert "s_Carl" not in text_of(image, str(paths["a"]))
@@ -173,9 +175,9 @@ def counting(monkeypatch):
     return loaded, translated
 
 
-def write_config(tmp_path, queries):
+def write_config(tmp_path, queries, kb=fixture_path(KB)):
     cfg = tmp_path / "run.cfg"
-    lines = [f"kb = {fixture_path(KB)}"] + [f"query = {q}" for q in queries]
+    lines = [f"kb = {kb}"] + [f"query = {q}" for q in queries]
     cfg.write_text("\n".join(lines + [f"out_dir = {tmp_path / 'runs'}"]) + "\n")
     return cfg
 
@@ -186,6 +188,19 @@ def test_run_reads_and_translates_the_kb_once(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(write_config(tmp_path, queries))]) == 0
     assert loaded == [fixture_path(KB)] + queries
     assert translated == [fixture_path(KB)] + queries
+
+
+def test_run_reads_a_kb_that_does_not_compile_once(tmp_path, capsys, monkeypatch):
+    kb = tmp_path / "kb.kif"
+    queries = [fixture_path(q) for q in ("tqg3.kif", "tqg11.kif", "tqg27.kif", "wordex.kif")]
+    cfg = write_config(tmp_path, queries, kb)
+    loaded, _translated = counting(monkeypatch)
+    # one knowledge base that reads and one that does not
+    for kb_text in ("(domain ?R 1 Foo)\n", "(domain ?R 1 Foo\n"):
+        kb.write_text(kb_text)
+        assert cli.main(["run", str(cfg), "--keep-going"]) == 1
+        assert loaded.count(str(kb)) == 1
+        loaded.clear()
 
 
 def test_no_fixture_query_rebuilds_the_kb(tmp_path, capsys, monkeypatch):
@@ -205,18 +220,34 @@ def test_run_rebuilds_only_the_query_that_needs_it(tmp_path, capsys, monkeypatch
     assert translated == [kb, queries[0], kb, queries[1], queries[2]]
 
 
-def test_run_problems_equal_translate_output(tmp_path, capsys):
-    q = tmp_path / "q.kif"
-    q.write_text("(domain employs 1 Organization)\n(query (exists (?X) (employs ?X Bob)))\n")
-    queries = [fixture_path(name) for name in QUERIES] + [str(q)]
+def test_run_problems_equal_translate_output(tmp_path, capsys, cold_memo):
+    # employs changes the signature of a relation the knowledge base uses,
+    # likes does not
+    texts = {
+        "q": "(domain employs 1 Organization)\n(query (exists (?X) (employs ?X Bob)))\n",
+        "likes": "(domain likes 1 Human)\n(query (exists (?X) (likes ?X Bob)))\n",
+        "kappa": NESTED_KAPPA,
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.kif").write_text(text)
+    queries = [fixture_path(name) for name in QUERIES] + [str(tmp_path / f"{n}.kif") for n in texts]
     assert cli.main(["run", str(write_config(tmp_path, queries))]) == 0
+    problems = tmp_path / "runs" / "problems"
+    assert len(os.listdir(problems)) == len(queries)
     for query in queries:
         stem = os.path.splitext(os.path.basename(query))[0]
         alone = tmp_path / f"{stem}.alone.p"
         argv = ["translate", query, "--kb", fixture_path(KB), "--reproducible", "-o", str(alone)]
         assert cli.main(argv) == 0
-        written = tmp_path / "runs" / "problems" / f"{stem}.p"
+        written = problems / f"{stem}.p"
         assert written.read_bytes() == alone.read_bytes(), query
+        assert th0.check_text(written.read_text()) == [], query
+    # the inner separation is hoisted with the outer variable as a parameter,
+    # beside the two separations the knowledge base brings
+    kappa = (problems / "kappa.p").read_text()
+    assert len(re.findall(r"^thf\(def_sep_", kappa, re.M)) == 4
+    two = r"^thf\(def_sep_[0-9a-f]*, definition, \(!\[X : \$i\]: \(!\[Y : \$i\]: "
+    assert len(re.findall(two, kappa, re.M)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +296,8 @@ def renamed_query(tmp_path, shape, copy=0):
 
 
 def test_posing_a_query_does_no_work_that_grows_with_the_kb(tmp_path, monkeypatch):
-    small = translate.compile_kb([renamed_kb(tmp_path, 1, "kb1.kif")])
-    large = translate.compile_kb([renamed_kb(tmp_path, 3, "kb3.kif")])
+    small = translate.compile_kb(translate.read_kb([renamed_kb(tmp_path, 1, "kb1.kif")]))
+    large = translate.compile_kb(translate.read_kb([renamed_kb(tmp_path, 3, "kb3.kif")]))
     assert len(large.unit_block.premises) == 3 * len(small.unit_block.premises)
     counts = {"collect": 0, "agrees": 0, "catalog_needs": 0, "renders": 0}
     real_collect = signature.collect
@@ -347,7 +378,7 @@ def test_block_merge_gives_the_bytes_of_a_record_by_record_merge(tmp_path, with_
     if with_seps:
         (tmp_path / "seps.kif").write_text(KB_SEPS)
         kbs.append(str(tmp_path / "seps.kif"))
-    image = translate.compile_kb(kbs)
+    image = translate.compile_kb(translate.read_kb(kbs))
     assert bool(image.unit_block.seps) == with_seps
     for name, text in list(BLOCK_QUERIES.items()) * 2:
         q = tmp_path / f"{name}.kif"
@@ -393,7 +424,7 @@ def test_block_merge_gives_the_bytes_of_a_record_by_record_merge(tmp_path, with_
 
 
 def test_a_query_constant_clashing_with_a_kb_constant_is_an_error(tmp_path):
-    image = translate.compile_kb([renamed_kb(tmp_path, 3)])
+    image = translate.compile_kb(translate.read_kb([renamed_kb(tmp_path, 3)]))
     q = tmp_path / "q.kif"
     q.write_text(BLOCK_QUERIES["minted_facts"] + "\n")
     problem, _skips, _tr = translate.translate_query_job(image, str(q))
@@ -430,7 +461,7 @@ def test_a_constant_clashing_across_the_two_blocks_is_an_error(tmp_path, monkeyp
     with pytest.raises(th0.Th0Error, match="constant s_Acme_5f1 used at two types"):
         with monkeypatch.context() as m:
             m.setattr(translate, "fact_premises", lambda tr, names: real_facts(tr, names) + extra)
-            image = translate.compile_kb([kb])
+            image = translate.compile_kb(translate.read_kb([kb]))
         problem, _skips, _tr = translate.translate_query_job(image, str(q))
         th0.problem_text(problem, reproducible=True)
 
@@ -477,7 +508,7 @@ def test_an_image_holds_no_host_terms(tmp_path, with_seps):
     if with_seps:
         (tmp_path / "seps.kif").write_text(KB_SEPS)
         kbs = [renamed_kb(tmp_path, 3), str(tmp_path / "seps.kif")]
-    image = translate.compile_kb(kbs)
+    image = translate.compile_kb(translate.read_kb(kbs))
     assert image.unit_block.premises and image.fact_block.premises
     kinds = {
         type(obj).__name__
@@ -503,14 +534,14 @@ def test_problems_posed_through_an_image_pinned(tmp_path, monkeypatch):
         image = image_of([KB], **opts)
         for query in QUERIES:
             digest.update(text_of(image, query, **opts).encode("utf-8"))
-    image = translate.compile_kb([KB])
+    image = translate.compile_kb(translate.read_kb([KB]))
     problem, _skips, _tr = translate.translate_query_job(image, "tqg27.kif")
     every_third = [name for name, _role, _body in problem.premises][::3]
     for query, names in (("tqg3.kif", SELECTION), ("tqg27.kif", every_third)):
         digest.update(text_of(image, query, selection=names).encode("utf-8"))
     monkeypatch.chdir(tmp_path)
     renamed_kb(tmp_path, 3)
-    image = translate.compile_kb(["kb.kif"])
+    image = translate.compile_kb(translate.read_kb(["kb.kif"]))
     for name, text in BLOCK_QUERIES.items():
         (tmp_path / f"{name}.kif").write_text(text + "\n")
         digest.update(text_of(image, f"{name}.kif").encode("utf-8"))

@@ -59,7 +59,7 @@ def test_jobs_over_mutated_kif_pinned(tmp_path, monkeypatch, cold_memo):
     monkeypatch.chdir(tmp_path)
     shutil.copy(fixture_path(KB), "kb.kif")
     shutil.copy(fixture_path(KB_QUERY), "query.kif")
-    image = translate.compile_kb(["kb.kif"])
+    image = translate.compile_kb(translate.read_kb(["kb.kif"]))
     digest = hashlib.sha256()
     texts = []
     rebuilt = 0

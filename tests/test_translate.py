@@ -30,7 +30,7 @@ from sumok2set.hostterm import (
 from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
 from sumok2set.translate import LIST, Translator, mangle, translate_query_job
 
-from conftest import FIXTURES, fixture_path, formula_of, lower_one, sig_from
+from conftest import FIXTURES, NESTED_KAPPA, fixture_path, formula_of, lower_one, sig_from
 from termhelpers import alpha_eq
 
 
@@ -444,7 +444,7 @@ def test_guard_derivations_are_written_exactly_when_collected(tmp_path, monkeypa
     plain, _skips, _tr = translate_query_job(["merge_fragment.kif"], "tqg3.kif")
     assert plain.explanations is None
     assert "guard derivations" not in problem_text(plain, reproducible=True)
-    forms = translate._read_kb(["merge_fragment.kif"])
+    forms = translate.read_kb(["merge_fragment.kif"])
     image = translate.KbImage(
         forms, translate.signature_of(forms.declarations), collect_explanations=True
     )
@@ -470,9 +470,7 @@ def test_nested_kappa_explains_every_guard_after_class_formation(tmp_path):
     # the instance-arg line repeats the entity guard kappa puts first; it is
     # explained though not emitted, and no golden digest has a KappaFn
     # variable under instance
-    (tmp_path / "q.kif").write_text(
-        "(query (exists (?P) (instance Bob (KappaFn ?X (instance ?X (KappaFn ?Y (parent ?Y ?X)))))))\n"
-    )
+    (tmp_path / "q.kif").write_text(NESTED_KAPPA)
     problem, _skips, _tr = translate_query_job(
         [fixture_path("merge_fragment.kif")], str(tmp_path / "q.kif"), collect_explanations=True
     )
@@ -602,13 +600,11 @@ def test_premise_selection(tmp_path):
     kb.write_text("(instance Acme Organization)\n(instance Bob Human)\n")
     q = tmp_path / "q.kif"
     q.write_text("(query (instance Acme Organization))\n")
-    problem, _skips, _tr = translate.translate_query_job(
-        [str(kb)], str(q), selection=["kb_kb_0"]
-    )
-    names = [n for n, _r, _t in problem.premises]
+    problem, _skips, _tr = translate.translate_query_job([str(kb)], str(q))
+    names = [n for n, _r, _t in translate.select_premises(problem, ["kb_kb_0"]).premises]
     assert "kb_kb_0" in names and "kb_kb_1" not in names
     with pytest.raises(translate.UnknownPremiseName):
-        translate.translate_query_job([str(kb)], str(q), selection=["kb_kb_9"])
+        translate.select_premises(problem, ["kb_kb_9"])
 
 
 def test_local_units_named_by_position(tmp_path):
