@@ -38,12 +38,13 @@ def _error_payload(err, file_hint=None):
     }
 
 
-def _report_errors(errors, as_json: bool) -> None:
+def _report_errors(errors, as_json: bool, unlocated: str = "<input>") -> None:
+    """Print error payloads; unlocated names the source of one with no file."""
     if as_json:
         print(json.dumps(errors, indent=2))
     else:
         for e in errors:
-            where = e["file"] or "<input>"
+            where = e["file"] or unlocated
             if e["line"] is not None:
                 where += f":{e['line']}"
                 if e["col"] is not None:
@@ -61,11 +62,16 @@ def cmd_translate(args) -> int:
             expand_known_rows=args.expand_row_domains,
             collect_explanations=args.explain_guards,
         )
-        if args.selection:
-            problem = translate.select_premises(problem, args.selection.split(","))
     except (OSError, INPUT_ERRORS) as err:
         _report_errors([_error_payload(err, args.query)], args.errors_json)
         return 1
+    if args.selection:
+        try:
+            problem = translate.select_premises(problem, args.selection.split(","))
+        except translate.UnknownPremiseName as err:
+            # the names come from the command line, not from a file
+            _report_errors([_error_payload(err)], args.errors_json, unlocated="--selection")
+            return 1
     text = th0.problem_text(problem, reproducible=args.reproducible)
     if args.output:
         try:

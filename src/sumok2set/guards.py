@@ -22,7 +22,7 @@ MEMBER = "member"
 SUBSET = "subset"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MemDomseqm:
     relation: object  # host term for the applied relation
     index: int  # 0-based argument position
@@ -34,7 +34,7 @@ class MemDomseqm:
         return f"in domseqm of {_describe(self.relation)} at {self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MemClass:
     cls: object
     mode: str  # MEMBER or SUBSET
@@ -51,7 +51,7 @@ class MemClass:
         return f"{rel} {_describe(self.cls)}{suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RowDomOf:
     relation: object
 
@@ -69,7 +69,7 @@ class RowDomOf:
         return f"spine in dom_of of {_describe(self.relation)}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RowDomOfKnown:
     var_arity: bool
     min_arity: int

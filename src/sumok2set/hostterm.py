@@ -1,8 +1,13 @@
 """Simply typed term language over sets (iota) and propositions (omicron).
 
-Terms are immutable dataclasses with structural equality.  Membership,
-subset, separation, and if-then-else are primitive constructors here; the
-TH0 printer later rewrites them into applied constants.
+Terms are slotted dataclasses that compare and hash by class and fields.
+They are immutable by contract, not frozen, because a frozen dataclass pays
+for object.__setattr__ on every construction.  Terms are hashed and shared
+(the constants of catalog.cc, the memo of minted constants in
+Translator.resolve, the THF reader's shared Const and Var nodes), so no
+code assigns to a field of a term once it is built.  Membership, subset,
+separation, and if-then-else are primitive constructors here; the TH0
+printer later rewrites them into applied constants.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ class HostType:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Base(HostType):
     tag: str  # "i" or "o"
 
@@ -24,7 +29,7 @@ class Base(HostType):
         return "$" + self.tag
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Arrow(HostType):
     dom: HostType
     cod: HostType
@@ -47,103 +52,103 @@ def arrow(*tys: HostType) -> HostType:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     name: str
     ty: HostType
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
     name: str
     ty: HostType
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App:
     fn: object
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lam:
     name: str
     ty: HostType
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bot:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Top:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg:
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Imp:
     ante: object
     cons: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Conj:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Disj:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Iff:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Eq:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class All:
     name: str
     ty: HostType
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ex:
     name: str
     ty: HostType
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mem:
     elem: object
     container: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Subq:
     sub: object
     sup: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sep:
     name: str  # bound variable, always at iota
     bound: object  # the set being separated
@@ -152,7 +157,7 @@ class Sep:
     ty = IOTA  # not a field: the type of the bound variable, as on Lam/All/Ex
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ite:
     cond: object
     then: object

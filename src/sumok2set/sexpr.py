@@ -32,7 +32,7 @@ _NUMERAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
 MAX_DEPTH = 64
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
     file: str
     line: int

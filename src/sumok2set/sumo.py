@@ -6,6 +6,13 @@ argument spine), variable-arity relation application, class-formation terms
 detected by head symbol and skipped rather than translated.  Lowering reads
 a form once, in the order of the AST it builds, and finds as it goes the
 form's free variables (which Assertion and Query carry) and its skip head.
+
+Nodes are slotted dataclasses that compare and hash by class and fields.
+They are immutable by contract, not frozen, because a frozen dataclass pays
+for object.__setattr__ on every construction.  A knowledge base's lowered
+forms are shared by every query posed against its image, and translated
+again when a query changes the signature, so no code assigns to a field of
+a node once it is built.
 """
 
 from __future__ import annotations
@@ -40,17 +47,17 @@ ARITH_MULT = "*"
 ARITH_DIV = "/"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Rat:
     """Signed decimal rational, normalized so the scale is minimal.
 
@@ -61,36 +68,36 @@ class Rat:
     scale: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Builtin:
     which: str  # REAL | NEGREAL | NONNEGREAL
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TermSpine:
     items: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RowSpine:
     prefix: tuple
     row: str
     suffix: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Apply:
     head: object  # Var or Const
     spine: object  # TermSpine or RowSpine
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Kappa:
     var: str
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Arith:
     op: str
     left: object
@@ -101,98 +108,98 @@ class Arith:
 # Formulas
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bot:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Top:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Not:
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Impl:
     ante: object
     cons: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Iff:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class And:
     items: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Or:
     items: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ForallVars:
     names: tuple
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExistsVars:
     names: tuple
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ForallRow:
     name: str
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExistsRow:
     name: str
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Eq:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Instance:
     member: object
     cls: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Subclass:
     sub: object
     sup: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Le:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lt:
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RelAtom:
     head: object  # Const or Var
     spine: object
@@ -204,21 +211,21 @@ class RelAtom:
 
 # free: the form's free variables, (name, is_row) pairs in first-occurrence
 # order; out of repr, which the pinned lowering digests hash
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assertion:
     formula: object
     span: Span
     free: tuple = field(repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Query:
     formula: object
     span: Span
     free: tuple = field(repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Skipped:
     reason: str
     span: Span

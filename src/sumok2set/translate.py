@@ -24,7 +24,9 @@ with the query.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import islice
 
 from . import guards as guardmod
@@ -369,6 +371,29 @@ _CATALOG_RECORDS = {
 }
 
 
+def collector_paused(fn):
+    """fn, run with the cycle collector off and turned on again after.
+
+    A knowledge base compile builds tens of thousands of nodes and leaves no
+    reference cycle behind: reference counting frees all it drops, so the
+    collector's passes over the nodes it keeps would find nothing.  A
+    collector its caller turned off stays off, so a nested call does not
+    turn it on early.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 def _stem(path: str) -> str:
     import os
 
@@ -495,6 +520,7 @@ class KbForms:
     declarations: list  # the assertions signature.collect reads, in source order
 
 
+@collector_paused
 def read_kb(kb_paths: list, skip_heads=sumo.DEFAULT_SKIP_HEADS) -> KbForms:
     """Read and lower every knowledge base file."""
     stems: dict = {}
@@ -591,6 +617,7 @@ class KbImage:
         return problem, self.skips + q_skips, tr
 
 
+@collector_paused
 def compile_kb(forms: KbForms) -> KbImage:
     """The knowledge base read_kb read, translated under its own signature.
 
@@ -600,6 +627,7 @@ def compile_kb(forms: KbForms) -> KbImage:
     return KbImage(forms, signature_of(forms.declarations))
 
 
+@collector_paused
 def translate_query_job(
     kb,
     query_path: str,

@@ -133,20 +133,16 @@ def test_translate_selection_keeps_named_premises_and_their_defs(tmp_path, capsy
     assert run_cli(["check", str(out_file)], capsys) == (0, f"{out_file}: ok\n", "")
 
 
-def test_translate_selection_unknown_name(tmp_path, capsys):
-    code, out, err = run_cli(
-        [
-            "translate",
-            fixture_path("tqg3.kif"),
-            "--kb",
-            fixture_path("merge_fragment.kif"),
-            "--selection",
-            "kb_nonexistent_99",
-        ],
-        capsys,
-    )
-    assert code == 1
-    assert "kb_nonexistent_99" in err
+def test_translate_selection_unknown_name(capsys):
+    # the names come from the command line, so the error names the option,
+    # not the query file
+    names = "kb_merge_fragment_0,nosuch"
+    argv = ["translate", fixture_path("tqg3.kif"), "--kb", KB, "--selection", names]
+    message = "unknown premise name(s): nosuch"
+    assert run_cli(argv, capsys) == (1, "", f"error: --selection: {message}\n")
+    code, out, err = run_cli(argv + ["--errors-json"], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == [{"file": None, "line": None, "col": None, "error": message}]
 
 
 def test_translate_skips_a_binder_list_skip_head_and_renames_an_index_binder(

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumok2set import hforacle as hf
-from sumok2set.catalog import cc, encode_nat, ord_of
-from sumok2set.hostterm import All, App, Const, Eq, Imp, IOTA, Lam, Mem, Sep, Var, app, arrow
+from sumok2set.catalog import CATALOG, cc, encode_nat, ord_of
+from sumok2set.hostterm import All, App, Const, Eq, Imp, IOTA, Lam, Mem, OMICRON, Sep, Var, app, arrow
 
 from termhelpers import subterms
 
@@ -791,3 +791,33 @@ def test_check_claim_compiles_the_body_once(monkeypatch):
     assert res.ok and res.checked == 5456
     # a few compiles for the body's nodes, none per assignment
     assert len(calls) < 20
+
+
+# The background theory in the oracle's model: each catalog.p premise, its
+# prenex universals read as claim binders, either holds or cannot be decided
+# here, never fails.  The undecided ones read the reals or univ, which the
+# oracle does not interpret, the signature functions def_domseqm leaves
+# abstract, or run past what the oracle bounds (the dom_of definitions run
+# out of fuel, def_cons quantifies without a membership bound, def_len
+# applies len to a set that is no list).  The digest is of one
+# "premise: verdict" line per premise, in catalog order, the verdict being
+# "holds" or the reason the oracle gave up.
+CATALOG_VERDICTS_DIGEST = "b55cd9e09ec6b6b759ccd6f4855a1ea707a8723053b1673166f81e713d162cfa"
+_CLAIM_SORTS = {IOTA: "set", arrow(IOTA, IOTA): "list", OMICRON: "bool"}
+
+
+def test_every_catalog_premise_the_oracle_decides_holds():
+    verdicts = {}
+    for name in CATALOG.order:
+        for premise, _role, body in CATALOG.entries[name].premises:
+            binders = []
+            while type(body) is All:
+                binders.append((body.name, _CLAIM_SORTS[body.ty]))
+                body = body.body
+            claim = hf.Claim(len(verdicts) + 1, 0, premise, binders, body, None)
+            result = hf.check_claim(claim)
+            assert result.counterexample is None, (premise, result.counterexample)
+            verdicts[premise] = "holds" if result.ok else result.error
+    assert (len(verdicts), list(verdicts.values()).count("holds")) == (54, 32)
+    lines = "\n".join(f"{premise}: {verdict}" for premise, verdict in verdicts.items())
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == CATALOG_VERDICTS_DIGEST, lines

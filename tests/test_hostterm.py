@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from sumok2set import hostterm, sexpr, sumo, th0
+from sumok2set import hostterm, sexpr, sumo, th0, translate
 from sumok2set.catalog import CATALOG
 from sumok2set.hostterm import (
     IOTA,
@@ -41,6 +41,7 @@ from sumok2set.hostterm import (
     typecheck,
 )
 
+from conftest import fixture_path
 from termhelpers import alpha_eq, catalog_needs, const_names, consts, substitute, subterms
 
 O = OMICRON
@@ -152,6 +153,27 @@ def test_alpha_eq_sep_binder():
     assert alpha_eq(a, b)
 
 
+@pytest.mark.parametrize(
+    "bot, top, var",
+    [(Bot, Top, lambda: Var("X", IOTA)), (sumo.Bot, sumo.Top, lambda: sumo.Var("X"))],
+    ids=["hostterm", "sumo"],
+)
+def test_nodes_compare_and_hash_by_class_and_fields(bot, top, var):
+    # nodes are not frozen; equality and the hash still come from the class
+    # and the field values, so equal nodes built apart are one dict key
+    assert bot() != top() and bot() == bot() and hash(top()) == hash(top())
+    x, y = var(), var()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert len({x, y, bot(), bot()}) == 2
+
+
+def test_a_variable_is_not_the_constant_of_its_name():
+    x, c = Var("X", IOTA), Const("X", IOTA)
+    assert x != c and sumo.Var("X") != sumo.Const("X")
+    left, right = App(Const("f", arrow(IOTA, IOTA)), x), App(Const("f", arrow(IOTA, IOTA)), x)
+    assert left == right and hash(left) == hash(right) and left != App(left.fn, c)
+
+
 def test_chains():
     p, q, r = (Const(n, O) for n in "pqr")
     assert imp_chain([], r) == r
@@ -244,6 +266,14 @@ _SUMO_FORMS = sexpr.parse_forms(
 )
 
 
+_KB, _QUERY = fixture_path("merge_fragment.kif"), fixture_path("tqg3.kif")
+
+
+def _compile_and_pose():
+    image = translate.compile_kb(translate.read_kb([_KB]))
+    return image.pose(_QUERY, translate.load_lowered(_QUERY), image.sig)
+
+
 _PREMISE = All("X", IOTA, Conj(
     Mem(X, Sep("Z", Ite(Top(), S, X), Mem(Var("Z", IOTA), Sep("W", X, Subq(Var("W", IOTA), S))))),
     Eq(App(Sep("Z", S, Top()), X), Y),
@@ -261,10 +291,14 @@ _PREMISE = All("X", IOTA, Conj(
         lambda: CATALOG.background({"ord_add", "len", "dom_of"}),
         lambda: [sumo.lower(form) for form in _SUMO_FORMS],
         lambda: th0.render_premise("ax", "axiom", _PREMISE),
+        # whole compiles, which translate.collector_paused runs with the
+        # collector off: they must leave nothing that only it would free
+        lambda: translate.translate_query_job([_KB], _QUERY),
+        _compile_and_pose,
     ],
     ids=[
         "typecheck", "free_vars", "substitute", "Catalog.background", "sumo.lower",
-        "th0.render_premise",
+        "th0.render_premise", "translate_query_job", "compile_kb+pose",
     ],
 )
 def test_recursive_walks_leave_no_cyclic_garbage(walk):

@@ -652,6 +652,58 @@ def test_every_file_is_read_before_translation(tmp_path):
         translate_query_job([str(kb)], str(q))
 
 
+def test_collector_paused_restores_the_collector_state_it_found():
+    import gc
+
+    seen = []
+
+    @translate.collector_paused
+    def probe(fail=False, inner=None):
+        seen.append(gc.isenabled())
+        if inner is not None:
+            inner()
+            seen.append(gc.isenabled())  # a nested call did not turn it on
+        if fail:
+            raise ValueError("boom")
+        return "done"
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        assert probe() == "done" and gc.isenabled()
+        with pytest.raises(ValueError):
+            probe(fail=True)
+        assert gc.isenabled()
+        assert probe(inner=probe) == "done" and gc.isenabled()
+        assert seen == [False, False, False, False, False]
+        gc.disable()  # a caller's choice stands, on return and on raise
+        assert probe() == "done" and not gc.isenabled()
+        with pytest.raises(ValueError):
+            probe(fail=True)
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert probe.__name__ == "probe"
+
+
+def test_a_kb_compile_runs_with_the_collector_off(monkeypatch):
+    import gc
+
+    seen = []
+    for name in ("load_lowered", "translate_file"):
+        real = getattr(translate, name)
+        monkeypatch.setattr(
+            translate, name, lambda *a, real=real: seen.append(gc.isenabled()) or real(*a)
+        )
+    kb, query = fixture_path("merge_fragment.kif"), fixture_path("tqg3.kif")
+    assert gc.isenabled()
+    forms = translate.read_kb([kb])
+    image = translate.compile_kb(forms)
+    translate_query_job(image, query)
+    translate_query_job([kb], query)
+    assert gc.isenabled() and len(seen) == 8 and not any(seen)
+
+
 def test_translator_is_freed_by_reference_counting():
     # with the collector off, nothing may hold a job's translator in a cycle
     import gc
