@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import os
 import re
+import resource
 import stat
 import subprocess
 import sys
@@ -22,12 +23,35 @@ DEEP_P = b"thf(ty_a, type, a : $o).\nthf(conj, conjecture, %s).\n" % (
     b"(~ " * 2000 + b"a" + b")" * 2000
 )
 DEEP_LEMMAS = b"((" + b"(ordsucc @ " * 1500 + b"emptyset" + b")" * 1500 + b") = emptyset)\n"
+# 9^6 and 8^4 as von Neumann numerals: nat(531441) alone would take hundreds
+# of gigabytes, and nat(4096) takes hundreds of megabytes in ten units of fuel
+HUGE_NUMERAL = b"((ord_exp @ ord9 @ ord6) = emptyset)\n"
+BIG_NUMERAL = b"(~ (subq @ (ord_exp @ ord8 @ ord4) @ ord2))\n"
 PROCESS_INPUTS = {
     "bad.kif": b"\xff\xfe", "bad.p": b"\xff\xfe", "stray.kif": STRAY, "deep.kif": DEEP_KIF,
     "deep.p": DEEP_P, "deep.lemmas": DEEP_LEMMAS, "kappa.kif": NESTED_KAPPA.encode(),
+    "huge.lemmas": HUGE_NUMERAL,
     "capped.cfg": f"kb = {KB}\nquery = kappa.kif\ntimeout = 3000000\nout_dir = capped\n".encode(),
     "kappa.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = runs\n".encode(),
 }
+
+
+# the address space each command run in a process of its own may take, so a
+# run that builds a huge set fails alone instead of starving the host
+PROCESS_MEMORY_CAP = 512 * 2**20
+
+
+def run_process(argv, cwd):
+    """The command run as `python -m sumok2set.cli` under PROCESS_MEMORY_CAP."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (PROCESS_MEMORY_CAP, PROCESS_MEMORY_CAP))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "sumok2set.cli", *argv], cwd=cwd, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap, timeout=120,
+    )
 
 
 def run_cli(argv, capsys):
@@ -308,6 +332,25 @@ def test_oracle_non_utf8_file_exit_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {bad}:1:1: not UTF-8 text: invalid start byte\n"
+
+
+def test_oracle_refuses_numerals_past_the_bound(tmp_path):
+    # both claims end in an ERROR line as soon as the size of the numeral
+    # is known, before any of it is built; at --fuel 100 the second one
+    # would otherwise build nat(4096) and hold
+    lemmas = tmp_path / "big.lemmas"
+    lemmas.write_bytes(HUGE_NUMERAL + BIG_NUMERAL)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = run_process(["oracle", "--fuel", "100", str(lemmas)], tmp_path)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (done.returncode, done.stderr) == (1, ""), done.stderr
+    assert done.stdout == (
+        "claim 1 (line 1): ERROR ordinal arithmetic past the numeral bound 2048\n"
+        "claim 2 (line 2): ERROR ordinal arithmetic past the numeral bound 2048\n"
+        "0/2 claims hold\n"
+    )
+    # CPU time of the whole process, interpreter start included
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0
 
 
 @pytest.mark.parametrize("fuel", ["0", "-5", "x"])
@@ -740,6 +783,7 @@ PROCESS_RUNS = [
     (["check", "deep.p"], 1),
     (["oracle", "deep.lemmas"], 2),
     (["oracle", "--fuel", "0", fixture_path("claims.lemmas")], 2),
+    (["oracle", "huge.lemmas"], 1),
     (["run", "capped.cfg"], 2),
     (["translate", "--explain-guards", "--kb", KB, "kappa.kif"], 0),
     (["run", "kappa.cfg"], 0),
@@ -752,11 +796,7 @@ PROCESS_RUNS = [
 def test_cli_process_exits_without_a_traceback(argv, code, tmp_path):
     for name, data in PROCESS_INPUTS.items():
         (tmp_path / name).write_bytes(data)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "sumok2set.cli", *argv], cwd=tmp_path, capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=src),
-    )
+    done = run_process(argv, tmp_path)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
 
