@@ -21,7 +21,21 @@ and then only up to DESCRIBE_LIMIT characters.
 Terms are compiled once into closures (see Evaluator) that then run on each
 assignment.  Fuel bounds the work: one unit per term node evaluated, per
 separation member, per quantified value and per entry of a function
-tabulated as a list, and four per native ordinal operation.
+tabulated as a list, and four per native ordinal operation.  Ordinal
+arithmetic refuses, before building anything, a numeral past NUMERAL_BOUND,
+so that fuel bounds memory too.
+
+A claim's body is staged by binder level (a binding-time split in the sense
+of Jones, Gomard and Sestoft, "Partial Evaluation and Automatic Program
+Generation", 1993): a subterm that reads only the claim's first binders
+keeps its value while they keep theirs, and a spine prefix that reads fewer
+binders than the spine is a subterm of its own.  So a subterm is evaluated
+once per assignment of the binders it reads, and once per claim when it
+reads none.  Interning makes the reuse sound, since an unchanged binder is
+the same object.  Kept values are still demanded lazily, and a reuse charges
+the fuel the evaluation spent: fuel is charged as though each subterm were
+evaluated on every assignment, and every verdict, count, counterexample and
+error is that of evaluating the body afresh on each assignment.
 
 Quantifiers are handled when bounded: forall over a membership guard whose
 bound evaluates, forall over booleans, and the matching exists shapes.
@@ -305,9 +319,12 @@ def pair(a: HfSet, b: HfSet) -> HfSet:
     return hfset(hfset(a), hfset(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HfFn:
-    """Finite-support function on HF sets, empty set off the support."""
+    """Finite-support function on HF sets, empty set off the support.
+
+    Immutable by contract; equal when the tables are, and unhashable.
+    """
 
     table: dict  # arg -> val, no EMPTY values
 
@@ -387,6 +404,30 @@ def _ord_exp(a, b):
     return out
 
 
+# Ordinal arithmetic refuses to build a numeral past this bound: nat(n) and
+# the numerals below it, all kept memoized, hold about n * n / 2 members.
+NUMERAL_BOUND = 2048
+
+
+# The number of members of the numeral each operation below would build from
+# numerals a and b, worked out from their values; 0 when it builds none, as
+# when the operation raises first on an operand that is no numeral.
+def _sum_size(a, b):
+    return len(a.elems) + b._nat if b._nat > 0 else 0
+
+
+def _product_size(a, b):
+    return a._nat * b._nat if a._nat > 0 and b._nat > 0 else 0
+
+
+def _power_size(a, b):
+    m, n = a._nat, b._nat
+    if m < 2 or n < 1:
+        return 0  # nat(0), nat(1) or an error
+    # 2 ** n is already past the bound, so no huge power is computed
+    return m**n if n <= NUMERAL_BOUND.bit_length() else math.inf
+
+
 def _ord_sub(a, b):
     while b is not EMPTY and a is not EMPTY:
         a, b = pred(a), pred(b)
@@ -461,6 +502,9 @@ class Evaluator:
         if interp:
             self.interp.update(interp)
         self._defn_cache: dict = {}
+        self.defn_fuel = 0  # fuel spent expanding catalog definitions
+        # the binder names of the claim whose body is compiling, else None
+        self.claim_names = None
 
     # -- constant table ----------------------------------------------------
 
@@ -482,19 +526,27 @@ class Evaluator:
             return with_list
 
         def len_of(l):
-            fn = self.to_list_fn(l)
-            return HfSet(k for k in fn.table if k._nat >= 0)
+            table = self.to_list_fn(l).table
+            n = len(table)
+            # n distinct numerals below n are the members of nat(n)
+            if all(0 <= k._nat < n for k in table):
+                return nat(n)
+            return HfSet(k for k in table if k._nat >= 0)
 
         def listset(l):
             fn = self.to_list_fn(l)
             return HfSet(pair(k, v) for k, v in fn.table.items())
 
-        def ordinal(op):
+        def ordinal(op, size):
             def curried(a):
                 def applied(b):
-                    self.use_fuel(4)
+                    self.fuel -= 4
+                    if self.fuel < 0:
+                        raise OutOfFuel(_OUT_OF_FUEL)
                     if isinstance(a, _Omega) or isinstance(b, _Omega):
                         raise Unsupported("ordinal arithmetic on omega")
+                    if size(a, b) > NUMERAL_BOUND:
+                        raise Unsupported(f"ordinal arithmetic past the numeral bound {NUMERAL_BOUND}")
                     return op(a, b)
 
                 return applied
@@ -511,10 +563,10 @@ class Evaluator:
             "omega": OMEGA,
             "nat_p": lambda x: isinstance(x, HfSet) and is_nat(x) is not None,
             **{f"ord{k}": nat(k) for k in range(11)},
-            "ord_add": ordinal(_ord_add),
-            "ord_mult": ordinal(_ord_mult),
-            "ord_exp": ordinal(_ord_exp),
-            "ord_sub": ordinal(_ord_sub),
+            "ord_add": ordinal(_ord_add, _sum_size),
+            "ord_mult": ordinal(_ord_mult, _product_size),
+            "ord_exp": ordinal(_ord_exp, _power_size),
+            "ord_sub": ordinal(_ord_sub, lambda a, b: 0),
             "tag": lambda x: hfset(x),
             "untag": untag,
             "nil": HfFn({}),
@@ -551,8 +603,11 @@ class Evaluator:
         defn = CATALOG.defn_of(name) if name in CATALOG else None
         if defn is None:
             raise UninterpretedConstant(name)
+        spent, fuel = self.defn_fuel, self.fuel
         value = self.eval(defn, {})
         self._defn_cache[name] = value
+        # what nested expansions spent is part of this one
+        self.defn_fuel = spent + fuel - self.fuel
         return value
 
     def eval(self, t, env):
@@ -593,8 +648,113 @@ def _compile(ev, t, scope: tuple, owed: int = 0):
 
     owed is fuel charged by enclosing nodes that have done nothing since;
     the closure pays it with the charge for t itself.
+
+    While a claim's body compiles (see _compile_claim), t is staged: when it
+    reads no claim binder after the one at slot level, and that is below
+    the level the enclosing code runs at, its closure keeps its value for
+    reuse until a binder up to level changes.
     """
-    return _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+    if ev.claim_names is None:
+        return _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+    k = len(ev.claim_names)
+    staged = ev.stage
+    depth, ceiling = staged
+    if len(scope) > depth:
+        ceiling = k  # under a binder of its own, the code runs once per value
+    if ceiling < 0 or type(t) in _LEAVES:
+        return _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+    level = _binder_level(t, scope, k)
+    hoist = level is not None and level < ceiling
+    if hoist:
+        ev.stage = (len(scope), level)
+    try:
+        if type(t) is App:
+            run = _compile_app(ev, t, scope, owed, _spine_split(t, scope, k, level))
+        else:
+            run = _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+    finally:
+        ev.stage = staged
+    return _reused(ev, run, level) if hoist else run
+
+
+# nodes whose evaluation costs no more than reusing a kept value would
+_LEAVES = (Var, Const, Top, Bot)
+
+
+def _slot(scope, name):
+    """The index of name's innermost binding in scope, None when unbound."""
+    if name not in scope:
+        return None
+    return len(scope) - 1 - scope[::-1].index(name)
+
+
+def _binder_level(t, scope, k):
+    """The slot of the last claim binder t reads, -1 when it reads none.
+
+    The claim binders are the first k names of scope.  None when t reads a
+    name bound inside the claim, or one bound nowhere.
+    """
+    level = -1
+    for name, _ty in free_vars(t):
+        slot = _slot(scope, name)
+        if slot is None or slot >= k:
+            return None
+        level = max(level, slot)
+    return level
+
+
+def _spine_split(t, scope, k, level):
+    """The longest proper prefix h @ a1 @ ... @ ai of the spine t that reads
+    only claim binders before level (any claim binders, when level is None),
+    or None."""
+    prefix = t.fn
+    while type(prefix) is App:
+        at = _binder_level(prefix, scope, k)
+        if at is not None and (level is None or at < level):
+            return prefix
+        prefix = prefix.fn
+    return None
+
+
+def _reused(ev, run, level):
+    """run, keeping its value while the epoch of the binder at level stands.
+
+    A reuse charges the fuel the evaluation spent, less what expanding
+    catalog definitions cost it, which is paid once per evaluator; so fuel
+    runs out on the same assignment as if run ran again.
+    """
+    epochs = ev.epochs
+    stamp = value = spent = None
+
+    def reuse(env):
+        nonlocal stamp, value, spent
+        if stamp == epochs[level]:
+            ev.fuel -= spent
+            if ev.fuel < 0:
+                raise OutOfFuel(_OUT_OF_FUEL)
+            return value
+        fuel, expanding = ev.fuel, ev.defn_fuel
+        value = run(env)
+        spent = fuel - ev.fuel - (ev.defn_fuel - expanding)
+        stamp = epochs[level]
+        return value
+
+    return reuse
+
+
+def _compile_claim(ev, body, names: tuple):
+    """The closure for a claim's body over its binders, staged by level.
+
+    Returns the closure and the epochs it reads: one counter per binder,
+    which the caller moves for each binder whose value, or an earlier
+    binder's, changed, and a last one for closed subterms that never moves.
+    """
+    k = len(names)
+    ev.claim_names, ev.epochs, ev.stage = names, [0] * (k + 1), (k, k - 1)
+    try:
+        return _compile(ev, body, names), ev.epochs
+    finally:
+        ev.claim_names = None
 
 
 def _charged(ev, n: int, value):
@@ -620,10 +780,9 @@ def _compile_unknown(ev, t, scope, owed):
 
 
 def _compile_var(ev, t, scope, owed):
-    n = owed + 1
-    if t.name not in scope:
+    n, slot = owed + 1, _slot(scope, t.name)
+    if slot is None:
         return _failing(ev, n, f"unbound variable {t.name}")
-    slot = len(scope) - 1 - scope[::-1].index(t.name)
 
     def var(env):
         ev.fuel -= n
@@ -650,10 +809,12 @@ def _compile_const(ev, t, scope, owed):
     return const
 
 
-def _compile_app(ev, t, scope, owed):
-    # the spine h @ a1 @ ... @ an charges n + 1 before evaluating any ai
+def _compile_app(ev, t, scope, owed, stop=None):
+    # the spine h @ a1 @ ... @ an charges n + 1 before evaluating any ai; a
+    # prefix stop of the spine is a head of its own, and owes the charges of
+    # the applications around it
     args = []
-    while type(t) is App:
+    while type(t) is App and t is not stop:
         args.append(t.arg)
         t = t.fn
     args.reverse()
@@ -1018,12 +1179,21 @@ def check_claim(claim: Claim, fuel: int = DEFAULT_FUEL) -> ClaimResult:
     interp = STUBS[claim.stub]() if claim.stub else None
     ev = Evaluator(interp=interp, fuel=fuel)
     domains = [generators(sort) for _, sort in claim.binders]
-    names = [name for name, _ in claim.binders]
+    names = tuple(name for name, _ in claim.binders)
     checked = 0
     try:
-        body = _compile(ev, claim.body, tuple(names))
+        body, epochs = _compile_claim(ev, claim.body, names)
+        last = ()
         for values in itertools.product(*domains):
             checked += 1
+            # a binder's epoch moves when its value or an earlier one's is
+            # another object; a domain may repeat one
+            i = 0
+            while i < len(last) and values[i] is last[i]:
+                i += 1
+            for j in range(i, len(values)):
+                epochs[j] += 1
+            last = values
             if not body(values):
                 return ClaimResult(
                     claim,

@@ -7,6 +7,7 @@ checker is exercised on both holding and failing identities.
 import copy
 import gc
 import hashlib
+import itertools
 import pickle
 import weakref
 
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from sumok2set import hforacle as hf
 from sumok2set.catalog import CATALOG, cc, encode_nat, ord_of
-from sumok2set.hostterm import All, App, Const, Eq, Imp, IOTA, Lam, Mem, OMICRON, Sep, Var, app, arrow
+from sumok2set.hostterm import (
+    All, App, Const, Eq, Imp, IOTA, Ite, Lam, Mem, OMICRON, Sep, Top, Var, app, arrow,
+)
 
 from termhelpers import subterms
 
@@ -307,6 +310,14 @@ def test_len_of_lists():
     assert e.eval(App(cc("len"), one), env) == hf.nat(1)
     two = app(cc("cons"), cc("ord0"), one)
     assert e.eval(App(cc("len"), two), env) == hf.nat(2)
+    # len is the set of numeral indices a table holds, a numeral or not
+    length = App(cc("len"), Var("L", arrow(IOTA, IOTA)))
+    holes = [{1: 0}, {0: 3, 2: 1}, {1: 1, 2: 2, 3: 3}, {0: 0, 1: 0, 2: 0}]
+    for table in holes:
+        fn = hf.hffn({hf.nat(k): hf.hfset(hf.nat(v)) for k, v in table.items()})
+        assert e.eval(length, {"L": fn}) is hf.HfSet(map(hf.nat, table)), table
+    tagged = hf.hffn({hf.nat(0): hf.nat(1), hf.hfset(hf.nat(1)): hf.nat(1)})
+    assert e.eval(length, {"L": tagged}) is hf.nat(1)
 
 
 def test_cons_semantics():
@@ -795,29 +806,227 @@ def test_check_claim_compiles_the_body_once(monkeypatch):
 
 # The background theory in the oracle's model: each catalog.p premise, its
 # prenex universals read as claim binders, either holds or cannot be decided
-# here, never fails.  The undecided ones read the reals or univ, which the
-# oracle does not interpret, the signature functions def_domseqm leaves
-# abstract, or run past what the oracle bounds (the dom_of definitions run
+# here, never fails.  def_domseqm reads the signature functions, which it
+# leaves abstract, so it is checked under the fixed_arity stub.  The
+# undecided ones read the reals or univ, which the oracle does not
+# interpret, or run past what the oracle bounds (the dom_of definitions run
 # out of fuel, def_cons quantifies without a membership bound, def_len
 # applies len to a set that is no list).  The digest is of one
 # "premise: verdict" line per premise, in catalog order, the verdict being
 # "holds" or the reason the oracle gave up.
-CATALOG_VERDICTS_DIGEST = "b55cd9e09ec6b6b759ccd6f4855a1ea707a8723053b1673166f81e713d162cfa"
+CATALOG_VERDICTS_DIGEST = "9d4d37d8261012a3cdd125add305016df4d08212420ee3c57890ada1a1791670"
 _CLAIM_SORTS = {IOTA: "set", arrow(IOTA, IOTA): "list", OMICRON: "bool"}
+_PREMISE_STUBS = {"def_domseqm": "fixed_arity"}
 
 
-def test_every_catalog_premise_the_oracle_decides_holds():
-    verdicts = {}
+def catalog_claims():
+    """Each catalog premise as a claim, its prenex universals as binders."""
+    claims = []
     for name in CATALOG.order:
         for premise, _role, body in CATALOG.entries[name].premises:
             binders = []
             while type(body) is All:
                 binders.append((body.name, _CLAIM_SORTS[body.ty]))
                 body = body.body
-            claim = hf.Claim(len(verdicts) + 1, 0, premise, binders, body, None)
-            result = hf.check_claim(claim)
-            assert result.counterexample is None, (premise, result.counterexample)
-            verdicts[premise] = "holds" if result.ok else result.error
-    assert (len(verdicts), list(verdicts.values()).count("holds")) == (54, 32)
+            stub = _PREMISE_STUBS.get(premise)
+            claims.append(hf.Claim(len(claims) + 1, 0, premise, binders, body, stub))
+    return claims
+
+
+def test_every_catalog_premise_the_oracle_decides_holds():
+    verdicts = {}
+    for claim in catalog_claims():
+        result = hf.check_claim(claim)
+        assert result.counterexample is None, (claim.text, result.counterexample)
+        verdicts[claim.text] = "holds" if result.ok else result.error
+    assert (len(verdicts), list(verdicts.values()).count("holds")) == (54, 33)
     lines = "\n".join(f"{premise}: {verdict}" for premise, verdict in verdicts.items())
     assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == CATALOG_VERDICTS_DIGEST, lines
+
+
+# Staged evaluation against the per-assignment loop it replaces: the body
+# evaluated afresh by Evaluator.eval on each assignment, on one evaluator,
+# so fuel and expanded catalog definitions carry over as in check_claim.
+def reference_check(claim, fuel=hf.DEFAULT_FUEL):
+    interp = hf.STUBS[claim.stub]() if claim.stub else None
+    e = hf.Evaluator(interp=interp, fuel=fuel)
+    names = [name for name, _ in claim.binders]
+    checked = 0
+    try:
+        for values in itertools.product(*(hf.generators(sort) for _, sort in claim.binders)):
+            checked += 1
+            if not e.eval(claim.body, dict(zip(names, values))):
+                return (False, checked, hf._describe_env(names, values), None)
+    except hf.OracleError as err:
+        return (False, checked, None, str(err))
+    return (True, checked, None, None)
+
+
+def staged_check(claim, fuel=hf.DEFAULT_FUEL):
+    res = hf.check_claim(claim, fuel=fuel)
+    return (res.ok, res.checked, res.counterexample, res.error)
+
+
+WRONG_IDENTITY = "![X:set, R:list]: ((len @ (cons @ X @ R)) = (len @ R))\n"
+
+
+def staging_cases():
+    """Claims whose subterms stage in each way, with their verdicts.
+
+    A one-binder claim reading its binder under a quantifier, a closed
+    claim with a closed subterm under one, and Unsupported subterms that no
+    assignment demands, in an => or an Ite branch.
+    """
+    claims = hf.parse_lemmas(
+        "![X:set]: (! [Y : $i] : ((in @ Y @ X) => (in @ Y @ (ordsucc @ X))))\n"
+        "(! [Y : $i] : ((in @ Y @ ord3) => (in @ Y @ (ord_add @ ord2 @ ord1))))\n"
+        "![X:set]: ((in @ X @ emptyset) => ((ordsucc @ omega) = X))\n"
+        "![X:set, N:nat]: ((in @ X @ emptyset) => ((ord_add @ N @ omega) = X))\n"
+    )
+    x = Var("X", IOTA)
+    unsupported = Eq(App(cc("ordsucc"), cc("omega")), x)
+    claims.append(hf.Claim(5, 0, "ite", [("X", "set")], Ite(Eq(x, x), Top(), unsupported), None))
+    return list(zip(claims, [16, 1, 16, 64, 16]))
+
+
+def staging_claims():
+    from conftest import fixture_path
+
+    with open(fixture_path("claims.lemmas"), encoding="utf-8") as fh:
+        claims = hf.parse_lemmas(fh.read() + WRONG_IDENTITY)
+    return claims + [claim for claim, _ in staging_cases()] + catalog_claims()
+
+
+@pytest.mark.parametrize("fuel", [5, 60, 1_000, 20_000, 300_000, hf.DEFAULT_FUEL])
+def test_check_claim_matches_the_per_assignment_loop(fuel):
+    claims = staging_claims()
+    if fuel == hf.DEFAULT_FUEL:
+        # the dom_of premises spend all of it, which takes the reference
+        # seconds; 300_000 already runs them out of fuel after reuses
+        claims = [c for c in claims if not c.text.startswith("def_dom_of")]
+    for claim in claims:
+        assert staged_check(claim, fuel) == reference_check(claim, fuel), (claim.text, fuel)
+
+
+def test_staged_claims_of_each_shape_hold():
+    for claim, checked in staging_cases():
+        assert staged_check(claim) == (True, checked, None, None), claim.text
+
+
+def counting_stub(monkeypatch):
+    """Install stub "counting": fixed_arity, its arity and domseq recording
+    each argument they are applied to."""
+    calls = []
+
+    def stub():
+        interp = hf._stub_fixed_arity()
+        domseq = interp["domseq"]
+        interp["arity"] = lambda r: calls.append(r) or hf.nat(2)
+        interp["domseq"] = lambda r: calls.append(r) or domseq(r)
+        return interp
+
+    monkeypatch.setitem(hf.STUBS, "counting", stub)
+    return calls
+
+
+OUTER_ONLY = "!stub counting\n![R:set, I:set]: ((in @ I @ (arity @ R)) => (in @ I @ ord2))\n"
+
+
+def test_an_outer_only_subterm_runs_once_per_outer_value(monkeypatch):
+    calls = counting_stub(monkeypatch)
+    (claim,) = hf.parse_lemmas(OUTER_ONLY)
+    assert staged_check(claim) == (True, 256, None, None)
+    assert calls == hf.sets_of_rank(3)
+    calls.clear()
+    assert reference_check(claim) == (True, 256, None, None)
+    assert len(calls) == 256
+    # under a quantifier, a subterm reading only the claim binders is kept
+    # for the next quantified value, even at the last binder's level
+    calls.clear()
+    (claim,) = hf.parse_lemmas(
+        "!stub counting\n![R:set]: (! [Y : $i] : ((in @ Y @ ord2) => (in @ Y @ (arity @ R))))\n"
+    )
+    assert staged_check(claim) == (True, 16, None, None)
+    assert calls == hf.sets_of_rank(3)
+    # a spine's prefix that reads fewer binders is a subterm of its own
+    calls.clear()
+    (claim,) = hf.parse_lemmas("!stub counting\n![R:set, I:set]: ((domseq @ R @ I) = (tag @ I))\n")
+    assert staged_check(claim) == (True, 256, None, None)
+    assert calls == hf.sets_of_rank(3)
+
+
+class _Definitions:
+    """A catalog of the given definitions alone."""
+
+    def __init__(self, defs):
+        self.defs = defs
+
+    def __contains__(self, name):
+        return name in self.defs
+
+    def defn_of(self, name):
+        return self.defs[name]
+
+
+def test_reuse_charges_no_definition_expansion(monkeypatch):
+    # expanding "two" expands "one" inside it: each is paid once, on first
+    # use, and no reuse of a subterm that first expanded them pays again
+    one, two = Const("one", IOTA), Const("two", IOTA)
+    monkeypatch.setattr(
+        hf, "CATALOG",
+        _Definitions({"one": App(cc("ordsucc"), cc("ord0")), "two": app(cc("ord_add"), one, one)}),
+    )
+    side = app(cc("ord_add"), Var("X", IOTA), two)
+    claim = hf.Claim(1, 0, "defs", [("X", "set"), ("Y", "set")], Eq(side, side), None)
+    assert staged_check(claim) == (True, 256, None, None)
+    # fuel runs out on the same assignment at every cap up to what it needs
+    for fuel in range(1, 5000, 61):
+        assert staged_check(claim, fuel) == reference_check(claim, fuel), fuel
+
+
+def test_a_domain_that_repeats_an_object(monkeypatch):
+    calls = counting_stub(monkeypatch)
+    real = hf.generators
+    monkeypatch.setattr(hf, "generators", lambda sort: [v for v in real(sort) for _ in (0, 1)])
+    (claim,) = hf.parse_lemmas(OUTER_ONLY)
+    # a value repeated in a row is no change of binder, and consecutive
+    # assignments may be equal throughout
+    assert staged_check(claim) == (True, 32 * 32, None, None)
+    assert calls == hf.sets_of_rank(3)
+    claims = hf.parse_lemmas("![X:set, R:list]: ((cons @ X @ R @ emptyset) = (tag @ X))\n" + WRONG_IDENTITY)
+    for claim in [claim] + claims + [c for c, _ in staging_cases()]:
+        for fuel in (60, 20_000, hf.DEFAULT_FUEL):
+            assert staged_check(claim, fuel) == reference_check(claim, fuel), (claim.text, fuel)
+
+
+@pytest.mark.parametrize(
+    "op, value",
+    [
+        ("ord_add", lambda m, n: m + n),
+        ("ord_mult", lambda m, n: m * n),
+        ("ord_exp", lambda m, n: m**n),
+        ("ord_sub", lambda m, n: max(m - n, 0)),
+    ],
+)
+def test_ordinal_arithmetic_refuses_numerals_past_the_bound(op, value, monkeypatch):
+    monkeypatch.setattr(hf, "NUMERAL_BOUND", 10)
+    term = app(cc(op), Var("A", IOTA), Var("B", IOTA))
+    for m in range(11):
+        for n in range(11):
+            env = {"A": hf.nat(m), "B": hf.nat(n)}
+            if op != "ord_sub" and value(m, n) > 10:
+                with pytest.raises(hf.Unsupported, match="^ordinal arithmetic past the numeral bound 10$"):
+                    run(term, env)
+            else:
+                assert run(term, env) is hf.nat(value(m, n)), (m, n)
+    # an operand that is no numeral fails as before, whatever the bound
+    odd = hf.hfset(hf.hfset(hf.EMPTY))
+    with pytest.raises(hf.OracleError, match="^not a successor numeral"):
+        run(term, {"A": hf.nat(12), "B": odd})
+    # adding to a set that is no numeral builds a set one larger per step
+    if op == "ord_add":
+        with pytest.raises(hf.Unsupported, match="past the numeral bound"):
+            run(term, {"A": odd, "B": hf.nat(10)})
+        assert len(run(term, {"A": odd, "B": hf.nat(9)})) == 10
+    # a numeral past the bound stays an operand
+    assert run(app(cc("ord_sub"), Var("A", IOTA), cc("ord1")), {"A": hf.nat(12)}) is hf.nat(11)
