@@ -503,8 +503,11 @@ class Evaluator:
             self.interp.update(interp)
         self._defn_cache: dict = {}
         self.defn_fuel = 0  # fuel spent expanding catalog definitions
-        # the binder names of the claim whose body is compiling, else None
+        # while a claim's body compiles (see _compile_claim): its binder
+        # names, their epochs, and the scope depth and binder level at which
+        # the code being compiled runs; claim_names is None otherwise
         self.claim_names = None
+        self.epochs = self.stage = None
 
     # -- constant table ----------------------------------------------------
 
@@ -649,10 +652,11 @@ def _compile(ev, t, scope: tuple, owed: int = 0):
     owed is fuel charged by enclosing nodes that have done nothing since;
     the closure pays it with the charge for t itself.
 
-    While a claim's body compiles (see _compile_claim), t is staged: when it
-    reads no claim binder after the one at slot level, and that is below
-    the level the enclosing code runs at, its closure keeps its value for
-    reuse until a binder up to level changes.
+    While a claim's body compiles (see _compile_claim), t is staged.  Its
+    level is the slot of the last claim binder it reads.  When the code
+    around t runs more often than that, once per value of a later claim
+    binder or of a binder inside the claim, t's closure keeps its value
+    until a claim binder up to its level changes.
     """
     if ev.claim_names is None:
         return _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
@@ -667,13 +671,11 @@ def _compile(ev, t, scope: tuple, owed: int = 0):
     hoist = level is not None and level < ceiling
     if hoist:
         ev.stage = (len(scope), level)
-    try:
-        if type(t) is App:
-            run = _compile_app(ev, t, scope, owed, _spine_split(t, scope, k, level))
-        else:
-            run = _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
-    finally:
-        ev.stage = staged
+    if type(t) is App:
+        run = _compile_app(ev, t, scope, owed, _spine_split(t, scope, k, level))
+    else:
+        run = _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+    ev.stage = staged
     return _reused(ev, run, level) if hoist else run
 
 

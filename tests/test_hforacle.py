@@ -622,6 +622,10 @@ def test_error_text_is_bounded(monkeypatch):
     )
 
 
+# acceptance criterion 3's planted wrong identity
+WRONG_IDENTITY = "![X:set, R:list]: ((len @ (cons @ X @ R)) = (len @ R))\n"
+
+
 # sha256 of format_results on the shipped claims and on acceptance
 # criterion 3's planted wrong identity; every set they print is below the
 # description cap, so capping changes none of it
@@ -636,7 +640,7 @@ def test_lemma_output_unchanged_without_large_keys(monkeypatch, tmp_path):
 
     _refuse_keys_of_large_sets(monkeypatch)
     wrong = tmp_path / "wrong.lemmas"
-    wrong.write_text("![X:set, R:list]: ((len @ (cons @ X @ R)) = (len @ R))\n")
+    wrong.write_text(WRONG_IDENTITY)
     for name, path in (("claims.lemmas", fixture_path("claims.lemmas")), ("wrong.lemmas", str(wrong))):
         out = hf.format_results(hf.run_lemma_file(path))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEMMA_OUTPUT_DIGESTS[name]
@@ -734,7 +738,7 @@ def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
     from conftest import fixture_path
 
     wrong = tmp_path / "wrong.lemmas"
-    wrong.write_text("![X:set, R:list]: ((len @ (cons @ X @ R)) = (len @ R))\n")
+    wrong.write_text(WRONG_IDENTITY)
     results = hf.run_lemma_file(fixture_path("claims.lemmas"), fuel=fuel)
     out = hf.format_results(results)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FUEL_CAPPED_DIGESTS[fuel]
@@ -865,9 +869,6 @@ def reference_check(claim, fuel=hf.DEFAULT_FUEL):
 def staged_check(claim, fuel=hf.DEFAULT_FUEL):
     res = hf.check_claim(claim, fuel=fuel)
     return (res.ok, res.checked, res.counterexample, res.error)
-
-
-WRONG_IDENTITY = "![X:set, R:list]: ((len @ (cons @ X @ R)) = (len @ R))\n"
 
 
 def staging_cases():
