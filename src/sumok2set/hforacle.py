@@ -661,8 +661,8 @@ def _compile(ev, t, scope: tuple, owed: int = 0):
     if ev.claim_names is None:
         return _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
     k = len(ev.claim_names)
-    staged = ev.stage
-    depth, ceiling = staged
+    outer = ev.stage
+    depth, ceiling = outer
     if len(scope) > depth:
         ceiling = k  # under a binder of its own, the code runs once per value
     if ceiling < 0 or type(t) in _LEAVES:
@@ -675,7 +675,7 @@ def _compile(ev, t, scope: tuple, owed: int = 0):
         run = _compile_app(ev, t, scope, owed, _spine_split(t, scope, k, level))
     else:
         run = _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
-    ev.stage = staged
+    ev.stage = outer
     return _reused(ev, run, level) if hoist else run
 
 
