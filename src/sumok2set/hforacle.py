@@ -3,27 +3,29 @@
 Terms of the host language are evaluated in the universe of hereditarily
 finite sets: individuals are HfSet values, list encodings are finite-support
 functions defaulting to the empty set, booleans are Python booleans, and
-higher types are closures.  Ordinal arithmetic recurses on the von Neumann
-structure of its arguments rather than converting to machine integers, so a
-comparison against int arithmetic is a genuinely independent check.
+higher types are closures.  A numeral's value is checked against its von
+Neumann structure once, when the numeral is interned; ordinal arithmetic
+reads its operands' values and builds its result once.  The numeral encoder
+has two independent checks: the evaluation of its digit polynomials here,
+and catalog.rational_value.
 
 Sets are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): HfSet looks its elements up in a
 process-wide weak table, so each distinct set is one object and equality is
 identity.  The table holds its sets weakly and keeps nothing alive; only the
 numerals up to the largest one requested stay memoized.  Arithmetic, equality,
-is_nat, pred and list tables never build a set's key string, and arithmetic
-loops instead of recursing, so numeral size is bounded neither by recursion
-depth nor by key length.  Members are ordered as their keys would be, by a
-comparison that builds no key.  Key strings are built only to print a set,
-and then only up to DESCRIBE_LIMIT characters.
+is_nat, pred and list tables neither build a set's key string nor recurse, so
+numeral size is bounded neither by recursion depth nor by key length.
+Members are ordered as their keys would be, by a comparison that builds no
+key.  Key strings are built only to print a set, and then only up to
+DESCRIBE_LIMIT characters.
 
 Terms are compiled once into closures (see Evaluator) that then run on each
 assignment.  Fuel bounds the work: one unit per term node evaluated, per
 separation member, per quantified value and per entry of a function
 tabulated as a list, and four per native ordinal operation.  Ordinal
-arithmetic refuses, before building anything, a numeral past NUMERAL_BOUND,
-so that fuel bounds memory too.
+arithmetic and power refuse, before building anything, a set of more than
+NUMERAL_BOUND members, so that fuel bounds memory too.
 
 A claim's body is staged by binder level (a binding-time split in the sense
 of Jones, Gomard and Sestoft, "Partial Evaluation and Automatic Program
@@ -336,6 +338,13 @@ def hffn(mapping) -> HfFn:
     return HfFn({k: v for k, v in mapping.items() if v is not EMPTY})
 
 
+def _list_length(table):
+    """n when the keys of table are nat(0) .. nat(n - 1), else None."""
+    n = len(table)
+    # n distinct numerals below n are the members of nat(n)
+    return n if all(0 <= k._nat < n for k in table) else None
+
+
 def mk_hflist(entries) -> HfFn:
     return hffn({nat(i): hfset(e) for i, e in enumerate(entries)})
 
@@ -354,78 +363,51 @@ OMEGA = _Omega()
 # Native constant meanings
 
 
-def _steps_down(b) -> int:
-    """How many pred steps lead from b to the empty set.
-
-    The whole chain is walked before any arithmetic, so a broken chain in
-    b is reported before any error the other operand would raise.
-    """
-    steps = 0
-    while b is not EMPTY:
-        b = pred(b)
-        steps += 1
-    return steps
-
-
-def _succ_times(a, steps: int):
-    for _ in range(steps):
-        a = succ(a)
-    return a
-
-
-def _repeat_add(a, steps: int):
-    """The empty set with a added steps times.
-
-    a's chain is walked once, and only when steps is nonzero.
-    """
-    out = EMPTY
-    if steps:
-        width = _steps_down(a)
-        for _ in range(steps):
-            out = _succ_times(out, width)
-    return out
-
-
-def _ord_add(a, b):
-    return _succ_times(a, _steps_down(b))
-
-
-def _ord_mult(a, b):
-    return _repeat_add(a, _steps_down(b))
-
-
-def _ord_exp(a, b):
-    steps = _steps_down(b)
-    out = nat(1)
-    if steps:
-        width = _steps_down(a)
-        for _ in range(steps):
-            out = _repeat_add(out, width)
-    return out
-
-
-# Ordinal arithmetic refuses to build a numeral past this bound: nat(n) and
+# Arithmetic and power build no set of more members than this: nat(n) and
 # the numerals below it, all kept memoized, hold about n * n / 2 members.
 NUMERAL_BOUND = 2048
 
 
-# The number of members of the numeral each operation below would build from
-# numerals a and b, worked out from their values; 0 when it builds none, as
-# when the operation raises first on an operand that is no numeral.
-def _sum_size(a, b):
-    return len(a.elems) + b._nat if b._nat > 0 else 0
+def _bounded(size: int, what: str = "ordinal arithmetic") -> int:
+    """size, when a set of that many members may be built."""
+    if size > NUMERAL_BOUND:
+        raise Unsupported(f"{what} past the numeral bound {NUMERAL_BOUND}")
+    return size
 
 
-def _product_size(a, b):
-    return a._nat * b._nat if a._nat > 0 and b._nat > 0 else 0
+def _value(x) -> int:
+    """The integer the numeral x stands for, recorded when x was interned.
+
+    A set that is no numeral walks its pred chain instead, which raises at
+    the first set in it that is no successor.
+    """
+    while x._nat < 0:
+        x = pred(x)
+    return x._nat
 
 
-def _power_size(a, b):
-    m, n = a._nat, b._nat
-    if m < 2 or n < 1:
-        return 0  # nat(0), nat(1) or an error
-    # 2 ** n is already past the bound, so no huge power is computed
-    return m**n if n <= NUMERAL_BOUND.bit_length() else math.inf
+# Each operation reads b's value before a's, so an error in b is the one
+# reported, and reads a's only when the result depends on it.
+def _ord_add(a, b):
+    n = _value(b)
+    if n == 0:
+        return a
+    size = _bounded(len(a.elems) + n)
+    if a._nat >= 0:
+        return nat(size)
+    for _ in range(n):  # a set that is no numeral gains a member per step
+        a = succ(a)
+    return a
+
+
+def _ord_mult(a, b):
+    n = _value(b)
+    return nat(_bounded(_value(a) * n)) if n else EMPTY
+
+
+def _ord_exp(a, b):
+    n = _value(b)
+    return nat(_bounded(_value(a) ** n)) if n else nat(1)
 
 
 def _ord_sub(a, b):
@@ -530,9 +512,8 @@ class Evaluator:
 
         def len_of(l):
             table = self.to_list_fn(l).table
-            n = len(table)
-            # n distinct numerals below n are the members of nat(n)
-            if all(0 <= k._nat < n for k in table):
+            n = _list_length(table)
+            if n is not None:
                 return nat(n)
             return HfSet(k for k in table if k._nat >= 0)
 
@@ -540,7 +521,12 @@ class Evaluator:
             fn = self.to_list_fn(l)
             return HfSet(pair(k, v) for k, v in fn.table.items())
 
-        def ordinal(op, size):
+        def power(x):
+            if isinstance(x, HfSet):
+                _bounded(2 ** len(x.elems), "power set")
+            return _powerset(x)
+
+        def ordinal(op):
             def curried(a):
                 def applied(b):
                     self.fuel -= 4
@@ -548,8 +534,6 @@ class Evaluator:
                         raise OutOfFuel(_OUT_OF_FUEL)
                     if isinstance(a, _Omega) or isinstance(b, _Omega):
                         raise Unsupported("ordinal arithmetic on omega")
-                    if size(a, b) > NUMERAL_BOUND:
-                        raise Unsupported(f"ordinal arithmetic past the numeral bound {NUMERAL_BOUND}")
                     return op(a, b)
 
                 return applied
@@ -560,16 +544,16 @@ class Evaluator:
             "emptyset": EMPTY,
             "in": lambda a: lambda b: _mem(a, b),
             "subq": lambda a: lambda b: _subq(a, b),
-            "power": _powerset,
+            "power": power,
             "ite": lambda c: lambda t: lambda e: t if c else e,
             "ordsucc": _ordsucc,
             "omega": OMEGA,
             "nat_p": lambda x: isinstance(x, HfSet) and is_nat(x) is not None,
             **{f"ord{k}": nat(k) for k in range(11)},
-            "ord_add": ordinal(_ord_add, _sum_size),
-            "ord_mult": ordinal(_ord_mult, _product_size),
-            "ord_exp": ordinal(_ord_exp, _power_size),
-            "ord_sub": ordinal(_ord_sub, lambda a, b: 0),
+            "ord_add": ordinal(_ord_add),
+            "ord_mult": ordinal(_ord_mult),
+            "ord_exp": ordinal(_ord_exp),
+            "ord_sub": ordinal(_ord_sub),
             "tag": lambda x: hfset(x),
             "untag": untag,
             "nil": HfFn({}),
@@ -1028,15 +1012,10 @@ _COMPILERS = {
 
 def sets_of_rank(max_rank: int) -> list:
     """All HF sets of rank at most max_rank, by canonical key."""
-    universe = [EMPTY]
-    for _ in range(max_rank):
-        elems = list(universe)
-        universe = []
-        for r in range(len(elems) + 1):
-            for combo in itertools.combinations(elems, r):
-                universe.append(HfSet(combo))
-        universe.sort(key=_KEY_ORDER)
-    return universe
+    universe = EMPTY
+    for _ in range(max_rank + 1):
+        universe = _powerset(universe)
+    return list(universe)
 
 
 def hf_lists(max_len: int, entry_rank: int) -> list:
@@ -1221,7 +1200,7 @@ def describe_value(value) -> str:
     if isinstance(value, HfSet):
         return describe_set(value)
     if isinstance(value, HfFn):
-        n = is_nat(HfSet(value.table))
+        n = _list_length(value.table)
         if n is not None:
             entries = []
             for i in range(n):

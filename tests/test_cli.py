@@ -27,6 +27,8 @@ DEEP_LEMMAS = b"((" + b"(ordsucc @ " * 1500 + b"emptyset" + b")" * 1500 + b") = 
 # of gigabytes, and nat(4096) takes hundreds of megabytes in ten units of fuel
 HUGE_NUMERAL = b"((ord_exp @ ord9 @ ord6) = emptyset)\n"
 BIG_NUMERAL = b"(~ (subq @ (ord_exp @ ord8 @ ord4) @ ord2))\n"
+# the power set of nat(16) has 65,536 members
+BIG_POWER_SET = b"((power @ (ord_mult @ ord4 @ ord4)) = emptyset)\n"
 PROCESS_INPUTS = {
     "bad.kif": b"\xff\xfe", "bad.p": b"\xff\xfe", "stray.kif": STRAY, "deep.kif": DEEP_KIF,
     "deep.p": DEEP_P, "deep.lemmas": DEEP_LEMMAS, "kappa.kif": NESTED_KAPPA.encode(),
@@ -335,11 +337,11 @@ def test_oracle_non_utf8_file_exit_two(tmp_path, capsys):
 
 
 def test_oracle_refuses_numerals_past_the_bound(tmp_path):
-    # both claims end in an ERROR line as soon as the size of the numeral
-    # is known, before any of it is built; at --fuel 100 the second one
-    # would otherwise build nat(4096) and hold
+    # each claim ends in an ERROR line as soon as the size of the set is
+    # known, before any of it is built; at --fuel 100 the second one would
+    # otherwise build nat(4096) and hold
     lemmas = tmp_path / "big.lemmas"
-    lemmas.write_bytes(HUGE_NUMERAL + BIG_NUMERAL)
+    lemmas.write_bytes(HUGE_NUMERAL + BIG_NUMERAL + BIG_POWER_SET)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = run_process(["oracle", "--fuel", "100", str(lemmas)], tmp_path)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -347,7 +349,8 @@ def test_oracle_refuses_numerals_past_the_bound(tmp_path):
     assert done.stdout == (
         "claim 1 (line 1): ERROR ordinal arithmetic past the numeral bound 2048\n"
         "claim 2 (line 2): ERROR ordinal arithmetic past the numeral bound 2048\n"
-        "0/2 claims hold\n"
+        "claim 3 (line 3): ERROR power set past the numeral bound 2048\n"
+        "0/3 claims hold\n"
     )
     # CPU time of the whole process, interpreter start included
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0

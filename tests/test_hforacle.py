@@ -719,7 +719,9 @@ def test_ord_mult_and_exp_on_all_small_pairs_unchanged():
                 lines.append(f"{name} {a!r} {b!r} {got}")
     assert len(lines) == 968
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "2e77f7c185f6b3793cb1411fefe0a3cb272cb8170fd7dc18d337c040dc2f0963"
+    # the last line, _ord_exp of nat(5) and nat(5), is the numeral bound's
+    # error: 5 ** 5 = 3125 is past NUMERAL_BOUND
+    assert digest == "7e1d77eff4d7d6acef2ee599f33abad5536073c4c6325226944ae3c68cb341cf"
     assert "_ord_mult {{}} {{{}},{}} {{{}},{}}" in lines
     assert "_ord_exp {{}} {{{}}} error not a successor numeral: {{{}}}" in lines
 
@@ -1031,3 +1033,23 @@ def test_ordinal_arithmetic_refuses_numerals_past_the_bound(op, value, monkeypat
         assert len(run(term, {"A": odd, "B": hf.nat(9)})) == 10
     # a numeral past the bound stays an operand
     assert run(app(cc("ord_sub"), Var("A", IOTA), cc("ord1")), {"A": hf.nat(12)}) is hf.nat(11)
+
+
+def test_refused_arithmetic_builds_no_numeral(monkeypatch):
+    # memoized numerals past ord10 are forgotten for the test, so that what
+    # an operation memoizes shows in the length of the list
+    monkeypatch.setattr(hf, "_NATS", hf._NATS[:11])
+    with pytest.raises(hf.Unsupported, match="past the numeral bound"):
+        run(app(cc("ord_exp"), cc("ord9"), cc("ord6")))
+    assert len(hf._NATS) == 11
+    got = run(app(cc("ord_mult"), cc("ord4"), cc("ord5")))
+    assert len(hf._NATS) == 21 and got is hf._NATS[20]
+
+
+def test_power_refuses_sets_past_the_bound(monkeypatch):
+    monkeypatch.setattr(hf, "NUMERAL_BOUND", 10)
+    assert len(run(App(cc("power"), cc("ord3")))) == 8
+    with pytest.raises(hf.Unsupported, match="^power set past the numeral bound 10$"):
+        run(App(cc("power"), cc("ord4")))
+    # the generator universes are not bounded by it
+    assert len(hf.sets_of_rank(3)) == 16

@@ -634,7 +634,7 @@ def test_each_input_file_is_parsed_and_lowered_once(monkeypatch):
     kb, q = fixture_path("merge_fragment.kif"), fixture_path("tqg3.kif")
     translate_query_job([kb], q)
     assert parsed == [kb, q]
-    forms = [f for path in (kb, q) for f in real_parse(open(path, encoding="utf-8").read(), path)]
+    forms = [f for path in (kb, q) for f in real_parse(sexpr.read_text(path), path)]
     assert len(lowered) == len(forms)
 
 
