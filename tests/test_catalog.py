@@ -235,6 +235,24 @@ def _flatten(t):
     return app(cc(name), *kids) if name else rebuild(t, kids)
 
 
+# the sha256 of the same repr with every term written as the application
+# catalog.p spells (_flatten)
+CATALOG_TERMS_DIGEST = "a04c41ac6908ae2e3c2ac7c9cb7ba8dac4c03834915e0e45631caba760f1d290"
+
+
+def test_catalog_terms_pinned_as_catalog_p_spells_them():
+    flat = [
+        (
+            e.name,
+            e.ty,
+            tuple((p, role, _flatten(t)) for p, role, t in e.premises),
+            None if e.defn is None else _flatten(e.defn),
+        )
+        for e in (CATALOG.entries[name] for name in CATALOG.order)
+    ]
+    assert _sha256(repr(flat)) == CATALOG_TERMS_DIGEST
+
+
 def test_catalog_text_is_canonical():
     # every record is what the renderer writes for the term it loads as, so
     # a hand edit keeps the canonical form and _unflatten inverts _flatten
