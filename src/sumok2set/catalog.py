@@ -3,11 +3,11 @@
 The theory itself is THF text, catalog.p beside this module, read at import
 with th0read's parser.  Each constant's ty_ record is followed by the
 premises that belong to it; file order is catalog order.  Membership, subset
-and conditional are written there as applications of in, subq and ite, and a
-separation as sep @ A @ (^[X : $i]: P), Megalodon's Sep A (fun X => P); sep
-is declared for that form alone and is no catalog constant.  The loader
-turns these back into the Mem, Subq, Ite and Sep nodes of the host term
-language (_unflatten); a separation stays a node, so each problem hoists it
+and conditional are applications of in, subq and ite, and a separation is
+sep @ A @ (^[X : $i]: P), Megalodon's Sep A (fun X => P).  The host term
+language spells the set primitives the same way, so the loader keeps each
+term as it is parsed.  sep is declared for that form alone and is no catalog
+constant: its parsed node is SEP, and each problem hoists every separation
 afresh.  The constants named in _EVALUATED also carry a defn, the lambda the
 finite-set oracle expands: the right-hand side of the constant's defining
 premise, abstracted over that premise's universal binders.  To change the
@@ -37,14 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .hostterm import SHAPES, All, App, Const, Ite, Lam, Mem, Sep, Subq, app, children, rebuild
+from .hostterm import All, App, Const, Lam, app
 from .th0read import _Parser
-
-# The catalog constant each primitive constructor flattens to; a separation
-# is hoisted instead, to a definition phrased with membership.
-FLAT_CONST = {Mem: "in", Subq: "subq", Ite: "ite"}
-# name -> (constructor, arity) of a full application to unflatten
-_UNFLAT = {name: (cls, len(SHAPES[cls].fields)) for cls, name in FLAT_CONST.items()}
 
 # The constants whose definitions the finite-set oracle expands.
 _EVALUATED = ("domseqm", "dom_of_varar", "dom_of_fixedar", "dom_of")
@@ -112,8 +106,9 @@ class Catalog:
         out.extend(self.entries[name].premises)
 
 
-def _load(text: str) -> Catalog:
-    """The catalog of THF text: each ty_ record and the premises after it.
+def _load(text: str) -> tuple:
+    """The catalog of THF text, each ty_ record and the premises after it,
+    and the Const node of sep.
 
     The names each entry's premises read are its dependencies; sep is read
     as in, by which a separation is defined.
@@ -129,45 +124,23 @@ def _load(text: str) -> Catalog:
             premises = owned[body.name] = []
             parser.reads = reads[body.name] = set()
         else:
-            premises.append((record, role, _unflatten(body)))
-    del consts["sep"], owned["sep"]
+            premises.append((record, role, body))
+    sep = consts.pop("sep")
+    del owned["sep"]
     for read in reads.values():
         if "sep" in read:
             read.remove("sep")
             read.add("in")
-    return Catalog(
-        [
-            CatalogEntry(
-                name,
-                consts[name].ty,
-                tuple(premises),
-                _defn(premises[0][2]) if name in _EVALUATED else None,
-            )
-            for name, premises in owned.items()
-        ],
-        consts,
-        reads,
-    )
-
-
-def _unflatten(t):
-    """The host term of a flat catalog term.
-
-    A full application of in, subq or ite becomes Mem, Subq or Ite, and
-    sep @ A @ (^[X : $i]: P) becomes Sep("X", A, P).
-    """
-    if type(t) is not App:
-        return rebuild(t, [_unflatten(k) for k in children(t)])
-    head, args = _spine(t)
-    args = [_unflatten(a) for a in args]
-    if type(head) is Const:
-        if head.name == "sep" and len(args) == 2 and type(args[1]) is Lam:
-            return Sep(args[1].name, args[0], args[1].body)
-        if head.name in _UNFLAT:
-            ctor, arity = _UNFLAT[head.name]
-            if len(args) == arity:
-                return ctor(*args)
-    return app(_unflatten(head), *args)
+    entries = [
+        CatalogEntry(
+            name,
+            consts[name].ty,
+            tuple(premises),
+            _defn(premises[0][2]) if name in _EVALUATED else None,
+        )
+        for name, premises in owned.items()
+    ]
+    return Catalog(entries, consts, reads), sep
 
 
 def _spine(term):
@@ -185,7 +158,9 @@ def _defn(definition):
     return definition.right
 
 
-CATALOG = _load(resources.files(__package__).joinpath("catalog.p").read_text(encoding="utf-8"))
+CATALOG, SEP = _load(
+    resources.files(__package__).joinpath("catalog.p").read_text(encoding="utf-8")
+)
 
 
 def cc(name: str) -> Const:
@@ -193,6 +168,7 @@ def cc(name: str) -> Const:
     return CATALOG.const(name)
 
 
+IN, SUBQ, ITE = cc("in"), cc("subq"), cc("ite")
 NIL, CONS = cc("nil"), cc("cons")
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from . import signature as sigmod
 from . import sumo
-from .catalog import cc, ord_of
-from .hostterm import App, Const, Eq, IOTA, Ite, Lam, Mem, Subq, Var, app
+from .catalog import IN, ITE, SUBQ, cc, ord_of
+from .hostterm import App, Const, Eq, IOTA, Lam, Var, app
 from .th0 import host_var
 
 MEMBER = "member"
@@ -28,7 +28,7 @@ class MemDomseqm:
     index: int  # 0-based argument position
 
     def to_term(self, subject):
-        return Mem(subject, app(cc("domseqm"), self.relation, ord_of(self.index)))
+        return app(IN, subject, app(cc("domseqm"), self.relation, ord_of(self.index)))
 
     def describe(self) -> str:
         return f"in domseqm of {_describe(self.relation)} at {self.index}"
@@ -42,8 +42,8 @@ class MemClass:
 
     def to_term(self, subject):
         if self.mode == SUBSET:
-            return Subq(subject, self.cls)
-        return Mem(subject, self.cls)
+            return app(SUBQ, subject, self.cls)
+        return app(IN, subject, self.cls)
 
     def describe(self) -> str:
         rel = "subset of" if self.mode == SUBSET else "member of"
@@ -79,7 +79,7 @@ class RowDomOfKnown:
         chain = cc("emptyset")
         ix = Var("I", IOTA)
         for j in range(len(self.domains) - 1, -1, -1):
-            chain = Ite(Eq(ix, ord_of(j)), self.domains[j], chain)
+            chain = app(ITE, Eq(ix, ord_of(j)), self.domains[j], chain)
         dlam = Lam("I", IOTA, chain)
         head = cc("dom_of_varar") if self.var_arity else cc("dom_of_fixedar")
         return app(head, ord_of(self.min_arity), dlam, subject)

@@ -21,9 +21,12 @@ key.  Key strings are built only to print a set, and then only up to
 DESCRIBE_LIMIT characters.
 
 Terms are compiled once into closures (see Evaluator) that then run on each
-assignment.  Fuel bounds the work: one unit per term node evaluated, per
-separation member, per quantified value and per entry of a function
-tabulated as a list, and four per native ordinal operation.  Ordinal
+assignment.  The set primitives are applied catalog constants, and a full
+application of in, subq or ite, or of sep to a set and a lambda, is
+evaluated as one node, whether a catalog term or a lemma line spells it: ite
+evaluates only the branch it takes.  Fuel bounds the work: one unit per term
+node evaluated, per separation member, per quantified value and per entry of
+a function tabulated as a list, and four per native ordinal operation.  Ordinal
 arithmetic and power refuse, before building anything, a set of more than
 NUMERAL_BOUND members, so that fuel bounds memory too.
 
@@ -67,13 +70,9 @@ from .hostterm import (
     IOTA,
     Iff,
     Imp,
-    Ite,
     Lam,
-    Mem,
     Neg,
     OMICRON,
-    Sep,
-    Subq,
     Top,
     Var,
     free_vars,
@@ -472,10 +471,12 @@ class Evaluator:
     run, never while compiling.
 
     Fuel is charged as a walk of the term would charge it: one unit per
-    node visited, per Sep member, per quantified value and per entry of a
-    function tabulated as a list, and four per native ordinal operation.  A node whose first act is to
-    evaluate a child passes its unit down to that child (owed), so charges
-    with nothing observable between them are paid at once.
+    node visited, a set primitive's full application counting as one, per
+    separation member, per quantified value and per entry of a function
+    tabulated as a list, and four per native ordinal operation.  A node
+    whose first act is to evaluate a child passes its unit down to that
+    child (owed), so charges with nothing observable between them are paid
+    at once.
     """
 
     def __init__(self, interp=None, fuel: int = DEFAULT_FUEL):
@@ -655,7 +656,7 @@ def _compile(ev, t, scope: tuple, owed: int = 0):
     hoist = level is not None and level < ceiling
     if hoist:
         ev.stage = (len(scope), level)
-    if type(t) is App:
+    if type(t) is App and _set_primitive(t) is None:
         run = _compile_app(ev, t, scope, owed, _spine_split(t, scope, k, level))
     else:
         run = _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
@@ -799,6 +800,10 @@ def _compile_app(ev, t, scope, owed, stop=None):
     # the spine h @ a1 @ ... @ an charges n + 1 before evaluating any ai; a
     # prefix stop of the spine is a head of its own, and owes the charges of
     # the applications around it
+    if stop is None:
+        primitive = _set_primitive(t)
+        if primitive is not None:
+            return primitive(ev, t, scope, owed)
     args = []
     while type(t) is App and t is not stop:
         args.append(t.arg)
@@ -885,8 +890,14 @@ def _compile_eq(ev, t, scope, owed):
     return eq
 
 
+# A full application of in, subq or ite, or of sep to a set and a Lam, is
+# compiled as a node of its own: one unit of fuel, charged with its first
+# argument, and ite evaluates only the branch it takes.  Staging never splits
+# its spine.
+
+
 def _compile_mem(ev, t, scope, owed):
-    elem, container = _compile(ev, t.elem, scope, owed + 1), _compile(ev, t.container, scope)
+    elem, container = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
 
     def mem(env):
         a, b = elem(env), container(env)
@@ -896,21 +907,40 @@ def _compile_mem(ev, t, scope, owed):
 
 
 def _compile_subq(ev, t, scope, owed):
-    sub, sup = _compile(ev, t.sub, scope, owed + 1), _compile(ev, t.sup, scope)
+    sub, sup = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
     return lambda env: _subq(sub(env), sup(env))
 
 
 def _compile_ite(ev, t, scope, owed):
-    cond = _compile(ev, t.cond, scope, owed + 1)
-    then, other = _compile(ev, t.then, scope), _compile(ev, t.other, scope)
+    cond = _compile(ev, t.fn.fn.arg, scope, owed + 1)
+    then, other = _compile(ev, t.fn.arg, scope), _compile(ev, t.arg, scope)
     return lambda env: then(env) if cond(env) else other(env)
 
 
 def _compile_sep(ev, t, scope, owed):
-    bound = _compile(ev, t.bound, scope, owed + 1)
-    body = _compile(ev, t.body, scope + (t.name,), 1)  # a unit per member
+    bound, pred = _compile(ev, t.fn.arg, scope, owed + 1), t.arg
+    body = _compile(ev, pred.body, scope + (pred.name,), 1)  # a unit per member
     members = ev.members
     return lambda env: HfSet([item for item in members(bound(env)) if body(env + (item,))])
+
+
+_BINARY_PRIMITIVES = {"in": _compile_mem, "subq": _compile_subq}
+
+
+def _set_primitive(t):
+    """The compiler of the application t when it is a set primitive, else None."""
+    fn = t.fn
+    if type(fn) is not App:
+        return None
+    head = fn.fn
+    if type(head) is App:
+        head = head.fn
+        return _compile_ite if type(head) is Const and head.name == "ite" else None
+    if type(head) is not Const:
+        return None
+    if head.name == "sep":
+        return _compile_sep if type(t.arg) is Lam else None
+    return _BINARY_PRIMITIVES.get(head.name)
 
 
 def _compile_quantifier(ev, t, scope, owed):
@@ -972,8 +1002,6 @@ def _membership_bound(t, universal: bool):
 
 
 def _as_mem(t):
-    if isinstance(t, Mem):
-        return t.elem, t.container
     if (
         isinstance(t, App)
         and isinstance(t.fn, App)
@@ -997,10 +1025,6 @@ _COMPILERS = {
     Disj: _compile_disj,
     Iff: _compile_iff,
     Eq: _compile_eq,
-    Mem: _compile_mem,
-    Subq: _compile_subq,
-    Ite: _compile_ite,
-    Sep: _compile_sep,
     All: _compile_quantifier,
     Ex: _compile_quantifier,
 }

@@ -5,9 +5,10 @@ They are immutable by contract, not frozen, because a frozen dataclass pays
 for object.__setattr__ on every construction.  Terms are hashed and shared
 (the constants of catalog.cc, the memo of minted constants in
 Translator.resolve, the THF reader's shared Const and Var nodes), so no
-code assigns to a field of a term once it is built.  Membership, subset,
-separation, and if-then-else are primitive constructors here; the TH0
-printer later rewrites them into applied constants.
+code assigns to a field of a term once it is built.  The language is plain
+simply typed lambda calculus: membership, subset, if-then-else and
+separation are no node kinds but the catalog constants in, subq, ite and
+sep applied like any other, a separation as sep @ A @ (^[X : $i]: P).
 """
 
 from __future__ import annotations
@@ -136,34 +137,6 @@ class Ex:
     body: object
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Mem:
-    elem: object
-    container: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Subq:
-    sub: object
-    sup: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Sep:
-    name: str  # bound variable, always at iota
-    bound: object  # the set being separated
-    body: object  # predicate over the bound variable
-
-    ty = IOTA  # not a field: the type of the bound variable, as on Lam/All/Ex
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Ite:
-    cond: object
-    then: object
-    other: object
-
-
 class TypeMismatch(Exception):
     def __init__(self, message: str, term=None):
         super().__init__(message)
@@ -240,19 +213,6 @@ def _check(t, ctx) -> HostType:
     if cls is All or cls is Ex:
         _expect(t.body, OMICRON, {**ctx, t.name: t.ty})
         return OMICRON
-    if cls is Mem or cls is Subq:
-        for side in children(t):
-            _expect(side, IOTA, ctx)
-        return OMICRON
-    if cls is Sep:
-        _expect(t.bound, IOTA, ctx)
-        _expect(t.body, OMICRON, {**ctx, t.name: IOTA})
-        return IOTA
-    if cls is Ite:
-        _expect(t.cond, OMICRON, ctx)
-        _expect(t.then, IOTA, ctx)
-        _expect(t.other, IOTA, ctx)
-        return IOTA
     raise TypeMismatch(f"unknown term {t!r}", t)
 
 
@@ -283,10 +243,6 @@ SHAPES = {
     Disj: Shape(("left", "right")),
     Iff: Shape(("left", "right")),
     Eq: Shape(("left", "right")),
-    Mem: Shape(("elem", "container")),
-    Subq: Shape(("sub", "sup")),
-    Sep: Shape(("bound", "body"), ("body",)),  # the separated set is outside the scope
-    Ite: Shape(("cond", "then", "other")),
 }
 
 

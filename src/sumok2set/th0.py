@@ -1,17 +1,18 @@
-"""Typed higher-order problem files: flattening, rendering, re-parsing.
+"""Typed higher-order problem files: hoisting, rendering, re-parsing.
 
-The set primitives of the internal term language are structural nodes; here
-they are written as applied constants so the output is plain typed lambda
-calculus.  Separation subterms cannot be applied constants directly, so each
-one is hoisted to a fresh constant parameterized over its free variables,
-with a defining equivalence emitted as a definition-role premise.
+The host term language writes the set primitives as applied catalog
+constants already, so the output is plain typed lambda calculus once the
+separations are gone.  A separation sep @ A @ (^[X : $i]: P) binds a
+variable inside an application, so each one is hoisted to a fresh constant
+parameterized over its free variables, with a defining equivalence emitted
+as a definition-role premise.
 
 Rendering is canonical: compound subterms are always parenthesized, binders
 take one variable each, and long records wrap greedily at 100 columns with a
 four space continuation indent.  One walk (_PremiseWalk) writes every
 term.  Each premise is rendered on its own, into a Record, by the walk over
-its host term: it writes the text of the flattened term without building
-it, hoists each separation it meets, and records the constants in the order
+its host term: it writes the text of the term without building it, with
+each separation it meets hoisted, and records the constants in the order
 it writes them.  The same walk, under a renaming of free variables, writes
 each separation's key, and writes its definition record.  A translated
 problem holds nothing but records, each rendered as its premise was
@@ -45,7 +46,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .catalog import CATALOG, FLAT_CONST, cc
+from .catalog import CATALOG, IN, SEP
 from .hostterm import (
     All,
     App,
@@ -59,16 +60,13 @@ from .hostterm import (
     IOTA,
     Iff,
     Imp,
-    Ite,
     Lam,
-    Mem,
     Neg,
     OMICRON,
-    Sep,
-    Subq,
     Top,
     TypeMismatch,
     Var,
+    app,
     arrow,
     free_vars,
     typecheck,
@@ -81,7 +79,7 @@ INDENT = "    "
 
 
 # ---------------------------------------------------------------------------
-# Flattening
+# Hoisting separations
 
 
 class _SepHoister:
@@ -101,42 +99,42 @@ class _SepHoister:
         self.defs: list = []  # (sep name, Record of its definition), hoist order
         self._by_key: dict = {}  # key -> Const
 
-    def hoist(self, t: Sep) -> tuple:
-        """The constant a separation is hoisted to, and its (name, type) parameters."""
-        params = free_vars(t)
+    def hoist(self, bound, pred: Lam) -> tuple:
+        """The constant sep @ bound @ pred is hoisted to, and its (name, type) parameters."""
+        params = free_vars(app(SEP, bound, pred))
         names = [n for n, _ in params]
         rename = {n: f"P{i}" for i, n in enumerate(names)}
         elem = "SEPX"
         while elem in names:
             elem += "_"
         walk = _PremiseWalk(self, rename)
-        bound = walk.text(t.bound)
-        walk.rename = {**rename, t.name: elem}
-        key = f"(^[{elem} : $i]: ((in @ {elem} @ {bound}) & {walk.text(t.body)}))"
+        bound_text = walk.text(bound)
+        walk.rename = {**rename, pred.name: elem}
+        key = f"(^[{elem} : $i]: ((in @ {elem} @ {bound_text}) & {walk.text(pred.body)}))"
         for i in range(len(params) - 1, -1, -1):
             key = f"(^[P{i} : {render_type(params[i][1])}]: {key})"
         const = self._by_key.get(key)
         if const is None:
             name = "sep_" + hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
             const = Const(name, arrow(*[ty for _, ty in params], IOTA))
-            self.defs.append((name, self._definition(const, t, names, params)))
+            self.defs.append((name, self._definition(const, bound, pred, names, params)))
             self._by_key[key] = const
         return const, params
 
-    def _definition(self, const, t: Sep, names: list, params: list) -> Record:
+    def _definition(self, const, bound, pred: Lam, names: list, params: list) -> Record:
         """The record of ! params, elem: (in elem (const params)) <=> (in elem bound) & body."""
-        elem = t.name
+        elem = pred.name
         while elem in names:
             elem += "_elem"
         walk = _PremiseWalk(self)
-        member = f"{walk.const(_IN)} @ {_thf_var(elem)} @ "
+        member = f"{walk.const(IN)} @ {_thf_var(elem)} @ "
         applied = " @ ".join([walk.const(const)] + [_thf_var(n) for n in names])
         if names:
             applied = f"({applied})"
-        bound = walk.text(t.bound)
-        if elem != t.name:
-            walk.rename = {t.name: elem}
-        text = f"(({member}{applied}) <=> (({member}{bound}) & {walk.text(t.body)}))"
+        bound_text = walk.text(bound)
+        if elem != pred.name:
+            walk.rename = {pred.name: elem}
+        text = f"(({member}{applied}) <=> (({member}{bound_text}) & {walk.text(pred.body)}))"
         for n, ty in [*params, (elem, IOTA)][::-1]:
             text = f"(![{_thf_var(n)} : {render_type(ty)}]: {text})"
         return Record(render_record("def_" + const.name, "definition", text), tuple(walk.consts))
@@ -194,25 +192,21 @@ def _thf_var(name: str) -> str:
 
 
 def render_term(t) -> str:
-    """Canonical fully parenthesized rendering of a flat term."""
+    """Canonical fully parenthesized rendering of a term, separations unhoisted."""
     return _PremiseWalk(None).text(t)
 
 
-_IN, _SUBQ, _ITE = (cc(FLAT_CONST[cls]) for cls in (Mem, Subq, Ite))
-
-
 class _PremiseWalk:
-    """One walk from a host term to its flat rendering and its constants.
+    """One walk from a host term to its rendering and its constants.
 
-    Writes the canonical text of the flattened term, without building it:
-    Mem, Subq and Ite become applications of their FLAT_CONST constants,
-    and a separation its hoisted constant applied to its parameters; a head
-    of either kind merges into the spine it heads.  The constants are
-    recorded as they are written, and textual order is the pre-order of the
-    flat term.  A free variable is written under its name in rename, if it
-    has one there; a binder of a renamed name suspends the renaming in its
-    body.  On a flat term, which holds none of these nodes, no hoister is
-    needed: render_term is this walk with none.
+    Writes the canonical text of the term with its separations hoisted,
+    without building that term: sep @ A @ (^[X : $i]: P) is written as its
+    hoisted constant applied to its parameters, and merges into the spine
+    it heads.  The constants are recorded as they are written, and textual
+    order is the pre-order of the written term.  A free variable is written
+    under its name in rename, if it has one there; a binder of a renamed
+    name suspends the renaming in its body.  render_term is this walk with
+    no hoister, which writes a separation as sep applied, as catalog.p does.
     """
 
     def __init__(self, hoister: _SepHoister, rename: dict | None = None):
@@ -248,7 +242,14 @@ class _PremiseWalk:
                 args.append(t.arg)
                 t = t.fn
                 cls = type(t)
-            parts = self.spine(t)
+            if t is SEP and self.hoister and len(args) > 1 and type(args[-2]) is Lam:
+                const, params = self.hoister.hoist(args.pop(), args.pop())
+                rename = self.rename
+                parts = [self.const(const)] + [_thf_var(rename.get(n, n)) for n, _ in params]
+                if not args:
+                    return "(" + " @ ".join(parts) + ")" if params else parts[0]
+            else:
+                parts = [self.text(t)]
             for arg in reversed(args):
                 parts.append(self.text(arg))
             return "(" + " @ ".join(parts) + ")"
@@ -256,9 +257,6 @@ class _PremiseWalk:
             return _thf_var(self.rename.get(t.name, t.name))
         if cls is Const:
             return self.const(t)
-        if cls is Mem or cls is Subq or cls is Ite or cls is Sep:
-            parts = self.spine(t)
-            return "(" + " @ ".join(parts) + ")" if len(parts) > 1 else parts[0]
         if cls is All:
             return self.binder("![", t)
         if cls is Imp:
@@ -282,21 +280,6 @@ class _PremiseWalk:
         if cls is Top:
             return "$true"
         raise TypeError(f"cannot render {t!r}")
-
-    def spine(self, t) -> list:
-        """The texts a node puts at the head of a spine, in order."""
-        cls = type(t)
-        if cls is Mem:
-            return [self.const(_IN), self.text(t.elem), self.text(t.container)]
-        if cls is Subq:
-            return [self.const(_SUBQ), self.text(t.sub), self.text(t.sup)]
-        if cls is Ite:
-            return [self.const(_ITE), self.text(t.cond), self.text(t.then), self.text(t.other)]
-        if cls is Sep:
-            const, params = self.hoister.hoist(t)
-            rename = self.rename
-            return [self.const(const)] + [_thf_var(rename.get(n, n)) for n, _ in params]
-        return [self.text(t)]
 
 
 def _wrap(text: str) -> str:
@@ -338,7 +321,7 @@ class Record(NamedTuple):
     """
 
     text: str  # the wrapped thf(...) record
-    consts: tuple  # distinct Const nodes of the flat term, in first use order
+    consts: tuple  # distinct Const nodes of the written term, in first use order
     seps: tuple = ()  # (sep name, Record of its definition), in hoist order
 
 

@@ -32,7 +32,7 @@ from itertools import islice
 from . import guards as guardmod
 from . import signature as sigmod
 from . import sumo, th0
-from .catalog import CATALOG, CONS, cc, encode_rational, mk_list, ord_of
+from .catalog import CATALOG, CONS, IN, ITE, SEP, SUBQ, cc, encode_rational, mk_list, ord_of
 from .guards import MEMBER, MemClass
 from .hostterm import (
     All,
@@ -46,12 +46,8 @@ from .hostterm import (
     IOTA,
     Iff,
     Imp,
-    Ite,
     Lam,
-    Mem,
     Neg,
-    Sep,
-    Subq,
     Top,
     Var,
     app,
@@ -206,8 +202,8 @@ class Translator:
         offset = app(cc("ord_sub"), ix, App(cc("len"), rho))
         chain = cc("emptyset")
         for j in range(len(items) - 1, -1, -1):
-            chain = Ite(Eq(offset, ord_of(j)), App(cc("tag"), items[j]), chain)
-        return Lam(n, IOTA, Ite(Mem(ix, App(cc("len"), rho)), App(rho, ix), chain))
+            chain = app(ITE, Eq(offset, ord_of(j)), App(cc("tag"), items[j]), chain)
+        return Lam(n, IOTA, app(ITE, app(IN, ix, App(cc("len"), rho)), App(rho, ix), chain))
 
     def kappa(self, t: sumo.Kappa):
         x = Var(host_var(t.var), IOTA)
@@ -220,7 +216,7 @@ class Translator:
             # a use under instance repeats the entity guard: explained, not emitted
             self.explanations.extend(guardmod.explain([(t.var, entity_guard)] + found))
         terms = [g.to_term(x) for g in kept]
-        return Sep(x.name, cc("univ"), conj_chain(terms, self.formula(t.body)))
+        return app(SEP, cc("univ"), Lam(x.name, IOTA, conj_chain(terms, self.formula(t.body))))
 
     # -- formulas ----------------------------------------------------------
 
@@ -275,9 +271,9 @@ class Translator:
         if isinstance(f, sumo.Eq):
             return Eq(self.term(f.left), self.term(f.right))
         if isinstance(f, sumo.Instance):
-            return Mem(self.term(f.member), self.term(f.cls))
+            return app(IN, self.term(f.member), self.term(f.cls))
         if isinstance(f, sumo.Subclass):
-            return Subq(self.term(f.sub), self.term(f.sup))
+            return app(SUBQ, self.term(f.sub), self.term(f.sup))
         if isinstance(f, sumo.Lt):
             return self._arith_atom("arith_lt", f.left, f.right)
         if isinstance(f, sumo.Le):

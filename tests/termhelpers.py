@@ -1,8 +1,35 @@
 """Reference helpers over terms that only the tests use."""
 
 from sumok2set import sumo
-from sumok2set.catalog import CATALOG
-from sumok2set.hostterm import Const, Ite, Mem, Sep, Subq, Var, children, rebuild, shape
+from sumok2set.catalog import CATALOG, IN, ITE, SEP, SUBQ
+from sumok2set.hostterm import IOTA, App, Const, Lam, Var, app, children, rebuild, shape
+
+
+def mem(elem, container):
+    """elem in container, as the application in @ elem @ container."""
+    return app(IN, elem, container)
+
+
+def subq(sub, sup):
+    return app(SUBQ, sub, sup)
+
+
+def ite(cond, then, other):
+    return app(ITE, cond, then, other)
+
+
+def separation(name, bound, body):
+    """{name in bound | body}, as sep @ bound @ (^[name : $i]: body)."""
+    return app(SEP, bound, Lam(name, IOTA, body))
+
+
+def head_args(term):
+    """The head of an application spine and its arguments, in order."""
+    args = []
+    while type(term) is App:
+        args.append(term.arg)
+        term = term.fn
+    return term, args[::-1]
 
 
 def subterms(term) -> list:
@@ -39,17 +66,12 @@ def _substitute(t, mapping, shadow):
     )
 
 
-# the catalog name each primitive constructor needs; a separation is
-# defined by membership
-_CONSTRUCTOR_NEEDS = {Mem: "in", Subq: "subq", Ite: "ite", Sep: "in"}
-
-
 def catalog_needs(terms) -> set:
     """Catalog names the host terms need.
 
-    These are the catalog constants they mention and the constants their
-    primitive constructors stand for.  The reference for th0.catalog_needs
-    and for the catalog's dependencies.
+    These are the catalog constants they mention, where sep, which is no
+    catalog constant, needs in: a separation is defined by membership.  The
+    reference for th0.catalog_needs and for the catalog's dependencies.
     """
     out: set = set()
     for term in terms:
@@ -57,8 +79,8 @@ def catalog_needs(terms) -> set:
             if type(t) is Const:
                 if t.name in CATALOG:
                     out.add(t.name)
-            elif type(t) in _CONSTRUCTOR_NEEDS:
-                out.add(_CONSTRUCTOR_NEEDS[type(t)])
+                elif t.name == "sep":
+                    out.add("in")
     return out
 
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import fixture_path, lower_one, sig_from
-from termhelpers import alpha_eq
+from termhelpers import alpha_eq, mem, separation
 from sumok2set import catalog, cli, harness, hforacle, th0, translate
 from sumok2set.catalog import cc, ord_of
 from sumok2set.hostterm import (
@@ -23,8 +23,6 @@ from sumok2set.hostterm import (
     Const,
     IOTA,
     Imp,
-    Mem,
-    Sep,
     Var,
     app,
     imp_chain,
@@ -132,11 +130,11 @@ def _golden_swap_rule():
                 IOTA,
                 imp_chain(
                     [
-                        Mem(x, dm(p, 0)),
-                        Mem(y, dm(p, 1)),
-                        Mem(z, dm(p, 2)),
-                        Mem(z, dm(p, 1)),
-                        Mem(y, dm(p, 2)),
+                        mem(x, dm(p, 0)),
+                        mem(y, dm(p, 1)),
+                        mem(z, dm(p, 2)),
+                        mem(z, dm(p, 1)),
+                        mem(y, dm(p, 2)),
                     ],
                     Imp(
                         istrue(ap_list(p, [x, y, z])),
@@ -173,10 +171,10 @@ def _golden_subrelation_rule():
                 LIST,
                 imp_chain(
                     [
-                        Mem(r1, dm(sr, 0)),
-                        Mem(r2, dm(sr, 1)),
-                        Mem(r1, cc("entity")),
-                        Mem(r2, cc("entity")),
+                        mem(r1, dm(sr, 0)),
+                        mem(r2, dm(sr, 1)),
+                        mem(r1, cc("entity")),
+                        mem(r2, cc("entity")),
                         dom_of_generic(r1, rho),
                         dom_of_generic(r2, rho),
                     ],
@@ -184,8 +182,8 @@ def _golden_subrelation_rule():
                         Conj(
                             istrue(ap_list(sr, [r1, r2])),
                             Conj(
-                                Mem(r1, pred),
-                                Conj(Mem(r2, pred), istrue(ap_row(r1, rho))),
+                                mem(r1, pred),
+                                Conj(mem(r2, pred), istrue(ap_row(r1, rho))),
                             ),
                         ),
                         istrue(ap_row(r2, rho)),
@@ -204,17 +202,17 @@ def _golden_class_membership():
     )
     attr = Const("s_attribute", IOTA)
     p = Var("P", IOTA)
-    expected = Mem(
+    expected = mem(
         Const("s_o", IOTA),
-        Sep(
+        separation(
             "P",
             cc("univ"),
             Conj(
-                Mem(p, cc("entity")),
+                mem(p, cc("entity")),
                 Conj(
-                    Mem(p, dm(attr, 0)),
+                    mem(p, dm(attr, 0)),
                     Conj(
-                        Mem(p, Const("s_Planet", IOTA)),
+                        mem(p, Const("s_Planet", IOTA)),
                         istrue(ap_list(attr, [p, Const("s_Earthlike", IOTA)])),
                     ),
                 ),

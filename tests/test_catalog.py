@@ -17,12 +17,7 @@ from sumok2set.hostterm import (
     IOTA,
     OMICRON,
     Const,
-    Lam,
-    Sep,
-    app,
     arrow,
-    children,
-    rebuild,
     typecheck,
 )
 from sumok2set.th0read import _Parser
@@ -204,7 +199,7 @@ def test_const_helper_types():
 # sha256 digests of the catalog: the repr of every entry's (name, type,
 # premises, defn) in catalog order, and the rendered background of the
 # whole catalog, its premise records and then its separation definitions
-CATALOG_ENTRIES_DIGEST = "7ef9b81abd11c317cdbd9316196fe038695f2c3781ce305702f35c2959f40e17"
+CATALOG_ENTRIES_DIGEST = "a04c41ac6908ae2e3c2ac7c9cb7ba8dac4c03834915e0e45631caba760f1d290"
 CATALOG_PREMISES_DIGEST = "37f8f9d9059e96bba46c90a597a037eab5c9901eb1cba4802d1e812d1faa1e51"
 CATALOG_SEPS_DIGEST = "60fd4b205ad4b021a56ad0b9092706692bad4a2fe6686f03a1ba9bb508418874"
 
@@ -223,44 +218,15 @@ def test_catalog_entries_and_background_pinned():
     assert _sha256("\n".join(seps)) == CATALOG_SEPS_DIGEST
 
 
-SEP = Const("sep", arrow(IOTA, arrow(IOTA, OMICRON), IOTA))
-
-
-def _flatten(t):
-    """A host term as catalog.p writes it: the inverse of catalog._unflatten."""
-    if type(t) is Sep:
-        return app(SEP, _flatten(t.bound), Lam(t.name, IOTA, _flatten(t.body)))
-    kids = [_flatten(k) for k in children(t)]
-    name = catalog.FLAT_CONST.get(type(t))
-    return app(cc(name), *kids) if name else rebuild(t, kids)
-
-
-# the sha256 of the same repr with every term written as the application
-# catalog.p spells (_flatten)
-CATALOG_TERMS_DIGEST = "a04c41ac6908ae2e3c2ac7c9cb7ba8dac4c03834915e0e45631caba760f1d290"
-
-
-def test_catalog_terms_pinned_as_catalog_p_spells_them():
-    flat = [
-        (
-            e.name,
-            e.ty,
-            tuple((p, role, _flatten(t)) for p, role, t in e.premises),
-            None if e.defn is None else _flatten(e.defn),
-        )
-        for e in (CATALOG.entries[name] for name in CATALOG.order)
-    ]
-    assert _sha256(repr(flat)) == CATALOG_TERMS_DIGEST
-
-
 def test_catalog_text_is_canonical():
     # every record is what the renderer writes for the term it loads as, so
-    # a hand edit keeps the canonical form and _unflatten inverts _flatten
+    # a hand edit keeps the canonical form, and the catalog keeps that term
     path = os.path.join(os.path.dirname(catalog.__file__), "catalog.p")
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh.read().split("\n") if line and not line.startswith("%")]
     records = ["thf(" + r for r in "\n".join(lines)[len("thf(") :].split("\nthf(")]
     consts, names, declared, seps = {}, set(), [], 0
+    loaded = {p: t for e in CATALOG.entries.values() for p, _role, t in e.premises}
     for record in records:
         parser = _Parser(record)
         name, role, body = parser.record(consts, names)
@@ -269,16 +235,16 @@ def test_catalog_text_is_canonical():
             declared.append(body.name)
             assert record == th0.render_record(name, role, f"{body.name} : {th0.render_type(body.ty)}")
             continue
-        host = catalog._unflatten(body)
-        assert _flatten(host) == body, name
-        assert record == th0.render_record(name, role, th0.render_term(_flatten(host))), name
-        seps += sum(type(t) is Sep for t in subterms(host))
+        assert body == loaded[name], name
+        assert record == th0.render_record(name, role, th0.render_term(body)), name
+        seps += sum(t == catalog.SEP for t in subterms(body))
     assert [n for n in declared if n != "sep"] == CATALOG.order
     assert seps == 3
 
 
 def test_one_const_node_per_catalog_name():
     assert "sep" not in CATALOG and "sep" not in CATALOG.consts
+    assert catalog.SEP == Const("sep", arrow(IOTA, arrow(IOTA, OMICRON), IOTA))
     assert list(CATALOG.consts) == CATALOG.order
     for name in CATALOG.order:
         entry = CATALOG.entries[name]
@@ -286,4 +252,4 @@ def test_one_const_node_per_catalog_name():
         for term in terms:
             for t in subterms(term):
                 if type(t) is Const:
-                    assert t is cc(t.name), (name, t.name)
+                    assert t is (catalog.SEP if t.name == "sep" else cc(t.name)), (name, t.name)

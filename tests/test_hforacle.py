@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 from sumok2set import hforacle as hf
 from sumok2set.catalog import CATALOG, cc, encode_nat, ord_of
 from sumok2set.hostterm import (
-    All, App, Const, Eq, Imp, IOTA, Ite, Lam, Mem, OMICRON, Sep, Top, Var, app, arrow,
+    All, App, Const, Eq, Imp, IOTA, Lam, OMICRON, Top, Var, app, arrow,
 )
 
-from termhelpers import subterms
+from termhelpers import ite, mem, separation, subq, subterms
 
 
 def ev():
@@ -272,8 +272,18 @@ def test_ordinal_arithmetic_on_omega_is_an_error_line(op, args):
 
 
 def test_successor_of_omega_is_an_error_line():
-    results = [hf.check_claim(c) for c in hf.parse_lemmas("((ordsucc @ omega) = omega)\n")]
-    assert [r.error for r in results] == ["successor of omega"]
+    lines = (
+        "((ordsucc @ omega) = omega)\n"
+        # ite evaluates only the branch it takes, in a lemma line as in catalog.p
+        "((ite @ $true @ emptyset @ (ordsucc @ omega)) = emptyset)\n"
+    )
+    results = [hf.check_claim(c) for c in hf.parse_lemmas(lines)]
+    assert [r.error for r in results] == ["successor of omega", None]
+    assert hf.format_results(results) == (
+        "claim 1 (line 1): ERROR successor of omega\n"
+        "claim 2 (line 2): ok (1 assignments)\n"
+        "1/2 claims hold"
+    )
 
 
 @pytest.mark.parametrize(
@@ -367,8 +377,8 @@ def test_bounded_forall_over_sets():
     # forall X. X in ord3 -> X in omega
     x = Var("X", IOTA)
     body = Imp(
-        Mem(x, cc("ord3")),
-        Mem(x, cc("omega")),
+        mem(x, cc("ord3")),
+        mem(x, cc("omega")),
     )
     assert run(All("X", IOTA, body)) is True
 
@@ -377,9 +387,9 @@ def test_bounded_exists_needs_conjunction():
     from sumok2set.hostterm import Conj, Ex
 
     x = Var("X", IOTA)
-    t = Ex("X", IOTA, Conj(Mem(x, cc("ord3")), Eq(x, cc("ord2"))))
+    t = Ex("X", IOTA, Conj(mem(x, cc("ord3")), Eq(x, cc("ord2"))))
     assert run(t) is True
-    t2 = Ex("X", IOTA, Conj(Mem(x, cc("ord3")), Eq(x, cc("ord4"))))
+    t2 = Ex("X", IOTA, Conj(mem(x, cc("ord3")), Eq(x, cc("ord4"))))
     assert run(t2) is False
 
 
@@ -412,9 +422,7 @@ def test_fuel_exhaustion():
 
 
 def test_omega_sep_probes_horizon():
-    from sumok2set.hostterm import Sep
-
-    s = Sep("X", cc("omega"), Mem(Var("X", IOTA), cc("ord4")))
+    s = separation("X", cc("omega"), mem(Var("X", IOTA), cc("ord4")))
     got = run(s)
     assert got == hf.nat(4)
 
@@ -759,7 +767,7 @@ def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
         (encode_nat(99), 17),
         (app(cc("cons"), cc("ord0"), cc("nil")), 5),
         (App(cc("len"), app(cc("cons"), cc("ord5"), app(cc("cons"), cc("ord0"), cc("nil")))), 11),
-        (Sep("X", cc("omega"), Mem(Var("X", IOTA), cc("ord4"))), 134),
+        (separation("X", cc("omega"), mem(Var("X", IOTA), cc("ord4"))), 134),
     ],
 )
 def test_fuel_spent_by_one_shot_evals(term, used):
@@ -769,6 +777,40 @@ def test_fuel_spent_by_one_shot_evals(term, used):
     # one unit short, the same evaluation runs out
     with pytest.raises(hf.OutOfFuel):
         hf.Evaluator(fuel=used - 1).eval(term, {})
+
+
+_Y = Var("Y", IOTA)
+
+
+# A lemma line that spells a set primitive runs as the catalog's terms do:
+# one unit for the primitive, charged with its first argument, and none for
+# the branch ite does not take, here the successor of omega, an error.
+@pytest.mark.parametrize(
+    "line, built, used",
+    [
+        ("(in @ ord1 @ ord3)", mem(cc("ord1"), cc("ord3")), 3),
+        ("(subq @ ord1 @ ord3)", subq(cc("ord1"), cc("ord3")), 3),
+        (
+            "((ite @ $true @ emptyset @ (ordsucc @ omega)) = emptyset)",
+            Eq(ite(Top(), cc("emptyset"), App(cc("ordsucc"), cc("omega"))), cc("emptyset")),
+            5,
+        ),
+        (
+            "(! [Y : $i] : ((in @ Y @ ord3) => (subq @ Y @ ord2)))",
+            All("Y", IOTA, Imp(mem(_Y, cc("ord3")), subq(_Y, cc("ord2")))),
+            14,
+        ),
+    ],
+)
+def test_a_lemma_line_spends_the_fuel_of_the_catalog_built_term(line, built, used):
+    (claim,) = hf.parse_lemmas(line)
+    assert claim.body == built
+    e = hf.Evaluator(fuel=used)
+    assert e.eval(built, {}) is True and e.fuel == 0
+    with pytest.raises(hf.OutOfFuel):
+        hf.Evaluator(fuel=used - 1).eval(built, {})
+    assert hf.check_claim(claim, fuel=used).ok
+    assert hf.check_claim(claim, fuel=used - 1).error == "evaluation fuel exhausted"
 
 
 def test_unsupported_shapes_fail_when_run_after_their_charge():
@@ -791,7 +833,7 @@ def test_innermost_binder_wins():
     assert run(Var("X", IOTA), {"X": hf.nat(3)}) is hf.nat(3)
     x = Var("X", IOTA)
     # the quantified X ranges over ord2, the outer X = 7 is not in it
-    assert run(All("X", IOTA, Imp(Mem(x, cc("ord2")), Mem(x, cc("ord2")))), {"X": hf.nat(7)}) is True
+    assert run(All("X", IOTA, Imp(mem(x, cc("ord2")), mem(x, cc("ord2")))), {"X": hf.nat(7)}) is True
 
 
 def test_check_claim_compiles_the_body_once(monkeypatch):
@@ -878,7 +920,7 @@ def staging_cases():
 
     A one-binder claim reading its binder under a quantifier, a closed
     claim with a closed subterm under one, and Unsupported subterms that no
-    assignment demands, in an => or an Ite branch.
+    assignment demands, in an => or an ite branch.
     """
     claims = hf.parse_lemmas(
         "![X:set]: (! [Y : $i] : ((in @ Y @ X) => (in @ Y @ (ordsucc @ X))))\n"
@@ -888,7 +930,7 @@ def staging_cases():
     )
     x = Var("X", IOTA)
     unsupported = Eq(App(cc("ordsucc"), cc("omega")), x)
-    claims.append(hf.Claim(5, 0, "ite", [("X", "set")], Ite(Eq(x, x), Top(), unsupported), None))
+    claims.append(hf.Claim(5, 0, "ite", [("X", "set")], ite(Eq(x, x), Top(), unsupported), None))
     return list(zip(claims, [16, 1, 16, 64, 16]))
 
 

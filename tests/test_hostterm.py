@@ -21,12 +21,8 @@ from sumok2set.hostterm import (
     Ex,
     Iff,
     Imp,
-    Ite,
     Lam,
-    Mem,
     Neg,
-    Sep,
-    Subq,
     Top,
     TypeMismatch,
     Var,
@@ -42,7 +38,18 @@ from sumok2set.hostterm import (
 )
 
 from conftest import fixture_path
-from termhelpers import alpha_eq, catalog_needs, const_names, consts, substitute, subterms
+from termhelpers import (
+    alpha_eq,
+    catalog_needs,
+    const_names,
+    consts,
+    ite,
+    mem,
+    separation,
+    subq,
+    substitute,
+    subterms,
+)
 
 O = OMICRON
 
@@ -55,8 +62,8 @@ def test_arrow_helper():
 def test_typecheck_basics():
     x = Var("X", IOTA)
     assert typecheck(x) == IOTA
-    assert typecheck(Mem(x, Const("s", IOTA))) == O
-    assert typecheck(Subq(x, x)) == O
+    assert typecheck(mem(x, Const("s", IOTA))) == O
+    assert typecheck(subq(x, x)) == O
     assert typecheck(Eq(x, x)) == O
     assert typecheck(Top()) == O
     assert typecheck(Bot()) == O
@@ -69,7 +76,7 @@ def test_typecheck_connectives():
 
 
 def test_typecheck_binders():
-    body = Mem(Var("X", IOTA), Const("s", IOTA))
+    body = mem(Var("X", IOTA), Const("s", IOTA))
     assert typecheck(All("X", IOTA, body)) == O
     assert typecheck(Ex("X", IOTA, body)) == O
     lam = Lam("X", IOTA, Var("X", IOTA))
@@ -85,9 +92,9 @@ def test_typecheck_application():
 
 def test_typecheck_sep_and_ite():
     x = Var("X", IOTA)
-    s = Sep("X", Const("u", IOTA), Mem(x, Const("a", IOTA)))
+    s = separation("X", Const("u", IOTA), mem(x, Const("a", IOTA)))
     assert typecheck(s) == IOTA
-    i = Ite(Top(), Const("a", IOTA), Const("b", IOTA))
+    i = ite(Top(), Const("a", IOTA), Const("b", IOTA))
     assert typecheck(i) == IOTA
 
 
@@ -116,20 +123,20 @@ def test_typecheck_free_variable_is_self_typed():
 
 
 def test_typecheck_binder_use_disagreement():
-    bad = All("X", OMICRON, Mem(Var("X", IOTA), Const("s", IOTA)))
+    bad = All("X", OMICRON, mem(Var("X", IOTA), Const("s", IOTA)))
     with pytest.raises(TypeMismatch):
         typecheck(bad)
 
 
 def test_alpha_eq_binder_renaming():
-    a = All("X", IOTA, Mem(Var("X", IOTA), Const("s", IOTA)))
-    b = All("Y", IOTA, Mem(Var("Y", IOTA), Const("s", IOTA)))
+    a = All("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
+    b = All("Y", IOTA, mem(Var("Y", IOTA), Const("s", IOTA)))
     assert alpha_eq(a, b)
 
 
 def test_alpha_eq_distinguishes_structure():
-    a = All("X", IOTA, Mem(Var("X", IOTA), Const("s", IOTA)))
-    b = Ex("X", IOTA, Mem(Var("X", IOTA), Const("s", IOTA)))
+    a = All("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
+    b = Ex("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
     assert not alpha_eq(a, b)
 
 
@@ -148,8 +155,8 @@ def test_alpha_eq_nested_shadowing():
 
 
 def test_alpha_eq_sep_binder():
-    a = Sep("X", Const("u", IOTA), Mem(Var("X", IOTA), Const("s", IOTA)))
-    b = Sep("Z", Const("u", IOTA), Mem(Var("Z", IOTA), Const("s", IOTA)))
+    a = separation("X", Const("u", IOTA), mem(Var("X", IOTA), Const("s", IOTA)))
+    b = separation("Z", Const("u", IOTA), mem(Var("Z", IOTA), Const("s", IOTA)))
     assert alpha_eq(a, b)
 
 
@@ -188,10 +195,18 @@ S = Const("s", IOTA)
 ONE_OF_EACH = [
     X, S, Bot(), Top(),
     App(Const("f", arrow(IOTA, IOTA)), X),
-    Lam("X", IOTA, X), All("X", IOTA, Mem(X, S)), Ex("X", IOTA, Mem(X, S)),
+    Lam("X", IOTA, X), All("X", IOTA, mem(X, S)), Ex("X", IOTA, mem(X, S)),
     Neg(Top()), Imp(Top(), Bot()), Conj(Top(), Bot()), Disj(Top(), Bot()), Iff(Top(), Bot()),
-    Eq(X, S), Mem(X, S), Subq(X, S), Sep("X", S, Mem(X, Y)), Ite(Top(), X, S),
+    Eq(X, S),
 ]
+
+
+def test_shapes_are_the_simply_typed_lambda_calculus():
+    # the set primitives are applied catalog constants, no node kinds
+    assert set(hostterm.SHAPES) == {
+        Var, Const, App, Lam, Bot, Top, Neg, Imp, Conj, Disj, Iff, Eq, All, Ex,
+    }
+    assert len(hostterm.SHAPES) == 14
 
 
 def test_traversal_table_covers_every_term_class():
@@ -239,13 +254,13 @@ def test_children_rejects_unknown_node():
 
 
 def test_free_vars_sep_scopes_body_not_bound():
-    t = Sep("X", App(Const("f", arrow(IOTA, IOTA)), X), Mem(X, Y))
+    t = separation("X", App(Const("f", arrow(IOTA, IOTA)), X), mem(X, Y))
     assert free_vars(t) == [("X", IOTA), ("Y", IOTA)]
     assert free_vars(Lam("X", IOTA, Conj(Eq(X, Y), Eq(Y, X)))) == [("Y", IOTA)]
 
 
 def test_substitute_respects_binders_but_not_capture():
-    assert substitute(Sep("X", X, Mem(X, Y)), {"X": S}) == Sep("X", S, Mem(X, Y))
+    assert substitute(separation("X", X, mem(X, Y)), {"X": S}) == separation("X", S, mem(X, Y))
     # not capture-avoiding: the hoisting key relies on plain replacement
     assert substitute(Lam("Y", IOTA, X), {"X": Y}) == Lam("Y", IOTA, Y)
 
@@ -275,8 +290,8 @@ def _compile_and_pose():
 
 
 _PREMISE = All("X", IOTA, Conj(
-    Mem(X, Sep("Z", Ite(Top(), S, X), Mem(Var("Z", IOTA), Sep("W", X, Subq(Var("W", IOTA), S))))),
-    Eq(App(Sep("Z", S, Top()), X), Y),
+    mem(X, separation("Z", ite(Top(), S, X), mem(Var("Z", IOTA), separation("W", X, subq(Var("W", IOTA), S))))),
+    Eq(App(separation("Z", S, Top()), X), Y),
 ))
 
 
@@ -285,9 +300,9 @@ _PREMISE = All("X", IOTA, Conj(
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda: typecheck(All("X", IOTA, Conj(Mem(X, Sep("Z", S, Mem(Var("Z", IOTA), X))), Top()))),
-        lambda: free_vars(Lam("X", IOTA, Conj(Eq(X, Y), Mem(Y, Sep("Z", X, Top()))))),
-        lambda: substitute(All("Y", IOTA, Conj(Eq(X, Y), Mem(Y, S))), {"X": S}),
+        lambda: typecheck(All("X", IOTA, Conj(mem(X, separation("Z", S, mem(Var("Z", IOTA), X))), Top()))),
+        lambda: free_vars(Lam("X", IOTA, Conj(Eq(X, Y), mem(Y, separation("Z", X, Top()))))),
+        lambda: substitute(All("Y", IOTA, Conj(Eq(X, Y), mem(Y, S))), {"X": S}),
         lambda: CATALOG.background({"ord_add", "len", "dom_of"}),
         lambda: [sumo.lower(form) for form in _SUMO_FORMS],
         lambda: th0.render_premise("ax", "axiom", _PREMISE),

@@ -25,13 +25,9 @@ from sumok2set.hostterm import (
     IOTA,
     Iff,
     Imp,
-    Ite,
     Lam,
-    Mem,
     Neg,
     OMICRON,
-    Sep,
-    Subq,
     Top,
     Var,
     app,
@@ -48,7 +44,7 @@ from sumok2set.th0 import (
 from sumok2set.translate import Problem
 
 from conftest import FIXTURES, fixture_path
-from termhelpers import catalog_needs, substitute
+from termhelpers import catalog_needs, ite, mem, separation, subq, substitute
 
 
 def test_render_type_shapes():
@@ -130,8 +126,8 @@ def simple_problem(conjecture, premises=()):
 
 def test_doc_layout_order():
     prob = simple_problem(
-        Mem(Const("s_a", IOTA), Const("s_b", IOTA)),
-        premises=[("kb_x_0", "axiom", Subq(Const("s_b", IOTA), Const("s_b", IOTA)))],
+        mem(Const("s_a", IOTA), Const("s_b", IOTA)),
+        premises=[("kb_x_0", "axiom", subq(Const("s_b", IOTA), Const("s_b", IOTA)))],
     )
     text = problem_text(prob, reproducible=True)
     lines = text.splitlines()
@@ -145,14 +141,14 @@ def test_doc_layout_order():
 
 
 def test_reproducible_omits_date():
-    prob = simple_problem(Mem(Const("s_a", IOTA), Const("s_b", IOTA)))
+    prob = simple_problem(mem(Const("s_a", IOTA), Const("s_b", IOTA)))
     assert "generated" in problem_text(prob)
     assert "generated" not in problem_text(prob, reproducible=True)
 
 
 def test_catalog_constants_precede_minted_in_decls():
     prob = simple_problem(
-        Mem(Const("s_a", IOTA), App(cc("power"), Const("s_b", IOTA)))
+        mem(Const("s_a", IOTA), App(cc("power"), Const("s_b", IOTA)))
     )
     text = problem_text(prob, reproducible=True)
     names = [
@@ -165,12 +161,12 @@ def test_catalog_constants_precede_minted_in_decls():
 
 
 def test_sep_hoisting_definition_premise():
-    sep = Sep(
+    sep = separation(
         "X",
         cc("univ"),
-        Mem(Var("X", IOTA), Const("s_Planet", IOTA)),
+        mem(Var("X", IOTA), Const("s_Planet", IOTA)),
     )
-    prob = simple_problem(Mem(Const("s_o", IOTA), sep))
+    prob = simple_problem(mem(Const("s_o", IOTA), sep))
     text = problem_text(prob, reproducible=True)
     assert "thf(ty_sep_" in text
     assert "thf(def_sep_" in text
@@ -181,9 +177,9 @@ def test_sep_hoisting_definition_premise():
 
 
 def test_sep_hoisting_dedups_identical_bodies():
-    sep = lambda: Sep("X", cc("univ"), Mem(Var("X", IOTA), Const("s_P", IOTA)))
+    sep = lambda: separation("X", cc("univ"), mem(Var("X", IOTA), Const("s_P", IOTA)))
     prob = simple_problem(
-        Conj(Mem(Const("s_a", IOTA), sep()), Mem(Const("s_b", IOTA), sep()))
+        Conj(mem(Const("s_a", IOTA), sep()), mem(Const("s_b", IOTA), sep()))
     )
     text = problem_text(prob, reproducible=True)
     assert text.count("thf(def_sep_") == 1
@@ -191,21 +187,21 @@ def test_sep_hoisting_dedups_identical_bodies():
 
 def test_sep_hoisting_lifts_parameters():
     # a separation over a free variable becomes a parametric constant
-    sep = Sep(
+    sep = separation(
         "X",
         Var("B", IOTA),
-        Mem(Var("X", IOTA), Var("B", IOTA)),
+        mem(Var("X", IOTA), Var("B", IOTA)),
     )
-    prob = simple_problem(All("B", IOTA, Mem(Const("s_o", IOTA), sep)))
+    prob = simple_problem(All("B", IOTA, mem(Const("s_o", IOTA), sep)))
     text = problem_text(prob, reproducible=True)
     decl = next(l for l in text.splitlines() if l.startswith("thf(ty_sep_"))
     assert "$i > $i" in decl
 
 
 def test_alpha_variant_seps_share_a_constant():
-    s1 = Sep("X", cc("univ"), Mem(Var("X", IOTA), Const("s_P", IOTA)))
-    s2 = Sep("Y", cc("univ"), Mem(Var("Y", IOTA), Const("s_P", IOTA)))
-    a, b = Mem(Const("s_a", IOTA), s1), Mem(Const("s_b", IOTA), s2)
+    s1 = separation("X", cc("univ"), mem(Var("X", IOTA), Const("s_P", IOTA)))
+    s2 = separation("Y", cc("univ"), mem(Var("Y", IOTA), Const("s_P", IOTA)))
+    a, b = mem(Const("s_a", IOTA), s1), mem(Const("s_b", IOTA), s2)
     for prob in (
         simple_problem(Conj(a, b)),
         # in two premises, each flattened and rendered on its own
@@ -236,9 +232,9 @@ def test_constant_used_at_two_types_is_rejected():
 def test_a_separation_constant_clashing_with_a_record_constant_in_a_block_is_rejected(sep_first):
     # s_a is read only by the separation's definition in one premise, and
     # at a second type by the record of the other
-    sep = Sep("X", cc("univ"), Mem(Var("X", IOTA), Const("s_a", IOTA)))
+    sep = separation("X", cc("univ"), mem(Var("X", IOTA), Const("s_a", IOTA)))
     terms = [
-        ("kb_x_0", Mem(Const("s_b", IOTA), sep)),
+        ("kb_x_0", mem(Const("s_b", IOTA), sep)),
         ("kb_x_1", App(Const("s_a", arrow(IOTA, OMICRON)), cc("emptyset"))),
     ]
     premises = [(n, "axiom", th0.render_premise(n, "axiom", t)) for n, t in terms]
@@ -253,7 +249,7 @@ def test_long_lines_wrap_with_continuation_indent():
     deep = Const("s_x", IOTA)
     for i in range(40):
         deep = app(cc("ordsucc"), deep)
-    prob = simple_problem(Mem(deep, cc("omega")))
+    prob = simple_problem(mem(deep, cc("omega")))
     text = problem_text(prob, reproducible=True)
     for line in text.splitlines():
         assert len(line) <= th0.WIDTH
@@ -291,7 +287,7 @@ def test_wrap_fills_lines_as_word_by_word_filling_does():
 
 def test_comments_rendered_with_percent():
     prob = simple_problem(
-        Mem(Const("s_a", IOTA), Const("s_b", IOTA)),
+        mem(Const("s_a", IOTA), Const("s_b", IOTA)),
     )
     prob.comments.append("skipped x.kif:3: modal head 'holdsDuring'")
     text = problem_text(prob, reproducible=True)
@@ -304,11 +300,11 @@ def test_parse_round_trip_on_generated():
             "X",
             IOTA,
             Imp(
-                Mem(Var("X", IOTA), Const("s_A", IOTA)),
-                Mem(Var("X", IOTA), Const("s_B", IOTA)),
+                mem(Var("X", IOTA), Const("s_A", IOTA)),
+                mem(Var("X", IOTA), Const("s_B", IOTA)),
             ),
         ),
-        premises=[("kb_t_0", "axiom", Subq(Const("s_A", IOTA), Const("s_B", IOTA)))],
+        premises=[("kb_t_0", "axiom", subq(Const("s_A", IOTA), Const("s_B", IOTA)))],
     )
     text = problem_text(prob, reproducible=True)
     doc = parse_doc(text)
@@ -316,7 +312,7 @@ def test_parse_round_trip_on_generated():
 
 
 def test_check_text_accepts_generated():
-    prob = simple_problem(Mem(Const("s_a", IOTA), cc("omega")))
+    prob = simple_problem(mem(Const("s_a", IOTA), cc("omega")))
     text = problem_text(prob, reproducible=True)
     assert check_text(text) == []
 
@@ -814,8 +810,8 @@ def test_memo_entries_hold_only_strings_and_are_untracked(cold_memo, fixture_pro
         assert not gc.is_tracked(entry)
 
 
-# A seeded corpus of host terms for the premise renderer.  It puts Mem,
-# Subq, Ite and Sep nodes in head, argument and binder-body positions,
+# A seeded corpus of host terms for the premise renderer.  It puts in, subq,
+# ite and sep applications in head, argument and binder-body positions,
 # nests separations, repeats alpha variants in one premise and uses f at
 # two types.  Terms need not be well typed: rendering does not check.
 # The digest pins, per premise, the record text, its (name, type) constant
@@ -846,13 +842,13 @@ def _gen_set(rng, depth, bound):
     if k in (3, 4):
         return App(rng.choice(_GEN_FUNS), _gen_set(rng, d, bound))
     if k == 5:
-        return Ite(_gen_prop(rng, d, bound), _gen_set(rng, d, bound), _gen_set(rng, d, bound))
+        return ite(_gen_prop(rng, d, bound), _gen_set(rng, d, bound), _gen_set(rng, d, bound))
     if k in (6, 7):
         return _gen_sep(rng, d, bound)
     if k == 8:  # a separation at the head of a spine
         return app(_gen_sep(rng, d, bound), *[_gen_set(rng, d, bound) for _ in range(rng.randint(1, 2))])
     if k == 9:  # an if-then-else at the head of a spine
-        return App(Ite(_gen_prop(rng, d, bound), _gen_set(rng, d, bound), rng.choice(_GEN_FUNS)),
+        return App(ite(_gen_prop(rng, d, bound), _gen_set(rng, d, bound), rng.choice(_GEN_FUNS)),
                    _gen_set(rng, d, bound))
     if k == 10:
         name = rng.choice(_GEN_BINDERS)
@@ -863,8 +859,8 @@ def _gen_set(rng, depth, bound):
 def _gen_sep(rng, depth, bound):
     name = rng.choice(_GEN_BINDERS)
     if rng.randrange(4) == 0:  # parameter-free
-        return Sep(name, rng.choice(_GEN_SETS), _gen_prop(rng, depth, frozenset({name})))
-    return Sep(name, _gen_set(rng, depth, bound), _gen_prop(rng, depth, bound | {name}))
+        return separation(name, rng.choice(_GEN_SETS), _gen_prop(rng, depth, frozenset({name})))
+    return separation(name, _gen_set(rng, depth, bound), _gen_prop(rng, depth, bound | {name}))
 
 
 def _gen_prop(rng, depth, bound):
@@ -875,11 +871,11 @@ def _gen_prop(rng, depth, bound):
         return App(rng.choice(_GEN_PREDS), _gen_set(rng, 0, bound))
     d = depth - 1
     if k in (2, 3):
-        return Mem(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
+        return mem(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
     if k == 4:
-        return Subq(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
+        return subq(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
     if k == 5:  # membership and subset at the head of a spine
-        head = rng.choice((Mem, Subq))(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
+        head = rng.choice((mem, subq))(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
         return App(head, _gen_set(rng, d, bound))
     if k == 6:
         return Neg(_gen_prop(rng, d, bound))
@@ -900,10 +896,11 @@ def _gen_premise(rng):
     # a separation next to an alpha variant of itself, and nested in a third
     sep = _gen_sep(rng, depth - 1, frozenset())
     fresh = next(n for n in ("W", "W1", "W2", "W3") if n not in repr(sep))
-    variant = Sep(fresh, sep.bound, substitute(sep.body, {sep.name: Var(fresh, IOTA)}))
-    outer = Sep("Z", variant, Mem(Var("Z", IOTA), sep))
-    return Conj(Mem(_gen_set(rng, 1, frozenset()), sep),
-                Conj(Subq(variant, sep), Mem(cc("univ"), outer)))
+    bound, pred = sep.fn.arg, sep.arg
+    variant = separation(fresh, bound, substitute(pred.body, {pred.name: Var(fresh, IOTA)}))
+    outer = separation("Z", variant, mem(Var("Z", IOTA), sep))
+    return Conj(mem(_gen_set(rng, 1, frozenset()), sep),
+                Conj(subq(variant, sep), mem(cc("univ"), outer)))
 
 
 def _pin_consts(record):
@@ -940,31 +937,31 @@ _P0, _P1, _SEPX = Var("P0", IOTA), Var("P1", IOTA), Var("SEPX", IOTA)
 _S = Const("s_a", IOTA)
 _SEP_CASES = [
     # two deep: the inner separation takes the outer element and B
-    All("B", IOTA, Mem(_S, Sep("X", _B, Mem(_X, Sep("Y", _X, Mem(_Y, _B)))))),
+    All("B", IOTA, mem(_S, separation("X", _B, mem(_X, separation("Y", _X, mem(_Y, _B)))))),
     # three deep, each level over the one outside it and over B and C
-    Sep("X", _B, Mem(_X, Sep("Y", _X, Subq(_Y, Sep("Z", _Y, Conj(Mem(_Z, _X), Mem(_C, _B))))))),
+    separation("X", _B, mem(_X, separation("Y", _X, subq(_Y, separation("Z", _Y, Conj(mem(_Z, _X), mem(_C, _B))))))),
     # three deep through the bound, a conditional and a head position
-    Mem(_S, Sep("X", Sep("Y", Ite(Mem(_B, _S), _B, _C), Mem(_Y, Sep("Z", _C, Eq(_Z, _Y)))),
-                App(Sep("Z", _X, Top()), _B))),
+    mem(_S, separation("X", separation("Y", ite(mem(_B, _S), _B, _C), mem(_Y, separation("Z", _C, Eq(_Z, _Y)))),
+                App(separation("Z", _X, Top()), _B))),
     # B becomes P0 under a binder named P0
-    Mem(_S, Sep("X", _S, All("P0", IOTA, Mem(_B, _P0)))),
+    mem(_S, separation("X", _S, All("P0", IOTA, mem(_B, _P0)))),
     # C becomes P1 under a binder named P1, B becomes P0 beside it
-    Mem(_S, Sep("X", _B, Ex("P1", IOTA, Conj(Mem(_C, _P1), Mem(_X, _B))))),
+    mem(_S, separation("X", _B, Ex("P1", IOTA, Conj(mem(_C, _P1), mem(_X, _B))))),
     # the element becomes SEPX under a binder named SEPX
-    Mem(_S, Sep("X", _S, Ex("SEPX", IOTA, Eq(_X, _SEPX)))),
+    mem(_S, separation("X", _S, Ex("SEPX", IOTA, Eq(_X, _SEPX)))),
     # a free P0 is itself a parameter (P1); a binder P0 suspends its renaming
-    Mem(_S, Sep("X", _B, Conj(Mem(_X, _P0), All("P0", IOTA, Mem(_P0, _B))))),
+    mem(_S, separation("X", _B, Conj(mem(_X, _P0), All("P0", IOTA, mem(_P0, _B))))),
     # a free SEPX moves the element to SEPX_; a binder X suspends the element
-    Mem(_S, Sep("X", _SEPX, Conj(Mem(_X, _B), Ex("X", IOTA, Mem(_X, _SEPX))))),
+    mem(_S, separation("X", _SEPX, Conj(mem(_X, _B), Ex("X", IOTA, mem(_X, _SEPX))))),
     # the element is free in the bound: the definition's element is X_elem
-    Mem(_S, Sep("X", _X, Mem(_X, _B))),
+    mem(_S, separation("X", _X, mem(_X, _B))),
     # an inner separation under a binder of an outer parameter's name, and
     # under a binder P0 that captures the renamed B of the one inside
-    Mem(_S, Sep("X", _B, App(Lam("B", IOTA, Mem(_X, Sep("Y", _B, Mem(_Y, _C)))), _S))),
-    Mem(_S, Sep("X", _S, All("P0", IOTA, Mem(_P0, Sep("Y", _B, Mem(_Y, _X)))))),
+    mem(_S, separation("X", _B, App(Lam("B", IOTA, mem(_X, separation("Y", _B, mem(_Y, _C)))), _S))),
+    mem(_S, separation("X", _S, All("P0", IOTA, mem(_P0, separation("Y", _B, mem(_Y, _X)))))),
     # a parameter of function type, and a repeat and an alpha variant
-    Conj(Mem(_S, Sep("X", App(_F, _B), Mem(App(_F, _X), _B))),
-         Subq(Sep("Y", App(_F, _B), Mem(App(_F, _Y), _B)), Sep("X", App(_F, _B), Mem(App(_F, _X), _B)))),
+    Conj(mem(_S, separation("X", App(_F, _B), mem(App(_F, _X), _B))),
+         subq(separation("Y", App(_F, _B), mem(App(_F, _Y), _B)), separation("X", App(_F, _B), mem(App(_F, _X), _B)))),
 ]
 SEP_PIN_DIGEST = "934991780f1c324d213494d764200304eb9bcd4b37c1efe96c49b1fa348a78a6"
 

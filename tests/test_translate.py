@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sumok2set import sexpr, signature, sumo, th0, translate
-from sumok2set.catalog import cc, ord_of
+from sumok2set.catalog import IN, ITE, cc, ord_of
 from sumok2set.hostterm import (
     All,
     App,
@@ -19,9 +19,7 @@ from sumok2set.hostterm import (
     IOTA,
     Imp,
     Lam,
-    Mem,
     Neg,
-    Sep,
     Var,
     app,
     imp_chain,
@@ -31,7 +29,7 @@ from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
 from sumok2set.translate import LIST, Translator, mangle, translate_query_job
 
 from conftest import FIXTURES, NESTED_KAPPA, fixture_path, formula_of, lower_one, sig_from
-from termhelpers import alpha_eq
+from termhelpers import alpha_eq, head_args, mem, separation
 
 
 def istrue(t):
@@ -129,11 +127,11 @@ def test_golden_partition_swap_rule():
                 IOTA,
                 imp_chain(
                     [
-                        Mem(x, dm(p, 0)),
-                        Mem(y, dm(p, 1)),
-                        Mem(z, dm(p, 2)),
-                        Mem(z, dm(p, 1)),
-                        Mem(y, dm(p, 2)),
+                        mem(x, dm(p, 0)),
+                        mem(y, dm(p, 1)),
+                        mem(z, dm(p, 2)),
+                        mem(z, dm(p, 1)),
+                        mem(y, dm(p, 2)),
                     ],
                     Imp(
                         istrue(ap_list(p, [x, y, z])),
@@ -167,8 +165,8 @@ def test_golden_subrelation_rule():
         Conj(
             istrue(ap_list(sr, [r1, r2])),
             Conj(
-                Mem(r1, pred),
-                Conj(Mem(r2, pred), istrue(ap_row(r1, rho))),
+                mem(r1, pred),
+                Conj(mem(r2, pred), istrue(ap_row(r1, rho))),
             ),
         ),
         istrue(ap_row(r2, rho)),
@@ -184,10 +182,10 @@ def test_golden_subrelation_rule():
                 LIST,
                 imp_chain(
                     [
-                        Mem(r1, dm(sr, 0)),
-                        Mem(r2, dm(sr, 1)),
-                        Mem(r1, cc("entity")),
-                        Mem(r2, cc("entity")),
+                        mem(r1, dm(sr, 0)),
+                        mem(r2, dm(sr, 1)),
+                        mem(r1, cc("entity")),
+                        mem(r2, cc("entity")),
                         dom_of_generic(r1, rho),
                         dom_of_generic(r2, rho),
                     ],
@@ -207,17 +205,17 @@ def test_golden_kappa_class():
     )
     attr = Const("s_attribute", IOTA)
     p = Var("P", IOTA)
-    expected = Mem(
+    expected = mem(
         Const("s_o", IOTA),
-        Sep(
+        separation(
             "P",
             cc("univ"),
             Conj(
-                Mem(p, cc("entity")),
+                mem(p, cc("entity")),
                 Conj(
-                    Mem(p, dm(attr, 0)),
+                    mem(p, dm(attr, 0)),
                     Conj(
-                        Mem(p, Const("s_Planet", IOTA)),
+                        mem(p, Const("s_Planet", IOTA)),
                         istrue(ap_list(attr, [p, Const("s_Earthlike", IOTA)])),
                     ),
                 ),
@@ -236,8 +234,8 @@ def test_existential_guards_conjoined():
         "X",
         IOTA,
         Conj(
-            Mem(x, dm(son, 0)),
-            Conj(Mem(x, dm(son, 1)), istrue(ap_list(son, [x, x]))),
+            mem(x, dm(son, 0)),
+            Conj(mem(x, dm(son, 1)), istrue(ap_list(son, [x, x]))),
         ),
     )
     assert alpha_eq(got, expected)
@@ -252,7 +250,7 @@ def test_close_query_uses_conjunction():
     expected = Ex(
         "X",
         IOTA,
-        Conj(Mem(x, dm(son, 0)), istrue(ap_list(son, [x, Const("s_Bob", IOTA)]))),
+        Conj(mem(x, dm(son, 0)), istrue(ap_list(son, [x, Const("s_Bob", IOTA)]))),
     )
     assert alpha_eq(got, expected)
 
@@ -268,7 +266,7 @@ def test_negative_context_guards_still_implied():
         "X",
         IOTA,
         imp_chain(
-            [Mem(x, dm(son, 0)), Mem(x, dm(son, 1))],
+            [mem(x, dm(son, 0)), mem(x, dm(son, 1))],
             Neg(istrue(ap_list(son, [x, x]))),
         ),
     )
@@ -345,8 +343,6 @@ def test_fresh_index_binder_avoids_the_forms_variables(monkeypatch):
 
 
 def test_row_spine_suffix_encoding():
-    from sumok2set.hostterm import Ite
-
     sig = sig_from("")
     tr = Translator(sig)
     got = tr.formula(formula_of("(forall (@ROW) (p @ROW c))"))
@@ -356,16 +352,16 @@ def test_row_spine_suffix_encoding():
     # istrue (ap p (listset <extended row>))
     spine = got.body.cons.arg.arg.arg
     assert isinstance(spine, Lam)
-    sel = spine.body
     # below the row's own length, defer to the row; at the extension
     # offset, the tagged suffix entry; otherwise empty
-    assert isinstance(sel, Ite)
-    assert isinstance(sel.cond, Mem)
-    assert sel.then == App(Var("ROW", LIST), Var(spine.name, IOTA))
-    tail = sel.other
-    assert isinstance(tail, Ite)
-    assert tail.then == App(cc("tag"), Const("s_c", IOTA))
-    assert tail.other == cc("emptyset")
+    head, (cond, then, other) = head_args(spine.body)
+    assert head is ITE
+    assert head_args(cond)[0] is IN
+    assert then == App(Var("ROW", LIST), Var(spine.name, IOTA))
+    head, (_, then, other) = head_args(other)
+    assert head is ITE
+    assert then == App(cc("tag"), Const("s_c", IOTA))
+    assert other == cc("emptyset")
     env = {n: translate.CATALOG.type_of(n) for n in translate.CATALOG.order}
     env["s_p"] = IOTA
     env["s_c"] = IOTA
