@@ -106,6 +106,16 @@ def cmd_run(args) -> int:
             )
             return 2
         outputs[name] = query
+    try:
+        return _run_jobs(cfg, outputs, args.keep_going)
+    except OSError as err:
+        # each query's read and translate errors are caught in _run_jobs, so
+        # what gets here is an output path that cannot be written
+        print(f"error: {err.filename or cfg.out_dir}: {err.strerror or err}", file=sys.stderr)
+        return 2
+
+
+def _run_jobs(cfg, outputs: dict, keep_going: bool) -> int:
     skip_heads = tuple(cfg.skip_heads) if cfg.skip_heads else translate.sumo.DEFAULT_SKIP_HEADS
     problems_dir = os.path.join(cfg.out_dir, "problems")
     os.makedirs(problems_dir, exist_ok=True)
@@ -132,7 +142,7 @@ def cmd_run(args) -> int:
         except (OSError, INPUT_ERRORS) as err:
             failures += 1
             summary_lines.append(f"{query}: FAILED: {err}")
-            if args.keep_going:
+            if keep_going:
                 continue
             _write_lines(os.path.join(cfg.out_dir, "kb-summary.txt"), summary_lines)
             # the query is named unless the error is located in it

@@ -35,7 +35,15 @@ PROCESS_INPUTS = {
     "huge.lemmas": HUGE_NUMERAL,
     "capped.cfg": f"kb = {KB}\nquery = kappa.kif\ntimeout = 3000000\nout_dir = capped\n".encode(),
     "kappa.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = runs\n".encode(),
+    # run configs whose outputs cannot be written: the out_dir lies under a
+    # plain file, or a directory stands where run writes a file
+    "under-file.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = kappa.kif/runs\n".encode(),
+    "summary.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = summary\n".encode(),
+    "problem.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = problem\n".encode(),
+    "table.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = table\nprover.stub = true {{file}}\n".encode(),
 }
+# directories made beside PROCESS_INPUTS, each where a run config writes a file
+PROCESS_DIRS = ("summary/kb-summary.txt", "problem/problems/kappa.p", "table/results.tsv")
 
 
 # the address space each command run in a process of its own may take, so a
@@ -775,6 +783,29 @@ def test_run_skip_head_config(tmp_path, capsys):
     assert "lessThanOrEqualTo" in summary
 
 
+@pytest.mark.parametrize(
+    "out_dir, blocked, reason",
+    [
+        ("file/runs", "file/runs", "Not a directory"),
+        ("runs", "runs/kb-summary.txt", "Is a directory"),
+        ("runs", "runs/problems/tqg3.p", "Is a directory"),
+        ("runs", "runs/results.tsv", "Is a directory"),
+    ],
+)
+def test_run_names_an_output_path_it_cannot_write(tmp_path, capsys, out_dir, blocked, reason):
+    (tmp_path / "file").write_text("")
+    if blocked != "file/runs":
+        (tmp_path / blocked).mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"kb = {KB}\nquery = {fixture_path('tqg3.kif')}\nout_dir = {tmp_path / out_dir}\n"
+        + ("prover.stub = true {file}\n" if blocked.endswith(".tsv") else "")
+    )
+    code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert err == f"error: {tmp_path / blocked}: {reason}\n"
+
+
 # Only a process of its own shows the exit code and what reaches stderr when
 # an error escapes cli.main, as a traceback.  The tests above pin each output,
 # and fail on any error that escapes cli.main in-process.
@@ -790,6 +821,10 @@ PROCESS_RUNS = [
     (["run", "capped.cfg"], 2),
     (["translate", "--explain-guards", "--kb", KB, "kappa.kif"], 0),
     (["run", "kappa.cfg"], 0),
+    (["run", "under-file.cfg"], 2),
+    (["run", "summary.cfg"], 2),
+    (["run", "problem.cfg"], 2),
+    (["run", "table.cfg"], 2),
 ]
 
 
@@ -799,6 +834,8 @@ PROCESS_RUNS = [
 def test_cli_process_exits_without_a_traceback(argv, code, tmp_path):
     for name, data in PROCESS_INPUTS.items():
         (tmp_path / name).write_bytes(data)
+    for name in PROCESS_DIRS:
+        (tmp_path / name).mkdir(parents=True)
     done = run_process(argv, tmp_path)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
