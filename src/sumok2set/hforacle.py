@@ -890,12 +890,6 @@ def _compile_eq(ev, t, scope, owed):
     return eq
 
 
-# A full application of in, subq or ite, or of sep to a set and a Lam, is
-# compiled as a node of its own: one unit of fuel, charged with its first
-# argument, and ite evaluates only the branch it takes.  Staging never splits
-# its spine.
-
-
 def _compile_mem(ev, t, scope, owed):
     elem, container = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
 
@@ -928,7 +922,12 @@ _BINARY_PRIMITIVES = {"in": _compile_mem, "subq": _compile_subq}
 
 
 def _set_primitive(t):
-    """The compiler of the application t when it is a set primitive, else None."""
+    """The compiler of t if it is a full application of in, subq or ite, or
+    of sep to a set and a Lam, else None.
+
+    Such an application compiles as a node of its own: one unit of fuel,
+    charged with its first argument, and staging never splits its spine.
+    """
     fn = t.fn
     if type(fn) is not App:
         return None
@@ -990,25 +989,15 @@ def _membership_bound(t, universal: bool):
         guard, rest = body.left, body.right
     else:
         return None
-    guard = _as_mem(guard)
+    if type(guard) is not App or _set_primitive(guard) is not _compile_mem:
+        return None
+    elem, container = guard.fn.arg, guard.arg
     if (
-        guard is not None
-        and isinstance(guard[0], Var)
-        and guard[0].name == t.name
-        and all(name != t.name for name, _ in free_vars(guard[1]))
+        type(elem) is Var
+        and elem.name == t.name
+        and all(name != t.name for name, _ in free_vars(container))
     ):
-        return guard[1], rest
-    return None
-
-
-def _as_mem(t):
-    if (
-        isinstance(t, App)
-        and isinstance(t.fn, App)
-        and isinstance(t.fn.fn, Const)
-        and t.fn.fn.name == "in"
-    ):
-        return t.fn.arg, t.arg
+        return container, rest
     return None
 
 
