@@ -192,7 +192,7 @@ class _GuardWalk:
         self.add(a.name, shadowed, guard)
 
     def walk(self, node, shadowed):
-        if isinstance(node, (sumo.Apply, sumo.RelAtom)):
+        if isinstance(node, sumo.Apply):
             self.spine(node.head, node.spine, shadowed)
             return
         if isinstance(node, sumo.Instance) and isinstance(node.member, sumo.Var):

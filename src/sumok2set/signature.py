@@ -53,16 +53,7 @@ class Signature:
         return self.consts[name]
 
 
-_BUILTIN_CLASS_NAMES = {
-    sumo.REAL: "RealNumber",
-    sumo.NEGREAL: "NegativeRealNumber",
-    sumo.NONNEGREAL: "NonnegativeRealNumber",
-}
-
-
 def _ground_const(term, what: str, span) -> str:
-    if isinstance(term, sumo.Builtin):
-        return _BUILTIN_CLASS_NAMES[term.which]
     if not isinstance(term, sumo.Const):
         raise NonGroundDeclaration(f"{what} declaration is not ground", span)
     return term.name
@@ -113,7 +104,7 @@ def declaration_head(f) -> str | None:
     none of these leaves the signature as it is.
     """
     cls = type(f)
-    if cls is sumo.RelAtom:
+    if cls is sumo.Apply:
         if (
             type(f.head) is sumo.Const
             and f.head.name in _RELATION_DECLARATIONS

@@ -37,10 +37,6 @@ from .sexpr import (
 # ---------------------------------------------------------------------------
 # Terms
 
-REAL = "real"
-NEGREAL = "negreal"
-NONNEGREAL = "nonnegreal"
-
 ARITH_ADD = "+"
 ARITH_SUB = "-"
 ARITH_MULT = "*"
@@ -69,11 +65,6 @@ class Rat:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Builtin:
-    which: str  # REAL | NEGREAL | NONNEGREAL
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class TermSpine:
     items: tuple
 
@@ -87,6 +78,8 @@ class RowSpine:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Apply:
+    """An application: a function term, or a relation atom where a formula stands."""
+
     head: object  # Var or Const
     spine: object  # TermSpine or RowSpine
 
@@ -106,16 +99,6 @@ class Arith:
 
 # ---------------------------------------------------------------------------
 # Formulas
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Bot:
-    pass
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Top:
-    pass
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -199,12 +182,6 @@ class Lt:
     right: object
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RelAtom:
-    head: object  # Const or Var
-    spine: object
-
-
 # ---------------------------------------------------------------------------
 # Lowering results and errors
 
@@ -252,12 +229,6 @@ class BadNumeral(LowerError):
 
 
 DEFAULT_SKIP_HEADS = ("modalAttribute", "holdsDuring")
-
-_BUILTIN_NAMES = {
-    "RealNumber": REAL,
-    "NegativeRealNumber": NEGREAL,
-    "NonnegativeRealNumber": NONNEGREAL,
-}
 
 _ARITH_NAMES = {
     "AdditionFn": ARITH_ADD,
@@ -378,8 +349,6 @@ class _Lowering:
                 return parse_numeral(sx.lexeme)
             if sx.kind == ATOM_STRING:
                 raise UnknownSyntax("string literals are outside the fragment", sx.span)
-            if sx.lexeme in _BUILTIN_NAMES:
-                return Builtin(_BUILTIN_NAMES[sx.lexeme])
             return Const(sx.lexeme)
         if not isinstance(sx, SList) or not sx.items:
             raise UnknownSyntax("empty application", sx.span)
@@ -436,7 +405,7 @@ class _Lowering:
         if isinstance(head, SList):
             raise UnknownSyntax("compound head is outside the fragment", head.span)
         if head.kind == ATOM_VARIABLE:
-            return RelAtom(self.term(head, bound), self.spine(sx.items[1:], sx, bound))
+            return Apply(self.term(head, bound), self.spine(sx.items[1:], sx, bound))
         if head.kind != ATOM_CONSTANT:
             raise UnknownSyntax("bad formula head", head.span)
         name = head.lexeme
@@ -471,7 +440,7 @@ class _Lowering:
                 raise UnknownSyntax(f"{name} expects two arguments", sx.span)
             left = self.term(args[0], bound)
             return ctor(left, self.term(args[1], bound))
-        return RelAtom(Const(name), self.spine(args, sx, bound))
+        return Apply(Const(name), self.spine(args, sx, bound))
 
 
 def lower(form, skip_heads=DEFAULT_SKIP_HEADS):
@@ -525,14 +494,11 @@ SHAPES = {
     Var: Shape(()),
     Const: Shape(()),
     Rat: Shape(()),
-    Builtin: Shape(()),
     TermSpine: Shape(("items",)),
     RowSpine: Shape(("prefix", "row", "suffix")),
     Apply: Shape(("head", "spine")),
     Kappa: Shape(("body",), (VAR_BINDER, "var")),
     Arith: Shape(("left", "right")),
-    Bot: Shape(()),
-    Top: Shape(()),
     Not: Shape(("body",)),
     Impl: Shape(("ante", "cons")),
     Iff: Shape(("left", "right")),
@@ -547,7 +513,6 @@ SHAPES = {
     Subclass: Shape(("sub", "sup")),
     Le: Shape(("left", "right")),
     Lt: Shape(("left", "right")),
-    RelAtom: Shape(("head", "spine")),
 }
 
 

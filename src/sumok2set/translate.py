@@ -38,7 +38,6 @@ from .hostterm import (
     All,
     App,
     Arrow,
-    Bot,
     Const,
     Disj,
     Eq,
@@ -48,7 +47,6 @@ from .hostterm import (
     Imp,
     Lam,
     Neg,
-    Top,
     Var,
     app,
     conj_chain,
@@ -73,14 +71,16 @@ class UnknownPremiseName(TranslateError):
     pass
 
 
-# Source classes with a set-theoretic counterpart of their own.
+# The one table of source classes with a set-theoretic counterpart of their
+# own: source name -> its host term, which no name is minted for.
 SPECIAL_CLASSES = {
-    "Entity": "entity",
-    "SetOrClass": "set_or_class",
-    "Abstract": "abstract_class",
-    "RealNumber": "real",
-    "NegativeRealNumber": "negreal",
-    "NonnegativeRealNumber": "nonnegreal",
+    "Entity": cc("entity"),
+    "SetOrClass": cc("set_or_class"),
+    "Abstract": cc("abstract_class"),
+    "Class": App(cc("power"), cc("univ")),
+    "RealNumber": cc("real"),
+    "NegativeRealNumber": cc("negreal"),
+    "NonnegativeRealNumber": cc("nonnegreal"),
 }
 
 _ARITH_CONST = {
@@ -96,12 +96,6 @@ _QUANTIFIERS = {
     sumo.ExistsVars: ("exists", conj_chain, Ex, IOTA),
     sumo.ForallRow: ("forall", imp_chain, All, LIST),
     sumo.ExistsRow: ("exists", conj_chain, Ex, LIST),
-}
-
-_BUILTIN_CONST = {
-    sumo.REAL: "real",
-    sumo.NEGREAL: "negreal",
-    sumo.NONNEGREAL: "nonnegreal",
 }
 
 
@@ -126,7 +120,7 @@ class Translator:
         # the form being closed, whose variable names _fresh avoids, once needed
         self._closing = None
         self._avoid: set | None = set()
-        self._resolved: dict = {}  # source name -> its minted Const
+        self._resolved = dict(SPECIAL_CLASSES)  # source name -> its host term
 
     # -- naming ------------------------------------------------------------
 
@@ -134,10 +128,6 @@ class Translator:
         found = self._resolved.get(name)
         if found is not None:
             return found
-        if name == "Class":
-            return App(cc("power"), cc("univ"))
-        if name in SPECIAL_CLASSES:
-            return cc(SPECIAL_CLASSES[name])
         # a name's first use mints it, and checks that no other name took its
         # mangled form before
         host = mangle(name)
@@ -168,8 +158,6 @@ class Translator:
             return self.resolve(t.name)
         if isinstance(t, sumo.Rat):
             return encode_rational(t.num, t.scale)
-        if isinstance(t, sumo.Builtin):
-            return cc(_BUILTIN_CONST[t.which])
         if isinstance(t, sumo.Apply):
             return self.apply_term(t.head, t.spine)
         if isinstance(t, sumo.Kappa):
@@ -240,10 +228,6 @@ class Translator:
         return [guard.to_term(subjects[name]) for name, guard in found]
 
     def formula(self, f):
-        if isinstance(f, sumo.Bot):
-            return Bot()
-        if isinstance(f, sumo.Top):
-            return Top()
         if isinstance(f, sumo.Not):
             return Neg(self.formula(f.body))
         if isinstance(f, sumo.Impl):
@@ -278,7 +262,7 @@ class Translator:
             return self._arith_atom("arith_lt", f.left, f.right)
         if isinstance(f, sumo.Le):
             return self._arith_atom("arith_leq", f.left, f.right)
-        if isinstance(f, sumo.RelAtom):
+        if isinstance(f, sumo.Apply):
             return App(ISTRUE, self.apply_term(f.head, f.spine))
         raise TranslateError(f"not a formula: {f!r}")
 

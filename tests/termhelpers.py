@@ -171,9 +171,6 @@ def formula_free_vars(formula):
 # ---------------------------------------------------------------------------
 # Printing lowered formulas back to SUO-KIF, for the print/lower fixed point
 
-_BUILTIN_SURFACE = {
-    sumo.REAL: "RealNumber", sumo.NEGREAL: "NegativeRealNumber", sumo.NONNEGREAL: "NonnegativeRealNumber",
-}
 _ARITH_SURFACE = {
     sumo.ARITH_ADD: "AdditionFn", sumo.ARITH_SUB: "SubtractionFn",
     sumo.ARITH_MULT: "MultiplicationFn", sumo.ARITH_DIV: "DivisionFn",
@@ -196,8 +193,6 @@ def term_to_kif(t) -> str:
         return t.name
     if isinstance(t, sumo.Rat):
         return rat_lexeme(t)
-    if isinstance(t, sumo.Builtin):
-        return _BUILTIN_SURFACE[t.which]
     if isinstance(t, sumo.Apply):
         return "(" + " ".join([term_to_kif(t.head)] + _spine_to_kif(t.spine)) + ")"
     if isinstance(t, sumo.Kappa):
@@ -218,10 +213,6 @@ def _spine_to_kif(s) -> list:
 
 def to_kif(f) -> str:
     """Render a lowered formula back to SUO-KIF concrete syntax."""
-    if isinstance(f, sumo.Bot):
-        return "(or)"  # no surface form; placeholder never produced by lower()
-    if isinstance(f, sumo.Top):
-        return "(and)"
     if isinstance(f, sumo.Not):
         return f"(not {to_kif(f.body)})"
     if isinstance(f, sumo.Impl):
@@ -250,6 +241,6 @@ def to_kif(f) -> str:
         return f"(lessThan {term_to_kif(f.left)} {term_to_kif(f.right)})"
     if isinstance(f, sumo.Le):
         return f"(lessThanOrEqualTo {term_to_kif(f.left)} {term_to_kif(f.right)})"
-    if isinstance(f, sumo.RelAtom):
-        return "(" + " ".join([term_to_kif(f.head)] + _spine_to_kif(f.spine)) + ")"
+    if isinstance(f, sumo.Apply):
+        return term_to_kif(f)
     raise TypeError(f"not a formula: {f!r}")

@@ -260,7 +260,7 @@ _KIF_INSERTS = (
     " 0 ", " -1.50 ", " 1.2.3 ",
     " (forall (?X) ", " (exists (?Y @ROW) ", "(forall () ", " (KappaFn ?Z ",
 )
-KIF_MUTATION_DIGEST = "78e4031b434d81cdfd5a225e6e59d0bd3f420356cac33e570b5c197bcd77866c"
+KIF_MUTATION_DIGEST = "9d6a981a081270e2e4c09d47d746ac36ff5897a888913c893ee44248dc21e902"
 
 
 def _kif_mutants(n, seed):

@@ -40,7 +40,7 @@ def test_lower_row_quantifier():
     assert isinstance(f, sumo.ForallRow)
     assert f.name == "ROW"
     atom = f.body
-    assert isinstance(atom, sumo.RelAtom)
+    assert isinstance(atom, sumo.Apply)
     assert isinstance(atom.spine, sumo.RowSpine)
     assert atom.spine.row == "ROW"
 
@@ -84,7 +84,7 @@ def test_lower_kappa():
     assert isinstance(f, sumo.Instance)
     assert isinstance(f.cls, sumo.Kappa)
     assert f.cls.var == "X"
-    assert isinstance(f.cls.body, sumo.RelAtom)
+    assert isinstance(f.cls.body, sumo.Apply)
 
 
 def test_lower_row_spine_shapes():
@@ -307,7 +307,7 @@ def test_folds_reject_unknown_nodes():
         lambda f: guards.guards_for(f, {"X"}, sig_from(""), None),
     ):
         with pytest.raises(TypeError):
-            fold(sumo.And((sumo.Top(), Stray())))
+            fold(sumo.And((sumo.Eq(sumo.Var("X"), sumo.Var("Y")), Stray())))
     with pytest.raises(TypeError):
         sumo._row_free_in_term(sumo.Arith(sumo.ARITH_ADD, sumo.Var("X"), Stray()))
 
