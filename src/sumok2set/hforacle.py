@@ -56,7 +56,7 @@ import math
 import weakref
 from dataclasses import dataclass
 
-from .catalog import CATALOG
+from .catalog import CATALOG, SEP
 from .hostterm import (
     All,
     App,
@@ -1110,6 +1110,10 @@ class LemmaSyntaxError(OracleError):
 
 _TOO_DEEP = "formulas nested too deeply"
 
+# a claim may spell every catalog constant, sep too, which catalog.p declares
+# but the catalog leaves out of its constants
+_CLAIM_CONSTS = {**CATALOG.consts, SEP.name: SEP}
+
 
 def parse_lemmas(text: str, file: str = "<lemmas>") -> list:
     """Claims from a lemma file: one formula per line, # comments, pragmas.
@@ -1162,7 +1166,7 @@ def _parse_claim(line: str):
                 raise Th0Error(f"expected , or ] in binder list, found {tok!r}")
         parser.expect(":")
     env = {name: Var(name, _SORT_TYPES[sort]) for name, sort in binders}
-    body = parser.parse_formula(env, CATALOG.consts)
+    body = parser.parse_formula(env, _CLAIM_CONSTS)
     if parser.peek():
         raise parser.error(f"trailing input {parser.peek()!r}", parser.i)
     return binders, body

@@ -346,7 +346,11 @@ class _Lowering:
             if sx.kind == ATOM_ROWVAR:
                 raise UnknownSyntax("row variable used as a term", sx.span)
             if sx.kind == ATOM_NUMERAL:
-                return parse_numeral(sx.lexeme)
+                try:
+                    return parse_numeral(sx.lexeme)
+                except ValueError:  # past the interpreter's limit on digits read as an int
+                    digits = sum(ch.isdigit() for ch in sx.lexeme)
+                    raise BadNumeral(f"numeral of {digits} digits is too long", sx.span) from None
             if sx.kind == ATOM_STRING:
                 raise UnknownSyntax("string literals are outside the fragment", sx.span)
             return Const(sx.lexeme)

@@ -680,9 +680,12 @@ class _RecordPass:
             rendered = []
             entries = []
             while parser.toks[parser.i]:
-                # each record is checked as soon as it is parsed; the parser
-                # nests deeper per level than typecheck and render_term, so
-                # only a parse meets the recursion limit
+                # each record is checked as soon as it is parsed; any of the
+                # parse, typecheck and render_term may meet the recursion
+                # limit: the parser reads a flat chain (a & b & ...) in a loop
+                # but builds it right-nested, and typecheck and render_term
+                # recurse once per link, so 800 conjuncts pass the parse and
+                # fail the typecheck
                 name, role, body = parser.record(consts, self.names)
                 read = tuple(reads)
                 reads.clear()

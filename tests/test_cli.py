@@ -27,12 +27,14 @@ DEEP_LEMMAS = b"((" + b"(ordsucc @ " * 1500 + b"emptyset" + b")" * 1500 + b") = 
 # of gigabytes, and nat(4096) takes hundreds of megabytes in ten units of fuel
 HUGE_NUMERAL = b"((ord_exp @ ord9 @ ord6) = emptyset)\n"
 BIG_NUMERAL = b"(~ (subq @ (ord_exp @ ord8 @ ord4) @ ord2))\n"
+# past the interpreter's limit of 4,300 digits on reading a string as an int
+LONG_NUMERAL = b"(query (equal ?X " + b"7" * 5001 + b"))\n"
 # the power set of nat(16) has 65,536 members
 BIG_POWER_SET = b"((power @ (ord_mult @ ord4 @ ord4)) = emptyset)\n"
 PROCESS_INPUTS = {
     "bad.kif": b"\xff\xfe", "bad.p": b"\xff\xfe", "stray.kif": STRAY, "deep.kif": DEEP_KIF,
     "deep.p": DEEP_P, "deep.lemmas": DEEP_LEMMAS, "kappa.kif": NESTED_KAPPA.encode(),
-    "huge.lemmas": HUGE_NUMERAL,
+    "huge.lemmas": HUGE_NUMERAL, "long-numeral.kif": LONG_NUMERAL,
     "capped.cfg": f"kb = {KB}\nquery = kappa.kif\ntimeout = 3000000\nout_dir = capped\n".encode(),
     "kappa.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = runs\n".encode(),
     # run configs whose outputs cannot be written: the out_dir lies under a
@@ -814,6 +816,7 @@ PROCESS_RUNS = [
     (["check", "bad.p"], 1),
     (["translate", "--errors-json", "stray.kif"], 1),
     (["translate", "deep.kif"], 1),
+    (["translate", "long-numeral.kif"], 1),
     (["check", "deep.p"], 1),
     (["oracle", "deep.lemmas"], 2),
     (["oracle", "--fuel", "0", fixture_path("claims.lemmas")], 2),

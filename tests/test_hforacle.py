@@ -782,9 +782,10 @@ def test_fuel_spent_by_one_shot_evals(term, used):
 _Y = Var("Y", IOTA)
 
 
-# A lemma line that spells a set primitive runs as the catalog's terms do:
-# one unit for the primitive, charged with its first argument, and none for
-# the branch ite does not take, here the successor of omega, an error.
+# A lemma line that spells a set primitive, sep over a lambda included, runs
+# as the catalog's terms do: one unit for the primitive, charged with its
+# first argument, and none for the branch ite does not take, here the
+# successor of omega, an error.
 @pytest.mark.parametrize(
     "line, built, used",
     [
@@ -799,6 +800,11 @@ _Y = Var("Y", IOTA)
             "(! [Y : $i] : ((in @ Y @ ord3) => (subq @ Y @ ord2)))",
             All("Y", IOTA, Imp(mem(_Y, cc("ord3")), subq(_Y, cc("ord2")))),
             14,
+        ),
+        (
+            "((sep @ ord3 @ (^[X : $i]: (in @ X @ ord2))) = ord2)",
+            Eq(separation("X", cc("ord3"), mem(Var("X", IOTA), cc("ord2"))), cc("ord2")),
+            16,
         ),
     ],
 )

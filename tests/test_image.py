@@ -107,6 +107,11 @@ def test_query_declaring_a_domain_for_its_own_relation_uses_the_image(tmp_path):
     assert "rel_s_likes" not in text_of(image, str(plain))
 
 
+# facts of the real number classes between constants, which declare
+REAL_FACTS = (
+    "(instance Seven RealNumber)\n(subclass Pos NonnegativeRealNumber)\n"
+    "(query (exists (?X) (and (instance ?X Pos) (lessThan Seven ?X))))"
+)
 DECLARING_QUERIES = [
     "(subrelation likes uses)\n(query (exists (?X) (likes ?X Bob)))",
     "(subrelation hates employs)\n(query (exists (?X) (and (hates ?X Bob) (uses ?X Bob))))",
@@ -117,6 +122,7 @@ DECLARING_QUERIES = [
     "(domain partition 3 Class)\n"
     "(query (forall (@ROW) (=> (partition @ROW) (exhaustiveDecomposition @ROW))))",
     "(instance Bob Human)\n(subclass Human Animal)\n(query (instance Bob Animal))",
+    REAL_FACTS,
 ]
 
 
@@ -132,6 +138,14 @@ def test_declaring_queries_give_the_bytes_of_a_job_on_its_own(tmp_path):
         rebuilt.append(not image.agrees(job_signature(image, str(q))))
         assert text_of(image, str(q)) == text_of([kb], str(q)), text
     assert any(rebuilt) and not all(rebuilt)
+
+
+def test_a_query_holding_a_fact_of_a_real_number_class_declares(tmp_path):
+    # so its job takes the declaring path, whose bytes the test above and
+    # test_run_problems_equal_translate_output pin
+    q = tmp_path / "q.kif"
+    q.write_text(REAL_FACTS + "\n")
+    assert [translate._declares(item) for item in translate.load_lowered(str(q))] == [True, True, False]
 
 
 def test_queries_leave_nothing_behind_in_the_image(tmp_path):
@@ -227,6 +241,7 @@ def test_run_problems_equal_translate_output(tmp_path, capsys, cold_memo):
         "q": "(domain employs 1 Organization)\n(query (exists (?X) (employs ?X Bob)))\n",
         "likes": "(domain likes 1 Human)\n(query (exists (?X) (likes ?X Bob)))\n",
         "kappa": NESTED_KAPPA,
+        "real": REAL_FACTS + "\n",
     }
     for name, text in texts.items():
         (tmp_path / f"{name}.kif").write_text(text)

@@ -75,6 +75,16 @@ def test_builtin_class_in_declaration_is_ground():
     assert sig.info("AgeFn").range == ("RealNumber", "instance")
 
 
+def test_a_fact_of_a_real_number_class_between_constants_is_a_declaration():
+    # RealNumber and its siblings lower to constants, so an instance or a
+    # subclass fact between one of them and a constant declares
+    src = "(instance Seven RealNumber)\n(subclass Pos NonnegativeRealNumber)"
+    assert [signature.declaration_head(a.formula) for a in assertions(src)] == ["instance", "subclass"]
+    sig = sig_from(src)
+    assert sig.info("Seven").instance_of == ["RealNumber"]
+    assert sig.subclass_edges == {"Pos": ["NonnegativeRealNumber"]}
+
+
 def test_subrelation_inherits_missing_slots():
     sig = sig_from(
         "(subrelation son parent)"

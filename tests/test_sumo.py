@@ -291,6 +291,64 @@ def test_traversal_table_covers_every_node_class():
         assert shape.binder is None or shape.binder[1] in names, cls
 
 
+# One snippet per construct of the fragment, keyed by the node kind it is
+# read as.  Lowering the table builds every kind of the traversal table and
+# no other, so no kind lingers there that lowering never builds.
+CONSTRUCTS = {
+    sumo.Var: "(p ?X)",
+    sumo.Const: "(p a)",
+    sumo.Rat: "(p -1.50)",
+    sumo.TermSpine: "(f a b)",
+    sumo.RowSpine: "(p a @ROW b)",
+    sumo.Apply: "(p (f a))",
+    sumo.Kappa: "(instance a (KappaFn ?X (p ?X)))",
+    sumo.Arith: "(equal (AdditionFn 1 2) 3)",
+    sumo.Not: "(not (p a))",
+    sumo.Impl: "(=> (p a) (q a))",
+    sumo.Iff: "(<=> (p a) (q a))",
+    sumo.And: "(and (p a) (q a))",
+    sumo.Or: "(or (p a) (q a))",
+    sumo.ForallVars: "(forall (?X ?Y) (p ?X ?Y))",
+    sumo.ExistsVars: "(exists (?X) (p ?X))",
+    sumo.ForallRow: "(forall (@ROW) (p @ROW))",
+    sumo.ExistsRow: "(exists (@ROW) (p @ROW))",
+    sumo.Eq: "(equal a b)",
+    sumo.Instance: "(instance a RealNumber)",
+    sumo.Subclass: "(subclass A NonnegativeRealNumber)",
+    sumo.Le: "(lessThanOrEqualTo 1 2)",
+    sumo.Lt: "(lessThan 1 2)",
+}
+
+
+def node_kinds(node, kinds=None) -> set:
+    """The classes of every node of a lowered formula."""
+    if kinds is None:
+        kinds = set()
+    if type(node) is not str:  # a row variable occurrence is a name
+        kinds.add(type(node))
+        for child in sumo.children(node):
+            node_kinds(child, kinds)
+    return kinds
+
+
+def test_lowering_builds_exactly_the_kinds_of_the_traversal_table():
+    built = set()
+    for kind, source in CONSTRUCTS.items():
+        kinds = node_kinds(formula_of(source))
+        assert kind in kinds, source
+        built |= kinds
+    assert built == set(CONSTRUCTS) == set(sumo.SHAPES)
+    assert len(sumo.SHAPES) == 22
+
+
+def test_real_number_classes_lower_to_constants():
+    # which classes have a host term of their own is the translator's to
+    # decide (translate.SPECIAL_CLASSES); lowering reads them as any class
+    f = formula_of("(and (instance ?X RealNumber) (p NegativeRealNumber NonnegativeRealNumber))")
+    assert f.items[0].cls == sumo.Const("RealNumber")
+    assert f.items[1].spine.items == (sumo.Const("NegativeRealNumber"), sumo.Const("NonnegativeRealNumber"))
+
+
 class Stray:
     """A node no table lists."""
 

@@ -7,7 +7,7 @@ equivalence with the translator output, guard order included.
 import pytest
 from hypothesis import given, strategies as st
 
-from sumok2set import sexpr, signature, sumo, th0, translate
+from sumok2set import guards, sexpr, signature, sumo, th0, translate
 from sumok2set.catalog import IN, ITE, cc, ord_of
 from sumok2set.hostterm import (
     All,
@@ -29,7 +29,7 @@ from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
 from sumok2set.translate import LIST, Translator, mangle, translate_query_job
 
 from conftest import FIXTURES, NESTED_KAPPA, fixture_path, formula_of, lower_one, sig_from
-from termhelpers import alpha_eq, head_args, mem, separation
+from termhelpers import alpha_eq, head_args, mem, separation, subq
 
 
 def istrue(t):
@@ -309,6 +309,27 @@ def test_special_class_resolution():
     assert tr.resolve("NegativeRealNumber") == cc("negreal")
     assert tr.resolve("NonnegativeRealNumber") == cc("nonnegreal")
     assert tr.resolve("Class") == App(cc("power"), cc("univ"))
+
+
+@pytest.mark.parametrize(
+    "name, host",
+    [("RealNumber", "real"), ("NegativeRealNumber", "negreal"), ("NonnegativeRealNumber", "nonnegreal")],
+)
+def test_real_number_classes_translate_to_their_catalog_constants(name, host):
+    tr = Translator(sig_from(f"(domain half 1 {name})\n(range half {name})"))
+    c, x = cc(host), Var("X", IOTA)
+    # as an instance class and as a subclass bound
+    assert tr.formula(formula_of(f"(instance ?X {name})")) == mem(x, c)
+    assert tr.formula(formula_of(f"(subclass ?X {name})")) == subq(x, c)
+    # as a domain class, in the relation's facts, and as a range class, in
+    # the guard of a variable equal to an application of the relation
+    half = tr.resolve("half")
+    assert dict(tr.relation_facts("half"))["rel_s_half_domseq0"] == Eq(app(cc("domseq"), half, ord_of(0)), c)
+    found = guards.guards_for(formula_of("(equal ?X (half 1))"), {"X"}, tr.sig, tr.resolve)
+    assert found == [("X", guards.MemClass(c, guards.MEMBER))]
+    # as an argument
+    assert tr.formula(formula_of(f"(p {name})")) == istrue(ap_list(tr.resolve("p"), [c]))
+    assert mangle(name) not in tr.minted
 
 
 def test_minted_constants_tracked_once():
@@ -646,6 +667,16 @@ def test_every_file_is_read_before_translation(tmp_path):
     q.write_text("(domain ?R 1 Foo)\n(query (p b))\n")
     with pytest.raises(signature.NonGroundDeclaration):
         translate_query_job([str(kb)], str(q))
+
+
+def test_a_numeral_past_the_int_conversion_limit_is_a_located_error(tmp_path):
+    # 5,001 digits are past the interpreter's default limit of 4,300 digits
+    # on reading a string as an int
+    q = tmp_path / "q.kif"
+    q.write_text("(query\n  (equal ?X " + "7" * 5001 + "))\n")
+    with pytest.raises(sumo.BadNumeral) as err:
+        translate_query_job([], str(q))
+    assert str(err.value) == f"{q}:2:13: numeral of 5001 digits is too long"
 
 
 def test_collector_paused_restores_the_collector_state_it_found():
