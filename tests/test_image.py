@@ -145,7 +145,8 @@ def test_a_query_holding_a_fact_of_a_real_number_class_declares(tmp_path):
     # test_run_problems_equal_translate_output pin
     q = tmp_path / "q.kif"
     q.write_text(REAL_FACTS + "\n")
-    assert [translate._declares(item) for item in translate.load_lowered(str(q))] == [True, True, False]
+    declares = [translate._declares(item) for item in translate.load_lowered(str(q))]
+    assert declares == [True, True, False]
 
 
 def test_queries_leave_nothing_behind_in_the_image(tmp_path):

@@ -79,7 +79,8 @@ def test_a_fact_of_a_real_number_class_between_constants_is_a_declaration():
     # RealNumber and its siblings lower to constants, so an instance or a
     # subclass fact between one of them and a constant declares
     src = "(instance Seven RealNumber)\n(subclass Pos NonnegativeRealNumber)"
-    assert [signature.declaration_head(a.formula) for a in assertions(src)] == ["instance", "subclass"]
+    heads = [signature.declaration_head(a.formula) for a in assertions(src)]
+    assert heads == ["instance", "subclass"]
     sig = sig_from(src)
     assert sig.info("Seven").instance_of == ["RealNumber"]
     assert sig.subclass_edges == {"Pos": ["NonnegativeRealNumber"]}

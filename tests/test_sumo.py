@@ -345,8 +345,9 @@ def test_real_number_classes_lower_to_constants():
     # which classes have a host term of their own is the translator's to
     # decide (translate.SPECIAL_CLASSES); lowering reads them as any class
     f = formula_of("(and (instance ?X RealNumber) (p NegativeRealNumber NonnegativeRealNumber))")
-    assert f.items[0].cls == sumo.Const("RealNumber")
-    assert f.items[1].spine.items == (sumo.Const("NegativeRealNumber"), sumo.Const("NonnegativeRealNumber"))
+    real = [sumo.Const(n) for n in ("RealNumber", "NegativeRealNumber", "NonnegativeRealNumber")]
+    assert f.items[0].cls == real[0]
+    assert list(f.items[1].spine.items) == real[1:]
 
 
 class Stray:

@@ -313,7 +313,11 @@ def test_special_class_resolution():
 
 @pytest.mark.parametrize(
     "name, host",
-    [("RealNumber", "real"), ("NegativeRealNumber", "negreal"), ("NonnegativeRealNumber", "nonnegreal")],
+    [
+        ("RealNumber", "real"),
+        ("NegativeRealNumber", "negreal"),
+        ("NonnegativeRealNumber", "nonnegreal"),
+    ],
 )
 def test_real_number_classes_translate_to_their_catalog_constants(name, host):
     tr = Translator(sig_from(f"(domain half 1 {name})\n(range half {name})"))
@@ -324,7 +328,8 @@ def test_real_number_classes_translate_to_their_catalog_constants(name, host):
     # as a domain class, in the relation's facts, and as a range class, in
     # the guard of a variable equal to an application of the relation
     half = tr.resolve("half")
-    assert dict(tr.relation_facts("half"))["rel_s_half_domseq0"] == Eq(app(cc("domseq"), half, ord_of(0)), c)
+    domain = dict(tr.relation_facts("half"))["rel_s_half_domseq0"]
+    assert domain == Eq(app(cc("domseq"), half, ord_of(0)), c)
     found = guards.guards_for(formula_of("(equal ?X (half 1))"), {"X"}, tr.sig, tr.resolve)
     assert found == [("X", guards.MemClass(c, guards.MEMBER))]
     # as an argument
