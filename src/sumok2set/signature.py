@@ -62,6 +62,9 @@ def _ground_const(term, what: str, span) -> str:
 def _decl_index(term, span) -> int:
     if not isinstance(term, sumo.Rat) or term.scale != 0 or term.num < 1:
         raise NonGroundDeclaration("argument index must be a positive integer", span)
+    if term.num > sumo.MAX_ARGUMENTS:
+        message = f"argument index {term.num} is more than {sumo.MAX_ARGUMENTS}"
+        raise NonGroundDeclaration(message, span)
     return term.num
 
 

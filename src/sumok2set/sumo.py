@@ -228,6 +228,19 @@ class BadNumeral(LowerError):
     pass
 
 
+class TooManyArguments(LowerError):
+    pass
+
+
+# An argument list and a numeral are flat in SUO-KIF but right-nested chains
+# in THF, and a declared argument index is a relation's arity, so these bound
+# how deep the translation of a flat form nests.  A longer list, or a larger
+# index (signature._decl_index), is refused at the list, as is a numeral with
+# more digits.
+MAX_ARGUMENTS = 200
+MAX_DIGITS = 100
+
+
 DEFAULT_SKIP_HEADS = ("modalAttribute", "holdsDuring")
 
 _ARITH_NAMES = {
@@ -346,11 +359,10 @@ class _Lowering:
             if sx.kind == ATOM_ROWVAR:
                 raise UnknownSyntax("row variable used as a term", sx.span)
             if sx.kind == ATOM_NUMERAL:
-                try:
-                    return parse_numeral(sx.lexeme)
-                except ValueError:  # past the interpreter's limit on digits read as an int
-                    digits = sum(ch.isdigit() for ch in sx.lexeme)
-                    raise BadNumeral(f"numeral of {digits} digits is too long", sx.span) from None
+                digits = sum(ch.isdigit() for ch in sx.lexeme)
+                if digits > MAX_DIGITS:
+                    raise BadNumeral(f"numeral of {digits} digits is too long", sx.span)
+                return parse_numeral(sx.lexeme)
             if sx.kind == ATOM_STRING:
                 raise UnknownSyntax("string literals are outside the fragment", sx.span)
             return Const(sx.lexeme)
@@ -380,7 +392,10 @@ class _Lowering:
 
     def spine(self, items, owner, bound):
         # owner is the list the spine is read from; its span, read only to
-        # report an error, locates a nested row variable
+        # report an error, locates a nested row variable or too long a list
+        if len(items) > MAX_ARGUMENTS:
+            message = f"{len(items)} arguments are more than {MAX_ARGUMENTS}"
+            raise TooManyArguments(message, owner.span)
         row, prefix, suffix = None, [], []
         for sx in items:
             if isinstance(sx, Atom) and sx.kind == ATOM_ROWVAR:

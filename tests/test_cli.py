@@ -29,12 +29,16 @@ HUGE_NUMERAL = b"((ord_exp @ ord9 @ ord6) = emptyset)\n"
 BIG_NUMERAL = b"(~ (subq @ (ord_exp @ ord8 @ ord4) @ ord2))\n"
 # past the interpreter's limit of 4,300 digits on reading a string as an int
 LONG_NUMERAL = b"(query (equal ?X " + b"7" * 5001 + b"))\n"
+# flat forms whose translation once nested past the interpreter's stack
+WIDE_ATOM = b"(query (p " + b" ".join(b"A%d" % i for i in range(1000)) + b"))\n"
+WIDE_DOMAIN = b"(instance p Predicate)\n(domain p 1200 Entity)\n(p a)\n"
 # the power set of nat(16) has 65,536 members
 BIG_POWER_SET = b"((power @ (ord_mult @ ord4 @ ord4)) = emptyset)\n"
 PROCESS_INPUTS = {
     "bad.kif": b"\xff\xfe", "bad.p": b"\xff\xfe", "stray.kif": STRAY, "deep.kif": DEEP_KIF,
     "deep.p": DEEP_P, "deep.lemmas": DEEP_LEMMAS, "kappa.kif": NESTED_KAPPA.encode(),
-    "huge.lemmas": HUGE_NUMERAL, "long-numeral.kif": LONG_NUMERAL,
+    "huge.lemmas": HUGE_NUMERAL, "long-numeral.kif": LONG_NUMERAL, "wide-atom.kif": WIDE_ATOM,
+    "wide-domain.kif": WIDE_DOMAIN, "p.kif": b"(query (p ?X))\n",
     "capped.cfg": f"kb = {KB}\nquery = kappa.kif\ntimeout = 3000000\nout_dir = capped\n".encode(),
     "kappa.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = runs\n".encode(),
     # run configs whose outputs cannot be written: the out_dir lies under a
@@ -817,6 +821,8 @@ PROCESS_RUNS = [
     (["translate", "--errors-json", "stray.kif"], 1),
     (["translate", "deep.kif"], 1),
     (["translate", "long-numeral.kif"], 1),
+    (["translate", "wide-atom.kif"], 1),
+    (["translate", "--kb", "wide-domain.kif", "p.kif"], 1),
     (["check", "deep.p"], 1),
     (["oracle", "deep.lemmas"], 2),
     (["oracle", "--fuel", "0", fixture_path("claims.lemmas")], 2),

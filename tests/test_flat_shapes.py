@@ -4,13 +4,13 @@ An argument spine and a numeral are flat in KIF but right-nested chains in
 THF, and a declared argument index becomes a relation's arity, so the
 relation facts of a wide relation nest as deep.  Each shape is taken through
 translate_query_job, problem_text and a check with an empty memo, at sizes
-on both sides of the sizes where check, or the interpreter's stack, once
-gave way.
+on both sides of the bound sumo states for it and of the sizes where check,
+or the interpreter's stack, gave way before there was one.
 """
 
 import pytest
 
-from sumok2set import cli, th0, translate
+from sumok2set import cli, signature, sumo, th0, translate
 
 
 def _wide_atom(n):
@@ -26,12 +26,20 @@ def _wide_domain(n):
     return kb, "(query (p ?X))\n"
 
 
+# each shape's maker, the bound it meets and the error past it, and the sizes
+# tried: up to the bound, past it, and where the job once failed unlocated
 SHAPES = {
-    "wide-atom": (_wide_atom, (150, 200, 201, 450, 500, 1000)),
-    "long-numeral": (_long_numeral, (50, 100, 101, 325, 350)),
-    "wide-domain": (_wide_domain, (150, 200, 201, 500, 900, 1200)),
+    "wide-atom": (_wide_atom, sumo.MAX_ARGUMENTS, sumo.TooManyArguments, (150, 450, 500, 1000)),
+    "long-numeral": (_long_numeral, sumo.MAX_DIGITS, sumo.BadNumeral, (50, 325, 350)),
+    "wide-domain": (
+        _wide_domain, sumo.MAX_ARGUMENTS, signature.NonGroundDeclaration, (150, 500, 900, 1200)
+    ),
 }
-CASES = [(shape, n) for shape, (_make, sizes) in SHAPES.items() for n in sizes]
+CASES = [
+    (shape, n)
+    for shape, (_make, bound, _error, sizes) in SHAPES.items()
+    for n in sorted({*sizes, bound, bound + 1})
+]
 
 
 def _outcome(tmp_path, shape, n):
@@ -51,9 +59,11 @@ def _outcome(tmp_path, shape, n):
 
 @pytest.mark.parametrize("shape, n", CASES, ids=[f"{s}-{n}" for s, n in CASES])
 def test_a_flat_shape_ends_clean_or_in_a_located_error(tmp_path, cold_memo, shape, n):
+    _make, bound, error, _sizes = SHAPES[shape]
     outcome = _outcome(tmp_path, shape, n)
-    if isinstance(outcome, list):
+    if n <= bound:
         assert outcome == []
     else:
+        assert type(outcome) is error
         where = cli._error_payload(outcome)
         assert where["file"] and where["line"] and where["col"], str(outcome)
