@@ -618,7 +618,8 @@ class _RecordPass:
         else:
             first = text.find("\nthf(") + 1 or len(text)
         end = max(first, len(text) - text.endswith("\n"))
-        records = ["thf(" + r for r in text[first + 4 : end].split("\nthf(")] if first < end else []
+        # each record's text after its leading thf(, as the memo keys it
+        records = text[first + 4 : end].split("\nthf(") if first < end else []
         head = text[:first].split("\n")[:-1]
         head_ok = all(line == "%" or line[:2] == "% " and line[2:3] not in ("", " ") for line in head)
         self.canonical = head_ok and end < len(text)
@@ -631,9 +632,8 @@ class _RecordPass:
                 continue
             if start < i and self.run(text, records, first, end, start, i):
                 return _RecordPass(self.memo).check(text, False)
-            name = record[4 : record.index(",")]
-            role = entry[0]
-            if name in names or role != "type" and not declared.issuperset(entry[1:]):
+            role, name = entry[0], entry[1]
+            if name in names or role != "type" and not declared.issuperset(entry[2:]):
                 start = i
                 continue
             names.add(name)
@@ -642,8 +642,8 @@ class _RecordPass:
                 self.canonical = False
             self.phase = rank
             if rank == 0:
-                declared.add(entry[1])
-                pending.append(entry[1])
+                declared.add(entry[2])
+                pending.append(entry[2])
             elif rank == 2:
                 self.conjecture = True
             start = i + 1
@@ -666,7 +666,7 @@ class _RecordPass:
         The first run takes the head along and the last one what follows
         the last record, so with no hits the run is the whole text.
         """
-        own = "\n".join(records[a:b])
+        own = "thf(" + "\nthf(".join(records[a:b]) if a < b else ""
         run = (text[:first] if a == 0 else "") + own + (text[end:] if b == len(records) else "")
         consts, decls = self.consts, self.decls
         try:
@@ -698,7 +698,7 @@ class _RecordPass:
                     decls[body.name] = decl
                     self.declared.add(decl)
                     if self.canonical:
-                        entries.append(("type", decl))
+                        entries.append(("type", name, decl))
                         rendered.append(render_record(name, role, decl))
                     continue
                 self.conjecture |= rank == 2
@@ -710,7 +710,7 @@ class _RecordPass:
                 except TypeMismatch as err:
                     diags.append(f"{name}: ill-typed: {err}")
                 if self.canonical:
-                    entries.append((sys.intern(role), *map(decls.__getitem__, read)))
+                    entries.append((sys.intern(role), name, *map(decls.__getitem__, read)))
                     rendered.append(render_record(name, role, render_term(body)))
         except RecursionError:
             return "parse error: formulas nested too deeply"
@@ -718,7 +718,7 @@ class _RecordPass:
             if not err.line:
                 return f"parse error: {err}"
             if a:  # the run starts at a line of its own: only the line moves
-                at = first + sum(len(r) + 1 for r in records[:a])
+                at = first + sum(len(r) + 5 for r in records[:a])  # each lost thf( and \n
                 err.line += line_col(line_starts(text), at)[0] - 1
             return f"parse error at {err.line}:{err.col}: {err}"
         if self.canonical:
