@@ -234,9 +234,9 @@ class TooManyArguments(LowerError):
 
 # An argument list and a numeral are flat in SUO-KIF but right-nested chains
 # in THF, and a declared argument index is a relation's arity, so these bound
-# how deep the translation of a flat form nests.  A longer list, or a larger
-# index (signature._decl_index), is refused at the list, as is a numeral with
-# more digits.
+# how deep the translation of a flat form nests.  Past them an argument list
+# is refused at the list, a numeral at the numeral, and an index at its
+# declaration (signature._decl_index).
 MAX_ARGUMENTS = 200
 MAX_DIGITS = 100
 

@@ -31,9 +31,11 @@ reproduces it byte for byte.
 
 check_text goes through a problem record by record on one path: a record
 that a memo holds from earlier problems that checked clean is confirmed
-from its text alone, each run of the others is parsed in one scan, each
-record typechecked and rendered as soon as it is parsed, and the layout of
-the records decides the rest of the canonical form.
+from its text alone, by one lookup of its text after thf( that gives its
+role, its name and the declarations it reads; each run of the others is
+parsed in one scan, each record typechecked and rendered as soon as it is
+parsed, and the layout of the records decides the rest of the canonical
+form.
 """
 
 from __future__ import annotations
@@ -514,33 +516,37 @@ def parse_doc(text: str) -> Th0Doc:
 # record's text decides is checked per document: the comment lines, the
 # layout, unique record names, and ty_ names matching their constants.
 
-# Record text the memo holds at most.  It costs about three bytes per byte
-# of text, so this is about 4.5 MB: a tenth of the peak resident size of a
-# one-shot job on a 100-copy knowledge base, whose 1.2 MB problem it holds.
+# Key text the memo holds at most, each key a record's text after its thf(.
+# With the entries it costs about four bytes per byte of key text, traced,
+# so this is about 6 MB: a seventh of the peak resident size of a one-shot
+# job on a 100-copy knowledge base, whose 1.2 MB problem it holds.
 MEMO_BYTES = 1_500_000
 
 
 class RecordMemo:
-    """Records that checked clean, by their exact text, with what they read.
+    """Records that checked clean, by their text after thf(, with what they read.
 
-    An entry is the record's role, then declarations as a type record
-    writes them, "constant : type": for a type record the one it makes, for
-    any other one for each constant its body reads.  Entries are added only
-    for problems that checked clean.  The text held is bounded by limit
-    bytes: when an addition passes it, the entries added first go, down to
-    three quarters of it.  An entry holds nothing but strings, so the
-    collector untracks it, and a full collection does not scan it.  Readers
-    take entries as it stands; additions, from any thread, take a lock.
+    An entry is a flat tuple of strings: the record's role, its name, then
+    declarations as a type record writes them, "constant : type": for a
+    type record the one it makes, for any other one for each constant its
+    body reads.  So a hit is one lookup of the text as the problem splits
+    it, and the name is read from the entry, whose string keeps its hash.
+    Entries are added only for problems that checked clean.  The key text
+    held is bounded by limit bytes: when an addition passes it, the entries
+    added first go, down to three quarters of it.  An entry holds nothing
+    but strings, so the collector untracks it, and a full collection does
+    not scan it.  Readers take entries as it stands; additions, from any
+    thread, take a lock.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
-        self.size = 0  # bytes of record text held
-        self.entries: dict = {}  # record text -> (role, declaration, ...)
+        self.size = 0  # bytes of key text held
+        self.entries: dict = {}  # record text after thf( -> (role, name, declaration, ...)
         self._lock = threading.Lock()
 
     def add(self, items) -> None:
-        """Add (record text, entry) items, of records not held yet."""
+        """Add (key, entry) items, of records not held yet."""
         with self._lock:
             known = self.entries
             fresh = {text: e for text, e in items if text not in known and len(text) <= self.limit}
@@ -583,18 +589,19 @@ def _type_of_text(text: str):
 class _RecordPass:
     """One check of a problem text, record by record.
 
-    The text is split at each line that starts with thf(; what comes before
-    the first such line is its head, which must be comments as render_doc
+    The text is split at each line that starts with thf(, which leaves each
+    record's text after its thf( as the memo keys it; what comes before the
+    first such line is its head, which must be comments as render_doc
     writes them.  A record the memo holds is a hit, checked with no parse,
-    when its name is new and an earlier type record makes each declaration
-    of its entry.  Each run of the other records is parsed in one scan, each
-    record typechecked and rendered right after its parse, so that only
-    strings outlive it (run).  The diagnostics are those of parsing the
-    whole run first: after a parse error the caller returns that error
-    alone, or starts again with a fresh pass.  A parse error in a run that
-    more records of the memo follow is found again with no hits, so the
-    whole text is one run and its first error is the one a parse of the
-    whole text meets.  The layout decides the rest of the canonical form:
+    when the name its entry gives is new and an earlier type record makes
+    each declaration of the entry.  Only a run of the other records is made
+    text again, and each run is parsed in one scan, each record typechecked
+    and rendered right after its parse, so that only strings outlive it
+    (run).  The diagnostics are those of parsing the whole run first: after
+    a parse error the caller returns that error alone, or starts again with
+    a fresh pass.  A parse error in a run that more records of the memo
+    follow is found again with no hits, so the whole text is one run and
+    its first error is the one a parse of the whole text meets.  The layout decides the rest of the canonical form:
     type records, then premises, then the conjecture, and a final newline.
     """
 
@@ -610,7 +617,7 @@ class _RecordPass:
         self.conjecture = False
         self.diags: list = []  # of the premises, in order
         self.conj_diags: list = []
-        self.fresh: list = []  # (record text, entry) of each record parsed
+        self.fresh: list = []  # (key, entry) of each record parsed
 
     def check(self, text: str, hits: bool) -> list:
         if text.startswith("thf("):
@@ -663,8 +670,9 @@ class _RecordPass:
     def run(self, text: str, records: list, first: int, end: int, a: int, b: int) -> str:
         """Check records[a:b], a run the memo does not confirm: its parse error, or "".
 
-        The first run takes the head along and the last one what follows
-        the last record, so with no hits the run is the whole text.
+        Each of records is a record's text after its thf(, which the run
+        puts back.  The first run takes the head along and the last one what
+        follows the last record, so with no hits the run is the whole text.
         """
         own = "thf(" + "\nthf(".join(records[a:b]) if a < b else ""
         run = (text[:first] if a == 0 else "") + own + (text[end:] if b == len(records) else "")

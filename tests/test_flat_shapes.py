@@ -42,9 +42,9 @@ CASES = [
 ]
 
 
-def _outcome(tmp_path, shape, n):
+def _outcome(tmp_path, make, n):
     """The job's INPUT_ERRORS error, or the diagnostics of its problem."""
-    kb_text, query_text = SHAPES[shape][0](n)
+    kb_text, query_text = make(n)
     kb = tmp_path / "kb.kif"
     kb.write_text(kb_text)
     query = tmp_path / "query.kif"
@@ -59,8 +59,8 @@ def _outcome(tmp_path, shape, n):
 
 @pytest.mark.parametrize("shape, n", CASES, ids=[f"{s}-{n}" for s, n in CASES])
 def test_a_flat_shape_ends_clean_or_in_a_located_error(tmp_path, cold_memo, shape, n):
-    _make, bound, error, _sizes = SHAPES[shape]
-    outcome = _outcome(tmp_path, shape, n)
+    make, bound, error, _sizes = SHAPES[shape]
+    outcome = _outcome(tmp_path, make, n)
     if n <= bound:
         assert outcome == []
     else:
