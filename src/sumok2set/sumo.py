@@ -359,9 +359,10 @@ class _Lowering:
             if sx.kind == ATOM_ROWVAR:
                 raise UnknownSyntax("row variable used as a term", sx.span)
             if sx.kind == ATOM_NUMERAL:
-                digits = sum(ch.isdigit() for ch in sx.lexeme)
-                if digits > MAX_DIGITS:
-                    raise BadNumeral(f"numeral of {digits} digits is too long", sx.span)
+                if len(sx.lexeme) > MAX_DIGITS:  # only then can it hold that many digits
+                    digits = sum(ch.isdigit() for ch in sx.lexeme)
+                    if digits > MAX_DIGITS:
+                        raise BadNumeral(f"numeral of {digits} digits is too long", sx.span)
                 return parse_numeral(sx.lexeme)
             if sx.kind == ATOM_STRING:
                 raise UnknownSyntax("string literals are outside the fragment", sx.span)
