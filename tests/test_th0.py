@@ -459,6 +459,38 @@ _PINNED_DIAGNOSTICS = [
         )
         for c in ("X", "$x", "1a", "_a")
     ],
+    # a record that misses its ). reads on into the next record
+    (
+        "thf(ty_a, type, a : $o).\nthf(p, axiom, a\nthf(conj, conjecture, a).\n",
+        "parse error at 3:1: expected ')', found 'thf'",
+    ),
+    (
+        "thf(ty_a, type, a : $o).\nthf(p, axiom, (a & a))\nthf(conj, conjecture, a).\n",
+        "parse error at 3:1: expected '.', found 'thf'",
+    ),
+    # the error is located from an earlier record, once the parse read on
+    (
+        "thf(ty_thf, type, thf : $o).\nthf(p, axiom, (thf => thf => ~\n"
+        "thf(conj, conjecture, thf).\n",
+        "parse error at 2:20: operator '=>' is binary",
+    ),
+    (
+        "thf(ty_thf, type, thf : $o).\nthf(c, conjecture, ~\nthf(conj, conjecture, thf).\n",
+        "parse error at 2:1: exactly one conjecture named conj is expected",
+    ),
+    # a grammar error in the last record of a long run
+    (
+        "".join(f"thf(ty_a{i}, type, a{i} : $o).\n" for i in range(40))
+        + "".join(f"thf(p{i}, axiom, (a{i} => a{i + 1})).\n" for i in range(39))
+        + "thf(conj, conjecture, (a0 & a39 &)).\n",
+        "parse error at 80:34: unexpected token ')'",
+    ),
+    # a bad character two records after a grammar error
+    (
+        "thf(ty_a, type, a : $o).\nthf(p, axiom, (a & )).\nthf(q, axiom, a).\n"
+        "thf(conj, conjecture, (a § a)).\n",
+        "parse error at 4:26: bad character '§'",
+    ),
     ("", "parse error: missing conjecture"),
     ("   \n\n", "parse error: missing conjecture"),
     ("% only\n", "parse error: missing conjecture"),
