@@ -33,9 +33,9 @@ check_text goes through a problem record by record on one path: a record
 that a memo holds from earlier problems that checked clean is confirmed
 from its text alone, by one lookup of its text after thf( that gives its
 role, its name and the declarations it reads; each run of the others is
-parsed in one scan, each record typechecked and rendered as soon as it is
-parsed, and the layout of the records decides the rest of the canonical
-form.
+parsed by one parser that reads one record's tokens at a time, each record
+typechecked, rendered and compared with its text as soon as it is parsed,
+and the layout of the records decides the rest of the canonical form.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .hostterm import (
     free_vars,
     typecheck,
 )
-from .sexpr import line_col, line_starts
 from .th0read import Th0Error, _Parser
 
 WIDTH = 100
@@ -472,8 +471,8 @@ def render_doc(doc: Th0Doc) -> str:
     known = doc.decl_records
     lines += [known.get(name) or _decl_record(name, ty) for name, ty in doc.decls]
     lines += [body.text for _name, _role, body in doc.premises]
-    lines.append(doc.conjecture.text)
-    return "\n".join(lines) + "\n"
+    lines += [doc.conjecture.text, ""]
+    return "\n".join(lines)
 
 
 def problem_text(problem, reproducible: bool = False) -> str:
@@ -487,11 +486,10 @@ def problem_text(problem, reproducible: bool = False) -> str:
 def parse_doc(text: str) -> Th0Doc:
     """Parse rendered problem text back into a document of records."""
     parser = _Parser(text)
-    toks = parser.toks
-    doc = Th0Doc(comments=parser.comments)
+    doc = Th0Doc()
     decls: dict = {}  # name -> Const node
     names: set = set()
-    while toks[parser.i]:
+    while parser.peek():
         name, role, body = parser.record(decls, names)
         if role == "type":
             doc.decls.append((body.name, body.ty))
@@ -501,6 +499,7 @@ def parse_doc(text: str) -> Th0Doc:
             doc.premises.append((name, role, render_premise(name, role, body)))
     if doc.conjecture is None:
         raise Th0Error("missing conjecture")
+    doc.comments = parser.comments  # read with the records they come among
     return doc
 
 
@@ -518,8 +517,9 @@ def parse_doc(text: str) -> Th0Doc:
 
 # Key text the memo holds at most, each key a record's text after its thf(.
 # With the entries it costs about four bytes per byte of key text, traced,
-# so this is about 6 MB: a seventh of the peak resident size of a one-shot
-# job on a 100-copy knowledge base, whose 1.2 MB problem it holds.
+# so this is about 6 MB: a fifth of the peak resident size (33 MB) of a
+# one-shot translate and check on a 100-copy knowledge base, whose 1.2 MB
+# problem it holds.
 MEMO_BYTES = 1_500_000
 
 
@@ -576,7 +576,7 @@ def check_text(text: str) -> list:
     type diagnostics of the premises come in order, then the conjecture's,
     then the canonical-form one.  The text is checked record by record
     (_RecordPass): CHECK_MEMO confirms the records it holds, and each run
-    of the others is parsed in one scan.
+    of the others is parsed by one parser.
     """
     return _RecordPass(CHECK_MEMO).check(text, True)
 
@@ -584,6 +584,23 @@ def check_text(text: str) -> list:
 @functools.lru_cache(maxsize=256)
 def _type_of_text(text: str):
     return _Parser(text).parse_type()
+
+
+class _Consts(dict):
+    """Const nodes by constant name, for parsing runs.
+
+    A declaration that a memo hit makes is only text in decls until a run
+    first reads its constant, which then becomes a node.
+    """
+
+    def __init__(self, decls: dict):
+        super().__init__()
+        self.decls = decls
+
+    def __missing__(self, name: str):
+        decl = self.decls[name]
+        const = self[name] = Const(name, _type_of_text(decl[len(name) + 3 :]))
+        return const
 
 
 class _RecordPass:
@@ -594,24 +611,26 @@ class _RecordPass:
     first such line is its head, which must be comments as render_doc
     writes them.  A record the memo holds is a hit, checked with no parse,
     when the name its entry gives is new and an earlier type record makes
-    each declaration of the entry.  Only a run of the other records is made
-    text again, and each run is parsed in one scan, each record typechecked
-    and rendered right after its parse, so that only strings outlive it
-    (run).  The diagnostics are those of parsing the whole run first: after
-    a parse error the caller returns that error alone, or starts again with
-    a fresh pass.  A parse error in a run that more records of the memo
-    follow is found again with no hits, so the whole text is one run and
-    its first error is the one a parse of the whole text meets.  The layout decides the rest of the canonical form:
-    type records, then premises, then the conjecture, and a final newline.
+    each declaration of the entry.  A run of the other records is parsed
+    by one parser, which reads one record's tokens at a time, and each
+    record is typechecked, rendered and compared with its own text right
+    after its parse, so that only strings outlive it (run).  The
+    diagnostics are those of parsing the whole run first: after a parse
+    error the caller returns that error alone, or starts again with a fresh
+    pass.  A parse error in a run that more records of the memo follow is
+    found again with no hits, so the whole text is one run and its first
+    error is the one a parse of the whole text meets.  The layout decides
+    the rest of the canonical form: type records, then premises, then the
+    conjecture, and a final newline.
     """
 
     def __init__(self, memo: RecordMemo):
         self.memo = memo
         self.names: set = set()
         self.declared: set = set()  # the declaration of each type record so far
-        self.pending: list = []  # declarations of type records that hit, not yet in consts
-        self.consts: dict = {}  # constant -> Const node, for parsing runs
+        self.pending: list = []  # declarations of type records that hit, not yet in decls
         self.decls: dict = {}  # constant -> its declaration, for memo entries
+        self.consts = _Consts(self.decls)  # constant -> Const node, for parsing runs
         self.phase = 0  # the _RANK of the last record
         self.canonical = True
         self.conjecture = False
@@ -631,13 +650,14 @@ class _RecordPass:
         head_ok = all(line == "%" or line[:2] == "% " and line[2:3] not in ("", " ") for line in head)
         self.canonical = head_ok and end < len(text)
         known = self.memo.entries if hits and head_ok else {}
+        self.at = (0, first)  # a record's index and the offset of its thf(
         names, declared, pending = self.names, self.declared, self.pending
         start = 0  # the first record of the run being collected
         for i, record in enumerate(records):
             entry = known.get(record)
             if entry is None:
                 continue
-            if start < i and self.run(text, records, first, end, start, i):
+            if start < i and self.run(text, records, start, i):
                 return _RecordPass(self.memo).check(text, False)
             role, name = entry[0], entry[1]
             if name in names or role != "type" and not declared.issuperset(entry[2:]):
@@ -655,7 +675,7 @@ class _RecordPass:
                 self.conjecture = True
             start = i + 1
         if start < len(records) or not records:
-            error = self.run(text, records, first, end, start, len(records))
+            error = self.run(text, records, start, len(records))
             if error:
                 return [error]
         if not self.conjecture:
@@ -667,27 +687,32 @@ class _RecordPass:
             self.memo.add(self.fresh)
         return diags
 
-    def run(self, text: str, records: list, first: int, end: int, a: int, b: int) -> str:
+    def offset(self, records: list, j: int) -> int:
+        """The offset in the text of the thf( of records[j]; j never decreases."""
+        i, at = self.at
+        at += sum(map(len, records[i:j])) + 5 * (j - i)  # each with its \nthf(
+        self.at = (j, at)
+        return at
+
+    def run(self, text: str, records: list, a: int, b: int) -> str:
         """Check records[a:b], a run the memo does not confirm: its parse error, or "".
 
-        Each of records is a record's text after its thf(, which the run
-        puts back.  The first run takes the head along and the last one what
-        follows the last record, so with no hits the run is the whole text.
+        The run is the text of records[a:b], each with its thf(, the head
+        too when a is 0, and what follows the last record when b is past
+        it, so with no hits the run is the whole text.  Each record parsed
+        is compared with the next of records[a:b].
         """
-        own = "thf(" + "\nthf(".join(records[a:b]) if a < b else ""
-        run = (text[:first] if a == 0 else "") + own + (text[end:] if b == len(records) else "")
         consts, decls = self.consts, self.decls
+        for decl in self.pending:
+            decls[decl[: decl.index(" : ")]] = decl
+        self.pending.clear()
+        start = self.offset(records, a) if a else 0
+        stop = self.offset(records, b) - 1 if b < len(records) else len(text)
+        own = iter(records[a:b])  # the text of each record of the run, after its thf(
         try:
-            for decl in self.pending:
-                name = decl[: decl.index(" : ")]
-                decls[name] = decl
-                consts[name] = Const(name, _type_of_text(decl[len(name) + 3 :]))
-            self.pending.clear()
-            parser = _Parser(run)
+            parser = _Parser(text[start:stop])
             reads = parser.reads
-            rendered = []
-            entries = []
-            while parser.toks[parser.i]:
+            while parser.peek():
                 # each record is checked as soon as it is parsed; any of the
                 # parse, typecheck and render_term may meet the recursion
                 # limit: the parser reads a flat chain (a & b & ...) in a loop
@@ -695,6 +720,7 @@ class _RecordPass:
                 # recurse once per link, so 800 conjuncts pass the parse and
                 # fail the typecheck
                 name, role, body = parser.record(consts, self.names)
+                record = next(own, None)
                 read = tuple(reads)
                 reads.clear()
                 rank = _RANK[role]
@@ -706,8 +732,7 @@ class _RecordPass:
                     decls[body.name] = decl
                     self.declared.add(decl)
                     if self.canonical:
-                        entries.append(("type", name, decl))
-                        rendered.append(render_record(name, role, decl))
+                        self.compare(record, render_record(name, role, decl), ("type", name, decl))
                     continue
                 self.conjecture |= rank == 2
                 diags = self.conj_diags if rank == 2 else self.diags
@@ -718,22 +743,24 @@ class _RecordPass:
                 except TypeMismatch as err:
                     diags.append(f"{name}: ill-typed: {err}")
                 if self.canonical:
-                    entries.append((sys.intern(role), name, *map(decls.__getitem__, read)))
-                    rendered.append(render_record(name, role, render_term(body)))
+                    entry = (sys.intern(role), name, *map(decls.__getitem__, read))
+                    self.compare(record, render_record(name, role, render_term(body)), entry)
         except RecursionError:
             return "parse error: formulas nested too deeply"
         except Th0Error as err:
             if not err.line:
                 return f"parse error: {err}"
-            if a:  # the run starts at a line of its own: only the line moves
-                at = first + sum(len(r) + 5 for r in records[:a])  # each lost thf( and \n
-                err.line += line_col(line_starts(text), at)[0] - 1
+            # the run starts at a line of its own: only the line moves
+            err.line += text.count("\n", 0, start)
             return f"parse error at {err.line}:{err.col}: {err}"
-        if self.canonical:
-            if "\n".join(rendered) == own:
-                # each record starts a line with thf( and its continuation
-                # lines start with spaces, so the rendered records are these
-                self.fresh.extend(zip(records[a:b], entries))
-            else:
-                self.canonical = False
         return ""
+
+    def compare(self, record: str | None, rendered: str, entry: tuple) -> None:
+        """Keep the memo entry of a record whose render is its text: thf( and record."""
+        # each record starts a line with thf( and its continuation lines
+        # start with spaces, so the records of a canonical run are these;
+        # a parse that reads one's thf( as part of the record before fails
+        if record is not None and len(rendered) == len(record) + 4 and rendered.endswith(record):
+            self.fresh.append((record, entry))
+        else:
+            self.canonical = False

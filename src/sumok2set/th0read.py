@@ -1,9 +1,12 @@
-"""Reader of TPTP THF text: one token scan and a recursive descent parser.
+"""Reader of TPTP THF text: a token reader and a recursive descent parser.
 
-The parser reads a text in one scan: a single findall gives its tokens as
-plain strings, and a token's kind follows from its text.  The distinct
-tokens are checked for bad characters once, before parsing.  No offsets are
-kept; when an error is raised, a finditer with the same pattern finds the
+The parser scans a text once for a bad character, building no token list,
+before it parses; then it reads the tokens of one record at a time, those
+of the text up to the next line that starts with thf(, with one findall as
+plain strings, and a token's kind follows from its text.  So what the
+parse holds at once is one record's tokens, however long the text, and
+its parse is the parse of the whole text's tokens.  No offsets are kept;
+when an error is raised, a finditer with the same pattern finds the
 offending token again, and its line and column are worked out from its
 offset.  A parsed text shares one Const node per declared constant and one
 Var node per binder.  Terms come out flat: membership, subset, conditional
@@ -55,7 +58,11 @@ _TOKEN_RE = re.compile(r"%[^\n]*|[A-Za-z0-9_$]+|<=>|=>|[()\[\]:,.@&|~!?^=>]|[^ \
 _OPS = frozenset(
     ["<=>", "=>", "(", ")", "[", "]", ":", ",", ".", "@", "&", "|", "~", "!", "?", "^", "=", ">"]
 )
-_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$")
+# The longest prefix of a text with no bad character: runs of word,
+# operator and blank characters, comments, and <=>, the one token that
+# starts with a character no other token has.  A bad character is where it
+# ends, and is the first token the catch-all alternative takes.
+_BAD_RE = re.compile(r"(?:[A-Za-z0-9_$()\[\]:,.@&|~!?^=> \t\r\n]+|%[^\n]*|<=>)*")
 _END = ""  # the sentinel after the last token; no token is empty
 _LOWER_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")  # what a TPTP constant is
 _BINOPS = {"&": Conj, "|": Disj, "=>": Imp, "<=>": Iff, "=": Eq}
@@ -63,66 +70,91 @@ _BINDERS = {"!": All, "?": Ex, "^": Lam}
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text, read in one scan.
+    """Recursive descent over the tokens of one text, read record by record.
 
-    The tokens are the plain strings of one findall, comments taken out,
-    with the _END sentinel after them; a token that is not an operator is a
-    word.  Offsets are found again, by finditer with the same pattern, only
-    when an error is raised.
+    The text is first scanned once for a bad character, with no token list
+    built.  Its tokens are then read one span at a time, each span running
+    up to the next line that starts with thf(: the plain strings of one
+    findall over the span, comments taken out, with the _END sentinel after
+    them; a token that is not an operator is a word.  The parse reads the
+    next span when it needs a token past the sentinel (refill), so on
+    well-formed text only between records.  A span after the first starts
+    with the word thf, which no test of the next token for an operator
+    takes, so those tests read the sentinel as they would read thf, and
+    every parse, error and all, is the parse of the text's whole token
+    list.  Offsets are found again, by finditer with the same pattern from
+    the start of the span, only when an error is raised.
     """
 
     def __init__(self, text: str):
         self.text = text
-        toks = _TOKEN_RE.findall(text)
-        bad = set()
-        has_comments = False
-        for tok in set(toks):
-            if tok in _OPS or tok[0] in _WORD_START:
-                continue
-            if tok[0] == "%":
-                has_comments = True
-            else:
-                bad.add(tok)
-        if bad:
-            for m in _TOKEN_RE.finditer(text):
-                if m.group() in bad:
-                    at = line_col(line_starts(text), m.start())
-                    raise Th0Error(f"bad character {m.group()!r}", *at)
-        comments = []
-        if has_comments:
-            lead = 0
-            while lead < len(toks) and toks[lead][0] == "%":
-                lead += 1
-            comments = toks[:lead]
-            if sum(c.count("%") for c in comments) == text.count("%"):
-                del toks[:lead]  # the comments all lead, as in a rendered problem
-            else:
-                comments = [tok for tok in toks if tok[0] == "%"]
-                toks = [tok for tok in toks if tok[0] != "%"]
-        self.comments = [c[1:].lstrip(" ") for c in comments]
-        toks.append(_END)
-        self.toks = toks
+        bad = _BAD_RE.match(text).end()
+        if bad < len(text):
+            at = line_col(line_starts(text), bad)
+            raise Th0Error(f"bad character {text[bad]!r}", *at)
+        self.comments: list = []  # the text of each comment read so far
+        self.start = self.stop = 0  # the span of text the tokens are of
+        self.before = 0  # the tokens of the spans before it
+        self.toks = [_END]
         self.i = 0
         self.reads: set = set()  # the declared names read as constants so far
+        self.refill()
+
+    def refill(self) -> bool:
+        """Read the tokens of the next span that has any; False at the end of the text."""
+        text = self.text
+        while self.stop < len(text):
+            self.before += len(self.toks) - 1
+            start = self.start = self.stop
+            stop = self.stop = text.find("\nthf(", start) + 1 or len(text)
+            toks = _TOKEN_RE.findall(text, start, stop)
+            if text.find("%", start, stop) >= 0:
+                self.comments += [tok[1:].lstrip(" ") for tok in toks if tok[0] == "%"]
+                toks = [tok for tok in toks if tok[0] != "%"]
+            toks.append(_END)
+            self.toks = toks
+            self.i = 0
+            if toks[0]:
+                return True
+        return False
 
     def error(self, message: str, index: int) -> Th0Error:
-        """An error located at the token of this index."""
-        n = index
-        for m in _TOKEN_RE.finditer(self.text):
+        """An error located at the token of this index into toks.
+
+        A negative index is of a token in an earlier span, counted from
+        the start of this one back.
+        """
+        start = self.start
+        if index < 0:
+            start, index = 0, index + self.before
+        for m in _TOKEN_RE.finditer(self.text, start):
             if m.group()[0] != "%":
-                if n == 0:
+                if index == 0:
                     return Th0Error(message, *line_col(line_starts(self.text), m.start()))
-                n -= 1
+                index -= 1
         return Th0Error(message)
+
+    def mark(self) -> int:
+        """The index of the next token among all the text's tokens.
+
+        Less before, it is the index error takes, negative once the parse
+        has read on into a later span.
+        """
+        return self.before + self.i
 
     def peek(self) -> str:
         """The next token, _END at the end of input."""
-        return self.toks[self.i]
+        tok = self.toks[self.i]
+        if not tok and self.refill():
+            tok = self.toks[0]
+        return tok
 
     def next(self) -> str:
         tok = self.toks[self.i]
         if not tok:
-            raise Th0Error("unexpected end of input")
+            if not self.refill():
+                raise Th0Error("unexpected end of input")
+            tok = self.toks[0]
         self.i += 1
         return tok
 
@@ -130,6 +162,8 @@ class _Parser:
         tok = self.toks[self.i]
         if tok != want:
             if not tok:
+                if self.refill():
+                    return self.expect(want)
                 raise Th0Error("unexpected end of input")
             raise self.error(f"expected {want!r}, found {tok!r}", self.i)
         self.i += 1
@@ -170,27 +204,26 @@ class _Parser:
 
     def parse_formula(self, env, decls):
         """Applications joined by at most one kind of binary operator."""
-        toks = self.toks
         items = []
         op = None
         while True:
             out = self.parse_unit(env, decls)
-            while toks[self.i] == "@":
+            while self.toks[self.i] == "@":
                 self.i += 1
                 out = App(out, self.parse_unit(env, decls))
             items.append(out)
-            tok = toks[self.i]
+            tok = self.toks[self.i]
             if tok not in _BINOPS:
                 break
             if op is None:
-                op, op_at = tok, self.i
+                op, op_at = tok, self.mark()
             elif tok != op:
                 raise self.error(f"mixed operators {op!r} and {tok!r} need parentheses", self.i)
             self.i += 1
         if op is None:
             return out
         if len(items) != 2 and op in ("=>", "<=>", "="):
-            raise self.error(f"operator {op!r} is binary", op_at)
+            raise self.error(f"operator {op!r} is binary", op_at - self.before)
         ctor = _BINOPS[op]
         for item in reversed(items[:-1]):
             out = ctor(item, out)
@@ -207,11 +240,16 @@ class _Parser:
                 return Bot()
             node = env.get(tok)
             if node is None:
-                node = decls.get(tok)
+                try:
+                    node = decls[tok]
+                except KeyError:  # undeclared, or the sentinel
+                    node = None
                 if node is None:
-                    if not tok:
-                        raise Th0Error("unexpected end of input")
-                    raise self.error(f"undeclared symbol {tok!r}", i)
+                    if tok:
+                        raise self.error(f"undeclared symbol {tok!r}", i)
+                    if self.refill():
+                        return self.parse_unit(env, decls)
+                    raise Th0Error("unexpected end of input")
                 self.reads.add(tok)
             return node
         if tok == "(":
@@ -239,7 +277,7 @@ class _Parser:
         The body of a type record is the Const node it declares, which joins
         decls; any other body is a flat term.  The name joins names.
         """
-        start = self.i
+        start = self.mark()
         self.expect_word("thf")
         self.expect("(")
         name = self.expect_word()
@@ -262,9 +300,9 @@ class _Parser:
         elif role in ("axiom", "definition", "conjecture"):
             body = self.parse_formula({}, decls)
             if role == "conjecture" and name != "conj":
-                raise self.error("exactly one conjecture named conj is expected", start)
+                raise self.error("exactly one conjecture named conj is expected", start - self.before)
         else:
-            raise self.error(f"unknown role {role!r}", start)
+            raise self.error(f"unknown role {role!r}", start - self.before)
         self.expect(")")
         self.expect(".")
         return name, role, body

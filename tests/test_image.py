@@ -10,6 +10,7 @@ import gc
 import hashlib
 import os
 import re
+import tracemalloc
 import types
 
 import pytest
@@ -533,6 +534,22 @@ def test_an_image_holds_no_host_terms(tmp_path, with_seps):
     }
     # Const nodes stay, in the records' constants; no term is kept whole
     assert kinds == {"Const"}, kinds
+
+
+def test_a_cold_check_holds_the_tokens_of_one_record_at_a_time(tmp_path, cold_memo):
+    # a whole problem's token list is about 15 bytes traced per byte of its
+    # text; read a record at a time, a cold check peaks at about 5
+    problem, _skips, _tr = translate.translate_query_job(
+        [renamed_kb(tmp_path, 5)], fixture_path("tqg3.kif")
+    )
+    text = th0.problem_text(problem, reproducible=True)
+    tracemalloc.start()
+    try:
+        assert th0.check_text(text) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(text)
 
 
 # One digest over problems posed through images: the fixture queries under

@@ -9,8 +9,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sumok2set import sexpr, th0, translate
+from sumok2set import sexpr, th0, th0read, translate
 from sumok2set.catalog import cc
 from sumok2set.hostterm import (
     All,
@@ -542,6 +543,17 @@ def test_kif_nested_to_the_reader_bound_gives_a_problem_that_checks(tmp_path, qu
     assert check_text(problem_text(prob, reproducible=True)) == []
 
 
+@given(st.text(alphabet=" \t\r\n%<=>()[]:,.@&|~!?^aZ9_$#é\x0b", max_size=40))
+def test_bad_character_scan_agrees_with_the_tokenizer(text):
+    # the scan before parsing finds the first token the catch-all takes
+    caught = (
+        m.start()
+        for m in th0read._TOKEN_RE.finditer(text)
+        if m.group() not in th0read._OPS and not re.match(r"%|[A-Za-z0-9_$]", m.group())
+    )
+    assert th0read._BAD_RE.match(text).end() == next(caught, len(text))
+
+
 def test_bad_character_after_long_whitespace_is_found_in_linear_time():
     # a scan that searched ahead would retry the whitespace run from every
     # offset in it: quadratic, tens of seconds here
@@ -663,6 +675,28 @@ def _cold_check(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(th0, "CHECK_MEMO", th0.RecordMemo(th0.MEMO_BYTES))
         return check_text(text)
+
+
+def test_a_check_builds_nodes_only_for_the_constants_its_runs_read(
+    warm_memo, fixture_problems, monkeypatch
+):
+    text = fixture_problems[0]
+    conj_at = text.index("thf(conj,")
+    text = text[:conj_at] + "thf(conj, conjecture, ((ordsucc @ emptyset) = emptyset)).\n"
+    passes = []
+
+    def kept(memo):
+        passes.append(record_pass(memo))
+        return passes[-1]
+
+    record_pass = th0._RecordPass
+    monkeypatch.setattr(th0, "_RecordPass", kept)
+    assert check_text(text) == []  # every record but the conjecture is a memo hit
+    assert len(passes) == 1
+    assert list(passes[0].consts.items()) == [
+        ("ordsucc", Const("ordsucc", arrow(IOTA, IOTA))),
+        ("emptyset", Const("emptyset", IOTA)),
+    ]
 
 
 def test_memo_confirms_a_known_problem_without_parsing(warm_memo, fixture_problems, monkeypatch):
