@@ -77,8 +77,8 @@ class _Parser:
     up to the next line that starts with thf(: the plain strings of one
     findall over the span, comments taken out, with the _END sentinel after
     them; a token that is not an operator is a word.  The parse reads the
-    next span when it needs a token past the sentinel (refill), so on
-    well-formed text only between records.  A span after the first starts
+    next span into the same list when it needs a token past the sentinel
+    (refill), so on well-formed text only between records.  A span after the first starts
     with the word thf, which no test of the next token for an operator
     takes, so those tests read the sentinel as they would read thf, and
     every parse, error and all, is the parse of the text's whole token
@@ -94,6 +94,7 @@ class _Parser:
             raise Th0Error(f"bad character {text[bad]!r}", *at)
         self.comments: list = []  # the text of each comment read so far
         self.start = self.stop = 0  # the span of text the tokens are of
+        self.comment = text.find("%")  # where the first comment not read yet starts, or -1
         self.before = 0  # the tokens of the spans before it
         self.toks = [_END]
         self.i = 0
@@ -107,12 +108,13 @@ class _Parser:
             self.before += len(self.toks) - 1
             start = self.start = self.stop
             stop = self.stop = text.find("\nthf(", start) + 1 or len(text)
-            toks = _TOKEN_RE.findall(text, start, stop)
-            if text.find("%", start, stop) >= 0:
+            toks = self.toks  # refilled in place, so that a name for it stays good
+            toks[:] = _TOKEN_RE.findall(text, start, stop)
+            if 0 <= self.comment < stop:
                 self.comments += [tok[1:].lstrip(" ") for tok in toks if tok[0] == "%"]
-                toks = [tok for tok in toks if tok[0] != "%"]
+                toks[:] = [tok for tok in toks if tok[0] != "%"]
+                self.comment = text.find("%", stop)
             toks.append(_END)
-            self.toks = toks
             self.i = 0
             if toks[0]:
                 return True
@@ -122,7 +124,8 @@ class _Parser:
         """An error located at the token of this index into toks.
 
         A negative index is of a token in an earlier span, counted from
-        the start of this one back.
+        the start of this one back: an index into all the text's tokens,
+        kept across a refill, less before.
         """
         start = self.start
         if index < 0:
@@ -134,14 +137,6 @@ class _Parser:
                 index -= 1
         return Th0Error(message)
 
-    def mark(self) -> int:
-        """The index of the next token among all the text's tokens.
-
-        Less before, it is the index error takes, negative once the parse
-        has read on into a later span.
-        """
-        return self.before + self.i
-
     def peek(self) -> str:
         """The next token, _END at the end of input."""
         tok = self.toks[self.i]
@@ -150,20 +145,16 @@ class _Parser:
         return tok
 
     def next(self) -> str:
-        tok = self.toks[self.i]
+        tok = self.toks[self.i] or self.peek()
         if not tok:
-            if not self.refill():
-                raise Th0Error("unexpected end of input")
-            tok = self.toks[0]
+            raise Th0Error("unexpected end of input")
         self.i += 1
         return tok
 
     def expect(self, want: str) -> None:
-        tok = self.toks[self.i]
+        tok = self.toks[self.i] or self.peek()
         if tok != want:
             if not tok:
-                if self.refill():
-                    return self.expect(want)
                 raise Th0Error("unexpected end of input")
             raise self.error(f"expected {want!r}, found {tok!r}", self.i)
         self.i += 1
@@ -204,19 +195,20 @@ class _Parser:
 
     def parse_formula(self, env, decls):
         """Applications joined by at most one kind of binary operator."""
+        toks = self.toks
         items = []
         op = None
         while True:
             out = self.parse_unit(env, decls)
-            while self.toks[self.i] == "@":
+            while toks[self.i] == "@":
                 self.i += 1
                 out = App(out, self.parse_unit(env, decls))
             items.append(out)
-            tok = self.toks[self.i]
+            tok = toks[self.i]
             if tok not in _BINOPS:
                 break
             if op is None:
-                op, op_at = tok, self.mark()
+                op, op_at = tok, self.before + self.i
             elif tok != op:
                 raise self.error(f"mixed operators {op!r} and {tok!r} need parentheses", self.i)
             self.i += 1
@@ -232,6 +224,8 @@ class _Parser:
     def parse_unit(self, env, decls):
         i = self.i
         tok = self.toks[i]
+        if not tok:
+            tok, i = self.peek(), 0
         self.i = i + 1
         if tok not in _OPS:
             if tok == "$true":
@@ -242,14 +236,12 @@ class _Parser:
             if node is None:
                 try:
                     node = decls[tok]
-                except KeyError:  # undeclared, or the sentinel
+                except KeyError:  # undeclared, or the end of input
                     node = None
                 if node is None:
-                    if tok:
-                        raise self.error(f"undeclared symbol {tok!r}", i)
-                    if self.refill():
-                        return self.parse_unit(env, decls)
-                    raise Th0Error("unexpected end of input")
+                    if not tok:
+                        raise Th0Error("unexpected end of input")
+                    raise self.error(f"undeclared symbol {tok!r}", i)
                 self.reads.add(tok)
             return node
         if tok == "(":
@@ -277,7 +269,7 @@ class _Parser:
         The body of a type record is the Const node it declares, which joins
         decls; any other body is a flat term.  The name joins names.
         """
-        start = self.mark()
+        start = self.before + self.i  # kept across a refill, as the index into all tokens
         self.expect_word("thf")
         self.expect("(")
         name = self.expect_word()
