@@ -9,6 +9,7 @@ import gc
 import hashlib
 import itertools
 import pickle
+import sys
 import weakref
 
 import pytest
@@ -346,6 +347,122 @@ def test_listset_pairs():
     got = e.eval(App(cc("listset"), one), {})
     expect = hf.hfset(hf.pair(hf.nat(0), hf.hfset(hf.nat(3))))
     assert got == expect
+
+
+def eager_cons(e, x, l):
+    """The reference cons: a new table holding tag x at nat(0) and each of
+    the tail's entries at the successor of its key."""
+    fn = e.to_list_fn(l)
+    table = {hf.EMPTY: hf.hfset(x)}
+    for k, v in fn.table.items():
+        table[hf.succ(k)] = v
+    return hf.HfFn(table)
+
+
+def eager_len(e, l):
+    """The reference len: the table's length when its keys are nat(0) ..
+    nat(n - 1), else the set of its numeral keys."""
+    table = e.to_list_fn(l).table
+    n = hf._list_length(table)
+    if n is not None:
+        return hf.nat(n)
+    return hf.HfSet(k for k in table if k._nat >= 0)
+
+
+# every numeral up to 6, every set of rank 2, and a successor that is no numeral
+LIST_KEYS = [hf.nat(i) for i in range(7)] + hf.sets_of_rank(2) + [hf.succ(hf.hfset(hf.nat(1)))]
+
+
+def assert_same_list(e, got, want):
+    """got reads as want: applied, measured, as pairs, printed and compared."""
+    for key in LIST_KEYS:
+        assert got(key) is want(key), key
+    assert e.interp["len"](got) is eager_len(e, want)
+    assert e.interp["listset"](got) is e.interp["listset"](want)
+    assert hf.describe_value(got) == hf.describe_value(want)
+    assert got == want and want == got
+    for key in LIST_KEYS:  # and again once the comparison read the table
+        assert got(key) is want(key), key
+
+
+def test_cons_reads_as_the_eager_table_on_the_claims_domains():
+    # the pairs of X and R that claims 2-4 of claims.lemmas range over
+    e = ev()
+    cons = e.interp["cons"]
+    tails = hf.generators("list")
+    assert len(tails) == 341
+    for x in hf.generators("set"):
+        for r in tails:
+            assert_same_list(e, cons(x)(r), eager_cons(e, x, r))
+    assert e.fuel == hf.DEFAULT_FUEL
+
+
+def test_cons_reads_as_the_eager_table_on_tails_that_are_no_list():
+    # the holes and tagged tables of test_len_of_lists: numeral keys with
+    # gaps, and a key that is no numeral, one or two conses deep
+    e = ev()
+    cons = e.interp["cons"]
+    holes = [{1: 0}, {0: 3, 2: 1}, {1: 1, 2: 2, 3: 3}, {0: 0, 1: 0, 2: 0}]
+    tails = [hf.hffn({hf.nat(k): hf.hfset(hf.nat(v)) for k, v in t.items()}) for t in holes]
+    tails.append(hf.hffn({hf.nat(0): hf.nat(1), hf.hfset(hf.nat(1)): hf.nat(1)}))
+    for x in hf.sets_of_rank(2):
+        for y in (hf.EMPTY, hf.nat(3)):
+            for tail in tails:
+                assert_same_list(e, cons(x)(tail), eager_cons(e, x, tail))
+                want = eager_cons(e, x, eager_cons(e, y, tail))
+                assert_same_list(e, cons(x)(cons(y)(tail)), want)
+    # the successor of the tagged table's key that is no numeral
+    consed = cons(hf.EMPTY)(tails[-1])
+    assert consed(hf.succ(hf.hfset(hf.nat(1)))) is hf.nat(1)
+    assert e.fuel == hf.DEFAULT_FUEL
+
+
+def test_cons_of_a_closure_tabulates_it_at_once():
+    tag_n = Lam("N", IOTA, App(cc("tag"), Var("N", IOTA)))
+    e = ev()
+    got = e.eval(app(cc("cons"), cc("ord2"), tag_n), {})
+    # the cons, its head and the lambda, then 33 entries of tag @ N
+    assert hf.DEFAULT_FUEL - e.fuel == 137
+    ref = ev()
+    want = eager_cons(ref, hf.nat(2), ref.eval(tag_n, {}))
+    assert_same_list(e, got, want)
+    assert hf.DEFAULT_FUEL - e.fuel == 137  # reading the list costs none
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_cons_chain_is_walked_in_a_loop(monkeypatch):
+    # the numerals built here are forgotten after the test; a chain of n
+    # conses reads nat(n), and the numerals up to n hold n * n / 2 members
+    monkeypatch.setattr(hf, "_NATS", hf._NATS[:11])
+    n = 600
+    e = ev()
+    cons, length = e.interp["cons"], e.interp["len"]
+    entries = [hf.nat(i % 5) for i in range(n)]
+    chain = e.interp["nil"]
+    for x in reversed(entries):
+        chain = cons(x)(chain)
+    want = hf.mk_hflist(entries)
+    # a walk that recursed once per link would need n frames more than the
+    # limit leaves
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        last = chain(hf.nat(n - 1))
+        got_length = length(chain)
+        same = chain == want
+        entry = chain(hf.nat(n // 2))  # from the table the comparison built
+    finally:
+        sys.setrecursionlimit(limit)
+    assert last is hf.hfset(entries[-1])
+    assert got_length is hf.nat(n)
+    assert same
+    assert entry is hf.hfset(entries[n // 2])
 
 
 def test_istrue_and_boolset():
@@ -767,6 +884,15 @@ def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
         (encode_nat(99), 17),
         (app(cc("cons"), cc("ord0"), cc("nil")), 5),
         (App(cc("len"), app(cc("cons"), cc("ord5"), app(cc("cons"), cc("ord0"), cc("nil")))), 11),
+        (
+            App(cc("len"), app(cc("cons"), cc("ord1"), app(cc("cons"), cc("ord2"), app(cc("cons"), cc("ord3"), cc("nil"))))),
+            15,
+        ),
+        (
+            App(cc("len"), app(cc("cons"), cc("ord1"), app(cc("cons"), cc("ord2"), Lam("N", IOTA, App(cc("tag"), Var("N", IOTA)))))),
+            143,
+        ),
+        (App(cc("listset"), app(cc("cons"), cc("ord3"), app(cc("cons"), cc("ord4"), cc("nil")))), 11),
         (separation("X", cc("omega"), mem(Var("X", IOTA), cc("ord4"))), 134),
     ],
 )
