@@ -2,7 +2,8 @@
 
 Terms of the host language are evaluated in the universe of hereditarily
 finite sets: individuals are HfSet values, list encodings are finite-support
-functions defaulting to the empty set, booleans are Python booleans, and
+functions defaulting to the empty set (a list that cons makes keeps its tail
+and builds its table only when read), booleans are Python booleans, and
 higher types are closures.  A numeral's value is checked against its von
 Neumann structure once, when the numeral is interned; ordinal arithmetic
 reads its operands' values and builds its result once.  The numeral encoder
@@ -14,8 +15,9 @@ hash-consing", ML Workshop 2006): HfSet looks its elements up in a
 process-wide weak table, so each distinct set is one object and equality is
 identity.  The table holds its sets weakly and keeps nothing alive; only the
 numerals up to the largest one requested stay memoized.  Arithmetic, equality,
-is_nat, pred and list tables neither build a set's key string nor recurse, so
-numeral size is bounded neither by recursion depth nor by key length.
+is_nat, pred and lists neither build a set's key string nor recurse, so
+neither numeral size nor list length is bounded by recursion depth, and
+numeral size is not bounded by key length either.
 Members are ordered as their keys would be, by a comparison that builds no
 key.  Key strings are built only to print a set, and then only up to
 DESCRIBE_LIMIT characters.
@@ -320,17 +322,94 @@ def pair(a: HfSet, b: HfSet) -> HfSet:
     return hfset(hfset(a), hfset(a, b))
 
 
-@dataclass(slots=True)
+_UNMEASURED = object()  # a length not yet worked out
+
+
 class HfFn:
     """Finite-support function on HF sets, empty set off the support.
 
-    Immutable by contract; equal when the tables are, and unhashable.
+    Immutable by contract; equal when the tables are, and unhashable.  A
+    list that cons made keeps its tail (a persistent list in the sense of
+    Okasaki, "Purely Functional Data Structures", 1998): applied to nat(0)
+    it gives its head, to nat(n) for n > 0 its tail's value at nat(n - 1),
+    since succ is injective, and to any other argument what its table
+    holds.  That table is built on its first read.  The length is worked
+    out once per value.  A chain of conses is walked in a loop, never by
+    recursion.
     """
 
-    table: dict  # arg -> val, no EMPTY values
+    __slots__ = ("_table", "_head", "_tail", "_length")
+    __hash__ = None
+
+    def __init__(self, table: dict):
+        self._table = table  # arg -> val, no EMPTY values; None until built
+        self._head = self._tail = None
+        self._length = _UNMEASURED
+
+    @classmethod
+    def cons(cls, head: HfSet, tail: HfFn) -> HfFn:
+        """The list with head at nat(0) and tail's entries one index up."""
+        fn = cls.__new__(cls)
+        fn._table, fn._head, fn._tail, fn._length = None, head, tail, _UNMEASURED
+        return fn
 
     def __call__(self, x: HfSet) -> HfSet:
-        return self.table.get(x, EMPTY)
+        fn = self
+        while fn._table is None:
+            n = x._nat if type(x) is HfSet else -1
+            if n < 0:
+                return fn.table.get(x, EMPTY)
+            if n == 0:
+                return fn._head
+            x, fn = nat(n - 1), fn._tail
+        return fn._table.get(x, EMPTY)
+
+    @property
+    def table(self) -> dict:
+        """arg -> val, no EMPTY values.
+
+        A chain of k conses over a table holds its heads at nat(0) ..
+        nat(k - 1), and each entry of that table at its key's k-th successor.
+        """
+        if self._table is None:
+            heads, fn = [], self
+            while fn._table is None:
+                heads.append(fn._head)
+                fn = fn._tail
+            table = {nat(i): head for i, head in enumerate(heads)}
+            for key, value in fn._table.items():
+                for _ in heads:
+                    key = succ(key)
+                table[key] = value
+            self._table = table
+        return self._table
+
+    def length(self):
+        """n when the keys of the table are nat(0) .. nat(n - 1), else None."""
+        if self._length is _UNMEASURED:
+            chain, fn = [], self
+            while fn._length is _UNMEASURED and fn._tail is not None:
+                chain.append(fn)
+                fn = fn._tail
+            if fn._length is _UNMEASURED:
+                fn._length = _list_length(fn._table)
+            n = fn._length
+            # a cons's keys are nat(0) and the successors of its tail's keys,
+            # and succ is injective, never empty and makes a numeral of
+            # nat(i) alone, so they are nat(0) .. nat(n) exactly when the
+            # tail's are nat(0) .. nat(n - 1)
+            for fn in reversed(chain):
+                n = None if n is None else n + 1
+                fn._length = n
+        return self._length
+
+    def __eq__(self, other):
+        if isinstance(other, HfFn):
+            return self.table == other.table
+        return NotImplemented
+
+    def __repr__(self):
+        return f"HfFn(table={self.table!r})"
 
 
 def hffn(mapping) -> HfFn:
@@ -495,6 +574,13 @@ class Evaluator:
     # -- constant table ----------------------------------------------------
 
     def _native(self):
+        """The constants the oracle computes itself, by name.
+
+        cons @ X @ L tabulates a closure L at once, and charges fuel for it
+        then, and makes a list that keeps L as its tail (HfFn.cons); len
+        reads the length each list works out once.
+        """
+
         def untag(x):
             if isinstance(x, HfSet) and len(x) == 1:
                 (elem,) = x.elems
@@ -502,21 +588,20 @@ class Evaluator:
             return EMPTY
 
         def cons(x):
-            def with_list(l):
-                fn = self.to_list_fn(l)
-                table = {EMPTY: hfset(x)}
-                for k, v in fn.table.items():
-                    table[succ(k)] = v
-                return HfFn(table)  # no value is empty
+            head = hfset(x)
 
-            return with_list
+            def with_tail(l):
+                # a closure is tabulated, and charged, when the list is made
+                return HfFn.cons(head, self.to_list_fn(l))
+
+            return with_tail
 
         def len_of(l):
-            table = self.to_list_fn(l).table
-            n = _list_length(table)
+            fn = self.to_list_fn(l)
+            n = fn.length()
             if n is not None:
                 return nat(n)
-            return HfSet(k for k in table if k._nat >= 0)
+            return HfSet(k for k in fn.table if k._nat >= 0)
 
         def listset(l):
             fn = self.to_list_fn(l)
@@ -1217,14 +1302,14 @@ def describe_value(value) -> str:
     if isinstance(value, HfSet):
         return describe_set(value)
     if isinstance(value, HfFn):
-        n = _list_length(value.table)
+        table, n = value.table, value.length()
         if n is not None:
             entries = []
             for i in range(n):
-                v = value(nat(i))
+                v = table[nat(i)]
                 entries.append(repr(next(iter(v.elems)) if len(v) == 1 else v))
             return "[" + ", ".join(entries) + "]"
-        return "fn" + repr(sorted((repr(k), repr(v)) for k, v in value.table.items()))
+        return "fn" + repr(sorted((repr(k), repr(v)) for k, v in table.items()))
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value)

@@ -381,6 +381,9 @@ def assert_same_list(e, got, want):
     assert e.interp["listset"](got) is e.interp["listset"](want)
     assert hf.describe_value(got) == hf.describe_value(want)
     assert got == want and want == got
+    assert repr(got) == repr(want)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(got)
     for key in LIST_KEYS:  # and again once the comparison read the table
         assert got(key) is want(key), key
 
