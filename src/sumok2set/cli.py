@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import harness, hforacle, th0, translate
 from .sexpr import InputError, NotUtf8, read_text
 
 # Errors in the input files; each carries the span it was found at, if any.
@@ -52,7 +51,11 @@ def _report_errors(errors, as_json: bool, unlocated: str = "<input>") -> None:
             print(f"error: {where}: {e['error']}", file=sys.stderr)
 
 
+# Each command imports the modules it runs, so that oracle and check load
+# neither the KIF front end nor the batch runner.
 def cmd_translate(args) -> int:
+    from . import th0, translate
+
     skip_heads = tuple(args.skip_head) if args.skip_head else translate.sumo.DEFAULT_SKIP_HEADS
     try:
         problem, skips, _tr = translate.translate_query_job(
@@ -86,6 +89,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import harness
+
     try:
         cfg = harness.load_config(args.config)
     except (OSError, NotUtf8, harness.ConfigError) as err:
@@ -116,6 +121,8 @@ def cmd_run(args) -> int:
 
 
 def _run_jobs(cfg, outputs: dict, keep_going: bool) -> int:
+    from . import harness, th0, translate
+
     skip_heads = tuple(cfg.skip_heads) if cfg.skip_heads else translate.sumo.DEFAULT_SKIP_HEADS
     problems_dir = os.path.join(cfg.out_dir, "problems")
     os.makedirs(problems_dir, exist_ok=True)
@@ -180,8 +187,11 @@ def _write_lines(path: str, lines) -> None:
 
 
 def cmd_oracle(args) -> int:
+    from . import hforacle
+
+    fuel = hforacle.DEFAULT_FUEL if args.fuel is None else args.fuel
     try:
-        results = hforacle.run_lemma_file(args.lemmas, fuel=args.fuel)
+        results = hforacle.run_lemma_file(args.lemmas, fuel=fuel)
     except (OSError, NotUtf8, hforacle.OracleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -190,6 +200,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import th0
+
     bad = 0
     for path in args.files:
         try:
@@ -255,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force check a lemma file over finite sets")
     p.add_argument("lemmas", help="lemma file, one claim per line")
-    p.add_argument(
-        "--fuel", type=_positive_int, default=hforacle.DEFAULT_FUEL, help="work bound per claim"
-    )
+    p.add_argument("--fuel", type=_positive_int, help="work bound per claim")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("check", help="validate rendered problem files")

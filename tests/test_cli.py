@@ -370,6 +370,36 @@ def test_oracle_refuses_numerals_past_the_bound(tmp_path):
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0
 
 
+# the KIF front end and the batch runner, which neither oracle nor check runs
+NOT_IMPORTED = (
+    "sumok2set.translate", "sumok2set.sumo", "sumok2set.signature", "sumok2set.guards",
+    "sumok2set.harness",
+)
+
+
+@pytest.mark.parametrize("command", ["oracle", "check"])
+def test_oracle_and_check_import_only_what_they_run(command, tmp_path):
+    if command == "oracle":
+        argv = ["oracle", fixture_path("claims.lemmas")]
+    else:
+        problem = str(tmp_path / "tqg3.p")
+        assert cli.main(["translate", fixture_path("tqg3.kif"), "--kb", KB, "-o", problem]) == 0
+        argv = ["check", problem]
+    script = (
+        "import sys\n"
+        "from sumok2set import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(code, [m for m in {NOT_IMPORTED!r} if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("fuel", ["0", "-5", "x"])
 def test_oracle_fuel_must_be_a_positive_integer(fuel, capsys):
     with pytest.raises(SystemExit) as exited:
