@@ -334,8 +334,8 @@ class HfFn:
     it gives its head, to nat(n) for n > 0 its tail's value at nat(n - 1),
     since succ is injective, and to any other argument what its table
     holds.  That table is built on its first read.  The length is worked
-    out once per value.  A chain of conses is walked in a loop, never by
-    recursion.
+    out once per value, a cons's when it is made.  A chain of conses is
+    walked in a loop, never by recursion.
     """
 
     __slots__ = ("_table", "_head", "_tail", "_length")
@@ -350,7 +350,13 @@ class HfFn:
     def cons(cls, head: HfSet, tail: HfFn) -> HfFn:
         """The list with head at nat(0) and tail's entries one index up."""
         fn = cls.__new__(cls)
-        fn._table, fn._head, fn._tail, fn._length = None, head, tail, _UNMEASURED
+        fn._table, fn._head, fn._tail = None, head, tail
+        # the keys are nat(0) and the successors of the tail's keys, and succ
+        # is injective, never empty and makes a numeral of nat(i) alone, so
+        # they are nat(0) .. nat(n) exactly when the tail's are nat(0) ..
+        # nat(n - 1)
+        n = tail.length()
+        fn._length = None if n is None else n + 1
         return fn
 
     def __call__(self, x: HfSet) -> HfSet:
@@ -387,20 +393,7 @@ class HfFn:
     def length(self):
         """n when the keys of the table are nat(0) .. nat(n - 1), else None."""
         if self._length is _UNMEASURED:
-            chain, fn = [], self
-            while fn._length is _UNMEASURED and fn._tail is not None:
-                chain.append(fn)
-                fn = fn._tail
-            if fn._length is _UNMEASURED:
-                fn._length = _list_length(fn._table)
-            n = fn._length
-            # a cons's keys are nat(0) and the successors of its tail's keys,
-            # and succ is injective, never empty and makes a numeral of
-            # nat(i) alone, so they are nat(0) .. nat(n) exactly when the
-            # tail's are nat(0) .. nat(n - 1)
-            for fn in reversed(chain):
-                n = None if n is None else n + 1
-                fn._length = n
+            self._length = _list_length(self._table)
         return self._length
 
     def __eq__(self, other):
@@ -576,9 +569,9 @@ class Evaluator:
     def _native(self):
         """The constants the oracle computes itself, by name.
 
-        cons @ X @ L tabulates a closure L at once, and charges fuel for it
-        then, and makes a list that keeps L as its tail (HfFn.cons); len
-        reads the length each list works out once.
+        cons @ X @ L tabulates a closure L, and charges its fuel, at once;
+        the list it makes keeps L as its tail (HfFn.cons).  len reads the
+        length each list works out once.
         """
 
         def untag(x):
@@ -591,7 +584,6 @@ class Evaluator:
             head = hfset(x)
 
             def with_tail(l):
-                # a closure is tabulated, and charged, when the list is made
                 return HfFn.cons(head, self.to_list_fn(l))
 
             return with_tail

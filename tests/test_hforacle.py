@@ -381,7 +381,7 @@ def assert_same_list(e, got, want):
     assert e.interp["listset"](got) is e.interp["listset"](want)
     assert hf.describe_value(got) == hf.describe_value(want)
     assert got == want and want == got
-    assert repr(got) == repr(want)
+    assert repr(got) == repr(want) == f"HfFn(table={want.table!r})"
     with pytest.raises(TypeError, match="unhashable"):
         hash(got)
     for key in LIST_KEYS:  # and again once the comparison read the table
