@@ -342,7 +342,7 @@ class HfFn:
     __hash__ = None
 
     def __init__(self, table: dict):
-        self._table = table  # arg -> val, no EMPTY values; None until built
+        self._table = table  # arg -> val, no EMPTY values; a cons's is None until read
         self._head = self._tail = None
         self._length = _UNMEASURED
 
