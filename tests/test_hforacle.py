@@ -887,6 +887,7 @@ def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
         (encode_nat(99), 17),
         (app(cc("cons"), cc("ord0"), cc("nil")), 5),
         (App(cc("len"), app(cc("cons"), cc("ord5"), app(cc("cons"), cc("ord0"), cc("nil")))), 11),
+        (separation("X", cc("omega"), mem(Var("X", IOTA), cc("ord4"))), 134),
         (
             App(cc("len"), app(cc("cons"), cc("ord1"), app(cc("cons"), cc("ord2"), app(cc("cons"), cc("ord3"), cc("nil"))))),
             15,
@@ -896,7 +897,6 @@ def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
             143,
         ),
         (App(cc("listset"), app(cc("cons"), cc("ord3"), app(cc("cons"), cc("ord4"), cc("nil")))), 11),
-        (separation("X", cc("omega"), mem(Var("X", IOTA), cc("ord4"))), 134),
     ],
 )
 def test_fuel_spent_by_one_shot_evals(term, used):
