@@ -881,6 +881,12 @@ def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
         ]
 
 
+def _body(line):
+    """The body of the one claim of a lemma line."""
+    (claim,) = hf.parse_lemmas(line)
+    return claim.body
+
+
 @pytest.mark.parametrize(
     "term, used",
     [
@@ -897,6 +903,18 @@ def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
             143,
         ),
         (App(cc("listset"), app(cc("cons"), cc("ord3"), app(cc("cons"), cc("ord4"), cc("nil")))), 11),
+        # each connective and truth value as a lemma line reads it: one unit
+        # for the connective, charged with its first operand, and none for
+        # an operand that does not decide the value, here one that would
+        # raise (the successor of omega)
+        (_body("(~ (in @ ord1 @ ord0))"), 4),
+        (_body("((in @ ord0 @ ord1) & (subq @ ord1 @ ord2))"), 7),
+        (_body("((in @ ord1 @ ord0) | (ord2 = ord2))"), 7),
+        (_body("((in @ ord1 @ ord0) => (in @ (ordsucc @ omega) @ ord1))"), 4),
+        (_body("((ord1 = ord1) <=> (in @ ord0 @ ord1))"), 7),
+        (_body("$false"), 1),
+        (_body("($true | (in @ (ordsucc @ omega) @ ord1))"), 2),
+        (_body("($false & (in @ (ordsucc @ omega) @ ord1))"), 2),
     ],
 )
 def test_fuel_spent_by_one_shot_evals(term, used):

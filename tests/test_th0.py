@@ -495,6 +495,22 @@ _PINNED_DIAGNOSTICS = [
     ("", "parse error: missing conjecture"),
     ("   \n\n", "parse error: missing conjecture"),
     ("% only\n", "parse error: missing conjecture"),
+    # each connective with an operand of type $i
+    *[
+        (
+            f"thf(ty_a, type, a : $o).\nthf(ty_c, type, c : $i).\nthf(ax, axiom, {body}).\n"
+            "thf(conj, conjecture, a).\n",
+            "ax: ill-typed: expected $o, found $i",
+        )
+        for body in ("(~ c)", "(c & a)", "(a | c)", "(c => a)", "(a <=> c)")
+    ],
+    # the truth values check clean and render as read: the one diagnostic
+    # is the conjecture's
+    (
+        "thf(ty_a, type, a : $o).\nthf(ty_c, type, c : $i).\n"
+        "thf(ax, axiom, ((~ $false) | a)).\nthf(conj, conjecture, c).\n",
+        "conj: formula has type $i, not $o",
+    ),
 ]
 
 
