@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .hostterm import All, App, Const, Lam, app
+from .hostterm import All, App, Const, Eq, Lam, app
 from .th0read import _Parser
 
 # The constants whose definitions the finite-set oracle expands.
@@ -155,7 +155,7 @@ def _defn(definition):
     """The lambda over a definition's universal binders of its right-hand side."""
     if type(definition) is All:
         return Lam(definition.name, definition.ty, _defn(definition.body))
-    return definition.right
+    return definition.right if type(definition) is Eq else definition.arg  # = or <=>
 
 
 CATALOG, SEP = _load(

@@ -23,14 +23,17 @@ key.  Key strings are built only to print a set, and then only up to
 DESCRIBE_LIMIT characters.
 
 Terms are compiled once into closures (see Evaluator) that then run on each
-assignment.  The set primitives are applied catalog constants, and a full
-application of in, subq or ite, or of sep to a set and a lambda, is
+assignment.  The set primitives are applied catalog constants and the
+connectives applied logical constants, and a full application of a
+connective, of in, subq or ite, or of sep to a set and a lambda, is
 evaluated as one node, whether a catalog term or a lemma line spells it: ite
-evaluates only the branch it takes.  Fuel bounds the work: one unit per term
-node evaluated, per separation member, per quantified value and per entry of
-a function tabulated as a list, and four per native ordinal operation.  Ordinal
-arithmetic and power refuse, before building anything, a set of more than
-NUMERAL_BOUND members, so that fuel bounds memory too.
+evaluates only the branch it takes, and a connective only the operands that
+decide its value; $true and $false are native constants.  Fuel bounds the
+work: one unit per term node evaluated, per separation member, per
+quantified value and per entry of a function tabulated as a list, and four
+per native ordinal operation.  Ordinal arithmetic and power refuse, before
+building anything, a set of more than NUMERAL_BOUND members, so that fuel
+bounds memory too.
 
 A claim's body is staged by binder level (a binding-time split in the sense
 of Jones, Gomard and Sestoft, "Partial Evaluation and Automatic Program
@@ -60,22 +63,22 @@ from dataclasses import dataclass
 
 from .catalog import CATALOG, SEP
 from .hostterm import (
+    CONJ,
+    DISJ,
+    FALSE,
+    IFF,
+    IMP,
+    NEG,
+    TRUE,
     All,
     App,
     Arrow,
-    Bot,
-    Conj,
     Const,
-    Disj,
     Eq,
     Ex,
     IOTA,
-    Iff,
-    Imp,
     Lam,
-    Neg,
     OMICRON,
-    Top,
     Var,
     free_vars,
 )
@@ -543,12 +546,12 @@ class Evaluator:
     run, never while compiling.
 
     Fuel is charged as a walk of the term would charge it: one unit per
-    node visited, a set primitive's full application counting as one, per
-    separation member, per quantified value and per entry of a function
-    tabulated as a list, and four per native ordinal operation.  A node
-    whose first act is to evaluate a child passes its unit down to that
-    child (owed), so charges with nothing observable between them are paid
-    at once.
+    node visited, a full application of a connective or a set primitive
+    counting as one, per separation member, per quantified value and per
+    entry of a function tabulated as a list, and four per native ordinal
+    operation.  A node whose first act is to evaluate a child passes its
+    unit down to that child (owed), so charges with nothing observable
+    between them are paid at once.
     """
 
     def __init__(self, interp=None, fuel: int = DEFAULT_FUEL):
@@ -619,6 +622,8 @@ class Evaluator:
             return curried
 
         return {
+            TRUE.name: True,
+            FALSE.name: False,
             "emptyset": EMPTY,
             "in": lambda a: lambda b: _mem(a, b),
             "subq": lambda a: lambda b: _subq(a, b),
@@ -721,28 +726,36 @@ def _compile(ev, t, scope: tuple, owed: int = 0):
     until a claim binder up to its level changes.
     """
     if ev.claim_names is None:
-        return _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+        return _compiler(t)(ev, t, scope, owed)
     k = len(ev.claim_names)
     outer = ev.stage
     depth, ceiling = outer
     if len(scope) > depth:
         ceiling = k  # under a binder of its own, the code runs once per value
     if ceiling < 0 or type(t) in _LEAVES:
-        return _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+        return _compiler(t)(ev, t, scope, owed)
     level = _binder_level(t, scope, k)
     hoist = level is not None and level < ceiling
     if hoist:
         ev.stage = (len(scope), level)
-    if type(t) is App and _set_primitive(t) is None:
+    compiler = _compiler(t)
+    if compiler is _compile_app:
         run = _compile_app(ev, t, scope, owed, _spine_split(t, scope, k, level))
     else:
-        run = _COMPILERS.get(type(t), _compile_unknown)(ev, t, scope, owed)
+        run = compiler(ev, t, scope, owed)
     ev.stage = outer
     return _reused(ev, run, level) if hoist else run
 
 
+def _compiler(t):
+    """The compiler of t's node, a primitive's own for its full application."""
+    if type(t) is App:
+        return _primitive(t) or _compile_app
+    return _COMPILERS.get(type(t), _compile_unknown)
+
+
 # nodes whose evaluation costs no more than reusing a kept value would
-_LEAVES = (Var, Const, Top, Bot)
+_LEAVES = (Var, Const)
 
 
 def _slot(scope, name):
@@ -877,10 +890,6 @@ def _compile_app(ev, t, scope, owed, stop=None):
     # the spine h @ a1 @ ... @ an charges n + 1 before evaluating any ai; a
     # prefix stop of the spine is a head of its own, and owes the charges of
     # the applications around it
-    if stop is None:
-        primitive = _set_primitive(t)
-        if primitive is not None:
-            return primitive(ev, t, scope, owed)
     args = []
     while type(t) is App and t is not stop:
         args.append(t.arg)
@@ -930,27 +939,27 @@ def _compile_lam(ev, t, scope, owed):
 
 
 def _compile_neg(ev, t, scope, owed):
-    body = _compile(ev, t.body, scope, owed + 1)
+    body = _compile(ev, t.arg, scope, owed + 1)
     return lambda env: not body(env)
 
 
 def _compile_imp(ev, t, scope, owed):
-    ante, cons = _compile(ev, t.ante, scope, owed + 1), _compile(ev, t.cons, scope)
+    ante, cons = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
     return lambda env: (not ante(env)) or cons(env)
 
 
 def _compile_conj(ev, t, scope, owed):
-    left, right = _compile(ev, t.left, scope, owed + 1), _compile(ev, t.right, scope)
+    left, right = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
     return lambda env: left(env) and right(env)
 
 
 def _compile_disj(ev, t, scope, owed):
-    left, right = _compile(ev, t.left, scope, owed + 1), _compile(ev, t.right, scope)
+    left, right = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
     return lambda env: left(env) or right(env)
 
 
 def _compile_iff(ev, t, scope, owed):
-    left, right = _compile(ev, t.left, scope, owed + 1), _compile(ev, t.right, scope)
+    left, right = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
     return lambda env: left(env) == right(env)
 
 
@@ -995,19 +1004,28 @@ def _compile_sep(ev, t, scope, owed):
     return lambda env: HfSet([item for item in members(bound(env)) if body(env + (item,))])
 
 
-_BINARY_PRIMITIVES = {"in": _compile_mem, "subq": _compile_subq}
+_BINARY_PRIMITIVES = {
+    "in": _compile_mem,
+    "subq": _compile_subq,
+    CONJ.name: _compile_conj,
+    DISJ.name: _compile_disj,
+    IMP.name: _compile_imp,
+    IFF.name: _compile_iff,
+}
 
 
-def _set_primitive(t):
-    """The compiler of t if it is a full application of in, subq or ite, or
-    of sep to a set and a Lam, else None.
+def _primitive(t):
+    """The compiler of the application t if it is a full application of a
+    connective, of in, subq or ite, or of sep to a set and a Lam, else None.
 
     Such an application compiles as a node of its own: one unit of fuel,
     charged with its first argument, and staging never splits its spine.
+    A connective evaluates its operands left to right, and only as far as
+    they decide its value.
     """
     fn = t.fn
     if type(fn) is not App:
-        return None
+        return _compile_neg if type(fn) is Const and fn.name == NEG.name else None
     head = fn.fn
     if type(head) is App:
         head = head.fn
@@ -1060,13 +1078,11 @@ def _compile_quantifier(ev, t, scope, owed):
 def _membership_bound(t, universal: bool):
     """(S, phi) for forall X. X in S => phi, or exists X. X in S & phi, S closed."""
     body = t.body
-    if universal and isinstance(body, Imp):
-        guard, rest = body.ante, body.cons
-    elif not universal and isinstance(body, Conj):
-        guard, rest = body.left, body.right
-    else:
+    connective = _compile_imp if universal else _compile_conj
+    if type(body) is not App or _primitive(body) is not connective:
         return None
-    if type(guard) is not App or _set_primitive(guard) is not _compile_mem:
+    guard, rest = body.fn.arg, body.arg
+    if type(guard) is not App or _primitive(guard) is not _compile_mem:
         return None
     elem, container = guard.fn.arg, guard.arg
     if (
@@ -1081,15 +1097,7 @@ def _membership_bound(t, universal: bool):
 _COMPILERS = {
     Var: _compile_var,
     Const: _compile_const,
-    App: _compile_app,
     Lam: _compile_lam,
-    Bot: lambda ev, t, scope, owed: _charged(ev, owed + 1, False),
-    Top: lambda ev, t, scope, owed: _charged(ev, owed + 1, True),
-    Neg: _compile_neg,
-    Imp: _compile_imp,
-    Conj: _compile_conj,
-    Disj: _compile_disj,
-    Iff: _compile_iff,
     Eq: _compile_eq,
     All: _compile_quantifier,
     Ex: _compile_quantifier,

@@ -6,9 +6,15 @@ for object.__setattr__ on every construction.  Terms are hashed and shared
 (the constants of catalog.cc, the memo of minted constants in
 Translator.resolve, the THF reader's shared Const and Var nodes), so no
 code assigns to a field of a term once it is built.  The language is plain
-simply typed lambda calculus: membership, subset, if-then-else and
-separation are no node kinds but the catalog constants in, subq, ite and
-sep applied like any other, a separation as sep @ A @ (^[X : $i]: P).
+simply typed lambda calculus with equality and the two quantifiers:
+membership, subset, if-then-else and separation are no node kinds but the
+catalog constants in, subq, ite and sep applied like any other, a
+separation as sep @ A @ (^[X : $i]: P).  The connectives and truth values
+are no node kinds either but the logical constants of Church's simple type
+theory, typed as TH0 types them ((&) : $o > $o > $o) and named as THF
+spells them: one shared Const each, applied like any other constant, so a
+conjunction is App(App(CONJ, A), B).  Equality and the quantifiers stay
+nodes: = is polymorphic, and a quantifier's body is checked at $o itself.
 """
 
 from __future__ import annotations
@@ -79,45 +85,6 @@ class Lam:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Bot:
-    pass
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Top:
-    pass
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Neg:
-    body: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Imp:
-    ante: object
-    cons: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Conj:
-    left: object
-    right: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Disj:
-    left: object
-    right: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Iff:
-    left: object
-    right: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class Eq:
     left: object
     right: object
@@ -137,6 +104,13 @@ class Ex:
     body: object
 
 
+# The logical constants, one shared node each; LOGICAL maps each name to it.
+TRUE, FALSE = Const("$true", OMICRON), Const("$false", OMICRON)
+NEG = Const("~", Arrow(OMICRON, OMICRON))
+CONJ, DISJ, IMP, IFF = (Const(op, Arrow(OMICRON, NEG.ty)) for op in ("&", "|", "=>", "<=>"))
+LOGICAL = {c.name: c for c in (TRUE, FALSE, NEG, CONJ, DISJ, IMP, IFF)}
+
+
 class TypeMismatch(Exception):
     def __init__(self, message: str, term=None):
         super().__init__(message)
@@ -153,14 +127,14 @@ def app(fn, *args):
 def imp_chain(antecedents, body):
     out = body
     for g in reversed(list(antecedents)):
-        out = Imp(g, out)
+        out = App(App(IMP, g), out)
     return out
 
 
 def conj_chain(conjuncts, body):
     out = body
     for g in reversed(list(conjuncts)):
-        out = Conj(g, out)
+        out = App(App(CONJ, g), out)
     return out
 
 
@@ -198,12 +172,6 @@ def _check(t, ctx) -> HostType:
         return t.ty
     if cls is Lam:
         return Arrow(t.ty, _check(t.body, {**ctx, t.name: t.ty}))
-    if cls is Bot or cls is Top:
-        return OMICRON
-    if cls is Neg or cls is Imp or cls is Conj or cls is Disj or cls is Iff:
-        for side in children(t):
-            _expect(side, OMICRON, ctx)
-        return OMICRON
     if cls is Eq:
         lt = _check(t.left, ctx)
         rt = _check(t.right, ctx)
@@ -231,17 +199,10 @@ class Shape(NamedTuple):
 SHAPES = {
     Var: Shape(()),
     Const: Shape(()),
-    Bot: Shape(()),
-    Top: Shape(()),
     App: Shape(("fn", "arg")),
     Lam: Shape(("body",), ("body",)),
     All: Shape(("body",), ("body",)),
     Ex: Shape(("body",), ("body",)),
-    Neg: Shape(("body",)),
-    Imp: Shape(("ante", "cons")),
-    Conj: Shape(("left", "right")),
-    Disj: Shape(("left", "right")),
-    Iff: Shape(("left", "right")),
     Eq: Shape(("left", "right")),
 }
 

@@ -1,6 +1,7 @@
 """Typed higher-order problem files: hoisting, rendering, re-parsing.
 
 The host term language writes the set primitives as applied catalog
+constants and the connectives and truth values as applied logical
 constants already, so the output is plain typed lambda calculus once the
 separations are gone.  A separation sep @ A @ (^[X : $i]: P) binds a
 variable inside an application, so each one is hoisted to a fresh constant
@@ -50,22 +51,21 @@ from typing import NamedTuple
 
 from .catalog import CATALOG, IN, SEP
 from .hostterm import (
+    CONJ,
+    DISJ,
+    IFF,
+    IMP,
+    LOGICAL,
+    NEG,
     All,
     App,
     Base,
-    Bot,
-    Conj,
     Const,
-    Disj,
     Eq,
     Ex,
     IOTA,
-    Iff,
-    Imp,
     Lam,
-    Neg,
     OMICRON,
-    Top,
     TypeMismatch,
     Var,
     app,
@@ -192,6 +192,10 @@ def _thf_var(name: str) -> str:
     return "V_" + escape(name)
 
 
+# the operands of each connective, which its full application writes infix
+_OPERANDS = {NEG.name: 1, **{c.name: 2 for c in (CONJ, DISJ, IMP, IFF)}}
+
+
 def render_term(t) -> str:
     """Canonical fully parenthesized rendering of a term, separations unhoisted."""
     return _PremiseWalk(None).text(t)
@@ -203,11 +207,15 @@ class _PremiseWalk:
     Writes the canonical text of the term with its separations hoisted,
     without building that term: sep @ A @ (^[X : $i]: P) is written as its
     hoisted constant applied to its parameters, and merges into the spine
-    it heads.  The constants are recorded as they are written, and textual
-    order is the pre-order of the written term.  A free variable is written
-    under its name in rename, if it has one there; a binder of a renamed
-    name suspends the renaming in its body.  render_term is this walk with
-    no hoister, which writes a separation as sep applied, as catalog.p does.
+    it heads.  A full application of a connective, a logical constant, is
+    written infix as THF writes it, (~ A) and (A & B), left operand first,
+    and $true and $false by name.  The other constants are recorded as they
+    are written, and textual order is the pre-order of the written term; a
+    logical constant is never recorded, as no problem declares one.  A free
+    variable is written under its name in rename, if it has one there; a
+    binder of a renamed name suspends the renaming in its body.  render_term
+    is this walk with no hoister, which writes a separation as sep applied,
+    as catalog.p does.
     """
 
     def __init__(self, hoister: _SepHoister, rename: dict | None = None):
@@ -219,6 +227,8 @@ class _PremiseWalk:
     def const(self, c) -> str:
         ty = self.first.get(c.name)
         if ty is None:
+            if c.name in LOGICAL:
+                return c.name  # a logical constant is declared by no problem
             self.first[c.name] = c.ty
             self.consts.append(c)
         elif ty is not c.ty and ty != c.ty:
@@ -249,6 +259,16 @@ class _PremiseWalk:
                 parts = [self.const(const)] + [_thf_var(rename.get(n, n)) for n, _ in params]
                 if not args:
                     return "(" + " @ ".join(parts) + ")" if params else parts[0]
+            elif cls is Const and t.name in _OPERANDS and _OPERANDS[t.name] <= len(args):
+                # a connective applied in full is written infix: (~ A), (A & B)
+                if t.name == NEG.name:
+                    inner = "(~ " + self.text(args.pop()) + ")"
+                else:
+                    left = self.text(args.pop())
+                    inner = "(" + left + " " + t.name + " " + self.text(args.pop()) + ")"
+                if not args:
+                    return inner
+                parts = [inner]
             else:
                 parts = [self.text(t)]
             for arg in reversed(args):
@@ -260,26 +280,12 @@ class _PremiseWalk:
             return self.const(t)
         if cls is All:
             return self.binder("![", t)
-        if cls is Imp:
-            return "(" + self.text(t.ante) + " => " + self.text(t.cons) + ")"
-        if cls is Conj:
-            return "(" + self.text(t.left) + " & " + self.text(t.right) + ")"
         if cls is Eq:
             return "(" + self.text(t.left) + " = " + self.text(t.right) + ")"
         if cls is Ex:
             return self.binder("?[", t)
-        if cls is Neg:
-            return "(~ " + self.text(t.body) + ")"
-        if cls is Disj:
-            return "(" + self.text(t.left) + " | " + self.text(t.right) + ")"
-        if cls is Iff:
-            return "(" + self.text(t.left) + " <=> " + self.text(t.right) + ")"
         if cls is Lam:
             return self.binder("^[", t)
-        if cls is Bot:
-            return "$false"
-        if cls is Top:
-            return "$true"
         raise TypeError(f"cannot render {t!r}")
 
 

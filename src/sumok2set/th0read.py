@@ -10,7 +10,10 @@ when an error is raised, a finditer with the same pattern finds the
 offending token again, and its line and column are worked out from its
 offset.  A parsed text shares one Const node per declared constant and one
 Var node per binder.  Terms come out flat: membership, subset, conditional
-and separation are applied constants, as the text writes them.
+and separation are applied constants, as the text writes them, and so are
+the connectives and truth values, each the one node hostterm.LOGICAL holds
+for its name: (A & B) is CONJ applied to A and B.  Only = and the
+quantifiers build nodes of their own.
 
 th0 reads rendered problems with it, catalog the background theory, and
 hforacle the claims of a lemma file.
@@ -21,22 +24,21 @@ from __future__ import annotations
 import re
 
 from .hostterm import (
+    CONJ,
+    DISJ,
+    IFF,
+    IMP,
     IOTA,
+    LOGICAL,
+    NEG,
     OMICRON,
     All,
     App,
     Arrow,
-    Bot,
-    Conj,
     Const,
-    Disj,
     Eq,
     Ex,
-    Iff,
-    Imp,
     Lam,
-    Neg,
-    Top,
     Var,
 )
 from .sexpr import line_col, line_starts
@@ -65,7 +67,7 @@ _OPS = frozenset(
 _BAD_RE = re.compile(r"(?:[A-Za-z0-9_$()\[\]:,.@&|~!?^=> \t\r\n]+|%[^\n]*|<=>)*")
 _END = ""  # the sentinel after the last token; no token is empty
 _LOWER_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")  # what a TPTP constant is
-_BINOPS = {"&": Conj, "|": Disj, "=>": Imp, "<=>": Iff, "=": Eq}
+_BINOPS = frozenset([CONJ.name, DISJ.name, IMP.name, IFF.name, "="])
 _BINDERS = {"!": All, "?": Ex, "^": Lam}
 
 
@@ -216,9 +218,11 @@ class _Parser:
             return out
         if len(items) != 2 and op in ("=>", "<=>", "="):
             raise self.error(f"operator {op!r} is binary", op_at - self.before)
-        ctor = _BINOPS[op]
+        if op == "=":
+            return Eq(items[0], out)
+        node = LOGICAL[op]
         for item in reversed(items[:-1]):
-            out = ctor(item, out)
+            out = App(App(node, item), out)
         return out
 
     def parse_unit(self, env, decls):
@@ -228,10 +232,8 @@ class _Parser:
             tok, i = self.peek(), 0
         self.i = i + 1
         if tok not in _OPS:
-            if tok == "$true":
-                return Top()
-            if tok == "$false":
-                return Bot()
+            if tok == "$true" or tok == "$false":
+                return LOGICAL[tok]
             node = env.get(tok)
             if node is None:
                 try:
@@ -249,7 +251,7 @@ class _Parser:
             self.expect(")")
             return inner
         if tok == "~":
-            return Neg(self.parse_unit(env, decls))
+            return App(NEG, self.parse_unit(env, decls))
         ctor = _BINDERS.get(tok)
         if ctor is None:
             raise self.error(f"unexpected token {tok!r}", i)

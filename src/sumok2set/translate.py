@@ -35,18 +35,18 @@ from . import sumo, th0
 from .catalog import CATALOG, CONS, IN, ITE, SEP, SUBQ, cc, encode_rational, mk_list, ord_of
 from .guards import MEMBER, MemClass
 from .hostterm import (
+    DISJ,
+    IFF,
+    IMP,
+    NEG,
     All,
     App,
     Arrow,
     Const,
-    Disj,
     Eq,
     Ex,
     IOTA,
-    Iff,
-    Imp,
     Lam,
-    Neg,
     Var,
     app,
     conj_chain,
@@ -229,11 +229,11 @@ class Translator:
 
     def formula(self, f):
         if isinstance(f, sumo.Not):
-            return Neg(self.formula(f.body))
+            return App(NEG, self.formula(f.body))
         if isinstance(f, sumo.Impl):
-            return Imp(self.formula(f.ante), self.formula(f.cons))
+            return app(IMP, self.formula(f.ante), self.formula(f.cons))
         if isinstance(f, sumo.Iff):
-            return Iff(self.formula(f.left), self.formula(f.right))
+            return app(IFF, self.formula(f.left), self.formula(f.right))
         if isinstance(f, sumo.And):
             items = [self.formula(i) for i in f.items]
             return conj_chain(items[:-1], items[-1])
@@ -241,7 +241,7 @@ class Translator:
             items = [self.formula(i) for i in f.items]
             out = items[-1]
             for g in reversed(items[:-1]):
-                out = Disj(g, out)
+                out = app(DISJ, g, out)
             return out
         quantified = _QUANTIFIERS.get(type(f))
         if quantified is not None:
@@ -303,7 +303,7 @@ class Translator:
             (f"rel_{base}_arity", Eq(App(cc("arity"), rel), ord_of(info.min_arity))),
             (
                 f"rel_{base}_vararity",
-                App(cc("vararity"), rel) if info.var_arity else Neg(App(cc("vararity"), rel)),
+                App(cc("vararity"), rel) if info.var_arity else App(NEG, App(cc("vararity"), rel)),
             ),
         ]
         for j, dom in enumerate(guardmod.host_domains(info, self.resolve)):

@@ -2,7 +2,22 @@
 
 from sumok2set import sumo
 from sumok2set.catalog import CATALOG, IN, ITE, SEP, SUBQ
-from sumok2set.hostterm import IOTA, App, Const, Lam, Var, app, children, rebuild, shape
+from sumok2set.hostterm import (
+    CONJ,
+    DISJ,
+    IFF,
+    IMP,
+    IOTA,
+    NEG,
+    App,
+    Const,
+    Lam,
+    Var,
+    app,
+    children,
+    rebuild,
+    shape,
+)
 
 
 def mem(elem, container):
@@ -16,6 +31,28 @@ def subq(sub, sup):
 
 def ite(cond, then, other):
     return app(ITE, cond, then, other)
+
+
+def neg(body):
+    """The negation ~ body, as the application ~ @ body."""
+    return App(NEG, body)
+
+
+def conj(left, right):
+    """left & right, as the application & @ left @ right."""
+    return app(CONJ, left, right)
+
+
+def disj(left, right):
+    return app(DISJ, left, right)
+
+
+def imp(ante, cons):
+    return app(IMP, ante, cons)
+
+
+def iff(left, right):
+    return app(IFF, left, right)
 
 
 def separation(name, bound, body):

@@ -13,16 +13,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import fixture_path, lower_one, sig_from
-from termhelpers import alpha_eq, mem, separation
+from termhelpers import alpha_eq, conj, imp, mem, separation
 from sumok2set import catalog, cli, harness, hforacle, th0, translate
 from sumok2set.catalog import cc, ord_of
 from sumok2set.hostterm import (
     All,
     App,
-    Conj,
     Const,
     IOTA,
-    Imp,
     Var,
     app,
     imp_chain,
@@ -106,9 +104,9 @@ def _golden_row_rule():
         LIST,
         imp_chain(
             [dom_of_generic(p, rho), dom_of_generic(e, rho), dom_of_generic(d, rho)],
-            Imp(
+            imp(
                 istrue(ap_row(p, rho)),
-                Conj(istrue(ap_row(e, rho)), istrue(ap_row(d, rho))),
+                conj(istrue(ap_row(e, rho)), istrue(ap_row(d, rho))),
             ),
         ),
     )
@@ -136,7 +134,7 @@ def _golden_swap_rule():
                         mem(z, dm(p, 1)),
                         mem(y, dm(p, 2)),
                     ],
-                    Imp(
+                    imp(
                         istrue(ap_list(p, [x, y, z])),
                         istrue(ap_list(p, [x, z, y])),
                     ),
@@ -178,12 +176,12 @@ def _golden_subrelation_rule():
                         dom_of_generic(r1, rho),
                         dom_of_generic(r2, rho),
                     ],
-                    Imp(
-                        Conj(
+                    imp(
+                        conj(
                             istrue(ap_list(sr, [r1, r2])),
-                            Conj(
+                            conj(
                                 mem(r1, pred),
-                                Conj(mem(r2, pred), istrue(ap_row(r1, rho))),
+                                conj(mem(r2, pred), istrue(ap_row(r1, rho))),
                             ),
                         ),
                         istrue(ap_row(r2, rho)),
@@ -207,11 +205,11 @@ def _golden_class_membership():
         separation(
             "P",
             cc("univ"),
-            Conj(
+            conj(
                 mem(p, cc("entity")),
-                Conj(
+                conj(
                     mem(p, dm(attr, 0)),
-                    Conj(
+                    conj(
                         mem(p, Const("s_Planet", IOTA)),
                         istrue(ap_list(attr, [p, Const("s_Earthlike", IOTA)])),
                     ),

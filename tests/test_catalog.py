@@ -15,6 +15,7 @@ from sumok2set import catalog, th0
 from sumok2set.catalog import CATALOG, cc, encode_nat, encode_rational, ord_of
 from sumok2set.hostterm import (
     IOTA,
+    LOGICAL,
     OMICRON,
     Const,
     arrow,
@@ -199,7 +200,7 @@ def test_const_helper_types():
 # sha256 digests of the catalog: the repr of every entry's (name, type,
 # premises, defn) in catalog order, and the rendered background of the
 # whole catalog, its premise records and then its separation definitions
-CATALOG_ENTRIES_DIGEST = "a04c41ac6908ae2e3c2ac7c9cb7ba8dac4c03834915e0e45631caba760f1d290"
+CATALOG_ENTRIES_DIGEST = "cd16a9752b8058449be308b64e18b8d6eb1cb5fc54f65d593d03cd69172ea753"
 CATALOG_PREMISES_DIGEST = "37f8f9d9059e96bba46c90a597a037eab5c9901eb1cba4802d1e812d1faa1e51"
 CATALOG_SEPS_DIGEST = "60fd4b205ad4b021a56ad0b9092706692bad4a2fe6686f03a1ba9bb508418874"
 
@@ -251,5 +252,7 @@ def test_one_const_node_per_catalog_name():
         terms = [t for _p, _r, t in entry.premises] + [entry.defn] * (entry.defn is not None)
         for term in terms:
             for t in subterms(term):
-                if type(t) is Const:
+                if type(t) is Const and t.name in LOGICAL:
+                    assert t is LOGICAL[t.name], (name, t.name)
+                elif type(t) is Const:
                     assert t is (catalog.SEP if t.name == "sep" else cc(t.name)), (name, t.name)

@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from sumok2set import hforacle as hf
 from sumok2set.catalog import CATALOG, cc, encode_nat, ord_of
 from sumok2set.hostterm import (
-    All, App, Const, Eq, Imp, IOTA, Lam, OMICRON, Top, Var, app, arrow,
+    All, App, Const, Eq, FALSE, IOTA, Lam, OMICRON, TRUE, Var, app, arrow,
 )
 
-from termhelpers import ite, mem, separation, subq, subterms
+from termhelpers import conj, disj, imp, ite, mem, neg, separation, subq, subterms
 
 
 def ev():
@@ -496,7 +496,7 @@ def test_sets_of_rank_levels():
 def test_bounded_forall_over_sets():
     # forall X. X in ord3 -> X in omega
     x = Var("X", IOTA)
-    body = Imp(
+    body = imp(
         mem(x, cc("ord3")),
         mem(x, cc("omega")),
     )
@@ -504,12 +504,12 @@ def test_bounded_forall_over_sets():
 
 
 def test_bounded_exists_needs_conjunction():
-    from sumok2set.hostterm import Conj, Ex
+    from sumok2set.hostterm import Ex
 
     x = Var("X", IOTA)
-    t = Ex("X", IOTA, Conj(mem(x, cc("ord3")), Eq(x, cc("ord2"))))
+    t = Ex("X", IOTA, conj(mem(x, cc("ord3")), Eq(x, cc("ord2"))))
     assert run(t) is True
-    t2 = Ex("X", IOTA, Conj(mem(x, cc("ord3")), Eq(x, cc("ord4"))))
+    t2 = Ex("X", IOTA, conj(mem(x, cc("ord3")), Eq(x, cc("ord4"))))
     assert run(t2) is False
 
 
@@ -520,10 +520,10 @@ def test_unbounded_iota_quantifier_unsupported():
 
 
 def test_bool_quantifier_enumerates():
-    from sumok2set.hostterm import Disj, OMICRON
+    from sumok2set.hostterm import OMICRON
 
     p = Var("P", OMICRON)
-    assert run(All("P", OMICRON, Disj(p, hf.Neg(p) if hasattr(hf, "Neg") else p))) in (
+    assert run(All("P", OMICRON, disj(p, neg(p)))) in (
         True,
         False,
     )
@@ -654,8 +654,8 @@ def test_claim_nested_past_the_compiler_is_an_error_result():
 def test_claims_read_the_catalog_constants():
     claims = hf.parse_lemmas("![X:set]: ((ordsucc @ X) = (ite @ $true @ X @ emptyset))\n")
     consts = [t for t in subterms(claims[0].body) if type(t) is Const]
-    assert {c.name for c in consts} == {"ordsucc", "ite", "emptyset"}
-    assert all(c is cc(c.name) for c in consts)
+    assert {c.name for c in consts} == {"ordsucc", "ite", "emptyset", "$true"}
+    assert all(c is (TRUE if c.name == "$true" else cc(c.name)) for c in consts)
 
 
 def test_parse_lemmas_trailing_comment_is_accepted():
@@ -940,14 +940,15 @@ _Y = Var("Y", IOTA)
         ("(subq @ ord1 @ ord3)", subq(cc("ord1"), cc("ord3")), 3),
         (
             "((ite @ $true @ emptyset @ (ordsucc @ omega)) = emptyset)",
-            Eq(ite(Top(), cc("emptyset"), App(cc("ordsucc"), cc("omega"))), cc("emptyset")),
+            Eq(ite(TRUE, cc("emptyset"), App(cc("ordsucc"), cc("omega"))), cc("emptyset")),
             5,
         ),
         (
             "(! [Y : $i] : ((in @ Y @ ord3) => (subq @ Y @ ord2)))",
-            All("Y", IOTA, Imp(mem(_Y, cc("ord3")), subq(_Y, cc("ord2")))),
+            All("Y", IOTA, imp(mem(_Y, cc("ord3")), subq(_Y, cc("ord2")))),
             14,
         ),
+        ("($false = (~ $true))", Eq(FALSE, neg(TRUE)), 4),
         (
             "((sep @ ord3 @ (^[X : $i]: (in @ X @ ord2))) = ord2)",
             Eq(separation("X", cc("ord3"), mem(Var("X", IOTA), cc("ord2"))), cc("ord2")),
@@ -986,7 +987,7 @@ def test_innermost_binder_wins():
     assert run(Var("X", IOTA), {"X": hf.nat(3)}) is hf.nat(3)
     x = Var("X", IOTA)
     # the quantified X ranges over ord2, the outer X = 7 is not in it
-    assert run(All("X", IOTA, Imp(mem(x, cc("ord2")), mem(x, cc("ord2")))), {"X": hf.nat(7)}) is True
+    assert run(All("X", IOTA, imp(mem(x, cc("ord2")), mem(x, cc("ord2")))), {"X": hf.nat(7)}) is True
 
 
 def test_check_claim_compiles_the_body_once(monkeypatch):
@@ -1083,7 +1084,7 @@ def staging_cases():
     )
     x = Var("X", IOTA)
     unsupported = Eq(App(cc("ordsucc"), cc("omega")), x)
-    claims.append(hf.Claim(5, 0, "ite", [("X", "set")], ite(Eq(x, x), Top(), unsupported), None))
+    claims.append(hf.Claim(5, 0, "ite", [("X", "set")], ite(Eq(x, x), TRUE, unsupported), None))
     return list(zip(claims, [16, 1, 16, 64, 16]))
 
 

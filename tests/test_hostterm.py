@@ -13,17 +13,12 @@ from sumok2set.hostterm import (
     All,
     App,
     Arrow,
-    Bot,
-    Conj,
     Const,
-    Disj,
     Eq,
     Ex,
-    Iff,
-    Imp,
+    FALSE,
     Lam,
-    Neg,
-    Top,
+    TRUE,
     TypeMismatch,
     Var,
     HostType,
@@ -41,10 +36,15 @@ from conftest import fixture_path
 from termhelpers import (
     alpha_eq,
     catalog_needs,
+    conj,
     const_names,
     consts,
+    disj,
+    iff,
+    imp,
     ite,
     mem,
+    neg,
     separation,
     subq,
     substitute,
@@ -65,14 +65,14 @@ def test_typecheck_basics():
     assert typecheck(mem(x, Const("s", IOTA))) == O
     assert typecheck(subq(x, x)) == O
     assert typecheck(Eq(x, x)) == O
-    assert typecheck(Top()) == O
-    assert typecheck(Bot()) == O
+    assert typecheck(TRUE) == O
+    assert typecheck(FALSE) == O
 
 
 def test_typecheck_connectives():
     p = Const("p", O)
-    assert typecheck(Conj(p, p)) == O
-    assert typecheck(Imp(Neg(p), Iff(p, p))) == O
+    assert typecheck(conj(p, p)) == O
+    assert typecheck(imp(neg(p), iff(p, p))) == O
 
 
 def test_typecheck_binders():
@@ -94,7 +94,7 @@ def test_typecheck_sep_and_ite():
     x = Var("X", IOTA)
     s = separation("X", Const("u", IOTA), mem(x, Const("a", IOTA)))
     assert typecheck(s) == IOTA
-    i = ite(Top(), Const("a", IOTA), Const("b", IOTA))
+    i = ite(TRUE, Const("a", IOTA), Const("b", IOTA))
     assert typecheck(i) == IOTA
 
 
@@ -108,9 +108,9 @@ def test_typecheck_rejects_bad_application():
 
 def test_typecheck_rejects_bad_connective_operand():
     with pytest.raises(TypeMismatch):
-        typecheck(Conj(Const("c", IOTA), Top()))
+        typecheck(conj(Const("c", IOTA), TRUE))
     with pytest.raises(TypeMismatch):
-        typecheck(Neg(Const("c", IOTA)))
+        typecheck(neg(Const("c", IOTA)))
 
 
 def test_typecheck_eq_needs_same_type():
@@ -170,7 +170,10 @@ def _sumo_le():
 
 @pytest.mark.parametrize(
     "one, other, var",
-    [(Bot, Top, lambda: Var("X", IOTA)), (_sumo_lt, _sumo_le, lambda: sumo.Var("X"))],
+    [
+        (lambda: neg(FALSE), lambda: neg(TRUE), lambda: Var("X", IOTA)),
+        (_sumo_lt, _sumo_le, lambda: sumo.Var("X")),
+    ],
     ids=["hostterm", "sumo"],
 )
 def test_nodes_compare_and_hash_by_class_and_fields(one, other, var):
@@ -192,29 +195,34 @@ def test_a_variable_is_not_the_constant_of_its_name():
 def test_chains():
     p, q, r = (Const(n, O) for n in "pqr")
     assert imp_chain([], r) == r
-    assert imp_chain([p, q], r) == Imp(p, Imp(q, r))
+    assert imp_chain([p, q], r) == imp(p, imp(q, r))
     assert conj_chain([], r) == r
-    assert conj_chain([p, q], r) == Conj(p, Conj(q, r))
+    assert conj_chain([p, q], r) == conj(p, conj(q, r))
 
 
 X, Y = Var("X", IOTA), Var("Y", IOTA)
 S = Const("s", IOTA)
 
 ONE_OF_EACH = [
-    X, S, Bot(), Top(),
+    X, S,
     App(Const("f", arrow(IOTA, IOTA)), X),
     Lam("X", IOTA, X), All("X", IOTA, mem(X, S)), Ex("X", IOTA, mem(X, S)),
-    Neg(Top()), Imp(Top(), Bot()), Conj(Top(), Bot()), Disj(Top(), Bot()), Iff(Top(), Bot()),
     Eq(X, S),
 ]
 
+# the truth values and connectives, logical constants applied like any
+# other constant, by the usual names of the connectives they spell
+LOGICAL_TERMS = {
+    "Bot": FALSE, "Top": TRUE, "Neg": neg(TRUE), "Imp": imp(TRUE, FALSE),
+    "Conj": conj(TRUE, FALSE), "Disj": disj(TRUE, FALSE), "Iff": iff(TRUE, FALSE),
+}
+
 
 def test_shapes_are_the_simply_typed_lambda_calculus():
-    # the set primitives are applied catalog constants, no node kinds
-    assert set(hostterm.SHAPES) == {
-        Var, Const, App, Lam, Bot, Top, Neg, Imp, Conj, Disj, Iff, Eq, All, Ex,
-    }
-    assert len(hostterm.SHAPES) == 14
+    # the set primitives are applied catalog constants and the connectives
+    # and truth values applied logical constants, no node kinds
+    assert set(hostterm.SHAPES) == {Var, Const, App, Lam, Eq, All, Ex}
+    assert len(hostterm.SHAPES) == 7
 
 
 def test_traversal_table_covers_every_term_class():
@@ -230,7 +238,11 @@ def test_traversal_table_covers_every_term_class():
         assert set(shape.scoped) <= set(shape.fields), cls
 
 
-@pytest.mark.parametrize("term", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize(
+    "term",
+    ONE_OF_EACH + list(LOGICAL_TERMS.values()),
+    ids=[type(t).__name__ for t in ONE_OF_EACH] + list(LOGICAL_TERMS),
+)
 def test_rebuild_inverts_children(term):
     assert rebuild(term, list(children(term))) == term
 
@@ -253,7 +265,7 @@ class Stray:
 )
 def test_folds_reject_unknown_nodes(fold):
     with pytest.raises(TypeError):
-        fold(Conj(Top(), Stray()))
+        fold(conj(TRUE, Stray()))
 
 
 def test_children_rejects_unknown_node():
@@ -264,7 +276,7 @@ def test_children_rejects_unknown_node():
 def test_free_vars_sep_scopes_body_not_bound():
     t = separation("X", App(Const("f", arrow(IOTA, IOTA)), X), mem(X, Y))
     assert free_vars(t) == [("X", IOTA), ("Y", IOTA)]
-    assert free_vars(Lam("X", IOTA, Conj(Eq(X, Y), Eq(Y, X)))) == [("Y", IOTA)]
+    assert free_vars(Lam("X", IOTA, conj(Eq(X, Y), Eq(Y, X)))) == [("Y", IOTA)]
 
 
 def test_substitute_respects_binders_but_not_capture():
@@ -275,9 +287,9 @@ def test_substitute_respects_binders_but_not_capture():
 
 def test_consts_pre_order_with_repeats():
     f, g = Const("f", arrow(IOTA, IOTA)), Const("g", IOTA)
-    t = Conj(Eq(App(f, g), g), Eq(S, g))
-    assert consts(t) == [f, g, g, S, g]
-    assert const_names(t) == ["f", "g", "s"]
+    t = conj(Eq(App(f, g), g), Eq(S, g))
+    assert consts(t) == [hostterm.CONJ, f, g, g, S, g]
+    assert const_names(t) == ["&", "f", "g", "s"]
 
 
 # a clean form, one lowering stops at a skip head, and one it skips only
@@ -297,9 +309,9 @@ def _compile_and_pose():
     return image.pose(_QUERY, translate.load_lowered(_QUERY), image.sig)
 
 
-_PREMISE = All("X", IOTA, Conj(
-    mem(X, separation("Z", ite(Top(), S, X), mem(Var("Z", IOTA), separation("W", X, subq(Var("W", IOTA), S))))),
-    Eq(App(separation("Z", S, Top()), X), Y),
+_PREMISE = All("X", IOTA, conj(
+    mem(X, separation("Z", ite(TRUE, S, X), mem(Var("Z", IOTA), separation("W", X, subq(Var("W", IOTA), S))))),
+    Eq(App(separation("Z", S, TRUE), X), Y),
 ))
 
 
@@ -308,9 +320,9 @@ _PREMISE = All("X", IOTA, Conj(
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda: typecheck(All("X", IOTA, Conj(mem(X, separation("Z", S, mem(Var("Z", IOTA), X))), Top()))),
-        lambda: free_vars(Lam("X", IOTA, Conj(Eq(X, Y), mem(Y, separation("Z", X, Top()))))),
-        lambda: substitute(All("Y", IOTA, Conj(Eq(X, Y), mem(Y, S))), {"X": S}),
+        lambda: typecheck(All("X", IOTA, conj(mem(X, separation("Z", S, mem(Var("Z", IOTA), X))), TRUE))),
+        lambda: free_vars(Lam("X", IOTA, conj(Eq(X, Y), mem(Y, separation("Z", X, TRUE))))),
+        lambda: substitute(All("Y", IOTA, conj(Eq(X, Y), mem(Y, S))), {"X": S}),
         lambda: CATALOG.background({"ord_add", "len", "dom_of"}),
         lambda: [sumo.lower(form) for form in _SUMO_FORMS],
         lambda: th0.render_premise("ax", "axiom", _PREMISE),

@@ -17,19 +17,14 @@ from sumok2set.hostterm import (
     All,
     App,
     Arrow,
-    Bot,
-    Conj,
     Const,
-    Disj,
     Eq,
     Ex,
+    FALSE,
     IOTA,
-    Iff,
-    Imp,
     Lam,
-    Neg,
     OMICRON,
-    Top,
+    TRUE,
     Var,
     app,
     arrow,
@@ -45,7 +40,19 @@ from sumok2set.th0 import (
 from sumok2set.translate import Problem
 
 from conftest import FIXTURES, fixture_path
-from termhelpers import catalog_needs, ite, mem, separation, subq, substitute
+from termhelpers import (
+    catalog_needs,
+    conj,
+    disj,
+    iff,
+    imp,
+    ite,
+    mem,
+    neg,
+    separation,
+    subq,
+    substitute,
+)
 
 
 def test_render_type_shapes():
@@ -77,7 +84,7 @@ def test_render_lambda_and_connectives():
     t = Lam("X", IOTA, Var("X", IOTA))
     assert render_term(t) == "(^[X : $i]: X)"
     p = Const("p", OMICRON)
-    assert render_term(Imp(Neg(p), Conj(p, p))) == "((~ p) => (p & p))"
+    assert render_term(imp(neg(p), conj(p, p))) == "((~ p) => (p & p))"
 
 
 def test_render_mem_subq_as_applied_constants():
@@ -180,7 +187,7 @@ def test_sep_hoisting_definition_premise():
 def test_sep_hoisting_dedups_identical_bodies():
     sep = lambda: separation("X", cc("univ"), mem(Var("X", IOTA), Const("s_P", IOTA)))
     prob = simple_problem(
-        Conj(mem(Const("s_a", IOTA), sep()), mem(Const("s_b", IOTA), sep()))
+        conj(mem(Const("s_a", IOTA), sep()), mem(Const("s_b", IOTA), sep()))
     )
     text = problem_text(prob, reproducible=True)
     assert text.count("thf(def_sep_") == 1
@@ -204,7 +211,7 @@ def test_alpha_variant_seps_share_a_constant():
     s2 = separation("Y", cc("univ"), mem(Var("Y", IOTA), Const("s_P", IOTA)))
     a, b = mem(Const("s_a", IOTA), s1), mem(Const("s_b", IOTA), s2)
     for prob in (
-        simple_problem(Conj(a, b)),
+        simple_problem(conj(a, b)),
         # in two premises, each flattened and rendered on its own
         simple_problem(b, premises=[("kb_x_0", "axiom", a)]),
     ):
@@ -218,7 +225,7 @@ def test_alpha_variant_seps_share_a_constant():
 def test_constant_used_at_two_types_is_rejected():
     f_i = Const("f", IOTA)
     f_ii = Const("f", arrow(IOTA, IOTA))
-    twice = Conj(Eq(f_i, f_i), Eq(App(f_ii, f_i), f_i))
+    twice = conj(Eq(f_i, f_i), Eq(App(f_ii, f_i), f_i))
     for prob in (
         simple_problem(twice),
         # in two premises, each flattened and rendered on its own
@@ -241,7 +248,7 @@ def test_a_separation_constant_clashing_with_a_record_constant_in_a_block_is_rej
     premises = [(n, "axiom", th0.render_premise(n, "axiom", t)) for n, t in terms]
     if not sep_first:
         premises.reverse()
-    conjecture = th0.render_premise("conj", "conjecture", Top())
+    conjecture = th0.render_premise("conj", "conjecture", TRUE)
     with pytest.raises(th0.Th0Error, match="constant s_a used at two types"):
         problem_text(Problem([th0.Block(premises)], conjecture), reproducible=True)
 
@@ -300,7 +307,7 @@ def test_parse_round_trip_on_generated():
         All(
             "X",
             IOTA,
-            Imp(
+            imp(
                 mem(Var("X", IOTA), Const("s_A", IOTA)),
                 mem(Var("X", IOTA), Const("s_B", IOTA)),
             ),
@@ -511,6 +518,14 @@ _PINNED_DIAGNOSTICS = [
         "thf(ax, axiom, ((~ $false) | a)).\nthf(conj, conjecture, c).\n",
         "conj: formula has type $i, not $o",
     ),
+    # a connective or truth value applied past its operands renders as read
+    *[
+        (
+            f"thf(ty_a, type, a : $o).\nthf(conj, conjecture, {body}).\n",
+            "conj: ill-typed: applied non-function of type $o",
+        )
+        for body in ("((a & a) @ a)", "((~ a) @ a)", "($true @ a)")
+    ],
 ]
 
 
@@ -948,7 +963,7 @@ def _gen_sep(rng, depth, bound):
 def _gen_prop(rng, depth, bound):
     k = rng.randrange(13 if depth > 0 else 2)
     if k == 0:
-        return rng.choice((Top(), Bot()))
+        return rng.choice((TRUE, FALSE))
     if k == 1:
         return App(rng.choice(_GEN_PREDS), _gen_set(rng, 0, bound))
     d = depth - 1
@@ -960,9 +975,9 @@ def _gen_prop(rng, depth, bound):
         head = rng.choice((mem, subq))(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
         return App(head, _gen_set(rng, d, bound))
     if k == 6:
-        return Neg(_gen_prop(rng, d, bound))
+        return neg(_gen_prop(rng, d, bound))
     if k in (7, 8):
-        ctor = rng.choice((Conj, Disj, Imp, Iff))
+        ctor = rng.choice((conj, disj, imp, iff))
         return ctor(_gen_prop(rng, d, bound), _gen_prop(rng, d, bound))
     if k == 9:
         return Eq(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
@@ -981,8 +996,8 @@ def _gen_premise(rng):
     bound, pred = sep.fn.arg, sep.arg
     variant = separation(fresh, bound, substitute(pred.body, {pred.name: Var(fresh, IOTA)}))
     outer = separation("Z", variant, mem(Var("Z", IOTA), sep))
-    return Conj(mem(_gen_set(rng, 1, frozenset()), sep),
-                Conj(subq(variant, sep), mem(cc("univ"), outer)))
+    return conj(mem(_gen_set(rng, 1, frozenset()), sep),
+                conj(subq(variant, sep), mem(cc("univ"), outer)))
 
 
 def _pin_consts(record):
@@ -1021,20 +1036,20 @@ _SEP_CASES = [
     # two deep: the inner separation takes the outer element and B
     All("B", IOTA, mem(_S, separation("X", _B, mem(_X, separation("Y", _X, mem(_Y, _B)))))),
     # three deep, each level over the one outside it and over B and C
-    separation("X", _B, mem(_X, separation("Y", _X, subq(_Y, separation("Z", _Y, Conj(mem(_Z, _X), mem(_C, _B))))))),
+    separation("X", _B, mem(_X, separation("Y", _X, subq(_Y, separation("Z", _Y, conj(mem(_Z, _X), mem(_C, _B))))))),
     # three deep through the bound, a conditional and a head position
     mem(_S, separation("X", separation("Y", ite(mem(_B, _S), _B, _C), mem(_Y, separation("Z", _C, Eq(_Z, _Y)))),
-                App(separation("Z", _X, Top()), _B))),
+                App(separation("Z", _X, TRUE), _B))),
     # B becomes P0 under a binder named P0
     mem(_S, separation("X", _S, All("P0", IOTA, mem(_B, _P0)))),
     # C becomes P1 under a binder named P1, B becomes P0 beside it
-    mem(_S, separation("X", _B, Ex("P1", IOTA, Conj(mem(_C, _P1), mem(_X, _B))))),
+    mem(_S, separation("X", _B, Ex("P1", IOTA, conj(mem(_C, _P1), mem(_X, _B))))),
     # the element becomes SEPX under a binder named SEPX
     mem(_S, separation("X", _S, Ex("SEPX", IOTA, Eq(_X, _SEPX)))),
     # a free P0 is itself a parameter (P1); a binder P0 suspends its renaming
-    mem(_S, separation("X", _B, Conj(mem(_X, _P0), All("P0", IOTA, mem(_P0, _B))))),
+    mem(_S, separation("X", _B, conj(mem(_X, _P0), All("P0", IOTA, mem(_P0, _B))))),
     # a free SEPX moves the element to SEPX_; a binder X suspends the element
-    mem(_S, separation("X", _SEPX, Conj(mem(_X, _B), Ex("X", IOTA, mem(_X, _SEPX))))),
+    mem(_S, separation("X", _SEPX, conj(mem(_X, _B), Ex("X", IOTA, mem(_X, _SEPX))))),
     # the element is free in the bound: the definition's element is X_elem
     mem(_S, separation("X", _X, mem(_X, _B))),
     # an inner separation under a binder of an outer parameter's name, and
@@ -1042,7 +1057,7 @@ _SEP_CASES = [
     mem(_S, separation("X", _B, App(Lam("B", IOTA, mem(_X, separation("Y", _B, mem(_Y, _C)))), _S))),
     mem(_S, separation("X", _S, All("P0", IOTA, mem(_P0, separation("Y", _B, mem(_Y, _X)))))),
     # a parameter of function type, and a repeat and an alpha variant
-    Conj(mem(_S, separation("X", App(_F, _B), mem(App(_F, _X), _B))),
+    conj(mem(_S, separation("X", App(_F, _B), mem(App(_F, _X), _B))),
          subq(separation("Y", App(_F, _B), mem(App(_F, _Y), _B)), separation("X", App(_F, _B), mem(App(_F, _X), _B)))),
 ]
 SEP_PIN_DIGEST = "934991780f1c324d213494d764200304eb9bcd4b37c1efe96c49b1fa348a78a6"

@@ -12,14 +12,12 @@ from sumok2set.catalog import IN, ITE, cc, ord_of
 from sumok2set.hostterm import (
     All,
     App,
-    Conj,
     Const,
     Eq,
     Ex,
+    IMP,
     IOTA,
-    Imp,
     Lam,
-    Neg,
     Var,
     app,
     imp_chain,
@@ -29,7 +27,7 @@ from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
 from sumok2set.translate import LIST, Translator, mangle, translate_query_job
 
 from conftest import FIXTURES, NESTED_KAPPA, fixture_path, formula_of, lower_one, sig_from
-from termhelpers import alpha_eq, head_args, mem, separation, subq
+from termhelpers import alpha_eq, conj, head_args, imp, mem, neg, separation, subq
 
 
 def istrue(t):
@@ -100,9 +98,9 @@ def test_golden_partition_row_rule():
                 dom_of_generic(e, rho),
                 dom_of_generic(d, rho),
             ],
-            Imp(
+            imp(
                 istrue(ap_row(p, rho)),
-                Conj(istrue(ap_row(e, rho)), istrue(ap_row(d, rho))),
+                conj(istrue(ap_row(e, rho)), istrue(ap_row(d, rho))),
             ),
         ),
     )
@@ -133,7 +131,7 @@ def test_golden_partition_swap_rule():
                         mem(z, dm(p, 1)),
                         mem(y, dm(p, 2)),
                     ],
-                    Imp(
+                    imp(
                         istrue(ap_list(p, [x, y, z])),
                         istrue(ap_list(p, [x, z, y])),
                     ),
@@ -161,12 +159,12 @@ def test_golden_subrelation_rule():
     pred = Const("s_Predicate", IOTA)
     r1, r2 = Var("R1", IOTA), Var("R2", IOTA)
     rho = Var("RHO", LIST)
-    body = Imp(
-        Conj(
+    body = imp(
+        conj(
             istrue(ap_list(sr, [r1, r2])),
-            Conj(
+            conj(
                 mem(r1, pred),
-                Conj(mem(r2, pred), istrue(ap_row(r1, rho))),
+                conj(mem(r2, pred), istrue(ap_row(r1, rho))),
             ),
         ),
         istrue(ap_row(r2, rho)),
@@ -210,11 +208,11 @@ def test_golden_kappa_class():
         separation(
             "P",
             cc("univ"),
-            Conj(
+            conj(
                 mem(p, cc("entity")),
-                Conj(
+                conj(
                     mem(p, dm(attr, 0)),
-                    Conj(
+                    conj(
                         mem(p, Const("s_Planet", IOTA)),
                         istrue(ap_list(attr, [p, Const("s_Earthlike", IOTA)])),
                     ),
@@ -233,9 +231,9 @@ def test_existential_guards_conjoined():
     expected = Ex(
         "X",
         IOTA,
-        Conj(
+        conj(
             mem(x, dm(son, 0)),
-            Conj(mem(x, dm(son, 1)), istrue(ap_list(son, [x, x]))),
+            conj(mem(x, dm(son, 1)), istrue(ap_list(son, [x, x]))),
         ),
     )
     assert alpha_eq(got, expected)
@@ -250,7 +248,7 @@ def test_close_query_uses_conjunction():
     expected = Ex(
         "X",
         IOTA,
-        Conj(mem(x, dm(son, 0)), istrue(ap_list(son, [x, Const("s_Bob", IOTA)]))),
+        conj(mem(x, dm(son, 0)), istrue(ap_list(son, [x, Const("s_Bob", IOTA)]))),
     )
     assert alpha_eq(got, expected)
 
@@ -267,7 +265,7 @@ def test_negative_context_guards_still_implied():
         IOTA,
         imp_chain(
             [mem(x, dm(son, 0)), mem(x, dm(son, 1))],
-            Neg(istrue(ap_list(son, [x, x]))),
+            neg(istrue(ap_list(son, [x, x]))),
         ),
     )
     assert alpha_eq(got, expected)
@@ -374,9 +372,10 @@ def test_row_spine_suffix_encoding():
     got = tr.formula(formula_of("(forall (@ROW) (p @ROW c))"))
     assert isinstance(got, All)
     # the generic row guard wraps the atom even for undeclared heads
-    assert isinstance(got.body, Imp)
+    head, (_guard, atom) = head_args(got.body)
+    assert head is IMP
     # istrue (ap p (listset <extended row>))
-    spine = got.body.cons.arg.arg.arg
+    spine = atom.arg.arg.arg
     assert isinstance(spine, Lam)
     # below the row's own length, defer to the row; at the extension
     # offset, the tagged suffix entry; otherwise empty
@@ -535,7 +534,7 @@ def test_relation_facts_fixed_arity_negated_vararity():
     tr.resolve("Human")
     facts = dict(tr.relation_facts("son"))
     son = Const("s_son", IOTA)
-    assert alpha_eq(facts["rel_s_son_vararity"], Neg(App(cc("vararity"), son)))
+    assert alpha_eq(facts["rel_s_son_vararity"], neg(App(cc("vararity"), son)))
     assert set(facts) == {
         "rel_s_son_arity",
         "rel_s_son_vararity",
