@@ -295,6 +295,11 @@ def test_successor_of_omega_is_an_error_line():
         ("(subq @ (tag @ omega) @ omega)", "a set that holds omega"),
         ("((power @ omega) = omega)", "power set of omega"),
         ("((ord_add @ ord1 @ (tag @ omega)) = ord2)", "a set that holds omega"),
+        # a set primitive applied short of its operands is a function value,
+        # compared as one, and no error
+        ("![A : set]: ((in @ A) = (in @ A))", None),
+        ("![A : set]: ((subq @ A) = (subq @ A))", None),
+        ("![A : set]: ((ite @ $true @ A) = (ite @ $true @ A))", None),
     ],
 )
 def test_sets_that_hold_omega_are_error_lines(line, error):
@@ -915,6 +920,12 @@ def _body(line):
         (_body("$false"), 1),
         (_body("($true | (in @ (ordsucc @ omega) @ ord1))"), 2),
         (_body("($false & (in @ (ordsucc @ omega) @ ord1))"), 2),
+        # each quantifier: one unit for the quantifier, charged with its
+        # bound, and one per value, boolean or member of the bound
+        (_body("(![P : $o]: (P | (~ P)))"), 9),
+        (_body("(?[X : $i]: ((in @ X @ ord2) & (X = ord1)))"), 6),
+        (_body("(![X : $i]: ((in @ X @ ord3) => (subq @ X @ ord2)))"), 14),
+        (_body("(?[X : $i]: ((in @ X @ ord3) & (?[Y : $i]: ((in @ Y @ X) & (Y = ord1)))))"), 9),
     ],
 )
 def test_fuel_spent_by_one_shot_evals(term, used):

@@ -526,6 +526,23 @@ _PINNED_DIAGNOSTICS = [
         )
         for body in ("((a & a) @ a)", "((~ a) @ a)", "($true @ a)")
     ],
+    # a quantifier's body of type $i, and a separation's predicate of the
+    # wrong domain or codomain
+    *[
+        (
+            "thf(ty_a, type, a : $o).\nthf(ty_c, type, c : $i).\n"
+            "thf(ty_in, type, in : $i > $i > $o).\nthf(ty_sep, type, sep : $i > ($i > $o) > $i).\n"
+            f"thf(ax, axiom, {body}).\nthf(conj, conjecture, a).\n",
+            f"ax: ill-typed: {diag}",
+        )
+        for body, diag in (
+            ("(![X : $i]: X)", "expected $o, found $i"),
+            ("(?[X : $i]: X)", "expected $o, found $i"),
+            ("(![P : $o]: c)", "expected $o, found $i"),
+            ("(in @ c @ (sep @ c @ (^[X : $o]: X)))", "expected ($i > $o), found ($o > $o)"),
+            ("(in @ c @ (sep @ c @ (^[X : $i]: X)))", "expected ($i > $o), found ($i > $i)"),
+        )
+    ],
 ]
 
 

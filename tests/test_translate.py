@@ -253,6 +253,48 @@ def test_close_query_uses_conjunction():
     assert alpha_eq(got, expected)
 
 
+def _conjecture_text(tmp_path, kb_text, query_text):
+    """The rendered conjecture of a query against a knowledge base, after it checks clean."""
+    if kb_text is None:
+        kb = fixture_path("merge_fragment.kif")
+    else:
+        kb = tmp_path / "kb.kif"
+        kb.write_text(kb_text)
+    q = tmp_path / "q.kif"
+    q.write_text(query_text)
+    problem, _skips, _tr = translate_query_job([str(kb)], str(q))
+    assert check_text(problem_text(problem, reproducible=True)) == []
+    return problem.conjecture.text
+
+
+# Pinned as rendered text, which does not depend on how host terms are built.
+def test_query_disjunction_and_biconditional_render_pinned(tmp_path):
+    got = _conjecture_text(
+        tmp_path,
+        None,
+        "(query (exists (?X) (or (instance ?X Organization)"
+        " (<=> (employs ?X Bob) (not (employs Bob ?X))))))\n",
+    )
+    assert got == (
+        "thf(conj, conjecture, (?[X : $i]: ((in @ X @ entity) & ((in @ X @ (domseqm @ s_employs @ ord0)) &\n"
+        "    ((in @ X @ (domseqm @ s_employs @ ord1)) & ((in @ X @ s_Organization) | ((istrue @ (ap @\n"
+        "    s_employs @ (listset @ (cons @ X @ (cons @ s_Bob @ nil))))) <=> (~ (istrue @ (ap @ s_employs @\n"
+        "    (listset @ (cons @ s_Bob @ (cons @ X @ nil)))))))))))))."
+    )
+
+
+def test_domain_subclass_guard_renders_pinned(tmp_path):
+    got = _conjecture_text(
+        tmp_path,
+        "(domainSubclass likes 1 Animal)\n(domain likes 2 Entity)\n",
+        "(query (exists (?C) (likes ?C Bob)))\n",
+    )
+    assert got == (
+        "thf(conj, conjecture, (?[C : $i]: ((subq @ C @ s_Animal) & (istrue @ (ap @ s_likes @ (listset @\n"
+        "    (cons @ C @ (cons @ s_Bob @ nil))))))))."
+    )
+
+
 def test_negative_context_guards_still_implied():
     tr, got = translate_formula(
         "(forall (?X) (not (son ?X ?X)))",
