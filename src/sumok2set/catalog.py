@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .hostterm import All, App, Const, Eq, Lam, app
+from .hostterm import FORALL, App, Const, Eq, Lam, app
 from .th0read import _Parser
 
 # The constants whose definitions the finite-set oracle expands.
@@ -153,9 +153,12 @@ def _spine(term):
 
 def _defn(definition):
     """The lambda over a definition's universal binders of its right-hand side."""
-    if type(definition) is All:
-        return Lam(definition.name, definition.ty, _defn(definition.body))
-    return definition.right if type(definition) is Eq else definition.arg  # = or <=>
+    if type(definition) is Eq:
+        return definition.right
+    if type(definition.fn) is Const and definition.fn.name == FORALL:
+        lam = definition.arg
+        return Lam(lam.name, lam.ty, _defn(lam.body))
+    return definition.arg  # <=>
 
 
 CATALOG, SEP = _load(

@@ -23,12 +23,13 @@ key.  Key strings are built only to print a set, and then only up to
 DESCRIBE_LIMIT characters.
 
 Terms are compiled once into closures (see Evaluator) that then run on each
-assignment.  The set primitives are applied catalog constants and the
-connectives applied logical constants, and a full application of a
-connective, of in, subq or ite, or of sep to a set and a lambda, is
-evaluated as one node, whether a catalog term or a lemma line spells it: ite
-evaluates only the branch it takes, and a connective only the operands that
-decide its value; $true and $false are native constants.  Fuel bounds the
+assignment.  The set primitives are applied catalog constants, and the
+connectives and quantifiers applied logical constants; a full application of
+a connective, of in, subq or ite, of sep to a set and a lambda, or of a
+quantifier to a lambda, is evaluated as one node (_PRIMITIVES), whether a
+catalog term or a lemma line spells it: ite evaluates only the branch it
+takes, and a connective only the operands that decide its value; $true and
+$false are native constants.  Fuel bounds the
 work: one unit per term node evaluated, per separation member, per
 quantified value and per entry of a function tabulated as a list, and four
 per native ordinal operation.  Ordinal arithmetic and power refuse, before
@@ -65,17 +66,17 @@ from .catalog import CATALOG, SEP
 from .hostterm import (
     CONJ,
     DISJ,
+    EXISTS,
     FALSE,
+    FORALL,
     IFF,
     IMP,
     NEG,
     TRUE,
-    All,
     App,
     Arrow,
     Const,
     Eq,
-    Ex,
     IOTA,
     Lam,
     OMICRON,
@@ -546,8 +547,8 @@ class Evaluator:
     run, never while compiling.
 
     Fuel is charged as a walk of the term would charge it: one unit per
-    node visited, a full application of a connective or a set primitive
-    counting as one, per separation member, per quantified value and per
+    node visited, a full application of a connective, a quantifier or a set
+    primitive counting as one, per separation member, per quantified value and per
     entry of a function tabulated as a list, and four per native ordinal
     operation.  A node whose first act is to evaluate a child passes its
     unit down to that child (owed), so charges with nothing observable
@@ -943,24 +944,20 @@ def _compile_neg(ev, t, scope, owed):
     return lambda env: not body(env)
 
 
-def _compile_imp(ev, t, scope, owed):
-    ante, cons = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
-    return lambda env: (not ante(env)) or cons(env)
+def _binary(combine):
+    """The compiler of a primitive of two operands: combine of their closures."""
+
+    def compile_binary(ev, t, scope, owed):
+        return combine(_compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope))
+
+    return compile_binary
 
 
-def _compile_conj(ev, t, scope, owed):
-    left, right = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
-    return lambda env: left(env) and right(env)
-
-
-def _compile_disj(ev, t, scope, owed):
-    left, right = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
-    return lambda env: left(env) or right(env)
-
-
-def _compile_iff(ev, t, scope, owed):
-    left, right = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
-    return lambda env: left(env) == right(env)
+_compile_imp = _binary(lambda ante, cons: lambda env: (not ante(env)) or cons(env))
+_compile_conj = _binary(lambda left, right: lambda env: left(env) and right(env))
+_compile_disj = _binary(lambda left, right: lambda env: left(env) or right(env))
+_compile_iff = _binary(lambda left, right: lambda env: left(env) == right(env))
+_compile_subq = _binary(lambda sub, sup: lambda env: _subq(sub(env), sup(env)))
 
 
 def _compile_eq(ev, t, scope, owed):
@@ -986,11 +983,6 @@ def _compile_mem(ev, t, scope, owed):
     return mem
 
 
-def _compile_subq(ev, t, scope, owed):
-    sub, sup = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
-    return lambda env: _subq(sub(env), sup(env))
-
-
 def _compile_ite(ev, t, scope, owed):
     cond = _compile(ev, t.fn.fn.arg, scope, owed + 1)
     then, other = _compile(ev, t.fn.arg, scope), _compile(ev, t.arg, scope)
@@ -1004,46 +996,13 @@ def _compile_sep(ev, t, scope, owed):
     return lambda env: HfSet([item for item in members(bound(env)) if body(env + (item,))])
 
 
-_BINARY_PRIMITIVES = {
-    "in": _compile_mem,
-    "subq": _compile_subq,
-    CONJ.name: _compile_conj,
-    DISJ.name: _compile_disj,
-    IMP.name: _compile_imp,
-    IFF.name: _compile_iff,
-}
-
-
-def _primitive(t):
-    """The compiler of the application t if it is a full application of a
-    connective, of in, subq or ite, or of sep to a set and a Lam, else None.
-
-    Such an application compiles as a node of its own: one unit of fuel,
-    charged with its first argument, and staging never splits its spine.
-    A connective evaluates its operands left to right, and only as far as
-    they decide its value.
-    """
-    fn = t.fn
-    if type(fn) is not App:
-        return _compile_neg if type(fn) is Const and fn.name == NEG.name else None
-    head = fn.fn
-    if type(head) is App:
-        head = head.fn
-        return _compile_ite if type(head) is Const and head.name == "ite" else None
-    if type(head) is not Const:
-        return None
-    if head.name == "sep":
-        return _compile_sep if type(t.arg) is Lam else None
-    return _BINARY_PRIMITIVES.get(head.name)
-
-
 def _compile_quantifier(ev, t, scope, owed):
-    universal = type(t) is All
-    n = owed + 1
-    if t.ty == OMICRON:
-        body, values = t.body, _charged(ev, n, (False, True))
-    elif t.ty == IOTA:
-        bounded = _membership_bound(t, universal)
+    lam, n = t.arg, owed + 1
+    universal = t.fn.name == FORALL
+    if lam.ty == OMICRON:
+        body, values = lam.body, _charged(ev, n, (False, True))
+    elif lam.ty == IOTA:
+        bounded = _membership_bound(lam, universal)
         if bounded is None:
             return _failing(ev, n, "individual quantifier without a membership bound")
         container, body = bounded
@@ -1054,7 +1013,7 @@ def _compile_quantifier(ev, t, scope, owed):
 
     else:
         return _failing(ev, n, "quantification at function type")
-    body = _compile(ev, body, scope + (t.name,), 1)  # a unit per value
+    body = _compile(ev, body, scope + (lam.name,), 1)  # a unit per value
 
     if universal:
 
@@ -1075,9 +1034,44 @@ def _compile_quantifier(ev, t, scope, owed):
     return exists
 
 
-def _membership_bound(t, universal: bool):
+# head name -> (operands, whether the last must be a Lam, compiler)
+_PRIMITIVES = {
+    NEG.name: (1, False, _compile_neg),
+    CONJ.name: (2, False, _compile_conj),
+    DISJ.name: (2, False, _compile_disj),
+    IMP.name: (2, False, _compile_imp),
+    IFF.name: (2, False, _compile_iff),
+    "in": (2, False, _compile_mem),
+    "subq": (2, False, _compile_subq),
+    "ite": (3, False, _compile_ite),
+    SEP.name: (2, True, _compile_sep),
+    FORALL: (1, True, _compile_quantifier),
+    EXISTS: (1, True, _compile_quantifier),
+}
+
+
+def _primitive(t):
+    """The compiler of the application t if it is a full application of a
+    primitive (_PRIMITIVES), else None: a connective, in, subq or ite, or
+    sep to a set and a Lam, or a quantifier to a Lam.
+
+    Such an application compiles as a node of its own: one unit of fuel,
+    charged with its first argument, and staging never splits its spine.
+    A connective evaluates its operands left to right, and only as far as
+    they decide its value.
+    """
+    head, n = t.fn, 1
+    while type(head) is App:
+        head, n = head.fn, n + 1
+    entry = _PRIMITIVES.get(head.name) if type(head) is Const else None
+    if entry is None or entry[0] != n or entry[1] and type(t.arg) is not Lam:
+        return None
+    return entry[2]
+
+
+def _membership_bound(lam, universal: bool):
     """(S, phi) for forall X. X in S => phi, or exists X. X in S & phi, S closed."""
-    body = t.body
+    body = lam.body
     connective = _compile_imp if universal else _compile_conj
     if type(body) is not App or _primitive(body) is not connective:
         return None
@@ -1087,8 +1081,8 @@ def _membership_bound(t, universal: bool):
     elem, container = guard.fn.arg, guard.arg
     if (
         type(elem) is Var
-        and elem.name == t.name
-        and all(name != t.name for name, _ in free_vars(container))
+        and elem.name == lam.name
+        and all(name != lam.name for name, _ in free_vars(container))
     ):
         return container, rest
     return None
@@ -1099,8 +1093,6 @@ _COMPILERS = {
     Const: _compile_const,
     Lam: _compile_lam,
     Eq: _compile_eq,
-    All: _compile_quantifier,
-    Ex: _compile_quantifier,
 }
 
 

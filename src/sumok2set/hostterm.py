@@ -6,20 +6,25 @@ for object.__setattr__ on every construction.  Terms are hashed and shared
 (the constants of catalog.cc, the memo of minted constants in
 Translator.resolve, the THF reader's shared Const and Var nodes), so no
 code assigns to a field of a term once it is built.  The language is plain
-simply typed lambda calculus with equality and the two quantifiers:
+simply typed lambda calculus with equality, and lambda is its only binder:
 membership, subset, if-then-else and separation are no node kinds but the
 catalog constants in, subq, ite and sep applied like any other, a
 separation as sep @ A @ (^[X : $i]: P).  The connectives and truth values
 are no node kinds either but the logical constants of Church's simple type
 theory, typed as TH0 types them ((&) : $o > $o > $o) and named as THF
 spells them: one shared Const each, applied like any other constant, so a
-conjunction is App(App(CONJ, A), B).  Equality and the quantifiers stay
-nodes: = is polymorphic, and a quantifier's body is checked at $o itself.
+conjunction is App(App(CONJ, A), B).  So are the quantifiers !! and ??,
+one shared Const per binder type applied to a lambda: forall(X, ty, P) is
+App(!!, ^[X : ty]: P).  Equality stays a node, because = is polymorphic.
+A lambda is checked against the type expected of it (Dunfield and
+Krishnaswami, "Bidirectional Typing", 2021), so an ill-typed quantifier
+body reads "expected $o, found $i".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import functools
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -90,25 +95,27 @@ class Eq:
     right: object
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class All:
-    name: str
-    ty: HostType
-    body: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Ex:
-    name: str
-    ty: HostType
-    body: object
-
-
 # The logical constants, one shared node each; LOGICAL maps each name to it.
 TRUE, FALSE = Const("$true", OMICRON), Const("$false", OMICRON)
 NEG = Const("~", Arrow(OMICRON, OMICRON))
 CONJ, DISJ, IMP, IFF = (Const(op, Arrow(OMICRON, NEG.ty)) for op in ("&", "|", "=>", "<=>"))
 LOGICAL = {c.name: c for c in (TRUE, FALSE, NEG, CONJ, DISJ, IMP, IFF)}
+
+FORALL, EXISTS = "!!", "??"  # the quantifiers, Church's Pi and Sigma as THF spells them
+
+
+@functools.cache
+def quantifier(mark: str, ty: HostType) -> Const:
+    """The one node of quantifier mark over ty, made on first use: mark : (ty > $o) > $o."""
+    return Const(mark, Arrow(Arrow(ty, OMICRON), OMICRON))
+
+
+def forall(name: str, ty: HostType, body):
+    return App(quantifier(FORALL, ty), Lam(name, ty, body))
+
+
+def exists(name: str, ty: HostType, body):
+    return App(quantifier(EXISTS, ty), Lam(name, ty, body))
 
 
 class TypeMismatch(Exception):
@@ -149,6 +156,10 @@ def typecheck(term, env: dict | None = None) -> HostType:
 
 
 def _expect(t, want, ctx):
+    # a lambda against a function type of its domain: its body against the codomain
+    if type(t) is Lam and type(want) is Arrow and (t.ty is want.dom or t.ty == want.dom):
+        _expect(t.body, want.cod, {**ctx, t.name: t.ty})
+        return want
     got = _check(t, ctx)
     if got is not want and got != want:
         raise TypeMismatch(f"expected {want!r}, found {got!r}", t)
@@ -178,9 +189,6 @@ def _check(t, ctx) -> HostType:
         if lt is not rt and lt != rt:
             raise TypeMismatch(f"equation between {lt!r} and {rt!r}", t)
         return OMICRON
-    if cls is All or cls is Ex:
-        _expect(t.body, OMICRON, {**ctx, t.name: t.ty})
-        return OMICRON
     raise TypeMismatch(f"unknown term {t!r}", t)
 
 
@@ -201,8 +209,6 @@ SHAPES = {
     Const: Shape(()),
     App: Shape(("fn", "arg")),
     Lam: Shape(("body",), ("body",)),
-    All: Shape(("body",), ("body",)),
-    Ex: Shape(("body",), ("body",)),
     Eq: Shape(("left", "right")),
 }
 
@@ -214,15 +220,8 @@ def _getter(fs):
     return attrgetter(*fs) if fs else (lambda t: ())
 
 
-# Derived from the table once: each class's sub-term getter and, for binders,
-# a getter for the constructor fields that are not sub-terms (name and type).
-# Those come first in every constructor, as rebuild relies on.
+# Derived from the table once: each class's sub-term getter.
 _CHILDREN = {cls: _getter(s.fields) for cls, s in SHAPES.items()}
-_DATA = {
-    cls: _getter(tuple(f.name for f in fields(cls) if f.name not in s.fields))
-    for cls, s in SHAPES.items()
-    if s.scoped
-}
 
 
 def shape(t) -> Shape:
@@ -244,8 +243,8 @@ def rebuild(t, kids):
     """A node like t whose sub-terms are kids, in children order."""
     if not kids:
         return t
-    data = _DATA.get(type(t))
-    return type(t)(*data(t), *kids) if data else type(t)(*kids)
+    # sub-terms come last in every constructor; a lambda keeps its name and type
+    return Lam(t.name, t.ty, *kids) if type(t) is Lam else type(t)(*kids)
 
 
 def free_vars(term) -> list:

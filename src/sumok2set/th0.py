@@ -1,9 +1,9 @@
 """Typed higher-order problem files: hoisting, rendering, re-parsing.
 
 The host term language writes the set primitives as applied catalog
-constants and the connectives and truth values as applied logical
-constants already, so the output is plain typed lambda calculus once the
-separations are gone.  A separation sep @ A @ (^[X : $i]: P) binds a
+constants, and the connectives, truth values and quantifiers as applied
+logical constants, already, so the output is plain typed lambda calculus
+once the separations are gone.  A separation sep @ A @ (^[X : $i]: P) binds a
 variable inside an application, so each one is hoisted to a fresh constant
 parameterized over its free variables, with a defining equivalence emitted
 as a definition-role premise.
@@ -53,16 +53,16 @@ from .catalog import CATALOG, IN, SEP
 from .hostterm import (
     CONJ,
     DISJ,
+    EXISTS,
+    FORALL,
     IFF,
     IMP,
     LOGICAL,
     NEG,
-    All,
     App,
     Base,
     Const,
     Eq,
-    Ex,
     IOTA,
     Lam,
     OMICRON,
@@ -194,6 +194,8 @@ def _thf_var(name: str) -> str:
 
 # the operands of each connective, which its full application writes infix
 _OPERANDS = {NEG.name: 1, **{c.name: 2 for c in (CONJ, DISJ, IMP, IFF)}}
+# the binder each quantifier applied to a lambda is written as
+_QUANTIFIER_MARKS = {FORALL: "![", EXISTS: "?["}
 
 
 def render_term(t) -> str:
@@ -209,13 +211,14 @@ class _PremiseWalk:
     hoisted constant applied to its parameters, and merges into the spine
     it heads.  A full application of a connective, a logical constant, is
     written infix as THF writes it, (~ A) and (A & B), left operand first,
-    and $true and $false by name.  The other constants are recorded as they
-    are written, and textual order is the pre-order of the written term; a
-    logical constant is never recorded, as no problem declares one.  A free
-    variable is written under its name in rename, if it has one there; a
-    binder of a renamed name suspends the renaming in its body.  render_term
-    is this walk with no hoister, which writes a separation as sep applied,
-    as catalog.p does.
+    and $true and $false by name; a quantifier applied to a lambda, as its
+    binder (![X : $i]: P), and used any other way, not at all.  The other
+    constants are recorded as they are written, and textual order is the
+    pre-order of the written term; a logical constant or quantifier is
+    never recorded, as no problem declares one.  A free variable is written
+    under its name in rename, if it has one there; a binder of a renamed
+    name suspends the renaming in its body.  render_term is this walk with
+    no hoister, which writes a separation as sep applied, as catalog.p does.
     """
 
     def __init__(self, hoister: _SepHoister, rename: dict | None = None):
@@ -229,6 +232,8 @@ class _PremiseWalk:
         if ty is None:
             if c.name in LOGICAL:
                 return c.name  # a logical constant is declared by no problem
+            if c.name in _QUANTIFIER_MARKS:
+                raise TypeError(f"cannot render {c!r} but applied to a lambda")
             self.first[c.name] = c.ty
             self.consts.append(c)
         elif ty is not c.ty and ty != c.ty:
@@ -257,20 +262,20 @@ class _PremiseWalk:
                 const, params = self.hoister.hoist(args.pop(), args.pop())
                 rename = self.rename
                 parts = [self.const(const)] + [_thf_var(rename.get(n, n)) for n, _ in params]
-                if not args:
-                    return "(" + " @ ".join(parts) + ")" if params else parts[0]
             elif cls is Const and t.name in _OPERANDS and _OPERANDS[t.name] <= len(args):
                 # a connective applied in full is written infix: (~ A), (A & B)
                 if t.name == NEG.name:
-                    inner = "(~ " + self.text(args.pop()) + ")"
+                    parts = ["(~ " + self.text(args.pop()) + ")"]
                 else:
                     left = self.text(args.pop())
-                    inner = "(" + left + " " + t.name + " " + self.text(args.pop()) + ")"
-                if not args:
-                    return inner
-                parts = [inner]
+                    parts = ["(" + left + " " + t.name + " " + self.text(args.pop()) + ")"]
+            elif cls is Const and t.name in _QUANTIFIER_MARKS and type(args[-1]) is Lam:
+                # a quantifier applied to a lambda is written as a binder
+                parts = [self.binder(_QUANTIFIER_MARKS[t.name], args.pop())]
             else:
                 parts = [self.text(t)]
+            if not args and len(parts) == 1:
+                return parts[0]  # a hoisted constant, connective or binder applied in full
             for arg in reversed(args):
                 parts.append(self.text(arg))
             return "(" + " @ ".join(parts) + ")"
@@ -278,12 +283,8 @@ class _PremiseWalk:
             return _thf_var(self.rename.get(t.name, t.name))
         if cls is Const:
             return self.const(t)
-        if cls is All:
-            return self.binder("![", t)
         if cls is Eq:
             return "(" + self.text(t.left) + " = " + self.text(t.right) + ")"
-        if cls is Ex:
-            return self.binder("?[", t)
         if cls is Lam:
             return self.binder("^[", t)
         raise TypeError(f"cannot render {t!r}")

@@ -12,8 +12,9 @@ offset.  A parsed text shares one Const node per declared constant and one
 Var node per binder.  Terms come out flat: membership, subset, conditional
 and separation are applied constants, as the text writes them, and so are
 the connectives and truth values, each the one node hostterm.LOGICAL holds
-for its name: (A & B) is CONJ applied to A and B.  Only = and the
-quantifiers build nodes of their own.
+for its name: (A & B) is CONJ applied to A and B.  A quantifier is its
+constant applied to a lambda: (![X : $i]: P) is hostterm.forall("X", $i,
+P).  Only = builds a node of its own.
 
 th0 reads rendered problems with it, catalog the background theory, and
 hforacle the claims of a lemma file.
@@ -32,14 +33,14 @@ from .hostterm import (
     LOGICAL,
     NEG,
     OMICRON,
-    All,
     App,
     Arrow,
     Const,
     Eq,
-    Ex,
     Lam,
     Var,
+    exists,
+    forall,
 )
 from .sexpr import line_col, line_starts
 
@@ -68,7 +69,7 @@ _BAD_RE = re.compile(r"(?:[A-Za-z0-9_$()\[\]:,.@&|~!?^=> \t\r\n]+|%[^\n]*|<=>)*"
 _END = ""  # the sentinel after the last token; no token is empty
 _LOWER_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")  # what a TPTP constant is
 _BINOPS = frozenset([CONJ.name, DISJ.name, IMP.name, IFF.name, "="])
-_BINDERS = {"!": All, "?": Ex, "^": Lam}
+_BINDERS = {"!": forall, "?": exists, "^": Lam}
 
 
 class _Parser:
@@ -252,8 +253,8 @@ class _Parser:
             return inner
         if tok == "~":
             return App(NEG, self.parse_unit(env, decls))
-        ctor = _BINDERS.get(tok)
-        if ctor is None:
+        binder = _BINDERS.get(tok)
+        if binder is None:
             raise self.error(f"unexpected token {tok!r}", i)
         self.expect("[")
         name = self.expect_word()
@@ -261,7 +262,7 @@ class _Parser:
         ty = self.parse_type()
         self.expect("]")
         self.expect(":")
-        return ctor(name, ty, self.parse_unit({**env, name: Var(name, ty)}, decls))
+        return binder(name, ty, self.parse_unit({**env, name: Var(name, ty)}, decls))
 
     # records ---------------------------------------------------------------
 

@@ -39,17 +39,17 @@ from .hostterm import (
     IFF,
     IMP,
     NEG,
-    All,
     App,
     Arrow,
     Const,
     Eq,
-    Ex,
     IOTA,
     Lam,
     Var,
     app,
     conj_chain,
+    exists,
+    forall,
     imp_chain,
 )
 from .sexpr import InputError, Span, parse_forms, read_text
@@ -92,10 +92,10 @@ _ARITH_CONST = {
 
 # quantifier node -> (explanation label, guard chain, host quantifier, bound type)
 _QUANTIFIERS = {
-    sumo.ForallVars: ("forall", imp_chain, All, IOTA),
-    sumo.ExistsVars: ("exists", conj_chain, Ex, IOTA),
-    sumo.ForallRow: ("forall", imp_chain, All, LIST),
-    sumo.ExistsRow: ("exists", conj_chain, Ex, LIST),
+    sumo.ForallVars: ("forall", imp_chain, forall, IOTA),
+    sumo.ExistsVars: ("exists", conj_chain, exists, IOTA),
+    sumo.ForallRow: ("forall", imp_chain, forall, LIST),
+    sumo.ExistsRow: ("exists", conj_chain, exists, LIST),
 }
 
 
@@ -274,11 +274,11 @@ class Translator:
 
     def close_assertion(self, item: sumo.Assertion):
         """Universally close free variables, guarded by implication."""
-        return self._close(item, "assertion free", imp_chain, All)
+        return self._close(item, "assertion free", imp_chain, forall)
 
     def close_query(self, item: sumo.Query):
         """Existentially close free variables, guards conjoined."""
-        return self._close(item, "query free", conj_chain, Ex)
+        return self._close(item, "query free", conj_chain, exists)
 
     def _close(self, item, label: str, chain, quantifier):
         f = item.formula

@@ -17,12 +17,12 @@ from termhelpers import alpha_eq, conj, imp, mem, separation
 from sumok2set import catalog, cli, harness, hforacle, th0, translate
 from sumok2set.catalog import cc, ord_of
 from sumok2set.hostterm import (
-    All,
     App,
     Const,
     IOTA,
     Var,
     app,
+    forall,
     imp_chain,
     typecheck,
 )
@@ -99,7 +99,7 @@ def _golden_row_rule():
     e = Const("s_exhaustiveDecomposition", IOTA)
     d = Const("s_disjointDecomposition", IOTA)
     rho = Var("R", LIST)
-    expected = All(
+    expected = forall(
         "R",
         LIST,
         imp_chain(
@@ -117,13 +117,13 @@ def _golden_swap_rule():
     got = _translate("(=> (partition ?X ?Y ?Z) (partition ?X ?Z ?Y))", VARIADIC_SIG)
     p = Const("s_partition", IOTA)
     x, y, z = (Var(n, IOTA) for n in "XYZ")
-    expected = All(
+    expected = forall(
         "X",
         IOTA,
-        All(
+        forall(
             "Y",
             IOTA,
-            All(
+            forall(
                 "Z",
                 IOTA,
                 imp_chain(
@@ -158,13 +158,13 @@ def _golden_subrelation_rule():
     pred = Const("s_Predicate", IOTA)
     r1, r2 = Var("R1", IOTA), Var("R2", IOTA)
     rho = Var("RHO", LIST)
-    expected = All(
+    expected = forall(
         "R1",
         IOTA,
-        All(
+        forall(
             "R2",
             IOTA,
-            All(
+            forall(
                 "RHO",
                 LIST,
                 imp_chain(

@@ -14,11 +14,14 @@ from hypothesis import given, strategies as st
 from sumok2set import catalog, th0
 from sumok2set.catalog import CATALOG, cc, encode_nat, encode_rational, ord_of
 from sumok2set.hostterm import (
+    EXISTS,
+    FORALL,
     IOTA,
     LOGICAL,
     OMICRON,
     Const,
     arrow,
+    quantifier,
     typecheck,
 )
 from sumok2set.th0read import _Parser
@@ -200,7 +203,7 @@ def test_const_helper_types():
 # sha256 digests of the catalog: the repr of every entry's (name, type,
 # premises, defn) in catalog order, and the rendered background of the
 # whole catalog, its premise records and then its separation definitions
-CATALOG_ENTRIES_DIGEST = "cd16a9752b8058449be308b64e18b8d6eb1cb5fc54f65d593d03cd69172ea753"
+CATALOG_ENTRIES_DIGEST = "d59f2f78b5ad35484974785c6825edc001ab91fccb740364fb1099185b0ed3c2"
 CATALOG_PREMISES_DIGEST = "37f8f9d9059e96bba46c90a597a037eab5c9901eb1cba4802d1e812d1faa1e51"
 CATALOG_SEPS_DIGEST = "60fd4b205ad4b021a56ad0b9092706692bad4a2fe6686f03a1ba9bb508418874"
 
@@ -254,5 +257,7 @@ def test_one_const_node_per_catalog_name():
             for t in subterms(term):
                 if type(t) is Const and t.name in LOGICAL:
                     assert t is LOGICAL[t.name], (name, t.name)
+                elif type(t) is Const and t.name in (FORALL, EXISTS):
+                    assert t is quantifier(t.name, t.ty.dom.dom), (name, t.name)
                 elif type(t) is Const:
                     assert t is (catalog.SEP if t.name == "sep" else cc(t.name)), (name, t.name)

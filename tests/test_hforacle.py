@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from sumok2set import hforacle as hf
 from sumok2set.catalog import CATALOG, cc, encode_nat, ord_of
 from sumok2set.hostterm import (
-    All, App, Const, Eq, FALSE, IOTA, Lam, OMICRON, TRUE, Var, app, arrow,
+    FORALL, App, Const, Eq, FALSE, IOTA, Lam, OMICRON, TRUE, Var, app, arrow, exists, forall,
 )
 
 from termhelpers import conj, disj, imp, ite, mem, neg, separation, subq, subterms
@@ -505,30 +505,28 @@ def test_bounded_forall_over_sets():
         mem(x, cc("ord3")),
         mem(x, cc("omega")),
     )
-    assert run(All("X", IOTA, body)) is True
+    assert run(forall("X", IOTA, body)) is True
 
 
 def test_bounded_exists_needs_conjunction():
-    from sumok2set.hostterm import Ex
-
     x = Var("X", IOTA)
-    t = Ex("X", IOTA, conj(mem(x, cc("ord3")), Eq(x, cc("ord2"))))
+    t = exists("X", IOTA, conj(mem(x, cc("ord3")), Eq(x, cc("ord2"))))
     assert run(t) is True
-    t2 = Ex("X", IOTA, conj(mem(x, cc("ord3")), Eq(x, cc("ord4"))))
+    t2 = exists("X", IOTA, conj(mem(x, cc("ord3")), Eq(x, cc("ord4"))))
     assert run(t2) is False
 
 
 def test_unbounded_iota_quantifier_unsupported():
     x = Var("X", IOTA)
     with pytest.raises(hf.Unsupported):
-        run(All("X", IOTA, Eq(x, x)))
+        run(forall("X", IOTA, Eq(x, x)))
 
 
 def test_bool_quantifier_enumerates():
     from sumok2set.hostterm import OMICRON
 
     p = Var("P", OMICRON)
-    assert run(All("P", OMICRON, disj(p, neg(p)))) in (
+    assert run(forall("P", OMICRON, disj(p, neg(p)))) in (
         True,
         False,
     )
@@ -956,7 +954,7 @@ _Y = Var("Y", IOTA)
         ),
         (
             "(! [Y : $i] : ((in @ Y @ ord3) => (subq @ Y @ ord2)))",
-            All("Y", IOTA, imp(mem(_Y, cc("ord3")), subq(_Y, cc("ord2")))),
+            forall("Y", IOTA, imp(mem(_Y, cc("ord3")), subq(_Y, cc("ord2")))),
             14,
         ),
         ("($false = (~ $true))", Eq(FALSE, neg(TRUE)), 4),
@@ -980,7 +978,7 @@ def test_a_lemma_line_spends_the_fuel_of_the_catalog_built_term(line, built, use
 
 def test_unsupported_shapes_fail_when_run_after_their_charge():
     x = Var("X", IOTA)
-    unbounded = All("X", IOTA, Eq(x, x))
+    unbounded = forall("X", IOTA, Eq(x, x))
     # compiling never raises; running charges the node first
     with pytest.raises(hf.OutOfFuel):
         hf.Evaluator(fuel=0).eval(unbounded, {})
@@ -998,7 +996,7 @@ def test_innermost_binder_wins():
     assert run(Var("X", IOTA), {"X": hf.nat(3)}) is hf.nat(3)
     x = Var("X", IOTA)
     # the quantified X ranges over ord2, the outer X = 7 is not in it
-    assert run(All("X", IOTA, imp(mem(x, cc("ord2")), mem(x, cc("ord2")))), {"X": hf.nat(7)}) is True
+    assert run(forall("X", IOTA, imp(mem(x, cc("ord2")), mem(x, cc("ord2")))), {"X": hf.nat(7)}) is True
 
 
 def test_check_claim_compiles_the_body_once(monkeypatch):
@@ -1038,9 +1036,10 @@ def catalog_claims():
     for name in CATALOG.order:
         for premise, _role, body in CATALOG.entries[name].premises:
             binders = []
-            while type(body) is All:
-                binders.append((body.name, _CLAIM_SORTS[body.ty]))
-                body = body.body
+            while type(body) is App and type(body.fn) is Const and body.fn.name == FORALL:
+                lam = body.arg
+                binders.append((lam.name, _CLAIM_SORTS[lam.ty]))
+                body = lam.body
             stub = _PREMISE_STUBS.get(premise)
             claims.append(hf.Claim(len(claims) + 1, 0, premise, binders, body, stub))
     return claims

@@ -6,16 +6,16 @@ from dataclasses import fields, is_dataclass
 import pytest
 
 from sumok2set import hostterm, sexpr, sumo, th0, translate
-from sumok2set.catalog import CATALOG
+from sumok2set.catalog import CATALOG, SEP
 from sumok2set.hostterm import (
     IOTA,
+    EXISTS,
+    FORALL,
     OMICRON,
-    All,
     App,
     Arrow,
     Const,
     Eq,
-    Ex,
     FALSE,
     Lam,
     TRUE,
@@ -26,8 +26,11 @@ from sumok2set.hostterm import (
     arrow,
     children,
     conj_chain,
+    exists,
+    forall,
     free_vars,
     imp_chain,
+    quantifier,
     rebuild,
     typecheck,
 )
@@ -77,10 +80,30 @@ def test_typecheck_connectives():
 
 def test_typecheck_binders():
     body = mem(Var("X", IOTA), Const("s", IOTA))
-    assert typecheck(All("X", IOTA, body)) == O
-    assert typecheck(Ex("X", IOTA, body)) == O
+    assert typecheck(forall("X", IOTA, body)) == O
+    assert typecheck(exists("X", IOTA, body)) == O
     lam = Lam("X", IOTA, Var("X", IOTA))
     assert typecheck(lam) == Arrow(IOTA, IOTA)
+
+
+def test_quantifiers_are_one_shared_constant_per_binder_type():
+    body = mem(Var("X", IOTA), Const("s", IOTA))
+    for mark, build in ((FORALL, forall), (EXISTS, exists)):
+        q = quantifier(mark, IOTA)
+        assert q is quantifier(mark, IOTA) and q.ty == arrow(arrow(IOTA, O), O)
+        assert build("X", IOTA, body) == App(q, Lam("X", IOTA, body))
+        assert quantifier(mark, O) is not q and quantifier(mark, O).ty == arrow(arrow(O, O), O)
+
+
+def test_lambda_checked_against_its_expected_type_reports_its_body():
+    # a body of type $i where $o is expected, as a quantifier's or a
+    # separation's predicate; a lambda of another domain is inferred
+    with pytest.raises(TypeMismatch, match=r"^expected \$o, found \$i$"):
+        typecheck(forall("X", IOTA, Var("X", IOTA)))
+    with pytest.raises(TypeMismatch, match=r"^expected \$o, found \$i$"):
+        typecheck(separation("X", Const("s", IOTA), Var("X", IOTA)))
+    with pytest.raises(TypeMismatch, match=r"^expected \(\$i > \$o\), found \(\$o > \$o\)$"):
+        typecheck(app(SEP, Const("s", IOTA), Lam("X", O, Var("X", O))))
 
 
 def test_typecheck_application():
@@ -123,20 +146,20 @@ def test_typecheck_free_variable_is_self_typed():
 
 
 def test_typecheck_binder_use_disagreement():
-    bad = All("X", OMICRON, mem(Var("X", IOTA), Const("s", IOTA)))
+    bad = forall("X", OMICRON, mem(Var("X", IOTA), Const("s", IOTA)))
     with pytest.raises(TypeMismatch):
         typecheck(bad)
 
 
 def test_alpha_eq_binder_renaming():
-    a = All("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
-    b = All("Y", IOTA, mem(Var("Y", IOTA), Const("s", IOTA)))
+    a = forall("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
+    b = forall("Y", IOTA, mem(Var("Y", IOTA), Const("s", IOTA)))
     assert alpha_eq(a, b)
 
 
 def test_alpha_eq_distinguishes_structure():
-    a = All("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
-    b = Ex("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
+    a = forall("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
+    b = exists("X", IOTA, mem(Var("X", IOTA), Const("s", IOTA)))
     assert not alpha_eq(a, b)
 
 
@@ -206,23 +229,24 @@ S = Const("s", IOTA)
 ONE_OF_EACH = [
     X, S,
     App(Const("f", arrow(IOTA, IOTA)), X),
-    Lam("X", IOTA, X), All("X", IOTA, mem(X, S)), Ex("X", IOTA, mem(X, S)),
+    Lam("X", IOTA, X),
     Eq(X, S),
 ]
 
-# the truth values and connectives, logical constants applied like any
-# other constant, by the usual names of the connectives they spell
+# the truth values, connectives and quantifiers, logical constants applied
+# like any other constant, by the usual names of what they spell
 LOGICAL_TERMS = {
     "Bot": FALSE, "Top": TRUE, "Neg": neg(TRUE), "Imp": imp(TRUE, FALSE),
     "Conj": conj(TRUE, FALSE), "Disj": disj(TRUE, FALSE), "Iff": iff(TRUE, FALSE),
+    "All": forall("X", IOTA, mem(X, S)), "Ex": exists("X", IOTA, mem(X, S)),
 }
 
 
 def test_shapes_are_the_simply_typed_lambda_calculus():
-    # the set primitives are applied catalog constants and the connectives
-    # and truth values applied logical constants, no node kinds
-    assert set(hostterm.SHAPES) == {Var, Const, App, Lam, Eq, All, Ex}
-    assert len(hostterm.SHAPES) == 7
+    # the set primitives are applied catalog constants and the connectives,
+    # truth values and quantifiers applied logical constants, no node kinds
+    assert set(hostterm.SHAPES) == {Var, Const, App, Lam, Eq}
+    assert len(hostterm.SHAPES) == 5
 
 
 def test_traversal_table_covers_every_term_class():
@@ -309,7 +333,7 @@ def _compile_and_pose():
     return image.pose(_QUERY, translate.load_lowered(_QUERY), image.sig)
 
 
-_PREMISE = All("X", IOTA, conj(
+_PREMISE = forall("X", IOTA, conj(
     mem(X, separation("Z", ite(TRUE, S, X), mem(Var("Z", IOTA), separation("W", X, subq(Var("W", IOTA), S))))),
     Eq(App(separation("Z", S, TRUE), X), Y),
 ))
@@ -320,9 +344,9 @@ _PREMISE = All("X", IOTA, conj(
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda: typecheck(All("X", IOTA, conj(mem(X, separation("Z", S, mem(Var("Z", IOTA), X))), TRUE))),
+        lambda: typecheck(forall("X", IOTA, conj(mem(X, separation("Z", S, mem(Var("Z", IOTA), X))), TRUE))),
         lambda: free_vars(Lam("X", IOTA, conj(Eq(X, Y), mem(Y, separation("Z", X, TRUE))))),
-        lambda: substitute(All("Y", IOTA, conj(Eq(X, Y), mem(Y, S))), {"X": S}),
+        lambda: substitute(forall("Y", IOTA, conj(Eq(X, Y), mem(Y, S))), {"X": S}),
         lambda: CATALOG.background({"ord_add", "len", "dom_of"}),
         lambda: [sumo.lower(form) for form in _SUMO_FORMS],
         lambda: th0.render_premise("ax", "axiom", _PREMISE),

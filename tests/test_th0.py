@@ -14,13 +14,12 @@ from hypothesis import given, strategies as st
 from sumok2set import sexpr, th0, th0read, translate
 from sumok2set.catalog import cc
 from sumok2set.hostterm import (
-    All,
     App,
     Arrow,
     Const,
     Eq,
-    Ex,
     FALSE,
+    FORALL,
     IOTA,
     Lam,
     OMICRON,
@@ -28,6 +27,9 @@ from sumok2set.hostterm import (
     Var,
     app,
     arrow,
+    exists,
+    forall,
+    quantifier,
 )
 from sumok2set.th0 import (
     check_text,
@@ -76,8 +78,20 @@ def test_render_flattens_application_spines():
 
 
 def test_render_binders_one_variable_each():
-    t = All("X", IOTA, Ex("Y", IOTA, Eq(Var("X", IOTA), Var("Y", IOTA))))
+    t = forall("X", IOTA, exists("Y", IOTA, Eq(Var("X", IOTA), Var("Y", IOTA))))
     assert render_term(t) == "(![X : $i]: (?[Y : $i]: (X = Y)))"
+
+
+def test_a_quantifier_is_written_only_as_the_binder_of_a_lambda():
+    c = Const("c", IOTA)
+    q = quantifier(FORALL, IOTA)
+    assert render_term(App(q, Lam("X", IOTA, Eq(Var("X", IOTA), c)))) == "(![X : $i]: (X = c))"
+    for bad in (q, App(q, Const("p", arrow(IOTA, OMICRON))), Eq(q, q)):
+        with pytest.raises(TypeError, match="cannot render"):
+            render_term(bad)
+    # a quantifier is declared by no problem, so no record reads it
+    record = th0.render_premise("ax", "axiom", forall("X", IOTA, Eq(Var("X", IOTA), c)))
+    assert record.consts == (c,)
 
 
 def test_render_lambda_and_connectives():
@@ -95,10 +109,10 @@ def test_render_mem_subq_as_applied_constants():
 
 
 def test_variable_sanitization():
-    t = All("row", IOTA, Eq(Var("row", IOTA), Var("row", IOTA)))
+    t = forall("row", IOTA, Eq(Var("row", IOTA), Var("row", IOTA)))
     out = render_term(t)
     assert "V_row" in out
-    t2 = All("X1_ok", IOTA, Eq(Var("X1_ok", IOTA), Var("X1_ok", IOTA)))
+    t2 = forall("X1_ok", IOTA, Eq(Var("X1_ok", IOTA), Var("X1_ok", IOTA)))
     assert "X1_ok" in render_term(t2)
 
 
@@ -200,7 +214,7 @@ def test_sep_hoisting_lifts_parameters():
         Var("B", IOTA),
         mem(Var("X", IOTA), Var("B", IOTA)),
     )
-    prob = simple_problem(All("B", IOTA, mem(Const("s_o", IOTA), sep)))
+    prob = simple_problem(forall("B", IOTA, mem(Const("s_o", IOTA), sep)))
     text = problem_text(prob, reproducible=True)
     decl = next(l for l in text.splitlines() if l.startswith("thf(ty_sep_"))
     assert "$i > $i" in decl
@@ -304,7 +318,7 @@ def test_comments_rendered_with_percent():
 
 def test_parse_round_trip_on_generated():
     prob = simple_problem(
-        All(
+        forall(
             "X",
             IOTA,
             imp(
@@ -524,7 +538,7 @@ _PINNED_DIAGNOSTICS = [
             f"thf(ty_a, type, a : $o).\nthf(conj, conjecture, {body}).\n",
             "conj: ill-typed: applied non-function of type $o",
         )
-        for body in ("((a & a) @ a)", "((~ a) @ a)", "($true @ a)")
+        for body in ("((a & a) @ a)", "((~ a) @ a)", "($true @ a)", "((![X : $i]: a) @ a)")
     ],
     # a quantifier's body of type $i, and a separation's predicate of the
     # wrong domain or codomain
@@ -540,7 +554,8 @@ _PINNED_DIAGNOSTICS = [
             ("(?[X : $i]: X)", "expected $o, found $i"),
             ("(![P : $o]: c)", "expected $o, found $i"),
             ("(in @ c @ (sep @ c @ (^[X : $o]: X)))", "expected ($i > $o), found ($o > $o)"),
-            ("(in @ c @ (sep @ c @ (^[X : $i]: X)))", "expected ($i > $o), found ($i > $i)"),
+            # a lambda is checked against the type expected of it: its body at $o
+            ("(in @ c @ (sep @ c @ (^[X : $i]: X)))", "expected $o, found $i"),
         )
     ],
 ]
@@ -999,7 +1014,7 @@ def _gen_prop(rng, depth, bound):
     if k == 9:
         return Eq(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
     name = rng.choice(_GEN_BINDERS)
-    ctor = rng.choice((All, Ex, All))
+    ctor = rng.choice((forall, exists, forall))
     return ctor(name, IOTA, _gen_prop(rng, d, bound | {name}))
 
 
@@ -1051,28 +1066,28 @@ _P0, _P1, _SEPX = Var("P0", IOTA), Var("P1", IOTA), Var("SEPX", IOTA)
 _S = Const("s_a", IOTA)
 _SEP_CASES = [
     # two deep: the inner separation takes the outer element and B
-    All("B", IOTA, mem(_S, separation("X", _B, mem(_X, separation("Y", _X, mem(_Y, _B)))))),
+    forall("B", IOTA, mem(_S, separation("X", _B, mem(_X, separation("Y", _X, mem(_Y, _B)))))),
     # three deep, each level over the one outside it and over B and C
     separation("X", _B, mem(_X, separation("Y", _X, subq(_Y, separation("Z", _Y, conj(mem(_Z, _X), mem(_C, _B))))))),
     # three deep through the bound, a conditional and a head position
     mem(_S, separation("X", separation("Y", ite(mem(_B, _S), _B, _C), mem(_Y, separation("Z", _C, Eq(_Z, _Y)))),
                 App(separation("Z", _X, TRUE), _B))),
     # B becomes P0 under a binder named P0
-    mem(_S, separation("X", _S, All("P0", IOTA, mem(_B, _P0)))),
+    mem(_S, separation("X", _S, forall("P0", IOTA, mem(_B, _P0)))),
     # C becomes P1 under a binder named P1, B becomes P0 beside it
-    mem(_S, separation("X", _B, Ex("P1", IOTA, conj(mem(_C, _P1), mem(_X, _B))))),
+    mem(_S, separation("X", _B, exists("P1", IOTA, conj(mem(_C, _P1), mem(_X, _B))))),
     # the element becomes SEPX under a binder named SEPX
-    mem(_S, separation("X", _S, Ex("SEPX", IOTA, Eq(_X, _SEPX)))),
+    mem(_S, separation("X", _S, exists("SEPX", IOTA, Eq(_X, _SEPX)))),
     # a free P0 is itself a parameter (P1); a binder P0 suspends its renaming
-    mem(_S, separation("X", _B, conj(mem(_X, _P0), All("P0", IOTA, mem(_P0, _B))))),
+    mem(_S, separation("X", _B, conj(mem(_X, _P0), forall("P0", IOTA, mem(_P0, _B))))),
     # a free SEPX moves the element to SEPX_; a binder X suspends the element
-    mem(_S, separation("X", _SEPX, conj(mem(_X, _B), Ex("X", IOTA, mem(_X, _SEPX))))),
+    mem(_S, separation("X", _SEPX, conj(mem(_X, _B), exists("X", IOTA, mem(_X, _SEPX))))),
     # the element is free in the bound: the definition's element is X_elem
     mem(_S, separation("X", _X, mem(_X, _B))),
     # an inner separation under a binder of an outer parameter's name, and
     # under a binder P0 that captures the renamed B of the one inside
     mem(_S, separation("X", _B, App(Lam("B", IOTA, mem(_X, separation("Y", _B, mem(_Y, _C)))), _S))),
-    mem(_S, separation("X", _S, All("P0", IOTA, mem(_P0, separation("Y", _B, mem(_Y, _X)))))),
+    mem(_S, separation("X", _S, forall("P0", IOTA, mem(_P0, separation("Y", _B, mem(_Y, _X)))))),
     # a parameter of function type, and a repeat and an alpha variant
     conj(mem(_S, separation("X", App(_F, _B), mem(App(_F, _X), _B))),
          subq(separation("Y", App(_F, _B), mem(App(_F, _Y), _B)), separation("X", App(_F, _B), mem(App(_F, _X), _B)))),

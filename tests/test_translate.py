@@ -10,17 +10,19 @@ from hypothesis import given, strategies as st
 from sumok2set import guards, sexpr, signature, sumo, th0, translate
 from sumok2set.catalog import IN, ITE, cc, ord_of
 from sumok2set.hostterm import (
-    All,
+    FORALL,
     App,
     Const,
     Eq,
-    Ex,
     IMP,
     IOTA,
     Lam,
     Var,
     app,
+    exists,
+    forall,
     imp_chain,
+    quantifier,
     typecheck,
 )
 from sumok2set.th0 import _thf_var, check_text, host_var, problem_text
@@ -89,7 +91,7 @@ def test_golden_partition_row_rule():
     e = Const("s_exhaustiveDecomposition", IOTA)
     d = Const("s_disjointDecomposition", IOTA)
     rho = Var("R", LIST)
-    expected = All(
+    expected = forall(
         "R",
         LIST,
         imp_chain(
@@ -114,13 +116,13 @@ def test_golden_partition_swap_rule():
     )
     p = Const("s_partition", IOTA)
     x, y, z = (Var(n, IOTA) for n in "XYZ")
-    expected = All(
+    expected = forall(
         "X",
         IOTA,
-        All(
+        forall(
             "Y",
             IOTA,
-            All(
+            forall(
                 "Z",
                 IOTA,
                 imp_chain(
@@ -169,13 +171,13 @@ def test_golden_subrelation_rule():
         ),
         istrue(ap_row(r2, rho)),
     )
-    expected = All(
+    expected = forall(
         "R1",
         IOTA,
-        All(
+        forall(
             "R2",
             IOTA,
-            All(
+            forall(
                 "RHO",
                 LIST,
                 imp_chain(
@@ -228,7 +230,7 @@ def test_existential_guards_conjoined():
     got = tr.formula(formula_of("(exists (?X) (son ?X ?X))"))
     son = Const("s_son", IOTA)
     x = Var("X", IOTA)
-    expected = Ex(
+    expected = exists(
         "X",
         IOTA,
         conj(
@@ -245,7 +247,7 @@ def test_close_query_uses_conjunction():
     got = tr.close_query(lower_one("(son ?X Bob)"))
     son = Const("s_son", IOTA)
     x = Var("X", IOTA)
-    expected = Ex(
+    expected = exists(
         "X",
         IOTA,
         conj(mem(x, dm(son, 0)), istrue(ap_list(son, [x, Const("s_Bob", IOTA)]))),
@@ -302,7 +304,7 @@ def test_negative_context_guards_still_implied():
     )
     son = Const("s_son", IOTA)
     x = Var("X", IOTA)
-    expected = All(
+    expected = forall(
         "X",
         IOTA,
         imp_chain(
@@ -412,9 +414,10 @@ def test_row_spine_suffix_encoding():
     sig = sig_from("")
     tr = Translator(sig)
     got = tr.formula(formula_of("(forall (@ROW) (p @ROW c))"))
-    assert isinstance(got, All)
+    head, (lam,) = head_args(got)
+    assert head is quantifier(FORALL, LIST) and type(lam) is Lam
     # the generic row guard wraps the atom even for undeclared heads
-    head, (_guard, atom) = head_args(got.body)
+    head, (_guard, atom) = head_args(lam.body)
     assert head is IMP
     # istrue (ap p (listset <extended row>))
     spine = atom.arg.arg.arg
