@@ -300,6 +300,8 @@ def test_successor_of_omega_is_an_error_line():
         ("![A : set]: ((in @ A) = (in @ A))", None),
         ("![A : set]: ((subq @ A) = (subq @ A))", None),
         ("![A : set]: ((ite @ $true @ A) = (ite @ $true @ A))", None),
+        # sep is evaluated over a lambda only, and has no value of its own
+        ("((sep @ ord3 @ (in @ ord1)) = ord2)", "sep"),
     ],
 )
 def test_sets_that_hold_omega_are_error_lines(line, error):

@@ -85,7 +85,6 @@ def test_render_binders_one_variable_each():
 def test_a_quantifier_is_written_only_as_the_binder_of_a_lambda():
     c = Const("c", IOTA)
     q = quantifier(FORALL, IOTA)
-    assert render_term(App(q, Lam("X", IOTA, Eq(Var("X", IOTA), c)))) == "(![X : $i]: (X = c))"
     for bad in (q, App(q, Const("p", arrow(IOTA, OMICRON))), Eq(q, q)):
         with pytest.raises(TypeError, match="cannot render"):
             render_term(bad)
