@@ -548,10 +548,10 @@ class Evaluator:
 
     Fuel is charged as a walk of the term would charge it: one unit per
     node visited, a full application of a connective, a quantifier or a set
-    primitive counting as one, per separation member, per quantified value and per
-    entry of a function tabulated as a list, and four per native ordinal
-    operation.  A node whose first act is to evaluate a child passes its
-    unit down to that child (owed), so charges with nothing observable
+    primitive counting as one, per separation member, per quantified value
+    and per entry of a function tabulated as a list, and four per native
+    ordinal operation.  A node whose first act is to evaluate a child passes
+    its unit down to that child (owed), so charges with nothing observable
     between them are paid at once.
     """
 
