@@ -270,14 +270,16 @@ class _Parser:
         """Parse one record: (name, role, body).
 
         The body of a type record is the Const node it declares, which joins
-        decls; any other body is a flat term.  The name joins names.
+        decls; any other body is a flat term.  The name joins names, and is
+        a TPTP lower word, as a declared constant is.
         """
         start = self.before + self.i  # kept across a refill, as the index into all tokens
         self.expect_word("thf")
         self.expect("(")
         name = self.expect_word()
+        name_at = self.i - 1
         if name in names:
-            raise self.error(f"duplicate record name {name}", self.i - 1)
+            raise self.error(f"duplicate record name {name}", name_at)
         names.add(name)
         self.expect(",")
         role = self.expect_word()
@@ -291,8 +293,11 @@ class _Parser:
                 raise self.error(f"type record {name} must declare a matching constant", const_at)
             if not _LOWER_WORD_RE.match(const):
                 raise self.error(f"declared constant {const!r} is not a lower word", const_at)
+            # so the record name, ty_ and a lower word, is a lower word too
             body = decls[const] = Const(const, ty)
         elif role in ("axiom", "definition", "conjecture"):
+            if not _LOWER_WORD_RE.match(name):
+                raise self.error(f"record name {name!r} is not a lower word", name_at)
             body = self.parse_formula({}, decls)
             if role == "conjecture" and name != "conj":
                 raise self.error("exactly one conjecture named conj is expected", start - self.before)

@@ -480,6 +480,14 @@ _PINNED_DIAGNOSTICS = [
         )
         for c in ("X", "$x", "1a", "_a")
     ],
+    # so must a record name, whatever its role
+    *[
+        (
+            f"thf(ty_a, type, a : $o).\nthf({name}, axiom, a).\nthf(conj, conjecture, a).\n",
+            f"parse error at 2:5: record name {name!r} is not a lower word",
+        )
+        for name in ("$a", "Ab", "$true", "_x")
+    ],
     # a record that misses its ). reads on into the next record
     (
         "thf(ty_a, type, a : $o).\nthf(p, axiom, a\nthf(conj, conjecture, a).\n",
