@@ -51,7 +51,10 @@ error is that of evaluating the body afresh on each assignment.
 Quantifiers are handled when bounded: forall over a membership guard whose
 bound evaluates, forall over booleans, and the matching exists shapes.
 Candidate identities are read from lemma files whose syntax mirrors the
-rendered problem syntax, quantified over small generator universes.
+rendered problem syntax, quantified over small generator universes.  Each
+universe is built once per process, and a claim's assignments run in one
+loop per binder: a new value of a binder moves its epoch and those of the
+binders after it.
 """
 
 from __future__ import annotations
@@ -667,8 +670,10 @@ class Evaluator:
     # -- evaluation --------------------------------------------------------
 
     def const_value(self, name: str):
-        if name in self.interp:
-            return self.interp[name]
+        """The value of a catalog definition, expanded on first use.
+
+        A constant of interp never reaches here: _compile_const reads it.
+        """
         if name in self._defn_cache:
             return self._defn_cache[name]
         defn = CATALOG.defn_of(name) if name in CATALOG else None
@@ -1034,38 +1039,43 @@ def _compile_quantifier(ev, t, scope, owed):
     return exists
 
 
-# head name -> (operands, whether the last must be a Lam, compiler)
+# head name -> (operands, what an application whose last operand is no Lam
+# fails with, or None when any term will do, compiler)
 _PRIMITIVES = {
-    NEG.name: (1, False, _compile_neg),
-    CONJ.name: (2, False, _compile_conj),
-    DISJ.name: (2, False, _compile_disj),
-    IMP.name: (2, False, _compile_imp),
-    IFF.name: (2, False, _compile_iff),
-    "in": (2, False, _compile_mem),
-    "subq": (2, False, _compile_subq),
-    "ite": (3, False, _compile_ite),
-    SEP.name: (2, True, _compile_sep),
-    FORALL: (1, True, _compile_quantifier),
-    EXISTS: (1, True, _compile_quantifier),
+    NEG.name: (1, None, _compile_neg),
+    CONJ.name: (2, None, _compile_conj),
+    DISJ.name: (2, None, _compile_disj),
+    IMP.name: (2, None, _compile_imp),
+    IFF.name: (2, None, _compile_iff),
+    "in": (2, None, _compile_mem),
+    "subq": (2, None, _compile_subq),
+    "ite": (3, None, _compile_ite),
+    SEP.name: (2, "separation over a predicate that is no lambda", _compile_sep),
+    FORALL: (1, "quantification over a predicate that is no lambda", _compile_quantifier),
+    EXISTS: (1, "quantification over a predicate that is no lambda", _compile_quantifier),
 }
 
 
 def _primitive(t):
     """The compiler of the application t if it is a full application of a
     primitive (_PRIMITIVES), else None: a connective, in, subq or ite, or
-    sep to a set and a Lam, or a quantifier to a Lam.
+    sep to a set and a predicate, or a quantifier to a predicate.
 
     Such an application compiles as a node of its own: one unit of fuel,
     charged with its first argument, and staging never splits its spine.
     A connective evaluates its operands left to right, and only as far as
-    they decide its value.
+    they decide its value.  Only a Lam is evaluated as a predicate; any
+    other term there fails, when run, after its unit.
     """
     head, n = t.fn, 1
     while type(head) is App:
         head, n = head.fn, n + 1
     entry = _PRIMITIVES.get(head.name) if type(head) is Const else None
-    if entry is None or entry[0] != n or entry[1] and type(t.arg) is not Lam:
+    if entry is None or entry[0] != n:
         return None
+    unsupported = entry[1]
+    if unsupported is not None and type(t.arg) is not Lam:
+        return lambda ev, t, scope, owed: _failing(ev, owed + 1, unsupported)
     return entry[2]
 
 
@@ -1123,15 +1133,21 @@ def hf_lists(max_len: int, entry_rank: int) -> list:
 SET_RANK, LIST_LEN, LIST_ENTRY_RANK, NAT_BOUND = 3, 4, 2, 4
 
 
-def generators(sort: str):
+@functools.cache
+def generators(sort: str) -> tuple:
+    """The domain of a binder of this sort, built once per process.
+
+    Its values are interned sets and lists that hold their tables, both
+    immutable by contract, so every claim can share the one tuple.
+    """
     if sort == "set":
-        return sets_of_rank(SET_RANK)
+        return tuple(sets_of_rank(SET_RANK))
     if sort == "list":
-        return hf_lists(LIST_LEN, LIST_ENTRY_RANK)
+        return tuple(hf_lists(LIST_LEN, LIST_ENTRY_RANK))
     if sort == "nat":
-        return [nat(i) for i in range(NAT_BOUND)]
+        return tuple(nat(i) for i in range(NAT_BOUND))
     if sort == "bool":
-        return [False, True]
+        return (False, True)
     raise Unsupported(f"unknown generator sort {sort!r}")
 
 
@@ -1250,37 +1266,78 @@ def _parse_claim(line: str):
 
 
 def check_claim(claim: Claim, fuel: int = DEFAULT_FUEL) -> ClaimResult:
-    """Evaluate the claim over all generator assignments for its sorts."""
+    """Evaluate the claim over all generator assignments for its sorts.
+
+    The assignments run in the order of the binders' domains, the last
+    binder's fastest, one loop per binder (_first_failure); the first one
+    on which the body is false is the counterexample.
+    """
     interp = STUBS[claim.stub]() if claim.stub else None
     ev = Evaluator(interp=interp, fuel=fuel)
     domains = [generators(sort) for _, sort in claim.binders]
     names = tuple(name for name, _ in claim.binders)
-    checked = 0
+    checked = [0]
     try:
         body, epochs = _compile_claim(ev, claim.body, names)
-        last = ()
-        for values in itertools.product(*domains):
-            checked += 1
-            # a binder's epoch moves when its value or an earlier one's is
-            # another object; a domain may repeat one
-            i = 0
-            while i < len(last) and values[i] is last[i]:
-                i += 1
-            for j in range(i, len(values)):
-                epochs[j] += 1
-            last = values
-            if not body(values):
-                return ClaimResult(
-                    claim,
-                    ok=False,
-                    checked=checked,
-                    counterexample=_describe_env(names, values),
-                )
+        if domains:
+            last = [_UNASSIGNED] * len(domains)
+            values = _first_failure(body, domains, epochs, last, (), checked)
+        else:
+            checked[0] = 1
+            values = None if body(()) else ()
+        if values is not None:
+            return ClaimResult(
+                claim,
+                ok=False,
+                checked=checked[0],
+                counterexample=_describe_env(names, values),
+            )
     except OracleError as err:
-        return ClaimResult(claim, ok=False, checked=checked, error=str(err))
+        return ClaimResult(claim, ok=False, checked=checked[0], error=str(err))
     except RecursionError:
-        return ClaimResult(claim, ok=False, checked=checked, error=_TOO_DEEP)
-    return ClaimResult(claim, ok=True, checked=checked)
+        return ClaimResult(claim, ok=False, checked=checked[0], error=_TOO_DEEP)
+    return ClaimResult(claim, ok=True, checked=checked[0])
+
+
+_UNASSIGNED = object()  # the value of a binder before its loop first runs
+
+
+def _first_failure(body, domains, epochs, last, env, checked):
+    """The first assignment extending env on which body is false, or None.
+
+    One loop per binder after env's, each over its domain in order, the
+    innermost calling body.  A binder's epoch moves when its value is
+    another object than the one before, last holding each binder's latest;
+    a new value of an outer binder moves every later binder's epoch too,
+    as the subterms kept at their levels read it.  A domain may repeat an
+    object, which moves no epoch.  checked[0] counts the assignments run,
+    the one that raised among them.
+    """
+    i = len(env)
+    domain, prev = domains[i], last[i]
+    if i + 1 < len(domains):
+        for value in domain:
+            if value is not prev:
+                prev = last[i] = value
+                for j in range(i, len(domains)):
+                    epochs[j] += 1
+            values = _first_failure(body, domains, epochs, last, env + (value,), checked)
+            if values is not None:
+                return values
+        return None
+    n = 0
+    try:
+        for value in domain:
+            n += 1
+            if value is not prev:
+                prev = last[i] = value
+                epochs[i] += 1
+            values = env + (value,)
+            if not body(values):
+                return values
+    finally:
+        checked[0] += n
+    return None
 
 
 def _describe_env(names, values) -> str:

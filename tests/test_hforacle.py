@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumok2set import hforacle as hf
-from sumok2set.catalog import CATALOG, cc, encode_nat, ord_of
+from sumok2set.catalog import CATALOG, SEP, cc, encode_nat, ord_of
 from sumok2set.hostterm import (
     FORALL, App, Const, Eq, FALSE, IOTA, Lam, OMICRON, TRUE, Var, app, arrow, exists, forall,
+    quantifier,
 )
 
 from termhelpers import conj, disj, imp, ite, mem, neg, separation, subq, subterms
@@ -301,7 +302,7 @@ def test_successor_of_omega_is_an_error_line():
         ("![A : set]: ((subq @ A) = (subq @ A))", None),
         ("![A : set]: ((ite @ $true @ A) = (ite @ $true @ A))", None),
         # sep is evaluated over a lambda only, and has no value of its own
-        ("((sep @ ord3 @ (in @ ord1)) = ord2)", "sep"),
+        ("((sep @ ord3 @ (in @ ord1)) = ord2)", "separation over a predicate that is no lambda"),
     ],
 )
 def test_sets_that_hold_omega_are_error_lines(line, error):
@@ -654,6 +655,11 @@ def test_claim_nested_past_the_compiler_is_an_error_result():
     res = hf.check_claim(claim)
     assert not res.ok
     assert res.error == "formulas nested too deeply"
+    # so is one of more binders than the recursion limit: each binder's
+    # loop is a call deeper
+    line = "![" + ", ".join(f"B{i}:bool" for i in range(sys.getrecursionlimit())) + "]: $false\n"
+    res = hf.check_claim(hf.parse_lemmas(line)[0])
+    assert (res.ok, res.checked, res.error) == (False, 0, "formulas nested too deeply")
 
 
 def test_claims_read_the_catalog_constants():
@@ -990,6 +996,15 @@ def test_unsupported_shapes_fail_when_run_after_their_charge():
         run(Var("Y", IOTA))
     # under a lambda, the error waits for an application
     assert callable(run(Lam("Z", IOTA, Var("Y", IOTA))))
+    # sep and a quantifier over a predicate that is no lambda: one unit each
+    for term, what in (
+        (app(SEP, cc("ord3"), App(cc("in"), cc("ord1"))), "separation"),
+        (App(quantifier(FORALL, IOTA), App(cc("in"), cc("ord1"))), "quantification"),
+    ):
+        with pytest.raises(hf.OutOfFuel):
+            hf.Evaluator(fuel=0).eval(term, {})
+        with pytest.raises(hf.Unsupported, match=f"^{what} over a predicate that is no lambda$"):
+            hf.Evaluator(fuel=1).eval(term, {})
 
 
 def test_innermost_binder_wins():
@@ -1119,6 +1134,61 @@ def test_check_claim_matches_the_per_assignment_loop(fuel):
         assert staged_check(claim, fuel) == reference_check(claim, fuel), (claim.text, fuel)
 
 
+# check_claim's binder loops against the per-assignment loop: each claim
+# with the number of assignments run at the default fuel, and where the run
+# stops.  Three binders run 16 x 2 x 4 = 128 assignments, N fastest, and
+# the sets come in key order, so X = {} is the last of them.
+LOOP_CASES = [
+    ("((ord_add @ ord1 @ ord1) = ord2)", 1),
+    ("(ord1 = ord2)", 1),
+    ("![P:bool]: (P | (~ P))", 2),
+    ("![P:bool]: P", 1),
+    # fails at the first value of the innermost binder, and at its last
+    ("![X:set, B:bool, N:nat]: (((tag @ X) = (ite @ B @ ord1 @ X)) => ~(N = ord0))", 15 * 8 + 5),
+    ("![X:set, B:bool, N:nat]: (((tag @ X) = (ite @ B @ ord1 @ X)) => ~(N = ord3))", 16 * 8),
+    # fails at the first assignment after the outer binder changes
+    ("![X:set, B:bool, N:nat]: ~((ordsucc @ X) = ord2)", 14 * 8 + 1),
+    # raises partway through the first inner loop
+    ("![X:set, B:bool, N:nat]: ((N = ord2) => ((ordsucc @ omega) = X))", 3),
+    # holds, and runs out of fuel partway through an inner loop at 300
+    (
+        "![X:set, B:bool, N:nat]: ((in @ N @ (ord_add @ N @ ord1)) & "
+        "((ite @ B @ X @ (tag @ X)) = (ite @ B @ X @ (tag @ X))))",
+        128,
+    ),
+]
+
+
+@pytest.mark.parametrize("fuel", [1, 300, 20_000, hf.DEFAULT_FUEL])
+def test_binder_loops_match_the_per_assignment_loop(fuel):
+    claims = hf.parse_lemmas("".join(line + "\n" for line, _ in LOOP_CASES))
+    for claim, (_, checked) in zip(claims, LOOP_CASES):
+        got = staged_check(claim, fuel)
+        assert got == reference_check(claim, fuel), (claim.text, fuel)
+        if fuel == hf.DEFAULT_FUEL:
+            assert got[1] == checked, claim.text
+    # at 300, fuel runs out inside an inner loop, not at its end
+    got = staged_check(claims[-1], 300)
+    assert got[3] == "evaluation fuel exhausted" and got[1] % 4 != 0, got
+
+
+def test_generators_are_built_once():
+    fresh = {
+        "set": hf.sets_of_rank(3),
+        "list": hf.hf_lists(4, 2),
+        "nat": [hf.nat(i) for i in range(4)],
+        "bool": [False, True],
+    }
+    for sort, values in fresh.items():
+        domain = hf.generators(sort)
+        assert type(domain) is tuple and hf.generators(sort) is domain, sort
+        assert len(domain) == len(values), sort
+        for got, want in zip(domain, values):
+            # interned sets are one object, lists equal by their tables
+            same = got == want if sort == "list" else got is want
+            assert same, sort
+
+
 def test_staged_claims_of_each_shape_hold():
     for claim, checked in staging_cases():
         assert staged_check(claim) == (True, checked, None, None), claim.text
@@ -1164,6 +1234,13 @@ def test_an_outer_only_subterm_runs_once_per_outer_value(monkeypatch):
     (claim,) = hf.parse_lemmas("!stub counting\n![R:set, I:set]: ((domseq @ R @ I) = (tag @ I))\n")
     assert staged_check(claim) == (True, 256, None, None)
     assert calls == hf.sets_of_rank(3)
+    # a new value of a middle binder leaves the outer binder's subterms kept
+    calls.clear()
+    (claim,) = hf.parse_lemmas(
+        "!stub counting\n![R:set, I:set, N:nat]: ((in @ I @ (arity @ R)) => (in @ I @ ord2))\n"
+    )
+    assert staged_check(claim) == (True, 256 * 4, None, None)
+    assert calls == hf.sets_of_rank(3)
 
 
 class _Definitions:
@@ -1208,6 +1285,27 @@ def test_a_domain_that_repeats_an_object(monkeypatch):
     for claim in [claim] + claims + [c for c, _ in staging_cases()]:
         for fuel in (60, 20_000, hf.DEFAULT_FUEL):
             assert staged_check(claim, fuel) == reference_check(claim, fuel), (claim.text, fuel)
+    # nor is a repeat in the loop of the last binder, whose subterms are
+    # kept under a quantifier
+    calls.clear()
+    (claim,) = hf.parse_lemmas(
+        "!stub counting\n![R:set]: (! [Y : $i] : ((in @ Y @ ord2) => (in @ Y @ (arity @ R))))\n"
+    )
+    assert staged_check(claim) == (True, 32, None, None)
+    assert calls == hf.sets_of_rank(3)
+
+
+def test_a_domain_that_ends_with_its_first_object(monkeypatch):
+    # an inner loop that starts again at the object it ended with still
+    # sees a new value of an outer binder: (X, Y) = (ord2, ord1) follows
+    # (ord1, ord1), and the body, kept while N runs, is evaluated afresh
+    real = hf.generators
+    ring = (hf.nat(1), hf.nat(2), hf.nat(3), hf.nat(1))
+    monkeypatch.setattr(hf, "generators", lambda sort: ring if sort == "set" else real(sort))
+    (claim,) = hf.parse_lemmas("![X:set, Y:set, N:nat]: ~((X = ord2) & (Y = ord1))\n")
+    got = staged_check(claim)
+    assert got == (False, 17, "X = {{{}},{}}, Y = {{}}, N = {}", None)
+    assert got == reference_check(claim)
 
 
 @pytest.mark.parametrize(
