@@ -219,6 +219,34 @@ def test_malformed_binders():
             lower_one(src)
 
 
+# Each connective's arity check and a binder's non-formula body, pinned as
+# error class, FILE:LINE:COL and message.
+@pytest.mark.parametrize(
+    "source,error,where,message",
+    [
+        ("(and)", sumo.UnknownSyntax, "e.kif:1:1", "(and) with no operands"),
+        ("(or)", sumo.UnknownSyntax, "e.kif:1:1", "(or) with no operands"),
+        ("(not)", sumo.UnknownSyntax, "e.kif:1:1", "not expects one operand"),
+        ("(not (p a) (q a))", sumo.UnknownSyntax, "e.kif:1:1", "not expects one operand"),
+        ("(=> (p a))", sumo.UnknownSyntax, "e.kif:1:1", "=> expects two operands"),
+        ("(<=> (p a) (q a) (r a))", sumo.UnknownSyntax, "e.kif:1:1", "<=> expects two operands"),
+        ("(forall (?X) a)", sumo.MalformedBinder, "e.kif:1:14", "quantifier body is not a formula"),
+        ("(exists (?X) ?X)", sumo.MalformedBinder, "e.kif:1:14", "quantifier body is not a formula"),
+    ],
+)
+def test_connective_and_binder_errors_pinned(source, error, where, message):
+    (form,) = sexpr.parse_forms(source, "e.kif")
+    with pytest.raises(sumo.LowerError) as caught:
+        sumo.lower(form)
+    assert type(caught.value) is error
+    assert (str(caught.value.span), caught.value.message) == (where, message)
+
+
+@pytest.mark.parametrize("head", ["and", "or"])
+def test_one_operand_conjunction_and_disjunction_lower_to_the_operand(head):
+    assert formula_of(f"({head} (p a))") == formula_of("(p a)")
+
+
 def test_bad_numeral():
     with pytest.raises(sumo.BadNumeral):
         sumo.parse_numeral("1.2.3")

@@ -285,6 +285,28 @@ def test_query_disjunction_and_biconditional_render_pinned(tmp_path):
     )
 
 
+def test_every_connective_quantifier_and_comparison_renders_pinned(tmp_path):
+    # a row and an individual existential, a nested universal, a 3-way or,
+    # and, not, <=>, => and both comparisons, in one query
+    got = _conjecture_text(
+        tmp_path,
+        None,
+        "(query (exists (@ROW ?X) (or (partition @ROW)"
+        " (and (instance ?X Organization) (not (employs ?X Bob)))"
+        " (<=> (lessThan 1 2) (=> (lessThanOrEqualTo 2 2) (forall (?Y) (employs ?X ?Y)))))))\n",
+    )
+    assert got == (
+        "thf(conj, conjecture, (?[ROW : $i > $i]: ((dom_of @ (vararity @ s_partition) @ (arity @ s_partition)\n"
+        "    @ (domseq @ s_partition) @ ROW) & (?[X : $i]: ((in @ X @ entity) & ((in @ X @ (domseqm @\n"
+        "    s_employs @ ord0)) & ((istrue @ (ap @ s_partition @ (listset @ ROW))) | (((in @ X @\n"
+        "    s_Organization) & (~ (istrue @ (ap @ s_employs @ (listset @ (cons @ X @ (cons @ s_Bob @\n"
+        "    nil))))))) | ((istrue @ (ap @ arith_lt @ (listset @ (cons @ ord1 @ (cons @ ord2 @ nil))))) <=>\n"
+        "    ((istrue @ (ap @ arith_leq @ (listset @ (cons @ ord2 @ (cons @ ord2 @ nil))))) => (![Y : $i]:\n"
+        "    ((in @ Y @ (domseqm @ s_employs @ ord1)) => (istrue @ (ap @ s_employs @ (listset @ (cons @ X @\n"
+        "    (cons @ Y @ nil)))))))))))))))))."
+    )
+
+
 def test_domain_subclass_guard_renders_pinned(tmp_path):
     got = _conjecture_text(
         tmp_path,
