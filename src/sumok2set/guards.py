@@ -123,7 +123,8 @@ class _GuardWalk:
 
     Every variable position works out its guard, resolving (and so minting)
     the names it needs, before scope decides whether the guard is kept:
-    mint order orders the problem's facts and type records.
+    mint order orders the problem's facts and type records.  The head of an
+    application is a Var or a Const, the only heads lowering builds.
     """
 
     __slots__ = ("scope", "sig", "resolve", "expand_known_rows", "found")
@@ -144,27 +145,23 @@ class _GuardWalk:
     def positional(self, head, j):
         if isinstance(head, sumo.Var):
             return MemDomseqm(_hvar(head.name), j)
-        if isinstance(head, sumo.Const):
-            info = self.sig.info(head.name)
-            if info is None or not info.arg_domain:
-                return None
-            slot = j + 1 if j + 1 <= info.min_arity else info.min_arity
-            cls, mode = info.arg_domain[slot]
-            if mode == sigmod.MODE_SUBCLASS:
-                return MemClass(self.resolve(cls), SUBSET)
-            return MemDomseqm(self.resolve(head.name), j)
-        return None
+        info = self.sig.info(head.name)
+        if info is None or not info.arg_domain:
+            return None
+        slot = j + 1 if j + 1 <= info.min_arity else info.min_arity
+        cls, mode = info.arg_domain[slot]
+        if mode == sigmod.MODE_SUBCLASS:
+            return MemClass(self.resolve(cls), SUBSET)
+        return MemDomseqm(self.resolve(head.name), j)
 
     def row(self, head):
         if isinstance(head, sumo.Var):
             return RowDomOf(_hvar(head.name))
-        if isinstance(head, sumo.Const):
-            info = self.sig.info(head.name)
-            if self.expand_known_rows and info is not None and info.arg_domain:
-                domains = tuple(host_domains(info, self.resolve))
-                return RowDomOfKnown(info.var_arity, info.min_arity, domains)
-            return RowDomOf(self.resolve(head.name))
-        return None
+        info = self.sig.info(head.name)
+        if self.expand_known_rows and info is not None and info.arg_domain:
+            domains = tuple(host_domains(info, self.resolve))
+            return RowDomOfKnown(info.var_arity, info.min_arity, domains)
+        return RowDomOf(self.resolve(head.name))
 
     def spine(self, head, spine, shadowed):
         row = isinstance(spine, sumo.RowSpine)

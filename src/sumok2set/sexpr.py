@@ -132,14 +132,6 @@ class _Node:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._FIELDS)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._FIELDS, self._values()))
         return f"{type(self).__name__}({fields})"

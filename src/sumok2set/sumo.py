@@ -7,6 +7,11 @@ detected by head symbol and skipped rather than translated.  Lowering reads
 a form once, in the order of the AST it builds, and finds as it goes the
 form's free variables (which Assertion and Query carry) and its skip head.
 
+A connective or a quantifier is one node kind that carries its KIF head as
+op: Connective, Quantified over ordinary variables, RowQuantified over a row
+variable.  A comparison is an Arith, as arithmetic is, and stands for its
+truth where a formula stands.
+
 Nodes are slotted dataclasses that compare and hash by class and fields.
 They are immutable by contract, not frozen, because a frozen dataclass pays
 for object.__setattr__ on every construction.  A knowledge base's lowered
@@ -18,6 +23,7 @@ a node once it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -41,6 +47,8 @@ ARITH_ADD = "+"
 ARITH_SUB = "-"
 ARITH_MULT = "*"
 ARITH_DIV = "/"
+ARITH_LT = "<"
+ARITH_LE = "<="
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -92,6 +100,8 @@ class Kappa:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Arith:
+    """An arithmetic function term, or a comparison (ARITH_LT, ARITH_LE) where a formula stands."""
+
     op: str
     left: object
     right: object
@@ -102,52 +112,27 @@ class Arith:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Not:
-    body: object
+class Connective:
+    """A connective over its operands; op is its KIF head: not, =>, <=>, and or or."""
 
-
-@dataclass(slots=True, unsafe_hash=True)
-class Impl:
-    ante: object
-    cons: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Iff:
-    left: object
-    right: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class And:
+    op: str
     items: tuple
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Or:
-    items: tuple
+class Quantified:
+    """A quantifier over ordinary variables; op is its KIF head: forall or exists."""
 
-
-@dataclass(slots=True, unsafe_hash=True)
-class ForallVars:
+    op: str
     names: tuple
     body: object
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class ExistsVars:
-    names: tuple
-    body: object
+class RowQuantified:
+    """A quantifier over one row variable; op is its KIF head: forall or exists."""
 
-
-@dataclass(slots=True, unsafe_hash=True)
-class ForallRow:
-    name: str
-    body: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ExistsRow:
+    op: str
     name: str
     body: object
 
@@ -168,18 +153,6 @@ class Instance:
 class Subclass:
     sub: object
     sup: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Le:
-    left: object
-    right: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Lt:
-    left: object
-    right: object
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +290,29 @@ def _binder_list(sx, body_sx) -> list:
     return binders
 
 
-def _wrap_binders(binders, body, universal: bool):
+def _wrap_binders(binders, body, op: str):
     # consecutive ordinary variables share one quantifier node; each row
     # variable gets its own node, preserving source order
-    vars_node, row_node = (ForallVars, ForallRow) if universal else (ExistsVars, ExistsRow)
     out = body
     runs = [(is_row, [n for n, _ in run]) for is_row, run in groupby(binders, itemgetter(1))]
     for is_row, run in reversed(runs):
         if is_row:
             for name in reversed(run):
-                out = row_node(name, out)
+                out = RowQuantified(op, name, out)
         else:
-            out = vars_node(tuple(run), out)
+            out = Quantified(op, tuple(run), out)
     return out
 
 
+# a connective of a fixed number of operands -> (that number, in words)
+_FIXED_OPERANDS = {"not": (1, "one operand"), "=>": (2, "two operands"), "<=>": (2, "two operands")}
+
 _BINARY_ATOMS = {
-    "equal": Eq, "instance": Instance, "subclass": Subclass, "lessThan": Lt, "lessThanOrEqualTo": Le
+    "equal": Eq,
+    "instance": Instance,
+    "subclass": Subclass,
+    "lessThan": partial(Arith, ARITH_LT),
+    "lessThanOrEqualTo": partial(Arith, ARITH_LE),
 }
 
 
@@ -437,23 +416,18 @@ class _Lowering:
                 raise MalformedBinder(f"{name} expects a binder list and a body", sx.span)
             binders = _binder_list(args[0], args[1])
             body = self.formula(args[1], bound.union(binders))
-            return _wrap_binders(binders, body, universal=(name == "forall"))
+            return _wrap_binders(binders, body, name)
         if name in ("and", "or"):
             if not args:
                 raise UnknownSyntax(f"({name}) with no operands", sx.span)
-            items = tuple([self.formula(a, bound) for a in args])
-            if len(items) == 1:
-                return items[0]
-            return (And if name == "and" else Or)(items)
-        if name == "not":
-            if len(args) != 1:
-                raise UnknownSyntax("not expects one operand", sx.span)
-            return Not(self.formula(args[0], bound))
-        if name == "=>" or name == "<=>":
-            if len(args) != 2:
-                raise UnknownSyntax(f"{name} expects two operands", sx.span)
-            left = self.formula(args[0], bound)
-            return (Impl if name == "=>" else Iff)(left, self.formula(args[1], bound))
+            if len(args) == 1:
+                return self.formula(args[0], bound)
+            return Connective(name, tuple([self.formula(a, bound) for a in args]))
+        fixed = _FIXED_OPERANDS.get(name)
+        if fixed is not None:
+            if len(args) != fixed[0]:
+                raise UnknownSyntax(f"{name} expects {fixed[1]}", sx.span)
+            return Connective(name, tuple([self.formula(a, bound) for a in args]))
         ctor = _BINARY_ATOMS.get(name)
         if ctor is not None:
             if len(args) != 2:
@@ -519,20 +493,12 @@ SHAPES = {
     Apply: Shape(("head", "spine")),
     Kappa: Shape(("body",), (VAR_BINDER, "var")),
     Arith: Shape(("left", "right")),
-    Not: Shape(("body",)),
-    Impl: Shape(("ante", "cons")),
-    Iff: Shape(("left", "right")),
-    And: Shape(("items",)),
-    Or: Shape(("items",)),
-    ForallVars: Shape(("body",), (VAR_BINDER, "names")),
-    ExistsVars: Shape(("body",), (VAR_BINDER, "names")),
-    ForallRow: Shape(("body",), (ROW_BINDER, "name")),
-    ExistsRow: Shape(("body",), (ROW_BINDER, "name")),
+    Connective: Shape(("items",)),
+    Quantified: Shape(("body",), (VAR_BINDER, "names")),
+    RowQuantified: Shape(("body",), (ROW_BINDER, "name")),
     Eq: Shape(("left", "right")),
     Instance: Shape(("member", "cls")),
     Subclass: Shape(("sub", "sup")),
-    Le: Shape(("left", "right")),
-    Lt: Shape(("left", "right")),
 }
 
 

@@ -6,6 +6,10 @@ fixed and variable arity share one shape; truth of an applied relation is
 membership of the empty set in the resulting set.  Quantified variables pick
 up membership guards derived from declared argument domains: implications
 under universals, conjunctions under existentials and class formation.
+A lowered connective or quantifier is looked up by its KIF head (op): a
+connective folds its logical constant to the right over its operands, and
+a quantifier names its guard chain and host quantifier.  A comparison is
+arithmetic, and stands for its truth (istrue) where a formula stands.
 
 A job reads and lowers each input file once; the signature pass and the
 translation share the lowered forms, and a form is closed over the free
@@ -35,6 +39,7 @@ from . import sumo, th0
 from .catalog import CATALOG, CONS, IN, ITE, SEP, SUBQ, cc, encode_rational, mk_list, ord_of
 from .guards import MEMBER, MemClass
 from .hostterm import (
+    CONJ,
     DISJ,
     IFF,
     IMP,
@@ -88,15 +93,15 @@ _ARITH_CONST = {
     sumo.ARITH_SUB: "arith_sub",
     sumo.ARITH_MULT: "arith_mult",
     sumo.ARITH_DIV: "arith_div",
+    sumo.ARITH_LT: "arith_lt",
+    sumo.ARITH_LE: "arith_leq",
 }
 
-# quantifier node -> (explanation label, guard chain, host quantifier, bound type)
-_QUANTIFIERS = {
-    sumo.ForallVars: ("forall", imp_chain, forall, IOTA),
-    sumo.ExistsVars: ("exists", conj_chain, exists, IOTA),
-    sumo.ForallRow: ("forall", imp_chain, forall, LIST),
-    sumo.ExistsRow: ("exists", conj_chain, exists, LIST),
-}
+# connective op -> its logical constant, folded to the right over the operands
+_CONNECTIVES = {"not": NEG, "=>": IMP, "<=>": IFF, "and": CONJ, "or": DISJ}
+
+# quantifier op, which is also its explanation label -> (guard chain, host quantifier)
+_QUANTIFIERS = {"forall": (imp_chain, forall), "exists": (conj_chain, exists)}
 
 
 def mangle(name: str) -> str:
@@ -228,26 +233,19 @@ class Translator:
         return [guard.to_term(subjects[name]) for name, guard in found]
 
     def formula(self, f):
-        if isinstance(f, sumo.Not):
-            return App(NEG, self.formula(f.body))
-        if isinstance(f, sumo.Impl):
-            return app(IMP, self.formula(f.ante), self.formula(f.cons))
-        if isinstance(f, sumo.Iff):
-            return app(IFF, self.formula(f.left), self.formula(f.right))
-        if isinstance(f, sumo.And):
-            items = [self.formula(i) for i in f.items]
-            return conj_chain(items[:-1], items[-1])
-        if isinstance(f, sumo.Or):
-            items = [self.formula(i) for i in f.items]
-            out = items[-1]
-            for g in reversed(items[:-1]):
-                out = app(DISJ, g, out)
+        if isinstance(f, sumo.Connective):
+            const = _CONNECTIVES[f.op]
+            *rest, out = [self.formula(i) for i in f.items]
+            if not rest:  # not, the one connective of one operand
+                return App(const, out)
+            for g in reversed(rest):
+                out = App(App(const, g), out)
             return out
-        quantified = _QUANTIFIERS.get(type(f))
-        if quantified is not None:
-            label, chain, quantifier, ty = quantified
-            names = (f.name,) if ty is LIST else f.names
-            gts = self._guard_terms(f.body, [(n, ty is LIST) for n in names], label)
+        if isinstance(f, (sumo.Quantified, sumo.RowQuantified)):
+            chain, quantifier = _QUANTIFIERS[f.op]
+            row = isinstance(f, sumo.RowQuantified)
+            names, ty = ((f.name,), LIST) if row else (f.names, IOTA)
+            gts = self._guard_terms(f.body, [(n, row) for n in names], f.op)
             out = chain(gts, self.formula(f.body))
             for n in reversed(names):
                 out = quantifier(host_var(n), ty, out)
@@ -258,17 +256,11 @@ class Translator:
             return app(IN, self.term(f.member), self.term(f.cls))
         if isinstance(f, sumo.Subclass):
             return app(SUBQ, self.term(f.sub), self.term(f.sup))
-        if isinstance(f, sumo.Lt):
-            return self._arith_atom("arith_lt", f.left, f.right)
-        if isinstance(f, sumo.Le):
-            return self._arith_atom("arith_leq", f.left, f.right)
         if isinstance(f, sumo.Apply):
             return App(ISTRUE, self.apply_term(f.head, f.spine))
+        if isinstance(f, sumo.Arith):  # a comparison
+            return App(ISTRUE, self.term(f))
         raise TranslateError(f"not a formula: {f!r}")
-
-    def _arith_atom(self, op_name, left, right):
-        args = mk_list([self.term(left), self.term(right)])
-        return App(cc("istrue"), app(cc("ap"), cc(op_name), App(cc("listset"), args)))
 
     # -- closing -----------------------------------------------------------
 

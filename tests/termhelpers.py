@@ -211,6 +211,7 @@ def formula_free_vars(formula):
 _ARITH_SURFACE = {
     sumo.ARITH_ADD: "AdditionFn", sumo.ARITH_SUB: "SubtractionFn",
     sumo.ARITH_MULT: "MultiplicationFn", sumo.ARITH_DIV: "DivisionFn",
+    sumo.ARITH_LT: "lessThan", sumo.ARITH_LE: "lessThanOrEqualTo",
 }
 
 
@@ -250,34 +251,18 @@ def _spine_to_kif(s) -> list:
 
 def to_kif(f) -> str:
     """Render a lowered formula back to SUO-KIF concrete syntax."""
-    if isinstance(f, sumo.Not):
-        return f"(not {to_kif(f.body)})"
-    if isinstance(f, sumo.Impl):
-        return f"(=> {to_kif(f.ante)} {to_kif(f.cons)})"
-    if isinstance(f, sumo.Iff):
-        return f"(<=> {to_kif(f.left)} {to_kif(f.right)})"
-    if isinstance(f, sumo.And):
-        return "(and " + " ".join(to_kif(i) for i in f.items) + ")"
-    if isinstance(f, sumo.Or):
-        return "(or " + " ".join(to_kif(i) for i in f.items) + ")"
-    if isinstance(f, sumo.ForallVars):
-        return "(forall (" + " ".join("?" + n for n in f.names) + ") " + to_kif(f.body) + ")"
-    if isinstance(f, sumo.ExistsVars):
-        return "(exists (" + " ".join("?" + n for n in f.names) + ") " + to_kif(f.body) + ")"
-    if isinstance(f, sumo.ForallRow):
-        return f"(forall (@{f.name}) {to_kif(f.body)})"
-    if isinstance(f, sumo.ExistsRow):
-        return f"(exists (@{f.name}) {to_kif(f.body)})"
+    if isinstance(f, sumo.Connective):
+        return f"({f.op} " + " ".join(to_kif(i) for i in f.items) + ")"
+    if isinstance(f, sumo.Quantified):
+        return f"({f.op} (" + " ".join("?" + n for n in f.names) + ") " + to_kif(f.body) + ")"
+    if isinstance(f, sumo.RowQuantified):
+        return f"({f.op} (@{f.name}) {to_kif(f.body)})"
     if isinstance(f, sumo.Eq):
         return f"(equal {term_to_kif(f.left)} {term_to_kif(f.right)})"
     if isinstance(f, sumo.Instance):
         return f"(instance {term_to_kif(f.member)} {term_to_kif(f.cls)})"
     if isinstance(f, sumo.Subclass):
         return f"(subclass {term_to_kif(f.sub)} {term_to_kif(f.sup)})"
-    if isinstance(f, sumo.Lt):
-        return f"(lessThan {term_to_kif(f.left)} {term_to_kif(f.right)})"
-    if isinstance(f, sumo.Le):
-        return f"(lessThanOrEqualTo {term_to_kif(f.left)} {term_to_kif(f.right)})"
-    if isinstance(f, sumo.Apply):
+    if isinstance(f, (sumo.Apply, sumo.Arith)):  # an Arith here is a comparison
         return term_to_kif(f)
     raise TypeError(f"not a formula: {f!r}")

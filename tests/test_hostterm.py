@@ -173,11 +173,11 @@ def test_alpha_eq_sep_binder():
 
 
 def _sumo_lt():
-    return sumo.Lt(sumo.Var("X"), sumo.Rat(1, 0))
+    return sumo.Arith(sumo.ARITH_LT, sumo.Var("X"), sumo.Rat(1, 0))
 
 
 def _sumo_le():
-    return sumo.Le(sumo.Var("X"), sumo.Rat(1, 0))
+    return sumo.Arith(sumo.ARITH_LE, sumo.Var("X"), sumo.Rat(1, 0))
 
 
 @pytest.mark.parametrize(

@@ -260,7 +260,7 @@ _KIF_INSERTS = (
     " 0 ", " -1.50 ", " 1.2.3 ",
     " (forall (?X) ", " (exists (?Y @ROW) ", "(forall () ", " (KappaFn ?Z ",
 )
-KIF_MUTATION_DIGEST = "9d6a981a081270e2e4c09d47d746ac36ff5897a888913c893ee44248dc21e902"
+KIF_MUTATION_DIGEST = "ba02cb88db761698250df73bdafa32142257a1d5e7ce32f6521e70e503bf4303"
 
 
 def _kif_mutants(n, seed):

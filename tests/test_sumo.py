@@ -20,24 +20,24 @@ from test_sexpr import FIXTURE_DIGESTS, _kif_mutants
 
 def test_lower_connectives():
     f = formula_of("(=> (and (p ?X) (q ?X)) (or (r ?X) (not (s ?X))))")
-    assert isinstance(f, sumo.Impl)
-    assert isinstance(f.ante, sumo.And)
-    assert len(f.ante.items) == 2
-    assert isinstance(f.cons, sumo.Or)
-    assert isinstance(f.cons.items[1], sumo.Not)
+    assert isinstance(f, sumo.Connective) and f.op == "=>"
+    assert isinstance(f.items[0], sumo.Connective) and f.items[0].op == "and"
+    assert len(f.items[0].items) == 2
+    assert isinstance(f.items[1], sumo.Connective) and f.items[1].op == "or"
+    assert isinstance(f.items[1].items[1], sumo.Connective) and f.items[1].items[1].op == "not"
 
 
 def test_lower_quantifiers():
     f = formula_of("(forall (?X ?Y) (exists (?Z) (p ?X ?Y ?Z)))")
-    assert isinstance(f, sumo.ForallVars)
+    assert isinstance(f, sumo.Quantified) and f.op == "forall"
     assert f.names == ("X", "Y")
-    assert isinstance(f.body, sumo.ExistsVars)
+    assert isinstance(f.body, sumo.Quantified) and f.body.op == "exists"
     assert f.body.names == ("Z",)
 
 
 def test_lower_row_quantifier():
     f = formula_of("(forall (@ROW) (p @ROW))")
-    assert isinstance(f, sumo.ForallRow)
+    assert isinstance(f, sumo.RowQuantified) and f.op == "forall"
     assert f.name == "ROW"
     atom = f.body
     assert isinstance(atom, sumo.Apply)
@@ -48,8 +48,8 @@ def test_lower_row_quantifier():
 def test_mixed_quantifier_binder():
     f = formula_of("(forall (?X @ROW) (p ?X @ROW))")
     # scalar and row binders split into nested quantifiers
-    assert isinstance(f, sumo.ForallVars)
-    assert isinstance(f.body, sumo.ForallRow)
+    assert isinstance(f, sumo.Quantified) and f.op == "forall"
+    assert isinstance(f.body, sumo.RowQuantified) and f.body.op == "forall"
 
 
 def test_lower_special_atoms():
@@ -65,8 +65,8 @@ def test_lower_equal_and_comparisons():
     )
     eq, lt, le = f.items
     assert isinstance(eq, sumo.Eq)
-    assert isinstance(lt, sumo.Lt)
-    assert isinstance(le, sumo.Le)
+    assert isinstance(lt, sumo.Arith) and lt.op == sumo.ARITH_LT
+    assert isinstance(le, sumo.Arith) and le.op == sumo.ARITH_LE
 
 
 def test_lower_arithmetic():
@@ -111,7 +111,7 @@ def test_row_inside_nested_spine_ok():
 def test_query_form():
     out = lower_one("(query (instance ?X Human))")
     assert isinstance(out, sumo.Query)
-    assert isinstance(out.formula, sumo.ExistsVars) or isinstance(
+    assert isinstance(out.formula, sumo.Quantified) or isinstance(
         out.formula, sumo.Instance
     )
 
@@ -331,20 +331,12 @@ CONSTRUCTS = {
     sumo.Apply: "(p (f a))",
     sumo.Kappa: "(instance a (KappaFn ?X (p ?X)))",
     sumo.Arith: "(equal (AdditionFn 1 2) 3)",
-    sumo.Not: "(not (p a))",
-    sumo.Impl: "(=> (p a) (q a))",
-    sumo.Iff: "(<=> (p a) (q a))",
-    sumo.And: "(and (p a) (q a))",
-    sumo.Or: "(or (p a) (q a))",
-    sumo.ForallVars: "(forall (?X ?Y) (p ?X ?Y))",
-    sumo.ExistsVars: "(exists (?X) (p ?X))",
-    sumo.ForallRow: "(forall (@ROW) (p @ROW))",
-    sumo.ExistsRow: "(exists (@ROW) (p @ROW))",
+    sumo.Connective: "(=> (p a) (q a))",
+    sumo.Quantified: "(forall (?X ?Y) (p ?X ?Y))",
+    sumo.RowQuantified: "(exists (@ROW) (p @ROW))",
     sumo.Eq: "(equal a b)",
     sumo.Instance: "(instance a RealNumber)",
     sumo.Subclass: "(subclass A NonnegativeRealNumber)",
-    sumo.Le: "(lessThanOrEqualTo 1 2)",
-    sumo.Lt: "(lessThan 1 2)",
 }
 
 
@@ -366,7 +358,7 @@ def test_lowering_builds_exactly_the_kinds_of_the_traversal_table():
         assert kind in kinds, source
         built |= kinds
     assert built == set(CONSTRUCTS) == set(sumo.SHAPES)
-    assert len(sumo.SHAPES) == 22
+    assert len(sumo.SHAPES) == 14
 
 
 def test_real_number_classes_lower_to_constants():
@@ -394,7 +386,7 @@ def test_folds_reject_unknown_nodes():
         lambda f: guards.guards_for(f, {"X"}, sig_from(""), None),
     ):
         with pytest.raises(TypeError):
-            fold(sumo.And((sumo.Eq(sumo.Var("X"), sumo.Var("Y")), Stray())))
+            fold(sumo.Connective("and", (sumo.Eq(sumo.Var("X"), sumo.Var("Y")), Stray())))
     with pytest.raises(TypeError):
         sumo._row_free_in_term(sumo.Arith(sumo.ARITH_ADD, sumo.Var("X"), Stray()))
 
