@@ -111,9 +111,9 @@ def test_row_inside_nested_spine_ok():
 def test_query_form():
     out = lower_one("(query (instance ?X Human))")
     assert isinstance(out, sumo.Query)
-    assert isinstance(out.formula, sumo.Quantified) or isinstance(
-        out.formula, sumo.Instance
-    )
+    assert (
+        isinstance(out.formula, sumo.Quantified) and out.formula.op == "exists"
+    ) or isinstance(out.formula, sumo.Instance)
 
 
 def test_modal_heads_skipped():
