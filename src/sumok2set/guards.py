@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from . import signature as sigmod
 from . import sumo
 from .catalog import IN, ITE, SUBQ, cc, ord_of
-from .hostterm import App, Const, Eq, IOTA, Lam, Var, app
-from .th0 import host_var
+from .hostterm import App, IOTA, Lam, Var, app, eq
+from .th0 import host_var, render_term
 
 MEMBER = "member"
 SUBSET = "subset"
@@ -79,7 +79,7 @@ class RowDomOfKnown:
         chain = cc("emptyset")
         ix = Var("I", IOTA)
         for j in range(len(self.domains) - 1, -1, -1):
-            chain = app(ITE, Eq(ix, ord_of(j)), self.domains[j], chain)
+            chain = app(ITE, eq(ix, ord_of(j)), self.domains[j], chain)
         dlam = Lam("I", IOTA, chain)
         head = cc("dom_of_varar") if self.var_arity else cc("dom_of_fixedar")
         return app(head, ord_of(self.min_arity), dlam, subject)
@@ -90,11 +90,10 @@ class RowDomOfKnown:
 
 
 def _describe(term) -> str:
-    if isinstance(term, Const):
-        return term.name
+    """The term as the problem writes it, a variable with its KIF ? mark."""
     if isinstance(term, Var):
         return "?" + term.name
-    return repr(term)
+    return render_term(term)
 
 
 def _hvar(name: str) -> Var:

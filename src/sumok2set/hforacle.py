@@ -24,12 +24,12 @@ DESCRIBE_LIMIT characters.
 
 Terms are compiled once into closures (see Evaluator) that then run on each
 assignment.  The set primitives are applied catalog constants, and the
-connectives and quantifiers applied logical constants; a full application of
-a connective, of in, subq or ite, of sep to a set and a lambda, or of a
-quantifier to a lambda, is evaluated as one node (_PRIMITIVES), whether a
-catalog term or a lemma line spells it: ite evaluates only the branch it
-takes, and a connective only the operands that decide its value; $true and
-$false are native constants.  Fuel bounds the
+connectives, equality and quantifiers applied logical constants; a full
+application of a connective or =, of in, subq or ite, of sep to a set and a
+lambda, or of a quantifier to a lambda, is evaluated as one node
+(_PRIMITIVES), whether a catalog term or a lemma line spells it: ite
+evaluates only the branch it takes, and a connective only the operands that
+decide its value; $true and $false are native constants.  Fuel bounds the
 work: one unit per term node evaluated, per separation member, per
 quantified value and per entry of a function tabulated as a list, and four
 per native ordinal operation.  Ordinal arithmetic and power refuse, before
@@ -69,6 +69,7 @@ from .catalog import CATALOG, SEP
 from .hostterm import (
     CONJ,
     DISJ,
+    EQUALS,
     EXISTS,
     FALSE,
     FORALL,
@@ -79,7 +80,6 @@ from .hostterm import (
     App,
     Arrow,
     Const,
-    Eq,
     IOTA,
     Lam,
     OMICRON,
@@ -550,8 +550,8 @@ class Evaluator:
     run, never while compiling.
 
     Fuel is charged as a walk of the term would charge it: one unit per
-    node visited, a full application of a connective, a quantifier or a set
-    primitive counting as one, per separation member, per quantified value
+    node visited, a full application of a connective, =, a quantifier or a
+    set primitive counting as one, per separation member, per quantified value
     and per entry of a function tabulated as a list, and four per native
     ordinal operation.  A node whose first act is to evaluate a child passes
     its unit down to that child (owed), so charges with nothing observable
@@ -966,7 +966,7 @@ _compile_subq = _binary(lambda sub, sup: lambda env: _subq(sub(env), sup(env)))
 
 
 def _compile_eq(ev, t, scope, owed):
-    left, right = _compile(ev, t.left, scope, owed + 1), _compile(ev, t.right, scope)
+    left, right = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
     values_equal = ev.values_equal
 
     def eq(env):
@@ -1047,6 +1047,7 @@ _PRIMITIVES = {
     DISJ.name: (2, None, _compile_disj),
     IMP.name: (2, None, _compile_imp),
     IFF.name: (2, None, _compile_iff),
+    EQUALS.name: (2, None, _compile_eq),
     "in": (2, None, _compile_mem),
     "subq": (2, None, _compile_subq),
     "ite": (3, None, _compile_ite),
@@ -1058,7 +1059,7 @@ _PRIMITIVES = {
 
 def _primitive(t):
     """The compiler of the application t if it is a full application of a
-    primitive (_PRIMITIVES), else None: a connective, in, subq or ite, or
+    primitive (_PRIMITIVES), else None: a connective, =, in, subq or ite, or
     sep to a set and a predicate, or a quantifier to a predicate.
 
     Such an application compiles as a node of its own: one unit of fuel,
@@ -1102,7 +1103,6 @@ _COMPILERS = {
     Var: _compile_var,
     Const: _compile_const,
     Lam: _compile_lam,
-    Eq: _compile_eq,
 }
 
 

@@ -5,20 +5,22 @@ They are immutable by contract, not frozen, because a frozen dataclass pays
 for object.__setattr__ on every construction.  Terms are hashed and shared
 (the constants of catalog.cc, the memo of minted constants in
 Translator.resolve, the THF reader's shared Const and Var nodes), so no
-code assigns to a field of a term once it is built.  The language is plain
-simply typed lambda calculus with equality, and lambda is its only binder:
-membership, subset, if-then-else and separation are no node kinds but the
-catalog constants in, subq, ite and sep applied like any other, a
-separation as sep @ A @ (^[X : $i]: P).  The connectives and truth values
-are no node kinds either but the logical constants of Church's simple type
-theory, typed as TH0 types them ((&) : $o > $o > $o) and named as THF
-spells them: one shared Const each, applied like any other constant, so a
-conjunction is App(App(CONJ, A), B).  So are the quantifiers !! and ??,
-one shared Const per binder type applied to a lambda: forall(X, ty, P) is
-App(!!, ^[X : ty]: P).  Equality stays a node, because = is polymorphic.
-A lambda is checked against the type expected of it (Dunfield and
-Krishnaswami, "Bidirectional Typing", 2021), so an ill-typed quantifier
-body reads "expected $o, found $i".
+code assigns to a field of a term once it is built.  The language is
+Church's simply typed lambda calculus, Var, Const, App and Lam, and lambda
+is its only binder: membership, subset, if-then-else and separation are no
+node kinds but the catalog constants in, subq, ite and sep applied like any
+other, a separation as sep @ A @ (^[X : $i]: P).  The connectives, truth
+values and equality are no node kinds either but the logical constants of
+Church's simple type theory, named as THF spells them: one shared Const
+each, applied like any other constant, so a conjunction is
+App(App(CONJ, A), B) and eq(A, B) is App(App(EQUALS, A), B).  Each is typed
+as TH0 types it ((&) : $o > $o > $o) but =, which is polymorphic: typecheck
+alone types it, by its operands, and only applied to two.  So are the
+quantifiers !! and ??, one shared Const per binder type applied to a
+lambda: forall(X, ty, P) is App(!!, ^[X : ty]: P).  A lambda is checked
+against the type expected of it (Dunfield and Krishnaswami, "Bidirectional
+Typing", 2021), so an ill-typed quantifier body reads "expected $o, found
+$i".
 """
 
 from __future__ import annotations
@@ -89,17 +91,13 @@ class Lam:
     body: object
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Eq:
-    left: object
-    right: object
-
-
 # The logical constants, one shared node each; LOGICAL maps each name to it.
 TRUE, FALSE = Const("$true", OMICRON), Const("$false", OMICRON)
 NEG = Const("~", Arrow(OMICRON, OMICRON))
 CONJ, DISJ, IMP, IFF = (Const(op, Arrow(OMICRON, NEG.ty)) for op in ("&", "|", "=>", "<=>"))
-LOGICAL = {c.name: c for c in (TRUE, FALSE, NEG, CONJ, DISJ, IMP, IFF)}
+# = is polymorphic: its type here is that between sets, which typecheck never reads
+EQUALS = Const("=", Arrow(IOTA, Arrow(IOTA, OMICRON)))
+LOGICAL = {c.name: c for c in (TRUE, FALSE, NEG, CONJ, DISJ, IMP, IFF, EQUALS)}
 
 FORALL, EXISTS = "!!", "??"  # the quantifiers, Church's Pi and Sigma as THF spells them
 
@@ -129,6 +127,10 @@ def app(fn, *args):
     for a in args:
         out = App(out, a)
     return out
+
+
+def eq(left, right):
+    return App(App(EQUALS, left), right)
 
 
 def imp_chain(antecedents, body):
@@ -169,12 +171,21 @@ def _expect(t, want, ctx):
 def _check(t, ctx) -> HostType:
     cls = type(t)
     if cls is App:
-        fn_ty = _check(t.fn, ctx)
+        fn = t.fn
+        if type(fn) is App and type(fn.fn) is Const and fn.fn.name == EQUALS.name:
+            # an equation, between two terms of one type: = is polymorphic
+            lt, rt = _check(fn.arg, ctx), _check(t.arg, ctx)
+            if lt is not rt and lt != rt:
+                raise TypeMismatch(f"equation between {lt!r} and {rt!r}", t)
+            return OMICRON
+        fn_ty = _check(fn, ctx)
         if type(fn_ty) is not Arrow:
             raise TypeMismatch(f"applied non-function of type {fn_ty!r}", t)
         _expect(t.arg, fn_ty.dom, ctx)
         return fn_ty.cod
     if cls is Const:
+        if t.name == EQUALS.name:
+            raise TypeMismatch("= applied to fewer than two operands", t)
         return t.ty
     if cls is Var:
         bound = ctx.get(t.name)
@@ -183,12 +194,6 @@ def _check(t, ctx) -> HostType:
         return t.ty
     if cls is Lam:
         return Arrow(t.ty, _check(t.body, {**ctx, t.name: t.ty}))
-    if cls is Eq:
-        lt = _check(t.left, ctx)
-        rt = _check(t.right, ctx)
-        if lt is not rt and lt != rt:
-            raise TypeMismatch(f"equation between {lt!r} and {rt!r}", t)
-        return OMICRON
     raise TypeMismatch(f"unknown term {t!r}", t)
 
 
@@ -209,7 +214,6 @@ SHAPES = {
     Const: Shape(()),
     App: Shape(("fn", "arg")),
     Lam: Shape(("body",), ("body",)),
-    Eq: Shape(("left", "right")),
 }
 
 

@@ -1,9 +1,9 @@
 """Typed higher-order problem files: hoisting, rendering, re-parsing.
 
 The host term language writes the set primitives as applied catalog
-constants, and the connectives, truth values and quantifiers as applied
-logical constants, already, so the output is plain typed lambda calculus
-once the separations are gone.  A separation sep @ A @ (^[X : $i]: P) binds a
+constants, and the connectives, truth values, equality and quantifiers as
+applied logical constants, already, so the output is plain typed lambda
+calculus once the separations are gone.  A separation sep @ A @ (^[X : $i]: P) binds a
 variable inside an application, so each one is hoisted to a fresh constant
 parameterized over its free variables, with a defining equivalence emitted
 as a definition-role premise.
@@ -53,6 +53,7 @@ from .catalog import CATALOG, IN, SEP
 from .hostterm import (
     CONJ,
     DISJ,
+    EQUALS,
     EXISTS,
     FORALL,
     IFF,
@@ -62,7 +63,6 @@ from .hostterm import (
     App,
     Base,
     Const,
-    Eq,
     IOTA,
     Lam,
     OMICRON,
@@ -193,9 +193,11 @@ def _thf_var(name: str) -> str:
 
 
 # the operands of each connective, which its full application writes infix
-_OPERANDS = {NEG.name: 1, **{c.name: 2 for c in (CONJ, DISJ, IMP, IFF)}}
+_OPERANDS = {NEG.name: 1, **{c.name: 2 for c in (CONJ, DISJ, IMP, IFF, EQUALS)}}
 # the binder each quantifier applied to a lambda is written as
 _QUANTIFIER_MARKS = {FORALL: "![", EXISTS: "?["}
+# the logical constants written only applied in full, and to what
+_APPLIED_ONLY = {FORALL: "to a lambda", EXISTS: "to a lambda", EQUALS.name: "to two operands"}
 
 
 def render_term(t) -> str:
@@ -206,19 +208,19 @@ def render_term(t) -> str:
 class _PremiseWalk:
     """One walk from a host term to its rendering and its constants.
 
-    Writes the canonical text of the term with its separations hoisted,
-    without building that term: sep @ A @ (^[X : $i]: P) is written as its
-    hoisted constant applied to its parameters, and merges into the spine
-    it heads.  A full application of a connective, a logical constant, is
-    written infix as THF writes it, (~ A) and (A & B), left operand first,
-    and $true and $false by name; a quantifier applied to a lambda, as its
-    binder (![X : $i]: P), and used any other way, not at all.  The other
-    constants are recorded as they are written, and textual order is the
-    pre-order of the written term; a logical constant or quantifier is
-    never recorded, as no problem declares one.  A free variable is written
-    under its name in rename, if it has one there; a binder of a renamed
-    name suspends the renaming in its body.  render_term is this walk with
-    no hoister, which writes a separation as sep applied, as catalog.p does.
+    Writes the canonical text of the term with its separations hoisted, without
+    building that term: sep @ A @ (^[X : $i]: P) is written as its hoisted
+    constant applied to its parameters, and merges into the spine it heads.  A
+    full application of a connective or =, a logical constant, is written infix
+    as THF writes it, (~ A), (A & B) and (A = B), left operand first, and $true
+    and $false by name; a quantifier applied to a lambda, as its binder
+    (![X : $i]: P); = and a quantifier used any other way, not at all.  The
+    other constants are recorded as they are written, and textual order is the
+    pre-order of the written term; a logical constant or quantifier is never
+    recorded, as no problem declares one.  A free variable is written under its
+    name in rename, if it has one there; a binder of a renamed name suspends
+    the renaming in its body.  render_term is this walk with no hoister, which
+    writes a separation as sep applied, as catalog.p does.
     """
 
     def __init__(self, hoister: _SepHoister, rename: dict | None = None):
@@ -230,10 +232,10 @@ class _PremiseWalk:
     def const(self, c) -> str:
         ty = self.first.get(c.name)
         if ty is None:
+            if c.name in _APPLIED_ONLY:
+                raise TypeError(f"cannot render {c!r} but applied {_APPLIED_ONLY[c.name]}")
             if c.name in LOGICAL:
                 return c.name  # a logical constant is declared by no problem
-            if c.name in _QUANTIFIER_MARKS:
-                raise TypeError(f"cannot render {c!r} but applied to a lambda")
             self.first[c.name] = c.ty
             self.consts.append(c)
         elif ty is not c.ty and ty != c.ty:
@@ -263,7 +265,7 @@ class _PremiseWalk:
                 rename = self.rename
                 parts = [self.const(const)] + [_thf_var(rename.get(n, n)) for n, _ in params]
             elif cls is Const and t.name in _OPERANDS and _OPERANDS[t.name] <= len(args):
-                # a connective applied in full is written infix: (~ A), (A & B)
+                # a connective or = applied in full is written infix: (~ A), (A & B), (A = B)
                 if t.name == NEG.name:
                     parts = ["(~ " + self.text(args.pop()) + ")"]
                 else:
@@ -283,8 +285,6 @@ class _PremiseWalk:
             return _thf_var(self.rename.get(t.name, t.name))
         if cls is Const:
             return self.const(t)
-        if cls is Eq:
-            return "(" + self.text(t.left) + " = " + self.text(t.right) + ")"
         if cls is Lam:
             return self.binder("^[", t)
         raise TypeError(f"cannot render {t!r}")

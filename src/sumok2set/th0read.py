@@ -11,10 +11,10 @@ offending token again, and its line and column are worked out from its
 offset.  A parsed text shares one Const node per declared constant and one
 Var node per binder.  Terms come out flat: membership, subset, conditional
 and separation are applied constants, as the text writes them, and so are
-the connectives and truth values, each the one node hostterm.LOGICAL holds
-for its name: (A & B) is CONJ applied to A and B.  A quantifier is its
-constant applied to a lambda: (![X : $i]: P) is hostterm.forall("X", $i,
-P).  Only = builds a node of its own.
+the connectives, equality and truth values, each the one node
+hostterm.LOGICAL holds for its name: (A & B) is CONJ applied to A and B,
+and (A = B) is EQUALS applied to A and B.  A quantifier is its constant
+applied to a lambda: (![X : $i]: P) is hostterm.forall("X", $i, P).
 
 th0 reads rendered problems with it, catalog the background theory, and
 hforacle the claims of a lemma file.
@@ -27,6 +27,7 @@ import re
 from .hostterm import (
     CONJ,
     DISJ,
+    EQUALS,
     IFF,
     IMP,
     IOTA,
@@ -36,7 +37,6 @@ from .hostterm import (
     App,
     Arrow,
     Const,
-    Eq,
     Lam,
     Var,
     exists,
@@ -68,7 +68,7 @@ _OPS = frozenset(
 _BAD_RE = re.compile(r"(?:[A-Za-z0-9_$()\[\]:,.@&|~!?^=> \t\r\n]+|%[^\n]*|<=>)*")
 _END = ""  # the sentinel after the last token; no token is empty
 _LOWER_WORD_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")  # what a TPTP constant is
-_BINOPS = frozenset([CONJ.name, DISJ.name, IMP.name, IFF.name, "="])
+_BINOPS = frozenset([CONJ.name, DISJ.name, IMP.name, IFF.name, EQUALS.name])
 _BINDERS = {"!": forall, "?": exists, "^": Lam}
 
 
@@ -219,8 +219,6 @@ class _Parser:
             return out
         if len(items) != 2 and op in ("=>", "<=>", "="):
             raise self.error(f"operator {op!r} is binary", op_at - self.before)
-        if op == "=":
-            return Eq(items[0], out)
         node = LOGICAL[op]
         for item in reversed(items[:-1]):
             out = App(App(node, item), out)

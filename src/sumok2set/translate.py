@@ -47,12 +47,12 @@ from .hostterm import (
     App,
     Arrow,
     Const,
-    Eq,
     IOTA,
     Lam,
     Var,
     app,
     conj_chain,
+    eq,
     exists,
     forall,
     imp_chain,
@@ -195,7 +195,7 @@ class Translator:
         offset = app(cc("ord_sub"), ix, App(cc("len"), rho))
         chain = cc("emptyset")
         for j in range(len(items) - 1, -1, -1):
-            chain = app(ITE, Eq(offset, ord_of(j)), App(cc("tag"), items[j]), chain)
+            chain = app(ITE, eq(offset, ord_of(j)), App(cc("tag"), items[j]), chain)
         return Lam(n, IOTA, app(ITE, app(IN, ix, App(cc("len"), rho)), App(rho, ix), chain))
 
     def kappa(self, t: sumo.Kappa):
@@ -251,7 +251,7 @@ class Translator:
                 out = quantifier(host_var(n), ty, out)
             return out
         if isinstance(f, sumo.Eq):
-            return Eq(self.term(f.left), self.term(f.right))
+            return eq(self.term(f.left), self.term(f.right))
         if isinstance(f, sumo.Instance):
             return app(IN, self.term(f.member), self.term(f.cls))
         if isinstance(f, sumo.Subclass):
@@ -292,7 +292,7 @@ class Translator:
         rel = self.resolve(name)
         base = mangle(name)
         facts = [
-            (f"rel_{base}_arity", Eq(App(cc("arity"), rel), ord_of(info.min_arity))),
+            (f"rel_{base}_arity", eq(App(cc("arity"), rel), ord_of(info.min_arity))),
             (
                 f"rel_{base}_vararity",
                 App(cc("vararity"), rel) if info.var_arity else App(NEG, App(cc("vararity"), rel)),
@@ -300,7 +300,7 @@ class Translator:
         ]
         for j, dom in enumerate(guardmod.host_domains(info, self.resolve)):
             facts.append(
-                (f"rel_{base}_domseq{j}", Eq(app(cc("domseq"), rel, ord_of(j)), dom))
+                (f"rel_{base}_domseq{j}", eq(app(cc("domseq"), rel, ord_of(j)), dom))
             )
         return facts
 

@@ -203,7 +203,7 @@ def test_const_helper_types():
 # sha256 digests of the catalog: the repr of every entry's (name, type,
 # premises, defn) in catalog order, and the rendered background of the
 # whole catalog, its premise records and then its separation definitions
-CATALOG_ENTRIES_DIGEST = "d59f2f78b5ad35484974785c6825edc001ab91fccb740364fb1099185b0ed3c2"
+CATALOG_ENTRIES_DIGEST = "a315ea765e22a9866c285bcf10624cfb11d89a13027d90cc7c17ff8fa61ee647"
 CATALOG_PREMISES_DIGEST = "37f8f9d9059e96bba46c90a597a037eab5c9901eb1cba4802d1e812d1faa1e51"
 CATALOG_SEPS_DIGEST = "60fd4b205ad4b021a56ad0b9092706692bad4a2fe6686f03a1ba9bb508418874"
 

@@ -104,6 +104,61 @@ def test_translate_to_stdout(capsys):
     assert "thf(ty_in, type, in" in out
 
 
+# the last comment lines --explain-guards writes, and the conjecture: a class
+# with a host term of its own as the problem writes it, in a subset guard
+# and a range-heuristic one, an expanded row domain, and no guard from the
+# range heuristic where the other side is an application of a variable head
+@pytest.mark.parametrize(
+    "kb,query,flags,tail,conjecture",
+    [
+        (
+            "(domainSubclass likes 1 Class)", "(query (exists (?C) (likes ?C Bob)))", [],
+            ["% exists ?C:", "%   C: subset of (power @ univ)"],
+            "(?[C : $i]: ((subq @ C @ (power @ univ)) & (istrue @ (ap @ s_likes @ (listset @ (cons @ C"
+            " @ (cons @ s_Bob @ nil)))))))",
+        ),
+        (
+            "(range age Class)", "(query (exists (?C) (equal ?C (age Bob))))", [],
+            ["% exists ?C:", "%   C: member of (power @ univ) [range-heuristic]"],
+            "(?[C : $i]: ((in @ C @ (power @ univ)) & (C = (ap @ s_age @ (listset @ (cons @ s_Bob @"
+            " nil))))))",
+        ),
+        (
+            "(range age Class)", "(query (exists (?X ?F) (equal ?X (?F a))))", [],
+            ["% guard derivations: none"],
+            "(?[X : $i]: (?[F : $i]: (X = (ap @ F @ (listset @ (cons @ s_a @ nil))))))",
+        ),
+        (
+            None, "(query (exists (@ROW) (partition @ROW)))", ["--expand-row-domains"],
+            ["% exists @ROW:", "%   ROW: spine in expanded variadic domain of arity 2"],
+            "(?[ROW : $i > $i]: ((dom_of_varar @ ord2 @ (^[I : $i]: (ite @ (I = ord0) @ set_or_class @"
+            " (ite @ (I = ord1) @ set_or_class @ (ite @ (I = ord2) @ set_or_class @ emptyset)))) @ ROW)"
+            " & (istrue @ (ap @ s_partition @ (listset @ ROW)))))",
+        ),
+    ],
+    ids=["subset-guard", "range-heuristic", "variable-head", "expanded-row"],
+)
+def test_translate_explains_guards_as_the_problem_writes_them(
+    tmp_path, capsys, kb, query, flags, tail, conjecture
+):
+    kb_path = KB
+    if kb is not None:
+        kb_path = str(tmp_path / "kb.kif")
+        (tmp_path / "kb.kif").write_text(kb + "\n")
+    (tmp_path / "q.kif").write_text(query + "\n")
+    code, out, err = run_cli(
+        ["translate", str(tmp_path / "q.kif"), "--kb", kb_path, "--reproducible", "--explain-guards", *flags],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    comments = [line for line in out.splitlines() if line.startswith("%")]
+    assert comments[-len(tail):] == tail
+    # the conjecture is the last record, its wrapped lines joined again
+    assert " ".join(out[out.index("thf(conj, conjecture, ") :].split()) == (
+        f"thf(conj, conjecture, {conjecture})."
+    )
+
+
 def test_translate_to_file(tmp_path, capsys):
     out_file = tmp_path / "problem.p"
     code, out, err = run_cli(

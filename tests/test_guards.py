@@ -234,7 +234,7 @@ def test_relation_facts_and_expanded_row_guard_share_the_domain_sequence():
     human = fact_tr.resolve("Human")
     expected = [App(cc("power"), fact_tr.resolve("Animal")), cc("entity"), human, human]
     assert list(g.domains) == expected
-    assert [facts[f"rel_s_mix_domseq{j}"].right for j in range(4)] == expected
+    assert [facts[f"rel_s_mix_domseq{j}"].arg for j in range(4)] == expected
     assert len(facts) == 2 + 4
     # both mint the domain classes in slot order
     assert list(guard_tr.minted) == list(fact_tr.minted)[1:] == ["s_Animal", "s_Human"]

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from sumok2set import hforacle as hf
 from sumok2set.catalog import CATALOG, SEP, cc, encode_nat, ord_of
 from sumok2set.hostterm import (
-    FORALL, App, Const, Eq, FALSE, IOTA, Lam, OMICRON, TRUE, Var, app, arrow, exists, forall,
-    quantifier,
+    EQUALS, FORALL, LOGICAL, App, Const, FALSE, IOTA, Lam, OMICRON, TRUE, Var, app, arrow, eq, exists,
+    forall, quantifier,
 )
 
 from termhelpers import conj, disj, imp, ite, mem, neg, separation, subq, subterms
@@ -513,16 +513,16 @@ def test_bounded_forall_over_sets():
 
 def test_bounded_exists_needs_conjunction():
     x = Var("X", IOTA)
-    t = exists("X", IOTA, conj(mem(x, cc("ord3")), Eq(x, cc("ord2"))))
+    t = exists("X", IOTA, conj(mem(x, cc("ord3")), eq(x, cc("ord2"))))
     assert run(t) is True
-    t2 = exists("X", IOTA, conj(mem(x, cc("ord3")), Eq(x, cc("ord4"))))
+    t2 = exists("X", IOTA, conj(mem(x, cc("ord3")), eq(x, cc("ord4"))))
     assert run(t2) is False
 
 
 def test_unbounded_iota_quantifier_unsupported():
     x = Var("X", IOTA)
     with pytest.raises(hf.Unsupported):
-        run(forall("X", IOTA, Eq(x, x)))
+        run(forall("X", IOTA, eq(x, x)))
 
 
 def test_bool_quantifier_enumerates():
@@ -651,7 +651,7 @@ def test_claim_nested_past_the_compiler_is_an_error_result():
     body = emptyset = cc("emptyset")
     for _ in range(1500):
         body = App(cc("ordsucc"), body)
-    claim = hf.Claim(1, 1, "deep", [], Eq(body, emptyset), None)
+    claim = hf.Claim(1, 1, "deep", [], eq(body, emptyset), None)
     res = hf.check_claim(claim)
     assert not res.ok
     assert res.error == "formulas nested too deeply"
@@ -665,8 +665,8 @@ def test_claim_nested_past_the_compiler_is_an_error_result():
 def test_claims_read_the_catalog_constants():
     claims = hf.parse_lemmas("![X:set]: ((ordsucc @ X) = (ite @ $true @ X @ emptyset))\n")
     consts = [t for t in subterms(claims[0].body) if type(t) is Const]
-    assert {c.name for c in consts} == {"ordsucc", "ite", "emptyset", "$true"}
-    assert all(c is (TRUE if c.name == "$true" else cc(c.name)) for c in consts)
+    assert {c.name for c in consts} == {"=", "ordsucc", "ite", "emptyset", "$true"}
+    assert all(c is (LOGICAL[c.name] if c.name in LOGICAL else cc(c.name)) for c in consts)
 
 
 def test_parse_lemmas_trailing_comment_is_accepted():
@@ -704,6 +704,25 @@ def test_check_claim_reports_errors():
         assert not res.ok
         assert res.error == "univ"
         assert res.counterexample is None
+
+
+# = between two lambdas, and between a lambda and a list binder
+EQ_LEMMAS = "((^[X : $i]: X) = (^[Y : $i]: Y))\n![R:list]: ((^[N : $i]: (R @ N)) = R)\n"
+
+
+def test_equality_at_function_type_and_used_any_other_way():
+    results = [hf.check_claim(claim) for claim in hf.parse_lemmas(EQ_LEMMAS)]
+    assert hf.format_results(results).splitlines() == [
+        "claim 1 (line 1): ok (1 assignments)",
+        "claim 2 (line 2): ok (341 assignments)",
+        "2/2 claims hold",
+    ]
+    # a bare or partial =, which only a hand-built term has, is an error
+    # result: = has no value of its own
+    e = cc("emptyset")
+    for body in (eq(App(EQUALS, e), App(EQUALS, e)), app(cc("ite"), TRUE, EQUALS, EQUALS)):
+        res = hf.check_claim(hf.Claim(1, 1, "bare", [], body, None))
+        assert (res.ok, res.error) == (False, "=")
 
 
 def test_shipped_claims_all_hold():
@@ -957,7 +976,7 @@ _Y = Var("Y", IOTA)
         ("(subq @ ord1 @ ord3)", subq(cc("ord1"), cc("ord3")), 3),
         (
             "((ite @ $true @ emptyset @ (ordsucc @ omega)) = emptyset)",
-            Eq(ite(TRUE, cc("emptyset"), App(cc("ordsucc"), cc("omega"))), cc("emptyset")),
+            eq(ite(TRUE, cc("emptyset"), App(cc("ordsucc"), cc("omega"))), cc("emptyset")),
             5,
         ),
         (
@@ -965,10 +984,10 @@ _Y = Var("Y", IOTA)
             forall("Y", IOTA, imp(mem(_Y, cc("ord3")), subq(_Y, cc("ord2")))),
             14,
         ),
-        ("($false = (~ $true))", Eq(FALSE, neg(TRUE)), 4),
+        ("($false = (~ $true))", eq(FALSE, neg(TRUE)), 4),
         (
             "((sep @ ord3 @ (^[X : $i]: (in @ X @ ord2))) = ord2)",
-            Eq(separation("X", cc("ord3"), mem(Var("X", IOTA), cc("ord2"))), cc("ord2")),
+            eq(separation("X", cc("ord3"), mem(Var("X", IOTA), cc("ord2"))), cc("ord2")),
             16,
         ),
     ],
@@ -986,7 +1005,7 @@ def test_a_lemma_line_spends_the_fuel_of_the_catalog_built_term(line, built, use
 
 def test_unsupported_shapes_fail_when_run_after_their_charge():
     x = Var("X", IOTA)
-    unbounded = forall("X", IOTA, Eq(x, x))
+    unbounded = forall("X", IOTA, eq(x, x))
     # compiling never raises; running charges the node first
     with pytest.raises(hf.OutOfFuel):
         hf.Evaluator(fuel=0).eval(unbounded, {})
@@ -1110,8 +1129,8 @@ def staging_cases():
         "![X:set, N:nat]: ((in @ X @ emptyset) => ((ord_add @ N @ omega) = X))\n"
     )
     x = Var("X", IOTA)
-    unsupported = Eq(App(cc("ordsucc"), cc("omega")), x)
-    claims.append(hf.Claim(5, 0, "ite", [("X", "set")], ite(Eq(x, x), TRUE, unsupported), None))
+    unsupported = eq(App(cc("ordsucc"), cc("omega")), x)
+    claims.append(hf.Claim(5, 0, "ite", [("X", "set")], ite(eq(x, x), TRUE, unsupported), None))
     return list(zip(claims, [16, 1, 16, 64, 16]))
 
 
@@ -1265,7 +1284,7 @@ def test_reuse_charges_no_definition_expansion(monkeypatch):
         _Definitions({"one": App(cc("ordsucc"), cc("ord0")), "two": app(cc("ord_add"), one, one)}),
     )
     side = app(cc("ord_add"), Var("X", IOTA), two)
-    claim = hf.Claim(1, 0, "defs", [("X", "set"), ("Y", "set")], Eq(side, side), None)
+    claim = hf.Claim(1, 0, "defs", [("X", "set"), ("Y", "set")], eq(side, side), None)
     assert staged_check(claim) == (True, 256, None, None)
     # fuel runs out on the same assignment at every cap up to what it needs
     for fuel in range(1, 5000, 61):

@@ -15,7 +15,6 @@ from sumok2set.hostterm import (
     App,
     Arrow,
     Const,
-    Eq,
     FALSE,
     Lam,
     TRUE,
@@ -24,6 +23,7 @@ from sumok2set.hostterm import (
     HostType,
     app,
     arrow,
+    eq,
     children,
     conj_chain,
     exists,
@@ -67,7 +67,7 @@ def test_typecheck_basics():
     assert typecheck(x) == IOTA
     assert typecheck(mem(x, Const("s", IOTA))) == O
     assert typecheck(subq(x, x)) == O
-    assert typecheck(Eq(x, x)) == O
+    assert typecheck(eq(x, x)) == O
     assert typecheck(TRUE) == O
     assert typecheck(FALSE) == O
 
@@ -127,7 +127,7 @@ def test_typecheck_rejects_bad_connective_operand():
 
 def test_typecheck_eq_needs_same_type():
     with pytest.raises(TypeMismatch):
-        typecheck(Eq(Const("c", IOTA), Const("p", O)))
+        typecheck(eq(Const("c", IOTA), Const("p", O)))
 
 
 def test_typecheck_free_variable_is_self_typed():
@@ -219,23 +219,23 @@ ONE_OF_EACH = [
     X, S,
     App(Const("f", arrow(IOTA, IOTA)), X),
     Lam("X", IOTA, X),
-    Eq(X, S),
 ]
 
-# the truth values, connectives and quantifiers, logical constants applied
-# like any other constant, by the usual names of what they spell
+# the truth values, connectives, equality and quantifiers, logical constants
+# applied like any other constant, by the usual names of what they spell
 LOGICAL_TERMS = {
     "Bot": FALSE, "Top": TRUE, "Neg": neg(TRUE), "Imp": imp(TRUE, FALSE),
     "Conj": conj(TRUE, FALSE), "Disj": disj(TRUE, FALSE), "Iff": iff(TRUE, FALSE),
-    "All": forall("X", IOTA, mem(X, S)), "Ex": exists("X", IOTA, mem(X, S)),
+    "Eq": eq(X, S), "All": forall("X", IOTA, mem(X, S)), "Ex": exists("X", IOTA, mem(X, S)),
 }
 
 
 def test_shapes_are_the_simply_typed_lambda_calculus():
     # the set primitives are applied catalog constants and the connectives,
-    # truth values and quantifiers applied logical constants, no node kinds
-    assert set(hostterm.SHAPES) == {Var, Const, App, Lam, Eq}
-    assert len(hostterm.SHAPES) == 5
+    # equality, truth values and quantifiers applied logical constants, no
+    # node kinds: Church's lambda-terms
+    assert set(hostterm.SHAPES) == {Var, Const, App, Lam}
+    assert len(hostterm.SHAPES) == 4
 
 
 def test_traversal_table_covers_every_term_class():
@@ -289,7 +289,7 @@ def test_children_rejects_unknown_node():
 def test_free_vars_sep_scopes_body_not_bound():
     t = separation("X", App(Const("f", arrow(IOTA, IOTA)), X), mem(X, Y))
     assert free_vars(t) == [("X", IOTA), ("Y", IOTA)]
-    assert free_vars(Lam("X", IOTA, conj(Eq(X, Y), Eq(Y, X)))) == [("Y", IOTA)]
+    assert free_vars(Lam("X", IOTA, conj(eq(X, Y), eq(Y, X)))) == [("Y", IOTA)]
 
 
 def test_substitute_respects_binders_but_not_capture():
@@ -300,9 +300,9 @@ def test_substitute_respects_binders_but_not_capture():
 
 def test_consts_pre_order_with_repeats():
     f, g = Const("f", arrow(IOTA, IOTA)), Const("g", IOTA)
-    t = conj(Eq(App(f, g), g), Eq(S, g))
-    assert consts(t) == [hostterm.CONJ, f, g, g, S, g]
-    assert const_names(t) == ["&", "f", "g", "s"]
+    t = conj(eq(App(f, g), g), eq(S, g))
+    assert consts(t) == [hostterm.CONJ, hostterm.EQUALS, f, g, g, hostterm.EQUALS, S, g]
+    assert const_names(t) == ["&", "=", "f", "g", "s"]
 
 
 # a clean form, one lowering stops at a skip head, and one it skips only
@@ -324,7 +324,7 @@ def _compile_and_pose():
 
 _PREMISE = forall("X", IOTA, conj(
     mem(X, separation("Z", ite(TRUE, S, X), mem(Var("Z", IOTA), separation("W", X, subq(Var("W", IOTA), S))))),
-    Eq(App(separation("Z", S, TRUE), X), Y),
+    eq(App(separation("Z", S, TRUE), X), Y),
 ))
 
 
@@ -334,8 +334,8 @@ _PREMISE = forall("X", IOTA, conj(
     "walk",
     [
         lambda: typecheck(forall("X", IOTA, conj(mem(X, separation("Z", S, mem(Var("Z", IOTA), X))), TRUE))),
-        lambda: free_vars(Lam("X", IOTA, conj(Eq(X, Y), mem(Y, separation("Z", X, TRUE))))),
-        lambda: substitute(forall("Y", IOTA, conj(Eq(X, Y), mem(Y, S))), {"X": S}),
+        lambda: free_vars(Lam("X", IOTA, conj(eq(X, Y), mem(Y, separation("Z", X, TRUE))))),
+        lambda: substitute(forall("Y", IOTA, conj(eq(X, Y), mem(Y, S))), {"X": S}),
         lambda: CATALOG.background({"ord_add", "len", "dom_of"}),
         lambda: [sumo.lower(form) for form in _SUMO_FORMS],
         lambda: th0.render_premise("ax", "axiom", _PREMISE),

@@ -7,7 +7,8 @@ close_vararity against an independent graph-reachability computation.
 import pytest
 from hypothesis import given, strategies as st
 
-from sumok2set import signature, sumo
+from sumok2set import sexpr, signature, sumo
+from sumok2set.sexpr import InputError
 
 from conftest import lower_all, sig_from
 
@@ -211,3 +212,23 @@ def test_merge_fragment_employs_inherits(merge_sig):
         1: ("Object", "instance"),
         2: ("AutonomousAgent", "instance"),
     }
+
+
+# Lowering and declaration errors no other test reaches, pinned as error
+# class, FILE:LINE:COL and message.
+@pytest.mark.parametrize(
+    "source,error,where,message",
+    [
+        ("(instance @ROW Organization)", sumo.UnknownSyntax, "e.kif:1:11", "row variable used as a term"),
+        ("(domain p 0 C)", signature.NonGroundDeclaration, "e.kif:1:1",
+         "argument index must be a positive integer"),
+        ("(range p)", signature.NonGroundDeclaration, "e.kif:1:1", "range declaration expects two arguments"),
+        ("(subrelation a)", signature.NonGroundDeclaration, "e.kif:1:1", "subrelation expects two arguments"),
+    ],
+)
+def test_lowering_and_declaration_errors_pinned(source, error, where, message):
+    (form,) = sexpr.parse_forms(source, "e.kif")
+    with pytest.raises(InputError) as caught:
+        signature.collect([sumo.lower(form)])
+    assert type(caught.value) is error
+    assert (str(caught.value.span), caught.value.message) == (where, message)

@@ -247,6 +247,10 @@ def test_one_operand_conjunction_and_disjunction_lower_to_the_operand(head):
     assert formula_of(f"({head} (p a))") == formula_of("(p a)")
 
 
+def test_a_numeral_with_a_plus_sign_lowers_to_its_value():
+    assert formula_of("(p +5)") == sumo.Apply(sumo.Const("p"), sumo.TermSpine((sumo.Rat(5, 0),)))
+
+
 def test_bad_numeral():
     with pytest.raises(sumo.BadNumeral):
         sumo.parse_numeral("1.2.3")

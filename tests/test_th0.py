@@ -17,16 +17,18 @@ from sumok2set.hostterm import (
     App,
     Arrow,
     Const,
-    Eq,
+    EQUALS,
     FALSE,
     FORALL,
     IOTA,
     Lam,
     OMICRON,
     TRUE,
+    TypeMismatch,
     Var,
     app,
     arrow,
+    eq,
     exists,
     forall,
     quantifier,
@@ -78,19 +80,47 @@ def test_render_flattens_application_spines():
 
 
 def test_render_binders_one_variable_each():
-    t = forall("X", IOTA, exists("Y", IOTA, Eq(Var("X", IOTA), Var("Y", IOTA))))
+    t = forall("X", IOTA, exists("Y", IOTA, eq(Var("X", IOTA), Var("Y", IOTA))))
     assert render_term(t) == "(![X : $i]: (?[Y : $i]: (X = Y)))"
 
 
 def test_a_quantifier_is_written_only_as_the_binder_of_a_lambda():
     c = Const("c", IOTA)
     q = quantifier(FORALL, IOTA)
-    for bad in (q, App(q, Const("p", arrow(IOTA, OMICRON))), Eq(q, q)):
+    for bad in (q, App(q, Const("p", arrow(IOTA, OMICRON))), eq(q, q)):
         with pytest.raises(TypeError, match="cannot render"):
             render_term(bad)
     # a quantifier is declared by no problem, so no record reads it
-    record = th0.render_premise("ax", "axiom", forall("X", IOTA, Eq(Var("X", IOTA), c)))
+    record = th0.render_premise("ax", "axiom", forall("X", IOTA, eq(Var("X", IOTA), c)))
     assert record.consts == (c,)
+
+
+# a problem with = at a function type, and one with = between two types
+EQ_AT_A_FUNCTION_TYPE = "thf(ty_f, type, f : $i > $i).\nthf(conj, conjecture, (f = (^[X : $i]: (f @ X)))).\n"
+EQ_BETWEEN_TWO_TYPES = (
+    "thf(ty_a, type, a : $o).\nthf(ty_c, type, c : $i).\nthf(conj, conjecture, (a = c)).\n"
+)
+
+
+def test_equality_is_typed_by_its_operands(cold_memo):
+    assert check_text(EQ_AT_A_FUNCTION_TYPE) == []
+    assert check_text(EQ_BETWEEN_TWO_TYPES) == ["conj: ill-typed: equation between $o and $i"]
+
+
+def test_equality_used_but_applied_to_two_operands_is_ill_typed_and_not_written():
+    # only a hand-built term has a bare or partial =: the reader builds
+    # = applied to two operands, or nothing
+    c = Const("c", IOTA)
+    for bad in (EQUALS, App(EQUALS, c)):
+        with pytest.raises(TypeMismatch) as caught:
+            th0.typecheck(bad)
+        assert str(caught.value) == "= applied to fewer than two operands"
+        with pytest.raises(TypeError, match="^cannot render .* but applied to two operands$"):
+            render_term(bad)
+    # applied to a third, an equation is applied as a function
+    with pytest.raises(TypeMismatch, match=r"^applied non-function of type \$o$"):
+        th0.typecheck(App(eq(c, c), c))
+    assert th0.typecheck(eq(c, c)) == OMICRON and render_term(eq(c, c)) == "(c = c)"
 
 
 def test_render_lambda_and_connectives():
@@ -108,10 +138,10 @@ def test_render_mem_subq_as_applied_constants():
 
 
 def test_variable_sanitization():
-    t = forall("row", IOTA, Eq(Var("row", IOTA), Var("row", IOTA)))
+    t = forall("row", IOTA, eq(Var("row", IOTA), Var("row", IOTA)))
     out = render_term(t)
     assert "V_row" in out
-    t2 = forall("X1_ok", IOTA, Eq(Var("X1_ok", IOTA), Var("X1_ok", IOTA)))
+    t2 = forall("X1_ok", IOTA, eq(Var("X1_ok", IOTA), Var("X1_ok", IOTA)))
     assert "X1_ok" in render_term(t2)
 
 
@@ -238,12 +268,12 @@ def test_alpha_variant_seps_share_a_constant():
 def test_constant_used_at_two_types_is_rejected():
     f_i = Const("f", IOTA)
     f_ii = Const("f", arrow(IOTA, IOTA))
-    twice = conj(Eq(f_i, f_i), Eq(App(f_ii, f_i), f_i))
+    twice = conj(eq(f_i, f_i), eq(App(f_ii, f_i), f_i))
     for prob in (
         simple_problem(twice),
         # in two premises, each flattened and rendered on its own
-        simple_problem(Eq(App(f_ii, Const("s_a", IOTA)), Const("s_a", IOTA)),
-                       premises=[("kb_x_0", "axiom", Eq(f_i, f_i))]),
+        simple_problem(eq(App(f_ii, Const("s_a", IOTA)), Const("s_a", IOTA)),
+                       premises=[("kb_x_0", "axiom", eq(f_i, f_i))]),
     ):
         with pytest.raises(th0.Th0Error, match="constant f used at two types"):
             problem_text(prob, reproducible=True)
@@ -1019,7 +1049,7 @@ def _gen_prop(rng, depth, bound):
         ctor = rng.choice((conj, disj, imp, iff))
         return ctor(_gen_prop(rng, d, bound), _gen_prop(rng, d, bound))
     if k == 9:
-        return Eq(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
+        return eq(_gen_set(rng, d, bound), _gen_set(rng, d, bound))
     name = rng.choice(_GEN_BINDERS)
     ctor = rng.choice((forall, exists, forall))
     return ctor(name, IOTA, _gen_prop(rng, d, bound | {name}))
@@ -1077,14 +1107,14 @@ _SEP_CASES = [
     # three deep, each level over the one outside it and over B and C
     separation("X", _B, mem(_X, separation("Y", _X, subq(_Y, separation("Z", _Y, conj(mem(_Z, _X), mem(_C, _B))))))),
     # three deep through the bound, a conditional and a head position
-    mem(_S, separation("X", separation("Y", ite(mem(_B, _S), _B, _C), mem(_Y, separation("Z", _C, Eq(_Z, _Y)))),
+    mem(_S, separation("X", separation("Y", ite(mem(_B, _S), _B, _C), mem(_Y, separation("Z", _C, eq(_Z, _Y)))),
                 App(separation("Z", _X, TRUE), _B))),
     # B becomes P0 under a binder named P0
     mem(_S, separation("X", _S, forall("P0", IOTA, mem(_B, _P0)))),
     # C becomes P1 under a binder named P1, B becomes P0 beside it
     mem(_S, separation("X", _B, exists("P1", IOTA, conj(mem(_C, _P1), mem(_X, _B))))),
     # the element becomes SEPX under a binder named SEPX
-    mem(_S, separation("X", _S, exists("SEPX", IOTA, Eq(_X, _SEPX)))),
+    mem(_S, separation("X", _S, exists("SEPX", IOTA, eq(_X, _SEPX)))),
     # a free P0 is itself a parameter (P1); a binder P0 suspends its renaming
     mem(_S, separation("X", _B, conj(mem(_X, _P0), forall("P0", IOTA, mem(_P0, _B))))),
     # a free SEPX moves the element to SEPX_; a binder X suspends the element

@@ -13,12 +13,12 @@ from sumok2set.hostterm import (
     FORALL,
     App,
     Const,
-    Eq,
     IMP,
     IOTA,
     Lam,
     Var,
     app,
+    eq,
     exists,
     forall,
     imp_chain,
@@ -340,7 +340,7 @@ def test_negative_context_guards_still_implied():
 def test_arithmetic_applies_through_ap():
     tr = Translator(sig_from(""))
     got = tr.formula(formula_of("(equal (MultiplicationFn 3 4) 12)"))
-    expected = Eq(
+    expected = eq(
         ap_list(cc("arith_mult"), [ord_of(3), ord_of(4)]),
         App(
             App(cc("ord_add"), App(App(cc("ord_mult"), ord_of(1)), ord_of(10))),
@@ -393,7 +393,7 @@ def test_real_number_classes_translate_to_their_catalog_constants(name, host):
     # the guard of a variable equal to an application of the relation
     half = tr.resolve("half")
     domain = dict(tr.relation_facts("half"))["rel_s_half_domseq0"]
-    assert domain == Eq(app(cc("domseq"), half, ord_of(0)), c)
+    assert domain == eq(app(cc("domseq"), half, ord_of(0)), c)
     found = guards.guards_for(formula_of("(equal ?X (half 1))"), {"X"}, tr.sig, tr.resolve)
     assert found == [("X", guards.MemClass(c, guards.MEMBER))]
     # as an argument
@@ -583,14 +583,14 @@ def test_relation_facts_variadic():
     )
     p = Const("s_partition", IOTA)
     assert alpha_eq(
-        facts["rel_s_partition_arity"], Eq(App(cc("arity"), p), ord_of(2))
+        facts["rel_s_partition_arity"], eq(App(cc("arity"), p), ord_of(2))
     )
     assert alpha_eq(facts["rel_s_partition_vararity"], App(cc("vararity"), p))
     soc = cc("set_or_class")
     for j in (0, 1, 2):
         assert alpha_eq(
             facts[f"rel_s_partition_domseq{j}"],
-            Eq(app(cc("domseq"), p, ord_of(j)), soc),
+            eq(app(cc("domseq"), p, ord_of(j)), soc),
         )
 
 
@@ -616,7 +616,7 @@ def test_relation_facts_subclass_slot_power_wrapped():
     tr.resolve("immediateSubclass")
     facts = dict(tr.relation_facts("immediateSubclass"))
     got = facts["rel_s_immediateSubclass_domseq0"]
-    want = Eq(
+    want = eq(
         app(cc("domseq"), Const("s_immediateSubclass", IOTA), ord_of(0)),
         App(cc("power"), cc("set_or_class")),
     )
