@@ -242,6 +242,37 @@ def test_connective_and_binder_errors_pinned(source, error, where, message):
     assert (str(caught.value.span), caught.value.message) == (where, message)
 
 
+# Each two-argument atom's and arithmetic function's arity check, pinned as
+# error class, FILE:LINE:COL and message.
+@pytest.mark.parametrize(
+    "source,error,where,message",
+    [
+        ("(equal a)", sumo.UnknownSyntax, "e.kif:1:1", "equal expects two arguments"),
+        ("(instance a b c)", sumo.UnknownSyntax, "e.kif:1:1", "instance expects two arguments"),
+        ("(subclass A)", sumo.UnknownSyntax, "e.kif:1:1", "subclass expects two arguments"),
+        ("(lessThan 1)", sumo.UnknownSyntax, "e.kif:1:1", "lessThan expects two arguments"),
+        (
+            "(lessThanOrEqualTo 1 2 3)", sumo.UnknownSyntax, "e.kif:1:1",
+            "lessThanOrEqualTo expects two arguments",
+        ),
+        (
+            "(p (AdditionFn 1))", sumo.UnknownSyntax, "e.kif:1:4",
+            "AdditionFn expects exactly two arguments",
+        ),
+        (
+            "(p (DivisionFn 1 2 3))", sumo.UnknownSyntax, "e.kif:1:4",
+            "DivisionFn expects exactly two arguments",
+        ),
+    ],
+)
+def test_binary_arity_errors_pinned(source, error, where, message):
+    (form,) = sexpr.parse_forms(source, "e.kif")
+    with pytest.raises(sumo.LowerError) as caught:
+        sumo.lower(form)
+    assert type(caught.value) is error
+    assert (str(caught.value.span), caught.value.message) == (where, message)
+
+
 @pytest.mark.parametrize("head", ["and", "or"])
 def test_one_operand_conjunction_and_disjunction_lower_to_the_operand(head):
     assert formula_of(f"({head} (p a))") == formula_of("(p a)")

@@ -307,6 +307,27 @@ def test_every_connective_quantifier_and_comparison_renders_pinned(tmp_path):
     )
 
 
+# A query over all nine two-argument heads: the three atoms, both
+# comparisons and the four arithmetic functions.
+BINARY_QUERY = (
+    "(query (exists (?X ?C) (and (instance ?X Organization) (subclass ?C Organization)"
+    " (equal (AdditionFn 1 2) (SubtractionFn 5 2))"
+    " (lessThan (MultiplicationFn 2 2) (DivisionFn 9 2)) (lessThanOrEqualTo 1 1))))\n"
+)
+
+
+def test_every_binary_head_renders_pinned(tmp_path):
+    got = _conjecture_text(tmp_path, None, BINARY_QUERY)
+    assert got == (
+        "thf(conj, conjecture, (?[X : $i]: (?[C : $i]: ((in @ X @ entity) & ((in @ X @ s_Organization) &\n"
+        "    ((subq @ C @ s_Organization) & (((ap @ arith_add @ (listset @ (cons @ ord1 @ (cons @ ord2 @\n"
+        "    nil)))) = (ap @ arith_sub @ (listset @ (cons @ ord5 @ (cons @ ord2 @ nil))))) & ((istrue @ (ap @\n"
+        "    arith_lt @ (listset @ (cons @ (ap @ arith_mult @ (listset @ (cons @ ord2 @ (cons @ ord2 @\n"
+        "    nil)))) @ (cons @ (ap @ arith_div @ (listset @ (cons @ ord9 @ (cons @ ord2 @ nil)))) @ nil)))))\n"
+        "    & (istrue @ (ap @ arith_leq @ (listset @ (cons @ ord1 @ (cons @ ord1 @ nil)))))))))))))."
+    )
+
+
 def test_domain_subclass_guard_renders_pinned(tmp_path):
     got = _conjecture_text(
         tmp_path,
