@@ -191,12 +191,13 @@ class _GuardWalk:
         if isinstance(node, sumo.Apply):
             self.spine(node.head, node.spine, shadowed)
             return
-        if isinstance(node, sumo.Instance) and isinstance(node.member, sumo.Var):
-            guard = MemClass(cc("entity"), MEMBER, origin="instance-arg")
-            self.add(node.member.name, shadowed, guard)
-        elif isinstance(node, sumo.Eq):
-            self.range_heuristic(node.left, node.right, shadowed)
-            self.range_heuristic(node.right, node.left, shadowed)
+        if isinstance(node, sumo.Binary):
+            if node.op == "instance" and isinstance(node.left, sumo.Var):
+                guard = MemClass(cc("entity"), MEMBER, origin="instance-arg")
+                self.add(node.left.name, shadowed, guard)
+            elif node.op == "equal":
+                self.range_heuristic(node.left, node.right, shadowed)
+                self.range_heuristic(node.right, node.left, shadowed)
         binding = sumo.binder(node)
         if binding is not None:
             shadowed = shadowed | set(binding[1])

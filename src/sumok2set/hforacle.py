@@ -678,7 +678,7 @@ class Evaluator:
             return self._defn_cache[name]
         defn = CATALOG.defn_of(name) if name in CATALOG else None
         if defn is None:
-            raise UninterpretedConstant(name)
+            raise UninterpretedConstant(f"uninterpreted constant {name}")
         spent, fuel = self.defn_fuel, self.fuel
         value = self.eval(defn, {})
         self._defn_cache[name] = value

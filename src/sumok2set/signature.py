@@ -3,7 +3,9 @@
 Collects ground typing declarations (domain, domainSubclass, range,
 rangeSubclass, subrelation, instance, subclass), finalizes per-constant
 records, and closes the variable-arity judgement under the class
-hierarchy by fixpoint iteration.
+hierarchy by fixpoint iteration.  The first five are relation atoms
+(sumo.Apply); an instance or subclass fact is a sumo.Binary whose op is
+its head.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ def declaration_head(f) -> str | None:
 
     These are the forms collect reads: top-level domain, domainSubclass,
     range, rangeSubclass and subrelation atoms over a spine of terms, and
-    instance and subclass facts between two constants.  A formula that is
-    none of these leaves the signature as it is.
+    instance and subclass facts (a Binary, whose op is returned) between two
+    constants.  A formula that is none of these leaves the signature as it
+    is.
     """
     cls = type(f)
     if cls is sumo.Apply:
@@ -114,12 +117,9 @@ def declaration_head(f) -> str | None:
             and type(f.spine) is sumo.TermSpine
         ):
             return f.head.name
-    elif cls is sumo.Instance:
-        if type(f.member) is sumo.Const and type(f.cls) is sumo.Const:
-            return "instance"
-    elif cls is sumo.Subclass:
-        if type(f.sub) is sumo.Const and type(f.sup) is sumo.Const:
-            return "subclass"
+    elif cls is sumo.Binary and f.op in ("instance", "subclass"):
+        if type(f.left) is sumo.Const and type(f.right) is sumo.Const:
+            return f.op
     return None
 
 
@@ -140,13 +140,13 @@ def collect(assertions) -> Signature:
             continue
         span = a.span
         if head == "instance":
-            info = sig._ensure(f.member.name)
-            if f.cls.name not in info.instance_of:
-                info.instance_of.append(f.cls.name)
+            info = sig._ensure(f.left.name)
+            if f.right.name not in info.instance_of:
+                info.instance_of.append(f.right.name)
         elif head == "subclass":
-            edges = sig.subclass_edges.setdefault(f.sub.name, [])
-            if f.sup.name not in edges:
-                edges.append(f.sup.name)
+            edges = sig.subclass_edges.setdefault(f.left.name, [])
+            if f.right.name not in edges:
+                edges.append(f.right.name)
         elif head == "subrelation":
             items = f.spine.items
             if len(items) != 2:
@@ -176,9 +176,7 @@ def _inherit_subrelations(sig: Signature) -> None:
             if info.has_domains() and info.range is not None:
                 continue
             for sup_name in info.subrelation_of:
-                sup = sig.consts.get(sup_name)
-                if sup is None:
-                    continue
+                sup = sig.consts[sup_name]  # collect records every super relation
                 if not info.has_domains() and sup.has_domains():
                     info.arg_domain = dict(sup.arg_domain)
                     info.min_arity = max(info.min_arity, sup.min_arity)

@@ -9,8 +9,9 @@ form's free variables (which Assertion and Query carry) and its skip head.
 
 A connective or a quantifier is one node kind that carries its KIF head as
 op: Connective, Quantified over ordinary variables, RowQuantified over a row
-variable.  A comparison is an Arith, as arithmetic is, and stands for its
-truth where a formula stands.
+variable.  Every KIF head over exactly two terms is a Binary that carries
+its head as op: the arithmetic functions where a term stands, and equal,
+instance, subclass and the two comparisons where a formula stands.
 
 Nodes are slotted dataclasses that compare and hash by class and fields.
 They are immutable by contract, not frozen, because a frozen dataclass pays
@@ -23,7 +24,6 @@ a node once it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -42,13 +42,6 @@ from .sexpr import (
 
 # ---------------------------------------------------------------------------
 # Terms
-
-ARITH_ADD = "+"
-ARITH_SUB = "-"
-ARITH_MULT = "*"
-ARITH_DIV = "/"
-ARITH_LT = "<"
-ARITH_LE = "<="
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -99,8 +92,8 @@ class Kappa:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Arith:
-    """An arithmetic function term, or a comparison (ARITH_LT, ARITH_LE) where a formula stands."""
+class Binary:
+    """Two terms under a KIF head, its op: arithmetic, or an atom where a formula stands."""
 
     op: str
     left: object
@@ -135,24 +128,6 @@ class RowQuantified:
     op: str
     name: str
     body: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Eq:
-    left: object
-    right: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Instance:
-    member: object
-    cls: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Subclass:
-    sub: object
-    sup: object
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +191,9 @@ MAX_DIGITS = 100
 
 DEFAULT_SKIP_HEADS = ("modalAttribute", "holdsDuring")
 
-_ARITH_NAMES = {
-    "AdditionFn": ARITH_ADD,
-    "SubtractionFn": ARITH_SUB,
-    "MultiplicationFn": ARITH_MULT,
-    "DivisionFn": ARITH_DIV,
-}
+# the KIF heads that lower to a Binary where a term stands, and where a formula stands
+_BINARY_FUNCTIONS = frozenset(["AdditionFn", "SubtractionFn", "MultiplicationFn", "DivisionFn"])
+_BINARY_ATOMS = frozenset(["equal", "instance", "subclass", "lessThan", "lessThanOrEqualTo"])
 
 
 def parse_numeral(lexeme: str) -> Rat:
@@ -307,14 +279,6 @@ def _wrap_binders(binders, body, op: str):
 # a connective of a fixed number of operands -> (that number, in words)
 _FIXED_OPERANDS = {"not": (1, "one operand"), "=>": (2, "two operands"), "<=>": (2, "two operands")}
 
-_BINARY_ATOMS = {
-    "equal": Eq,
-    "instance": Instance,
-    "subclass": Subclass,
-    "lessThan": partial(Arith, ARITH_LT),
-    "lessThanOrEqualTo": partial(Arith, ARITH_LE),
-}
-
 
 class _Lowering:
     """The lowering of one form, the one place its free variables are found.
@@ -363,11 +327,11 @@ class _Lowering:
             if not (isinstance(var, Atom) and var.kind == ATOM_VARIABLE):
                 raise MalformedBinder("KappaFn expects a variable and a body", sx.span)
             return Kappa(var.lexeme, self.formula(sx.items[2], bound | {(var.lexeme, False)}))
-        if name in _ARITH_NAMES:
+        if name in _BINARY_FUNCTIONS:
             if len(sx.items) != 3:
                 raise UnknownSyntax(f"{name} expects exactly two arguments", sx.span)
             left = self.term(sx.items[1], bound)
-            return Arith(_ARITH_NAMES[name], left, self.term(sx.items[2], bound))
+            return Binary(name, left, self.term(sx.items[2], bound))
         return Apply(Const(name), self.spine(sx.items[1:], sx, bound))
 
     def spine(self, items, owner, bound):
@@ -428,12 +392,11 @@ class _Lowering:
             if len(args) != fixed[0]:
                 raise UnknownSyntax(f"{name} expects {fixed[1]}", sx.span)
             return Connective(name, tuple([self.formula(a, bound) for a in args]))
-        ctor = _BINARY_ATOMS.get(name)
-        if ctor is not None:
+        if name in _BINARY_ATOMS:
             if len(args) != 2:
                 raise UnknownSyntax(f"{name} expects two arguments", sx.span)
             left = self.term(args[0], bound)
-            return ctor(left, self.term(args[1], bound))
+            return Binary(name, left, self.term(args[1], bound))
         return Apply(Const(name), self.spine(args, sx, bound))
 
 
@@ -492,13 +455,10 @@ SHAPES = {
     RowSpine: Shape(("prefix", "row", "suffix")),
     Apply: Shape(("head", "spine")),
     Kappa: Shape(("body",), (VAR_BINDER, "var")),
-    Arith: Shape(("left", "right")),
+    Binary: Shape(("left", "right")),
     Connective: Shape(("items",)),
     Quantified: Shape(("body",), (VAR_BINDER, "names")),
     RowQuantified: Shape(("body",), (ROW_BINDER, "name")),
-    Eq: Shape(("left", "right")),
-    Instance: Shape(("member", "cls")),
-    Subclass: Shape(("sub", "sup")),
 }
 
 

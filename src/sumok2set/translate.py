@@ -8,8 +8,10 @@ up membership guards derived from declared argument domains: implications
 under universals, conjunctions under existentials and class formation.
 A lowered connective or quantifier is looked up by its KIF head (op): a
 connective folds its logical constant to the right over its operands, and
-a quantifier names its guard chain and host quantifier.  A comparison is
-arithmetic, and stands for its truth (istrue) where a formula stands.
+a quantifier names its guard chain and host quantifier.  So is a form of
+two terms (sumo.Binary): equal, instance and subclass apply =, in and subq
+to them, and any other op is arithmetic, written through ap, which where a
+formula stands (a comparison) stands for its truth (istrue).
 
 A job reads and lowers each input file once; the signature pass and the
 translation share the lowered forms, and a form is closed over the free
@@ -41,6 +43,7 @@ from .guards import MEMBER, MemClass
 from .hostterm import (
     CONJ,
     DISJ,
+    EQUALS,
     IFF,
     IMP,
     NEG,
@@ -88,14 +91,19 @@ SPECIAL_CLASSES = {
     "NonnegativeRealNumber": cc("nonnegreal"),
 }
 
+# arithmetic function or comparison op -> the name of its catalog constant
 _ARITH_CONST = {
-    sumo.ARITH_ADD: "arith_add",
-    sumo.ARITH_SUB: "arith_sub",
-    sumo.ARITH_MULT: "arith_mult",
-    sumo.ARITH_DIV: "arith_div",
-    sumo.ARITH_LT: "arith_lt",
-    sumo.ARITH_LE: "arith_leq",
+    "AdditionFn": "arith_add",
+    "SubtractionFn": "arith_sub",
+    "MultiplicationFn": "arith_mult",
+    "DivisionFn": "arith_div",
+    "lessThan": "arith_lt",
+    "lessThanOrEqualTo": "arith_leq",
 }
+
+# two-argument atom op -> the constant applied to its two terms; any other
+# op is a comparison
+_BINARY_ATOMS = {"equal": EQUALS, "instance": IN, "subclass": SUBQ}
 
 # connective op -> its logical constant, folded to the right over the operands
 _CONNECTIVES = {"not": NEG, "=>": IMP, "<=>": IFF, "and": CONJ, "or": DISJ}
@@ -167,7 +175,7 @@ class Translator:
             return self.apply_term(t.head, t.spine)
         if isinstance(t, sumo.Kappa):
             return self.kappa(t)
-        if isinstance(t, sumo.Arith):
+        if isinstance(t, sumo.Binary):
             args = mk_list([self.term(t.left), self.term(t.right)])
             return app(cc("ap"), cc(_ARITH_CONST[t.op]), App(cc("listset"), args))
         raise TranslateError(f"not a term: {t!r}")
@@ -250,16 +258,13 @@ class Translator:
             for n in reversed(names):
                 out = quantifier(host_var(n), ty, out)
             return out
-        if isinstance(f, sumo.Eq):
-            return eq(self.term(f.left), self.term(f.right))
-        if isinstance(f, sumo.Instance):
-            return app(IN, self.term(f.member), self.term(f.cls))
-        if isinstance(f, sumo.Subclass):
-            return app(SUBQ, self.term(f.sub), self.term(f.sup))
+        if isinstance(f, sumo.Binary):
+            const = _BINARY_ATOMS.get(f.op)
+            if const is None:  # a comparison
+                return App(ISTRUE, self.term(f))
+            return app(const, self.term(f.left), self.term(f.right))
         if isinstance(f, sumo.Apply):
             return App(ISTRUE, self.apply_term(f.head, f.spine))
-        if isinstance(f, sumo.Arith):  # a comparison
-            return App(ISTRUE, self.term(f))
         raise TranslateError(f"not a formula: {f!r}")
 
     # -- closing -----------------------------------------------------------

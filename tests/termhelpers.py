@@ -208,13 +208,6 @@ def formula_free_vars(formula):
 # ---------------------------------------------------------------------------
 # Printing lowered formulas back to SUO-KIF, for the print/lower fixed point
 
-_ARITH_SURFACE = {
-    sumo.ARITH_ADD: "AdditionFn", sumo.ARITH_SUB: "SubtractionFn",
-    sumo.ARITH_MULT: "MultiplicationFn", sumo.ARITH_DIV: "DivisionFn",
-    sumo.ARITH_LT: "lessThan", sumo.ARITH_LE: "lessThanOrEqualTo",
-}
-
-
 def rat_lexeme(r: sumo.Rat) -> str:
     sign = "-" if r.num < 0 else ""
     digits = str(abs(r.num))
@@ -235,8 +228,8 @@ def term_to_kif(t) -> str:
         return "(" + " ".join([term_to_kif(t.head)] + _spine_to_kif(t.spine)) + ")"
     if isinstance(t, sumo.Kappa):
         return f"(KappaFn ?{t.var} {to_kif(t.body)})"
-    if isinstance(t, sumo.Arith):
-        return f"({_ARITH_SURFACE[t.op]} {term_to_kif(t.left)} {term_to_kif(t.right)})"
+    if isinstance(t, sumo.Binary):
+        return f"({t.op} {term_to_kif(t.left)} {term_to_kif(t.right)})"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -257,12 +250,6 @@ def to_kif(f) -> str:
         return f"({f.op} (" + " ".join("?" + n for n in f.names) + ") " + to_kif(f.body) + ")"
     if isinstance(f, sumo.RowQuantified):
         return f"({f.op} (@{f.name}) {to_kif(f.body)})"
-    if isinstance(f, sumo.Eq):
-        return f"(equal {term_to_kif(f.left)} {term_to_kif(f.right)})"
-    if isinstance(f, sumo.Instance):
-        return f"(instance {term_to_kif(f.member)} {term_to_kif(f.cls)})"
-    if isinstance(f, sumo.Subclass):
-        return f"(subclass {term_to_kif(f.sub)} {term_to_kif(f.sup)})"
-    if isinstance(f, (sumo.Apply, sumo.Arith)):  # an Arith here is a comparison
+    if isinstance(f, (sumo.Apply, sumo.Binary)):  # printed alike as term and formula
         return term_to_kif(f)
     raise TypeError(f"not a formula: {f!r}")

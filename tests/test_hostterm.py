@@ -173,11 +173,11 @@ def test_alpha_eq_sep_binder():
 
 
 def _sumo_lt():
-    return sumo.Arith(sumo.ARITH_LT, sumo.Var("X"), sumo.Rat(1, 0))
+    return sumo.Binary("lessThan", sumo.Var("X"), sumo.Rat(1, 0))
 
 
 def _sumo_le():
-    return sumo.Arith(sumo.ARITH_LE, sumo.Var("X"), sumo.Rat(1, 0))
+    return sumo.Binary("lessThanOrEqualTo", sumo.Var("X"), sumo.Rat(1, 0))
 
 
 @pytest.mark.parametrize(
@@ -226,7 +226,7 @@ ONE_OF_EACH = [
 LOGICAL_TERMS = {
     "Bot": FALSE, "Top": TRUE, "Neg": neg(TRUE), "Imp": imp(TRUE, FALSE),
     "Conj": conj(TRUE, FALSE), "Disj": disj(TRUE, FALSE), "Iff": iff(TRUE, FALSE),
-    "Eq": eq(X, S), "All": forall("X", IOTA, mem(X, S)), "Ex": exists("X", IOTA, mem(X, S)),
+    "Equals": eq(X, S), "All": forall("X", IOTA, mem(X, S)), "Ex": exists("X", IOTA, mem(X, S)),
 }
 
 

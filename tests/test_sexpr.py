@@ -260,7 +260,7 @@ _KIF_INSERTS = (
     " 0 ", " -1.50 ", " 1.2.3 ",
     " (forall (?X) ", " (exists (?Y @ROW) ", "(forall () ", " (KappaFn ?Z ",
 )
-KIF_MUTATION_DIGEST = "ba02cb88db761698250df73bdafa32142257a1d5e7ce32f6521e70e503bf4303"
+KIF_MUTATION_DIGEST = "30b8339d99cd2a170318a96842a263a5454178950dabcdeee05442e9307784b7"
 
 
 def _kif_mutants(n, seed):

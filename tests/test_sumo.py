@@ -55,8 +55,8 @@ def test_mixed_quantifier_binder():
 def test_lower_special_atoms():
     f = formula_of("(and (instance ?X Human) (subclass Human Object))")
     inst, sub = f.items
-    assert isinstance(inst, sumo.Instance)
-    assert isinstance(sub, sumo.Subclass)
+    assert isinstance(inst, sumo.Binary) and inst.op == "instance"
+    assert isinstance(sub, sumo.Binary) and sub.op == "subclass"
 
 
 def test_lower_equal_and_comparisons():
@@ -64,27 +64,27 @@ def test_lower_equal_and_comparisons():
         "(and (equal ?X ?Y) (lessThan ?X ?Y) (lessThanOrEqualTo ?X ?Y))"
     )
     eq, lt, le = f.items
-    assert isinstance(eq, sumo.Eq)
-    assert isinstance(lt, sumo.Arith) and lt.op == sumo.ARITH_LT
-    assert isinstance(le, sumo.Arith) and le.op == sumo.ARITH_LE
+    assert isinstance(eq, sumo.Binary) and eq.op == "equal"
+    assert isinstance(lt, sumo.Binary) and lt.op == "lessThan"
+    assert isinstance(le, sumo.Binary) and le.op == "lessThanOrEqualTo"
 
 
 def test_lower_arithmetic():
     f = formula_of("(equal (AdditionFn 1 2) 3)")
-    assert isinstance(f.left, sumo.Arith)
-    assert f.left.op == "+"
+    assert isinstance(f.left, sumo.Binary)
+    assert f.left.op == "AdditionFn"
     f = formula_of("(equal (SubtractionFn ?X 1) (MultiplicationFn ?Y (DivisionFn 4 2)))")
-    assert f.left.op == "-"
-    assert f.right.op == "*"
-    assert f.right.right.op == "/"
+    assert f.left.op == "SubtractionFn"
+    assert f.right.op == "MultiplicationFn"
+    assert f.right.right.op == "DivisionFn"
 
 
 def test_lower_kappa():
     f = formula_of("(instance Bob (KappaFn ?X (employs Acme ?X)))")
-    assert isinstance(f, sumo.Instance)
-    assert isinstance(f.cls, sumo.Kappa)
-    assert f.cls.var == "X"
-    assert isinstance(f.cls.body, sumo.Apply)
+    assert isinstance(f, sumo.Binary) and f.op == "instance"
+    assert isinstance(f.right, sumo.Kappa)
+    assert f.right.var == "X"
+    assert isinstance(f.right.body, sumo.Apply)
 
 
 def test_lower_row_spine_shapes():
@@ -113,7 +113,7 @@ def test_query_form():
     assert isinstance(out, sumo.Query)
     assert (
         isinstance(out.formula, sumo.Quantified) and out.formula.op == "exists"
-    ) or isinstance(out.formula, sumo.Instance)
+    ) or (isinstance(out.formula, sumo.Binary) and out.formula.op == "instance")
 
 
 def test_modal_heads_skipped():
@@ -365,13 +365,10 @@ CONSTRUCTS = {
     sumo.RowSpine: "(p a @ROW b)",
     sumo.Apply: "(p (f a))",
     sumo.Kappa: "(instance a (KappaFn ?X (p ?X)))",
-    sumo.Arith: "(equal (AdditionFn 1 2) 3)",
+    sumo.Binary: "(equal (AdditionFn 1 2) 3)",
     sumo.Connective: "(=> (p a) (q a))",
     sumo.Quantified: "(forall (?X ?Y) (p ?X ?Y))",
     sumo.RowQuantified: "(exists (@ROW) (p @ROW))",
-    sumo.Eq: "(equal a b)",
-    sumo.Instance: "(instance a RealNumber)",
-    sumo.Subclass: "(subclass A NonnegativeRealNumber)",
 }
 
 
@@ -393,7 +390,7 @@ def test_lowering_builds_exactly_the_kinds_of_the_traversal_table():
         assert kind in kinds, source
         built |= kinds
     assert built == set(CONSTRUCTS) == set(sumo.SHAPES)
-    assert len(sumo.SHAPES) == 14
+    assert len(sumo.SHAPES) == 11
 
 
 def test_real_number_classes_lower_to_constants():
@@ -401,12 +398,15 @@ def test_real_number_classes_lower_to_constants():
     # decide (translate.SPECIAL_CLASSES); lowering reads them as any class
     f = formula_of("(and (instance ?X RealNumber) (p NegativeRealNumber NonnegativeRealNumber))")
     real = [sumo.Const(n) for n in ("RealNumber", "NegativeRealNumber", "NonnegativeRealNumber")]
-    assert f.items[0].cls == real[0]
+    assert f.items[0].right == real[0]
     assert list(f.items[1].spine.items) == real[1:]
 
 
 class Stray:
     """A node no table lists."""
+
+
+STRAY_IN_AND = sumo.Connective("and", (sumo.Binary("equal", sumo.Var("X"), sumo.Var("Y")), Stray()))
 
 
 def test_folds_reject_unknown_nodes():
@@ -421,9 +421,19 @@ def test_folds_reject_unknown_nodes():
         lambda f: guards.guards_for(f, {"X"}, sig_from(""), None),
     ):
         with pytest.raises(TypeError):
-            fold(sumo.Connective("and", (sumo.Eq(sumo.Var("X"), sumo.Var("Y")), Stray())))
+            fold(STRAY_IN_AND)
     with pytest.raises(TypeError):
-        sumo._row_free_in_term(sumo.Arith(sumo.ARITH_ADD, sumo.Var("X"), Stray()))
+        sumo._row_free_in_term(sumo.Binary("AdditionFn", sumo.Var("X"), Stray()))
+
+
+def test_translator_rejects_unknown_nodes():
+    from sumok2set import translate
+
+    tr = translate.Translator(sig_from(""))
+    with pytest.raises(translate.TranslateError, match="^not a formula: <"):
+        tr.formula(STRAY_IN_AND)
+    with pytest.raises(translate.TranslateError, match="^not a term: <"):
+        tr.formula(sumo.Binary("equal", sumo.Var("X"), Stray()))
 
 
 def test_spans_preserved():
