@@ -9,6 +9,7 @@ check      validate rendered problem files (grammar, types, canonical form)
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -230,7 +231,9 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, made on first use and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="sumok2set",
         description="translate a SUMO fragment into higher-order set theory problems",

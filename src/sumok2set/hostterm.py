@@ -243,14 +243,6 @@ def children(t) -> tuple:
         raise TypeError(f"not a host term: {t!r}") from None
 
 
-def rebuild(t, kids):
-    """A node like t whose sub-terms are kids, in children order."""
-    if not kids:
-        return t
-    # sub-terms come last in every constructor; a lambda keeps its name and type
-    return Lam(t.name, t.ty, *kids) if type(t) is Lam else type(t)(*kids)
-
-
 def free_vars(term) -> list:
     """Free variables in first-occurrence order as (name, ty) pairs."""
     out: dict = {}

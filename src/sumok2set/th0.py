@@ -30,13 +30,15 @@ knowledge base's, rendered once for all its problems).  Parsing the
 rendered text (with th0read's parser) and rendering each record again
 reproduces it byte for byte.
 
-check_text goes through a problem record by record on one path: a record
-that a memo holds from earlier problems that checked clean is confirmed
-from its text alone, by one lookup of its text after thf( that gives its
-role, its name and the declarations it reads; each run of the others is
-parsed by one parser that reads one record's tokens at a time, each record
-typechecked, rendered and compared with its text as soon as it is parsed,
-and the layout of the records decides the rest of the canonical form.
+check_text looks each record of a problem up, by its text after thf(, in a
+memo of the records of earlier problems that checked clean, whose entry
+gives the record's role, its name and the declarations it reads.  Each run
+of records the memo holds is confirmed whole from their entries, with no
+parse, and a run that fails is parsed with the records after it; each run
+of the others is parsed by one parser that reads one record's tokens at a
+time, each record typechecked, rendered and compared with its text as soon
+as it is parsed, and the layout of the records decides the rest of the
+canonical form.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ import re
 import sys
 import threading
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .catalog import CATALOG, IN, SEP
@@ -572,6 +576,10 @@ CHECK_MEMO = RecordMemo(MEMO_BYTES)  # one per process, shared by every check_te
 
 
 _RANK = {"type": 0, "axiom": 1, "definition": 1, "conjecture": 2}  # the layout's order of roles
+# the parts of a memo entry (role, name, declaration, ...): the declaration
+# a type record makes, and those any other record reads
+_ROLE, _NAME, _MADE = itemgetter(0), itemgetter(1), itemgetter(2)
+_READS = itemgetter(slice(2, None))
 
 
 def check_text(text: str) -> list:
@@ -581,9 +589,9 @@ def check_text(text: str) -> list:
     correctness of every formula at the boolean type, and byte idempotence
     of the rendering.  A parse error is the only diagnostic; otherwise the
     type diagnostics of the premises come in order, then the conjecture's,
-    then the canonical-form one.  The text is checked record by record
-    (_RecordPass): CHECK_MEMO confirms the records it holds, and each run
-    of the others is parsed by one parser.
+    then the canonical-form one.  The text is checked by runs of records
+    (_RecordPass): CHECK_MEMO confirms each run of records it holds whole,
+    and each run of the others is parsed by one parser.
     """
     return _RecordPass(CHECK_MEMO).check(text, True)
 
@@ -611,18 +619,20 @@ class _Consts(dict):
 
 
 class _RecordPass:
-    """One check of a problem text, record by record.
+    """One check of a problem text, by runs of records.
 
     The text is split at each line that starts with thf(, which leaves each
     record's text after its thf( as the memo keys it; what comes before the
     first such line is its head, which must be comments as render_doc
-    writes them.  A record the memo holds is a hit, checked with no parse,
-    when the name its entry gives is new and an earlier type record makes
-    each declaration of the entry.  A run of the other records is parsed
-    by one parser, which reads one record's tokens at a time, and each
-    record is typechecked, rendered and compared with its own text right
-    after its parse, so that only strings outlive it (run).  The
-    diagnostics are those of parsing the whole run first: after a parse
+    writes them.  Every record is looked up in the memo, and each maximal
+    run of the records it holds, a run of hits, is confirmed whole with no
+    parse (confirm).  A run that fails leaves the pass as it was and is
+    parsed with the run after it: a parse of any run gives the diagnostics
+    a parse of the whole text gives for its records.  A run of the other
+    records is parsed by one parser, which reads one record's tokens at a
+    time, and each record is typechecked, rendered and compared with its
+    own text right after its parse, so that only strings outlive it (run).
+    The diagnostics are those of parsing the whole run first: after a parse
     error the caller returns that error alone, or starts again with a fresh
     pass.  A parse error in a run that more records of the memo follow is
     found again with no hits, so the whole text is one run and its first
@@ -656,31 +666,17 @@ class _RecordPass:
         head = text[:first].split("\n")[:-1]
         head_ok = all(line == "%" or line[:2] == "% " and line[2:3] not in ("", " ") for line in head)
         self.canonical = head_ok and end < len(text)
-        known = self.memo.entries if hits and head_ok else {}
+        known = self.memo.entries if hits and head_ok else None
         self.at = (0, first)  # a record's index and the offset of its thf(
-        names, declared, pending = self.names, self.declared, self.pending
-        start = 0  # the first record of the run being collected
-        for i, record in enumerate(records):
-            entry = known.get(record)
-            if entry is None:
-                continue
-            if start < i and self.run(text, records, start, i):
-                return _RecordPass(self.memo).check(text, False)
-            role, name = entry[0], entry[1]
-            if name in names or role != "type" and not declared.issuperset(entry[2:]):
-                start = i
-                continue
-            names.add(name)
-            rank = _RANK[role]
-            if rank < self.phase:
-                self.canonical = False
-            self.phase = rank
-            if rank == 0:
-                declared.add(entry[2])
-                pending.append(entry[2])
-            elif rank == 2:
-                self.conjecture = True
-            start = i + 1
+        start = i = 0  # the first record of the run to parse, and of the group
+        for hit, group in groupby(map(known.get, records) if known else (), bool):
+            group = list(group)  # a maximal run of memo entries, or of misses
+            j = i + len(group)
+            if hit:
+                if start < i and self.run(text, records, start, i):
+                    return _RecordPass(self.memo).check(text, False)
+                start = j if self.confirm(group) else i
+            i = j
         if start < len(records) or not records:
             error = self.run(text, records, start, len(records))
             if error:
@@ -693,6 +689,32 @@ class _RecordPass:
         elif not diags:
             self.memo.add(self.fresh)
         return diags
+
+    def confirm(self, entries: list) -> bool:
+        """Confirm a run of memo hits whole, or leave the pass as it was.
+
+        The run counts as checked when its names are new and distinct, its
+        roles follow the layout from the last record's, and each
+        declaration its premises read is made by an earlier type record:
+        in layout order its own type records come first.
+        """
+        ranks = list(map(_RANK.__getitem__, map(_ROLE, entries)))
+        if ranks[0] < self.phase or ranks != sorted(ranks):
+            return False
+        names = set(map(_NAME, entries))
+        if len(names) < len(entries) or not self.names.isdisjoint(names):
+            return False
+        types = ranks.count(0)
+        made = list(map(_MADE, entries[:types]))
+        reads = chain.from_iterable(map(_READS, entries[types:]))
+        if not self.declared.union(made).issuperset(reads):
+            return False
+        self.names |= names
+        self.declared.update(made)
+        self.pending += made
+        self.phase = ranks[-1]
+        self.conjecture |= ranks[-1] == 2
+        return True
 
     def offset(self, records: list, j: int) -> int:
         """The offset in the text of the thf( of records[j]; j never decreases."""

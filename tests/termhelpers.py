@@ -15,9 +15,16 @@ from sumok2set.hostterm import (
     Var,
     app,
     children,
-    rebuild,
     shape,
 )
+
+
+def rebuild(t, kids):
+    """A node like t whose sub-terms are kids, in children order."""
+    if not kids:
+        return t
+    # sub-terms come last in every constructor; a lambda keeps its name and type
+    return Lam(t.name, t.ty, *kids) if type(t) is Lam else type(t)(*kids)
 
 
 def mem(elem, container):

@@ -84,6 +84,26 @@ def make_script(dir, name, body):
     return path
 
 
+def test_main_calls_share_the_parser_and_no_option_state(tmp_path, capsys, monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsed = []
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(parse(argv)) or parsed[-1])
+    missing = str(tmp_path / "missing")
+    for argv in (
+        ["translate", "--kb", missing, "--skip-head", "H", missing],
+        ["translate", missing],
+        ["check", "--keep-going", missing],
+        ["check", missing],
+    ):
+        assert run_cli(argv, capsys)[0] == 1
+    first, second, keep_going, plain = parsed
+    assert (first.kb, first.skip_head) == ([missing], ["H"])
+    assert (second.kb, second.skip_head) == ([], [])
+    assert (keep_going.keep_going, plain.keep_going) == (True, False)
+
+
 # --- translate ---
 
 

@@ -31,7 +31,6 @@ from sumok2set.hostterm import (
     free_vars,
     imp_chain,
     quantifier,
-    rebuild,
     typecheck,
 )
 
@@ -48,6 +47,7 @@ from termhelpers import (
     ite,
     mem,
     neg,
+    rebuild,
     separation,
     subq,
     substitute,

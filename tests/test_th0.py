@@ -7,6 +7,7 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 
 import pytest
 from hypothesis import given, strategies as st
@@ -921,6 +922,34 @@ def test_a_faulty_problem_is_parsed_once(cold_memo, fixture_problems, monkeypatc
     # memo hits follow the faulty run: the error is found again in the whole text
     assert check_text(bad_middle) == cold[bad_middle]
     assert len(parsed) == 2 and parsed[1] == bad_middle
+
+
+def test_memo_run_of_hits_holding_two_records_of_one_name(cold_memo):
+    other = _SMALL_CLEAN.replace("(p, axiom, a)", "(p, axiom, (a & a))")
+    for clean in (_SMALL_CLEAN, other):
+        assert check_text(clean) == []
+    text = _SMALL_CLEAN.replace("\nthf(conj", "\nthf(p, axiom, (a & a)).\nthf(conj")
+    assert all(record in cold_memo.entries for record in text[4:-1].split("\nthf("))
+    assert check_text(text) == _cold_check(text) == ["parse error at 3:5: duplicate record name p"]
+
+
+def test_memo_parses_only_the_runs_a_corpus_problem_adds(cold_memo, fixture_problems, monkeypatch):
+    tqg3, tqg11 = fixture_problems[:2]
+    assert check_text(tqg3) == []
+    head = tqg11[: tqg11.index("thf(")]
+    records = ["thf(" + r for r in tqg11[len(head) + 4 : -1].split("\nthf(")]
+    groups = [(hit, "\n".join(g)) for hit, g in groupby(records, lambda r: r[4:] in cold_memo.entries)]
+    # each run the memo lacks, as the problem holds it: the head with the
+    # first record, and the final newline with the last
+    runs = [
+        (head if k == 0 else "") + run + ("\n" if k == len(groups) - 1 else "")
+        for k, (hit, run) in enumerate(groups)
+        if not hit
+    ]
+    assert len(runs) == 7
+    parsed = _parser_texts(monkeypatch)
+    assert check_text(tqg11) == []
+    assert parsed == runs
 
 
 def test_memo_holds_only_problems_that_checked_clean(cold_memo):
