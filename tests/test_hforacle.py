@@ -911,6 +911,34 @@ def test_fuel_capped_lemma_output_unchanged(fuel, tmp_path):
         ]
 
 
+# The fuel each shipped claim, and the planted wrong identity, spends at the
+# default cap, and what expanding catalog definitions took of it: every
+# node's charge counts, not only the assignment on which fuel runs out.
+CLAIM_FUEL = [(5, 0), (70_928, 0), (60_016, 0), (283_712, 0), (5_377, 1), (329_330, 2), (11, 0)]
+
+
+def test_fuel_spent_by_each_shipped_claim(monkeypatch):
+    from conftest import fixture_path
+
+    made = []
+
+    class Recording(hf.Evaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(hf, "Evaluator", Recording)
+    with open(fixture_path("claims.lemmas"), encoding="utf-8") as fh:
+        claims = hf.parse_lemmas(fh.read() + WRONG_IDENTITY)
+    spent = []
+    for claim in claims:
+        made.clear()
+        hf.check_claim(claim)
+        (e,) = made
+        spent.append((hf.DEFAULT_FUEL - e.fuel, e.defn_fuel))
+    assert spent == CLAIM_FUEL
+
+
 def _body(line):
     """The body of the one claim of a lemma line."""
     (claim,) = hf.parse_lemmas(line)
