@@ -1219,6 +1219,70 @@ def test_binder_loops_match_the_per_assignment_loop(fuel):
     assert got[3] == "evaluation fuel exhausted" and got[1] % 4 != 0, got
 
 
+# Claims over nat and bool binders whose spines mix bound variables, as
+# heads and as operands, with natives that raise or charge on a partial
+# application (ordsucc of omega, ordinal arithmetic on omega, cons of a
+# lambda, which tabulates it, ordsucc applied past its value), and with
+# catalog definitions applied in full and in part, two of them to an
+# argument that raises; spines of one, two and three arguments.  Each with
+# the fuel it spends.
+SWEEP_CASES = [
+    ("![N:nat, B:bool]: ((ord_add @ N @ (ite @ (B & (N = ord3)) @ omega @ N)) = (ord_mult @ N @ ord2))", 179),
+    ("![B:bool, N:nat]: ((ite @ B @ (ordsucc @ omega) @ N) = N)", 26),
+    ("![N:nat]: ((N = ord2) => ((ordsucc @ omega @ N) = N))", 17),
+    ("![N:nat, M:nat]: ((cons @ N @ (cons @ M @ nil) @ ord1) = (tag @ M))", 240),
+    (
+        "![N:nat]: ((len @ (cons @ N @ (^[I : $i]: (ite @ (in @ I @ N) @ (tag @ I) @ emptyset))))"
+        " = (ordsucc @ N))",
+        848,
+    ),
+    (
+        "![N:nat, M:nat]: (((^[F : $i > $i]: (^[K : $i]: (F @ K))) @ (cons @ N @ nil) @ M)"
+        " = (ite @ (M = ord0) @ (tag @ N) @ emptyset))",
+        312,
+    ),
+    ("![N:nat, M:nat]: ((in @ N @ M) => (subq @ N @ M))", 82),
+    ("![N:nat]: (![I : $i]: ((in @ I @ N) => (in @ I @ (ordsucc @ N))))", 44),
+    (
+        "![B:bool, N:nat]: (((dom_of @ B @ N @ (^[I : $i]: ord4) @ (cons @ ord1 @ nil)) <=> "
+        "(dom_of_fixedar @ N @ (^[I : $i]: ord4) @ (cons @ ord1 @ (ite @ B @ nil @ nil)))) | B)",
+        562,
+    ),
+    ("![N:nat, B:bool]: ((B | (N = ord0)) | (ordsucc @ N @ N))", 20),
+    (
+        "![N:nat]: ((N = ord3) => (dom_of_fixedar @ N @ (^[I : $i]: ord4) @ "
+        "(cons @ (ordsucc @ omega) @ nil)))",
+        31,
+    ),
+    (
+        "![N:nat]: ((N = ord3) => (dom_of_fixedar @ (ordsucc @ omega) @ (^[I : $i]: ord4) @ "
+        "(cons @ N @ nil)))",
+        24,
+    ),
+    # a bound function variable applied, and a native applied to one, where
+    # the function's body raises after charges of its own
+    ("![N:nat]: ((N = ord2) => (((^[F : $i > $i]: (F @ N)) @ (^[I : $i]: (ordsucc @ omega))) = N))", 22),
+    ("![N:nat]: ((N = ord1) => (((^[F : $i > $i]: (len @ F)) @ (^[I : $i]: (ordsucc @ omega))) = N))", 19),
+]
+# sha256 of check_claim's result on each of them at every fuel from 1 to
+# what it spends: where fuel runs out, and so the order of the charges
+SWEEP_DIGEST = "eb614f852e0d1e96590a69a5ac86f359f60b3cade3ebea29d89e80edf9b93933"
+
+
+def test_every_fuel_cap_on_small_claims():
+    claims = hf.parse_lemmas("".join(line + "\n" for line, _ in SWEEP_CASES))
+    digest = hashlib.sha256()
+    for claim, (_, spent) in zip(claims, SWEEP_CASES):
+        for fuel in range(1, spent + 1):
+            got = staged_check(claim, fuel)
+            assert got == reference_check(claim, fuel), (claim.text, fuel)
+            digest.update(f"{claim.index} {fuel} {got}\n".encode("utf-8"))
+        # the claim finishes on what it spends, and not on a unit less
+        assert got[3] != "evaluation fuel exhausted", claim.text
+        assert staged_check(claim, spent - 1)[3] == "evaluation fuel exhausted", claim.text
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
 def test_generators_are_built_once():
     fresh = {
         "set": hf.sets_of_rank(3),
