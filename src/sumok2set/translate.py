@@ -71,6 +71,11 @@ class TranslateError(InputError):
     pass
 
 
+# a form whose translation nests past the interpreter's stack, worded as
+# check words such a problem
+_TOO_DEEP = "formulas nested too deeply"
+
+
 class MangleCollision(TranslateError):
     pass
 
@@ -399,18 +404,23 @@ def translate_file(tr: Translator, path: str, lowered: list, kind: str = "kb"):
     skips: list = []
     conjecture = None
     for index, item in enumerate(lowered):
-        if isinstance(item, sumo.Skipped):
-            skips.append(SkipNote(path, item.reason, item.span))
-        elif isinstance(item, sumo.Query):
-            if kind == "kb":
-                raise TranslateError(f"query form inside knowledge base file {path}", item.span)
-            if conjecture is not None:
-                raise TranslateError("more than one query form", item.span)
-            conjecture = th0.render_premise("conj", "conjecture", tr.close_query(item))
-        else:
-            name = f"{prefix}{index}"
-            term = tr.close_assertion(item)
-            premises.append((name, "axiom", th0.render_premise(name, "axiom", term)))
+        # a form may translate or render to a term nested past the
+        # interpreter's stack, which is an error at that form
+        try:
+            if isinstance(item, sumo.Skipped):
+                skips.append(SkipNote(path, item.reason, item.span))
+            elif isinstance(item, sumo.Query):
+                if kind == "kb":
+                    raise TranslateError(f"query form inside knowledge base file {path}", item.span)
+                if conjecture is not None:
+                    raise TranslateError("more than one query form", item.span)
+                conjecture = th0.render_premise("conj", "conjecture", tr.close_query(item))
+            else:
+                name = f"{prefix}{index}"
+                term = tr.close_assertion(item)
+                premises.append((name, "axiom", th0.render_premise(name, "axiom", term)))
+        except RecursionError:
+            raise TranslateError(_TOO_DEEP, item.span) from None
     return premises, conjecture, skips
 
 

@@ -32,13 +32,16 @@ LONG_NUMERAL = b"(query (equal ?X " + b"7" * 5001 + b"))\n"
 # flat forms whose translation once nested past the interpreter's stack
 WIDE_ATOM = b"(query (p " + b" ".join(b"A%d" % i for i in range(1000)) + b"))\n"
 WIDE_DOMAIN = b"(instance p Predicate)\n(domain p 1200 Entity)\n(p a)\n"
+# a flat conjunction whose translation, a right-nested chain, renders past
+# the interpreter's stack
+FLAT_AND = b"(query (and " + b" ".join(b"(p A%d)" % i for i in range(1, 1001)) + b"))\n"
 # the power set of nat(16) has 65,536 members
 BIG_POWER_SET = b"((power @ (ord_mult @ ord4 @ ord4)) = emptyset)\n"
 PROCESS_INPUTS = {
     "bad.kif": b"\xff\xfe", "bad.p": b"\xff\xfe", "stray.kif": STRAY, "deep.kif": DEEP_KIF,
     "deep.p": DEEP_P, "deep.lemmas": DEEP_LEMMAS, "kappa.kif": NESTED_KAPPA.encode(),
     "huge.lemmas": HUGE_NUMERAL, "long-numeral.kif": LONG_NUMERAL, "wide-atom.kif": WIDE_ATOM,
-    "wide-domain.kif": WIDE_DOMAIN, "p.kif": b"(query (p ?X))\n",
+    "wide-domain.kif": WIDE_DOMAIN, "p.kif": b"(query (p ?X))\n", "flat.kif": FLAT_AND,
     "capped.cfg": f"kb = {KB}\nquery = kappa.kif\ntimeout = 3000000\nout_dir = capped\n".encode(),
     "kappa.cfg": f"kb = {KB}\nquery = kappa.kif\nout_dir = runs\n".encode(),
     # run configs whose outputs cannot be written: the out_dir lies under a
@@ -361,6 +364,13 @@ def test_deep_input_ends_in_an_error_line_not_a_traceback(tmp_path, capsys, monk
     (tmp_path / "deep.lemmas").write_bytes(DEEP_LEMMAS)
     code, out, err = run_cli(["oracle", "deep.lemmas"], capsys)
     assert (code, out, err) == (2, "", "error: deep.lemmas:1: formulas nested too deeply\n")
+
+
+def test_a_form_translated_past_the_stack_is_a_located_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flat.kif").write_bytes(FLAT_AND)
+    code, out, err = run_cli(["translate", "flat.kif"], capsys)
+    assert (code, out, err) == (1, "", "error: flat.kif:1:1: formulas nested too deeply\n")
 
 
 def test_translate_missing_query_is_located(tmp_path, capsys, monkeypatch):
@@ -928,6 +938,7 @@ PROCESS_RUNS = [
     (["translate", "long-numeral.kif"], 1),
     (["translate", "wide-atom.kif"], 1),
     (["translate", "--kb", "wide-domain.kif", "p.kif"], 1),
+    (["translate", "flat.kif"], 1),
     (["check", "deep.p"], 1),
     (["oracle", "deep.lemmas"], 2),
     (["oracle", "--fuel", "0", fixture_path("claims.lemmas")], 2),
