@@ -283,7 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of standard output is gone (the signal module's "Note on
+        # SIGPIPE"): what is left to write goes to the null device, so that
+        # the flush at exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -966,6 +966,22 @@ def test_cli_process_exits_without_a_traceback(argv, code, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv", [["oracle", fixture_path("claims.lemmas")], ["check", "mid.p"]])
+def test_a_closed_standard_output_ends_without_a_traceback(argv, tmp_path):
+    # the reader closes its end before the command writes: the write fails
+    # with EPIPE, which the command meets as BrokenPipeError
+    (tmp_path / "mid.p").write_text("thf(ty_a, type, a : $o).\nthf(conj, conjecture, (a => a)).\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "sumok2set.cli", *argv], cwd=tmp_path, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 PYPROJECT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml"
 )
