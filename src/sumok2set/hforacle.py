@@ -64,6 +64,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .catalog import CATALOG, SEP
 from .hostterm import (
@@ -529,12 +530,6 @@ def _subq(a, b) -> bool:
     return a.elems <= b.elems
 
 
-def _apply(fn, arg):
-    if callable(fn):  # closures and HfFn tables alike
-        return fn(arg)
-    raise Unsupported(f"applied non-function {fn!r}")
-
-
 _OUT_OF_FUEL = "evaluation fuel exhausted"
 
 
@@ -556,7 +551,22 @@ class Evaluator:
     ordinal operation.  A node whose first act is to evaluate a child passes
     its unit down to that child (owed), so charges with nothing observable
     between them are paid at once.
+
+    A bound variable operand has no closure of its own: its parent reads
+    its slot (a superoperator in the sense of Proebsting, "Optimizing an
+    ANSI C interpreter with superoperators", POPL 1995), where it is the
+    argument or head of an application, the left operand of =, in, subq or
+    <=>, the condition of ite or the bound of a quantifier.  Its charge
+    joins the next one when nothing observable comes between them, and is
+    otherwise made where its closure would have made it.  An application
+    calls its function directly.  A spine headed by a catalog constant
+    defined by a lambda runs the definition past the lambdas it fills on
+    the arguments' values, charging what applying the constant's value
+    would.  So every charge keeps its place, and fuel runs out at the same
+    point of every evaluation.
     """
+
+    __slots__ = ("fuel", "interp", "_defn_cache", "defn_fuel", "claim_names", "epochs", "stage")
 
     def __init__(self, interp=None, fuel: int = DEFAULT_FUEL):
         self.fuel = fuel
@@ -673,6 +683,8 @@ class Evaluator:
         """The value of a catalog definition, expanded on first use.
 
         A constant of interp never reaches here: _compile_const reads it.
+        A spine that runs a definition in place (_compile_defn_app) calls
+        this only for the fuel of the expansion, and not the value.
         """
         if name in self._defn_cache:
             return self._defn_cache[name]
@@ -717,6 +729,15 @@ class Evaluator:
 #
 # Each function below takes the evaluator, a term of its type, the names in
 # scope and the fuel owed, and returns a closure over a tuple of values.
+# Whether a node reads an operand itself is decided here, from the
+# operand's node type alone: a bound Var is read from its slot of the tuple
+# inside the node's closure, or through operator.itemgetter where the
+# node's shape calls each operand, and a known function at the head of a
+# spine is fetched at compile time.  The Var's charge, with what is owed to
+# it, joins the next charge when only reads come between them, since a
+# closure charges before anything else; otherwise the node makes it where
+# the Var's own closure would have.  No charge moves past an application,
+# the call of a native, or an operand that may go unevaluated.
 
 
 def _compile(ev, t, scope: tuple, owed: int = 0):
@@ -895,7 +916,8 @@ def _compile_const(ev, t, scope, owed):
 def _compile_app(ev, t, scope, owed, stop=None):
     # the spine h @ a1 @ ... @ an charges n + 1 before evaluating any ai; a
     # prefix stop of the spine is a head of its own, and owes the charges of
-    # the applications around it
+    # the applications around it.  The spine runs as one application per
+    # argument, the innermost first.
     args = []
     while type(t) is App and t is not stop:
         args.append(t.arg)
@@ -903,32 +925,181 @@ def _compile_app(ev, t, scope, owed, stop=None):
     args.reverse()
     owed += len(args)
     fn = ev.interp.get(t.name) if type(t) is Const else None
+    slot = _bound(t, scope)
     if callable(fn):
-        # a known function is fetched with no effect, so the first argument
-        # pays its charges, and applying it needs no check
-        head = None
-        args = [_compile(ev, a, scope, owed + 1 if i == 0 else 0) for i, a in enumerate(args)]
+        # a known function is fetched, and a bound variable read, with no
+        # effect, so the first argument pays their charges
+        run, args = _apply_known(ev, fn, args[0], scope, owed + 1), args[1:]
+    elif slot is not None:
+        run, args = _apply_slot(ev, slot, args[0], scope, owed + 1), args[1:]
+    elif _inlined(ev, t):
+        run, args = _compile_defn_app(ev, t.name, args, scope, owed)
     else:
-        head = _compile(ev, t, scope, owed)
-        args = [_compile(ev, a, scope) for a in args]
-    if len(args) == 1:
-        (arg,) = args
-        if head is None:
-            return lambda env: fn(arg(env))
-        return lambda env: _apply(head(env), arg(env))
-    if len(args) == 2:
-        first, second = args
-        if head is None:
-            return lambda env: _apply(fn(first(env)), second(env))
-        return lambda env: _apply(_apply(head(env), first(env)), second(env))
+        run = _compile(ev, t, scope, owed)
+    for arg in args:
+        run = _apply_run(ev, run, arg, scope, 0)
+    return run
 
-    def app(env):
-        value = fn if head is None else head(env)
-        for arg in args:
-            value = _apply(value, arg(env))
-        return value
 
-    return app
+def _bound(t, scope):
+    """The slot of t when t is a bound variable, which its parent reads inline."""
+    return _slot(scope, t.name) if type(t) is Var else None
+
+
+def _apply_known(ev, fn, arg, scope, owed):
+    """fn, a known function, applied to arg, which pays owed."""
+    slot = _bound(arg, scope)
+    if slot is None:
+        arg = _compile(ev, arg, scope, owed)
+        return lambda env: fn(arg(env))
+    n = owed + 1
+
+    def known_at_var(env):
+        ev.fuel -= n
+        if ev.fuel < 0:
+            raise OutOfFuel(_OUT_OF_FUEL)
+        return fn(env[slot])
+
+    return known_at_var
+
+
+def _apply_run(ev, head, arg, scope, owed):
+    """head's value applied to arg, which pays owed.
+
+    A bound variable arg is charged where its closure would have charged,
+    after head runs.
+    """
+    slot = _bound(arg, scope)
+    if slot is None:
+        arg = _compile(ev, arg, scope, owed)
+
+        def apply(env):
+            f, x = head(env), arg(env)
+            try:
+                return f(x)
+            except TypeError:
+                _refuse_non_function(f)
+                raise
+
+        return apply
+    n = owed + 1
+
+    def apply_at_var(env):
+        f = head(env)
+        ev.fuel -= n
+        if ev.fuel < 0:
+            raise OutOfFuel(_OUT_OF_FUEL)
+        try:
+            return f(env[slot])
+        except TypeError:
+            _refuse_non_function(f)
+            raise
+
+    return apply_at_var
+
+
+def _apply_slot(ev, at, arg, scope, owed):
+    """The bound variable at slot at applied to arg, which pays owed."""
+    slot = _bound(arg, scope)
+    if slot is None:
+        arg = _compile(ev, arg, scope, owed)
+
+        def apply_var(env):
+            f, x = env[at], arg(env)
+            try:
+                return f(x)
+            except TypeError:
+                _refuse_non_function(f)
+                raise
+
+        return apply_var
+    n = owed + 1
+
+    def apply_var_at_var(env):
+        ev.fuel -= n
+        if ev.fuel < 0:
+            raise OutOfFuel(_OUT_OF_FUEL)
+        f = env[at]
+        try:
+            return f(env[slot])
+        except TypeError:
+            _refuse_non_function(f)
+            raise
+
+    return apply_var_at_var
+
+
+def _refuse_non_function(fn):
+    """Raise Unsupported when fn, whose application raised TypeError, is no function."""
+    if not callable(fn):
+        raise Unsupported(f"applied non-function {fn!r}") from None
+
+
+def _inlined(ev, t):
+    """Whether a spine headed by t runs t's definition in place: whether t
+    is a catalog constant defined by a lambda.
+
+    No catalog definition reads itself, directly or through another, so
+    compiling definitions in place ends.
+    """
+    if type(t) is not Const or t.name in ev.interp:
+        return False
+    return t.name in CATALOG and type(CATALOG.defn_of(t.name)) is Lam
+
+
+def _compile_defn_app(ev, name, args, scope, owed):
+    """The closure for c @ a1 @ ... @ aj, c the catalog constant name, and
+    the arguments after aj; j is the number of leading lambdas of c's
+    definition that the arguments meet.
+
+    Applying c's value to ai, for i < j, only runs its (i + 1)-th lambda,
+    which charges one unit.  So the closure charges c's units and expands c
+    on first use, as _compile_const's closure does, evaluates a1 .. aj with
+    a unit between each two, and runs what applying to aj would, the
+    definition past its j-th lambda, on their values.  A bound variable ai
+    is read with no charge, its unit and those before it since the last
+    closure paid with the next charge: an argument's or the definition's.
+    """
+    defn, params = CATALOG.defn_of(name), ()
+    while type(defn) is Lam and len(params) < len(args):
+        params, defn = params + (defn.name,), defn.body
+    runs, slots, pending = [], [], 0
+    for i, arg in enumerate(args[: len(params)]):
+        if i:
+            pending += 1  # the unit of the lambda that applying to a(i - 1) runs
+        slot = _bound(arg, scope)
+        if slot is None:
+            runs.append(_compile(ev, arg, scope, pending))
+            pending = 0
+        else:
+            runs.append(itemgetter(slot))
+            slots.append(slot)
+            pending += 1
+    # the definition is compiled as const_value compiles it, with no claim
+    # binder in scope
+    claim_names, ev.claim_names = ev.claim_names, None
+    try:
+        rest = _compile(ev, defn, params, pending)
+    finally:
+        ev.claim_names = claim_names
+    if len(slots) == len(runs):  # a tuple of the values at slots
+        values = itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(slots[0], slots[0] + 1))
+    else:
+
+        def values(env):
+            return tuple([run(env) for run in runs])
+
+    n, cache, const_value = owed + 1, ev._defn_cache, ev.const_value
+
+    def defn_app(env):
+        ev.fuel -= n
+        if ev.fuel < 0:
+            raise OutOfFuel(_OUT_OF_FUEL)
+        if name not in cache:
+            const_value(name)
+        return rest(values(env))
+
+    return defn_app, args[len(params) :]
 
 
 def _compile_lam(ev, t, scope, owed):
@@ -949,24 +1120,40 @@ def _compile_neg(ev, t, scope, owed):
     return lambda env: not body(env)
 
 
-def _binary(combine):
+def _operands(ev, t, scope, owed):
+    """The closures of the operands of t, a primitive that evaluates both,
+    the left first.  A bound variable on the left is read with no effect,
+    so the right operand pays its units."""
+    slot = _bound(t.fn.arg, scope)
+    if slot is None:
+        return _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
+    return itemgetter(slot), _compile(ev, t.arg, scope, owed + 2)
+
+
+def _lazy_operands(ev, t, scope, owed):
+    """The closures of the operands of t, a connective that may leave its
+    right operand unevaluated, so that each pays its own units."""
+    return _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
+
+
+def _binary(operands, combine):
     """The compiler of a primitive of two operands: combine of their closures."""
 
     def compile_binary(ev, t, scope, owed):
-        return combine(_compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope))
+        return combine(*operands(ev, t, scope, owed))
 
     return compile_binary
 
 
-_compile_imp = _binary(lambda ante, cons: lambda env: (not ante(env)) or cons(env))
-_compile_conj = _binary(lambda left, right: lambda env: left(env) and right(env))
-_compile_disj = _binary(lambda left, right: lambda env: left(env) or right(env))
-_compile_iff = _binary(lambda left, right: lambda env: left(env) == right(env))
-_compile_subq = _binary(lambda sub, sup: lambda env: _subq(sub(env), sup(env)))
+_compile_imp = _binary(_lazy_operands, lambda ante, cons: lambda env: (not ante(env)) or cons(env))
+_compile_conj = _binary(_lazy_operands, lambda left, right: lambda env: left(env) and right(env))
+_compile_disj = _binary(_lazy_operands, lambda left, right: lambda env: left(env) or right(env))
+_compile_iff = _binary(_operands, lambda left, right: lambda env: left(env) == right(env))
+_compile_subq = _binary(_operands, lambda sub, sup: lambda env: _subq(sub(env), sup(env)))
 
 
 def _compile_eq(ev, t, scope, owed):
-    left, right = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
+    left, right = _operands(ev, t, scope, owed)
     values_equal = ev.values_equal
 
     def eq(env):
@@ -979,7 +1166,7 @@ def _compile_eq(ev, t, scope, owed):
 
 
 def _compile_mem(ev, t, scope, owed):
-    elem, container = _compile(ev, t.fn.arg, scope, owed + 1), _compile(ev, t.arg, scope)
+    elem, container = _operands(ev, t, scope, owed)
 
     def mem(env):
         a, b = elem(env), container(env)
@@ -989,7 +1176,12 @@ def _compile_mem(ev, t, scope, owed):
 
 
 def _compile_ite(ev, t, scope, owed):
-    cond = _compile(ev, t.fn.fn.arg, scope, owed + 1)
+    cond, slot = t.fn.fn.arg, _bound(t.fn.fn.arg, scope)
+    if slot is not None:
+        # read with no effect, so the branch taken pays its units
+        then, other = _compile(ev, t.fn.arg, scope, owed + 2), _compile(ev, t.arg, scope, owed + 2)
+        return lambda env: then(env) if env[slot] else other(env)
+    cond = _compile(ev, cond, scope, owed + 1)
     then, other = _compile(ev, t.fn.arg, scope), _compile(ev, t.arg, scope)
     return lambda env: then(env) if cond(env) else other(env)
 
@@ -1010,11 +1202,22 @@ def _compile_quantifier(ev, t, scope, owed):
         bounded = _membership_bound(lam, universal)
         if bounded is None:
             return _failing(ev, n, "individual quantifier without a membership bound")
-        container, body = bounded
-        bound, members = _compile(ev, container, scope, n), ev.members
+        (container, body), members = bounded, ev.members
+        slot = _bound(container, scope)
+        if slot is None:
+            bound = _compile(ev, container, scope, n)
 
-        def values(env):
-            return members(bound(env))
+            def values(env):
+                return members(bound(env))
+
+        else:
+            n += 1  # the bound's unit, paid with the quantifier's
+
+            def values(env):
+                ev.fuel -= n
+                if ev.fuel < 0:
+                    raise OutOfFuel(_OUT_OF_FUEL)
+                return members(env[slot])
 
     else:
         return _failing(ev, n, "quantification at function type")
