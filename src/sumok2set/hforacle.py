@@ -556,7 +556,7 @@ class Evaluator:
     its slot (a superoperator in the sense of Proebsting, "Optimizing an
     ANSI C interpreter with superoperators", POPL 1995), where it is the
     argument or head of an application, the left operand of =, in, subq or
-    <=>, the condition of ite or the bound of a quantifier.  Its charge
+    <=>, or the bound of a quantifier.  Its charge
     joins the next one when nothing observable comes between them, and is
     otherwise made where its closure would have made it.  An application
     calls its function directly.  A spine headed by a catalog constant
@@ -931,7 +931,7 @@ def _compile_app(ev, t, scope, owed, stop=None):
         # effect, so the first argument pays their charges
         run, args = _apply_known(ev, fn, args[0], scope, owed + 1), args[1:]
     elif slot is not None:
-        run, args = _apply_slot(ev, slot, args[0], scope, owed + 1), args[1:]
+        run, args = _apply_run(ev, itemgetter(slot), args[0], scope, owed + 1), args[1:]
     elif _inlined(ev, t):
         run, args = _compile_defn_app(ev, t.name, args, scope, owed)
     else:
@@ -996,37 +996,6 @@ def _apply_run(ev, head, arg, scope, owed):
             raise
 
     return apply_at_var
-
-
-def _apply_slot(ev, at, arg, scope, owed):
-    """The bound variable at slot at applied to arg, which pays owed."""
-    slot = _bound(arg, scope)
-    if slot is None:
-        arg = _compile(ev, arg, scope, owed)
-
-        def apply_var(env):
-            f, x = env[at], arg(env)
-            try:
-                return f(x)
-            except TypeError:
-                _refuse_non_function(f)
-                raise
-
-        return apply_var
-    n = owed + 1
-
-    def apply_var_at_var(env):
-        ev.fuel -= n
-        if ev.fuel < 0:
-            raise OutOfFuel(_OUT_OF_FUEL)
-        f = env[at]
-        try:
-            return f(env[slot])
-        except TypeError:
-            _refuse_non_function(f)
-            raise
-
-    return apply_var_at_var
 
 
 def _refuse_non_function(fn):
@@ -1176,12 +1145,7 @@ def _compile_mem(ev, t, scope, owed):
 
 
 def _compile_ite(ev, t, scope, owed):
-    cond, slot = t.fn.fn.arg, _bound(t.fn.fn.arg, scope)
-    if slot is not None:
-        # read with no effect, so the branch taken pays its units
-        then, other = _compile(ev, t.fn.arg, scope, owed + 2), _compile(ev, t.arg, scope, owed + 2)
-        return lambda env: then(env) if env[slot] else other(env)
-    cond = _compile(ev, cond, scope, owed + 1)
+    cond = _compile(ev, t.fn.fn.arg, scope, owed + 1)
     then, other = _compile(ev, t.fn.arg, scope), _compile(ev, t.arg, scope)
     return lambda env: then(env) if cond(env) else other(env)
 
