@@ -555,10 +555,10 @@ class Evaluator:
     A bound variable operand has no closure of its own: its parent reads
     its slot (a superoperator in the sense of Proebsting, "Optimizing an
     ANSI C interpreter with superoperators", POPL 1995), where it is the
-    argument or head of an application, the left operand of =, in, subq or
-    <=>, or the bound of a quantifier.  Its charge
-    joins the next one when nothing observable comes between them, and is
-    otherwise made where its closure would have made it.  An application
+    argument or head of an application, or the left operand of =, in, subq
+    or <=>.  Its charge joins the next one when nothing observable comes
+    between them, and is otherwise made where its closure would have made
+    it.  An application
     calls its function directly.  A spine headed by a catalog constant
     defined by a lambda runs the definition past the lambdas it fills on
     the arguments' values, charging what applying the constant's value
@@ -926,9 +926,9 @@ def _compile_app(ev, t, scope, owed, stop=None):
     owed += len(args)
     fn = ev.interp.get(t.name) if type(t) is Const else None
     slot = _bound(t, scope)
+    # a known function is fetched, and a bound variable read, with no
+    # effect, so the first argument pays their charges
     if callable(fn):
-        # a known function is fetched, and a bound variable read, with no
-        # effect, so the first argument pays their charges
         run, args = _apply_known(ev, fn, args[0], scope, owed + 1), args[1:]
     elif slot is not None:
         run, args = _apply_run(ev, itemgetter(slot), args[0], scope, owed + 1), args[1:]
@@ -1166,22 +1166,11 @@ def _compile_quantifier(ev, t, scope, owed):
         bounded = _membership_bound(lam, universal)
         if bounded is None:
             return _failing(ev, n, "individual quantifier without a membership bound")
-        (container, body), members = bounded, ev.members
-        slot = _bound(container, scope)
-        if slot is None:
-            bound = _compile(ev, container, scope, n)
+        container, body = bounded
+        bound, members = _compile(ev, container, scope, n), ev.members
 
-            def values(env):
-                return members(bound(env))
-
-        else:
-            n += 1  # the bound's unit, paid with the quantifier's
-
-            def values(env):
-                ev.fuel -= n
-                if ev.fuel < 0:
-                    raise OutOfFuel(_OUT_OF_FUEL)
-                return members(env[slot])
+        def values(env):
+            return members(bound(env))
 
     else:
         return _failing(ev, n, "quantification at function type")
